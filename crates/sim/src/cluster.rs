@@ -580,9 +580,7 @@ impl ClusterScenario {
 
         let bus = Bus::with_ring(RING_CAPACITY);
         let sinks = self.attach_sinks(&bus, n);
-        for event in merge_events(n, components, &mut shards) {
-            bus.emit(event);
-        }
+        merge_events(n, components, &mut shards, |event| bus.emit(event));
 
         let mut outcomes: Vec<Option<NodeOutcome>> = (0..n).map(|_| None).collect();
         for (members, shard) in components.iter().zip(shards.iter_mut()) {

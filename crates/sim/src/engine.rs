@@ -68,23 +68,23 @@ pub(crate) struct ShardRun<S> {
     pub(crate) max_observed_delay: Duration,
 }
 
-/// K-way merges the per-shard streams into the exact emission order of
-/// the combined single-threaded world: ascending time, component rank
-/// breaking ties (the combined scheduler drains same-time heads in
-/// rank order), with the per-tick [`Sample`]s of every shard stitched
-/// into one deployment-wide snapshot that sorts *after* same-instant
-/// events (`run_sampled` drains the queue up to the tick before
-/// snapshotting). Streams with no samples at all merge by the plain
-/// time/rank key.
+/// K-way merges the per-shard streams, handing each event to `emit` in
+/// the exact emission order of the combined single-threaded world (the
+/// merged stream is consumed as it forms, never held whole): ascending
+/// time, component rank breaking ties (the combined scheduler drains
+/// same-time heads in rank order), with the per-tick [`Sample`]s of
+/// every shard stitched into one deployment-wide snapshot that sorts
+/// *after* same-instant events (`run_sampled` drains the queue up to
+/// the tick before snapshotting). Streams with no samples at all merge
+/// by the plain time/rank key.
 ///
 /// [`Sample`]: TelemetryEvent::Sample
 pub(crate) fn merge_events<S>(
     n: usize,
     components: &[Vec<NodeId>],
     shards: &mut [ShardRun<S>],
-) -> Vec<TelemetryEvent> {
-    let total: usize = shards.iter().map(|s| s.events.len()).sum();
-    let mut merged = Vec::with_capacity(total);
+    mut emit: impl FnMut(TelemetryEvent),
+) {
     let key = |event: &TelemetryEvent, rank: usize| {
         (
             event.at(),
@@ -104,7 +104,7 @@ pub(crate) fn merge_events<S>(
     }
     while let Some(Reverse((at, is_sample, rank))) = heads.pop() {
         if !is_sample {
-            merged.push(shards[rank].events.pop_front().expect("head exists"));
+            emit(shards[rank].events.pop_front().expect("head exists"));
             if let Some(event) = shards[rank].events.front() {
                 heads.push(Reverse(key(event, rank)));
             }
@@ -139,7 +139,7 @@ pub(crate) fn merge_events<S>(
                 heads.push(Reverse(key(event, rank)));
             }
         }
-        merged.push(TelemetryEvent::Sample {
+        emit(TelemetryEvent::Sample {
             at,
             servers: servers
                 .into_iter()
@@ -147,5 +147,4 @@ pub(crate) fn merge_events<S>(
                 .collect(),
         });
     }
-    merged
 }

@@ -668,9 +668,7 @@ impl Scenario {
         let bus = Bus::with_ring(RING_CAPACITY);
         let sinks = self.attach_sinks(&bus);
         let dropped = if full_stream {
-            for event in merge_events(n, components, &mut shards) {
-                bus.emit(event);
-            }
+            merge_events(n, components, &mut shards, |event| bus.emit(event));
             bus.dropped_events()
         } else {
             // Only the stitched samples flow through the bus; the
@@ -682,9 +680,7 @@ impl Scenario {
             let ticks = shards.first().map_or(0, |s| s.events.len()) as u64;
             let seen: u64 = shards.iter().map(|s| s.seen).sum();
             let total = seen - ticks * (shards.len() as u64 - 1);
-            for event in merge_events(n, components, &mut shards) {
-                bus.emit(event);
-            }
+            merge_events(n, components, &mut shards, |event| bus.emit(event));
             total.saturating_sub(RING_CAPACITY as u64)
         };
 

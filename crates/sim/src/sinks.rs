@@ -9,7 +9,7 @@
 //! event stream — there is no side channel.
 
 use std::cell::RefCell;
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::Mutex;
@@ -19,8 +19,8 @@ use tempo_net::NetStats;
 use tempo_oracle::cluster::{ClusterOracle, ClusterReport, IssueObservation};
 use tempo_oracle::{Oracle, OracleReport, RehydrationObservation, RoundObservation, SampleState};
 use tempo_service::ServerSample;
-use tempo_telemetry::json::{event_line, JsonObject};
-use tempo_telemetry::{EventKind, Observer, TelemetryEvent};
+use tempo_telemetry::json::write_event;
+use tempo_telemetry::{json_record, EventKind, Observer, TelemetryEvent};
 
 use crate::metrics::SampleRow;
 
@@ -319,8 +319,14 @@ impl Observer for ClusterOracleSink {
 /// The stream is framed by a `run_start` header and a `summary`
 /// footer, written by [`JsonlSink::run_start`] and
 /// [`JsonlSink::finish`] around the run.
+///
+/// Lines are encoded into one reused buffer and handed to the writer
+/// 64 KiB or more at a time, then once more on `finish`; a sink dropped without `finish` (a run that panicked)
+/// still writes out what it holds, so a post-mortem export keeps its
+/// tail.
 pub struct JsonlSink {
     out: Box<dyn Write>,
+    buf: Vec<u8>,
     events: u64,
 }
 
@@ -333,10 +339,18 @@ impl std::fmt::Debug for JsonlSink {
 }
 
 impl JsonlSink {
-    /// Wraps a writer. Buffer it yourself if the destination is slow.
+    /// The writer sees no write shorter than this, the last excepted.
+    const CHUNK: usize = 64 * 1024;
+
+    /// Wraps a writer. The sink does its own buffering: hand it the
+    /// file or socket itself.
     #[must_use]
     pub fn new(out: Box<dyn Write>) -> Self {
-        JsonlSink { out, events: 0 }
+        JsonlSink {
+            out,
+            buf: Vec::with_capacity(Self::CHUNK + Self::CHUNK / 4),
+            events: 0,
+        }
     }
 
     /// Number of event lines written so far (header and footer are
@@ -346,11 +360,19 @@ impl JsonlSink {
         self.events
     }
 
-    fn write_line(&mut self, line: &str) {
-        self.out
-            .write_all(line.as_bytes())
-            .and_then(|()| self.out.write_all(b"\n"))
-            .expect("telemetry export failed");
+    /// Ends the line just encoded and hands the buffer on once a
+    /// chunk's worth has gathered.
+    fn end_line(&mut self) {
+        self.buf.push(b'\n');
+        if self.buf.len() >= Self::CHUNK {
+            self.write_out().expect("telemetry export failed");
+        }
+    }
+
+    fn write_out(&mut self) -> std::io::Result<()> {
+        let written = self.out.write_all(&self.buf);
+        self.buf.clear();
+        written
     }
 
     /// Writes the `run_start` header line.
@@ -366,14 +388,9 @@ impl JsonlSink {
         xi: Duration,
         tau: Duration,
     ) {
-        let mut o = JsonObject::typed("run_start");
-        o.int("seed", seed)
-            .int("servers", servers as u64)
-            .str("strategy", strategy)
-            .num("xi", xi.as_secs())
-            .num("tau", tau.as_secs());
-        let line = o.finish();
-        self.write_line(&line);
+        json_record!(&mut self.buf, "run_start",
+            "seed": seed, "servers": servers, "strategy": strategy, "xi": xi, "tau": tau);
+        self.end_line();
     }
 
     /// Writes the `summary` footer line and flushes. `xi_witness` is
@@ -385,27 +402,33 @@ impl JsonlSink {
     ///
     /// Panics when the underlying writer fails.
     pub fn finish(&mut self, dropped: u64, xi_witness: Duration, net: &NetStats) {
-        let mut o = JsonObject::typed("summary");
-        o.int("events", self.events)
-            .int("dropped", dropped)
-            .num("xi_witness", xi_witness.as_secs())
-            .int("sent", net.sent as u64)
-            .int("delivered", net.delivered as u64)
-            .int("lost", net.lost as u64)
-            .int("duplicated", net.duplicated as u64)
-            .int("partitioned", net.partitioned as u64)
-            .int("timers", net.timers_fired as u64);
-        let line = o.finish();
-        self.write_line(&line);
-        self.out.flush().expect("telemetry export failed");
+        json_record!(&mut self.buf, "summary",
+            "events": self.events, "dropped": dropped, "xi_witness": xi_witness,
+            "sent": net.sent, "delivered": net.delivered, "lost": net.lost,
+            "duplicated": net.duplicated, "partitioned": net.partitioned,
+            "timers": net.timers_fired);
+        self.buf.push(b'\n');
+        self.write_out()
+            .and_then(|()| self.out.flush())
+            .expect("telemetry export failed");
     }
 }
 
 impl Observer for JsonlSink {
     fn observe(&mut self, event: &TelemetryEvent) {
         self.events += 1;
-        let line = event_line(event);
-        self.write_line(&line);
+        write_event(&mut self.buf, event);
+        self.end_line();
+    }
+}
+
+impl Drop for JsonlSink {
+    fn drop(&mut self) {
+        // Best effort, and only what `finish` has not already written:
+        // a destructor must not panic over a failed write.
+        if !self.buf.is_empty() {
+            let _ = self.write_out().and_then(|()| self.out.flush());
+        }
     }
 }
 
@@ -431,9 +454,7 @@ pub(crate) fn open_jsonl(telemetry_out: Option<&PathBuf>) -> Option<Rc<RefCell<J
         std::fs::File::create(&path)
     }
     .unwrap_or_else(|e| panic!("cannot open telemetry export {}: {e}", path.display()));
-    Some(Rc::new(RefCell::new(JsonlSink::new(Box::new(
-        BufWriter::new(file),
-    )))))
+    Some(Rc::new(RefCell::new(JsonlSink::new(Box::new(file)))))
 }
 
 /// Process-wide default telemetry export path, consulted by
@@ -516,26 +537,33 @@ mod tests {
         assert!(!sink.enabled(EventKind::RoundAdopt));
     }
 
-    #[test]
-    fn jsonl_sink_frames_and_counts() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
+    /// Stands in for the output file: keeps the bytes and the size of
+    /// every write it was handed.
+    #[derive(Clone, Default)]
+    struct Recorder {
+        bytes: Rc<RefCell<Vec<u8>>>,
+        writes: Rc<RefCell<Vec<usize>>>,
+    }
 
-        // A tiny shared buffer standing in for the output file.
-        #[derive(Clone)]
-        struct Buf(Rc<RefCell<Vec<u8>>>);
-        impl Write for Buf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.borrow_mut().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
+    impl Recorder {
+        fn text(&self) -> String {
+            String::from_utf8(self.bytes.borrow().clone()).expect("the export is UTF-8")
         }
+    }
 
-        let buf = Buf(Rc::new(RefCell::new(Vec::new())));
-        let mut sink = JsonlSink::new(Box::new(buf.clone()));
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.bytes.borrow_mut().extend_from_slice(buf);
+            self.writes.borrow_mut().push(buf.len());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn started_sink(out: &Recorder) -> JsonlSink {
+        let mut sink = JsonlSink::new(Box::new(out.clone()));
         sink.run_start(
             7,
             3,
@@ -543,16 +571,83 @@ mod tests {
             Duration::from_millis(20.0),
             Duration::from_secs(10.0),
         );
+        sink
+    }
+
+    fn send_at(millis: u32) -> TelemetryEvent {
+        TelemetryEvent::MsgSend {
+            at: Timestamp::from_secs(f64::from(millis) / 1000.0),
+            from: 0,
+            to: 1,
+        }
+    }
+
+    #[test]
+    fn jsonl_sink_frames_and_counts() {
+        let out = Recorder::default();
+        let mut sink = started_sink(&out);
         sink.observe(&sample_event());
         assert_eq!(sink.events(), 1);
         sink.finish(0, Duration::from_millis(8.0), &NetStats::default());
 
-        let text = String::from_utf8(buf.0.borrow().clone()).unwrap();
+        let text = out.text();
         let n = tempo_telemetry::json::validate_stream(&text).expect("stream validates");
         assert_eq!(n, 3);
         assert!(text.contains("\"xi_witness\":0.008"));
         // The inactive server exports as null.
         assert!(text.contains("null"));
+    }
+
+    #[test]
+    fn jsonl_sink_hands_over_whole_chunks_in_order() {
+        let out = Recorder::default();
+        let mut sink = started_sink(&out);
+        let events: Vec<TelemetryEvent> = (0..6000).map(send_at).collect();
+        let mut expected = String::new();
+        for event in &events {
+            sink.observe(event);
+            expected.push_str(&tempo_telemetry::json::event_line(event));
+            expected.push('\n');
+        }
+        assert!(
+            out.writes.borrow().len() >= 3,
+            "a few hundred KB should have gone out already"
+        );
+        sink.finish(0, Duration::from_millis(8.0), &NetStats::default());
+
+        let writes = out.writes.borrow().clone();
+        let (last, full) = writes.split_last().expect("something was written");
+        assert!(
+            full.iter().all(|&len| len >= JsonlSink::CHUNK),
+            "{writes:?}"
+        );
+        assert!(*last > 0);
+        let text = out.text();
+        assert_eq!(
+            tempo_telemetry::json::validate_stream(&text),
+            Ok(events.len() + 2)
+        );
+        let (header, rest) = text.split_once('\n').expect("a header line");
+        assert!(header.starts_with("{\"type\":\"run_start\""), "{header}");
+        assert!(rest.starts_with(&expected), "events in emission order");
+        assert!(rest[expected.len()..].starts_with("{\"type\":\"summary\",\"events\":6000,"));
+    }
+
+    #[test]
+    fn jsonl_sink_dropped_without_finish_keeps_its_tail() {
+        let out = Recorder::default();
+        let mut sink = started_sink(&out);
+        for millis in 0..10 {
+            sink.observe(&send_at(millis));
+        }
+        assert!(out.bytes.borrow().is_empty(), "still below one chunk");
+        drop(sink);
+        let text = out.text();
+        assert_eq!(text.lines().count(), 11, "header and ten events");
+        assert!(
+            text.ends_with("\"t\":0.009,\"from\":0,\"to\":1}\n"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -4,439 +4,264 @@
 //!
 //! The schema is stable and documented in EXPERIMENTS.md. Every line
 //! is a flat JSON object whose `"type"` field names the record; field
-//! order is fixed and numbers use Rust's shortest-roundtrip `f64`
-//! formatting, so a fixed seed yields a byte-identical stream.
+//! order is fixed and numbers are written by [`crate::num`] exactly as
+//! Rust's `{}` formats them (shortest round-trip, never an exponent),
+//! so a fixed seed yields a byte-identical stream.
 
-use std::fmt::Write as _;
+use tempo_core::{Duration, Timestamp};
 
+use crate::num::{write_f64, write_u64};
 use crate::{SampleSnapshot, TelemetryEvent};
 
 // ---------------------------------------------------------------------------
 // Writing
 // ---------------------------------------------------------------------------
 
-/// Appends `s` to `out` as a JSON string literal (with quotes).
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// A value [`json_record!`](crate::json_record) can append to a line
+/// in place.
+pub trait Value {
+    /// Appends `self` as JSON.
+    fn write_json(&self, out: &mut Vec<u8>);
+}
+
+impl<T: Value + ?Sized> Value for &T {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        (**self).write_json(out);
+    }
+}
+
+impl Value for f64 {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        write_f64(out, *self);
+    }
+}
+
+impl Value for Timestamp {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        write_f64(out, self.as_secs());
+    }
+}
+
+impl Value for Duration {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        write_f64(out, self.as_secs());
+    }
+}
+
+impl Value for u64 {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        write_u64(out, *self);
+    }
+}
+
+impl Value for u32 {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        write_u64(out, u64::from(*self));
+    }
+}
+
+impl Value for usize {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        write_u64(out, *self as u64);
+    }
+}
+
+impl Value for bool {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(if *self { b"true" } else { b"false" });
+    }
+}
+
+/// A string literal, quoted and escaped.
+impl Value for str {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.push(b'"');
+        let mut rest = self.as_bytes();
+        // Bytes of a multi-byte scalar are all >= 0x80 and pass through.
+        while let Some(at) = rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+        {
+            out.extend_from_slice(&rest[..at]);
+            match rest[at] {
+                b'"' => out.extend_from_slice(b"\\\""),
+                b'\\' => out.extend_from_slice(b"\\\\"),
+                b'\n' => out.extend_from_slice(b"\\n"),
+                b'\r' => out.extend_from_slice(b"\\r"),
+                b'\t' => out.extend_from_slice(b"\\t"),
+                control => {
+                    const HEX: &[u8; 16] = b"0123456789abcdef";
+                    out.extend_from_slice(b"\\u00");
+                    out.push(HEX[usize::from(control >> 4)]);
+                    out.push(HEX[usize::from(control & 0xf)]);
+                }
             }
-            c => out.push(c),
+            rest = &rest[at + 1..];
         }
-    }
-    out.push('"');
-}
-
-/// Incremental writer for one flat JSON object with a fixed field
-/// order. Keys are written verbatim (callers use plain ASCII keys).
-#[derive(Debug)]
-pub struct JsonObject {
-    buf: String,
-    first: bool,
-}
-
-impl JsonObject {
-    /// Starts an object whose first field is `"type": <tag>`.
-    #[must_use]
-    pub fn typed(tag: &str) -> Self {
-        let mut obj = JsonObject {
-            buf: String::with_capacity(96),
-            first: true,
-        };
-        obj.buf.push('{');
-        obj.str("type", tag);
-        obj
-    }
-
-    fn key(&mut self, key: &str) {
-        if !self.first {
-            self.buf.push(',');
-        }
-        self.first = false;
-        push_json_str(&mut self.buf, key);
-        self.buf.push(':');
-    }
-
-    /// Adds a string field.
-    pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
-        self.key(key);
-        push_json_str(&mut self.buf, value);
-        self
-    }
-
-    /// Adds a finite floating-point field (shortest-roundtrip form).
-    pub fn num(&mut self, key: &str, value: f64) -> &mut Self {
-        self.key(key);
-        let _ = write!(self.buf, "{value}");
-        self
-    }
-
-    /// Adds an unsigned integer field.
-    pub fn int(&mut self, key: &str, value: u64) -> &mut Self {
-        self.key(key);
-        let _ = write!(self.buf, "{value}");
-        self
-    }
-
-    /// Adds a boolean field.
-    pub fn bool(&mut self, key: &str, value: bool) -> &mut Self {
-        self.key(key);
-        self.buf.push_str(if value { "true" } else { "false" });
-        self
-    }
-
-    /// Adds a pre-serialized JSON value verbatim (arrays, nested
-    /// objects, `null`).
-    pub fn raw(&mut self, key: &str, value: &str) -> &mut Self {
-        self.key(key);
-        self.buf.push_str(value);
-        self
-    }
-
-    /// Closes the object and returns the line (no trailing newline).
-    #[must_use]
-    pub fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
+        out.extend_from_slice(rest);
+        out.push(b'"');
     }
 }
 
-fn secs_array(widths: &[tempo_core::Duration]) -> String {
-    let mut out = String::from("[");
-    for (i, w) in widths.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// An array, written in place.
+impl<T: Value> Value for [T] {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.push(b'[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            item.write_json(out);
         }
-        let _ = write!(out, "{}", w.as_secs());
+        out.push(b']');
     }
-    out.push(']');
-    out
 }
 
 // Inactive servers export as `null`: their free-running clocks are
 // visible in-process, but the JSONL schema only carries service
 // members.
-fn snapshot_json(snap: &SampleSnapshot) -> String {
-    if !snap.active {
-        return String::from("null");
+impl Value for SampleSnapshot {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        if !self.active {
+            out.extend_from_slice(b"null");
+            return;
+        }
+        out.extend_from_slice(b"{\"clock\":");
+        self.clock.write_json(out);
+        out.extend_from_slice(b",\"error\":");
+        self.error.write_json(out);
+        out.extend_from_slice(b",\"offset\":");
+        self.true_offset.write_json(out);
+        out.extend_from_slice(b",\"correct\":");
+        self.correct.write_json(out);
+        out.push(b'}');
     }
-    let mut obj = JsonObject {
-        buf: String::with_capacity(64),
-        first: true,
-    };
-    obj.buf.push('{');
-    obj.num("clock", snap.clock.as_secs())
-        .num("error", snap.error.as_secs())
-        .num("offset", snap.true_offset.as_secs())
-        .bool("correct", snap.correct);
-    obj.finish()
 }
 
-/// Serializes one event to its JSONL line (no trailing newline).
+/// Appends one record `{"type":<tag>,<key>:<value>,…}` to a
+/// `&mut Vec<u8>` (no trailing newline). Tag and keys are literals
+/// (plain ASCII, nothing to escape), so each key is one pre-quoted
+/// fragment copied into the line; values are anything implementing
+/// [`json::Value`](crate::json::Value).
+#[macro_export]
+macro_rules! json_record {
+    ($out:expr, $tag:literal, $first:literal : $head:expr $(, $key:literal : $value:expr)* $(,)?) => {{
+        let out: &mut ::std::vec::Vec<u8> = $out;
+        out.extend_from_slice(concat!("{\"type\":\"", $tag, "\",\"", $first, "\":").as_bytes());
+        $crate::json::Value::write_json(&$head, out);
+        $(
+            out.extend_from_slice(concat!(",\"", $key, "\":").as_bytes());
+            $crate::json::Value::write_json(&$value, out);
+        )*
+        out.push(b'}');
+    }};
+}
+
+/// Appends one event's JSONL line (no trailing newline) to `out`,
+/// allocating nothing beyond `out`'s own growth. The tags repeat
+/// [`crate::EventKind::name`]; the per-kind fixtures in this module's
+/// tests hold the two together.
+#[rustfmt::skip]
+pub fn write_event(out: &mut Vec<u8>, event: &TelemetryEvent) {
+    match event {
+        TelemetryEvent::MsgSend { at, from, to } =>
+            json_record!(out, "send", "t": at, "from": from, "to": to),
+        TelemetryEvent::MsgRecv { at, from, to } =>
+            json_record!(out, "recv", "t": at, "from": from, "to": to),
+        TelemetryEvent::MsgDuplicate { at, from, to } =>
+            json_record!(out, "dup", "t": at, "from": from, "to": to),
+        TelemetryEvent::MsgDrop { at, from, to, cause } =>
+            json_record!(out, "drop", "t": at, "from": from, "to": to, "cause": cause.label()),
+        TelemetryEvent::TimerFired { at, node, tag } =>
+            json_record!(out, "timer", "t": at, "node": node, "tag": tag),
+        TelemetryEvent::Join { at, server, clock } =>
+            json_record!(out, "join", "t": at, "server": server, "clock": clock),
+        TelemetryEvent::Leave { at, server } =>
+            json_record!(out, "leave", "t": at, "server": server),
+        TelemetryEvent::RecoveryStarted { at, server } =>
+            json_record!(out, "recovery", "t": at, "server": server),
+        TelemetryEvent::RoundBegin { at, server, round, clock, polled } =>
+            json_record!(out, "round_begin", "t": at, "server": server, "round": round,
+                "clock": clock, "polled": polled),
+        TelemetryEvent::RoundAdopt {
+            at, server, round, clock, error_before, error_after, input_widths, recovery,
+        } =>
+            json_record!(out, "adopt", "t": at, "server": server, "round": round,
+                "clock": clock, "e_before": error_before, "e_after": error_after,
+                "inputs": input_widths.as_slice(), "recovery": recovery),
+        TelemetryEvent::RoundReject { at, server, round, cause } =>
+            json_record!(out, "reject", "t": at, "server": server, "round": round,
+                "cause": cause.label()),
+        TelemetryEvent::ClockStep { at, server, from, to, error } =>
+            json_record!(out, "step", "t": at, "server": server, "from": from, "to": to,
+                "error": error),
+        TelemetryEvent::ClockSlew { at, server, from, to, error } =>
+            json_record!(out, "slew", "t": at, "server": server, "from": from, "to": to,
+                "error": error),
+        TelemetryEvent::Timeout { at, server, peer, round, attempt } =>
+            json_record!(out, "timeout", "t": at, "server": server, "peer": peer,
+                "round": round, "attempt": attempt),
+        TelemetryEvent::Retry { at, server, peer, round, attempt } =>
+            json_record!(out, "retry", "t": at, "server": server, "peer": peer,
+                "round": round, "attempt": attempt),
+        TelemetryEvent::HealthChanged { at, server, peer, from, to } =>
+            json_record!(out, "health", "t": at, "server": server, "peer": peer,
+                "from": from.label(), "to": to.label()),
+        TelemetryEvent::DegradedEnter { at, server, round, replies, quorum } =>
+            json_record!(out, "degraded_enter", "t": at, "server": server, "round": round,
+                "replies": replies, "quorum": quorum),
+        TelemetryEvent::DegradedExit { at, server, round } =>
+            json_record!(out, "degraded_exit", "t": at, "server": server, "round": round),
+        TelemetryEvent::Sample { at, servers } =>
+            json_record!(out, "sample", "t": at, "servers": servers.as_slice()),
+        TelemetryEvent::ServerCrashed { at, server } =>
+            json_record!(out, "crash", "t": at, "server": server),
+        TelemetryEvent::ServerRestarted { at, server, amnesia } =>
+            json_record!(out, "restart", "t": at, "server": server, "amnesia": amnesia),
+        TelemetryEvent::StateRehydrated {
+            at, server, clock, error, reset_clock, persisted_error,
+        } =>
+            json_record!(out, "rehydrate", "t": at, "server": server, "clock": clock,
+                "error": error, "reset_clock": reset_clock,
+                "persisted_error": persisted_error),
+        TelemetryEvent::BootstrapCompleted { at, server, rounds, clock, error } =>
+            json_record!(out, "bootstrap", "t": at, "server": server, "rounds": rounds,
+                "clock": clock, "error": error),
+        TelemetryEvent::StateCorrupted { at, server, clock, error } =>
+            json_record!(out, "corrupt", "t": at, "server": server, "clock": clock,
+                "error": error),
+        TelemetryEvent::Stabilized { at, server, elapsed } =>
+            json_record!(out, "stabilized", "t": at, "server": server, "elapsed": elapsed),
+        TelemetryEvent::MalformedFrame { at, server, len, cause } =>
+            json_record!(out, "malformed", "t": at, "server": server, "len": len,
+                "cause": cause),
+        TelemetryEvent::ViewChange { at, server, view, high_water } =>
+            json_record!(out, "view_change", "t": at, "server": server, "view": view,
+                "high_water": high_water),
+        TelemetryEvent::LeaseGranted { at, server, view, until } =>
+            json_record!(out, "lease_granted", "t": at, "server": server, "view": view,
+                "until": until),
+        TelemetryEvent::LeaseExpired { at, server, view } =>
+            json_record!(out, "lease_expired", "t": at, "server": server, "view": view),
+        TelemetryEvent::TsIssued { at, server, view, timestamp, lo, hi } =>
+            json_record!(out, "ts_issued", "t": at, "server": server, "view": view,
+                "timestamp": timestamp, "lo": lo, "hi": hi),
+        TelemetryEvent::TsRefused { at, server, view, cause } =>
+            json_record!(out, "ts_refused", "t": at, "server": server, "view": view,
+                "cause": cause.label()),
+        TelemetryEvent::HwRehydrated { at, server, view, high_water } =>
+            json_record!(out, "hw_rehydrated", "t": at, "server": server, "view": view,
+                "high_water": high_water),
+    }
+}
+
+/// One event's JSONL line as a `String`, for callers that want text
+/// rather than a buffer to append to.
 #[must_use]
 pub fn event_line(event: &TelemetryEvent) -> String {
-    let mut o = JsonObject::typed(event.kind().name());
-    match event {
-        TelemetryEvent::MsgSend { at, from, to }
-        | TelemetryEvent::MsgRecv { at, from, to }
-        | TelemetryEvent::MsgDuplicate { at, from, to } => {
-            o.num("t", at.as_secs())
-                .int("from", *from as u64)
-                .int("to", *to as u64);
-        }
-        TelemetryEvent::MsgDrop {
-            at,
-            from,
-            to,
-            cause,
-        } => {
-            o.num("t", at.as_secs())
-                .int("from", *from as u64)
-                .int("to", *to as u64)
-                .str("cause", cause.label());
-        }
-        TelemetryEvent::TimerFired { at, node, tag } => {
-            o.num("t", at.as_secs())
-                .int("node", *node as u64)
-                .int("tag", *tag);
-        }
-        TelemetryEvent::Join { at, server, clock } => {
-            o.num("t", at.as_secs())
-                .int("server", *server as u64)
-                .num("clock", clock.as_secs());
-        }
-        TelemetryEvent::Leave { at, server } | TelemetryEvent::RecoveryStarted { at, server } => {
-            o.num("t", at.as_secs()).int("server", *server as u64);
-        }
-        TelemetryEvent::RoundBegin {
-            at,
-            server,
-            round,
-            clock,
-            polled,
-        } => {
-            o.num("t", at.as_secs())
-                .int("server", *server as u64)
-                .int("round", *round)
-                .num("clock", clock.as_secs())
-                .int("polled", *polled as u64);
-        }
-        TelemetryEvent::RoundAdopt {
-            at,
-            server,
-            round,
-            clock,
-            error_before,
-            error_after,
-            input_widths,
-            recovery,
-        } => {
-            o.num("t", at.as_secs())
-                .int("server", *server as u64)
-                .int("round", *round)
-                .num("clock", clock.as_secs())
-                .num("e_before", error_before.as_secs())
-                .num("e_after", error_after.as_secs())
-                .raw("inputs", &secs_array(input_widths))
-                .bool("recovery", *recovery);
-        }
-        TelemetryEvent::RoundReject {
-            at,
-            server,
-            round,
-            cause,
-        } => {
-            o.num("t", at.as_secs())
-                .int("server", *server as u64)
-                .int("round", *round)
-                .str("cause", cause.label());
-        }
-        TelemetryEvent::ClockStep {
-            at,
-            server,
-            from,
-            to,
-            error,
-        }
-        | TelemetryEvent::ClockSlew {
-            at,
-            server,
-            from,
-            to,
-            error,
-        } => {
-            o.num("t", at.as_secs())
-                .int("server", *server as u64)
-                .num("from", from.as_secs())
-                .num("to", to.as_secs())
-                .num("error", error.as_secs());
-        }
-        TelemetryEvent::Timeout {
-            at,
-            server,
-            peer,
-            round,
-            attempt,
-        }
-        | TelemetryEvent::Retry {
-            at,
-            server,
-            peer,
-            round,
-            attempt,
-        } => {
-            o.num("t", at.as_secs())
-                .int("server", *server as u64)
-                .int("peer", *peer as u64)
-                .int("round", *round)
-                .int("attempt", u64::from(*attempt));
-        }
-        TelemetryEvent::HealthChanged {
-            at,
-            server,
-            peer,
-            from,
-            to,
-        } => {
-            o.num("t", at.as_secs())
-                .int("server", *server as u64)
-                .int("peer", *peer as u64)
-                .str("from", from.label())
-                .str("to", to.label());
-        }
-        TelemetryEvent::DegradedEnter {
-            at,
-            server,
-            round,
-            replies,
-            quorum,
-        } => {
-            o.num("t", at.as_secs())
-                .int("server", *server as u64)
-                .int("round", *round)
-                .int("replies", *replies as u64)
-                .int("quorum", *quorum as u64);
-        }
-        TelemetryEvent::DegradedExit { at, server, round } => {
-            o.num("t", at.as_secs())
-                .int("server", *server as u64)
-                .int("round", *round);
-        }
-        TelemetryEvent::Sample { at, servers } => {
-            let mut arr = String::from("[");
-            for (i, snap) in servers.iter().enumerate() {
-                if i > 0 {
-                    arr.push(',');
-                }
-                arr.push_str(&snapshot_json(snap));
-            }
-            arr.push(']');
-            o.num("t", at.as_secs()).raw("servers", &arr);
-        }
-        TelemetryEvent::ServerCrashed { at, server } => {
-            o.num("t", at.as_secs()).int("server", *server as u64);
-        }
-        TelemetryEvent::ServerRestarted {
-            at,
-            server,
-            amnesia,
-        } => {
-            o.num("t", at.as_secs())
-                .int("server", *server as u64)
-                .bool("amnesia", *amnesia);
-        }
-        TelemetryEvent::StateRehydrated {
-            at,
-            server,
-            clock,
-            error,
-            reset_clock,
-            persisted_error,
-        } => {
-            o.num("t", at.as_secs())
-                .int("server", *server as u64)
-                .num("clock", clock.as_secs())
-                .num("error", error.as_secs())
-                .num("reset_clock", reset_clock.as_secs())
-                .num("persisted_error", persisted_error.as_secs());
-        }
-        TelemetryEvent::BootstrapCompleted {
-            at,
-            server,
-            rounds,
-            clock,
-            error,
-        } => {
-            o.num("t", at.as_secs())
-                .int("server", *server as u64)
-                .int("rounds", u64::from(*rounds))
-                .num("clock", clock.as_secs())
-                .num("error", error.as_secs());
-        }
-        TelemetryEvent::StateCorrupted {
-            at,
-            server,
-            clock,
-            error,
-        } => {
-            o.num("t", at.as_secs())
-                .int("server", *server as u64)
-                .num("clock", clock.as_secs())
-                .num("error", error.as_secs());
-        }
-        TelemetryEvent::Stabilized {
-            at,
-            server,
-            elapsed,
-        } => {
-            o.num("t", at.as_secs())
-                .int("server", *server as u64)
-                .num("elapsed", elapsed.as_secs());
-        }
-        TelemetryEvent::MalformedFrame {
-            at,
-            server,
-            len,
-            cause,
-        } => {
-            o.num("t", at.as_secs())
-                .int("server", *server as u64)
-                .int("len", *len as u64)
-                .str("cause", cause);
-        }
-        TelemetryEvent::ViewChange {
-            at,
-            server,
-            view,
-            high_water,
-        } => {
-            o.num("t", at.as_secs())
-                .int("server", *server as u64)
-                .int("view", *view)
-                .int("high_water", *high_water);
-        }
-        TelemetryEvent::LeaseGranted {
-            at,
-            server,
-            view,
-            until,
-        } => {
-            o.num("t", at.as_secs())
-                .int("server", *server as u64)
-                .int("view", *view)
-                .num("until", until.as_secs());
-        }
-        TelemetryEvent::LeaseExpired { at, server, view } => {
-            o.num("t", at.as_secs())
-                .int("server", *server as u64)
-                .int("view", *view);
-        }
-        TelemetryEvent::TsIssued {
-            at,
-            server,
-            view,
-            timestamp,
-            lo,
-            hi,
-        } => {
-            o.num("t", at.as_secs())
-                .int("server", *server as u64)
-                .int("view", *view)
-                .int("timestamp", *timestamp)
-                .num("lo", lo.as_secs())
-                .num("hi", hi.as_secs());
-        }
-        TelemetryEvent::TsRefused {
-            at,
-            server,
-            view,
-            cause,
-        } => {
-            o.num("t", at.as_secs())
-                .int("server", *server as u64)
-                .int("view", *view)
-                .str("cause", cause.label());
-        }
-        TelemetryEvent::HwRehydrated {
-            at,
-            server,
-            view,
-            high_water,
-        } => {
-            o.num("t", at.as_secs())
-                .int("server", *server as u64)
-                .int("view", *view)
-                .int("high_water", *high_water);
-        }
-    }
-    o.finish()
+    let mut line = Vec::with_capacity(96);
+    write_event(&mut line, event);
+    String::from_utf8(line).expect("the encoder writes UTF-8")
 }
 
 // ---------------------------------------------------------------------------
@@ -969,238 +794,388 @@ pub fn validate_stream(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DropCause, HealthState, RejectCause};
-    use tempo_core::{Duration, Timestamp};
+    use crate::{DropCause, EventKind, HealthState, RefusalCause, RejectCause};
 
-    fn every_event() -> Vec<TelemetryEvent> {
-        let at = Timestamp::from_secs(12.5);
-        let clock = Timestamp::from_secs(12.503);
-        let err = Duration::from_millis(4.0);
-        vec![
-            TelemetryEvent::MsgSend { at, from: 0, to: 1 },
-            TelemetryEvent::MsgRecv { at, from: 1, to: 0 },
-            TelemetryEvent::MsgDrop {
-                at,
-                from: 0,
-                to: 2,
-                cause: DropCause::Loss,
-            },
-            TelemetryEvent::MsgDrop {
-                at,
-                from: 0,
-                to: 2,
-                cause: DropCause::Partition,
-            },
-            TelemetryEvent::MsgDuplicate { at, from: 2, to: 0 },
-            TelemetryEvent::TimerFired {
-                at,
-                node: 1,
-                tag: 42,
-            },
-            TelemetryEvent::Join {
-                at,
-                server: 0,
-                clock,
-            },
-            TelemetryEvent::Leave { at, server: 3 },
-            TelemetryEvent::RoundBegin {
-                at,
-                server: 0,
-                round: 7,
-                clock,
-                polled: 4,
-            },
-            TelemetryEvent::RoundAdopt {
-                at,
-                server: 0,
-                round: 7,
-                clock,
-                error_before: err,
-                error_after: Duration::from_millis(2.0),
-                input_widths: vec![Duration::from_millis(8.0), Duration::from_millis(5.5)],
+    const RUN_START: &str = "{\"type\":\"run_start\",\"seed\":7,\"servers\":3,\"strategy\":\"im\",\"xi\":0.02,\"tau\":10}";
+    const SUMMARY: &str = "{\"type\":\"summary\",\"events\":1,\"dropped\":0,\"xi_witness\":0.009,\"sent\":1,\"delivered\":1,\"lost\":0,\"duplicated\":0,\"partitioned\":0,\"timers\":2}";
+
+    /// Hands out seeded numbers with every digit in play and remembers
+    /// them in the order drawn: a fixture written in schema order
+    /// thereby lists the numbers its line must carry.
+    struct Pool {
+        state: u64,
+        drawn: Vec<f64>,
+    }
+
+    impl Pool {
+        /// splitmix64.
+        fn next(&mut self) -> u64 {
+            self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn ts(&mut self) -> Timestamp {
+            let secs = self.unit() * 86_400.0;
+            self.drawn.push(secs);
+            Timestamp::from_secs(secs)
+        }
+
+        fn dur(&mut self) -> Duration {
+            let secs = (self.unit() - 0.5) * 0.1;
+            self.drawn.push(secs);
+            Duration::from_secs(secs)
+        }
+
+        fn int(&mut self, below: u64) -> u64 {
+            let value = self.next() % below;
+            self.drawn.push(value as f64);
+            value
+        }
+
+        /// Any integer a JSON reader holding doubles keeps exact.
+        fn count(&mut self) -> u64 {
+            self.int(1 << 53)
+        }
+
+        fn id(&mut self) -> usize {
+            self.int(10_000) as usize
+        }
+
+        fn small(&mut self) -> u32 {
+            self.int(1000) as u32
+        }
+
+        /// One event and the numbers drawn while building it.
+        fn fixture(
+            &mut self,
+            build: impl FnOnce(&mut Pool) -> TelemetryEvent,
+        ) -> (TelemetryEvent, Vec<f64>) {
+            let event = build(self);
+            (event, std::mem::take(&mut self.drawn))
+        }
+    }
+
+    /// At least one event of every kind (and every label of every
+    /// enum-valued field), each with the numbers its line must carry,
+    /// in order.
+    fn fixtures() -> Vec<(TelemetryEvent, Vec<f64>)> {
+        let mut p = Pool {
+            state: 0x5EED,
+            drawn: Vec::new(),
+        };
+        let mut events = Vec::new();
+        for cause in [DropCause::Loss, DropCause::Partition] {
+            events.push(p.fixture(|p| TelemetryEvent::MsgDrop {
+                at: p.ts(),
+                from: p.id(),
+                to: p.id(),
+                cause,
+            }));
+        }
+        for cause in [RejectCause::Inconsistent, RejectCause::Starved] {
+            events.push(p.fixture(|p| TelemetryEvent::RoundReject {
+                at: p.ts(),
+                server: p.id(),
+                round: p.count(),
+                cause,
+            }));
+        }
+        for (from, to) in [
+            (HealthState::Healthy, HealthState::Suspect),
+            (HealthState::Suspect, HealthState::Dead),
+            (HealthState::Dead, HealthState::Healthy),
+        ] {
+            events.push(p.fixture(|p| TelemetryEvent::HealthChanged {
+                at: p.ts(),
+                server: p.id(),
+                peer: p.id(),
+                from,
+                to,
+            }));
+        }
+        for cause in [
+            RefusalCause::NoLease,
+            RefusalCause::NoQuorum,
+            RefusalCause::Booting,
+            RefusalCause::Ahead,
+        ] {
+            events.push(p.fixture(|p| TelemetryEvent::TsRefused {
+                at: p.ts(),
+                server: p.id(),
+                view: p.count(),
+                cause,
+            }));
+        }
+        for amnesia in [false, true] {
+            events.push(p.fixture(|p| TelemetryEvent::ServerRestarted {
+                at: p.ts(),
+                server: p.id(),
+                amnesia,
+            }));
+        }
+        events.extend([
+            p.fixture(|p| TelemetryEvent::MsgSend {
+                at: p.ts(),
+                from: p.id(),
+                to: p.id(),
+            }),
+            p.fixture(|p| TelemetryEvent::MsgRecv {
+                at: p.ts(),
+                from: p.id(),
+                to: p.id(),
+            }),
+            p.fixture(|p| TelemetryEvent::MsgDuplicate {
+                at: p.ts(),
+                from: p.id(),
+                to: p.id(),
+            }),
+            p.fixture(|p| TelemetryEvent::TimerFired {
+                at: p.ts(),
+                node: p.id(),
+                tag: p.count(),
+            }),
+            p.fixture(|p| TelemetryEvent::Join {
+                at: p.ts(),
+                server: p.id(),
+                clock: p.ts(),
+            }),
+            p.fixture(|p| TelemetryEvent::Leave {
+                at: p.ts(),
+                server: p.id(),
+            }),
+            p.fixture(|p| TelemetryEvent::RecoveryStarted {
+                at: p.ts(),
+                server: p.id(),
+            }),
+            p.fixture(|p| TelemetryEvent::RoundBegin {
+                at: p.ts(),
+                server: p.id(),
+                round: p.count(),
+                clock: p.ts(),
+                polled: p.id(),
+            }),
+            p.fixture(|p| TelemetryEvent::RoundAdopt {
+                at: p.ts(),
+                server: p.id(),
+                round: p.count(),
+                clock: p.ts(),
+                error_before: p.dur(),
+                error_after: p.dur(),
+                input_widths: vec![p.dur(), p.dur(), p.dur()],
                 recovery: false,
-            },
-            TelemetryEvent::RoundReject {
-                at,
-                server: 1,
-                round: 7,
-                cause: RejectCause::Inconsistent,
-            },
-            TelemetryEvent::RoundReject {
-                at,
-                server: 1,
-                round: 8,
-                cause: RejectCause::Starved,
-            },
-            TelemetryEvent::ClockStep {
-                at,
-                server: 0,
-                from: clock,
-                to: Timestamp::from_secs(12.501),
-                error: err,
-            },
-            TelemetryEvent::ClockSlew {
-                at,
-                server: 0,
-                from: clock,
-                to: Timestamp::from_secs(12.501),
-                error: err,
-            },
-            TelemetryEvent::Timeout {
-                at,
-                server: 0,
-                peer: 2,
-                round: 7,
-                attempt: 0,
-            },
-            TelemetryEvent::Retry {
-                at,
-                server: 0,
-                peer: 2,
-                round: 7,
-                attempt: 1,
-            },
-            TelemetryEvent::HealthChanged {
-                at,
-                server: 0,
-                peer: 2,
-                from: HealthState::Healthy,
-                to: HealthState::Suspect,
-            },
-            TelemetryEvent::DegradedEnter {
-                at,
-                server: 0,
-                round: 9,
-                replies: 1,
-                quorum: 2,
-            },
-            TelemetryEvent::DegradedExit {
-                at,
-                server: 0,
-                round: 10,
-            },
-            TelemetryEvent::RecoveryStarted { at, server: 0 },
-            TelemetryEvent::Sample {
-                at,
+            }),
+            p.fixture(|p| TelemetryEvent::RoundAdopt {
+                at: p.ts(),
+                server: p.id(),
+                round: p.count(),
+                clock: p.ts(),
+                error_before: p.dur(),
+                error_after: p.dur(),
+                input_widths: Vec::new(),
+                recovery: true,
+            }),
+            p.fixture(|p| TelemetryEvent::ClockStep {
+                at: p.ts(),
+                server: p.id(),
+                from: p.ts(),
+                to: p.ts(),
+                error: p.dur(),
+            }),
+            p.fixture(|p| TelemetryEvent::ClockSlew {
+                at: p.ts(),
+                server: p.id(),
+                from: p.ts(),
+                to: p.ts(),
+                error: p.dur(),
+            }),
+            p.fixture(|p| TelemetryEvent::Timeout {
+                at: p.ts(),
+                server: p.id(),
+                peer: p.id(),
+                round: p.count(),
+                attempt: p.small(),
+            }),
+            p.fixture(|p| TelemetryEvent::Retry {
+                at: p.ts(),
+                server: p.id(),
+                peer: p.id(),
+                round: p.count(),
+                attempt: p.small(),
+            }),
+            p.fixture(|p| TelemetryEvent::DegradedEnter {
+                at: p.ts(),
+                server: p.id(),
+                round: p.count(),
+                replies: p.id(),
+                quorum: p.id(),
+            }),
+            p.fixture(|p| TelemetryEvent::DegradedExit {
+                at: p.ts(),
+                server: p.id(),
+                round: p.count(),
+            }),
+            p.fixture(|p| TelemetryEvent::Sample {
+                at: p.ts(),
                 servers: vec![
-                    crate::SampleSnapshot {
-                        clock,
-                        error: err,
-                        true_offset: Duration::from_millis(-1.5),
+                    SampleSnapshot {
+                        clock: p.ts(),
+                        error: p.dur(),
+                        true_offset: p.dur(),
                         correct: true,
                         active: true,
                     },
-                    crate::SampleSnapshot {
-                        clock,
-                        error: err,
-                        true_offset: Duration::ZERO,
-                        correct: true,
+                    // Exported as `null`: its numbers are not drawn
+                    // from the pool because the line must not carry
+                    // them.
+                    SampleSnapshot {
+                        clock: Timestamp::from_secs(0.8),
+                        error: Duration::from_millis(9.0),
+                        true_offset: Duration::from_millis(-200.0),
+                        correct: false,
                         active: false,
                     },
+                    SampleSnapshot {
+                        clock: p.ts(),
+                        error: p.dur(),
+                        true_offset: p.dur(),
+                        correct: false,
+                        active: true,
+                    },
                 ],
-            },
-            TelemetryEvent::ServerCrashed { at, server: 2 },
-            TelemetryEvent::ServerRestarted {
-                at,
-                server: 2,
-                amnesia: false,
-            },
-            TelemetryEvent::ServerRestarted {
-                at,
-                server: 2,
-                amnesia: true,
-            },
-            TelemetryEvent::StateRehydrated {
-                at,
-                server: 2,
-                clock,
-                error: Duration::from_millis(6.0),
-                reset_clock: Timestamp::from_secs(10.0),
-                persisted_error: Duration::from_millis(4.0),
-            },
-            TelemetryEvent::BootstrapCompleted {
-                at,
-                server: 2,
-                rounds: 3,
-                clock,
-                error: Duration::from_millis(7.0),
-            },
-            TelemetryEvent::StateCorrupted {
-                at,
-                server: 1,
-                clock: Timestamp::from_secs(40.0),
-                error: Duration::from_secs(3.0),
-            },
-            TelemetryEvent::Stabilized {
-                at,
-                server: 1,
-                elapsed: Duration::from_secs(21.5),
-            },
-            TelemetryEvent::MalformedFrame {
-                at,
-                server: 0,
-                len: 7,
+            }),
+            p.fixture(|p| TelemetryEvent::ServerCrashed {
+                at: p.ts(),
+                server: p.id(),
+            }),
+            p.fixture(|p| TelemetryEvent::StateRehydrated {
+                at: p.ts(),
+                server: p.id(),
+                clock: p.ts(),
+                error: p.dur(),
+                reset_clock: p.ts(),
+                persisted_error: p.dur(),
+            }),
+            p.fixture(|p| TelemetryEvent::BootstrapCompleted {
+                at: p.ts(),
+                server: p.id(),
+                rounds: p.small(),
+                clock: p.ts(),
+                error: p.dur(),
+            }),
+            p.fixture(|p| TelemetryEvent::StateCorrupted {
+                at: p.ts(),
+                server: p.id(),
+                clock: p.ts(),
+                error: p.dur(),
+            }),
+            p.fixture(|p| TelemetryEvent::Stabilized {
+                at: p.ts(),
+                server: p.id(),
+                elapsed: p.dur(),
+            }),
+            p.fixture(|p| TelemetryEvent::MalformedFrame {
+                at: p.ts(),
+                server: p.id(),
+                len: p.id(),
                 cause: "truncated",
-            },
-            TelemetryEvent::ViewChange {
-                at,
-                server: 2,
-                view: 7,
-                high_water: 12_500_000,
-            },
-            TelemetryEvent::LeaseGranted {
-                at,
-                server: 2,
-                view: 7,
-                until: Timestamp::from_secs(13.5),
-            },
-            TelemetryEvent::LeaseExpired {
-                at,
-                server: 2,
-                view: 7,
-            },
-            TelemetryEvent::TsIssued {
-                at,
-                server: 2,
-                view: 7,
-                timestamp: 12_500_001,
-                lo: Timestamp::from_secs(12.499),
-                hi: Timestamp::from_secs(12.507),
-            },
-            TelemetryEvent::TsRefused {
-                at,
-                server: 3,
-                view: 7,
-                cause: crate::RefusalCause::NoQuorum,
-            },
-            TelemetryEvent::HwRehydrated {
-                at,
-                server: 2,
-                view: 6,
-                high_water: 12_400_000,
-            },
-        ]
+            }),
+            p.fixture(|p| TelemetryEvent::ViewChange {
+                at: p.ts(),
+                server: p.id(),
+                view: p.count(),
+                high_water: p.count(),
+            }),
+            p.fixture(|p| TelemetryEvent::LeaseGranted {
+                at: p.ts(),
+                server: p.id(),
+                view: p.count(),
+                until: p.ts(),
+            }),
+            p.fixture(|p| TelemetryEvent::LeaseExpired {
+                at: p.ts(),
+                server: p.id(),
+                view: p.count(),
+            }),
+            p.fixture(|p| TelemetryEvent::TsIssued {
+                at: p.ts(),
+                server: p.id(),
+                view: p.count(),
+                timestamp: p.count(),
+                lo: p.ts(),
+                hi: p.ts(),
+            }),
+            p.fixture(|p| TelemetryEvent::HwRehydrated {
+                at: p.ts(),
+                server: p.id(),
+                view: p.count(),
+                high_water: p.count(),
+            }),
+        ]);
+        events
     }
 
-    #[test]
-    fn every_event_line_validates() {
-        for event in every_event() {
-            let line = event_line(&event);
-            validate_line(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+    fn numbers_of(value: &Json, found: &mut Vec<f64>) {
+        match value {
+            Json::Num(n) => found.push(*n),
+            Json::Arr(items) => items.iter().for_each(|item| numbers_of(item, found)),
+            Json::Obj(fields) => fields.iter().for_each(|(_, v)| numbers_of(v, found)),
+            Json::Null | Json::Bool(_) | Json::Str(_) => {}
         }
     }
 
     #[test]
-    fn event_lines_round_trip_through_the_parser() {
-        for event in every_event() {
-            let line = event_line(&event);
-            let parsed = parse(&line).expect("parses");
+    fn every_kind_encodes_validates_and_round_trips_its_numbers() {
+        let fixtures = fixtures();
+        for kind in EventKind::ALL {
+            assert!(
+                fixtures.iter().any(|(event, _)| event.kind() == kind),
+                "no fixture for {kind:?}"
+            );
+        }
+        let mut stream = format!("{RUN_START}\n");
+        let mut line = Vec::new();
+        for (event, numbers) in &fixtures {
+            line.clear();
+            write_event(&mut line, event);
+            let text = std::str::from_utf8(&line).expect("the encoder writes UTF-8");
+            assert_eq!(text, event_line(event));
+            let parsed = parse(text).unwrap_or_else(|e| panic!("{text}: {e}"));
             assert_eq!(
                 parsed.get("type"),
                 Some(&Json::Str(event.kind().name().into())),
-                "{line}"
+                "{text}"
             );
+            let mut found = Vec::new();
+            numbers_of(&parsed, &mut found);
+            let bits = |numbers: &[f64]| numbers.iter().map(|n| n.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&found), bits(numbers), "{text}");
+            stream.push_str(text);
+            stream.push('\n');
         }
+        stream.push_str(SUMMARY);
+        stream.push('\n');
+        assert_eq!(validate_stream(&stream), Ok(fixtures.len() + 2));
+    }
+
+    #[test]
+    fn strings_are_escaped_as_the_parser_expects() {
+        let awkward = "q\"\\\n\r\t\u{1}\u{1f} é ✓";
+        let mut line = Vec::new();
+        json_record!(&mut line, "run_start", "strategy": awkward);
+        let text = std::str::from_utf8(&line).expect("the encoder writes UTF-8");
+        assert_eq!(
+            text,
+            "{\"type\":\"run_start\",\"strategy\":\"q\\\"\\\\\\n\\r\\t\\u0001\\u001f é ✓\"}"
+        );
+        let parsed = parse(text).expect("parses");
+        assert_eq!(parsed.get("strategy"), Some(&Json::Str(awkward.into())));
     }
 
     #[test]
@@ -1254,13 +1229,13 @@ mod tests {
 
     #[test]
     fn stream_validation_enforces_framing() {
-        let start = "{\"type\":\"run_start\",\"seed\":7,\"servers\":3,\"strategy\":\"im\",\"xi\":0.02,\"tau\":10}";
+        let start = RUN_START;
         let mid = event_line(&TelemetryEvent::MsgSend {
             at: Timestamp::from_secs(1.0),
             from: 0,
             to: 1,
         });
-        let end = "{\"type\":\"summary\",\"events\":1,\"dropped\":0,\"xi_witness\":0.009,\"sent\":1,\"delivered\":1,\"lost\":0,\"duplicated\":0,\"partitioned\":0,\"timers\":2}";
+        let end = SUMMARY;
         let good = format!("{start}\n{mid}\n{end}\n");
         assert_eq!(validate_stream(&good), Ok(3));
         assert!(validate_stream(&format!("{mid}\n{end}\n")).is_err());

@@ -59,6 +59,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod json;
+pub mod num;
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;

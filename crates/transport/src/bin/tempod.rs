@@ -20,7 +20,7 @@
 //! `(r_i, ε_i)` and re-derives the error grown across the downtime.
 
 use std::cell::RefCell;
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::net::{SocketAddr, UdpSocket};
 use std::process::ExitCode;
 use std::rc::Rc;
@@ -30,7 +30,7 @@ use tempo_cluster::{ClusterConfig, ClusterReplica};
 use tempo_core::{DriftRate, Duration, Timestamp};
 use tempo_net::NodeId;
 use tempo_service::{MemoryStore, RetryPolicy, ServerConfig, StableStore, Strategy, TimeServer};
-use tempo_telemetry::json::event_line;
+use tempo_telemetry::json::write_event;
 use tempo_telemetry::{Bus, EventKind, Observer, TelemetryEvent};
 use tempo_transport::bench_serve::{self, BenchOptions};
 use tempo_transport::{
@@ -322,9 +322,11 @@ fn parse_strategy(value: &str) -> Result<Strategy, String> {
     }
 }
 
-/// Telemetry sink: every event, one JSON line, flushed on drop.
+/// Telemetry sink: every event is one JSON line and one `write` to
+/// the file, so the stream can be followed while the daemon runs.
 struct JsonlSink {
-    out: BufWriter<std::fs::File>,
+    out: std::fs::File,
+    line: Vec<u8>,
 }
 
 impl Observer for JsonlSink {
@@ -333,13 +335,10 @@ impl Observer for JsonlSink {
     }
 
     fn observe(&mut self, event: &TelemetryEvent) {
-        let _ = writeln!(self.out, "{}", event_line(event));
-    }
-}
-
-impl Drop for JsonlSink {
-    fn drop(&mut self) {
-        let _ = self.out.flush();
+        self.line.clear();
+        write_event(&mut self.line, event);
+        self.line.push(b'\n');
+        let _ = self.out.write_all(&self.line);
     }
 }
 
@@ -384,7 +383,8 @@ fn telemetry_bus(opts: &Options) -> Result<Option<Bus>, String> {
     let file = std::fs::File::create(path).map_err(|e| e.to_string())?;
     let bus = Bus::new();
     bus.subscribe(Rc::new(RefCell::new(JsonlSink {
-        out: BufWriter::new(file),
+        out: file,
+        line: Vec::new(),
     })));
     Ok(Some(bus))
 }
