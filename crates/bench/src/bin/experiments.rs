@@ -6,8 +6,7 @@
 //! experiments fig3 thm8                      # run selected experiments
 //! experiments fuzz --seeds 0..64 \
 //!             --horizon-secs 60              # oracle-gated fuzz sweep
-//! experiments scale10k --n 100,1000,10000 \
-//!             --bench-out BENCH_9.json       # sharded-engine scale sweep
+//! experiments scale10k --n 100,1000,10000   # sharded-engine scale sweep
 //! experiments --telemetry-out runs.jsonl …   # export every run's telemetry
 //! experiments validate-telemetry runs.jsonl  # schema-check an export
 //! ```
@@ -80,10 +79,9 @@ fn run_fuzz(args: &[String]) -> ExitCode {
 }
 
 /// Parses `scale10k` subcommand flags. Defaults: the full
-/// 100/1,000/10,000 sweep, no JSON export.
-fn parse_scale10k_args(args: &[String]) -> Result<(Vec<usize>, Option<String>), String> {
+/// 100/1,000/10,000 sweep.
+fn parse_scale10k_args(args: &[String]) -> Result<Vec<usize>, String> {
     let mut sizes = vec![100, 1_000, 10_000];
-    let mut bench_out = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
@@ -103,31 +101,23 @@ fn parse_scale10k_args(args: &[String]) -> Result<(Vec<usize>, Option<String>), 
                     ));
                 }
             }
-            "--bench-out" => bench_out = Some(value.clone()),
             other => return Err(format!("unknown scale10k flag '{other}'")),
         }
     }
-    Ok((sizes, bench_out))
+    Ok(sizes)
 }
 
 fn run_scale10k(args: &[String]) -> ExitCode {
-    let (sizes, bench_out) = match parse_scale10k_args(args) {
+    let sizes = match parse_scale10k_args(args) {
         Ok(parsed) => parsed,
         Err(message) => {
             eprintln!("scale10k: {message}");
-            eprintln!("usage: experiments scale10k [--n N,N,...] [--bench-out FILE]");
+            eprintln!("usage: experiments scale10k [--n N,N,...]");
             return ExitCode::FAILURE;
         }
     };
     let outcome = tempo_sim::experiments::scale10k_sized(&sizes);
     println!("{outcome}");
-    if let Some(path) = bench_out {
-        if let Err(e) = std::fs::write(&path, outcome.to_json()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
     if outcome.reproduces_shape() {
         ExitCode::SUCCESS
     } else {

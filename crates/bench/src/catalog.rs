@@ -1,5 +1,4 @@
-//! The experiment catalogue shared by the `experiments` binary and the
-//! `experiments` bench target.
+//! The experiment catalogue behind the `experiments` binary.
 
 use std::fmt::Display;
 

@@ -1,12 +1,10 @@
 //! # tempo-bench
 //!
-//! Benchmarks and the `experiments` binary for the `tempo` workspace.
+//! The `experiments` and `simulate` binaries for the `tempo` workspace.
 //!
 //! The `experiments` binary regenerates every figure and quantitative
 //! claim of Marzullo & Owicki (1983); run `experiments --list` for the
-//! catalogue. The Criterion benches (`cargo bench`) cover the Marzullo
-//! sweep, interval algebra, the MM/IM decision procedures, the event
-//! queue, and an end-to-end simulated service.
+//! catalogue. Speed is measured by the repository benchmark in `perf/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -105,6 +105,10 @@ pub struct AuditClient {
     counter: u64,
     /// The in-flight request, if any: `(request_id, attempt)`.
     outstanding: Option<(u64, u8)>,
+    /// Bumped by every send, reply and refusal. A time-out timer carries
+    /// the epoch it was armed in and counts only while that epoch lasts,
+    /// so at most one — the latest send's, until it is answered — is live.
+    timer_epoch: u64,
     last_ts: Option<u64>,
     consecutive_refusals: u32,
     trail: Vec<AuditRecord>,
@@ -121,6 +125,7 @@ impl AuditClient {
             target: 0,
             counter: 0,
             outstanding: None,
+            timer_epoch: 0,
             last_ts: None,
             consecutive_refusals: 0,
             trail: Vec::new(),
@@ -171,15 +176,21 @@ impl AuditClient {
                 attempt,
             },
         );
-        ctx.set_timer(
-            self.config.request_timeout,
-            TIMEOUT_BASE | (self.counter << 8),
-        );
+        // The tag names this send, not just this request: a re-send
+        // (retry, redirect, refusal) supersedes the timers armed before
+        // it. The wire `attempt` cannot serve, it saturates at 255.
+        self.timer_epoch += 1;
+        ctx.set_timer(self.config.request_timeout, self.live_timeout_tag());
     }
 
     fn schedule_next(&mut self, ctx: &mut Context<'_, ClusterMsg>) {
         self.outstanding = None;
+        self.timer_epoch += 1;
         ctx.set_timer(self.config.period, SEND_TAG);
+    }
+
+    fn live_timeout_tag(&self) -> u64 {
+        TIMEOUT_BASE | self.timer_epoch << 8
     }
 
     fn matches(&self, request_id: u64) -> bool {
@@ -225,6 +236,7 @@ impl Actor for AuditClient {
                 self.stats.refused += 1;
                 let (_, attempt) = self.outstanding.expect("matched above");
                 self.outstanding = Some((request_id, attempt.saturating_add(1)));
+                self.timer_epoch += 1;
                 let backoff = 1u32 << self.consecutive_refusals.min(5);
                 self.consecutive_refusals += 1;
                 // Re-sent from the send timer so refused requests pace
@@ -259,25 +271,24 @@ impl Actor for AuditClient {
             }
             return;
         }
-        if tag & 0xff == TIMEOUT_BASE {
-            let counter = tag >> 8;
-            // Only the timeout of the *current* request counts; stale
-            // timers from satisfied requests fall through.
-            let current = self
-                .outstanding
-                .is_some_and(|(id, _)| id & 0xffff_ffff == counter);
-            if current {
-                self.stats.timeouts += 1;
-                self.target = (self.target + 1) % self.config.replicas.len();
-                let (_, attempt) = self.outstanding.expect("checked above");
-                self.send_request(attempt.saturating_add(1), ctx);
-            }
+        // Only the time-out of the latest send of the request still
+        // waiting counts; every timer armed before it is stale.
+        if tag == self.live_timeout_tag() {
+            self.stats.timeouts += 1;
+            self.target = (self.target + 1) % self.config.replicas.len();
+            let (_, attempt) = self.outstanding.expect("a live time-out has its request");
+            self.send_request(attempt.saturating_add(1), ctx);
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use tempo_net::ActorAction;
+    use tempo_telemetry::RefusalCause;
+
     use super::*;
 
     fn ids(n: usize) -> Vec<NodeId> {
@@ -290,6 +301,124 @@ mod tests {
         assert_eq!(c.stats(), ClientStats::default());
         assert!(c.trail().is_empty());
         assert_eq!(c.last_timestamp(), None);
+    }
+
+    /// The client driven by hand: its armed timers and its sends.
+    struct Harness {
+        client: AuditClient,
+        now: f64,
+        timers: Vec<(f64, u64)>,
+        sent: Vec<(NodeId, ClusterMsg)>,
+        rng: StdRng,
+    }
+
+    impl Harness {
+        fn drive(&mut self, call: impl FnOnce(&mut AuditClient, &mut Context<'_, ClusterMsg>)) {
+            let replicas = ids(3);
+            let now = Timestamp::from_secs(self.now);
+            let mut ctx = Context::external(now, NodeId::new(3), &replicas, &mut self.rng);
+            call(&mut self.client, &mut ctx);
+            for action in ctx.take_actions() {
+                match action {
+                    ActorAction::Send { to, msg } => self.sent.push((to, msg)),
+                    ActorAction::Timer { delay, tag } => {
+                        self.timers.push((self.now + delay.as_secs(), tag));
+                    }
+                }
+            }
+            let live = self
+                .timers
+                .iter()
+                .filter(|t| t.1 == self.client.live_timeout_tag());
+            assert!(live.count() <= 1, "one live time-out at t = {}", self.now);
+        }
+
+        fn fire_next(&mut self) {
+            let next = (0..self.timers.len())
+                .min_by(|&a, &b| self.timers[a].0.total_cmp(&self.timers[b].0))
+                .expect("a timer is armed");
+            let (at, tag) = self.timers.remove(next);
+            self.now = at;
+            self.drive(|client, ctx| client.on_timer(tag, ctx));
+        }
+
+        fn deliver(&mut self, msg: ClusterMsg) {
+            self.drive(|client, ctx| client.on_message(NodeId::new(0), msg, ctx));
+        }
+    }
+
+    #[test]
+    fn one_live_timeout_through_redirect_refusal_and_timeouts() {
+        let mut h = Harness {
+            client: AuditClient::new(AuditClientConfig::new(ids(3))),
+            now: 0.0,
+            timers: Vec::new(),
+            sent: Vec::new(),
+            rng: StdRng::seed_from_u64(0),
+        };
+        h.drive(|client, ctx| client.on_start(ctx));
+        h.fire_next();
+        let Some((_, ClusterMsg::TsRequest { request_id, .. })) = h.sent.last().cloned() else {
+            panic!("the send timer sends a request");
+        };
+        h.deliver(ClusterMsg::TsRedirect {
+            request_id,
+            view: 1,
+            primary: 1,
+        });
+        assert_eq!(h.sent.len(), 2, "a redirect re-sends at once");
+        h.deliver(ClusterMsg::TsRefused {
+            request_id,
+            view: 1,
+            cause: RefusalCause::NoLease,
+        });
+        h.fire_next();
+        assert_eq!(h.sent.len(), 3, "a refusal re-sends after the backoff");
+        // Nobody answers: the three timers armed so far all come due,
+        // and only the last send's may count.
+        while h.now < 5.0 {
+            h.fire_next();
+        }
+        let stats = h.client.stats();
+        assert_eq!((stats.redirected, stats.refused), (1, 1));
+        assert_eq!(stats.timeouts, 5, "at t = 1.15, 2.15, … 5.15 s");
+        assert_eq!(h.sent.len(), 3 + 5);
+        assert!(h.sent.iter().all(|(_, msg)| matches!(
+            msg,
+            ClusterMsg::TsRequest { request_id: id, .. } if *id == request_id
+        )));
+        // Two confused backups bounce the request past the wire
+        // attempt's saturation at 255: still one time-out per second.
+        for _ in 0..300 {
+            h.deliver(ClusterMsg::TsRedirect {
+                request_id,
+                view: 1,
+                primary: 1,
+            });
+        }
+        while h.now < 8.0 {
+            h.fire_next();
+        }
+        assert_eq!(
+            h.client.stats().timeouts,
+            5 + 3,
+            "at t = 6.15, 7.15, 8.15 s"
+        );
+        assert_eq!(h.sent.len(), 8 + 300 + 3);
+        h.deliver(ClusterMsg::TsReply {
+            request_id,
+            view: 2,
+            timestamp: 7,
+        });
+        while h.timers.len() > 1 {
+            h.fire_next();
+        }
+        assert_eq!(
+            h.client.stats().timeouts,
+            8,
+            "a satisfied request times out no more"
+        );
+        assert_eq!(h.client.stats().issued, 1);
     }
 
     #[test]

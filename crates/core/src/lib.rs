@@ -77,7 +77,6 @@ pub mod estimate;
 pub mod filter;
 pub mod interval;
 pub mod marzullo;
-pub mod nanos;
 pub mod ntp;
 pub mod offset;
 pub mod snapshot;

@@ -7,7 +7,7 @@
 //! the best region's boundaries, and on the membership sets, for both
 //! random and adversarially structured inputs.
 
-use proptest::prelude::*;
+use tempo_check::{check, Gen};
 
 use tempo_core::marzullo::{best_intersection, intersect_tolerating};
 use tempo_core::{Duration, TimeInterval, Timestamp};
@@ -50,13 +50,10 @@ fn brute_force(intervals: &[TimeInterval]) -> (usize, TimeInterval) {
     (max_cover, region)
 }
 
-fn arb_intervals() -> impl Strategy<Value = Vec<TimeInterval>> {
-    prop::collection::vec((0.0f64..50.0, 0.0f64..20.0), 1..24).prop_map(|raw| {
-        raw.into_iter()
-            .map(|(lo, w)| {
-                TimeInterval::new(Timestamp::from_secs(lo), Timestamp::from_secs(lo + w))
-            })
-            .collect()
+fn arb_intervals(g: &mut Gen) -> Vec<TimeInterval> {
+    g.vec(1..24, |g| {
+        let (lo, w) = (g.f64(0.0..50.0), g.f64(0.0..20.0));
+        TimeInterval::new(Timestamp::from_secs(lo), Timestamp::from_secs(lo + w))
     })
 }
 
@@ -84,121 +81,134 @@ fn brute_force_tolerating(intervals: &[TimeInterval], max_faulty: usize) -> Opti
 /// zero (point intervals), coordinates snap to a coarse grid so shared
 /// endpoints are common, and a suffix of the vector duplicates earlier
 /// entries verbatim.
-fn arb_degenerate_intervals() -> impl Strategy<Value = Vec<TimeInterval>> {
-    let entry = (0u32..40, prop_oneof![Just(0u32), 0u32..8]);
-    (
-        prop::collection::vec(entry, 1..16),
-        prop::collection::vec(0usize..64, 0..8),
-    )
-        .prop_map(|(raw, dup_picks)| {
-            let mut intervals: Vec<TimeInterval> = raw
-                .into_iter()
-                .map(|(lo, w)| {
-                    // Snap to a 0.5 s grid: collisions on purpose.
-                    let lo = f64::from(lo) * 0.5;
-                    let hi = lo + f64::from(w) * 0.5;
-                    TimeInterval::new(Timestamp::from_secs(lo), Timestamp::from_secs(hi))
-                })
-                .collect();
-            for pick in dup_picks {
-                let copy = intervals[pick % intervals.len()];
-                intervals.push(copy);
-            }
-            intervals
-        })
+fn arb_degenerate_intervals(g: &mut Gen) -> Vec<TimeInterval> {
+    let mut intervals = g.vec(1..16, |g| {
+        let (lo, w) = (g.int(0u32..40), zero_or(g, |g| g.int(0u32..8)));
+        // Snap to a 0.5 s grid: collisions on purpose.
+        let lo = f64::from(lo) * 0.5;
+        let hi = lo + f64::from(w) * 0.5;
+        TimeInterval::new(Timestamp::from_secs(lo), Timestamp::from_secs(hi))
+    });
+    for pick in g.vec(0..8, |g| g.int(0usize..64)) {
+        let copy = intervals[pick % intervals.len()];
+        intervals.push(copy);
+    }
+    intervals
 }
 
-proptest! {
-    #[test]
-    fn sweep_matches_brute_force(intervals in arb_intervals()) {
+/// Exactly zero half the time, `draw` otherwise.
+fn zero_or<T: Default>(g: &mut Gen, draw: impl FnOnce(&mut Gen) -> T) -> T {
+    if g.bool() {
+        draw(g)
+    } else {
+        T::default()
+    }
+}
+
+#[test]
+fn sweep_matches_brute_force() {
+    check("sweep_matches_brute_force", 256, |g| {
+        let intervals = arb_intervals(g);
         let sweep = best_intersection(&intervals).expect("non-empty input");
         let (bf_cover, bf_region) = brute_force(&intervals);
-        prop_assert_eq!(sweep.coverage, bf_cover);
+        assert_eq!(sweep.coverage, bf_cover);
         // The brute-force first region must appear among the sweep's
         // best regions (and, since both pick the earliest, be the first).
-        prop_assert_eq!(
-            sweep.best().interval, bf_region,
-            "sweep {:?} vs brute {:?}", sweep.best().interval, bf_region
+        assert_eq!(
+            sweep.best().interval,
+            bf_region,
+            "sweep {:?} vs brute {:?}",
+            sweep.best().interval,
+            bf_region
         );
-    }
+    });
+}
 
-    #[test]
-    fn sweep_matches_brute_force_on_degenerate_inputs(
-        intervals in arb_degenerate_intervals()
-    ) {
+#[test]
+fn sweep_matches_brute_force_on_degenerate_inputs() {
+    check("sweep_matches_brute_force_on_degenerate_inputs", 256, |g| {
+        let intervals = arb_degenerate_intervals(g);
         let sweep = best_intersection(&intervals).expect("non-empty input");
         let (bf_cover, bf_region) = brute_force(&intervals);
-        prop_assert_eq!(sweep.coverage, bf_cover);
-        prop_assert_eq!(sweep.best().interval, bf_region);
+        assert_eq!(sweep.coverage, bf_cover);
+        assert_eq!(sweep.best().interval, bf_region);
         for region in &sweep.regions {
-            prop_assert_eq!(region.members.len(), sweep.coverage);
+            assert_eq!(region.members.len(), sweep.coverage);
         }
-    }
+    });
+}
 
-    #[test]
-    fn tolerating_matches_brute_force(
-        intervals in arb_degenerate_intervals(),
-        f_pick in 0usize..4,
-    ) {
+#[test]
+fn tolerating_matches_brute_force() {
+    check("tolerating_matches_brute_force", 256, |g| {
+        let intervals = arb_degenerate_intervals(g);
+        let f_pick = g.int(0usize..4);
         let max_faulty = f_pick.min(intervals.len() - 1);
         let got = intersect_tolerating(&intervals, max_faulty);
         let want = brute_force_tolerating(&intervals, max_faulty);
-        prop_assert_eq!(got, want, "f = {}", max_faulty);
+        assert_eq!(got, want, "f = {}", max_faulty);
         // The hull's edges are genuinely supported, and the hull misses
         // no qualifying point: every endpoint with coverage ≥ n − f lies
         // inside it.
         if let Some(hull) = got {
             let needed = intervals.len() - max_faulty;
             let cover = |t: Timestamp| intervals.iter().filter(|iv| iv.contains(t)).count();
-            prop_assert!(cover(hull.lo()) >= needed);
-            prop_assert!(cover(hull.hi()) >= needed);
+            assert!(cover(hull.lo()) >= needed);
+            assert!(cover(hull.hi()) >= needed);
             for t in intervals.iter().flat_map(|iv| [iv.lo(), iv.hi()]) {
                 if cover(t) >= needed {
-                    prop_assert!(hull.contains(t));
+                    assert!(hull.contains(t));
                 }
             }
         }
-    }
+    });
+}
 
-    /// The paper's `f`-tolerance claim, tested against a real adversary:
-    /// `n` honest intervals each containing real time, plus up to
-    /// `f < n` adversarial intervals (arbitrary placement, disjoint or
-    /// degenerate — so the adversary is always a strict minority of the
-    /// combined input), must yield a hull that still contains real time.
-    #[test]
-    fn tolerating_contains_real_time_under_adversarial_minority(
-        real in 0.0f64..100.0,
-        honest_specs in prop::collection::vec((0.0f64..30.0, 0.0f64..30.0), 1..12),
-        adversary_raw in prop::collection::vec(
-            (-50.0f64..150.0, prop_oneof![Just(0.0f64), 0.0f64..40.0]),
-            0..16,
-        ),
-    ) {
-        let t = Timestamp::from_secs(real);
-        let mut all: Vec<TimeInterval> = honest_specs
-            .iter()
-            .map(|&(before, after)| {
-                TimeInterval::new(
-                    Timestamp::from_secs(real - before),
-                    Timestamp::from_secs(real + after),
-                )
-            })
-            .collect();
-        let n = all.len();
-        let f = adversary_raw.len().min(n.saturating_sub(1));
-        for &(lo, w) in adversary_raw.iter().take(f) {
-            all.push(TimeInterval::new(
-                Timestamp::from_secs(lo),
-                Timestamp::from_secs(lo + w),
-            ));
-        }
-        let hull = intersect_tolerating(&all, f)
-            .expect("the honest sources alone reach n − f coverage");
-        prop_assert!(
-            hull.contains(t),
-            "hull {:?} lost real time {:?} with f = {}", hull, t, f
-        );
-    }
+/// The paper's `f`-tolerance claim, tested against a real adversary:
+/// `n` honest intervals each containing real time, plus up to
+/// `f < n` adversarial intervals (arbitrary placement, disjoint or
+/// degenerate — so the adversary is always a strict minority of the
+/// combined input), must yield a hull that still contains real time.
+#[test]
+fn tolerating_contains_real_time_under_adversarial_minority() {
+    check(
+        "tolerating_contains_real_time_under_adversarial_minority",
+        256,
+        |g| {
+            let real = g.f64(0.0..100.0);
+            let honest_specs = g.vec(1..12, |g| (g.f64(0.0..30.0), g.f64(0.0..30.0)));
+            let adversary_raw = g.vec(0..16, |g| {
+                (g.f64(-50.0..150.0), zero_or(g, |g| g.f64(0.0..40.0)))
+            });
+            let t = Timestamp::from_secs(real);
+            let mut all: Vec<TimeInterval> = honest_specs
+                .iter()
+                .map(|&(before, after)| {
+                    TimeInterval::new(
+                        Timestamp::from_secs(real - before),
+                        Timestamp::from_secs(real + after),
+                    )
+                })
+                .collect();
+            let n = all.len();
+            let f = adversary_raw.len().min(n.saturating_sub(1));
+            for &(lo, w) in adversary_raw.iter().take(f) {
+                all.push(TimeInterval::new(
+                    Timestamp::from_secs(lo),
+                    Timestamp::from_secs(lo + w),
+                ));
+            }
+            let hull = intersect_tolerating(&all, f)
+                .expect("the honest sources alone reach n − f coverage");
+            assert!(
+                hull.contains(t),
+                "hull {:?} lost real time {:?} with f = {}",
+                hull,
+                t,
+                f
+            );
+        },
+    );
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! estimates, valid drift bounds, bounded delays) and the assertions are
 //! the theorem statements themselves.
 
-use proptest::prelude::*;
+use tempo_check::{check, Gen};
 
 use tempo_core::consistency::{consistency_groups, ConsistencyGraph};
 use tempo_core::marzullo::{best_intersection, intersect_tolerating};
@@ -16,47 +16,42 @@ use tempo_core::sync::TimedReply;
 use tempo_core::{DriftRate, Duration, ErrorState, TimeEstimate, TimeInterval, Timestamp};
 
 /// A correct estimate at real time `t`: the claimed interval contains `t`.
-fn correct_estimate(t: f64) -> impl Strategy<Value = TimeEstimate> {
+fn correct_estimate(g: &mut Gen, t: f64) -> TimeEstimate {
     // error in [0, 10]s, offset within ±error.
-    (0.0f64..10.0).prop_flat_map(move |error| {
-        (-1.0f64..1.0).prop_map(move |frac| {
-            let offset = frac * error;
-            TimeEstimate::new(Timestamp::from_secs(t + offset), Duration::from_secs(error))
-        })
-    })
+    let error = g.f64(0.0..10.0);
+    let offset = g.f64(-1.0..1.0) * error;
+    TimeEstimate::new(Timestamp::from_secs(t + offset), Duration::from_secs(error))
 }
 
-fn drift_rate() -> impl Strategy<Value = DriftRate> {
-    (0.0f64..0.1).prop_map(DriftRate::new)
+fn drift_rate(g: &mut Gen) -> DriftRate {
+    DriftRate::new(g.f64(0.0..0.1))
 }
 
-fn arb_interval() -> impl Strategy<Value = TimeInterval> {
-    (0.0f64..100.0, 0.0f64..30.0).prop_map(|(lo, w)| {
-        TimeInterval::new(Timestamp::from_secs(lo), Timestamp::from_secs(lo + w))
-    })
+fn arb_interval(g: &mut Gen) -> TimeInterval {
+    let (lo, w) = (g.f64(0.0..100.0), g.f64(0.0..30.0));
+    TimeInterval::new(Timestamp::from_secs(lo), Timestamp::from_secs(lo + w))
 }
 
-proptest! {
-    /// Theorem 1 shape: if the requester's estimate is correct at the
-    /// reception instant and the replier's estimate was correct at the
-    /// moment it answered, then an MM reset yields an estimate that is
-    /// correct at the reception instant.
-    #[test]
-    fn mm_reset_preserves_correctness(
-        t0 in 0.0f64..1e6,
-        sigma_frac in 0.0f64..1.0,
-        xi in 0.0f64..2.0,
-        delta in drift_rate(),
+/// Theorem 1 shape: if the requester's estimate is correct at the
+/// reception instant and the replier's estimate was correct at the
+/// moment it answered, then an MM reset yields an estimate that is
+/// correct at the reception instant.
+#[test]
+fn mm_reset_preserves_correctness() {
+    check("mm_reset_preserves_correctness", 256, |g| {
+        let t0 = g.f64(0.0..1e6);
+        let sigma_frac = g.f64(0.0..1.0);
+        let xi = g.f64(0.0..2.0);
+        let delta = drift_rate(g);
         // Local-clock measurement distortion within [1-δ, 1+δ].
-        meas_frac in -1.0f64..1.0,
-        own_seed in 0.0f64..1.0,
-        own_err in 0.0f64..10.0,
-        reply_seed in -1.0f64..1.0,
-        reply_err in 0.0f64..10.0,
-    ) {
-        let sigma = sigma_frac * xi;            // request delay σ ≤ ξ
-        let reply_time = t0 + sigma;            // replier answers at t0+σ
-        let recv_time = t0 + xi;                // requester receives at t0+ξ
+        let meas_frac = g.f64(-1.0..1.0);
+        let own_seed = g.f64(0.0..1.0);
+        let own_err = g.f64(0.0..10.0);
+        let reply_seed = g.f64(-1.0..1.0);
+        let reply_err = g.f64(0.0..10.0);
+        let sigma = sigma_frac * xi; // request delay σ ≤ ξ
+        let reply_time = t0 + sigma; // replier answers at t0+σ
+        let recv_time = t0 + xi; // requester receives at t0+ξ
 
         // Correct reply at its send instant.
         let reply_est = TimeEstimate::new(
@@ -79,24 +74,25 @@ proptest! {
             // C_j ± (E_j + (1+δ)ξ^i) must cover t0+ξ given C_j ± E_j
             // covered t0+σ and ξ^i ≥ (1−δ)ξ ≥ ξ − σ... (Theorem 1).
             let adopted = reset.as_estimate();
-            prop_assert!(
+            assert!(
                 adopted.is_correct_at(Timestamp::from_secs(recv_time)),
                 "adopted {adopted} not correct at {recv_time}"
             );
         }
-    }
+    });
+}
 
-    /// Theorem 5 shape: the same setup under IM keeps correctness.
-    #[test]
-    fn im_reset_preserves_correctness(
-        t0 in 0.0f64..1e6,
-        sigma_fracs in prop::collection::vec(0.0f64..1.0, 1..6),
-        xi in 0.0001f64..2.0,
-        delta in drift_rate(),
-        own_seed in 0.0f64..1.0,
-        own_err in 0.0f64..10.0,
-        reply_seeds in prop::collection::vec((-1.0f64..1.0, 0.0f64..10.0), 1..6),
-    ) {
+/// Theorem 5 shape: the same setup under IM keeps correctness.
+#[test]
+fn im_reset_preserves_correctness() {
+    check("im_reset_preserves_correctness", 256, |g| {
+        let t0 = g.f64(0.0..1e6);
+        let sigma_fracs = g.vec(1..6, |g| g.f64(0.0..1.0));
+        let xi = g.f64(0.0001..2.0);
+        let delta = drift_rate(g);
+        let own_seed = g.f64(0.0..1.0);
+        let own_err = g.f64(0.0..10.0);
+        let reply_seeds = g.vec(1..6, |g| (g.f64(-1.0..1.0), g.f64(0.0..10.0)));
         let recv_time = t0 + xi;
         let own = TimeEstimate::new(
             Timestamp::from_secs(recv_time + (own_seed * 2.0 - 1.0) * own_err),
@@ -116,144 +112,148 @@ proptest! {
         }
         if let ImOutcome::Reset(reset) = im_round(&own, delta, &replies) {
             let adopted = reset.as_estimate();
-            prop_assert!(
+            assert!(
                 adopted.is_correct_at(Timestamp::from_secs(recv_time)),
                 "IM adopted {adopted} not correct at {recv_time}"
             );
         }
-    }
+    });
+}
 
-    /// Theorem 6: the IM intersection is never wider than the narrowest
-    /// participating interval.
-    #[test]
-    fn im_never_wider_than_narrowest(
-        own_c in 0.0f64..100.0,
-        own_e in 0.0f64..10.0,
-        reply_data in prop::collection::vec((0.0f64..100.0, 0.0f64..10.0, 0.0f64..0.5), 0..8),
-        delta in drift_rate(),
-    ) {
-        let own = TimeEstimate::new(
-            Timestamp::from_secs(own_c),
-            Duration::from_secs(own_e),
-        );
+/// Theorem 6: the IM intersection is never wider than the narrowest
+/// participating interval.
+#[test]
+fn im_never_wider_than_narrowest() {
+    check("im_never_wider_than_narrowest", 256, |g| {
+        let own_c = g.f64(0.0..100.0);
+        let own_e = g.f64(0.0..10.0);
+        let reply_data = g.vec(0..8, |g| {
+            (g.f64(0.0..100.0), g.f64(0.0..10.0), g.f64(0.0..0.5))
+        });
+        let delta = drift_rate(g);
+        let own = TimeEstimate::new(Timestamp::from_secs(own_c), Duration::from_secs(own_e));
         let replies: Vec<TimedReply> = reply_data
             .iter()
-            .map(|&(c, e, rtt)| TimedReply::new(
-                TimeEstimate::new(Timestamp::from_secs(c), Duration::from_secs(e)),
-                Duration::from_secs(rtt),
-            ))
+            .map(|&(c, e, rtt)| {
+                TimedReply::new(
+                    TimeEstimate::new(Timestamp::from_secs(c), Duration::from_secs(e)),
+                    Duration::from_secs(rtt),
+                )
+            })
             .collect();
         if let ImOutcome::Reset(reset) = im_round(&own, delta, &replies) {
             // Narrowest input radius, replies widened by rtt allowance.
             let mut narrowest = own.error();
             for r in &replies {
-                let widened = r.estimate.error()
-                    + (r.round_trip * delta.inflation()).half();
+                let widened = r.estimate.error() + (r.round_trip * delta.inflation()).half();
                 narrowest = narrowest.min(widened);
             }
-            prop_assert!(
+            assert!(
                 reset.new_error.as_secs() <= narrowest.as_secs() + 1e-9,
                 "IM produced {} wider than narrowest {}",
-                reset.new_error, narrowest
+                reset.new_error,
+                narrowest
             );
         }
-    }
+    });
+}
 
-    /// Two correct servers are always consistent (§2.3): inconsistency
-    /// proves incorrectness.
-    #[test]
-    fn correct_servers_are_consistent(
-        t in 0.0f64..1e6,
-        a in correct_estimate(0.0),
-        b in correct_estimate(0.0),
-    ) {
+/// Two correct servers are always consistent (§2.3): inconsistency
+/// proves incorrectness.
+#[test]
+fn correct_servers_are_consistent() {
+    check("correct_servers_are_consistent", 256, |g| {
+        let t = g.f64(0.0..1e6);
+        let a = correct_estimate(g, 0.0);
+        let b = correct_estimate(g, 0.0);
         // Shift both to be correct at the same real time t.
         let shift = Duration::from_secs(t);
         let a = TimeEstimate::new(a.time() + shift, a.error());
         let b = TimeEstimate::new(b.time() + shift, b.error());
-        prop_assert!(a.is_correct_at(Timestamp::from_secs(t)));
-        prop_assert!(b.is_correct_at(Timestamp::from_secs(t)));
-        prop_assert!(a.is_consistent_with(&b));
-    }
+        assert!(a.is_correct_at(Timestamp::from_secs(t)));
+        assert!(b.is_correct_at(Timestamp::from_secs(t)));
+        assert!(a.is_consistent_with(&b));
+    });
+}
 
-    /// MM-1 / Lemma 1: error growth is monotone and linear between
-    /// resets.
-    #[test]
-    fn error_state_growth_monotone(
-        r in 0.0f64..1e3,
-        eps in 0.0f64..10.0,
-        delta in drift_rate(),
-        d1 in 0.0f64..1e4,
-        d2 in 0.0f64..1e4,
-    ) {
-        let state = ErrorState::new(
-            Timestamp::from_secs(r),
-            Duration::from_secs(eps),
-            delta,
-        );
+/// MM-1 / Lemma 1: error growth is monotone and linear between
+/// resets.
+#[test]
+fn error_state_growth_monotone() {
+    check("error_state_growth_monotone", 256, |g| {
+        let r = g.f64(0.0..1e3);
+        let eps = g.f64(0.0..10.0);
+        let delta = drift_rate(g);
+        let d1 = g.f64(0.0..1e4);
+        let d2 = g.f64(0.0..1e4);
+        let state = ErrorState::new(Timestamp::from_secs(r), Duration::from_secs(eps), delta);
         let (lo, hi) = if d1 <= d2 { (d1, d2) } else { (d2, d1) };
         let e_lo = state.error_at(Timestamp::from_secs(r + lo));
         let e_hi = state.error_at(Timestamp::from_secs(r + hi));
-        prop_assert!(e_lo <= e_hi);
+        assert!(e_lo <= e_hi);
         // Linearity: E(r + d) − ε = d·δ.
         let expected = eps + hi * delta.as_f64();
-        prop_assert!((e_hi.as_secs() - expected).abs() < 1e-9 * (1.0 + expected));
-    }
+        assert!((e_hi.as_secs() - expected).abs() < 1e-9 * (1.0 + expected));
+    });
+}
 
-    /// Interval algebra: intersection is commutative, contained in both
-    /// inputs, and no wider than either input.
-    #[test]
-    fn interval_intersection_algebra(a in arb_interval(), b in arb_interval()) {
+/// Interval algebra: intersection is commutative, contained in both
+/// inputs, and no wider than either input.
+#[test]
+fn interval_intersection_algebra() {
+    check("interval_intersection_algebra", 256, |g| {
+        let a = arb_interval(g);
+        let b = arb_interval(g);
         let ab = a.intersect(&b);
         let ba = b.intersect(&a);
-        prop_assert_eq!(ab, ba);
+        assert_eq!(ab, ba);
         if let Some(i) = ab {
-            prop_assert!(a.contains_interval(&i));
-            prop_assert!(b.contains_interval(&i));
-            prop_assert!(i.width() <= a.width().min(b.width()));
+            assert!(a.contains_interval(&i));
+            assert!(b.contains_interval(&i));
+            assert!(i.width() <= a.width().min(b.width()));
         } else {
-            prop_assert!(!a.intersects(&b));
+            assert!(!a.intersects(&b));
         }
         // Hull contains both.
         let h = a.hull(&b);
-        prop_assert!(h.contains_interval(&a));
-        prop_assert!(h.contains_interval(&b));
-    }
+        assert!(h.contains_interval(&a));
+        assert!(h.contains_interval(&b));
+    });
+}
 
-    /// Marzullo sweep: the reported maximum coverage is achieved on every
-    /// best region, never exceeded anywhere, and if true time is covered
-    /// by the maximum number of intervals it lies in a best region.
-    #[test]
-    fn marzullo_coverage_invariants(
-        intervals in prop::collection::vec(arb_interval(), 1..24),
-        probe in 0.0f64..130.0,
-    ) {
+/// Marzullo sweep: the reported maximum coverage is achieved on every
+/// best region, never exceeded anywhere, and if true time is covered
+/// by the maximum number of intervals it lies in a best region.
+#[test]
+fn marzullo_coverage_invariants() {
+    check("marzullo_coverage_invariants", 256, |g| {
+        let intervals = g.vec(1..24, arb_interval);
+        let probe = g.f64(0.0..130.0);
         let result = best_intersection(&intervals).unwrap();
-        let cover_at = |t: Timestamp| {
-            intervals.iter().filter(|iv| iv.contains(t)).count()
-        };
+        let cover_at = |t: Timestamp| intervals.iter().filter(|iv| iv.contains(t)).count();
         for region in &result.regions {
-            prop_assert_eq!(cover_at(region.interval.midpoint()), result.coverage);
-            prop_assert_eq!(region.members.len(), result.coverage);
+            assert_eq!(cover_at(region.interval.midpoint()), result.coverage);
+            assert_eq!(region.members.len(), result.coverage);
         }
         let p = Timestamp::from_secs(probe);
-        prop_assert!(cover_at(p) <= result.coverage);
+        assert!(cover_at(p) <= result.coverage);
         if cover_at(p) == result.coverage {
-            prop_assert!(result.regions.iter().any(|r| r.interval.contains(p)));
+            assert!(result.regions.iter().any(|r| r.interval.contains(p)));
         }
-    }
+    });
+}
 
-    /// Fault tolerance: if at least `n − f` intervals contain the true
-    /// time, the tolerant intersection exists (it may be a different
-    /// region when the service is ambiguous, but it exists).
-    #[test]
-    fn marzullo_tolerance_exists_when_quorum_correct(
-        t in 20.0f64..80.0,
-        correct_count in 2usize..10,
-        faulty_count in 0usize..5,
-        widths in prop::collection::vec(0.1f64..20.0, 16),
-        offsets in prop::collection::vec(-1.0f64..1.0, 16),
-    ) {
+/// Fault tolerance: if at least `n − f` intervals contain the true
+/// time, the tolerant intersection exists (it may be a different
+/// region when the service is ambiguous, but it exists).
+#[test]
+fn marzullo_tolerance_exists_when_quorum_correct() {
+    check("marzullo_tolerance_exists_when_quorum_correct", 256, |g| {
+        let t = g.f64(20.0..80.0);
+        let correct_count = g.int(2usize..10);
+        let faulty_count = g.int(0usize..5);
+        let widths = g.vec(16..=16, |g| g.f64(0.1..20.0));
+        let offsets = g.vec(16..=16, |g| g.f64(-1.0..1.0));
         let mut intervals = Vec::new();
         for i in 0..correct_count {
             let w = widths[i % widths.len()];
@@ -272,66 +272,69 @@ proptest! {
             ));
         }
         let f = faulty_count;
-        prop_assert!(f < intervals.len());
+        assert!(f < intervals.len());
         let res = intersect_tolerating(&intervals, f);
-        prop_assert!(res.is_some(), "quorum of {correct_count} correct intervals must intersect");
-    }
+        assert!(
+            res.is_some(),
+            "quorum of {correct_count} correct intervals must intersect"
+        );
+    });
+}
 
-    /// Consistency groups: members witness a common point, groups are
-    /// mutually non-nested, and every interval appears in some group.
-    #[test]
-    fn consistency_groups_partition(
-        intervals in prop::collection::vec(arb_interval(), 1..16),
-    ) {
+/// Consistency groups: members witness a common point, groups are
+/// mutually non-nested, and every interval appears in some group.
+#[test]
+fn consistency_groups_partition() {
+    check("consistency_groups_partition", 256, |g| {
+        let intervals = g.vec(1..16, arb_interval);
         let groups = consistency_groups(&intervals);
-        prop_assert!(!groups.is_empty());
+        assert!(!groups.is_empty());
         let mut seen = vec![false; intervals.len()];
         for g in &groups {
             // Common intersection is genuinely common.
             for &m in &g.members {
-                prop_assert!(intervals[m].contains_interval(&g.intersection));
+                assert!(intervals[m].contains_interval(&g.intersection));
                 seen[m] = true;
             }
         }
-        prop_assert!(seen.iter().all(|&s| s), "every interval belongs to a group");
+        assert!(seen.iter().all(|&s| s), "every interval belongs to a group");
         // Maximality: no group's member set is a subset of another's.
         for (i, a) in groups.iter().enumerate() {
             for (j, b) in groups.iter().enumerate() {
                 if i != j {
                     let subset = a.members.iter().all(|m| b.members.contains(m));
-                    prop_assert!(!subset, "group {i} nested in group {j}");
+                    assert!(!subset, "group {i} nested in group {j}");
                 }
             }
         }
-    }
+    });
+}
 
-    /// The consistency graph agrees with pairwise interval intersection.
-    #[test]
-    fn consistency_graph_matches_intervals(
-        estimates in prop::collection::vec((0.0f64..50.0, 0.0f64..10.0), 0..12),
-    ) {
+/// The consistency graph agrees with pairwise interval intersection.
+#[test]
+fn consistency_graph_matches_intervals() {
+    check("consistency_graph_matches_intervals", 256, |g| {
+        let estimates = g.vec(0..12, |g| (g.f64(0.0..50.0), g.f64(0.0..10.0)));
         let ests: Vec<TimeEstimate> = estimates
             .iter()
-            .map(|&(c, e)| TimeEstimate::new(
-                Timestamp::from_secs(c),
-                Duration::from_secs(e),
-            ))
+            .map(|&(c, e)| TimeEstimate::new(Timestamp::from_secs(c), Duration::from_secs(e)))
             .collect();
         let g = ConsistencyGraph::new(&ests);
         for i in 0..ests.len() {
             for j in 0..ests.len() {
                 let expected = ests[i].interval().intersects(&ests[j].interval());
-                prop_assert_eq!(g.consistent(i, j), expected);
+                assert_eq!(g.consistent(i, j), expected);
             }
         }
-    }
+    });
+}
 
-    /// NTP selection: on success, truechimers and falsetickers partition
-    /// the sources and every truechimer overlaps the accepted region.
-    #[test]
-    fn ntp_selection_partitions_sources(
-        intervals in prop::collection::vec(arb_interval(), 1..16),
-    ) {
+/// NTP selection: on success, truechimers and falsetickers partition
+/// the sources and every truechimer overlaps the accepted region.
+#[test]
+fn ntp_selection_partitions_sources() {
+    check("ntp_selection_partitions_sources", 256, |g| {
+        let intervals = g.vec(1..16, arb_interval);
         if let Some(sel) = select(&intervals) {
             let mut all: Vec<usize> = sel
                 .truechimers
@@ -340,38 +343,39 @@ proptest! {
                 .copied()
                 .collect();
             all.sort_unstable();
-            prop_assert_eq!(all, (0..intervals.len()).collect::<Vec<_>>());
+            assert_eq!(all, (0..intervals.len()).collect::<Vec<_>>());
             let region = sel.interval();
             for &i in &sel.truechimers {
-                prop_assert!(intervals[i].intersects(&region));
+                assert!(intervals[i].intersects(&region));
             }
             for &i in &sel.falsetickers {
-                prop_assert!(!intervals[i].intersects(&region));
+                assert!(!intervals[i].intersects(&region));
             }
             // Majority of midpoints inside the region.
             let inside = intervals
                 .iter()
                 .filter(|iv| region.contains(iv.midpoint()))
                 .count();
-            prop_assert!(inside + sel.assumed_falsetickers >= intervals.len());
+            assert!(inside + sel.assumed_falsetickers >= intervals.len());
         }
-    }
+    });
 }
 
 mod filter_props {
-    use proptest::prelude::*;
+    use tempo_check::{check, Gen};
     use tempo_core::filter::{cluster, combine, ClockFilter, FilterSample, PeerEstimate};
     use tempo_core::{Duration, Timestamp};
 
-    fn arb_samples() -> impl Strategy<Value = Vec<(f64, f64)>> {
-        prop::collection::vec((-1.0f64..1.0, 0.0f64..0.5), 1..20)
+    fn arb_samples(g: &mut Gen) -> Vec<(f64, f64)> {
+        g.vec(1..20, |g| (g.f64(-1.0..1.0), g.f64(0.0..0.5)))
     }
 
-    proptest! {
-        /// The filter's best sample is exactly the minimum-delay one
-        /// among the retained window.
-        #[test]
-        fn best_is_min_delay(samples in arb_samples()) {
+    /// The filter's best sample is exactly the minimum-delay one
+    /// among the retained window.
+    #[test]
+    fn best_is_min_delay() {
+        check("best_is_min_delay", 256, |g| {
+            let samples = arb_samples(g);
             let mut f = ClockFilter::new(8);
             for (i, &(off, d)) in samples.iter().enumerate() {
                 f.push(FilterSample::new(
@@ -382,60 +386,66 @@ mod filter_props {
             }
             let best = f.best().unwrap();
             for s in f.iter() {
-                prop_assert!(best.delay <= s.delay);
+                assert!(best.delay <= s.delay);
             }
             // Window cap respected.
-            prop_assert!(f.len() <= 8);
-            prop_assert_eq!(f.len(), samples.len().min(8));
-        }
+            assert!(f.len() <= 8);
+            assert_eq!(f.len(), samples.len().min(8));
+        });
+    }
 
-        /// Cluster survivors are a subset of the peers, respect the
-        /// floor, and never lose the whole ensemble.
-        #[test]
-        fn cluster_survivors_wellformed(
-            offsets in prop::collection::vec(-1.0f64..1.0, 1..12),
-            jitter in 0.0001f64..0.1,
-            min_survivors_seed in any::<usize>(),
-        ) {
+    /// Cluster survivors are a subset of the peers, respect the
+    /// floor, and never lose the whole ensemble.
+    #[test]
+    fn cluster_survivors_wellformed() {
+        check("cluster_survivors_wellformed", 256, |g| {
+            let offsets = g.vec(1..12, |g| g.f64(-1.0..1.0));
+            let jitter = g.f64(0.0001..0.1);
+            let min_survivors_seed = g.int(0..=usize::MAX);
             let peers: Vec<PeerEstimate> = offsets
                 .iter()
-                .map(|&o| PeerEstimate::new(
-                    Duration::from_secs(o),
-                    Duration::from_secs(jitter),
-                    Duration::from_secs(0.01),
-                ))
+                .map(|&o| {
+                    PeerEstimate::new(
+                        Duration::from_secs(o),
+                        Duration::from_secs(jitter),
+                        Duration::from_secs(0.01),
+                    )
+                })
                 .collect();
             let floor = 1 + min_survivors_seed % peers.len();
             let survivors = cluster(&peers, floor);
-            prop_assert!(survivors.len() >= floor.min(peers.len()));
-            prop_assert!(survivors.len() <= peers.len());
+            assert!(survivors.len() >= floor.min(peers.len()));
+            assert!(survivors.len() <= peers.len());
             let mut sorted = survivors.clone();
             sorted.sort_unstable();
             sorted.dedup();
-            prop_assert_eq!(sorted.len(), survivors.len(), "duplicates");
-            prop_assert!(survivors.iter().all(|&i| i < peers.len()));
-        }
+            assert_eq!(sorted.len(), survivors.len(), "duplicates");
+            assert!(survivors.iter().all(|&i| i < peers.len()));
+        });
+    }
 
-        /// The combined offset lies within the survivors' offset range.
-        #[test]
-        fn combine_within_survivor_hull(
-            offsets in prop::collection::vec(-1.0f64..1.0, 1..12),
-            errors in prop::collection::vec(0.001f64..0.5, 12),
-        ) {
+    /// The combined offset lies within the survivors' offset range.
+    #[test]
+    fn combine_within_survivor_hull() {
+        check("combine_within_survivor_hull", 256, |g| {
+            let offsets = g.vec(1..12, |g| g.f64(-1.0..1.0));
+            let errors = g.vec(12..=12, |g| g.f64(0.001..0.5));
             let peers: Vec<PeerEstimate> = offsets
                 .iter()
                 .enumerate()
-                .map(|(i, &o)| PeerEstimate::new(
-                    Duration::from_secs(o),
-                    Duration::ZERO,
-                    Duration::from_secs(errors[i % errors.len()]),
-                ))
+                .map(|(i, &o)| {
+                    PeerEstimate::new(
+                        Duration::from_secs(o),
+                        Duration::ZERO,
+                        Duration::from_secs(errors[i % errors.len()]),
+                    )
+                })
                 .collect();
             let survivors: Vec<usize> = (0..peers.len()).collect();
             let combined = combine(&peers, &survivors).unwrap().as_secs();
             let lo = offsets.iter().cloned().fold(f64::MAX, f64::min);
             let hi = offsets.iter().cloned().fold(f64::MIN, f64::max);
-            prop_assert!(combined >= lo - 1e-12 && combined <= hi + 1e-12);
-        }
+            assert!(combined >= lo - 1e-12 && combined <= hi + 1e-12);
+        });
     }
 }

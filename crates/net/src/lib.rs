@@ -22,8 +22,7 @@
 //!   implementation; the `tempo-transport` crate provides a real UDP
 //!   one driving the *same* actors over actual sockets.
 //!
-//! Besides the private bounded [`Trace`], a world built with
-//! [`World::new_with_bus`] emits every send, delivery, drop,
+//! A world built with [`World::new_with_bus`] emits every send, delivery, drop,
 //! duplication, and timer firing as a typed
 //! [`tempo_telemetry::TelemetryEvent`], so external sinks (metrics,
 //! oracle, JSONL export) observe the network without bespoke hooks.
@@ -77,7 +76,6 @@ mod delay;
 mod node;
 mod queue;
 mod topology;
-mod trace;
 mod transport;
 mod world;
 
@@ -85,6 +83,5 @@ pub use delay::DelayModel;
 pub use node::NodeId;
 pub use queue::{EventQueue, TimerHandle};
 pub use topology::Topology;
-pub use trace::{Trace, TraceEvent};
 pub use transport::{node_rng, ActorAction, Transport};
 pub use world::{Actor, Context, NetConfig, NetStats, Partition, World};

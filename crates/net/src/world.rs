@@ -24,7 +24,6 @@ use crate::delay::DelayModel;
 use crate::node::NodeId;
 use crate::queue::EventQueue;
 use crate::topology::Topology;
-use crate::trace::{Trace, TraceEvent};
 use crate::transport::{ActorAction, Transport};
 
 /// Mixes a component's smallest *global label* into the world seed so
@@ -466,7 +465,6 @@ pub struct World<A: Actor> {
     now: Timestamp,
     node_rngs: Vec<StdRng>,
     stats: NetStats,
-    trace: Option<Trace>,
     /// Telemetry fan-out; the disabled default costs one branch per
     /// would-be emission.
     bus: Bus,
@@ -595,7 +593,6 @@ impl<A: Actor> World<A> {
             now: Timestamp::ZERO,
             node_rngs,
             stats: NetStats::default(),
-            trace: None,
             bus,
             link_horizon: std::collections::HashMap::new(),
             max_observed_delay: Duration::ZERO,
@@ -668,28 +665,6 @@ impl<A: Actor> World<A> {
         self.queues.iter().all(EventQueue::is_empty)
     }
 
-    /// Starts recording network events into a bounded [`Trace`]
-    /// (discarding any previous trace).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace::new(capacity));
-    }
-
-    /// The recorded trace, if tracing was enabled.
-    #[must_use]
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
-    }
-
-    fn record(&mut self, event: TraceEvent) {
-        if let Some(trace) = &mut self.trace {
-            trace.record(event);
-        }
-    }
-
     /// The `(time, component)` of the next event across all
     /// components, without popping it. Skips stale scheduler entries.
     fn next_ready(&mut self) -> Option<(Timestamp, u32)> {
@@ -738,11 +713,6 @@ impl<A: Actor> World<A> {
         match kind {
             EventKind::Deliver { from, to, msg } => {
                 self.stats.delivered += 1;
-                self.record(TraceEvent::Deliver {
-                    at: self.now,
-                    from,
-                    to,
-                });
                 self.bus
                     .emit_with(TelemetryKind::MsgRecv, || TelemetryEvent::MsgRecv {
                         at: self.now,
@@ -753,11 +723,6 @@ impl<A: Actor> World<A> {
             }
             EventKind::Timer { node, tag } => {
                 self.stats.timers_fired += 1;
-                self.record(TraceEvent::Timer {
-                    at: self.now,
-                    node,
-                    tag,
-                });
                 self.bus
                     .emit_with(TelemetryKind::TimerFired, || TelemetryEvent::TimerFired {
                         at: self.now,
@@ -926,11 +891,6 @@ impl<A: Actor> Transport<A::Msg> for World<A> {
         self.stats.sent += 1;
         let gf = NodeId::new(self.labels[from.index()]);
         let gt = NodeId::new(self.labels[to.index()]);
-        self.record(TraceEvent::Send {
-            at: self.now,
-            from,
-            to,
-        });
         self.bus
             .emit_with(TelemetryKind::MsgSend, || TelemetryEvent::MsgSend {
                 at: self.now,
@@ -944,11 +904,6 @@ impl<A: Actor> Transport<A::Msg> for World<A> {
             .any(|p| p.blocks(self.now, gf, gt))
         {
             self.stats.partitioned += 1;
-            self.record(TraceEvent::Partitioned {
-                at: self.now,
-                from,
-                to,
-            });
             self.bus
                 .emit_with(TelemetryKind::MsgDrop, || TelemetryEvent::MsgDrop {
                     at: self.now,
@@ -962,11 +917,6 @@ impl<A: Actor> Transport<A::Msg> for World<A> {
         let loss = self.config.loss_for(gf, gt);
         if loss > 0.0 && self.net_rngs[comp].random::<f64>() < loss {
             self.stats.lost += 1;
-            self.record(TraceEvent::Lost {
-                at: self.now,
-                from,
-                to,
-            });
             self.bus
                 .emit_with(TelemetryKind::MsgDrop, || TelemetryEvent::MsgDrop {
                     at: self.now,
@@ -980,11 +930,6 @@ impl<A: Actor> Transport<A::Msg> for World<A> {
             && self.net_rngs[comp].random::<f64>() < self.config.duplication
         {
             self.stats.duplicated += 1;
-            self.record(TraceEvent::Duplicated {
-                at: self.now,
-                from,
-                to,
-            });
             self.bus.emit_with(TelemetryKind::MsgDuplicate, || {
                 TelemetryEvent::MsgDuplicate {
                     at: self.now,
@@ -1300,7 +1245,7 @@ mod tests {
     }
 
     #[test]
-    fn duplication_traces_and_respects_loss() {
+    fn duplication_respects_loss() {
         // A lost message is never duplicated: loss is decided first.
         let mut actors = recorders(2);
         actors[0].start_broadcast = Some(1);
@@ -1312,7 +1257,6 @@ mod tests {
                 .duplication(0.999_999),
             17,
         );
-        world.enable_trace(8);
         world.run_until(ts(1.0));
         assert_eq!(world.stats().lost, 1);
         assert_eq!(world.stats().duplicated, 0);
@@ -1762,17 +1706,14 @@ mod component_tests {
 }
 
 #[cfg(test)]
-mod trace_tests {
+mod ring_tests {
     use super::*;
-    use crate::trace::TraceEvent;
 
     #[derive(Default)]
     struct Echo;
     impl Actor for Echo {
         type Msg = u8;
         fn on_start(&mut self, ctx: &mut Context<'_, u8>) {
-            // on_start runs inside World::new — before tracing can be
-            // enabled — so the observable send happens on a timer.
             if ctx.me() == NodeId::new(0) {
                 ctx.set_timer(Duration::from_secs(0.2), 42);
             }
@@ -1783,37 +1724,41 @@ mod trace_tests {
         }
     }
 
-    #[test]
-    fn trace_records_send_deliver_and_timer() {
-        let mut world = World::new(
+    /// Runs two `Echo`s for a second and returns the world and what
+    /// its 16-event telemetry ring holds.
+    fn run_with_ring(config: NetConfig) -> (World<Echo>, Vec<TelemetryEvent>) {
+        let bus = Bus::with_ring(16);
+        let mut world = World::new_with_bus(
             vec![Echo, Echo],
             Topology::full_mesh(2),
-            NetConfig::with_delay(DelayModel::Constant(Duration::from_secs(0.1))),
+            config,
             1,
+            bus.clone(),
         );
-        world.enable_trace(16);
         world.run_until(Timestamp::from_secs(1.0));
-        let trace = world.trace().expect("tracing enabled");
-        let kinds: Vec<&TraceEvent> = trace.iter().collect();
-        assert!(kinds.iter().any(|e| matches!(e, TraceEvent::Send { .. })));
-        assert!(kinds
+        (world, bus.recent_events())
+    }
+
+    #[test]
+    fn ring_records_send_deliver_and_timer() {
+        let (_, events) = run_with_ring(NetConfig::with_delay(DelayModel::Constant(
+            Duration::from_secs(0.1),
+        )));
+        assert!(events
             .iter()
-            .any(|e| matches!(e, TraceEvent::Deliver { .. })));
-        assert!(kinds
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Timer { tag: 42, .. })));
+            .any(|e| matches!(e, TelemetryEvent::TimerFired { tag: 42, .. })));
         // The send precedes its delivery.
-        let send_at = kinds
+        let send_at = events
             .iter()
             .find_map(|e| match e {
-                TraceEvent::Send { at, .. } => Some(*at),
+                TelemetryEvent::MsgSend { at, .. } => Some(*at),
                 _ => None,
             })
             .unwrap();
-        let deliver_at = kinds
+        let deliver_at = events
             .iter()
             .find_map(|e| match e {
-                TraceEvent::Deliver { at, .. } => Some(*at),
+                TelemetryEvent::MsgRecv { at, .. } => Some(*at),
                 _ => None,
             })
             .unwrap();
@@ -1821,46 +1766,38 @@ mod trace_tests {
     }
 
     #[test]
-    fn trace_disabled_by_default() {
+    fn bus_disabled_by_default() {
         let world = World::new(
             vec![Echo, Echo],
             Topology::full_mesh(2),
             NetConfig::default(),
             1,
         );
-        assert!(world.trace().is_none());
+        assert!(!world.bus.is_enabled());
     }
 
     #[test]
-    fn trace_records_duplicates() {
-        let mut world = World::new(
-            vec![Echo, Echo],
-            Topology::full_mesh(2),
-            NetConfig::with_delay(DelayModel::instant()).duplication(0.999_999),
-            1,
-        );
-        world.enable_trace(16);
-        world.run_until(Timestamp::from_secs(1.0));
-        let trace = world.trace().unwrap();
-        assert!(trace
+    fn ring_records_duplicates() {
+        let (world, events) =
+            run_with_ring(NetConfig::with_delay(DelayModel::instant()).duplication(0.999_999));
+        assert!(events
             .iter()
-            .any(|e| matches!(e, TraceEvent::Duplicated { .. })));
+            .any(|e| matches!(e, TelemetryEvent::MsgDuplicate { .. })));
         assert_eq!(world.stats().duplicated, 1);
         assert_eq!(world.stats().delivered, 2);
     }
 
     #[test]
-    fn trace_records_losses() {
-        let mut world = World::new(
-            vec![Echo, Echo],
-            Topology::full_mesh(2),
-            NetConfig::with_delay(DelayModel::instant()).loss(0.999_999),
-            1,
-        );
-        world.enable_trace(16);
-        world.run_until(Timestamp::from_secs(1.0));
-        let trace = world.trace().unwrap();
-        assert!(trace.iter().any(|e| matches!(e, TraceEvent::Lost { .. })));
+    fn ring_records_losses() {
+        let (_, events) =
+            run_with_ring(NetConfig::with_delay(DelayModel::instant()).loss(0.999_999));
+        assert!(events.iter().any(|e| matches!(
+            e,
+            TelemetryEvent::MsgDrop {
+                cause: DropCause::Loss,
+                ..
+            }
+        )));
     }
 }
 

@@ -2,7 +2,7 @@
 //! FIFO links never reorder, partitions block exactly the cross-group
 //! traffic, and everything is reproducible.
 
-use proptest::prelude::*;
+use tempo_check::check;
 
 use tempo_core::{Duration, Timestamp};
 use tempo_net::{Actor, Context, DelayModel, NetConfig, NodeId, Partition, Topology, World};
@@ -43,18 +43,15 @@ impl Actor for Probe {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Every delivery happens within [min, max] one-way delay of its
-    /// send, for arbitrary schedules and delay ranges.
-    #[test]
-    fn delivery_respects_delay_bounds(
-        min_ms in 0.0f64..20.0,
-        extra_ms in 0.1f64..50.0,
-        sends in prop::collection::vec(0.0f64..50.0, 1..30),
-        seed in 0u64..1000,
-    ) {
+/// Every delivery happens within [min, max] one-way delay of its
+/// send, for arbitrary schedules and delay ranges.
+#[test]
+fn delivery_respects_delay_bounds() {
+    check("delivery_respects_delay_bounds", 48, |g| {
+        let min_ms = g.f64(0.0..20.0);
+        let extra_ms = g.f64(0.1..50.0);
+        let sends = g.vec(1..30, |g| g.f64(0.0..50.0));
+        let seed = g.int(0u64..1000);
         let min = min_ms / 1e3;
         let max = (min_ms + extra_ms) / 1e3;
         let mut world = World::new(
@@ -68,22 +65,23 @@ proptest! {
         );
         world.run_until(Timestamp::from_secs(120.0));
         let received = &world.actors()[1].received;
-        prop_assert_eq!(received.len(), sends.len());
+        assert_eq!(received.len(), sends.len());
         for &(sent, got) in received {
             let delay = got - sent;
-            prop_assert!(
+            assert!(
                 delay >= min - 1e-12 && delay <= max + 1e-12,
                 "delay {delay} outside [{min}, {max}]"
             );
         }
-    }
+    });
+}
 
-    /// FIFO links deliver in send order regardless of sampled delays.
-    #[test]
-    fn fifo_links_never_reorder(
-        sends in prop::collection::vec(0.0f64..20.0, 2..30),
-        seed in 0u64..1000,
-    ) {
+/// FIFO links deliver in send order regardless of sampled delays.
+#[test]
+fn fifo_links_never_reorder() {
+    check("fifo_links_never_reorder", 48, |g| {
+        let sends = g.vec(2..30, |g| g.f64(0.0..20.0));
+        let seed = g.int(0u64..1000);
         let mut world = World::new(
             vec![Probe::new(sends), Probe::new(vec![])],
             Topology::full_mesh(2),
@@ -97,21 +95,19 @@ proptest! {
         world.run_until(Timestamp::from_secs(120.0));
         let received = &world.actors()[1].received;
         for pair in received.windows(2) {
-            prop_assert!(
-                pair[0].0 <= pair[1].0,
-                "FIFO delivered out of send order"
-            );
+            assert!(pair[0].0 <= pair[1].0, "FIFO delivered out of send order");
         }
-    }
+    });
+}
 
-    /// During a partition nothing crosses between the groups; after it
-    /// lifts, traffic flows again.
-    #[test]
-    fn partition_blocks_exactly_its_window(
-        seed in 0u64..1000,
-        gap_start in 5.0f64..15.0,
-        gap_len in 1.0f64..10.0,
-    ) {
+/// During a partition nothing crosses between the groups; after it
+/// lifts, traffic flows again.
+#[test]
+fn partition_blocks_exactly_its_window() {
+    check("partition_blocks_exactly_its_window", 48, |g| {
+        let seed = g.int(0u64..1000);
+        let gap_start = g.f64(5.0..15.0);
+        let gap_len = g.f64(1.0..10.0);
         let sends: Vec<f64> = (0..40).map(f64::from).collect();
         let partition = Partition {
             from: Timestamp::from_secs(gap_start),
@@ -127,22 +123,23 @@ proptest! {
         world.run_until(Timestamp::from_secs(120.0));
         let received = &world.actors()[1].received;
         for &(sent, _) in received {
-            prop_assert!(
+            assert!(
                 !(gap_start..gap_start + gap_len).contains(&sent),
                 "message sent at {sent} crossed the partition"
             );
         }
         // Everything outside the window arrived.
         let expected = 40 - received.len();
-        prop_assert_eq!(world.stats().partitioned, expected);
-    }
+        assert_eq!(world.stats().partitioned, expected);
+    });
+}
 
-    /// Bit-identical reruns for any seed.
-    #[test]
-    fn worlds_are_reproducible(
-        seed in 0u64..10_000,
-        sends in prop::collection::vec(0.0f64..20.0, 1..20),
-    ) {
+/// Bit-identical reruns for any seed.
+#[test]
+fn worlds_are_reproducible() {
+    check("worlds_are_reproducible", 48, |g| {
+        let seed = g.int(0u64..10_000);
+        let sends = g.vec(1..20, |g| g.f64(0.0..20.0));
         let run = || {
             let mut world = World::new(
                 vec![Probe::new(sends.clone()), Probe::new(vec![])],
@@ -157,6 +154,6 @@ proptest! {
             world.run_until(Timestamp::from_secs(60.0));
             (world.actors()[1].received.clone(), world.stats())
         };
-        prop_assert_eq!(run(), run());
-    }
+        assert_eq!(run(), run());
+    });
 }

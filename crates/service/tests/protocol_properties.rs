@@ -1,7 +1,7 @@
 //! Property tests over the live protocol: arbitrary honest deployments
 //! driven end-to-end through the actor stack.
 
-use proptest::prelude::*;
+use tempo_check::check;
 
 use tempo_clocks::{DriftModel, SimClock};
 use tempo_core::{DriftRate, Duration, Timestamp};
@@ -46,23 +46,20 @@ fn build_world(
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Theorem 1/5 at the actor level: honest services stay correct for
-    /// arbitrary drifts within bound, strategies, apply modes, and
-    /// network speeds.
-    #[test]
-    fn protocol_preserves_correctness(
-        n in 2usize..6,
-        drift_fracs in prop::collection::vec(-0.9f64..0.9, 6),
-        bound_exp in 3.0f64..5.0, // δ ∈ [1e-5, 1e-3]
-        tau in 5.0f64..20.0,
-        max_delay in 0.001f64..0.02,
-        strategy_pick in 0u8..3,
-        slew in any::<bool>(),
-        seed in 0u64..500,
-    ) {
+/// Theorem 1/5 at the actor level: honest services stay correct for
+/// arbitrary drifts within bound, strategies, apply modes, and
+/// network speeds.
+#[test]
+fn protocol_preserves_correctness() {
+    check("protocol_preserves_correctness", 16, |g| {
+        let n = g.int(2usize..6);
+        let drift_fracs = g.vec(6..=6, |g| g.f64(-0.9..0.9));
+        let bound_exp = g.f64(3.0..5.0); // δ ∈ [1e-5, 1e-3]
+        let tau = g.f64(5.0..20.0);
+        let max_delay = g.f64(0.001..0.02);
+        let strategy_pick = g.int(0u8..3);
+        let slew = g.bool();
+        let seed = g.int(0u64..500);
         let bound = 10f64.powf(-bound_exp);
         let strategy = match strategy_pick {
             0 => Strategy::Mm,
@@ -71,7 +68,9 @@ proptest! {
         };
         let apply = if slew {
             // Slew rate must dominate the worst drift to drain.
-            ApplyMode::Slew { max_rate: (bound * 20.0).min(0.5) }
+            ApplyMode::Slew {
+                max_rate: (bound * 20.0).min(0.5),
+            }
         } else {
             ApplyMode::Step
         };
@@ -85,28 +84,28 @@ proptest! {
             world.run_until(now);
             for (i, s) in world.actors_mut().iter_mut().enumerate() {
                 let sample = s.sample(now);
-                prop_assert!(
+                assert!(
                     sample.correct,
                     "S{i} incorrect at {now} (strategy {strategy}, slew {slew}): \
                      offset {} error {}",
-                    sample.true_offset,
-                    sample.error
+                    sample.true_offset, sample.error
                 );
             }
         }
         // Liveness: rounds actually ran and at least IM/Marzullo reset.
         let rounds: usize = world.actors().iter().map(|s| s.stats().rounds).sum();
-        prop_assert!(rounds >= n * 8);
-    }
+        assert!(rounds >= n * 8);
+    });
+}
 
-    /// Request/reply accounting balances: every processed reply matches
-    /// a request this server sent, and late + processed + screened never
-    /// exceeds requests sent (n-1 peers per round plus recoveries).
-    #[test]
-    fn reply_accounting_balances(
-        n in 2usize..6,
-        seed in 0u64..300,
-    ) {
+/// Request/reply accounting balances: every processed reply matches
+/// a request this server sent, and late + processed + screened never
+/// exceeds requests sent (n-1 peers per round plus recoveries).
+#[test]
+fn reply_accounting_balances() {
+    check("reply_accounting_balances", 16, |g| {
+        let n = g.int(2usize..6);
+        let seed = g.int(0u64..300);
         let drifts: Vec<f64> = (0..n)
             .map(|i| if i % 2 == 0 { 3e-5 } else { -3e-5 })
             .collect();
@@ -123,11 +122,11 @@ proptest! {
         for s in world.actors() {
             let st = s.stats();
             let max_expected = st.rounds * (n - 1) + st.recoveries_started;
-            prop_assert!(
+            assert!(
                 st.replies + st.late_replies <= max_expected,
                 "stats {st:?} exceed {max_expected}"
             );
-            prop_assert!(st.rounds >= 10);
+            assert!(st.rounds >= 10);
         }
-    }
+    });
 }

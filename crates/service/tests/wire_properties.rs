@@ -3,7 +3,7 @@
 //! malformed byte string, and detection of arbitrary single-byte
 //! corruption.
 
-use proptest::prelude::*;
+use tempo_check::{check, Gen};
 
 use tempo_core::{Duration, TimeEstimate, Timestamp};
 use tempo_service::wire::{
@@ -13,115 +13,114 @@ use tempo_service::wire::{
 use tempo_service::Message;
 use tempo_telemetry::RefusalCause;
 
-fn arb_cluster_frame() -> impl Strategy<Value = ClusterFrame> {
-    let cause = prop_oneof![
-        Just(RefusalCause::NoLease),
-        Just(RefusalCause::NoQuorum),
-        Just(RefusalCause::Booting),
-        Just(RefusalCause::Ahead),
-    ];
-    prop_oneof![
-        arb_message().prop_map(ClusterFrame::Base),
-        (any::<u64>(), any::<u8>()).prop_map(|(request_id, attempt)| ClusterFrame::TsRequest {
-            request_id,
-            attempt,
-        }),
-        (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(request_id, view, timestamp)| {
-            ClusterFrame::TsReply {
-                request_id,
-                view,
-                timestamp,
-            }
-        }),
-        (any::<u64>(), any::<u64>(), cause).prop_map(|(request_id, view, cause)| {
-            ClusterFrame::TsRefused {
-                request_id,
-                view,
-                cause,
-            }
-        }),
-        (any::<u64>(), any::<u64>(), any::<u32>()).prop_map(|(request_id, view, primary)| {
-            ClusterFrame::TsRedirect {
-                request_id,
-                view,
-                primary,
-            }
-        }),
-        (any::<u64>(), any::<u64>()).prop_map(|(view, seq)| ClusterFrame::LeaseRenew { view, seq }),
-        (
-            any::<u64>(),
-            any::<u64>(),
-            -1.0e12f64..1.0e12,
-            0.0f64..1.0e9,
-            any::<u64>()
-        )
-            .prop_map(|(view, seq, c, e, high_water)| ClusterFrame::LeaseAck {
-                view,
-                seq,
-                estimate: TimeEstimate::new(Timestamp::from_secs(c), Duration::from_secs(e)),
-                high_water,
-            }),
-        any::<u64>().prop_map(|view| ClusterFrame::ViewChangeReq { view }),
-        (any::<u64>(), any::<bool>(), any::<u64>()).prop_map(|(view, ok, high_water)| {
-            ClusterFrame::ViewChangeAck {
-                view,
-                ok,
-                high_water,
-            }
-        }),
-        (any::<u64>(), any::<u64>())
-            .prop_map(|(view, high_water)| ClusterFrame::HwUpdate { view, high_water }),
-        (any::<u64>(), any::<u64>())
-            .prop_map(|(view, high_water)| ClusterFrame::HwAck { view, high_water }),
-    ]
+fn arb_cluster_frame(g: &mut Gen) -> ClusterFrame {
+    match g.int(0..11u8) {
+        0 => ClusterFrame::Base(arb_message(g)),
+        1 => ClusterFrame::TsRequest {
+            request_id: g.u64(),
+            attempt: g.int(0..=u8::MAX),
+        },
+        2 => ClusterFrame::TsReply {
+            request_id: g.u64(),
+            view: g.u64(),
+            timestamp: g.u64(),
+        },
+        3 => ClusterFrame::TsRefused {
+            request_id: g.u64(),
+            view: g.u64(),
+            cause: *g.pick(&[
+                RefusalCause::NoLease,
+                RefusalCause::NoQuorum,
+                RefusalCause::Booting,
+                RefusalCause::Ahead,
+            ]),
+        },
+        4 => ClusterFrame::TsRedirect {
+            request_id: g.u64(),
+            view: g.u64(),
+            primary: g.int(0..=u32::MAX),
+        },
+        5 => ClusterFrame::LeaseRenew {
+            view: g.u64(),
+            seq: g.u64(),
+        },
+        6 => ClusterFrame::LeaseAck {
+            view: g.u64(),
+            seq: g.u64(),
+            estimate: TimeEstimate::new(
+                Timestamp::from_secs(g.f64(-1.0e12..1.0e12)),
+                Duration::from_secs(g.f64(0.0..1.0e9)),
+            ),
+            high_water: g.u64(),
+        },
+        7 => ClusterFrame::ViewChangeReq { view: g.u64() },
+        8 => ClusterFrame::ViewChangeAck {
+            view: g.u64(),
+            ok: g.bool(),
+            high_water: g.u64(),
+        },
+        9 => ClusterFrame::HwUpdate {
+            view: g.u64(),
+            high_water: g.u64(),
+        },
+        _ => ClusterFrame::HwAck {
+            view: g.u64(),
+            high_water: g.u64(),
+        },
+    }
 }
 
-fn arb_message() -> impl Strategy<Value = Message> {
-    prop_oneof![
-        (any::<u64>(), any::<u8>()).prop_map(|(request_id, attempt)| Message::TimeRequest {
-            request_id,
-            attempt,
-        }),
-        (
-            any::<u64>(),
-            -1.0e12f64..1.0e12,
-            0.0f64..1.0e9,
-            -1.0f64..1.0
-        )
-            .prop_map(|(id, c, e, r)| Message::TimeReply {
-                request_id: id,
+fn arb_message(g: &mut Gen) -> Message {
+    match g.int(0..3u8) {
+        0 => Message::TimeRequest {
+            request_id: g.u64(),
+            attempt: g.int(0..=u8::MAX),
+        },
+        1 => {
+            let request_id = g.u64();
+            let (c, e, r) = (g.f64(-1.0e12..1.0e12), g.f64(0.0..1.0e9), g.f64(-1.0..1.0));
+            Message::TimeReply {
+                request_id,
                 received_at: Timestamp::from_secs(c + r),
-                estimate: TimeEstimate::new(Timestamp::from_secs(c), Duration::from_secs(e),),
-            },),
-        any::<u64>().prop_map(|request_id| Message::Uninitialized { request_id }),
-    ]
+                estimate: TimeEstimate::new(Timestamp::from_secs(c), Duration::from_secs(e)),
+            }
+        }
+        _ => Message::Uninitialized {
+            request_id: g.u64(),
+        },
+    }
 }
 
-proptest! {
-    /// encode → decode is the identity for every representable message.
-    #[test]
-    fn roundtrip(msg in arb_message()) {
+/// encode → decode is the identity for every representable message.
+#[test]
+fn roundtrip() {
+    check("roundtrip", 256, |g| {
+        let msg = arb_message(g);
         let bytes = encode(&msg);
-        prop_assert_eq!(decode(&bytes), Ok(msg));
-    }
+        assert_eq!(decode(&bytes), Ok(msg));
+    });
+}
 
-    /// Decoding arbitrary bytes never panics; it returns a structured
-    /// error or — only when the bytes happen to be a valid packet — a
-    /// message that re-encodes to the same bytes.
-    #[test]
-    fn decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
+/// Decoding arbitrary bytes never panics; it returns a structured
+/// error or — only when the bytes happen to be a valid packet — a
+/// message that re-encodes to the same bytes.
+#[test]
+fn decode_never_panics() {
+    check("decode_never_panics", 256, |g| {
+        let bytes = g.bytes(0..64);
         if let Ok(msg) = decode(&bytes) {
-            prop_assert_eq!(encode(&msg), bytes);
+            assert_eq!(encode(&msg), bytes);
         }
-    }
+    });
+}
 
-    /// Any single-byte corruption of a valid packet is rejected.
-    #[test]
-    fn single_byte_corruption_detected(
-        msg in arb_message(),
-        idx_seed in any::<usize>(),
-        flip in 1u8..=255,
-    ) {
+/// Any single-byte corruption of a valid packet is rejected.
+#[test]
+fn single_byte_corruption_detected() {
+    check("single_byte_corruption_detected", 256, |g| {
+        let msg = arb_message(g);
+        let idx_seed = g.int(0..=usize::MAX);
+        let flip = g.int(1u8..=255);
         let mut bytes = encode(&msg);
         let idx = idx_seed % bytes.len();
         bytes[idx] ^= flip;
@@ -129,43 +128,49 @@ proptest! {
         // only if it still checksums — the ones'-complement sum makes
         // that impossible for a single-byte change.
         if let Ok(other) = decode(&bytes) {
-            prop_assert_eq!(other, msg, "corruption accepted as a different message");
+            assert_eq!(other, msg, "corruption accepted as a different message");
         }
-    }
+    });
+}
 
-    /// Truncating a valid packet anywhere — any field boundary, any
-    /// mid-field byte — is rejected *as a truncation*, so a fault
-    /// soak's cut datagrams stay attributable.
-    #[test]
-    fn truncation_detected(msg in arb_message(), cut_seed in any::<usize>()) {
+/// Truncating a valid packet anywhere — any field boundary, any
+/// mid-field byte — is rejected *as a truncation*, so a fault
+/// soak's cut datagrams stay attributable.
+#[test]
+fn truncation_detected() {
+    check("truncation_detected", 256, |g| {
+        let msg = arb_message(g);
+        let cut_seed = g.int(0..=usize::MAX);
         let bytes = encode(&msg);
         let cut = cut_seed % bytes.len();
-        prop_assert_eq!(
+        assert_eq!(
             decode(&bytes[..cut]),
             Err(DecodeError::Truncated { len: cut })
         );
-    }
+    });
+}
 
-    /// A valid packet with trailing garbage is rejected, never panics —
-    /// the declared type fixes the length exactly.
-    #[test]
-    fn trailing_garbage_rejected(
-        msg in arb_message(),
-        tail in prop::collection::vec(any::<u8>(), 1..512),
-    ) {
+/// A valid packet with trailing garbage is rejected, never panics —
+/// the declared type fixes the length exactly.
+#[test]
+fn trailing_garbage_rejected() {
+    check("trailing_garbage_rejected", 256, |g| {
+        let msg = arb_message(g);
+        let tail = g.bytes(1..512);
         let mut bytes = encode(&msg);
         bytes.extend_from_slice(&tail);
-        prop_assert!(decode(&bytes).is_err());
-    }
+        assert!(decode(&bytes).is_err());
+    });
+}
 
-    /// Wild buffer lengths — far beyond any valid packet — error
-    /// cleanly. Catches any indexing that trusts `len` before checking.
-    #[test]
-    fn wild_lengths_never_panic(
-        len in 0usize..4096,
-        fill in any::<u8>(),
-        msg in arb_message(),
-    ) {
+/// Wild buffer lengths — far beyond any valid packet — error
+/// cleanly. Catches any indexing that trusts `len` before checking.
+#[test]
+fn wild_lengths_never_panic() {
+    check("wild_lengths_never_panic", 256, |g| {
+        let len = g.int(0usize..4096);
+        let fill = g.int(0..=u8::MAX);
+        let msg = arb_message(g);
         // A worst-case buffer: a *valid header prefix* followed by
         // `fill` up to a wild length, so decode gets past the cheap
         // checks before the length lies to it.
@@ -176,180 +181,211 @@ proptest! {
         if let Ok(decoded) = decode(&bytes) {
             // Only reachable when the buffer happens to be exactly a
             // valid packet again.
-            prop_assert_eq!(encode(&decoded), bytes);
+            assert_eq!(encode(&decoded), bytes);
         }
-    }
+    });
+}
 
-    /// Every corruption of the type byte errors or still round-trips;
-    /// no declared type may cause an out-of-bounds body read.
-    #[test]
-    fn arbitrary_type_byte_never_panics(msg in arb_message(), kind in any::<u8>()) {
+/// Every corruption of the type byte errors or still round-trips;
+/// no declared type may cause an out-of-bounds body read.
+#[test]
+fn arbitrary_type_byte_never_panics() {
+    check("arbitrary_type_byte_never_panics", 256, |g| {
+        let msg = arb_message(g);
+        let kind = g.int(0..=u8::MAX);
         let mut bytes = encode(&msg);
         bytes[2] = kind;
         if let Ok(decoded) = decode(&bytes) {
-            prop_assert_eq!(encode(&decoded), bytes);
+            assert_eq!(encode(&decoded), bytes);
         }
-    }
+    });
+}
 
-    // ----- batch frames (the serving front's aggregated replies) -----
+// ----- batch frames (the serving front's aggregated replies) -----
 
-    /// Batch encode → decode is the identity for any message sequence,
-    /// and batching is *transparent*: the inner frames are byte-for-byte
-    /// the stand-alone encodings, so decoding them one at a time yields
-    /// exactly the same messages in the same order.
-    #[test]
-    fn batch_equals_one_at_a_time(msgs in prop::collection::vec(arb_message(), 1..24)) {
+/// Batch encode → decode is the identity for any message sequence,
+/// and batching is *transparent*: the inner frames are byte-for-byte
+/// the stand-alone encodings, so decoding them one at a time yields
+/// exactly the same messages in the same order.
+#[test]
+fn batch_equals_one_at_a_time() {
+    check("batch_equals_one_at_a_time", 256, |g| {
+        let msgs = g.vec(1..24, arb_message);
         let bytes = encode_batch(&msgs);
         let decoded = decode_batch(&bytes);
-        prop_assert_eq!(decoded.as_ref(), Ok(&msgs));
+        assert_eq!(decoded.as_ref(), Ok(&msgs));
         // Walk the inner frames exactly as a one-at-a-time decoder
         // would, comparing against individual encodings.
         let mut offset = 4; // magic + type + count
         for msg in &msgs {
             let single = encode(msg);
             let inner = &bytes[offset..offset + single.len()];
-            prop_assert_eq!(inner, &single[..], "inner frame ≠ stand-alone encoding");
-            prop_assert_eq!(decode(inner), Ok(*msg));
+            assert_eq!(inner, &single[..], "inner frame ≠ stand-alone encoding");
+            assert_eq!(decode(inner), Ok(*msg));
             offset += single.len();
         }
-        prop_assert_eq!(offset + 2, bytes.len(), "only the outer checksum may follow");
-    }
+        assert_eq!(
+            offset + 2,
+            bytes.len(),
+            "only the outer checksum may follow"
+        );
+    });
+}
 
-    /// `encode_into` is `encode` as a buffer append, at any prefix.
-    #[test]
-    fn encode_into_matches_encode(
-        msg in arb_message(),
-        prefix in prop::collection::vec(any::<u8>(), 0..32),
-    ) {
+/// `encode_into` is `encode` as a buffer append, at any prefix.
+#[test]
+fn encode_into_matches_encode() {
+    check("encode_into_matches_encode", 256, |g| {
+        let msg = arb_message(g);
+        let prefix = g.bytes(0..32);
         let mut buf = prefix.clone();
         encode_into(&msg, &mut buf);
-        prop_assert_eq!(&buf[..prefix.len()], &prefix[..]);
-        prop_assert_eq!(&buf[prefix.len()..], &encode(&msg)[..]);
-    }
+        assert_eq!(&buf[..prefix.len()], &prefix[..]);
+        assert_eq!(&buf[prefix.len()..], &encode(&msg)[..]);
+    });
+}
 
-    /// Truncating a batch frame anywhere — mid-header, at an inner
-    /// frame boundary, mid-inner-frame, or into the outer checksum —
-    /// is rejected *as a truncation* at every byte boundary.
-    #[test]
-    fn batch_truncation_detected(
-        msgs in prop::collection::vec(arb_message(), 1..12),
-        cut_seed in any::<usize>(),
-    ) {
+/// Truncating a batch frame anywhere — mid-header, at an inner
+/// frame boundary, mid-inner-frame, or into the outer checksum —
+/// is rejected *as a truncation* at every byte boundary.
+#[test]
+fn batch_truncation_detected() {
+    check("batch_truncation_detected", 256, |g| {
+        let msgs = g.vec(1..12, arb_message);
+        let cut_seed = g.int(0..=usize::MAX);
         let bytes = encode_batch(&msgs);
         let cut = cut_seed % bytes.len();
-        prop_assert_eq!(
+        assert_eq!(
             decode_batch(&bytes[..cut]),
             Err(DecodeError::Truncated { len: cut })
         );
-    }
+    });
+}
 
-    /// Any single-byte corruption of a batch frame is rejected (or, at
-    /// the impossible limit, decodes back to the identical sequence).
-    #[test]
-    fn batch_single_byte_corruption_detected(
-        msgs in prop::collection::vec(arb_message(), 1..12),
-        idx_seed in any::<usize>(),
-        flip in 1u8..=255,
-    ) {
+/// Any single-byte corruption of a batch frame is rejected (or, at
+/// the impossible limit, decodes back to the identical sequence).
+#[test]
+fn batch_single_byte_corruption_detected() {
+    check("batch_single_byte_corruption_detected", 256, |g| {
+        let msgs = g.vec(1..12, arb_message);
+        let idx_seed = g.int(0..=usize::MAX);
+        let flip = g.int(1u8..=255);
         let mut bytes = encode_batch(&msgs);
         let idx = idx_seed % bytes.len();
         bytes[idx] ^= flip;
         if let Ok(other) = decode_batch(&bytes) {
-            prop_assert_eq!(other, msgs, "corruption accepted as a different batch");
+            assert_eq!(other, msgs, "corruption accepted as a different batch");
         }
-    }
+    });
+}
 
-    /// Decoding arbitrary bytes as a batch never panics; a success
-    /// re-encodes to the same bytes.
-    #[test]
-    fn batch_decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+/// Decoding arbitrary bytes as a batch never panics; a success
+/// re-encodes to the same bytes.
+#[test]
+fn batch_decode_never_panics() {
+    check("batch_decode_never_panics", 256, |g| {
+        let bytes = g.bytes(0..256);
         if let Ok(msgs) = decode_batch(&bytes) {
-            prop_assert_eq!(encode_batch(&msgs), bytes);
+            assert_eq!(encode_batch(&msgs), bytes);
         }
-    }
+    });
+}
 
-    /// A batch with trailing garbage is rejected: the declared count
-    /// and inner types fix the total length exactly.
-    #[test]
-    fn batch_trailing_garbage_rejected(
-        msgs in prop::collection::vec(arb_message(), 1..8),
-        tail in prop::collection::vec(any::<u8>(), 1..128),
-    ) {
+/// A batch with trailing garbage is rejected: the declared count
+/// and inner types fix the total length exactly.
+#[test]
+fn batch_trailing_garbage_rejected() {
+    check("batch_trailing_garbage_rejected", 256, |g| {
+        let msgs = g.vec(1..8, arb_message);
+        let tail = g.bytes(1..128);
         let mut bytes = encode_batch(&msgs);
         bytes.extend_from_slice(&tail);
-        prop_assert!(decode_batch(&bytes).is_err());
-    }
+        assert!(decode_batch(&bytes).is_err());
+    });
+}
 
-    // ----- cluster frames (the ClusterTime protocol, types 5–14) -----
+// ----- cluster frames (the ClusterTime protocol, types 5–14) -----
 
-    /// encode → decode is the identity for every representable cluster
-    /// frame, including delegated base messages.
-    #[test]
-    fn cluster_roundtrip(frame in arb_cluster_frame()) {
+/// encode → decode is the identity for every representable cluster
+/// frame, including delegated base messages.
+#[test]
+fn cluster_roundtrip() {
+    check("cluster_roundtrip", 256, |g| {
+        let frame = arb_cluster_frame(g);
         let bytes = encode_cluster(&frame);
-        prop_assert_eq!(decode_cluster(&bytes), Ok(frame));
-    }
+        assert_eq!(decode_cluster(&bytes), Ok(frame));
+    });
+}
 
-    /// Decoding arbitrary bytes as a cluster frame never panics; a
-    /// success re-encodes to the same bytes.
-    #[test]
-    fn cluster_decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
+/// Decoding arbitrary bytes as a cluster frame never panics; a
+/// success re-encodes to the same bytes.
+#[test]
+fn cluster_decode_never_panics() {
+    check("cluster_decode_never_panics", 256, |g| {
+        let bytes = g.bytes(0..64);
         if let Ok(frame) = decode_cluster(&bytes) {
-            prop_assert_eq!(encode_cluster(&frame), bytes);
+            assert_eq!(encode_cluster(&frame), bytes);
         }
-    }
+    });
+}
 
-    /// Truncating a cluster frame anywhere is rejected *as a
-    /// truncation* at every byte boundary.
-    #[test]
-    fn cluster_truncation_detected(frame in arb_cluster_frame(), cut_seed in any::<usize>()) {
+/// Truncating a cluster frame anywhere is rejected *as a
+/// truncation* at every byte boundary.
+#[test]
+fn cluster_truncation_detected() {
+    check("cluster_truncation_detected", 256, |g| {
+        let frame = arb_cluster_frame(g);
+        let cut_seed = g.int(0..=usize::MAX);
         let bytes = encode_cluster(&frame);
         let cut = cut_seed % bytes.len();
-        prop_assert_eq!(
+        assert_eq!(
             decode_cluster(&bytes[..cut]),
             Err(DecodeError::Truncated { len: cut })
         );
-    }
+    });
+}
 
-    /// Any single-byte corruption of a cluster frame is rejected (or at
-    /// the impossible limit decodes to the identical frame).
-    #[test]
-    fn cluster_single_byte_corruption_detected(
-        frame in arb_cluster_frame(),
-        idx_seed in any::<usize>(),
-        flip in 1u8..=255,
-    ) {
+/// Any single-byte corruption of a cluster frame is rejected (or at
+/// the impossible limit decodes to the identical frame).
+#[test]
+fn cluster_single_byte_corruption_detected() {
+    check("cluster_single_byte_corruption_detected", 256, |g| {
+        let frame = arb_cluster_frame(g);
+        let idx_seed = g.int(0..=usize::MAX);
+        let flip = g.int(1u8..=255);
         let mut bytes = encode_cluster(&frame);
         let idx = idx_seed % bytes.len();
         bytes[idx] ^= flip;
         if let Ok(other) = decode_cluster(&bytes) {
-            prop_assert_eq!(other, frame, "corruption accepted as a different frame");
+            assert_eq!(other, frame, "corruption accepted as a different frame");
         }
-    }
+    });
+}
 
-    /// A cluster frame with trailing garbage is rejected: the declared
-    /// type fixes the length exactly.
-    #[test]
-    fn cluster_trailing_garbage_rejected(
-        frame in arb_cluster_frame(),
-        tail in prop::collection::vec(any::<u8>(), 1..128),
-    ) {
+/// A cluster frame with trailing garbage is rejected: the declared
+/// type fixes the length exactly.
+#[test]
+fn cluster_trailing_garbage_rejected() {
+    check("cluster_trailing_garbage_rejected", 256, |g| {
+        let frame = arb_cluster_frame(g);
+        let tail = g.bytes(1..128);
         let mut bytes = encode_cluster(&frame);
         bytes.extend_from_slice(&tail);
-        prop_assert!(decode_cluster(&bytes).is_err());
-    }
+        assert!(decode_cluster(&bytes).is_err());
+    });
+}
 
-    /// Every corruption of the type byte errors or still round-trips;
-    /// no declared type may cause an out-of-bounds body read.
-    #[test]
-    fn cluster_arbitrary_type_byte_never_panics(
-        frame in arb_cluster_frame(),
-        kind in any::<u8>(),
-    ) {
+/// Every corruption of the type byte errors or still round-trips;
+/// no declared type may cause an out-of-bounds body read.
+#[test]
+fn cluster_arbitrary_type_byte_never_panics() {
+    check("cluster_arbitrary_type_byte_never_panics", 256, |g| {
+        let frame = arb_cluster_frame(g);
+        let kind = g.int(0..=u8::MAX);
         let mut bytes = encode_cluster(&frame);
         bytes[2] = kind;
         if let Ok(decoded) = decode_cluster(&bytes) {
-            prop_assert_eq!(encode_cluster(&decoded), bytes);
+            assert_eq!(encode_cluster(&decoded), bytes);
         }
-    }
+    });
 }

@@ -600,13 +600,15 @@ mod tests {
     #[test]
     fn backward_step_mid_flight_stays_correct() {
         // Regression pin for a genuine Theorem 1 break this fuzzer
-        // found at seed 37: an honest, fault-free MM deployment where
+        // found (seed 52 reproduces it under the in-tree generator:
+        // with `apply_reset`'s mark rebasing removed this case fails
+        // `Correctness`): an honest, fault-free MM deployment where
         // one adoption steps the clock backward while a second request
         // is still in flight. Un-rebased, the late reply's measured
         // round-trip clamps to zero and MM-2 adopts it with no delay
         // widening — an interval that excludes real time. The shrunk
         // reproducer (chaos stripped) must now run clean.
-        let mut case = FuzzCase::from_seed(37, 60.0);
+        let mut case = FuzzCase::from_seed(52, 60.0);
         assert!(matches!(case.strategy, Strategy::Mm), "reproducer shape");
         assert!(!case.has_liar() && !case.has_corrupt(), "fault-free");
         case.loss = 0.0;

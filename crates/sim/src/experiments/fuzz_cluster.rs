@@ -529,7 +529,7 @@ mod tests {
             lie: None,
             skip_hw_flush: false,
         };
-        let mut case = ClusterFuzzCase::from_seed(17, 25.0);
+        let mut case = ClusterFuzzCase::from_seed(16, 25.0);
         case.max_faulty = 0;
         case.clients = 2;
         case.loss = 0.05;

@@ -46,4 +46,4 @@ pub use loss::{loss_sweep, LossSweep};
 pub use recovery::{recovery, Recovery};
 pub use restart::{restart, Restart, RestartRow};
 pub use scale::{scale, Scale};
-pub use scale10k::{scale10k, scale10k_sized, QueueRow, Scale10k, Scale10kRow};
+pub use scale10k::{scale10k, scale10k_sized, Scale10k, Scale10kRow};

@@ -32,7 +32,6 @@ use tempo_net::NodeId;
 use tempo_service::{MemoryStore, RetryPolicy, ServerConfig, StableStore, Strategy, TimeServer};
 use tempo_telemetry::json::write_event;
 use tempo_telemetry::{Bus, EventKind, Observer, TelemetryEvent};
-use tempo_transport::bench_serve::{self, BenchOptions};
 use tempo_transport::{
     signal, FaultPlan, FaultyTransport, FileStore, ServeFront, ServeOptions, UdpRuntime,
 };
@@ -90,15 +89,6 @@ SERVING FRONT (the lock-free read path):
     --serve-threads N   reader threads on the serve socket        [1]
     --serve-admit R:B   admission token bucket: R req/s sustained,
                         bursts of B (omit: admit everything)
-
-BENCHMARK MODE (no cluster flags needed):
-    --bench-serve       run the serving-throughput benchmark on loopback
-                        (sync actor vs 1/4/8-thread snapshot fronts),
-                        write BENCH_8.json, and exit
-    --bench-duration S  seconds measured per configuration        [2]
-    --bench-clients N   client threads driving load               [8]
-    --bench-window W    pipelined requests per client             [8]
-    --bench-out PATH    where the JSON report goes    [BENCH_8.json]
 ";
 
 #[derive(Debug)]
@@ -131,9 +121,6 @@ struct Options {
     election: f64,
     request_timeout: f64,
     max_faulty: usize,
-    bench_serve: bool,
-    bench: BenchOptions,
-    bench_out: String,
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -169,18 +156,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         election: 0.3,
         request_timeout: 0.5,
         max_faulty: 0,
-        bench_serve: false,
-        bench: BenchOptions::default(),
-        bench_out: "BENCH_8.json".to_string(),
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         if flag == "--report" {
             opts.report = true;
-            continue;
-        }
-        if flag == "--bench-serve" {
-            opts.bench_serve = true;
             continue;
         }
         if flag == "--cluster" {
@@ -221,24 +201,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--serve" => opts.serve = Some(parse_addr(&value()?)?),
             "--serve-threads" => opts.serve_threads = parse(&value()?, "--serve-threads")?,
             "--serve-admit" => opts.serve_admit = Some(parse_admit(&value()?)?),
-            "--bench-duration" => opts.bench.duration = parse(&value()?, "--bench-duration")?,
-            "--bench-clients" => opts.bench.clients = parse(&value()?, "--bench-clients")?,
-            "--bench-window" => opts.bench.window = parse(&value()?, "--bench-window")?,
-            "--bench-out" => opts.bench_out = value()?,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag `{other}`")),
         }
-    }
-    if opts.bench_serve {
-        // Benchmark mode is self-contained on loopback: the cluster
-        // flags are not required (and ignored when present).
-        if opts.bench.duration <= 0.0 || opts.bench.clients == 0 {
-            return Err("--bench-duration/--bench-clients must be positive".into());
-        }
-        if !(1..=255).contains(&opts.bench.window) {
-            return Err("--bench-window must be 1..=255 (one batch frame)".into());
-        }
-        return Ok(opts);
     }
     if opts.serve_threads == 0 {
         return Err("--serve-threads must be at least 1".into());
@@ -390,9 +355,6 @@ fn telemetry_bus(opts: &Options) -> Result<Option<Bus>, String> {
 }
 
 fn run(opts: Options) -> Result<(), String> {
-    if opts.bench_serve {
-        return run_bench(&opts);
-    }
     if opts.cluster {
         return run_cluster(&opts);
     }
@@ -544,36 +506,6 @@ fn stop_front(front: Option<ServeFront>) {
             stats.served, stats.refused, stats.rejected, stats.malformed, stats.batches,
         );
     }
-}
-
-/// `--bench-serve`: measure the sync actor against 1/4/8-thread
-/// snapshot fronts on loopback and write the JSON report.
-fn run_bench(opts: &Options) -> Result<(), String> {
-    eprintln!(
-        "tempod: serving-throughput benchmark ({}s per config, {} clients, window {})",
-        opts.bench.duration, opts.bench.clients, opts.bench.window,
-    );
-    let reports = bench_serve::run(&opts.bench);
-    let baseline = reports
-        .iter()
-        .find(|r| r.threads == 0)
-        .map(|r| r.requests_per_sec);
-    for r in &reports {
-        println!(
-            "{:<18} {:>10.0} req/s   p50 {:>7.1}us   p99 {:>8.1}us   ({} replies, {} lost)",
-            r.label, r.requests_per_sec, r.p50_us, r.p99_us, r.replies, r.lost,
-        );
-    }
-    if let (Some(base), Some(four)) = (baseline, reports.iter().find(|r| r.threads == 4)) {
-        println!(
-            "speedup (4-thread front vs sync actor): {:.2}x",
-            four.requests_per_sec / base,
-        );
-    }
-    let json = bench_serve::to_json(&opts.bench, &reports);
-    std::fs::write(&opts.bench_out, &json).map_err(|e| e.to_string())?;
-    eprintln!("tempod: wrote {}", opts.bench_out);
-    Ok(())
 }
 
 fn cluster_report<S: tempo_transport::DatagramSocket>(

@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bench_serve;
 mod client;
 mod fault;
 mod runtime;

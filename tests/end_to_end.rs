@@ -160,7 +160,7 @@ fn subtle_drift_violation_can_mislead_intersection() {
                 .fault(Fault::racing_from(Timestamp::from_secs(20.0), 0.05)),
         )
         .duration(dur(300.0))
-        .seed(43)
+        .seed(45)
         .run();
     let honest_violations: usize = result
         .samples
@@ -204,7 +204,7 @@ fn rate_screening_neutralises_subtle_drift() {
             sample_noise: Duration::from_millis(10.0),
         })
         .duration(dur(300.0))
-        .seed(43)
+        .seed(45)
         .run();
     for row in &result.samples {
         for i in 0..4 {

@@ -1,7 +1,7 @@
 //! Workspace-level property tests: randomly configured honest services
 //! must satisfy the paper's safety properties end-to-end.
 
-use proptest::prelude::*;
+use tempo_check::{check, Gen};
 
 use tempo::core::Duration;
 use tempo::sim::{Scenario, ServerSpec};
@@ -10,30 +10,27 @@ fn dur(s: f64) -> Duration {
     Duration::from_secs(s)
 }
 
-fn strategy() -> impl Strategy<Value = tempo::service::Strategy> {
-    prop_oneof![
-        Just(tempo::service::Strategy::Mm),
-        Just(tempo::service::Strategy::Im),
-        Just(tempo::service::Strategy::MarzulloTolerant { max_faulty: 1 }),
-    ]
+fn strategy(g: &mut Gen) -> tempo::service::Strategy {
+    *g.pick(&[
+        tempo::service::Strategy::Mm,
+        tempo::service::Strategy::Im,
+        tempo::service::Strategy::MarzulloTolerant { max_faulty: 1 },
+    ])
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Theorem 1 / Theorem 5, end to end: an initially correct service
-    /// of honest servers remains correct, whatever the topology of
-    /// drifts, the delays, and the scheduling.
-    #[test]
-    fn honest_services_stay_correct(
-        strategy in strategy(),
-        n in 2usize..7,
-        drift_fracs in prop::collection::vec(-0.9f64..0.9, 7),
-        delta_exp in 1.0f64..3.0, // δ ∈ [1e-5, 1e-3]
-        max_delay_ms in 0.5f64..20.0,
-        tau in 5.0f64..25.0,
-        seed in 0u64..1000,
-    ) {
+/// Theorem 1 / Theorem 5, end to end: an initially correct service
+/// of honest servers remains correct, whatever the topology of
+/// drifts, the delays, and the scheduling.
+#[test]
+fn honest_services_stay_correct() {
+    check("honest_services_stay_correct", 24, |g| {
+        let strategy = strategy(g);
+        let n = g.int(2usize..7);
+        let drift_fracs = g.vec(7..=7, |g| g.f64(-0.9..0.9));
+        let delta_exp = g.f64(1.0..3.0); // δ ∈ [1e-5, 1e-3]
+        let max_delay_ms = g.f64(0.5..20.0);
+        let tau = g.f64(5.0..25.0);
+        let seed = g.int(0u64..1000);
         let delta = 10f64.powf(-2.0 - delta_exp);
         let mut scenario = Scenario::new(strategy)
             .delay(tempo::net::DelayModel::Uniform {
@@ -49,7 +46,7 @@ proptest! {
             scenario = scenario.server(ServerSpec::honest(frac * delta, delta));
         }
         let result = scenario.run();
-        prop_assert_eq!(result.correctness_violations(), 0);
+        assert_eq!(result.correctness_violations(), 0);
         // Correct servers are pairwise consistent (§2.3), hence so is
         // every sample row.
         for row in &result.samples {
@@ -57,19 +54,20 @@ proptest! {
                 for j in 0..n {
                     let a = row.per_server[i].estimate();
                     let b = row.per_server[j].estimate();
-                    prop_assert!(a.is_consistent_with(&b));
+                    assert!(a.is_consistent_with(&b));
                 }
             }
         }
-    }
+    });
+}
 
-    /// Lemma 3 end-to-end: the minimum claimed error in an MM service
-    /// never decreases between samples.
-    #[test]
-    fn mm_minimum_error_never_decreases(
-        n in 2usize..6,
-        seed in 0u64..500,
-    ) {
+/// Lemma 3 end-to-end: the minimum claimed error in an MM service
+/// never decreases between samples.
+#[test]
+fn mm_minimum_error_never_decreases() {
+    check("mm_minimum_error_never_decreases", 24, |g| {
+        let n = g.int(2usize..6);
+        let seed = g.int(0u64..500);
         let result = Scenario::new(tempo::service::Strategy::Mm)
             .servers(n, &ServerSpec::honest(4e-5, 1e-4))
             .duration(dur(150.0))
@@ -79,18 +77,23 @@ proptest! {
         let mut prev = Duration::ZERO;
         for row in &result.samples {
             let min = row.min_error();
-            prop_assert!(
+            assert!(
                 min >= prev - Duration::from_secs(1e-12),
-                "E_M decreased: {} -> {}", prev, min
+                "E_M decreased: {} -> {}",
+                prev,
+                min
             );
             prev = min;
         }
-    }
+    });
+}
 
-    /// Determinism under arbitrary seeds: the same scenario twice gives
-    /// identical traces.
-    #[test]
-    fn runs_are_reproducible(seed in 0u64..10_000) {
+/// Determinism under arbitrary seeds: the same scenario twice gives
+/// identical traces.
+#[test]
+fn runs_are_reproducible() {
+    check("runs_are_reproducible", 24, |g| {
+        let seed = g.int(0u64..10_000);
         let build = || {
             Scenario::new(tempo::service::Strategy::Im)
                 .servers(3, &ServerSpec::honest(3e-5, 1e-4))
@@ -102,7 +105,7 @@ proptest! {
         let a = build();
         let b = build();
         for (ra, rb) in a.samples.iter().zip(&b.samples) {
-            prop_assert_eq!(&ra.per_server, &rb.per_server);
+            assert_eq!(&ra.per_server, &rb.per_server);
         }
-    }
+    });
 }
