@@ -92,7 +92,9 @@ fn edge_events(intervals: &[TimeInterval]) -> Vec<(Timestamp, bool)> {
         events.push((iv.hi(), false)); // leading edge: coverage -= 1
     }
     // `false < true`, so sort by (t, !is_start) to put starts first.
-    events.sort_by_key(|&(t, is_start)| (t, !is_start));
+    // Equal keys are equal events, so the unstable sort (no scratch
+    // allocation) orders them exactly as the stable one.
+    events.sort_unstable_by_key(|&(t, is_start)| (t, !is_start));
     events
 }
 

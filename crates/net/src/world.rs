@@ -435,6 +435,9 @@ enum EventKind<M> {
     Timer { node: NodeId, tag: u64 },
 }
 
+/// A popped event: its time, its component's rank, what it is.
+type Event<M> = (Timestamp, u32, EventKind<M>);
+
 /// The simulation driver: owns the actors, the clock of *real* time,
 /// and the per-component event queues.
 pub struct World<A: Actor> {
@@ -665,12 +668,9 @@ impl<A: Actor> World<A> {
         self.queues.iter().all(EventQueue::is_empty)
     }
 
-    /// The `(time, component)` of the next event across all
-    /// components, without popping it. Skips stale scheduler entries.
+    /// The `(time, component)` of the next event of a multi-component
+    /// world, without popping it. Skips stale scheduler entries.
     fn next_ready(&mut self) -> Option<(Timestamp, u32)> {
-        if self.queues.len() == 1 {
-            return self.queues[0].peek_time().map(|t| (t, 0));
-        }
         while let Some(&Reverse((t, c))) = self.sched.peek() {
             if self.armed_at[c as usize] == Some(t) {
                 return Some((t, c));
@@ -694,20 +694,32 @@ impl<A: Actor> World<A> {
         }
     }
 
-    /// Processes the single next event, if any. Returns `false` when the
-    /// queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some((_, comp)) = self.next_ready() else {
-            return false;
-        };
-        let c = comp as usize;
-        if self.queues.len() > 1 {
-            let _ = self.sched.pop();
-            self.armed_at[c] = None;
+    /// Pops the next event across all components, provided it is due at
+    /// or before `until` (no limit when `None`). A world with one queue
+    /// — every sharded sub-world — asks the wheel once per event.
+    fn pop_event(&mut self, until: Option<Timestamp>) -> Option<Event<A::Msg>> {
+        if self.queues.len() == 1 {
+            let queue = &mut self.queues[0];
+            let (time, kind) = match until {
+                Some(until) => queue.pop_due(until),
+                None => queue.pop(),
+            }?;
+            return Some((time, 0, kind));
         }
-        let (time, kind) = self.queues[c]
+        let (time, comp) = self.next_ready()?;
+        if until.is_some_and(|until| time > until) {
+            return None;
+        }
+        let _ = self.sched.pop();
+        self.armed_at[comp as usize] = None;
+        let (time, kind) = self.queues[comp as usize]
             .pop()
             .expect("scheduled component has an event");
+        Some((time, comp, kind))
+    }
+
+    /// Delivers one popped event to its actor.
+    fn process(&mut self, (time, comp, kind): Event<A::Msg>) {
         debug_assert!(time >= self.now, "event queue went backwards");
         self.now = time;
         match kind {
@@ -735,6 +747,15 @@ impl<A: Actor> World<A> {
         if self.queues.len() > 1 {
             self.arm(comp);
         }
+    }
+
+    /// Processes the single next event, if any. Returns `false` when the
+    /// queue is empty.
+    pub fn step(&mut self) -> bool {
+        let Some(event) = self.pop_event(None) else {
+            return false;
+        };
+        self.process(event);
         true
     }
 
@@ -742,11 +763,8 @@ impl<A: Actor> World<A> {
     /// `until`. Events scheduled at exactly `until` are processed; on
     /// return, `now() == until` (even if the queue drained early).
     pub fn run_until(&mut self, until: Timestamp) {
-        while let Some((t, _)) = self.next_ready() {
-            if t > until {
-                break;
-            }
-            let _ = self.step();
+        while let Some(event) = self.pop_event(Some(until)) {
+            self.process(event);
         }
         if self.now < until {
             self.now = until;

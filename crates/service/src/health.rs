@@ -10,8 +10,6 @@
 //! again (the paper's §1.1 churn, driven by observation instead of
 //! scripted joins/leaves).
 
-use std::collections::HashMap;
-
 use tempo_net::NodeId;
 
 /// A peer's health verdict.
@@ -75,7 +73,9 @@ struct PeerRecord {
 #[derive(Debug, Clone)]
 pub struct HealthTracker {
     config: HealthConfig,
-    peers: HashMap<NodeId, PeerRecord>,
+    /// Indexed by [`NodeId::index`], grown on demand; a peer beyond the
+    /// end has the default record (Healthy).
+    peers: Vec<PeerRecord>,
 }
 
 impl HealthTracker {
@@ -90,7 +90,7 @@ impl HealthTracker {
         config.validate();
         HealthTracker {
             config,
-            peers: HashMap::new(),
+            peers: Vec::new(),
         }
     }
 
@@ -103,7 +103,8 @@ impl HealthTracker {
     /// The current verdict on `peer`.
     #[must_use]
     pub fn state(&self, peer: NodeId) -> PeerState {
-        let timeouts = self.peers.get(&peer).map_or(0, |r| r.consecutive_timeouts);
+        let record = self.peers.get(peer.index());
+        let timeouts = record.map_or(0, |r| r.consecutive_timeouts);
         if timeouts >= self.config.dead_after {
             PeerState::Dead
         } else if timeouts >= self.config.suspect_after {
@@ -118,7 +119,10 @@ impl HealthTracker {
     /// instant, for the `peers_suspected` counter).
     pub fn record_timeout(&mut self, peer: NodeId) -> bool {
         let before = self.state(peer);
-        self.peers.entry(peer).or_default().consecutive_timeouts += 1;
+        if self.peers.len() <= peer.index() {
+            self.peers.resize(peer.index() + 1, PeerRecord::default());
+        }
+        self.peers[peer.index()].consecutive_timeouts += 1;
         before == PeerState::Healthy && self.state(peer) != PeerState::Healthy
     }
 
@@ -126,7 +130,9 @@ impl HealthTracker {
     /// Suspect or Dead and is hereby reinstated.
     pub fn record_reply(&mut self, peer: NodeId) -> bool {
         let reinstated = self.state(peer) != PeerState::Healthy;
-        self.peers.insert(peer, PeerRecord::default());
+        if let Some(record) = self.peers.get_mut(peer.index()) {
+            *record = PeerRecord::default();
+        }
         reinstated
     }
 
@@ -219,6 +225,54 @@ mod tests {
         }
         assert_eq!(t.state(node(0)), PeerState::Dead);
         assert_eq!(t.state(node(1)), PeerState::Healthy);
+    }
+
+    /// The dense table against the `HashMap` it replaced, on peer
+    /// indices that are sparse and far apart.
+    #[test]
+    fn matches_a_hash_map_model() {
+        tempo_check::check("health_matches_a_hash_map_model", 128, |g| {
+            let ids = g.vec(1..=6, |g| g.int(0usize..5_000));
+            let config = HealthConfig {
+                suspect_after: g.int(1u32..4),
+                dead_after: g.int(4u32..8),
+                probe_every: g.int(1u64..5),
+            };
+            let mut tracker = HealthTracker::new(config);
+            let mut model: std::collections::HashMap<usize, u32> = Default::default();
+            let verdict = |misses: u32| match misses {
+                m if m >= config.dead_after => PeerState::Dead,
+                m if m >= config.suspect_after => PeerState::Suspect,
+                _ => PeerState::Healthy,
+            };
+            for _ in 0..g.int(0usize..200) {
+                let id = *g.pick(&ids);
+                let before = verdict(model.get(&id).copied().unwrap_or(0));
+                match g.int(0u8..4) {
+                    0 | 1 => {
+                        *model.entry(id).or_default() += 1;
+                        let tipped = before == PeerState::Healthy
+                            && verdict(model[&id]) != PeerState::Healthy;
+                        assert_eq!(tracker.record_timeout(node(id)), tipped);
+                    }
+                    2 => {
+                        model.insert(id, 0);
+                        let reinstated = before != PeerState::Healthy;
+                        assert_eq!(tracker.record_reply(node(id)), reinstated);
+                    }
+                    _ => {
+                        let round = g.int(0u64..40);
+                        let poll =
+                            before != PeerState::Dead || round.is_multiple_of(config.probe_every);
+                        assert_eq!(tracker.should_poll(node(id), round), poll);
+                    }
+                }
+                for &id in &ids {
+                    let misses = model.get(&id).copied().unwrap_or(0);
+                    assert_eq!(tracker.state(node(id)), verdict(misses));
+                }
+            }
+        });
     }
 
     #[test]

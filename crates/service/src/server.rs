@@ -7,7 +7,6 @@
 //! the server's *own clock* — the simulator's real time is only ever
 //! used to drive that clock, exactly as on real hardware.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -93,6 +92,17 @@ struct Pending {
     /// The own-clock reading at which the request counts as lost
     /// (armed only under [`RetryPolicy::Backoff`]).
     deadline_clock: Option<Timestamp>,
+}
+
+/// Requests in flight, keyed by the sequential id `fresh_request_id`
+/// hands out and never reuses. A round has at most neighbours ×
+/// (1 + retries) of them open and `begin_round` sweeps the rest, so a
+/// short vector searched from the newest entry beats hashing the id.
+type InFlight<T> = Vec<(u64, T)>;
+
+/// Where request `id` sits in `table`, while it is in flight.
+fn in_flight<T>(table: &InFlight<T>, id: u64) -> Option<usize> {
+    table.iter().rposition(|&(key, _)| key == id)
 }
 
 /// A reply buffered during a collection round.
@@ -227,7 +237,7 @@ pub struct TimeServer {
     started: bool,
     next_request_id: u64,
     current_round: u64,
-    pending: HashMap<u64, Pending>,
+    pending: InFlight<Pending>,
     round_replies: Vec<BufferedReply>,
     stats: ServerStats,
     recovering: bool,
@@ -268,14 +278,15 @@ pub struct TimeServer {
     /// survives simulated crashes.
     store: Box<dyn StableStore>,
     /// Bootstrap requests in flight (`request id → (peer, send clock)`).
-    boot_pending: HashMap<u64, (NodeId, Timestamp)>,
+    boot_pending: InFlight<(NodeId, Timestamp)>,
     /// Replies collected by the current bootstrap round.
     boot_replies: Vec<BufferedReply>,
     /// Bootstrap rounds run since the current restart.
     boot_rounds: u32,
     /// The freshest processed estimate per peer (with the own-clock
     /// reading at receipt) — the §5 screen applied to recovery replies.
-    recent_estimates: HashMap<NodeId, (TimeEstimate, Timestamp)>,
+    /// Indexed by [`NodeId::index`] and grown on the first record.
+    recent_estimates: Vec<Option<(TimeEstimate, Timestamp)>>,
     /// When a [`ServerFaultKind::CorruptState`] fault scrambled this
     /// server's state, until the first adoption that passes the §5
     /// consistency screen declares it stabilized again.
@@ -376,7 +387,7 @@ impl TimeServer {
             started: false,
             next_request_id: 0,
             current_round: 0,
-            pending: HashMap::new(),
+            pending: Vec::new(),
             round_replies: Vec::new(),
             stats: ServerStats::default(),
             recovering: false,
@@ -391,10 +402,10 @@ impl TimeServer {
             lifecycle: Lifecycle::Active,
             epoch: 0,
             store,
-            boot_pending: HashMap::new(),
+            boot_pending: Vec::new(),
             boot_replies: Vec::new(),
             boot_rounds: 0,
-            recent_estimates: HashMap::new(),
+            recent_estimates: Vec::new(),
             corrupted_at: None,
             snapshot: Arc::new(SnapshotCell::new()),
         };
@@ -594,7 +605,7 @@ impl TimeServer {
         if delta == Duration::ZERO {
             return;
         }
-        for p in self.pending.values_mut() {
+        for (_, p) in &mut self.pending {
             p.send_clock += delta;
             if let Some(deadline) = p.deadline_clock.as_mut() {
                 *deadline += delta;
@@ -604,10 +615,10 @@ impl TimeServer {
             b.send_clock += delta;
             b.recv_clock += delta;
         }
-        for (_, seen_clock) in self.recent_estimates.values_mut() {
+        for (_, seen_clock) in self.recent_estimates.iter_mut().flatten() {
             *seen_clock += delta;
         }
-        for (_, send_clock) in self.boot_pending.values_mut() {
+        for (_, (_, send_clock)) in &mut self.boot_pending {
             *send_clock += delta;
         }
         for b in &mut self.boot_replies {
@@ -684,7 +695,7 @@ impl TimeServer {
         if let Some(since) = self.corrupted_at {
             let reading = self.state.last_reset();
             let adopted = self.state.estimate_at(reading);
-            if !self.recent_estimates.is_empty()
+            if self.recent_estimates.iter().any(Option::is_some)
                 && self.consistent_with_recent(None, &adopted, reading)
             {
                 let elapsed = (now - since).max(Duration::ZERO);
@@ -707,14 +718,13 @@ impl TimeServer {
         self.active = true;
         let now = ctx.now();
         self.publish_snapshot(now);
-        if self.bus.enabled(TelemetryKind::Join) {
-            let clock = self.reading(now);
-            self.bus.emit(TelemetryEvent::Join {
+        let clock = self.reading(now);
+        self.bus
+            .emit_with(TelemetryKind::Join, || TelemetryEvent::Join {
                 at: now,
                 server: self.me,
                 clock,
             });
-        }
         let fraction = ctx.rng().random_range(0.05..1.0);
         ctx.set_timer(
             self.config.resync_period * fraction,
@@ -730,8 +740,8 @@ impl TimeServer {
         // flight, will count as late). If a recovery request was lost,
         // clear the flag so recovery can retry next time.
         let round = self.current_round;
-        self.pending.retain(|_, p| p.round == round);
-        self.recovering = self.pending.values().any(|p| p.recovery);
+        self.pending.retain(|(_, p)| p.round == round);
+        self.recovering = self.pending.iter().any(|(_, p)| p.recovery);
 
         let now = ctx.now();
         self.round_start_clock = self.reading(now);
@@ -739,8 +749,8 @@ impl TimeServer {
         // neighbour costs nothing until it comes back.
         let polled: Vec<NodeId> = ctx
             .neighbors()
-            .to_vec()
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|&peer| !self.config.retry.is_enabled() || self.health.should_poll(peer, round))
             .collect();
         self.bus
@@ -802,17 +812,15 @@ impl TimeServer {
         } else {
             None
         };
-        self.pending.insert(
-            request_id,
-            Pending {
-                peer,
-                send_clock,
-                round: self.current_round,
-                recovery,
-                attempt,
-                deadline_clock,
-            },
-        );
+        let pending = Pending {
+            peer,
+            send_clock,
+            round: self.current_round,
+            recovery,
+            attempt,
+            deadline_clock,
+        };
+        self.pending.push((request_id, pending));
         ctx.send(
             peer,
             Message::TimeRequest {
@@ -829,18 +837,23 @@ impl TimeServer {
     /// collection window) lasts; when retries are exhausted the peer's
     /// health record takes the hit.
     fn handle_timeout(&mut self, request_id: u64, ctx: &mut Context<'_, Message>) {
-        let Some(&pending) = self.pending.get(&request_id) else {
+        let Some(at) = in_flight(&self.pending, request_id) else {
             // Answered (or swept by round cleanup) before the deadline.
             return;
         };
+        let pending = self.pending[at].1;
         let clock_now = self.reading(ctx.now());
         if let Some(deadline) = pending.deadline_clock {
-            if clock_now < deadline {
-                ctx.set_timer(deadline - clock_now, TIMER_TIMEOUT_FLAG | request_id);
+            // On a slow clock the remainder shrinks geometrically; once
+            // it no longer advances real time the timer would fire for
+            // ever at this instant, so that counts as expired too.
+            let remainder = deadline - clock_now;
+            if ctx.now() + remainder > ctx.now() {
+                ctx.set_timer(remainder, TIMER_TIMEOUT_FLAG | request_id);
                 return;
             }
         }
-        self.pending.remove(&request_id);
+        self.pending.swap_remove(at);
         self.stats.timeouts += 1;
         let now = ctx.now();
         self.bus
@@ -901,10 +914,11 @@ impl TimeServer {
         estimate: TimeEstimate,
         ctx: &mut Context<'_, Message>,
     ) {
-        let Some(&pending) = self.pending.get(&request_id) else {
+        let Some(at) = in_flight(&self.pending, request_id) else {
             self.stats.late_replies += 1;
             return;
         };
+        let pending = self.pending[at].1;
         if pending.peer != from {
             // A reply whose sender doesn't match the recorded request
             // peer (misrouted, forged, or a duplicate id collision) must
@@ -915,7 +929,7 @@ impl TimeServer {
             self.stats.mismatched_replies += 1;
             return;
         }
-        self.pending.remove(&request_id);
+        self.pending.swap_remove(at);
         self.stats.replies += 1;
         if self.config.retry.is_enabled() {
             let before = self.health.state(from);
@@ -962,7 +976,10 @@ impl TimeServer {
             // Remember what this neighbour claimed (and when, on our
             // clock): these records are the §5 screen a later recovery
             // reply must pass.
-            self.recent_estimates.insert(from, (estimate, clock_now));
+            if self.recent_estimates.len() <= from.index() {
+                self.recent_estimates.resize(from.index() + 1, None);
+            }
+            self.recent_estimates[from.index()] = Some((estimate, clock_now));
         }
 
         if pending.recovery {
@@ -1120,8 +1137,11 @@ impl TimeServer {
         let widen_rate = 2.0 * self.config.drift_bound.as_f64();
         let mut consistent = 0usize;
         let mut total = 0usize;
-        for (&peer, &(estimate, seen_clock)) in &self.recent_estimates {
-            if Some(peer) == exclude {
+        for (peer, record) in self.recent_estimates.iter().enumerate() {
+            let Some((estimate, seen_clock)) = *record else {
+                continue;
+            };
+            if Some(NodeId::new(peer)) == exclude {
                 continue;
             }
             let age = (clock_now - seen_clock).max(Duration::ZERO);
@@ -1146,17 +1166,11 @@ impl TimeServer {
         if self.config.recovery != RecoveryPolicy::ThirdServer || self.recovering {
             return;
         }
-        let candidates: Vec<NodeId> = ctx
-            .neighbors()
-            .iter()
-            .copied()
-            .filter(|&n| Some(n) != inconsistent_with)
-            .collect();
         let of_state = |state: PeerState| -> Vec<NodeId> {
-            candidates
+            ctx.neighbors()
                 .iter()
                 .copied()
-                .filter(|&n| self.health.state(n) == state)
+                .filter(|&n| Some(n) != inconsistent_with && self.health.state(n) == state)
                 .collect()
         };
         let mut pool = of_state(PeerState::Healthy);
@@ -1321,17 +1335,16 @@ impl TimeServer {
                 let reset_clock = p.reset_clock.min(clock_now);
                 self.state =
                     ErrorState::new(reset_clock, p.inherited_error, self.config.drift_bound);
-                if self.bus.enabled(TelemetryKind::StateRehydrated) {
-                    let error = self.state.error_at(clock_now);
-                    self.bus.emit(TelemetryEvent::StateRehydrated {
+                self.bus.emit_with(TelemetryKind::StateRehydrated, || {
+                    TelemetryEvent::StateRehydrated {
                         at: now,
                         server: self.me,
                         clock: clock_now,
-                        error,
+                        error: self.state.error_at(clock_now),
                         reset_clock,
                         persisted_error: p.inherited_error,
-                    });
-                }
+                    }
+                });
             }
             self.promote(0, ctx);
         }
@@ -1351,17 +1364,16 @@ impl TimeServer {
         // Back in service (rehydrated or bootstrapped state already in
         // place): reopen the serving front under the new epoch.
         self.publish_snapshot(now);
-        if self.bus.enabled(TelemetryKind::BootstrapCompleted) {
-            let clock = self.reading(now);
-            let error = self.state.error_at(clock);
-            self.bus.emit(TelemetryEvent::BootstrapCompleted {
+        let clock = self.reading(now);
+        self.bus.emit_with(TelemetryKind::BootstrapCompleted, || {
+            TelemetryEvent::BootstrapCompleted {
                 at: now,
                 server: self.me,
                 rounds,
                 clock,
-                error,
-            });
-        }
+                error: self.state.error_at(clock),
+            }
+        });
         let fraction = ctx.rng().random_range(0.05..1.0);
         ctx.set_timer(
             self.config.resync_period * fraction,
@@ -1381,7 +1393,7 @@ impl TimeServer {
         for peer in peers {
             let request_id = self.fresh_request_id();
             let send_clock = self.reading(ctx.now());
-            self.boot_pending.insert(request_id, (peer, send_clock));
+            self.boot_pending.push((request_id, (peer, send_clock)));
             ctx.send(
                 peer,
                 Message::TimeRequest {
@@ -1402,15 +1414,16 @@ impl TimeServer {
         estimate: TimeEstimate,
         ctx: &mut Context<'_, Message>,
     ) {
-        let Some(&(peer, send_clock)) = self.boot_pending.get(&request_id) else {
+        let Some(at) = in_flight(&self.boot_pending, request_id) else {
             self.stats.late_replies += 1;
             return;
         };
+        let (peer, send_clock) = self.boot_pending[at].1;
         if peer != from {
             self.stats.mismatched_replies += 1;
             return;
         }
-        self.boot_pending.remove(&request_id);
+        self.boot_pending.swap_remove(at);
         let recv_clock = self.reading(ctx.now());
         self.boot_replies.push(BufferedReply {
             peer: from,
@@ -1462,15 +1475,16 @@ impl TimeServer {
         request_id: u64,
         ctx: &mut Context<'_, Message>,
     ) {
-        let Some(&pending) = self.pending.get(&request_id) else {
+        let Some(at) = in_flight(&self.pending, request_id) else {
             self.stats.late_replies += 1;
             return;
         };
+        let pending = self.pending[at].1;
         if pending.peer != from {
             self.stats.mismatched_replies += 1;
             return;
         }
-        self.pending.remove(&request_id);
+        self.pending.swap_remove(at);
         if pending.recovery {
             self.recovering = false;
         }
@@ -1819,7 +1833,7 @@ impl Actor for TimeServer {
                         // while dragging the victim as far as a single
                         // faulty source can. With nothing remembered
                         // about the victim, answer honestly and wait.
-                        let remembered = self.recent_estimates.get(&from).copied();
+                        let remembered = self.recent_estimates.get(from.index()).copied().flatten();
                         if let Some((victim, seen_clock)) = remembered {
                             let clock_now = self.reading(ctx.now());
                             let age = (clock_now - seen_clock).max(Duration::ZERO);
@@ -1956,6 +1970,58 @@ mod tests {
         }
     }
 
+    /// The in-flight table against the `HashMap<u64, _>` it replaced:
+    /// sends, replies (first, duplicate, and for an id a round sweep
+    /// already dropped), sweeps by round and landmark rebasing, with
+    /// ids handed out by a counter and never reused.
+    #[test]
+    fn in_flight_table_matches_a_hash_map_model() {
+        tempo_check::check("in_flight_table_matches_a_hash_map_model", 256, |g| {
+            let mut table: InFlight<(u64, i64)> = Vec::new();
+            let mut model: std::collections::HashMap<u64, (u64, i64)> = Default::default();
+            let (mut next_id, mut round) = (g.int(0u64..1_000), 0u64);
+            for _ in 0..g.int(0usize..300) {
+                // Any id ever issued, answered and swept ones included.
+                let issued = g.int(0..=next_id);
+                let found = in_flight(&table, issued);
+                assert_eq!(found.map(|at| table[at].1), model.get(&issued).copied());
+                match g.int(0u8..8) {
+                    0..=2 => {
+                        let value = (round, g.int(-50i64..50));
+                        table.push((next_id, value));
+                        model.insert(next_id, value);
+                        next_id += 1;
+                    }
+                    // A reply takes its entry out; its duplicate then
+                    // finds nothing.
+                    3..=5 => {
+                        if let Some(at) = found {
+                            table.swap_remove(at);
+                            model.remove(&issued);
+                        }
+                        assert_eq!(in_flight(&table, issued), None);
+                    }
+                    6 => {
+                        round += 1;
+                        let keep = round - g.int(0u64..=1);
+                        table.retain(|(_, v)| v.0 >= keep);
+                        model.retain(|_, v| v.0 >= keep);
+                    }
+                    _ => {
+                        let delta = g.int(-5i64..5);
+                        table.iter_mut().for_each(|(_, v)| v.1 += delta);
+                        model.values_mut().for_each(|v| v.1 += delta);
+                    }
+                }
+                let mut want: Vec<_> = model.iter().map(|(&id, &v)| (id, v)).collect();
+                let mut got = table.clone();
+                want.sort_unstable();
+                got.sort_unstable();
+                assert_eq!(got, want);
+            }
+        });
+    }
+
     #[test]
     fn clock_step_rebases_inflight_marks() {
         // A reply's round-trip is measured as elapsed *own* clock since
@@ -1967,7 +2033,7 @@ mod tests {
         let mut s = server(0.0, base_config(Strategy::Mm), 9);
         let t0 = ts(100.0);
         let send_clock = s.reading(t0);
-        s.pending.insert(
+        s.pending.push((
             7,
             Pending {
                 peer: NodeId::new(1),
@@ -1977,11 +2043,12 @@ mod tests {
                 attempt: 0,
                 deadline_clock: Some(send_clock + dur(1.0)),
             },
-        );
-        s.recent_estimates.insert(
-            NodeId::new(2),
-            (TimeEstimate::new(send_clock, dur(0.01)), send_clock),
-        );
+        ));
+        s.recent_estimates = vec![
+            None,
+            None,
+            Some((TimeEstimate::new(send_clock, dur(0.01)), send_clock)),
+        ];
         // 9 ms into the flight an adoption steps the clock back 50 ms.
         let t1 = ts(100.009);
         let target = s.reading(t1) - dur(0.050);
@@ -1992,7 +2059,7 @@ mod tests {
                 new_error: dur(0.005),
             },
         );
-        let p = s.pending[&7];
+        let p = s.pending[in_flight(&s.pending, 7).expect("still in flight")].1;
         let rtt = s.reading(t1) - p.send_clock;
         assert!(
             (rtt.as_secs() - 0.009).abs() < 1e-9,
@@ -2003,7 +2070,7 @@ mod tests {
             ((deadline - send_clock).as_secs() - (1.0 - 0.050)).abs() < 1e-9,
             "deadline moves with the step"
         );
-        let (_, seen) = s.recent_estimates[&NodeId::new(2)];
+        let (_, seen) = s.recent_estimates[2].expect("record survives");
         assert!(
             ((s.reading(t1) - seen).as_secs() - 0.009).abs() < 1e-9,
             "cached-claim age must survive the step"
@@ -2597,7 +2664,7 @@ mod tests {
     /// claimed offset from the recorder's own clock at receipt — ≈ 0 for
     /// an honest claim under zero drift and millisecond delays.
     fn recorded_offset(server: &TimeServer, of: usize) -> (Duration, Duration) {
-        let (estimate, seen_clock) = server.recent_estimates[&NodeId::new(of)];
+        let (estimate, seen_clock) = server.recent_estimates[of].expect("a record of the peer");
         (estimate.time() - seen_clock, estimate.error())
     }
 

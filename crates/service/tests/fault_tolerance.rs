@@ -8,7 +8,9 @@
 use tempo_clocks::{DriftModel, SimClock};
 use tempo_core::{DriftRate, Duration, Timestamp};
 use tempo_net::{DelayModel, NetConfig, NodeId, Partition, Topology, World};
-use tempo_service::{HealthConfig, PeerState, RetryPolicy, ServerConfig, Strategy, TimeServer};
+use tempo_service::{
+    HealthConfig, PeerState, RetryPolicy, ServerConfig, ServerFault, Strategy, TimeServer,
+};
 
 fn ts(s: f64) -> Timestamp {
     Timestamp::from_secs(s)
@@ -200,5 +202,60 @@ fn duplicate_delivery_is_idempotent() {
             "seed {seed}: duplicated replies must be dropped as late"
         );
         assert!(world.stats().duplicated > 0);
+    }
+}
+
+/// The Zeno time-out (ROADMAP item 2). A request's timer runs on real
+/// time but its deadline is an own-clock reading, so on a slow clock
+/// the timer re-arms with the remainder — which shrinks geometrically.
+/// Just past a power of two of real time, with the slow clock still in
+/// the binade below, the remainder can be one unit in the last place of
+/// the clock and half a unit of real time: `now + remainder == now`,
+/// and the timer used to fire for ever at that instant. Requester slow
+/// by its full δ, peer silent, so every request runs to its deadline;
+/// the window after each power of two is 2^k·δ wide, and a short
+/// period puts a deadline or two in each.
+#[test]
+fn slow_clock_timeout_does_not_fire_for_ever_at_one_instant() {
+    let bound = 1e-2;
+    for seed in 0..8 {
+        let servers: Vec<TimeServer> = [-bound, 0.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &drift)| {
+                let clock = SimClock::builder()
+                    .drift(DriftModel::Constant(drift))
+                    .seed(seed + i as u64)
+                    .build();
+                let mut config = ServerConfig::new(Strategy::Mm, DriftRate::new(bound))
+                    .resync_period(dur(0.5))
+                    .collect_window(dur(0.1))
+                    .initial_error(dur(0.05))
+                    .retry(RetryPolicy::backoff_defaults());
+                if i == 1 {
+                    config = config.fault(ServerFault::crash_at(ts(0.0)));
+                }
+                TimeServer::new(clock, config)
+            })
+            .collect();
+        let net = NetConfig::with_delay(DelayModel::Constant(dur(0.005)));
+        let mut world = World::new(servers, Topology::full_mesh(2), net, seed);
+        // An event budget, not a wall clock: 140 s is some 280 rounds
+        // of one request and a few re-arms each.
+        let mut budget = 20_000u32;
+        while world.now() < ts(140.0) && world.step() {
+            budget -= 1;
+            assert!(
+                budget > 0,
+                "seed {seed}: stuck at {} after {} timer firings",
+                world.now(),
+                world.stats().timers_fired
+            );
+        }
+        let stats = world.actors()[0].stats();
+        assert!(
+            stats.timeouts > 200,
+            "seed {seed}: requests ran to their deadlines"
+        );
     }
 }

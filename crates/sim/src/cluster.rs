@@ -542,13 +542,10 @@ impl ClusterScenario {
         world.run_until(Timestamp::ZERO + self.duration);
 
         let final_stats = Self::harvest_outcomes(&world);
-        let (events, seen) = {
-            let mut recorder = recorder.borrow_mut();
-            (std::mem::take(&mut recorder.events), recorder.seen)
-        };
+        let events = std::mem::take(&mut recorder.borrow_mut().events);
         ShardRun {
             events: events.into(),
-            seen,
+            offered: bus.offered_events(),
             final_stats,
             net: world.stats(),
             max_observed_delay: world.max_observed_delay(),

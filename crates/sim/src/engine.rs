@@ -19,37 +19,37 @@ use tempo_core::{Duration, Timestamp};
 /// inspection; overflow is counted in the result's `dropped_events`.
 pub(crate) const RING_CAPACITY: usize = 4096;
 use tempo_net::{NetStats, NodeId};
-use tempo_telemetry::{Observer, SampleSnapshot, TelemetryEvent};
+use tempo_telemetry::{EventKind, Observer, SampleSnapshot, TelemetryEvent};
 
-/// Captures a shard's raw event stream for the deterministic merge.
-/// Wants every kind, mirroring the ring-armed bus of the
-/// single-threaded path (whose mask is all-ones), so both paths build
-/// the same events. In `samples_only` mode it still *counts* every
-/// event (the count feeds the ring-drop accounting) but stores just
-/// the [`TelemetryEvent::Sample`]s — k-way merging millions of events
-/// nobody consumes is the dominant cost of a large sharded run.
-#[derive(Debug, Default)]
+/// Captures a shard's raw event stream for the deterministic merge. It
+/// wants every kind, as the ring-armed bus of the single-threaded path
+/// does — or, in `samples_only` mode, just the
+/// [`TelemetryEvent::Sample`]s: building and k-way merging millions of
+/// events nobody consumes is the dominant cost of a large sharded run,
+/// and the ring-drop accounting needs only the shard bus's count of
+/// events offered.
+#[derive(Debug)]
 pub(crate) struct RecordingSink {
     pub(crate) events: Vec<TelemetryEvent>,
-    pub(crate) samples_only: bool,
-    pub(crate) seen: u64,
+    samples_only: bool,
 }
 
 impl RecordingSink {
     pub(crate) fn new(samples_only: bool) -> Self {
         RecordingSink {
+            events: Vec::new(),
             samples_only,
-            ..RecordingSink::default()
         }
     }
 }
 
 impl Observer for RecordingSink {
+    fn enabled(&self, kind: EventKind) -> bool {
+        !self.samples_only || kind == EventKind::Sample
+    }
+
     fn observe(&mut self, event: &TelemetryEvent) {
-        self.seen += 1;
-        if !self.samples_only || matches!(event, TelemetryEvent::Sample { .. }) {
-            self.events.push(event.clone());
-        }
+        self.events.push(event.clone());
     }
 }
 
@@ -60,9 +60,9 @@ impl Observer for RecordingSink {
 /// inside it.
 pub(crate) struct ShardRun<S> {
     pub(crate) events: VecDeque<TelemetryEvent>,
-    /// Every event the shard's bus materialized, including ones not in
+    /// Every event offered to the shard's bus, including ones not in
     /// `events`.
-    pub(crate) seen: u64,
+    pub(crate) offered: u64,
     pub(crate) final_stats: Vec<S>,
     pub(crate) net: NetStats,
     pub(crate) max_observed_delay: Duration,

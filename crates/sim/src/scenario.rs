@@ -617,13 +617,10 @@ impl Scenario {
         });
 
         let final_stats = world.actors().iter().map(|s| s.stats()).collect();
-        let (events, seen) = {
-            let mut recorder = recorder.borrow_mut();
-            (std::mem::take(&mut recorder.events), recorder.seen)
-        };
+        let events = std::mem::take(&mut recorder.borrow_mut().events);
         ShardRun {
             events: events.into(),
-            seen,
+            offered: bus.offered_events(),
             final_stats,
             net: world.stats(),
             max_observed_delay: world.max_observed_delay(),
@@ -673,13 +670,13 @@ impl Scenario {
         } else {
             // Only the stitched samples flow through the bus; the
             // ring-drop count the single-threaded run would report is
-            // reconstructed from the exact per-shard event counts: the
-            // combined stream has every non-sample event, plus ONE
-            // deployment-wide sample per tick where each shard counted
-            // its own.
+            // reconstructed from each shard bus's count of events
+            // offered: the combined stream has every non-sample event,
+            // plus ONE deployment-wide sample per tick where each shard
+            // counted its own.
             let ticks = shards.first().map_or(0, |s| s.events.len()) as u64;
-            let seen: u64 = shards.iter().map(|s| s.seen).sum();
-            let total = seen - ticks * (shards.len() as u64 - 1);
+            let offered: u64 = shards.iter().map(|s| s.offered).sum();
+            let total = offered - ticks * (shards.len() as u64 - 1);
             merge_events(n, components, &mut shards, |event| bus.emit(event));
             total.saturating_sub(RING_CAPACITY as u64)
         };

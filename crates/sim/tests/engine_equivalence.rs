@@ -155,6 +155,31 @@ fn fast_path_without_sinks_matches_single() {
         "run large enough to overflow the ring"
     );
     assert_same(&plain, &sharded);
+
+    // The drop count is the shard buses' tally of events *offered*, so
+    // an emission that is skipped when nobody subscribed to its kind
+    // goes missing from it. A late joiner, a durable and an amnesiac
+    // crash–restart put the rare lifecycle kinds (`join`,
+    // `state_rehydrated`, `bootstrap_completed`) in the stream.
+    let mut scenario = fault_laden(17).duration(Duration::from_secs(900.0));
+    scenario.servers[2] = scenario.servers[2]
+        .clone()
+        .join_after(Duration::from_secs(12.0));
+    scenario.servers[9] = scenario.servers[9]
+        .clone()
+        .server_fault(ServerFault::crash_restart(
+            Timestamp::from_secs(40.0),
+            Duration::from_secs(10.0),
+            true,
+        ));
+    let plain = scenario.clone().run();
+    let sharded = scenario.sharded(4).run();
+    assert!(plain.dropped_events > 0, "the ring overflowed");
+    assert!(
+        plain.final_stats[9].bootstrap_rounds > 0 && plain.final_stats[1].restarts > 0,
+        "both restarts happened"
+    );
+    assert_same(&plain, &sharded);
 }
 
 #[test]

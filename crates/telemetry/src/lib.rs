@@ -876,6 +876,8 @@ struct Shared {
     /// OR of every subscriber's enabled kinds (all ones when a ring is
     /// attached). Checked before the event is even built.
     mask: Cell<u64>,
+    /// Emissions offered so far (see [`Bus::offered_events`]).
+    offered: Cell<u64>,
     inner: RefCell<Inner>,
 }
 
@@ -897,6 +899,7 @@ impl Bus {
         Bus {
             shared: Some(Rc::new(Shared {
                 mask: Cell::new(0),
+                offered: Cell::new(0),
                 inner: RefCell::new(Inner {
                     observers: Vec::new(),
                     ring: None,
@@ -936,7 +939,8 @@ impl Bus {
 
     /// Whether any subscriber (or the ring) wants events of `kind`.
     /// Producers may use this to skip expensive bookkeeping that only
-    /// feeds a given event kind.
+    /// feeds a given event kind — never to skip the [`Bus::emit_with`]
+    /// itself, which [`Bus::offered_events`] must still see.
     #[must_use]
     pub fn enabled(&self, kind: EventKind) -> bool {
         match &self.shared {
@@ -967,6 +971,7 @@ impl Bus {
         let Some(shared) = &self.shared else {
             return;
         };
+        shared.offered.set(shared.offered.get() + 1);
         if shared.mask.get() & kind.bit() == 0 {
             return;
         }
@@ -1005,6 +1010,15 @@ impl Bus {
                 .map_or(0, |ring| ring.dropped),
             None => 0,
         }
+    }
+
+    /// How many events producers offered to this bus: every
+    /// [`Bus::emit_with`] on an enabled bus, wanted or not — the length
+    /// of the stream a subscriber to every kind would have seen, so a
+    /// run that subscribes to less still knows what a ring would drop.
+    #[must_use]
+    pub fn offered_events(&self) -> u64 {
+        self.shared.as_ref().map_or(0, |s| s.offered.get())
     }
 
     /// A copy of the ring's current contents, oldest first. Empty when
@@ -1082,6 +1096,7 @@ mod tests {
         assert!(!bus.is_enabled());
         bus.emit_with(EventKind::MsgSend, || unreachable!());
         assert_eq!(bus.dropped_events(), 0);
+        assert_eq!(bus.offered_events(), 0);
         assert!(bus.recent_events().is_empty());
     }
 
@@ -1102,6 +1117,8 @@ mod tests {
             clock: Timestamp::from_secs(1.5),
         });
         assert_eq!(rec.borrow().kinds, vec![EventKind::Join]);
+        // Offered counts both: the one built and the one nobody wanted.
+        assert_eq!(bus.offered_events(), 2);
     }
 
     #[test]

@@ -55,10 +55,12 @@ fn free_addrs(n: usize) -> Vec<SocketAddr> {
     sockets.iter().map(|s| s.local_addr().unwrap()).collect()
 }
 
-fn state_path(id: usize) -> PathBuf {
+/// Keyed by the node's port, not its index: the tests of this file run
+/// in parallel in one process, and each deletes its state files.
+fn state_path(port: u16) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!(
-        "tempo-clustertime-{}-{id}.state",
+        "tempo-clustertime-{}-{port}.state",
         std::process::id()
     ));
     let _ = std::fs::remove_file(&p);
@@ -110,8 +112,8 @@ fn start_cluster() -> Cluster {
         .as_secs_f64();
     let mut cluster = Cluster {
         children: Vec::new(),
+        states: addrs.iter().map(|a| state_path(a.port())).collect(),
         addrs,
-        states: (0..CLUSTER).map(state_path).collect(),
         epoch,
     };
     for id in 0..CLUSTER {

@@ -1,0 +1,150 @@
+//! A sampling profiler for a box with neither `perf` nor `valgrind`: on
+//! every `ITIMER_PROF` tick SIGPROF records the interrupted `RIP` and a
+//! short frame-pointer walk while E20 deployments run.
+//!
+//! ```text
+//! RUSTFLAGS="-C force-frame-pointers=yes" cargo build --release --example sim_profile
+//! taskset -c 1 target/release/examples/sim_profile 500 400 sharded > pcs.txt
+//! ```
+//!
+//! Arguments: servers, jobs, `sharded` (two workers, as `sim_bare`) or
+//! `single`. Prints the load base, then one sample a line, innermost
+//! frame first; DESIGN.md § Observability has the rest of the recipe.
+
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+mod linux {
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+    use tempo::core::{Duration, Timestamp};
+    use tempo::net::{DelayModel, Topology};
+    use tempo::service::{HealthConfig, RetryPolicy, ServerFault, Strategy};
+    use tempo::sim::{Scenario, ServerSpec};
+
+    const DEPTH: usize = 8;
+    const MAX_SAMPLES: usize = 1 << 16;
+    /// A frame further than this above the one below it ends the walk.
+    const MAX_FRAME: usize = 1 << 16;
+    const SIGPROF: i32 = 27;
+    const ITIMER_PROF: i32 = 2;
+    const SA_SIGINFO_RESTART: i32 = 4 | 0x1000_0000;
+    /// Words into `ucontext_t` of the saved `rbp`, `rsp` and `rip`
+    /// (`uc_mcontext.gregs` starts 40 bytes in).
+    const RBP_RSP_RIP: [usize; 3] = [5 + 10, 5 + 15, 5 + 16];
+
+    static TAKEN: AtomicUsize = AtomicUsize::new(0);
+    static PCS: [AtomicUsize; MAX_SAMPLES * DEPTH] =
+        [const { AtomicUsize::new(0) }; MAX_SAMPLES * DEPTH];
+
+    /// glibc's `struct sigaction` on x86-64: handler, mask, flags, restorer.
+    #[repr(C)]
+    struct SigAction(usize, [u64; 16], i32, usize);
+
+    extern "C" {
+        fn sigaction(signum: i32, act: *const SigAction, old: *mut SigAction) -> i32;
+        /// `[interval.sec, interval.usec, value.sec, value.usec]`
+        fn setitimer(which: i32, new: *const [i64; 4], old: *mut [i64; 4]) -> i32;
+    }
+
+    extern "C" fn on_tick(_signum: i32, _info: *const u8, context: *const usize) {
+        let slot = TAKEN.fetch_add(1, Relaxed);
+        if slot >= MAX_SAMPLES {
+            return;
+        }
+        // SAFETY: the kernel hands an SA_SIGINFO handler a valid
+        // `ucontext_t`; the saved registers sit at the offsets above.
+        let [mut rbp, mut below, rip] = RBP_RSP_RIP.map(|at| unsafe { *context.add(at) });
+        PCS[slot * DEPTH].store(rip, Relaxed);
+        for depth in 1..DEPTH {
+            // With frame pointers forced `rbp` chains up the stack:
+            // aligned, above the frame below, not far above. A leaf that
+            // uses `rbp` as a plain register ends the walk here.
+            if rbp < below || rbp - below > MAX_FRAME || !rbp.is_multiple_of(8) {
+                break;
+            }
+            // SAFETY: `rbp` is at most MAX_FRAME above a live address of
+            // the interrupted thread's stack, which is mapped memory.
+            let (next, ret) = unsafe { (*(rbp as *const usize), *((rbp + 8) as *const usize)) };
+            PCS[slot * DEPTH + depth].store(ret, Relaxed);
+            (below, rbp) = (rbp + 16, next);
+        }
+    }
+
+    /// E20's deployment as the benchmark's `sim_bare` builds it (every
+    /// drift non-negative): cliques of 20 on lossy duplicating links,
+    /// one crash–restart server and one liar in each.
+    fn e20(n: usize, seed: u64) -> Scenario {
+        let (secs, at) = (Duration::from_secs, Timestamp::from_secs);
+        let delay = DelayModel::Uniform {
+            min: Duration::ZERO,
+            max: secs(0.02),
+        };
+        let health = HealthConfig {
+            probe_every: 3,
+            ..HealthConfig::default()
+        };
+        let mut scenario = Scenario::new(Strategy::MarzulloTolerant { max_faulty: 1 })
+            .topology(Topology::disjoint_cliques(n / 20, 20))
+            .delay(delay)
+            .loss(0.05)
+            .duplication(0.01)
+            .resync_period(secs(10.0))
+            .collect_window(secs(1.0))
+            .retry(RetryPolicy::backoff_defaults())
+            .health(health)
+            .quorum(3)
+            .duration(secs(60.0))
+            .sample_interval(secs(5.0))
+            .seed(seed);
+        for i in 0..n {
+            let spec = ServerSpec::honest((0.2 + 0.04 * (i % 20) as f64) * 1e-5, 1e-4);
+            scenario = scenario.server(match i % 20 {
+                1 => spec.server_fault(ServerFault::crash_restart(
+                    at(25.0),
+                    secs(10.0),
+                    (i / 20) % 2 == 1,
+                )),
+                7 => spec.server_fault(ServerFault::lie_from(at(15.0), secs(2.0), 0.1)),
+                _ => spec,
+            });
+        }
+        scenario
+    }
+
+    pub fn run() {
+        const USAGE: &str = "usage: sim_profile <servers> <jobs> sharded|single";
+        let mut args = std::env::args().skip(1);
+        let n: usize = args.next().and_then(|a| a.parse().ok()).expect(USAGE);
+        let jobs: u64 = args.next().and_then(|a| a.parse().ok()).expect(USAGE);
+        // Two shard threads or none (0 runs the one-world engine).
+        let threads = 2 * usize::from(args.next().expect(USAGE) == "sharded");
+        let handler = on_tick as *const () as usize;
+        let action = SigAction(handler, [0; 16], SA_SIGINFO_RESTART, 0);
+        // Asks for 1 kHz; the kernel rounds the period up to its tick.
+        let tick = [0, 1_000, 0, 1_000];
+        // SAFETY: both structures match the C library's layout, and the
+        // handler touches only atomics and the interrupted stack.
+        let armed = unsafe {
+            sigaction(SIGPROF, &action, std::ptr::null_mut()) == 0
+                && setitimer(ITIMER_PROF, &tick, std::ptr::null_mut()) == 0
+        };
+        assert!(armed, "could not arm the profiling timer");
+        for seed in 0..jobs {
+            let result = e20(n, 1_000 + seed).sharded(threads).run();
+            assert!(result.net.delivered > 0);
+        }
+        // SAFETY: a zero interval and value disarm the timer.
+        unsafe { setitimer(ITIMER_PROF, &[0; 4], std::ptr::null_mut()) };
+        let maps = std::fs::read_to_string("/proc/self/maps").expect("procfs");
+        println!("base 0x{}", maps.split('-').next().expect("a mapping"));
+        for sample in PCS.chunks(DEPTH).take(TAKEN.load(Relaxed)) {
+            let pcs = sample.iter().map(|pc| pc.load(Relaxed));
+            let frames = pcs.take_while(|&pc| pc != 0).map(|pc| format!("{pc:#x} "));
+            println!("{}", frames.collect::<String>());
+        }
+    }
+}
+
+fn main() {
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    linux::run();
+}
