@@ -5,7 +5,7 @@
 use tempo_core::{Duration, Timestamp};
 use tempo_net::{Actor, Context, NodeId};
 
-use crate::msg::ClusterMsg;
+use crate::msg::ClusterFrame;
 
 const SEND_TAG: u64 = 1;
 const TIMEOUT_BASE: u64 = 2;
@@ -14,7 +14,7 @@ const TIMEOUT_BASE: u64 = 2;
 #[derive(Debug, Clone, PartialEq)]
 pub struct AuditClientConfig {
     /// The cluster replicas, in index order (so a
-    /// [`ClusterMsg::TsRedirect`] `primary` index can be resolved to a
+    /// [`ClusterFrame::TsRedirect`] `primary` index can be resolved to a
     /// node).
     pub replicas: Vec<NodeId>,
     /// Delay between a satisfied request and the next one.
@@ -152,7 +152,7 @@ impl AuditClient {
         self.last_ts
     }
 
-    fn send_request(&mut self, attempt: u8, ctx: &mut Context<'_, ClusterMsg>) {
+    fn send_request(&mut self, attempt: u8, ctx: &mut Context<'_, ClusterFrame>) {
         let request_id = if attempt == 0 {
             self.counter += 1;
             (self.me as u64) << 32 | self.counter
@@ -171,7 +171,7 @@ impl AuditClient {
         let to = self.config.replicas[self.target % self.config.replicas.len()];
         ctx.send(
             to,
-            ClusterMsg::TsRequest {
+            ClusterFrame::TsRequest {
                 request_id,
                 attempt,
             },
@@ -183,7 +183,7 @@ impl AuditClient {
         ctx.set_timer(self.config.request_timeout, self.live_timeout_tag());
     }
 
-    fn schedule_next(&mut self, ctx: &mut Context<'_, ClusterMsg>) {
+    fn schedule_next(&mut self, ctx: &mut Context<'_, ClusterFrame>) {
         self.outstanding = None;
         self.timer_epoch += 1;
         ctx.set_timer(self.config.period, SEND_TAG);
@@ -199,16 +199,21 @@ impl AuditClient {
 }
 
 impl Actor for AuditClient {
-    type Msg = ClusterMsg;
+    type Msg = ClusterFrame;
 
-    fn on_start(&mut self, ctx: &mut Context<'_, ClusterMsg>) {
+    fn on_start(&mut self, ctx: &mut Context<'_, ClusterFrame>) {
         self.me = ctx.label();
         ctx.set_timer(self.config.period, SEND_TAG);
     }
 
-    fn on_message(&mut self, _from: NodeId, msg: ClusterMsg, ctx: &mut Context<'_, ClusterMsg>) {
+    fn on_message(
+        &mut self,
+        _from: NodeId,
+        msg: ClusterFrame,
+        ctx: &mut Context<'_, ClusterFrame>,
+    ) {
         match msg {
-            ClusterMsg::TsReply {
+            ClusterFrame::TsReply {
                 request_id,
                 view,
                 timestamp,
@@ -229,7 +234,7 @@ impl Actor for AuditClient {
                 });
                 self.schedule_next(ctx);
             }
-            ClusterMsg::TsRefused { request_id, .. } => {
+            ClusterFrame::TsRefused { request_id, .. } => {
                 if !self.matches(request_id) {
                     return;
                 }
@@ -243,7 +248,7 @@ impl Actor for AuditClient {
                 // themselves instead of hammering a degraded cluster.
                 ctx.set_timer(self.config.retry_delay * f64::from(backoff), SEND_TAG);
             }
-            ClusterMsg::TsRedirect {
+            ClusterFrame::TsRedirect {
                 request_id,
                 primary,
                 ..
@@ -252,7 +257,8 @@ impl Actor for AuditClient {
                     return;
                 }
                 self.stats.redirected += 1;
-                self.target = primary % self.config.replicas.len();
+                // The index is the sender's claim: reduce it into range.
+                self.target = primary as usize % self.config.replicas.len();
                 let (_, attempt) = self.outstanding.expect("matched above");
                 self.send_request(attempt.saturating_add(1), ctx);
             }
@@ -262,7 +268,7 @@ impl Actor for AuditClient {
         }
     }
 
-    fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, ClusterMsg>) {
+    fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, ClusterFrame>) {
         if tag == SEND_TAG {
             match self.outstanding {
                 // A refusal retry: the request id survives.
@@ -308,12 +314,12 @@ mod tests {
         client: AuditClient,
         now: f64,
         timers: Vec<(f64, u64)>,
-        sent: Vec<(NodeId, ClusterMsg)>,
+        sent: Vec<(NodeId, ClusterFrame)>,
         rng: StdRng,
     }
 
     impl Harness {
-        fn drive(&mut self, call: impl FnOnce(&mut AuditClient, &mut Context<'_, ClusterMsg>)) {
+        fn drive(&mut self, call: impl FnOnce(&mut AuditClient, &mut Context<'_, ClusterFrame>)) {
             let replicas = ids(3);
             let now = Timestamp::from_secs(self.now);
             let mut ctx = Context::external(now, NodeId::new(3), &replicas, &mut self.rng);
@@ -342,7 +348,7 @@ mod tests {
             self.drive(|client, ctx| client.on_timer(tag, ctx));
         }
 
-        fn deliver(&mut self, msg: ClusterMsg) {
+        fn deliver(&mut self, msg: ClusterFrame) {
             self.drive(|client, ctx| client.on_message(NodeId::new(0), msg, ctx));
         }
     }
@@ -358,16 +364,16 @@ mod tests {
         };
         h.drive(|client, ctx| client.on_start(ctx));
         h.fire_next();
-        let Some((_, ClusterMsg::TsRequest { request_id, .. })) = h.sent.last().cloned() else {
+        let Some((_, ClusterFrame::TsRequest { request_id, .. })) = h.sent.last().cloned() else {
             panic!("the send timer sends a request");
         };
-        h.deliver(ClusterMsg::TsRedirect {
+        h.deliver(ClusterFrame::TsRedirect {
             request_id,
             view: 1,
             primary: 1,
         });
         assert_eq!(h.sent.len(), 2, "a redirect re-sends at once");
-        h.deliver(ClusterMsg::TsRefused {
+        h.deliver(ClusterFrame::TsRefused {
             request_id,
             view: 1,
             cause: RefusalCause::NoLease,
@@ -385,12 +391,12 @@ mod tests {
         assert_eq!(h.sent.len(), 3 + 5);
         assert!(h.sent.iter().all(|(_, msg)| matches!(
             msg,
-            ClusterMsg::TsRequest { request_id: id, .. } if *id == request_id
+            ClusterFrame::TsRequest { request_id: id, .. } if *id == request_id
         )));
         // Two confused backups bounce the request past the wire
         // attempt's saturation at 255: still one time-out per second.
         for _ in 0..300 {
-            h.deliver(ClusterMsg::TsRedirect {
+            h.deliver(ClusterFrame::TsRedirect {
                 request_id,
                 view: 1,
                 primary: 1,
@@ -405,7 +411,18 @@ mod tests {
             "at t = 6.15, 7.15, 8.15 s"
         );
         assert_eq!(h.sent.len(), 8 + 300 + 3);
-        h.deliver(ClusterMsg::TsReply {
+        // A confused backup names a primary that does not exist: the
+        // client stays aimed at a real replica and still gets served.
+        for primary in [u32::MAX, 3] {
+            h.deliver(ClusterFrame::TsRedirect {
+                request_id,
+                view: 1,
+                primary,
+            });
+            let (to, _) = h.sent.last().expect("a redirect re-sends");
+            assert!(to.index() < 3, "redirected out of range to {to:?}");
+        }
+        h.deliver(ClusterFrame::TsReply {
             request_id,
             view: 2,
             timestamp: 7,

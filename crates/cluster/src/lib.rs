@@ -22,7 +22,7 @@
 //! * **Durable high water before release.** Before a timestamp leaves
 //!   the building the primary persists it via
 //!   [`tempo_service::StableStore`] *and* replicates it to a quorum of
-//!   backups ([`ClusterMsg::HwUpdate`] / [`ClusterMsg::HwAck`]): the
+//!   backups ([`ClusterFrame::HwUpdate`] / [`ClusterFrame::HwAck`]): the
 //!   reply is withheld until a quorum has the mark on stable
 //!   storage. A new primary's election quorum therefore always
 //!   intersects the release quorum, so its catch-up
@@ -30,7 +30,7 @@
 //!   timestamp — even if the old primary restarts with amnesia.
 //! * **Refusal over regression.** With no lease, no quorum, a booting
 //!   inner server, or an intersection the next timestamp would
-//!   overrun, the replica answers [`ClusterMsg::TsRefused`] — the
+//!   overrun, the replica answers [`ClusterFrame::TsRefused`] — the
 //!   degraded mode is *no service*, never wrong service.
 //!
 //! The crate is sans-io in the same style as
@@ -53,6 +53,6 @@ mod replica;
 
 pub use client::{AuditClient, AuditClientConfig, ClientStats};
 pub use config::{ClusterConfig, ClusterFault};
-pub use msg::ClusterMsg;
+pub use msg::ClusterFrame;
 pub use node::ClusterNode;
 pub use replica::{ClusterReplica, ClusterStats};

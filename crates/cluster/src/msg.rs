@@ -1,301 +1,5 @@
-//! The cluster-time protocol's message space.
+//! The cluster-time protocol's message space: the wire frame itself.
+//! The actors send and match on the very values the codec encodes
+//! (`tempo_service::wire::encode_cluster` / `decode_cluster`).
 
-use tempo_core::TimeEstimate;
-use tempo_service::wire::ClusterFrame;
-use tempo_service::Message;
-use tempo_telemetry::RefusalCause;
-
-/// A message of the cluster-time protocol: either a base time-service
-/// message (the embedded [`tempo_service::TimeServer`]s keep running
-/// their resync rounds through the same links) or one of the cluster
-/// control/data messages.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ClusterMsg {
-    /// A base time-service message, routed to the embedded server.
-    Base(Message),
-    /// Client → primary: assign a monotonic cluster timestamp.
-    TsRequest {
-        /// Client-chosen correlation id (stable across retries).
-        request_id: u64,
-        /// Retry ordinal (0 for the first send).
-        attempt: u8,
-    },
-    /// Primary → client: the assigned timestamp, released only after a
-    /// quorum has the high-water mark on stable storage.
-    TsReply {
-        /// Echoed correlation id.
-        request_id: u64,
-        /// View under which the timestamp was issued.
-        view: u64,
-        /// The strictly monotonic cluster timestamp (µs ticks).
-        timestamp: u64,
-    },
-    /// Replica → client: refused rather than risk a regression.
-    TsRefused {
-        /// Echoed correlation id.
-        request_id: u64,
-        /// The refusing replica's current view.
-        view: u64,
-        /// Why the request was refused.
-        cause: RefusalCause,
-    },
-    /// Backup → client: not the primary; try the view's primary.
-    TsRedirect {
-        /// Echoed correlation id.
-        request_id: u64,
-        /// The redirecting replica's current view.
-        view: u64,
-        /// Replica index (`view mod n`) of the believed primary.
-        primary: usize,
-    },
-    /// Primary → backups: heartbeat asking for a lease extension.
-    LeaseRenew {
-        /// The primary's view.
-        view: u64,
-        /// Renewal sequence number (matches acks to renewals).
-        seq: u64,
-    },
-    /// Backup → primary: lease granted, with the backup's current
-    /// interval reading and durable high-water mark.
-    LeaseAck {
-        /// Echoed view.
-        view: u64,
-        /// Echoed renewal sequence number.
-        seq: u64,
-        /// The backup's `⟨C, E⟩` reading at ack time.
-        estimate: TimeEstimate,
-        /// The backup's durable high-water mark.
-        high_water: u64,
-    },
-    /// Candidate → replicas: vote for me as primary of `view`.
-    ViewChangeReq {
-        /// The proposed (strictly higher) view.
-        view: u64,
-    },
-    /// Replica → candidate: vote granted or refused.
-    ViewChangeAck {
-        /// The view being acked (the candidate's on a grant, the
-        /// voter's higher view on a refusal).
-        view: u64,
-        /// Whether the vote was granted.
-        ok: bool,
-        /// The voter's durable high-water mark, for the new primary's
-        /// catch-up.
-        high_water: u64,
-    },
-    /// Primary → backups: replicate the high-water mark before release.
-    HwUpdate {
-        /// The primary's view.
-        view: u64,
-        /// The pending high-water mark.
-        high_water: u64,
-    },
-    /// Backup → primary: high-water mark persisted.
-    HwAck {
-        /// Echoed view.
-        view: u64,
-        /// The highest mark the backup has persisted.
-        high_water: u64,
-    },
-}
-
-impl ClusterMsg {
-    /// The wire frame for this message (the real-socket path).
-    #[must_use]
-    pub fn to_frame(self) -> ClusterFrame {
-        match self {
-            ClusterMsg::Base(msg) => ClusterFrame::Base(msg),
-            ClusterMsg::TsRequest {
-                request_id,
-                attempt,
-            } => ClusterFrame::TsRequest {
-                request_id,
-                attempt,
-            },
-            ClusterMsg::TsReply {
-                request_id,
-                view,
-                timestamp,
-            } => ClusterFrame::TsReply {
-                request_id,
-                view,
-                timestamp,
-            },
-            ClusterMsg::TsRefused {
-                request_id,
-                view,
-                cause,
-            } => ClusterFrame::TsRefused {
-                request_id,
-                view,
-                cause,
-            },
-            ClusterMsg::TsRedirect {
-                request_id,
-                view,
-                primary,
-            } => ClusterFrame::TsRedirect {
-                request_id,
-                view,
-                primary: u32::try_from(primary).expect("replica index fits a u32"),
-            },
-            ClusterMsg::LeaseRenew { view, seq } => ClusterFrame::LeaseRenew { view, seq },
-            ClusterMsg::LeaseAck {
-                view,
-                seq,
-                estimate,
-                high_water,
-            } => ClusterFrame::LeaseAck {
-                view,
-                seq,
-                estimate,
-                high_water,
-            },
-            ClusterMsg::ViewChangeReq { view } => ClusterFrame::ViewChangeReq { view },
-            ClusterMsg::ViewChangeAck {
-                view,
-                ok,
-                high_water,
-            } => ClusterFrame::ViewChangeAck {
-                view,
-                ok,
-                high_water,
-            },
-            ClusterMsg::HwUpdate { view, high_water } => {
-                ClusterFrame::HwUpdate { view, high_water }
-            }
-            ClusterMsg::HwAck { view, high_water } => ClusterFrame::HwAck { view, high_water },
-        }
-    }
-
-    /// The message a decoded wire frame carries.
-    #[must_use]
-    pub fn from_frame(frame: ClusterFrame) -> Self {
-        match frame {
-            ClusterFrame::Base(msg) => ClusterMsg::Base(msg),
-            ClusterFrame::TsRequest {
-                request_id,
-                attempt,
-            } => ClusterMsg::TsRequest {
-                request_id,
-                attempt,
-            },
-            ClusterFrame::TsReply {
-                request_id,
-                view,
-                timestamp,
-            } => ClusterMsg::TsReply {
-                request_id,
-                view,
-                timestamp,
-            },
-            ClusterFrame::TsRefused {
-                request_id,
-                view,
-                cause,
-            } => ClusterMsg::TsRefused {
-                request_id,
-                view,
-                cause,
-            },
-            ClusterFrame::TsRedirect {
-                request_id,
-                view,
-                primary,
-            } => ClusterMsg::TsRedirect {
-                request_id,
-                view,
-                primary: primary as usize,
-            },
-            ClusterFrame::LeaseRenew { view, seq } => ClusterMsg::LeaseRenew { view, seq },
-            ClusterFrame::LeaseAck {
-                view,
-                seq,
-                estimate,
-                high_water,
-            } => ClusterMsg::LeaseAck {
-                view,
-                seq,
-                estimate,
-                high_water,
-            },
-            ClusterFrame::ViewChangeReq { view } => ClusterMsg::ViewChangeReq { view },
-            ClusterFrame::ViewChangeAck {
-                view,
-                ok,
-                high_water,
-            } => ClusterMsg::ViewChangeAck {
-                view,
-                ok,
-                high_water,
-            },
-            ClusterFrame::HwUpdate { view, high_water } => {
-                ClusterMsg::HwUpdate { view, high_water }
-            }
-            ClusterFrame::HwAck { view, high_water } => ClusterMsg::HwAck { view, high_water },
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tempo_core::{Duration, Timestamp};
-
-    #[test]
-    fn frame_round_trip_is_identity() {
-        let msgs = [
-            ClusterMsg::Base(Message::TimeRequest {
-                request_id: 1,
-                attempt: 0,
-            }),
-            ClusterMsg::TsRequest {
-                request_id: 2,
-                attempt: 1,
-            },
-            ClusterMsg::TsReply {
-                request_id: 3,
-                view: 4,
-                timestamp: 5,
-            },
-            ClusterMsg::TsRefused {
-                request_id: 6,
-                view: 7,
-                cause: RefusalCause::Ahead,
-            },
-            ClusterMsg::TsRedirect {
-                request_id: 8,
-                view: 9,
-                primary: 2,
-            },
-            ClusterMsg::LeaseRenew { view: 10, seq: 11 },
-            ClusterMsg::LeaseAck {
-                view: 12,
-                seq: 13,
-                estimate: TimeEstimate::new(Timestamp::from_secs(1.5), Duration::from_secs(0.01)),
-                high_water: 14,
-            },
-            ClusterMsg::ViewChangeReq { view: 15 },
-            ClusterMsg::ViewChangeAck {
-                view: 16,
-                ok: true,
-                high_water: 17,
-            },
-            ClusterMsg::HwUpdate {
-                view: 18,
-                high_water: 19,
-            },
-            ClusterMsg::HwAck {
-                view: 20,
-                high_water: 21,
-            },
-        ];
-        for msg in msgs {
-            assert_eq!(ClusterMsg::from_frame(msg.to_frame()), msg);
-            // And the wire codec carries the frame losslessly.
-            let bytes = tempo_service::wire::encode_cluster(&msg.to_frame());
-            let back = tempo_service::wire::decode_cluster(&bytes).unwrap();
-            assert_eq!(ClusterMsg::from_frame(back), msg);
-        }
-    }
-}
+pub use tempo_service::wire::ClusterFrame;

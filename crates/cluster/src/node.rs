@@ -8,7 +8,7 @@
 use tempo_net::{Actor, Context, NodeId};
 
 use crate::client::AuditClient;
-use crate::msg::ClusterMsg;
+use crate::msg::ClusterFrame;
 use crate::replica::ClusterReplica;
 
 /// Either a cluster-time replica or an audit client.
@@ -65,23 +65,23 @@ impl From<AuditClient> for ClusterNode {
 }
 
 impl Actor for ClusterNode {
-    type Msg = ClusterMsg;
+    type Msg = ClusterFrame;
 
-    fn on_start(&mut self, ctx: &mut Context<'_, ClusterMsg>) {
+    fn on_start(&mut self, ctx: &mut Context<'_, ClusterFrame>) {
         match self {
             ClusterNode::Replica(r) => r.on_start(ctx),
             ClusterNode::Client(c) => c.on_start(ctx),
         }
     }
 
-    fn on_message(&mut self, from: NodeId, msg: ClusterMsg, ctx: &mut Context<'_, ClusterMsg>) {
+    fn on_message(&mut self, from: NodeId, msg: ClusterFrame, ctx: &mut Context<'_, ClusterFrame>) {
         match self {
             ClusterNode::Replica(r) => r.on_message(from, msg, ctx),
             ClusterNode::Client(c) => c.on_message(from, msg, ctx),
         }
     }
 
-    fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, ClusterMsg>) {
+    fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, ClusterFrame>) {
         match self {
             ClusterNode::Replica(r) => r.on_timer(tag, ctx),
             ClusterNode::Client(c) => c.on_timer(tag, ctx),

@@ -11,7 +11,7 @@ use tempo_service::{ClusterState, HealthTracker, Lifecycle, Message, StableStore
 use tempo_telemetry::{Bus, EventKind, RefusalCause, TelemetryEvent};
 
 use crate::config::{ClusterConfig, ClusterFault};
-use crate::msg::ClusterMsg;
+use crate::msg::ClusterFrame;
 
 /// The cluster housekeeping timer. Bit 62 keeps the tag disjoint from
 /// every tag the embedded server uses (small ordinals, epochs in bits
@@ -216,7 +216,7 @@ impl ClusterReplica {
     /// this layer with any lifecycle transition the callback caused.
     fn drive_inner(
         &mut self,
-        ctx: &mut Context<'_, ClusterMsg>,
+        ctx: &mut Context<'_, ClusterFrame>,
         f: impl FnOnce(&mut TimeServer, &mut Context<'_, Message>),
     ) {
         let mut inner = ctx.map_msg::<Message>();
@@ -224,7 +224,7 @@ impl ClusterReplica {
         let actions = inner.take_actions();
         for action in actions {
             match action {
-                tempo_net::ActorAction::Send { to, msg } => ctx.send(to, ClusterMsg::Base(msg)),
+                tempo_net::ActorAction::Send { to, msg } => ctx.send(to, ClusterFrame::Base(msg)),
                 tempo_net::ActorAction::Timer { delay, tag } => ctx.set_timer(delay, tag),
             }
         }
@@ -236,7 +236,7 @@ impl ClusterReplica {
     /// consequences: a crash clears every volatile role, a restart
     /// rehydrates the cluster record from stable storage — or, under
     /// amnesia, from nothing.
-    fn sync_lifecycle(&mut self, ctx: &mut Context<'_, ClusterMsg>) {
+    fn sync_lifecycle(&mut self, ctx: &mut Context<'_, ClusterFrame>) {
         let stats = self.server.stats();
         if stats.crashes > self.seen_crashes {
             self.seen_crashes = stats.crashes;
@@ -297,7 +297,7 @@ impl ClusterReplica {
 
     /// Adopts a strictly higher view learned from a peer, surrendering
     /// any primary role or candidacy for an older view.
-    fn observe_view(&mut self, view: u64, ctx: &mut Context<'_, ClusterMsg>) {
+    fn observe_view(&mut self, view: u64, ctx: &mut Context<'_, ClusterFrame>) {
         if view <= self.view {
             return;
         }
@@ -325,7 +325,7 @@ impl ClusterReplica {
         request_id: u64,
         cause: RefusalCause,
         client: NodeId,
-        ctx: &mut Context<'_, ClusterMsg>,
+        ctx: &mut Context<'_, ClusterFrame>,
     ) {
         match cause {
             RefusalCause::NoLease => self.stats.refused_no_lease += 1,
@@ -343,7 +343,7 @@ impl ClusterReplica {
             });
         ctx.send(
             client,
-            ClusterMsg::TsRefused {
+            ClusterFrame::TsRefused {
                 request_id,
                 view: self.view,
                 cause,
@@ -373,11 +373,11 @@ impl ClusterReplica {
         ))
     }
 
-    fn send_renewal(&mut self, ctx: &mut Context<'_, ClusterMsg>) {
+    fn send_renewal(&mut self, ctx: &mut Context<'_, ClusterFrame>) {
         self.renew_seq += 1;
         self.renew_acks.iter_mut().for_each(|a| *a = None);
         self.last_renew_sent = Some(ctx.now());
-        let msg = ClusterMsg::LeaseRenew {
+        let msg = ClusterFrame::LeaseRenew {
             view: self.view,
             seq: self.renew_seq,
         };
@@ -398,7 +398,7 @@ impl ClusterReplica {
     /// Grants (or re-extends) the lease once a quorum of renewal acks
     /// is in: intersects the readings tolerating `f` liars, snapshots
     /// the result, and adopts the highest acked mark.
-    fn try_grant(&mut self, ctx: &mut Context<'_, ClusterMsg>) {
+    fn try_grant(&mut self, ctx: &mut Context<'_, ClusterFrame>) {
         let acked = self.renew_acks.iter().flatten().count();
         if acked + 1 < self.config.quorum() {
             return;
@@ -449,7 +449,7 @@ impl ClusterReplica {
         &mut self,
         request_id: u64,
         client: NodeId,
-        ctx: &mut Context<'_, ClusterMsg>,
+        ctx: &mut Context<'_, ClusterFrame>,
     ) {
         if self.server.lifecycle() == Lifecycle::Booting {
             self.refuse(request_id, RefusalCause::Booting, client, ctx);
@@ -459,10 +459,11 @@ impl ClusterReplica {
             self.stats.redirects += 1;
             ctx.send(
                 client,
-                ClusterMsg::TsRedirect {
+                ClusterFrame::TsRedirect {
                     request_id,
                     view: self.view,
-                    primary: self.config.primary_of(self.view),
+                    primary: u32::try_from(self.config.primary_of(self.view))
+                        .expect("replica index fits a u32"),
                 },
             );
             return;
@@ -508,8 +509,8 @@ impl ClusterReplica {
         self.try_release(ctx);
     }
 
-    fn broadcast_hw(&mut self, ctx: &mut Context<'_, ClusterMsg>) {
-        let msg = ClusterMsg::HwUpdate {
+    fn broadcast_hw(&mut self, ctx: &mut Context<'_, ClusterFrame>) {
+        let msg = ClusterFrame::HwUpdate {
             view: self.view,
             high_water: self.high_water,
         };
@@ -527,7 +528,7 @@ impl ClusterReplica {
         client: NodeId,
         lo: Timestamp,
         hi: Timestamp,
-        ctx: &mut Context<'_, ClusterMsg>,
+        ctx: &mut Context<'_, ClusterFrame>,
     ) {
         self.stats.issued += 1;
         let (at, server, view) = (ctx.now(), self.me, self.view);
@@ -542,7 +543,7 @@ impl ClusterReplica {
             });
         ctx.send(
             client,
-            ClusterMsg::TsReply {
+            ClusterFrame::TsReply {
                 request_id,
                 view: self.view,
                 timestamp: ts,
@@ -553,7 +554,7 @@ impl ClusterReplica {
     /// Releases every pending issue whose mark a quorum has durably
     /// acked, in timestamp order (so the released stream is itself
     /// monotonic).
-    fn try_release(&mut self, ctx: &mut Context<'_, ClusterMsg>) {
+    fn try_release(&mut self, ctx: &mut Context<'_, ClusterFrame>) {
         loop {
             let Some((&ts, &pending)) = self.pendings.iter().next() else {
                 return;
@@ -581,7 +582,7 @@ impl ClusterReplica {
 
     // ----- elections -----
 
-    fn start_election(&mut self, ctx: &mut Context<'_, ClusterMsg>) {
+    fn start_election(&mut self, ctx: &mut Context<'_, ClusterFrame>) {
         let n = self.config.n() as u64;
         let base = self.candidate_view.unwrap_or(self.view);
         // The smallest view above `base` whose primary is this replica.
@@ -597,7 +598,7 @@ impl ClusterReplica {
         let backoff = 1u32 << self.election_attempts.min(5);
         self.election_not_before = ctx.now() + self.config.request_timeout * f64::from(backoff);
         self.election_attempts += 1;
-        let msg = ClusterMsg::ViewChangeReq { view: v };
+        let msg = ClusterFrame::ViewChangeReq { view: v };
         for (idx, &peer) in self.config.replicas.clone().iter().enumerate() {
             if idx != self.config.index {
                 ctx.send(peer, msg);
@@ -607,7 +608,7 @@ impl ClusterReplica {
         self.try_win(ctx);
     }
 
-    fn try_win(&mut self, ctx: &mut Context<'_, ClusterMsg>) {
+    fn try_win(&mut self, ctx: &mut Context<'_, ClusterFrame>) {
         let Some(v) = self.candidate_view else { return };
         let granted = self.votes.iter().filter(|&&b| b).count();
         if granted + 1 < self.config.quorum() {
@@ -635,7 +636,7 @@ impl ClusterReplica {
 
     // ----- housekeeping -----
 
-    fn tick(&mut self, ctx: &mut Context<'_, ClusterMsg>) {
+    fn tick(&mut self, ctx: &mut Context<'_, ClusterFrame>) {
         if self.server.lifecycle() == Lifecycle::Crashed {
             return;
         }
@@ -725,18 +726,20 @@ impl ClusterReplica {
     fn on_cluster_message(
         &mut self,
         from: NodeId,
-        msg: ClusterMsg,
-        ctx: &mut Context<'_, ClusterMsg>,
+        msg: ClusterFrame,
+        ctx: &mut Context<'_, ClusterFrame>,
     ) {
         match msg {
-            ClusterMsg::Base(_) => unreachable!("routed before dispatch"),
-            ClusterMsg::TsRequest { request_id, .. } => self.handle_request(request_id, from, ctx),
-            ClusterMsg::TsReply { .. }
-            | ClusterMsg::TsRefused { .. }
-            | ClusterMsg::TsRedirect { .. } => {
+            ClusterFrame::Base(_) => unreachable!("routed before dispatch"),
+            ClusterFrame::TsRequest { request_id, .. } => {
+                self.handle_request(request_id, from, ctx)
+            }
+            ClusterFrame::TsReply { .. }
+            | ClusterFrame::TsRefused { .. }
+            | ClusterFrame::TsRedirect { .. } => {
                 // Client-facing traffic; a replica ignores strays.
             }
-            ClusterMsg::LeaseRenew { view, seq } => {
+            ClusterFrame::LeaseRenew { view, seq } => {
                 self.observe_view(view, ctx);
                 if view < self.view {
                     // A primary deposed while down would otherwise renew
@@ -760,7 +763,7 @@ impl ClusterReplica {
                 };
                 ctx.send(
                     from,
-                    ClusterMsg::LeaseAck {
+                    ClusterFrame::LeaseAck {
                         view,
                         seq,
                         estimate,
@@ -768,7 +771,7 @@ impl ClusterReplica {
                     },
                 );
             }
-            ClusterMsg::LeaseAck {
+            ClusterFrame::LeaseAck {
                 view,
                 seq,
                 estimate,
@@ -784,7 +787,7 @@ impl ClusterReplica {
                 self.renew_acks[idx] = Some((estimate, high_water));
                 self.try_grant(ctx);
             }
-            ClusterMsg::ViewChangeReq { view } => {
+            ClusterFrame::ViewChangeReq { view } => {
                 if view > self.view {
                     self.observe_view(view, ctx);
                     let high_water = if self.config.fault == Some(ClusterFault::UnderstateHw) {
@@ -794,7 +797,7 @@ impl ClusterReplica {
                     };
                     ctx.send(
                         from,
-                        ClusterMsg::ViewChangeAck {
+                        ClusterFrame::ViewChangeAck {
                             view,
                             ok: true,
                             high_water,
@@ -803,7 +806,7 @@ impl ClusterReplica {
                 } else {
                     ctx.send(
                         from,
-                        ClusterMsg::ViewChangeAck {
+                        ClusterFrame::ViewChangeAck {
                             view: self.view,
                             ok: false,
                             high_water: self.high_water,
@@ -811,7 +814,7 @@ impl ClusterReplica {
                     );
                 }
             }
-            ClusterMsg::ViewChangeAck {
+            ClusterFrame::ViewChangeAck {
                 view,
                 ok,
                 high_water,
@@ -830,7 +833,7 @@ impl ClusterReplica {
                     self.observe_view(view, ctx);
                 }
             }
-            ClusterMsg::HwUpdate { view, high_water } => {
+            ClusterFrame::HwUpdate { view, high_water } => {
                 self.observe_view(view, ctx);
                 if view < self.view {
                     self.nack_stale(from, ctx);
@@ -847,13 +850,13 @@ impl ClusterReplica {
                 };
                 ctx.send(
                     from,
-                    ClusterMsg::HwAck {
+                    ClusterFrame::HwAck {
                         view,
                         high_water: acked,
                     },
                 );
             }
-            ClusterMsg::HwAck { view, high_water } => {
+            ClusterFrame::HwAck { view, high_water } => {
                 if view != self.view || !self.is_primary() {
                     return;
                 }
@@ -876,10 +879,10 @@ impl ClusterReplica {
     /// Answers a stale-view sender with a refused view-change ack
     /// carrying our (higher) view — the handler for `ok: false` adopts
     /// it, so a deposed primary catches up instead of renewing forever.
-    fn nack_stale(&mut self, to: NodeId, ctx: &mut Context<'_, ClusterMsg>) {
+    fn nack_stale(&mut self, to: NodeId, ctx: &mut Context<'_, ClusterFrame>) {
         ctx.send(
             to,
-            ClusterMsg::ViewChangeAck {
+            ClusterFrame::ViewChangeAck {
                 view: self.view,
                 ok: false,
                 high_water: self.high_water,
@@ -889,9 +892,9 @@ impl ClusterReplica {
 }
 
 impl Actor for ClusterReplica {
-    type Msg = ClusterMsg;
+    type Msg = ClusterFrame;
 
-    fn on_start(&mut self, ctx: &mut Context<'_, ClusterMsg>) {
+    fn on_start(&mut self, ctx: &mut Context<'_, ClusterFrame>) {
         self.me = ctx.label();
         if let Some(cs) = self.store.load_cluster() {
             self.view = cs.view;
@@ -912,8 +915,8 @@ impl Actor for ClusterReplica {
         ctx.set_timer(self.config.tick, TICK_TAG);
     }
 
-    fn on_message(&mut self, from: NodeId, msg: ClusterMsg, ctx: &mut Context<'_, ClusterMsg>) {
-        if let ClusterMsg::Base(base) = msg {
+    fn on_message(&mut self, from: NodeId, msg: ClusterFrame, ctx: &mut Context<'_, ClusterFrame>) {
+        if let ClusterFrame::Base(base) = msg {
             self.drive_inner(ctx, |server, inner| server.on_message(from, base, inner));
             return;
         }
@@ -925,7 +928,7 @@ impl Actor for ClusterReplica {
         self.on_cluster_message(from, msg, ctx);
     }
 
-    fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, ClusterMsg>) {
+    fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, ClusterFrame>) {
         if tag == TICK_TAG {
             self.tick(ctx);
             // Always re-armed — the housekeeping loop survives crashes

@@ -438,9 +438,15 @@ pub fn decode(bytes: &[u8]) -> Result<Message, DecodeError> {
 // 14    hw ack           22   view, high water
 // ```
 
-/// A frame of the cluster-time protocol: either a base time-service
-/// message (types 1–3, encoded exactly as [`encode`] would) or one of
-/// the cluster control/data frames (types 5–14).
+/// A message of the cluster-time protocol: either a base time-service
+/// message (types 1–3, encoded exactly as [`encode`] would — the
+/// embedded `TimeServer`s keep running their resync rounds through the
+/// same links) or one of the cluster control/data frames (types 5–14).
+///
+/// This is the one declaration of the protocol: the `tempo-cluster`
+/// actors send and match on these values in the simulator, and
+/// [`encode_cluster`] / [`decode_cluster`] put the same values on a
+/// socket, so there is no message-to-frame conversion to keep in step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ClusterFrame {
     /// A base time-service message, byte-identical to its stand-alone
@@ -448,12 +454,13 @@ pub enum ClusterFrame {
     Base(Message),
     /// Client → primary: assign a monotonic cluster timestamp.
     TsRequest {
-        /// Client-chosen correlation id.
+        /// Client-chosen correlation id (stable across retries).
         request_id: u64,
         /// Retry ordinal (0 for the first send).
         attempt: u8,
     },
-    /// Primary → client: the assigned timestamp.
+    /// Primary → client: the assigned timestamp, released only after a
+    /// quorum has the high-water mark on stable storage.
     TsReply {
         /// Echoed correlation id.
         request_id: u64,
@@ -477,7 +484,9 @@ pub enum ClusterFrame {
         request_id: u64,
         /// The redirecting replica's current view.
         view: u64,
-        /// Replica index of the believed primary.
+        /// Replica index (`view mod n`) of the believed primary. A
+        /// client reduces it modulo its replica list: a confused or
+        /// hostile backup can put any value here.
         primary: u32,
     },
     /// Primary → backups: heartbeat asking for a lease extension.
@@ -506,11 +515,13 @@ pub enum ClusterFrame {
     },
     /// Replica → candidate: vote granted or refused.
     ViewChangeAck {
-        /// Echoed view.
+        /// The view being acked (the candidate's on a grant, the
+        /// voter's higher view on a refusal).
         view: u64,
         /// Whether the vote was granted.
         ok: bool,
-        /// The voter's durable high-water mark (for catch-up).
+        /// The voter's durable high-water mark, for the new primary's
+        /// catch-up.
         high_water: u64,
     },
     /// Primary → backups: replicate the high-water mark before release.

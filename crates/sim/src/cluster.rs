@@ -7,13 +7,13 @@
 //! from the telemetry stream plus the actors' final counters.
 //!
 //! A scenario can host several *independent* clusters (disjoint
-//! cliques of `replicas + clients` nodes): cluster traffic is
-//! intra-component, so multi-cluster worlds exercise the exact sharded
-//! execution path the plain [`crate::Scenario`] uses — each cluster
-//! runs as its own sub-world and the telemetry streams are merged back
-//! into the canonical single-threaded order, byte-identical JSONL
-//! included. The ClusterTime oracle is armed per cluster: monotonicity
-//! is promised within a cluster, never across unrelated ones.
+//! cliques of `replicas + clients` nodes). It runs on the same engine
+//! as the plain [`crate::Scenario`] — this module supplies the node,
+//! the sinks and the outcome type, nothing else — so a multi-cluster
+//! run shards one sub-world per cluster and comes back byte-identical,
+//! JSONL included. The ClusterTime oracle is armed per cluster:
+//! monotonicity is promised within a cluster, never across unrelated
+//! ones.
 
 use std::cell::RefCell;
 use std::path::PathBuf;
@@ -25,13 +25,13 @@ use tempo_cluster::{
     ClusterReplica, ClusterStats,
 };
 use tempo_core::{DriftRate, Duration, Timestamp};
-use tempo_net::{DelayModel, NetConfig, NetStats, NodeId, Partition, Topology, World};
+use tempo_net::{DelayModel, NetStats, NodeId, Partition, Topology};
 use tempo_oracle::cluster::{ClusterOracle, ClusterReport};
 use tempo_service::{MemoryStore, ServerConfig, ServerFault, ServerStats, Strategy, TimeServer};
 use tempo_telemetry::Bus;
 
-use crate::engine::{merge_events, RecordingSink, ShardRun, RING_CAPACITY};
-use crate::sinks::{ClusterOracleSink, JsonlSink};
+use crate::engine::{self, Deployment, Plan, Sampler};
+use crate::sinks::ClusterOracleSink;
 
 /// One cluster replica's hardware, claims, and armed faults.
 #[derive(Debug, Clone)]
@@ -341,44 +341,66 @@ impl ClusterScenario {
         self.delay.max_delay() * 2.0
     }
 
-    fn net_config(&self) -> NetConfig {
-        let mut net = NetConfig::with_delay(self.delay.clone()).loss(self.loss);
-        net.partitions.extend(self.partitions.iter().cloned());
-        net
-    }
-
-    /// The net config a sub-world hosting exactly `members` needs:
-    /// partitions are filtered to the members and remapped to local
-    /// indices.
-    fn net_config_local(&self, members: &[NodeId]) -> NetConfig {
-        let mut net = NetConfig::with_delay(self.delay.clone()).loss(self.loss);
-        let local = |node: NodeId| members.binary_search(&node).ok().map(NodeId::new);
-        for partition in &self.partitions {
-            let groups: Vec<Vec<NodeId>> = partition
-                .groups
-                .iter()
-                .map(|g| g.iter().copied().filter_map(local).collect())
-                .collect();
-            if groups.iter().filter(|g| !g.is_empty()).count() >= 2 {
-                net.partitions.push(Partition {
-                    from: partition.from,
-                    until: partition.until,
-                    groups,
-                });
-            }
+    /// Builds the deployment and runs it to the configured horizon.
+    ///
+    /// Multi-cluster scenarios with [`ClusterScenario::sharded`]
+    /// enabled run one sub-world per cluster on worker threads and
+    /// merge the telemetry streams back into the canonical order; the
+    /// sinks (and therefore the result) cannot tell the difference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scenario has no replicas, or if the telemetry
+    /// export file cannot be written.
+    #[must_use]
+    pub fn run(&self) -> ClusterRunResult {
+        assert!(
+            !self.replicas.is_empty(),
+            "cluster scenario needs at least one replica"
+        );
+        let topology = Topology::disjoint_cliques(self.clusters, self.per_cluster());
+        let run = engine::run(self, topology);
+        ClusterRunResult {
+            outcomes: run.world.outcomes,
+            oracle: run.sinks.and_then(|sink| sink.borrow_mut().finish()),
+            net: run.world.net,
+            dropped_events: run.dropped_events,
+            xi_witness: run.xi_witness,
         }
-        net
+    }
+}
+
+impl Deployment for ClusterScenario {
+    type Node = ClusterNode;
+    type Outcome = NodeOutcome;
+    type Sinks = Option<Rc<RefCell<ClusterOracleSink>>>;
+
+    fn plan(&self) -> Plan<'_> {
+        Plan {
+            seed: self.seed,
+            duration: self.duration,
+            shards: self.shards,
+            delay: &self.delay,
+            loss: self.loss,
+            duplication: 0.0,
+            partitions: &self.partitions,
+            telemetry_out: self.telemetry_out.as_ref(),
+            label: format!("cluster+{}", self.strategy()),
+            resync_period: self.resync_period,
+        }
     }
 
-    /// Builds node `k` of cluster `g` with peer addresses based at
-    /// `base` (the cluster's first node index in the hosting world:
-    /// `g * per_cluster()` in the combined world, `0` in a sub-world).
-    /// Clock seeds always derive from the *global* index, so a
-    /// sub-world gets the same hardware.
-    fn build_node(&self, g: usize, k: usize, base: usize) -> ClusterNode {
+    /// Node `i` is node `i % per_cluster()` of cluster `i /
+    /// per_cluster()`; its replica set is addressed by the ids the
+    /// hosting world gives it.
+    fn build_node(&self, i: usize, members: &[NodeId], bus: &Bus) -> ClusterNode {
         let r = self.replicas.len();
+        let per = self.per_cluster();
+        let (g, k) = (i / per, i % per);
+        let base = members
+            .binary_search(&NodeId::new(g * per))
+            .expect("a world hosts a cluster whole");
         let replica_ids: Vec<NodeId> = (base..base + r).map(NodeId::new).collect();
-        let global = g * self.per_cluster() + k;
         if k >= r {
             return AuditClient::new(
                 AuditClientConfig::new(replica_ids)
@@ -391,11 +413,7 @@ impl ClusterScenario {
         let clock = SimClock::builder()
             .drift(DriftModel::Constant(spec.drift))
             .initial_value(Timestamp::ZERO + spec.initial_offset)
-            .seed(
-                self.seed
-                    .wrapping_mul(0x5851_F42D_4C95_7F2D)
-                    .wrapping_add(global as u64),
-            )
+            .seed(engine::clock_seed(self.seed, i))
             .build();
         let mut server_config =
             ServerConfig::new(self.strategy(), DriftRate::new(spec.claimed_bound))
@@ -419,216 +437,45 @@ impl ClusterScenario {
         if let Some(fault) = spec.cluster_fault {
             cluster_config = cluster_config.fault(fault);
         }
-        ClusterReplica::new(server, cluster_config, Box::new(MemoryStore::new())).into()
+        let mut replica = ClusterReplica::new(server, cluster_config, Box::new(MemoryStore::new()));
+        replica.attach_bus(bus.clone());
+        replica.into()
     }
 
-    fn attach_sinks(&self, bus: &Bus, n: usize) -> ClusterSinkSet {
-        let oracle = self.oracle.then(|| {
+    fn sampler(&self) -> Option<(Duration, Sampler<ClusterNode>)> {
+        None
+    }
+
+    fn outcome(node: &ClusterNode) -> NodeOutcome {
+        match node {
+            ClusterNode::Replica(r) => NodeOutcome::Replica(Box::new(ReplicaOutcome {
+                stats: r.stats(),
+                server: r.server().stats(),
+                view: r.view(),
+                high_water: r.high_water(),
+            })),
+            ClusterNode::Client(c) => NodeOutcome::Client(ClientOutcome {
+                stats: c.stats(),
+                last_timestamp: c.last_timestamp(),
+            }),
+        }
+    }
+
+    fn attach_sinks(&self, bus: &Bus) -> Self::Sinks {
+        self.oracle.then(|| {
             let per = self.per_cluster();
             let oracles = (0..self.clusters)
                 .map(|_| ClusterOracle::new(self.seed))
                 .collect();
-            let cluster_of = (0..n).map(|i| i / per).collect();
+            let cluster_of = (0..self.clusters * per).map(|i| i / per).collect();
             let sink = Rc::new(RefCell::new(ClusterOracleSink::new(oracles, cluster_of)));
             bus.subscribe(Rc::clone(&sink));
             sink
-        });
-        let jsonl = crate::sinks::open_jsonl(self.telemetry_out.as_ref());
-        if let Some(sink) = &jsonl {
-            sink.borrow_mut().run_start(
-                self.seed,
-                n,
-                &format!("cluster+{}", self.strategy()),
-                self.xi(),
-                self.resync_period,
-            );
-            bus.subscribe(Rc::clone(sink));
-        }
-        ClusterSinkSet { oracle, jsonl }
+        })
     }
 
-    fn harvest_outcomes(world: &World<ClusterNode>) -> Vec<NodeOutcome> {
-        world
-            .actors()
-            .iter()
-            .map(|node| match node {
-                ClusterNode::Replica(r) => NodeOutcome::Replica(Box::new(ReplicaOutcome {
-                    stats: r.stats(),
-                    server: r.server().stats(),
-                    view: r.view(),
-                    high_water: r.high_water(),
-                })),
-                ClusterNode::Client(c) => NodeOutcome::Client(ClientOutcome {
-                    stats: c.stats(),
-                    last_timestamp: c.last_timestamp(),
-                }),
-            })
-            .collect()
-    }
-
-    /// Builds the deployment and runs it to the configured horizon.
-    ///
-    /// Multi-cluster scenarios with [`ClusterScenario::sharded`]
-    /// enabled run one sub-world per cluster on worker threads and
-    /// merge the telemetry streams back into the canonical order; the
-    /// sinks (and therefore the result) cannot tell the difference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scenario has no replicas, or if the telemetry
-    /// export file cannot be written.
-    #[must_use]
-    pub fn run(&self) -> ClusterRunResult {
-        assert!(
-            !self.replicas.is_empty(),
-            "cluster scenario needs at least one replica"
-        );
-        let topology = Topology::disjoint_cliques(self.clusters, self.per_cluster());
-        if self.shards > 0 && self.clusters > 1 {
-            let components = topology.components();
-            return self.run_sharded(&topology, &components);
-        }
-        self.run_single(topology)
-    }
-
-    /// The classic path: one world hosting every cluster.
-    fn run_single(&self, topology: Topology) -> ClusterRunResult {
-        let n = topology.len();
-        let per = self.per_cluster();
-        let bus = Bus::with_ring(RING_CAPACITY);
-        let sinks = self.attach_sinks(&bus, n);
-
-        let mut nodes: Vec<ClusterNode> = (0..n)
-            .map(|i| self.build_node(i / per, i % per, (i / per) * per))
-            .collect();
-        for node in &mut nodes {
-            if let Some(replica) = node.as_replica_mut() {
-                replica.attach_bus(bus.clone());
-            }
-        }
-        let mut world =
-            World::new_with_bus(nodes, topology, self.net_config(), self.seed, bus.clone());
-        world.run_until(Timestamp::ZERO + self.duration);
-
-        let outcomes = Self::harvest_outcomes(&world);
-        let xi_witness = world.max_observed_delay() * 2.0;
-        sinks.harvest(bus.dropped_events(), xi_witness, world.stats(), outcomes)
-    }
-
-    /// Runs one cluster as an independent sub-world and records its
-    /// raw telemetry stream for the deterministic merge.
-    fn run_shard(&self, topology: &Topology, members: &[NodeId]) -> ShardRun<NodeOutcome> {
-        let per = self.per_cluster();
-        let g = members[0].index() / per;
-        let bus = Bus::new();
-        let recorder = Rc::new(RefCell::new(RecordingSink::new(false)));
-        bus.subscribe(Rc::clone(&recorder));
-
-        let mut nodes: Vec<ClusterNode> = (0..per).map(|k| self.build_node(g, k, 0)).collect();
-        for node in &mut nodes {
-            if let Some(replica) = node.as_replica_mut() {
-                replica.attach_bus(bus.clone());
-            }
-        }
-        let labels: Vec<usize> = members.iter().map(|m| m.index()).collect();
-        let mut world = World::new_labeled(
-            nodes,
-            topology.induced(members),
-            self.net_config_local(members),
-            self.seed,
-            bus.clone(),
-            labels,
-        );
-        world.run_until(Timestamp::ZERO + self.duration);
-
-        let final_stats = Self::harvest_outcomes(&world);
-        let events = std::mem::take(&mut recorder.borrow_mut().events);
-        ShardRun {
-            events: events.into(),
-            offered: bus.offered_events(),
-            final_stats,
-            net: world.stats(),
-            max_observed_delay: world.max_observed_delay(),
-        }
-    }
-
-    /// The sharded path: one sub-world per cluster on a bounded pool
-    /// of scoped threads, then a deterministic merge of the recorded
-    /// streams through the same sinks the single path uses.
-    fn run_sharded(&self, topology: &Topology, components: &[Vec<NodeId>]) -> ClusterRunResult {
-        let n = topology.len();
-        let threads = self.shards.min(components.len());
-        let chunk = components.len().div_ceil(threads);
-        let mut runs: Vec<Option<ShardRun<NodeOutcome>>> =
-            components.iter().map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (comps, outs) in components.chunks(chunk).zip(runs.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (members, out) in comps.iter().zip(outs.iter_mut()) {
-                        *out = Some(self.run_shard(topology, members));
-                    }
-                });
-            }
-        });
-        let mut shards: Vec<ShardRun<NodeOutcome>> = runs
-            .into_iter()
-            .map(|r| r.expect("every cluster ran"))
-            .collect();
-
-        let bus = Bus::with_ring(RING_CAPACITY);
-        let sinks = self.attach_sinks(&bus, n);
-        merge_events(n, components, &mut shards, |event| bus.emit(event));
-
-        let mut outcomes: Vec<Option<NodeOutcome>> = (0..n).map(|_| None).collect();
-        for (members, shard) in components.iter().zip(shards.iter_mut()) {
-            for (k, &node) in members.iter().enumerate() {
-                outcomes[node.index()] = Some(shard.final_stats[k].clone());
-            }
-        }
-        let net = shards
-            .iter()
-            .fold(NetStats::default(), |acc, s| acc.merged(s.net));
-        let max_delay = shards
-            .iter()
-            .map(|s| s.max_observed_delay)
-            .fold(Duration::ZERO, Duration::max);
-        sinks.harvest(
-            bus.dropped_events(),
-            max_delay * 2.0,
-            net,
-            outcomes
-                .into_iter()
-                .map(|o| o.expect("every node ran"))
-                .collect(),
-        )
-    }
-}
-
-/// The sinks both execution paths report through.
-struct ClusterSinkSet {
-    oracle: Option<Rc<RefCell<ClusterOracleSink>>>,
-    jsonl: Option<Rc<RefCell<JsonlSink>>>,
-}
-
-impl ClusterSinkSet {
-    fn harvest(
-        self,
-        dropped_events: u64,
-        xi_witness: Duration,
-        net: NetStats,
-        outcomes: Vec<NodeOutcome>,
-    ) -> ClusterRunResult {
-        if let Some(sink) = &self.jsonl {
-            sink.borrow_mut().finish(dropped_events, xi_witness, &net);
-        }
-        let oracle = self.oracle.and_then(|sink| sink.borrow_mut().finish());
-        ClusterRunResult {
-            outcomes,
-            oracle,
-            net,
-            dropped_events,
-            xi_witness,
-        }
+    fn wants_full_stream(&self) -> bool {
+        self.oracle
     }
 }
 

@@ -1,25 +1,230 @@
-//! Shared sharded-execution machinery.
+//! The deployment engine: the one place a declarative deployment
+//! becomes a running [`World`].
 //!
 //! Both deployment layers — the paper's time service
 //! ([`crate::Scenario`]) and the ClusterTime layer above it
-//! ([`crate::ClusterScenario`]) — run multi-component topologies the
-//! same way: each connected component executes as an independent
-//! sub-world on a worker thread, its telemetry stream is recorded
-//! verbatim, and the per-shard streams are k-way merged back into the
-//! exact emission order of the combined single-threaded world. The
-//! pieces here are the actor-agnostic half of that pipeline; building
-//! the sub-worlds stays with each scenario type.
+//! ([`crate::ClusterScenario`]) — run through [`run`]. A
+//! [`Deployment`] says what is particular to its layer: how node `i` is
+//! built and wired to the bus, whether the run is sampled on a tick,
+//! which sinks listen, and what a node's final state looks like.
+//! Everything else is written here once: the network configuration and
+//! clock seeds, the single combined world, and the sharded path — each
+//! connected component an independent sub-world on a scoped worker
+//! thread, its telemetry recorded verbatim and k-way merged back into
+//! the exact emission order of the combined world, so no sink (and
+//! therefore no result) can tell the two paths apart.
+//!
+//! Node names in a [`NetConfig`] — partitions, link overrides — are
+//! *global labels* in every world, combined or sub-world, so every
+//! world of a run is handed the same config, unmapped.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::path::PathBuf;
+use std::rc::Rc;
 
 use tempo_core::{Duration, Timestamp};
+use tempo_net::{Actor, DelayModel, NetConfig, NetStats, NodeId, Partition, Topology, World};
+use tempo_telemetry::{Bus, EventKind, Observer, SampleSnapshot, TelemetryEvent};
 
 /// How many recent events a run's bus ring retains for post-mortem
 /// inspection; overflow is counted in the result's `dropped_events`.
-pub(crate) const RING_CAPACITY: usize = 4096;
-use tempo_net::{NetStats, NodeId};
-use tempo_telemetry::{EventKind, Observer, SampleSnapshot, TelemetryEvent};
+const RING_CAPACITY: usize = 4096;
+
+/// The seed of global node `index`'s hardware clock. A function of the
+/// *global* index, so a sub-world hosting a subset of the nodes gets
+/// the same hardware.
+pub(crate) fn clock_seed(seed: u64, index: usize) -> u64 {
+    seed.wrapping_mul(0x5851_F42D_4C95_7F2D)
+        .wrapping_add(index as u64)
+}
+
+/// What every deployment declares about its run: the network, the
+/// horizon, and where (and under which header) the stream is exported.
+pub(crate) struct Plan<'a> {
+    pub(crate) seed: u64,
+    pub(crate) duration: Duration,
+    /// Worker-thread cap for the sharded path (`0` disables it).
+    pub(crate) shards: usize,
+    pub(crate) delay: &'a DelayModel,
+    pub(crate) loss: f64,
+    pub(crate) duplication: f64,
+    pub(crate) partitions: &'a [Partition],
+    pub(crate) telemetry_out: Option<&'a PathBuf>,
+    /// The export header's strategy label and `τ`.
+    pub(crate) label: String,
+    pub(crate) resync_period: Duration,
+}
+
+impl Plan<'_> {
+    fn net_config(&self) -> NetConfig {
+        let mut net = NetConfig::with_delay(self.delay.clone()).loss(self.loss);
+        if self.duplication > 0.0 {
+            net = net.duplication(self.duplication);
+        }
+        net.partitions.extend(self.partitions.iter().cloned());
+        net
+    }
+}
+
+/// The per-tick measurement a sampled deployment takes of its nodes.
+pub(crate) type Sampler<N> = fn(Timestamp, &mut [N]) -> Vec<SampleSnapshot>;
+
+/// What a deployment layer supplies to the engine.
+pub(crate) trait Deployment: Sync {
+    /// The actor every node of the world runs.
+    type Node: Actor;
+    /// A node's final state, carried out of its world as plain data.
+    type Outcome: Send;
+    /// The layer's own sinks, handed back for harvesting.
+    type Sinks;
+
+    fn plan(&self) -> Plan<'_>;
+
+    /// Builds global node `i`, reporting to `bus`, for a world hosting
+    /// exactly `members` (ascending global indices; a node's id in that
+    /// world is its position in `members`).
+    fn build_node(&self, i: usize, members: &[NodeId], bus: &Bus) -> Self::Node;
+
+    /// The sampling interval and measurement, for deployments whose
+    /// stream carries a per-tick [`TelemetryEvent::Sample`].
+    fn sampler(&self) -> Option<(Duration, Sampler<Self::Node>)>;
+
+    fn outcome(node: &Self::Node) -> Self::Outcome;
+
+    /// Subscribes the layer's sinks to the run's bus.
+    fn attach_sinks(&self, bus: &Bus) -> Self::Sinks;
+
+    /// Whether any of those sinks consumes the full ordered event
+    /// stream, rather than the samples alone.
+    fn wants_full_stream(&self) -> bool;
+}
+
+/// What one world leaves behind.
+pub(crate) struct WorldRun<O> {
+    /// Per-node final state, in the world's node order.
+    pub(crate) outcomes: Vec<O>,
+    pub(crate) net: NetStats,
+    max_observed_delay: Duration,
+}
+
+/// A finished run, before the layer shapes it into its result type.
+pub(crate) struct Harvest<D: Deployment> {
+    pub(crate) sinks: D::Sinks,
+    /// The combined world's leavings, however many worlds ran.
+    pub(crate) world: WorldRun<D::Outcome>,
+    /// Telemetry events beyond the bus ring's retention.
+    pub(crate) dropped_events: u64,
+    /// Twice the worst one-way delay the network delivered.
+    pub(crate) xi_witness: Duration,
+}
+
+/// Runs `deployment` over `topology` to its horizon: on worker threads,
+/// one sub-world per connected component, when sharding is enabled and
+/// the topology splits; as one combined world otherwise. The export
+/// (when configured) is opened, headed and closed here; the layer's
+/// sinks come back unharvested.
+///
+/// The sub-worlds run before any sink exists. In particular the export
+/// file is not truncated and held open across the fan-out: doing so
+/// cost `sim_audit` 5–10 % of its wall time (CPU unchanged) when tried.
+///
+/// # Panics
+///
+/// Panics if the telemetry export file cannot be written.
+pub(crate) fn run<D: Deployment>(deployment: &D, topology: Topology) -> Harvest<D> {
+    let plan = deployment.plan();
+    let n = topology.len();
+    let components = if plan.shards > 0 {
+        topology.components()
+    } else {
+        Vec::new()
+    };
+    let full_stream = plan.telemetry_out.is_some()
+        || crate::sinks::default_telemetry_out().is_some()
+        || deployment.wants_full_stream();
+    let shards = (components.len() > 1)
+        .then(|| run_sharded(deployment, &plan, &topology, &components, !full_stream));
+
+    let bus = Bus::with_ring(RING_CAPACITY);
+    let sinks = deployment.attach_sinks(&bus);
+    let jsonl = crate::sinks::open_jsonl(plan.telemetry_out);
+    if let Some(sink) = &jsonl {
+        sink.borrow_mut().run_start(
+            plan.seed,
+            n,
+            &plan.label,
+            plan.delay.max_delay() * 2.0,
+            plan.resync_period,
+        );
+        bus.subscribe(Rc::clone(sink));
+    }
+    let (world, dropped_events) = match shards {
+        Some(shards) => merge_shards(n, &components, shards, &bus, full_stream),
+        None => {
+            let members: Vec<NodeId> = (0..n).map(NodeId::new).collect();
+            let world = run_world(deployment, &plan, topology, &members, &bus);
+            (world, bus.dropped_events())
+        }
+    };
+
+    let xi_witness = world.max_observed_delay * 2.0;
+    if let Some(sink) = &jsonl {
+        sink.borrow_mut()
+            .finish(dropped_events, xi_witness, &world.net);
+    }
+    Harvest {
+        sinks,
+        world,
+        dropped_events,
+        xi_witness,
+    }
+}
+
+/// Builds the world hosting exactly `members` — the whole deployment,
+/// or one connected component of it — on `bus` and runs it to the
+/// horizon. `topology` is already the induced one.
+fn run_world<D: Deployment>(
+    deployment: &D,
+    plan: &Plan<'_>,
+    topology: Topology,
+    members: &[NodeId],
+    bus: &Bus,
+) -> WorldRun<D::Outcome> {
+    let nodes: Vec<D::Node> = members
+        .iter()
+        .map(|m| deployment.build_node(m.index(), members, bus))
+        .collect();
+    let labels = members.iter().map(|m| m.index()).collect();
+    let mut world = World::new_labeled(
+        nodes,
+        topology,
+        plan.net_config(),
+        plan.seed,
+        bus.clone(),
+        labels,
+    );
+
+    let end = Timestamp::ZERO + plan.duration;
+    match deployment.sampler() {
+        // Sampling is the measurement schedule, not observation: it
+        // must happen (clock reads advance slews) whether or not
+        // anything listens, so the snapshots are built eagerly.
+        Some((interval, sample)) => world.run_sampled(end, interval, |t, actors| {
+            bus.emit(TelemetryEvent::Sample {
+                at: t,
+                servers: sample(t, actors),
+            });
+        }),
+        None => world.run_until(end),
+    }
+    WorldRun {
+        outcomes: world.actors().iter().map(D::outcome).collect(),
+        net: world.stats(),
+        max_observed_delay: world.max_observed_delay(),
+    }
+}
 
 /// Captures a shard's raw event stream for the deterministic merge. It
 /// wants every kind, as the ring-armed bus of the single-threaded path
@@ -28,19 +233,9 @@ use tempo_telemetry::{EventKind, Observer, SampleSnapshot, TelemetryEvent};
 /// events nobody consumes is the dominant cost of a large sharded run,
 /// and the ring-drop accounting needs only the shard bus's count of
 /// events offered.
-#[derive(Debug)]
-pub(crate) struct RecordingSink {
-    pub(crate) events: Vec<TelemetryEvent>,
+struct RecordingSink {
+    events: Vec<TelemetryEvent>,
     samples_only: bool,
-}
-
-impl RecordingSink {
-    pub(crate) fn new(samples_only: bool) -> Self {
-        RecordingSink {
-            events: Vec::new(),
-            samples_only,
-        }
-    }
 }
 
 impl Observer for RecordingSink {
@@ -54,18 +249,107 @@ impl Observer for RecordingSink {
 }
 
 /// Everything a component sub-world produced, carried back across the
-/// thread boundary as plain data. `S` is the per-node final-state
-/// payload ([`tempo_service::ServerStats`] for plain deployments, a
-/// richer per-node outcome for cluster ones); the merge never looks
-/// inside it.
-pub(crate) struct ShardRun<S> {
-    pub(crate) events: VecDeque<TelemetryEvent>,
+/// thread boundary as plain data; the merge never looks inside `O`.
+struct ShardRun<O> {
+    events: VecDeque<TelemetryEvent>,
     /// Every event offered to the shard's bus, including ones not in
     /// `events`.
-    pub(crate) offered: u64,
-    pub(crate) final_stats: Vec<S>,
-    pub(crate) net: NetStats,
-    pub(crate) max_observed_delay: Duration,
+    offered: u64,
+    world: WorldRun<O>,
+}
+
+/// Runs one connected component as an independent sub-world and
+/// records its raw telemetry stream for the deterministic merge.
+fn run_shard<D: Deployment>(
+    deployment: &D,
+    plan: &Plan<'_>,
+    topology: &Topology,
+    members: &[NodeId],
+    samples_only: bool,
+) -> ShardRun<D::Outcome> {
+    let bus = Bus::new();
+    let recorder = Rc::new(RefCell::new(RecordingSink {
+        events: Vec::new(),
+        samples_only,
+    }));
+    bus.subscribe(Rc::clone(&recorder));
+    let world = run_world(deployment, plan, topology.induced(members), members, &bus);
+    let events = std::mem::take(&mut recorder.borrow_mut().events);
+    ShardRun {
+        events: events.into(),
+        offered: bus.offered_events(),
+        world,
+    }
+}
+
+/// The sharded path's first half: one sub-world per connected
+/// component on a bounded pool of scoped threads, each recording its
+/// own stream.
+fn run_sharded<D: Deployment>(
+    deployment: &D,
+    plan: &Plan<'_>,
+    topology: &Topology,
+    components: &[Vec<NodeId>],
+    samples_only: bool,
+) -> Vec<ShardRun<D::Outcome>> {
+    let threads = plan.shards.min(components.len());
+    let chunk = components.len().div_ceil(threads);
+    let mut runs: Vec<Option<ShardRun<D::Outcome>>> = components.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        for (comps, outs) in components.chunks(chunk).zip(runs.chunks_mut(chunk)) {
+            scope.spawn(move || {
+                for (members, out) in comps.iter().zip(outs.iter_mut()) {
+                    *out = Some(run_shard(deployment, plan, topology, members, samples_only));
+                }
+            });
+        }
+    });
+    runs.into_iter()
+        .map(|r| r.expect("every component ran"))
+        .collect()
+}
+
+/// The sharded path's second half: a deterministic merge of the
+/// recorded streams into `bus` — the same sinks the single path feeds
+/// live. Returns the combined world's leavings and its ring-drop count.
+fn merge_shards<O>(
+    n: usize,
+    components: &[Vec<NodeId>],
+    mut shards: Vec<ShardRun<O>>,
+    bus: &Bus,
+    full_stream: bool,
+) -> (WorldRun<O>, u64) {
+    // A samples-only shard recorded exactly its ticks.
+    let ticks = shards.first().map_or(0, |s| s.events.len()) as u64;
+    merge_events(n, components, &mut shards, |event| bus.emit(event));
+    let dropped = if full_stream {
+        bus.dropped_events()
+    } else {
+        // Only the stitched samples went through the bus; the ring-drop
+        // count the single-threaded run would report is reconstructed
+        // from each shard bus's count of events offered: the combined
+        // stream has every non-sample event, plus ONE deployment-wide
+        // sample per tick where each shard counted its own (none at all
+        // in an unsampled deployment).
+        let offered: u64 = shards.iter().map(|s| s.offered).sum();
+        (offered - ticks * (shards.len() as u64 - 1)).saturating_sub(RING_CAPACITY as u64)
+    };
+
+    let mut outcomes: Vec<(NodeId, O)> = Vec::with_capacity(n);
+    let mut net = NetStats::default();
+    let mut max_observed_delay = Duration::ZERO;
+    for (members, shard) in components.iter().zip(shards) {
+        outcomes.extend(members.iter().copied().zip(shard.world.outcomes));
+        net = net.merged(shard.world.net);
+        max_observed_delay = max_observed_delay.max(shard.world.max_observed_delay);
+    }
+    outcomes.sort_unstable_by_key(|&(node, _)| node);
+    let combined = WorldRun {
+        outcomes: outcomes.into_iter().map(|(_, o)| o).collect(),
+        net,
+        max_observed_delay,
+    };
+    (combined, dropped)
 }
 
 /// K-way merges the per-shard streams, handing each event to `emit` in
@@ -79,7 +363,7 @@ pub(crate) struct ShardRun<S> {
 /// by the plain time/rank key.
 ///
 /// [`Sample`]: TelemetryEvent::Sample
-pub(crate) fn merge_events<S>(
+fn merge_events<S>(
     n: usize,
     components: &[Vec<NodeId>],
     shards: &mut [ShardRun<S>],

@@ -87,11 +87,11 @@ pub struct FuzzCase {
     pub horizon: f64,
 }
 
-impl FuzzCase {
-    /// Generates a case from a seed. The same `(seed, horizon)` always
-    /// yields the same case.
-    #[must_use]
-    pub fn from_seed(seed: u64, horizon: f64) -> Self {
+impl FuzzTarget for FuzzCase {
+    const TITLE: &'static str = "E17 — oracle-gated fuzz";
+    const CLEAN: &'static str = "ok: every gated theorem held on every generated case";
+
+    fn from_seed(seed: u64, horizon: f64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let n = rng.random_range(3..=6usize);
         // The tolerated fault budget is drawn too: Marzullo with f = 0
@@ -174,6 +174,61 @@ impl FuzzCase {
         }
     }
 
+    fn check(&self) -> Option<Violation> {
+        let result = self.scenario().run();
+        let report = result.oracle.expect("fuzz cases always arm the oracle");
+        report.violations.into_iter().next()
+    }
+
+    /// Order: drop network chaos, drop liars, drop the corruption,
+    /// halve the horizon, drop servers from the end.
+    fn simpler(&self) -> Vec<Self> {
+        let mut candidates = Vec::new();
+        if self.has_chaos() {
+            let mut calm = self.clone();
+            calm.loss = 0.0;
+            calm.duplication = 0.0;
+            calm.partition = false;
+            candidates.push(calm);
+        }
+        if self.has_liar() {
+            let mut honest = self.clone();
+            for s in &mut honest.servers {
+                s.liar = false;
+            }
+            candidates.push(honest);
+        }
+        if self.has_corrupt() {
+            let mut intact = self.clone();
+            for s in &mut intact.servers {
+                s.corrupt = false;
+            }
+            candidates.push(intact);
+        }
+        if self.horizon > 4.0 * self.resync {
+            // A shorter run also drops the corruption: halving could
+            // otherwise leave too little room for stabilization and
+            // manufacture a *new* violation instead of preserving the
+            // original one.
+            let mut shorter = self.clone();
+            shorter.horizon /= 2.0;
+            for s in &mut shorter.servers {
+                s.corrupt = false;
+            }
+            candidates.push(shorter);
+        }
+        if self.servers.len() > 2 {
+            for drop_idx in (0..self.servers.len()).rev() {
+                let mut fewer = self.clone();
+                fewer.servers.remove(drop_idx);
+                candidates.push(fewer);
+            }
+        }
+        candidates
+    }
+}
+
+impl FuzzCase {
     /// Whether any server lies.
     #[must_use]
     pub fn has_liar(&self) -> bool {
@@ -316,14 +371,6 @@ impl FuzzCase {
         }
         scenario
     }
-
-    /// Runs the case and returns the first violation, if any.
-    #[must_use]
-    pub fn check(&self) -> Option<Violation> {
-        let result = self.scenario().run();
-        let report = result.oracle.expect("fuzz cases always arm the oracle");
-        report.violations.into_iter().next()
-    }
 }
 
 impl fmt::Display for FuzzCase {
@@ -363,85 +410,86 @@ impl fmt::Display for FuzzCase {
     }
 }
 
-/// Shrinks a failing case to a minimal reproducer: repeatedly tries the
-/// cheapest simplification that still violates, to a fixpoint. Order:
-/// drop network chaos, drop liars, drop the corruption, halve the
-/// horizon, drop servers from the end.
+/// One arm of the fuzzer: a deployment description that can be
+/// generated from a seed, run against its oracle, and simplified.
+/// [`fuzz`]'s sweep, [`shrink`] and the [`Fuzz`] report are written
+/// once over this trait; an arm supplies its generator, its candidate
+/// order and its two report lines.
+pub trait FuzzTarget: Clone + fmt::Display {
+    /// The report's headline, before `: N cases, M violating`.
+    const TITLE: &'static str;
+    /// The line a clean sweep prints.
+    const CLEAN: &'static str;
+
+    /// Generates a case from a seed. The same `(seed, horizon)` always
+    /// yields the same case.
+    #[must_use]
+    fn from_seed(seed: u64, horizon: f64) -> Self;
+
+    /// Runs the case and returns the first violation, if any.
+    #[must_use]
+    fn check(&self) -> Option<Violation>;
+
+    /// The cases one simplification away from this one, cheapest
+    /// first.
+    #[must_use]
+    fn simpler(&self) -> Vec<Self>;
+}
+
+/// Shrinks a failing case to a minimal reproducer: repeatedly takes the
+/// first of [`FuzzTarget::simpler`] that still violates, to a fixpoint.
 #[must_use]
-pub fn shrink(mut case: FuzzCase) -> FuzzCase {
-    'outer: loop {
-        let mut candidates: Vec<FuzzCase> = Vec::new();
-        if case.has_chaos() {
-            let mut calm = case.clone();
-            calm.loss = 0.0;
-            calm.duplication = 0.0;
-            calm.partition = false;
-            candidates.push(calm);
-        }
-        if case.has_liar() {
-            let mut honest = case.clone();
-            for s in &mut honest.servers {
-                s.liar = false;
-            }
-            candidates.push(honest);
-        }
-        if case.has_corrupt() {
-            let mut intact = case.clone();
-            for s in &mut intact.servers {
-                s.corrupt = false;
-            }
-            candidates.push(intact);
-        }
-        if case.horizon > 4.0 * case.resync {
-            // A shorter run also drops the corruption: halving could
-            // otherwise leave too little room for stabilization and
-            // manufacture a *new* violation instead of preserving the
-            // original one.
-            let mut shorter = case.clone();
-            shorter.horizon /= 2.0;
-            for s in &mut shorter.servers {
-                s.corrupt = false;
-            }
-            candidates.push(shorter);
-        }
-        if case.servers.len() > 2 {
-            for drop_idx in (0..case.servers.len()).rev() {
-                let mut fewer = case.clone();
-                fewer.servers.remove(drop_idx);
-                candidates.push(fewer);
-            }
-        }
-        for candidate in candidates {
-            if candidate.check().is_some() {
-                case = candidate;
-                continue 'outer;
-            }
-        }
-        return case;
+pub fn shrink<C: FuzzTarget>(mut case: C) -> C {
+    while let Some(simpler) = case.simpler().into_iter().find(|c| c.check().is_some()) {
+        case = simpler;
     }
+    case
 }
 
 /// One confirmed violation with its minimal reproducer.
 #[derive(Debug, Clone)]
-pub struct FuzzFailure {
+pub struct FuzzFailure<C> {
     /// The seed that produced the original failing case.
     pub seed: u64,
     /// The shrunk case.
-    pub minimal: FuzzCase,
+    pub minimal: C,
     /// The first violation the minimal case produces.
     pub violation: Violation,
 }
 
 /// Results of a fuzz run.
 #[derive(Debug, Clone)]
-pub struct Fuzz {
+pub struct Fuzz<C> {
     /// How many seeds were generated and run.
     pub cases_run: usize,
     /// The failures, one per violating seed, each shrunk.
-    pub failures: Vec<FuzzFailure>,
+    pub failures: Vec<FuzzFailure<C>>,
 }
 
-impl Fuzz {
+impl<C: FuzzTarget> Fuzz<C> {
+    /// Runs the arm over a seed range, shrinking every failure.
+    pub(super) fn sweep(seeds: Range<u64>, horizon: f64) -> Self {
+        let mut failures = Vec::new();
+        let mut cases_run = 0;
+        for seed in seeds {
+            cases_run += 1;
+            let case = C::from_seed(seed, horizon);
+            if case.check().is_some() {
+                let minimal = shrink(case);
+                let violation = minimal.check().expect("shrinking preserves the violation");
+                failures.push(FuzzFailure {
+                    seed,
+                    minimal,
+                    violation,
+                });
+            }
+        }
+        Fuzz {
+            cases_run,
+            failures,
+        }
+    }
+
     /// True when no generated case violated any gated predicate.
     #[must_use]
     pub fn is_clean(&self) -> bool {
@@ -449,16 +497,17 @@ impl Fuzz {
     }
 }
 
-impl fmt::Display for Fuzz {
+impl<C: FuzzTarget> fmt::Display for Fuzz<C> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "E17 — oracle-gated fuzz: {} cases, {} violating",
+            "{}: {} cases, {} violating",
+            C::TITLE,
             self.cases_run,
             self.failures.len()
         )?;
         if self.is_clean() {
-            writeln!(f, "ok: every gated theorem held on every generated case")?;
+            writeln!(f, "{}", C::CLEAN)?;
         }
         for failure in &self.failures {
             writeln!(f, "FAIL seed {}:", failure.seed)?;
@@ -469,28 +518,11 @@ impl fmt::Display for Fuzz {
     }
 }
 
-/// Runs the fuzzer over a seed range, shrinking every failure.
+/// Runs the time-service fuzzer over a seed range, shrinking every
+/// failure.
 #[must_use]
-pub fn fuzz(seeds: Range<u64>, horizon: f64) -> Fuzz {
-    let mut failures = Vec::new();
-    let mut cases_run = 0;
-    for seed in seeds {
-        cases_run += 1;
-        let case = FuzzCase::from_seed(seed, horizon);
-        if case.check().is_some() {
-            let minimal = shrink(case);
-            let violation = minimal.check().expect("shrinking preserves the violation");
-            failures.push(FuzzFailure {
-                seed,
-                minimal,
-                violation,
-            });
-        }
-    }
-    Fuzz {
-        cases_run,
-        failures,
-    }
+pub fn fuzz(seeds: Range<u64>, horizon: f64) -> Fuzz<FuzzCase> {
+    Fuzz::sweep(seeds, horizon)
 }
 
 /// The E17 catalogue report: the time-service sweep and the cluster
@@ -498,9 +530,9 @@ pub fn fuzz(seeds: Range<u64>, horizon: f64) -> Fuzz {
 #[derive(Debug, Clone)]
 pub struct FuzzSmoke {
     /// The time-service arm (this module).
-    pub time: Fuzz,
+    pub time: Fuzz<FuzzCase>,
     /// The cluster arm ([`super::fuzz_cluster`]).
-    pub cluster: super::fuzz_cluster::ClusterFuzz,
+    pub cluster: Fuzz<super::fuzz_cluster::ClusterFuzzCase>,
 }
 
 impl FuzzSmoke {

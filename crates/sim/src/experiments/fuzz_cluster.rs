@@ -24,6 +24,7 @@ use tempo_net::{NodeId, Partition};
 use tempo_oracle::Violation;
 use tempo_service::ServerFault;
 
+use super::fuzz::{Fuzz, FuzzTarget};
 use crate::cluster::{ClusterScenario, ReplicaSpec};
 
 /// A generated crash on one replica.
@@ -92,11 +93,12 @@ pub struct ClusterFuzzCase {
     pub horizon: f64,
 }
 
-impl ClusterFuzzCase {
-    /// Generates a case from a seed. The same `(seed, horizon)` always
-    /// yields the same case.
-    #[must_use]
-    pub fn from_seed(seed: u64, horizon: f64) -> Self {
+impl FuzzTarget for ClusterFuzzCase {
+    const TITLE: &'static str = "E17 (cluster arm) — failover-schedule fuzz";
+    const CLEAN: &'static str =
+        "ok: ClusterMonotonic and ClusterBounded held on every generated case";
+
+    fn from_seed(seed: u64, horizon: f64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0xD1B5_4A32_D192_ED03));
         let n = rng.random_range(3..=5usize);
         // f = 1 needs at least four replicas for a reachable quorum.
@@ -178,6 +180,71 @@ impl ClusterFuzzCase {
         }
     }
 
+    fn check(&self) -> Option<Violation> {
+        let result = self.scenario().run();
+        let reports = result
+            .oracle
+            .expect("cluster fuzz cases always arm the oracle");
+        reports.into_iter().flat_map(|r| r.violations).next()
+    }
+
+    /// Order: calm the network, drop the lies, drop amnesia, drop
+    /// crashes one at a time, halve the horizon, drop a client, drop
+    /// replicas from the end.
+    fn simpler(&self) -> Vec<Self> {
+        let mut candidates = Vec::new();
+        if self.has_chaos() {
+            let mut calm = self.clone();
+            calm.loss = 0.0;
+            calm.sever_primary = false;
+            candidates.push(calm);
+        }
+        if self.has_lie() {
+            let mut honest = self.clone();
+            for r in &mut honest.replicas {
+                r.lie = None;
+            }
+            candidates.push(honest);
+        }
+        if self.replicas.iter().any(|r| r.amnesia) {
+            let mut durable = self.clone();
+            for r in &mut durable.replicas {
+                r.amnesia = false;
+            }
+            candidates.push(durable);
+        }
+        for idx in (0..self.replicas.len()).rev() {
+            if self.replicas[idx].crash.is_some() {
+                let mut steady = self.clone();
+                steady.replicas[idx].crash = None;
+                candidates.push(steady);
+            }
+        }
+        if self.horizon > 16.0 {
+            let mut shorter = self.clone();
+            shorter.horizon /= 2.0;
+            candidates.push(shorter);
+        }
+        if self.clients > 1 {
+            let mut fewer = self.clone();
+            fewer.clients -= 1;
+            candidates.push(fewer);
+        }
+        if self.replicas.len() > 3 {
+            for drop_idx in (0..self.replicas.len()).rev() {
+                let mut fewer = self.clone();
+                fewer.replicas.remove(drop_idx);
+                if fewer.replicas.len() < 4 {
+                    fewer.max_faulty = 0;
+                }
+                candidates.push(fewer);
+            }
+        }
+        candidates
+    }
+}
+
+impl ClusterFuzzCase {
     /// Whether the network misbehaves at all.
     #[must_use]
     pub fn has_chaos(&self) -> bool {
@@ -239,17 +306,6 @@ impl ClusterFuzzCase {
         }
         scenario
     }
-
-    /// Runs the case and returns the first ClusterTime violation, if
-    /// any.
-    #[must_use]
-    pub fn check(&self) -> Option<Violation> {
-        let result = self.scenario().run();
-        let reports = result
-            .oracle
-            .expect("cluster fuzz cases always arm the oracle");
-        reports.into_iter().flat_map(|r| r.violations).next()
-    }
 }
 
 impl fmt::Display for ClusterFuzzCase {
@@ -304,148 +360,15 @@ impl fmt::Display for ClusterFuzzCase {
     }
 }
 
-/// Shrinks a failing cluster case to a minimal reproducer, to a
-/// fixpoint. Order: calm the network, drop the lies, drop amnesia,
-/// drop crashes one at a time, halve the horizon, drop a client, drop
-/// replicas from the end.
-#[must_use]
-pub fn shrink_cluster(mut case: ClusterFuzzCase) -> ClusterFuzzCase {
-    'outer: loop {
-        let mut candidates: Vec<ClusterFuzzCase> = Vec::new();
-        if case.has_chaos() {
-            let mut calm = case.clone();
-            calm.loss = 0.0;
-            calm.sever_primary = false;
-            candidates.push(calm);
-        }
-        if case.has_lie() {
-            let mut honest = case.clone();
-            for r in &mut honest.replicas {
-                r.lie = None;
-            }
-            candidates.push(honest);
-        }
-        if case.replicas.iter().any(|r| r.amnesia) {
-            let mut durable = case.clone();
-            for r in &mut durable.replicas {
-                r.amnesia = false;
-            }
-            candidates.push(durable);
-        }
-        for idx in (0..case.replicas.len()).rev() {
-            if case.replicas[idx].crash.is_some() {
-                let mut steady = case.clone();
-                steady.replicas[idx].crash = None;
-                candidates.push(steady);
-            }
-        }
-        if case.horizon > 16.0 {
-            let mut shorter = case.clone();
-            shorter.horizon /= 2.0;
-            candidates.push(shorter);
-        }
-        if case.clients > 1 {
-            let mut fewer = case.clone();
-            fewer.clients -= 1;
-            candidates.push(fewer);
-        }
-        if case.replicas.len() > 3 {
-            for drop_idx in (0..case.replicas.len()).rev() {
-                let mut fewer = case.clone();
-                fewer.replicas.remove(drop_idx);
-                if fewer.replicas.len() < 4 {
-                    fewer.max_faulty = 0;
-                }
-                candidates.push(fewer);
-            }
-        }
-        for candidate in candidates {
-            if candidate.check().is_some() {
-                case = candidate;
-                continue 'outer;
-            }
-        }
-        return case;
-    }
-}
-
-/// One confirmed ClusterTime violation with its minimal reproducer.
-#[derive(Debug, Clone)]
-pub struct ClusterFuzzFailure {
-    /// The seed that produced the original failing case.
-    pub seed: u64,
-    /// The shrunk case.
-    pub minimal: ClusterFuzzCase,
-    /// The first violation the minimal case produces.
-    pub violation: Violation,
-}
-
-/// Results of a cluster fuzz run.
-#[derive(Debug, Clone)]
-pub struct ClusterFuzz {
-    /// How many seeds were generated and run.
-    pub cases_run: usize,
-    /// The failures, one per violating seed, each shrunk.
-    pub failures: Vec<ClusterFuzzFailure>,
-}
-
-impl ClusterFuzz {
-    /// True when no generated case violated a ClusterTime invariant.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-impl fmt::Display for ClusterFuzz {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "E17 (cluster arm) — failover-schedule fuzz: {} cases, {} violating",
-            self.cases_run,
-            self.failures.len()
-        )?;
-        if self.is_clean() {
-            writeln!(
-                f,
-                "ok: ClusterMonotonic and ClusterBounded held on every generated case"
-            )?;
-        }
-        for failure in &self.failures {
-            writeln!(f, "FAIL seed {}:", failure.seed)?;
-            writeln!(f, "  {}", failure.violation)?;
-            writeln!(f, "  minimal reproducer: {}", failure.minimal)?;
-        }
-        Ok(())
-    }
-}
-
 /// Runs the cluster fuzzer over a seed range, shrinking every failure.
 #[must_use]
-pub fn cluster_fuzz(seeds: Range<u64>, horizon: f64) -> ClusterFuzz {
-    let mut failures = Vec::new();
-    let mut cases_run = 0;
-    for seed in seeds {
-        cases_run += 1;
-        let case = ClusterFuzzCase::from_seed(seed, horizon);
-        if case.check().is_some() {
-            let minimal = shrink_cluster(case);
-            let violation = minimal.check().expect("shrinking preserves the violation");
-            failures.push(ClusterFuzzFailure {
-                seed,
-                minimal,
-                violation,
-            });
-        }
-    }
-    ClusterFuzz {
-        cases_run,
-        failures,
-    }
+pub fn cluster_fuzz(seeds: Range<u64>, horizon: f64) -> Fuzz<ClusterFuzzCase> {
+    Fuzz::sweep(seeds, horizon)
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::fuzz::shrink;
     use super::*;
     use tempo_oracle::TheoremId;
 
@@ -556,7 +479,7 @@ mod tests {
         let violation = case.check().expect("the skipped flush must violate");
         assert_eq!(violation.theorem, TheoremId::ClusterMonotonic);
 
-        let minimal = shrink_cluster(case);
+        let minimal = shrink(case);
         assert!(!minimal.has_chaos(), "chaos must shrink away");
         assert!(
             minimal.replicas.len() <= 3,

@@ -1,6 +1,6 @@
 //! The experiment library: every figure and every quantitative claim of
-//! the paper, regenerated (see DESIGN.md's experiment index E1–E12 and
-//! the ablations A1–A3).
+//! the paper, regenerated (see DESIGN.md's experiment index E1–E21 and
+//! the ablations A1–A4).
 //!
 //! Each experiment is a pure function returning a result struct whose
 //! `Display` implementation prints the paper-style report; the
@@ -36,10 +36,11 @@ pub use cluster::{cluster, Cluster, ClusterRow};
 pub use consonance::{consonance, Consonance};
 pub use convergence::{convergence, Convergence};
 pub use figures::{figure1, figure2, figure3, figure4, Fig1, Fig2, Fig3, Fig4};
-pub use fuzz::{fuzz, fuzz_smoke, shrink, Fuzz, FuzzCase, FuzzFailure, FuzzServer, FuzzSmoke};
+pub use fuzz::{
+    fuzz, fuzz_smoke, shrink, Fuzz, FuzzCase, FuzzFailure, FuzzServer, FuzzSmoke, FuzzTarget,
+};
 pub use fuzz_cluster::{
-    cluster_fuzz, shrink_cluster, ClusterCrash, ClusterFuzz, ClusterFuzzCase, ClusterFuzzFailure,
-    ClusterFuzzReplica, ClusterLie,
+    cluster_fuzz, ClusterCrash, ClusterFuzzCase, ClusterFuzzReplica, ClusterLie,
 };
 pub use growth::{ten_x, thm8_error_vs_n, TenX, Thm8};
 pub use loss::{loss_sweep, LossSweep};

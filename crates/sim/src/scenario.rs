@@ -11,19 +11,17 @@ use std::rc::Rc;
 
 use tempo_clocks::{DriftModel, Fault, SimClock};
 use tempo_core::{DriftRate, Duration, Timestamp};
-use tempo_net::{DelayModel, NetConfig, NetStats, NodeId, Partition, Topology, World};
+use tempo_net::{DelayModel, NodeId, Partition, Topology};
 use tempo_oracle::{Oracle, OracleConfig, ServerView};
 use tempo_service::{
     ApplyMode, HealthConfig, RecoveryPolicy, RetryPolicy, ScreeningPolicy, ServerConfig,
     ServerFault, ServerStats, Strategy, TimeServer,
 };
-use tempo_telemetry::{Bus, SampleSnapshot, TelemetryEvent};
+use tempo_telemetry::{Bus, SampleSnapshot};
 
-use crate::engine::{merge_events, RecordingSink, ShardRun};
+use crate::engine::{self, Deployment, Plan, Sampler};
 use crate::metrics::RunResult;
-use crate::sinks::{JsonlSink, MetricsSink, OracleSink};
-
-pub(crate) use crate::engine::RING_CAPACITY;
+use crate::sinks::{MetricsSink, OracleSink};
 
 /// One server's hardware and claims.
 #[derive(Debug, Clone)]
@@ -406,22 +404,15 @@ impl Scenario {
         self.delay.max_delay() * 2.0
     }
 
-    // Opens the JSONL export sink, if any is configured: the
-    // scenario's own path truncates, the process-wide default
-    // appends (the experiments CLI truncates it once at startup and
-    // then concatenates every run).
-    fn jsonl_sink(&self) -> Option<Rc<RefCell<JsonlSink>>> {
-        crate::sinks::open_jsonl(self.telemetry_out.as_ref())
-    }
-
     /// Builds the world and runs it, sampling on the configured
     /// schedule.
     ///
     /// This is a pure wiring layer over the telemetry bus: it
     /// subscribes a [`MetricsSink`] (always), an [`OracleSink`] (when
-    /// an oracle is armed), and a [`JsonlSink`] (when an export path
-    /// is configured), and everything in the returned [`RunResult`]
-    /// is reconstructed from the event stream those sinks saw.
+    /// an oracle is armed), and a [`crate::JsonlSink`] (when an export
+    /// path is configured), and everything in the returned
+    /// [`RunResult`] is reconstructed from the event stream those sinks
+    /// saw.
     ///
     /// When [`Scenario::sharded`] is enabled and the topology splits
     /// into independent connected components, each component runs as
@@ -446,60 +437,67 @@ impl Scenario {
             .clone()
             .unwrap_or_else(|| Topology::full_mesh(n));
         assert_eq!(topology.len(), n, "topology size must match server count");
-        if self.shards > 0 {
-            let components = topology.components();
-            if components.len() > 1 {
-                return self.run_sharded(&topology, &components);
-            }
-        }
-        self.run_single(topology)
-    }
-
-    // Subscribes the standard sink set to `bus` (and writes the JSONL
-    // header). Both execution paths feed the exact same sinks.
-    fn attach_sinks(&self, bus: &Bus) -> SinkSet {
-        let metrics = Rc::new(RefCell::new(MetricsSink::new()));
-        bus.subscribe(Rc::clone(&metrics));
-        let oracle = self.oracle.clone().map(|config| {
-            let sink = Rc::new(RefCell::new(OracleSink::new(Oracle::new(
-                self.seed,
-                config,
-                self.server_views(),
-            ))));
-            bus.subscribe(Rc::clone(&sink));
-            sink
-        });
-        let jsonl = self.jsonl_sink();
-        if let Some(sink) = &jsonl {
-            sink.borrow_mut().run_start(
-                self.seed,
-                self.servers.len(),
-                &self.strategy.to_string(),
-                self.xi(),
-                self.resync_period,
-            );
-            bus.subscribe(Rc::clone(sink));
-        }
-        SinkSet {
-            metrics,
-            oracle,
-            jsonl,
+        let run = engine::run(self, topology);
+        let samples = run.sinks.metrics.borrow_mut().take_rows();
+        RunResult {
+            samples,
+            final_stats: run.world.outcomes,
+            net: run.world.net,
+            oracle: run.sinks.oracle.and_then(|sink| sink.borrow_mut().finish()),
+            dropped_events: run.dropped_events,
+            xi_witness: run.xi_witness,
         }
     }
 
-    /// Builds server `i` exactly as the combined world would: the
-    /// clock seed is derived from the *global* index, so a sub-world
-    /// hosting a subset of servers gets the same hardware.
-    fn build_server(&self, i: usize) -> TimeServer {
+    fn sample_servers(t: Timestamp, actors: &mut [TimeServer]) -> Vec<SampleSnapshot> {
+        actors
+            .iter_mut()
+            .map(|s| {
+                let sample = s.sample(t);
+                SampleSnapshot {
+                    clock: sample.clock,
+                    error: sample.error,
+                    true_offset: sample.true_offset,
+                    correct: sample.correct,
+                    active: s.is_active(),
+                }
+            })
+            .collect()
+    }
+}
+
+/// The sinks a time-service run reports through.
+pub(crate) struct SinkSet {
+    metrics: Rc<RefCell<MetricsSink>>,
+    oracle: Option<Rc<RefCell<OracleSink>>>,
+}
+
+impl Deployment for Scenario {
+    type Node = TimeServer;
+    type Outcome = ServerStats;
+    type Sinks = SinkSet;
+
+    fn plan(&self) -> Plan<'_> {
+        Plan {
+            seed: self.seed,
+            duration: self.duration,
+            shards: self.shards,
+            delay: &self.delay,
+            loss: self.loss,
+            duplication: self.duplication,
+            partitions: &self.partitions,
+            telemetry_out: self.telemetry_out.as_ref(),
+            label: self.strategy.to_string(),
+            resync_period: self.resync_period,
+        }
+    }
+
+    fn build_node(&self, i: usize, _members: &[NodeId], bus: &Bus) -> TimeServer {
         let spec = &self.servers[i];
         let mut builder = SimClock::builder()
             .drift(spec.drift.clone())
             .initial_value(Timestamp::ZERO + spec.initial_offset)
-            .seed(
-                self.seed
-                    .wrapping_mul(0x5851_F42D_4C95_7F2D)
-                    .wrapping_add(i as u64),
-            );
+            .seed(engine::clock_seed(self.seed, i));
         if let Some(fault) = spec.fault {
             builder = builder.fault(fault);
         }
@@ -521,214 +519,36 @@ impl Scenario {
         if let Some(fault) = spec.server_fault {
             config = config.fault(fault);
         }
-        TimeServer::new(builder.build(), config)
+        let mut server = TimeServer::new(builder.build(), config);
+        server.attach_bus(bus.clone());
+        server
     }
 
-    fn net_config(&self) -> NetConfig {
-        let mut net = NetConfig::with_delay(self.delay.clone()).loss(self.loss);
-        if self.duplication > 0.0 {
-            net = net.duplication(self.duplication);
-        }
-        net.partitions.extend(self.partitions.iter().cloned());
-        net
+    fn sampler(&self) -> Option<(Duration, Sampler<TimeServer>)> {
+        Some((self.sample_interval, Scenario::sample_servers))
     }
 
-    // Sampling is the measurement schedule, not observation: it must
-    // happen (clock reads advance slews) whether or not anything
-    // listens, so the snapshots are built eagerly.
-    fn sample_servers(t: Timestamp, actors: &mut [TimeServer]) -> Vec<SampleSnapshot> {
-        actors
-            .iter_mut()
-            .map(|s| {
-                let sample = s.sample(t);
-                SampleSnapshot {
-                    clock: sample.clock,
-                    error: sample.error,
-                    true_offset: sample.true_offset,
-                    correct: sample.correct,
-                    active: s.is_active(),
-                }
-            })
-            .collect()
+    fn outcome(node: &TimeServer) -> ServerStats {
+        node.stats()
     }
 
-    /// The classic path: one world hosting every server.
-    fn run_single(&self, topology: Topology) -> RunResult {
-        let bus = Bus::with_ring(RING_CAPACITY);
-        let sinks = self.attach_sinks(&bus);
-
-        let mut servers: Vec<TimeServer> = (0..self.servers.len())
-            .map(|i| self.build_server(i))
-            .collect();
-        for server in &mut servers {
-            server.attach_bus(bus.clone());
-        }
-        let mut world =
-            World::new_with_bus(servers, topology, self.net_config(), self.seed, bus.clone());
-
-        let end = Timestamp::ZERO + self.duration;
-        world.run_sampled(end, self.sample_interval, |t, actors| {
-            bus.emit(TelemetryEvent::Sample {
-                at: t,
-                servers: Self::sample_servers(t, actors),
-            });
+    fn attach_sinks(&self, bus: &Bus) -> SinkSet {
+        let metrics = Rc::new(RefCell::new(MetricsSink::new()));
+        bus.subscribe(Rc::clone(&metrics));
+        let oracle = self.oracle.clone().map(|config| {
+            let sink = Rc::new(RefCell::new(OracleSink::new(Oracle::new(
+                self.seed,
+                config,
+                self.server_views(),
+            ))));
+            bus.subscribe(Rc::clone(&sink));
+            sink
         });
-
-        let final_stats = world.actors().iter().map(|s| s.stats()).collect();
-        let xi_witness = world.max_observed_delay() * 2.0;
-        sinks.harvest(bus.dropped_events(), xi_witness, world.stats(), final_stats)
+        SinkSet { metrics, oracle }
     }
 
-    /// Runs one connected component as an independent sub-world and
-    /// records its raw telemetry stream for the deterministic merge.
-    fn run_shard(
-        &self,
-        topology: &Topology,
-        members: &[NodeId],
-        samples_only: bool,
-    ) -> ShardRun<ServerStats> {
-        let bus = Bus::new();
-        let recorder = Rc::new(RefCell::new(RecordingSink::new(samples_only)));
-        bus.subscribe(Rc::clone(&recorder));
-
-        let mut servers: Vec<TimeServer> = members
-            .iter()
-            .map(|&node| self.build_server(node.index()))
-            .collect();
-        for server in &mut servers {
-            server.attach_bus(bus.clone());
-        }
-        let labels: Vec<usize> = members.iter().map(|m| m.index()).collect();
-        let mut world = World::new_labeled(
-            servers,
-            topology.induced(members),
-            self.net_config(),
-            self.seed,
-            bus.clone(),
-            labels,
-        );
-
-        let end = Timestamp::ZERO + self.duration;
-        world.run_sampled(end, self.sample_interval, |t, actors| {
-            bus.emit(TelemetryEvent::Sample {
-                at: t,
-                servers: Self::sample_servers(t, actors),
-            });
-        });
-
-        let final_stats = world.actors().iter().map(|s| s.stats()).collect();
-        let events = std::mem::take(&mut recorder.borrow_mut().events);
-        ShardRun {
-            events: events.into(),
-            offered: bus.offered_events(),
-            final_stats,
-            net: world.stats(),
-            max_observed_delay: world.max_observed_delay(),
-        }
-    }
-
-    /// Whether any attached sink consumes the full ordered event
-    /// stream. When none does, the sharded path merges only the
-    /// per-tick samples and reconstructs the ring-drop count
-    /// arithmetically.
     fn wants_full_stream(&self) -> bool {
         self.oracle.is_some()
-            || self.telemetry_out.is_some()
-            || crate::sinks::default_telemetry_out().is_some()
-    }
-
-    /// The sharded path: one sub-world per connected component on a
-    /// bounded pool of scoped threads, then a deterministic merge of
-    /// the recorded streams through the same sinks the single path
-    /// uses.
-    fn run_sharded(&self, topology: &Topology, components: &[Vec<NodeId>]) -> RunResult {
-        let n = self.servers.len();
-        let threads = self.shards.min(components.len());
-        let chunk = components.len().div_ceil(threads);
-        let full_stream = self.wants_full_stream();
-        let mut runs: Vec<Option<ShardRun<ServerStats>>> =
-            components.iter().map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (comps, outs) in components.chunks(chunk).zip(runs.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (members, out) in comps.iter().zip(outs.iter_mut()) {
-                        *out = Some(self.run_shard(topology, members, !full_stream));
-                    }
-                });
-            }
-        });
-        let mut shards: Vec<ShardRun<ServerStats>> = runs
-            .into_iter()
-            .map(|r| r.expect("every component ran"))
-            .collect();
-
-        let bus = Bus::with_ring(RING_CAPACITY);
-        let sinks = self.attach_sinks(&bus);
-        let dropped = if full_stream {
-            merge_events(n, components, &mut shards, |event| bus.emit(event));
-            bus.dropped_events()
-        } else {
-            // Only the stitched samples flow through the bus; the
-            // ring-drop count the single-threaded run would report is
-            // reconstructed from each shard bus's count of events
-            // offered: the combined stream has every non-sample event,
-            // plus ONE deployment-wide sample per tick where each shard
-            // counted its own.
-            let ticks = shards.first().map_or(0, |s| s.events.len()) as u64;
-            let offered: u64 = shards.iter().map(|s| s.offered).sum();
-            let total = offered - ticks * (shards.len() as u64 - 1);
-            merge_events(n, components, &mut shards, |event| bus.emit(event));
-            total.saturating_sub(RING_CAPACITY as u64)
-        };
-
-        let mut final_stats = vec![ServerStats::default(); n];
-        for (members, shard) in components.iter().zip(&shards) {
-            for (k, &node) in members.iter().enumerate() {
-                final_stats[node.index()] = shard.final_stats[k];
-            }
-        }
-        let net = shards
-            .iter()
-            .fold(NetStats::default(), |acc, s| acc.merged(s.net));
-        let max_delay = shards
-            .iter()
-            .map(|s| s.max_observed_delay)
-            .fold(Duration::ZERO, Duration::max);
-        let xi_witness = max_delay * 2.0;
-        sinks.harvest(dropped, xi_witness, net, final_stats)
-    }
-}
-
-/// The sinks both execution paths report through.
-struct SinkSet {
-    metrics: Rc<RefCell<MetricsSink>>,
-    oracle: Option<Rc<RefCell<OracleSink>>>,
-    jsonl: Option<Rc<RefCell<JsonlSink>>>,
-}
-
-impl SinkSet {
-    /// Closes the sinks (JSONL footer, oracle report) and assembles
-    /// the [`RunResult`].
-    fn harvest(
-        self,
-        dropped_events: u64,
-        xi_witness: Duration,
-        net: NetStats,
-        final_stats: Vec<ServerStats>,
-    ) -> RunResult {
-        if let Some(sink) = &self.jsonl {
-            sink.borrow_mut().finish(dropped_events, xi_witness, &net);
-        }
-        let oracle = self.oracle.and_then(|sink| sink.borrow_mut().finish());
-        let samples = self.metrics.borrow_mut().take_rows();
-        RunResult {
-            samples,
-            final_stats,
-            net,
-            oracle,
-            dropped_events,
-            xi_witness,
-        }
     }
 }
 

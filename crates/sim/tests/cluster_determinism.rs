@@ -10,6 +10,7 @@
 use std::path::PathBuf;
 
 use tempo_core::{Duration, Timestamp};
+use tempo_net::{NodeId, Partition};
 use tempo_service::ServerFault;
 use tempo_sim::{ClusterScenario, ReplicaSpec};
 
@@ -82,4 +83,68 @@ fn cluster_jsonl_is_byte_identical_across_seeds() {
             assert!(events > 0, "seed {seed}: stream carries events");
         }
     }
+}
+
+/// A partition names nodes by global label in every world, so a
+/// sub-world must be handed the deployment's partitions unmapped.
+/// Cluster 0 is listed whole (it is not "outside every group");
+/// cluster 1 is split `{4, 7}` / `{5, 6}`: its primary keeps the
+/// client, loses both backups.
+#[test]
+fn partitioned_cluster_shards_like_the_combined_world() {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let run = |threads: usize| {
+        let path: PathBuf = dir.join(format!("tempo-cluster-det-{pid}-partition-{threads}.jsonl"));
+        let ids = |nodes: &[usize]| nodes.iter().copied().map(NodeId::new).collect();
+        let result = ClusterScenario::new()
+            .replicas(3, &ReplicaSpec::honest(1e-5, 1e-4))
+            .clusters(2)
+            .partition(Partition {
+                from: Timestamp::from_secs(5.0),
+                until: Timestamp::from_secs(10.0),
+                groups: vec![ids(&[0, 1, 2, 3]), ids(&[4, 7]), ids(&[5, 6])],
+            })
+            .duration(Duration::from_secs(20.0))
+            .seed(9)
+            .telemetry_out(path.clone())
+            .sharded(threads)
+            .run();
+        let bytes = std::fs::read(&path).expect("export written");
+        let _ = std::fs::remove_file(&path);
+        (result, bytes)
+    };
+    let (single, single_bytes) = run(0);
+    let (sharded, sharded_bytes) = run(2);
+    assert!(single.net.partitioned > 0, "the partition must bite");
+    assert_eq!(single.net, sharded.net);
+    assert_eq!(single.outcomes, sharded.outcomes);
+    assert_eq!(single.oracle, sharded.oracle);
+    assert_eq!(single.dropped_events, sharded.dropped_events);
+    assert!(single_bytes == sharded_bytes, "telemetry streams diverge");
+}
+
+/// With no oracle and no export nothing consumes the full stream, so
+/// the sharded path records samples only — of which a cluster stream
+/// has none — and reconstructs the ring-drop count from the shard
+/// buses' offered counts alone.
+#[test]
+fn unobserved_cluster_run_shards_with_the_same_drop_count() {
+    let run = |threads: usize| {
+        ClusterScenario::new()
+            .replicas(3, &ReplicaSpec::honest(1e-5, 1e-4))
+            .clusters(3)
+            .oracle(false)
+            .duration(Duration::from_secs(15.0))
+            .seed(9)
+            .sharded(threads)
+            .run()
+    };
+    let single = run(0);
+    let sharded = run(2);
+    assert!(single.oracle.is_none() && sharded.oracle.is_none());
+    assert!(single.dropped_events > 0, "the ring must overflow");
+    assert_eq!(single.dropped_events, sharded.dropped_events);
+    assert_eq!(single.net, sharded.net);
+    assert_eq!(single.outcomes, sharded.outcomes);
 }

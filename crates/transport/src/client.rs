@@ -7,9 +7,8 @@ use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration as StdDuration, Instant};
 
-use tempo_cluster::ClusterMsg;
 use tempo_core::{Duration, TimeEstimate};
-use tempo_service::wire::{decode, decode_cluster, encode, encode_cluster};
+use tempo_service::wire::{decode, decode_cluster, encode, encode_cluster, ClusterFrame};
 use tempo_service::Message;
 use tempo_telemetry::RefusalCause;
 
@@ -210,7 +209,7 @@ impl TsOutcome {
 /// What one attempt at one replica produced.
 enum Attempt {
     Reply(TsOutcome),
-    Redirect(usize),
+    Redirect(u32),
     Refusal(u64, RefusalCause),
     Silence,
 }
@@ -270,8 +269,9 @@ impl UdpClusterClient {
             let target = self.replicas[self.believed_primary];
             match self.one_attempt(request_id, attempt, target)? {
                 Attempt::Reply(outcome) => return Ok(outcome),
+                // The index is the sender's claim: reduce it into range.
                 Attempt::Redirect(primary) => {
-                    self.believed_primary = primary % self.replicas.len();
+                    self.believed_primary = primary as usize % self.replicas.len();
                 }
                 Attempt::Refusal(view, cause) => {
                     last_refusal = Some((view, cause));
@@ -296,12 +296,11 @@ impl UdpClusterClient {
         attempt: usize,
         target: SocketAddr,
     ) -> io::Result<Attempt> {
-        let msg = ClusterMsg::TsRequest {
+        let msg = ClusterFrame::TsRequest {
             request_id,
             attempt: attempt.min(u8::MAX as usize) as u8,
         };
-        self.socket
-            .send_to(&encode_cluster(&msg.to_frame()), target)?;
+        self.socket.send_to(&encode_cluster(&msg), target)?;
         let deadline = Instant::now() + self.timeout;
         let mut buf = [0u8; 512];
         loop {
@@ -323,8 +322,8 @@ impl UdpClusterClient {
             let Ok(frame) = decode_cluster(&buf[..len]) else {
                 continue;
             };
-            match ClusterMsg::from_frame(frame) {
-                ClusterMsg::TsReply {
+            match frame {
+                ClusterFrame::TsReply {
                     request_id: id,
                     view,
                     timestamp,
@@ -332,12 +331,12 @@ impl UdpClusterClient {
                     self.believed_primary = (view as usize) % self.replicas.len();
                     return Ok(Attempt::Reply(TsOutcome::Issued { timestamp, view }));
                 }
-                ClusterMsg::TsRedirect {
+                ClusterFrame::TsRedirect {
                     request_id: id,
                     primary,
                     ..
                 } if id == request_id => return Ok(Attempt::Redirect(primary)),
-                ClusterMsg::TsRefused {
+                ClusterFrame::TsRefused {
                     request_id: id,
                     view,
                     cause,
@@ -402,6 +401,60 @@ mod tests {
         let adjusted = r.adjusted();
         assert!(adjusted.time() >= r.estimate.time());
         assert!(adjusted.error() >= r.estimate.error());
+    }
+
+    #[test]
+    fn out_of_range_redirects_keep_the_cluster_client_on_real_replicas() {
+        // Two hand-rolled "backups", each confused about who is
+        // primary: the first names replica `u32::MAX`, the second
+        // replica 2 of 2. The client must land on a real replica each
+        // time and take the reply the third answer carries.
+        let replica_0 = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let replica_1 = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let addrs = vec![
+            replica_0.local_addr().unwrap(),
+            replica_1.local_addr().unwrap(),
+        ];
+        let mut client = UdpClusterClient::new(addrs, StdDuration::from_secs(5)).unwrap();
+        let answer = std::thread::spawn(move || {
+            let answer_with = |socket: &UdpSocket, reply: fn(u64) -> ClusterFrame| {
+                let mut buf = [0u8; 512];
+                let (len, from) = socket.recv_from(&mut buf).unwrap();
+                let Ok(ClusterFrame::TsRequest { request_id, .. }) = decode_cluster(&buf[..len])
+                else {
+                    panic!("expected a timestamp request");
+                };
+                socket
+                    .send_to(&encode_cluster(&reply(request_id)), from)
+                    .unwrap();
+            };
+            answer_with(&replica_0, |request_id| ClusterFrame::TsRedirect {
+                request_id,
+                view: 1,
+                primary: u32::MAX,
+            });
+            // u32::MAX mod 2 = 1.
+            answer_with(&replica_1, |request_id| ClusterFrame::TsRedirect {
+                request_id,
+                view: 1,
+                primary: 2,
+            });
+            answer_with(&replica_0, |request_id| ClusterFrame::TsReply {
+                request_id,
+                view: 4,
+                timestamp: 99,
+            });
+        });
+        let outcome = client.request().unwrap();
+        answer.join().unwrap();
+        assert_eq!(
+            outcome,
+            TsOutcome::Issued {
+                timestamp: 99,
+                view: 4
+            }
+        );
+        assert!(client.believed_primary() < 2);
     }
 
     #[test]

@@ -19,10 +19,12 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 
-use tempo_cluster::{ClusterMsg, ClusterReplica};
+use tempo_cluster::ClusterReplica;
 use tempo_core::{Duration, Timestamp};
 use tempo_net::{node_rng, Actor, Context, EventQueue, NodeId, Transport};
-use tempo_service::wire::{decode, decode_cluster, encode, encode_cluster, DecodeError};
+use tempo_service::wire::{
+    decode, decode_cluster, encode, encode_cluster, ClusterFrame, DecodeError,
+};
 use tempo_service::{Message, TimeServer};
 
 use crate::signal;
@@ -80,12 +82,12 @@ impl WireActor for TimeServer {
 }
 
 impl WireActor for ClusterReplica {
-    fn encode_msg(msg: &ClusterMsg) -> Vec<u8> {
-        encode_cluster(&msg.to_frame())
+    fn encode_msg(msg: &ClusterFrame) -> Vec<u8> {
+        encode_cluster(msg)
     }
 
-    fn decode_msg(bytes: &[u8]) -> Result<ClusterMsg, DecodeError> {
-        decode_cluster(bytes).map(ClusterMsg::from_frame)
+    fn decode_msg(bytes: &[u8]) -> Result<ClusterFrame, DecodeError> {
+        decode_cluster(bytes)
     }
 
     fn note_malformed(&mut self, now: Timestamp, len: usize, err: DecodeError) {
