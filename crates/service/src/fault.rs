@@ -8,10 +8,24 @@
 //! Byzantine-adjacent behaviours the paper's §5 screening and the
 //! Marzullo-tolerant intersection are meant to survive. The fault arms
 //! at a chosen real time; the server behaves perfectly before it.
+//!
+//! This is the only file that knows what a fault kind *does*. The
+//! server is the honest node of the paper and reaches the adversary
+//! through four seams: [`ServerFault::answer`] on an outgoing reply,
+//! [`ServerFault::weakened_adoption`] on an MM-2 `Keep`, the schedule
+//! ([`ServerFault::first_timer`], [`ServerFault::restart_schedule`])
+//! and [`ServerFault::garbage`] when a corruption strikes.
 
 use std::fmt;
 
-use tempo_core::{Duration, Timestamp};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use tempo_core::bounds::mm2_adjusted_error;
+use tempo_core::sync::{Reset, TimedReply};
+use tempo_core::{DriftRate, Duration, TimeEstimate, Timestamp};
+
+use crate::round::aged;
+use crate::server::{TIMER_CORRUPT, TIMER_CRASH};
 
 /// A crash's restart schedule: how long the server stays down, whether
 /// it comes back with its stable storage intact, and whether the
@@ -178,6 +192,27 @@ impl fmt::Display for ServerFaultKind {
     }
 }
 
+/// What a state corruption overwrites a server with — an arbitrary state
+/// in the self-stabilization sense, not merely a large one.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Garbage {
+    /// The hardware clock jumps 1–50 s either way.
+    pub clock_offset: Duration,
+    /// The claimed error shrinks or balloons to anywhere in
+    /// [1 ms, 10 s].
+    pub error: Duration,
+    /// Per neighbour, a burst of phantom timeouts for the health table:
+    /// enough to bury perfectly healthy peers.
+    pub phantom_timeouts: Vec<u32>,
+}
+
+fn assert_shrink(error_shrink: f64) {
+    assert!(
+        error_shrink.is_finite() && (0.0..=1.0).contains(&error_shrink),
+        "error shrink must be in [0, 1], got {error_shrink}"
+    );
+}
+
 /// A server fault armed to trigger at a given real time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerFault {
@@ -288,10 +323,7 @@ impl ServerFault {
     /// Panics unless `error_shrink` is in `[0, 1]`.
     #[must_use]
     pub fn lie_from(at: Timestamp, clock_skew: Duration, error_shrink: f64) -> Self {
-        assert!(
-            error_shrink.is_finite() && (0.0..=1.0).contains(&error_shrink),
-            "error shrink must be in [0, 1], got {error_shrink}"
-        );
+        assert_shrink(error_shrink);
         ServerFault {
             at,
             kind: ServerFaultKind::Lie {
@@ -311,10 +343,7 @@ impl ServerFault {
     /// is negative (the sign is per-recipient; pass the magnitude).
     #[must_use]
     pub fn two_faced_from(at: Timestamp, clock_skew: Duration, error_shrink: f64) -> Self {
-        assert!(
-            error_shrink.is_finite() && (0.0..=1.0).contains(&error_shrink),
-            "error shrink must be in [0, 1], got {error_shrink}"
-        );
+        assert_shrink(error_shrink);
         assert!(
             !clock_skew.is_negative(),
             "two-faced skew is a magnitude and must be non-negative, got {clock_skew}"
@@ -344,10 +373,7 @@ impl ServerFault {
         clock_skew: Duration,
         error_shrink: f64,
     ) -> Self {
-        assert!(
-            error_shrink.is_finite() && (0.0..=1.0).contains(&error_shrink),
-            "error shrink must be in [0, 1], got {error_shrink}"
-        );
+        assert_shrink(error_shrink);
         assert!(clique != 0, "a colluding clique needs at least one member");
         ServerFault {
             at,
@@ -369,10 +395,7 @@ impl ServerFault {
     /// Panics unless `error_shrink` is in `[0, 1]`.
     #[must_use]
     pub fn adversarial_from(at: Timestamp, error_shrink: f64) -> Self {
-        assert!(
-            error_shrink.is_finite() && (0.0..=1.0).contains(&error_shrink),
-            "error shrink must be in [0, 1], got {error_shrink}"
-        );
+        assert_shrink(error_shrink);
         ServerFault {
             at,
             kind: ServerFaultKind::AdversarialLie { error_shrink },
@@ -425,6 +448,121 @@ impl ServerFault {
         }
     }
 
+    /// The timer the server arms at start for a scheduled fault — the
+    /// delay until it strikes and the tag it fires under — or `None` for
+    /// the kinds that act on messages instead of on a schedule.
+    pub(crate) fn first_timer(&self, now: Timestamp) -> Option<(Duration, u64)> {
+        let tag = match self.kind {
+            ServerFaultKind::Crash { .. } => TIMER_CRASH,
+            ServerFaultKind::CorruptState { .. } => TIMER_CORRUPT,
+            _ => return None,
+        };
+        Some(((self.at - now).max(Duration::ZERO), tag))
+    }
+
+    /// What goes out in answer to a time request at real time `now`:
+    /// the `honest` estimate (only evaluated when a reply goes out), a
+    /// forgery built from it, or nothing. `requester` is the asking
+    /// node's deployment-wide label and `remembered` what this server
+    /// last recorded of it (the claim, and the own clock at receipt).
+    pub(crate) fn answer(
+        &self,
+        now: Timestamp,
+        honest: impl FnOnce() -> TimeEstimate,
+        requester: usize,
+        remembered: Option<(TimeEstimate, Timestamp)>,
+        delta: DriftRate,
+        rng: &mut impl Rng,
+    ) -> Option<TimeEstimate> {
+        if !self.active_at(now) {
+            return Some(honest());
+        }
+        if let ServerFaultKind::Omit { prob } = self.kind {
+            if rng.random::<f64>() < prob {
+                return None;
+            }
+        }
+        let honest = honest();
+        let lie = |skew: Duration, shrink: f64| {
+            TimeEstimate::new(honest.time() + skew, honest.error() * shrink)
+        };
+        Some(match self.kind {
+            ServerFaultKind::Lie {
+                clock_skew,
+                error_shrink,
+            } => lie(clock_skew, error_shrink),
+            ServerFaultKind::TwoFaced {
+                clock_skew,
+                error_shrink,
+            } => {
+                let even = requester.is_multiple_of(2);
+                lie(if even { clock_skew } else { -clock_skew }, error_shrink)
+            }
+            // A label the 64-bit mask cannot name is an outsider.
+            ServerFaultKind::Collude {
+                clique,
+                clock_skew,
+                error_shrink,
+            } if requester >= 64 || clique & (1u64 << requester) == 0 => {
+                lie(clock_skew, error_shrink)
+            }
+            // Just inside the upper edge of the victim's interval, aged
+            // to now (the honest reading).
+            ServerFaultKind::AdversarialLie { error_shrink } => match remembered {
+                Some(record) => {
+                    let victim = aged(record, honest.time(), delta);
+                    let lie_error = honest.error() * error_shrink;
+                    let pull = (victim.error() - lie_error) * 0.9;
+                    TimeEstimate::new(victim.time() + pull, lie_error)
+                }
+                None => honest,
+            },
+            _ => honest,
+        })
+    }
+
+    /// The planted bug, once rule MM-2 has said `Keep` (`reply` is
+    /// consistent with `own` but no better): the reset the weakened
+    /// guard makes anyway. `None` for every other fault.
+    pub(crate) fn weakened_adoption(
+        &self,
+        now: Timestamp,
+        own: &TimeEstimate,
+        delta: DriftRate,
+        reply: &TimedReply,
+    ) -> Option<Reset> {
+        let ServerFaultKind::WeakenAdoption { slack } = self.kind else {
+            return None;
+        };
+        let adjusted = mm2_adjusted_error(reply.estimate.error(), reply.round_trip, delta);
+        (self.active_at(now) && adjusted <= own.error() + slack).then_some(Reset {
+            new_clock: reply.estimate.time(),
+            new_error: adjusted,
+        })
+    }
+
+    /// The seeded garbage a state corruption installs on a server with
+    /// `peers` neighbours; `None` unless this fault is one.
+    pub(crate) fn garbage(&self, peers: usize) -> Option<Garbage> {
+        let ServerFaultKind::CorruptState { seed } = self.kind else {
+            return None;
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let magnitude = Duration::from_secs(rng.random_range(1.0..50.0));
+        let clock_offset = if rng.random_bool(0.5) {
+            magnitude
+        } else {
+            -magnitude
+        };
+        let error = Duration::from_secs(rng.random_range(0.001..10.0));
+        let phantom_timeouts = (0..peers).map(|_| rng.random_range(0..8u32)).collect();
+        Some(Garbage {
+            clock_offset,
+            error,
+            phantom_timeouts,
+        })
+    }
+
     /// Whether this fault breaks the theorems' *assumptions* (terminal
     /// crash, omission, lying in any tier — simple, two-faced,
     /// colluding, or adaptive). Three kinds do not:
@@ -454,10 +592,10 @@ impl ServerFault {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ts(s: f64) -> Timestamp {
-        Timestamp::from_secs(s)
-    }
+    use crate::config::{ServerConfig, Strategy};
+    use crate::server::testkit::{base_config, dur, recorded_offset, server, ts};
+    use crate::server::TimeServer;
+    use tempo_net::{DelayModel, NetConfig, Topology, World};
 
     #[test]
     fn constructors_set_kind() {
@@ -635,5 +773,270 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_two_faced_skew_rejected() {
         let _ = ServerFault::two_faced_from(ts(0.0), Duration::from_secs(-1.0), 0.5);
+    }
+
+    fn delta() -> DriftRate {
+        DriftRate::new(1e-4)
+    }
+
+    /// What `fault` sends `requester` at t = 10 s, the honest estimate
+    /// being `⟨100, 0.5⟩`.
+    fn answer_to(fault: ServerFault, requester: usize) -> Option<TimeEstimate> {
+        let honest = || TimeEstimate::new(ts(100.0), dur(0.5));
+        let mut rng = StdRng::seed_from_u64(7);
+        fault.answer(ts(10.0), honest, requester, None, delta(), &mut rng)
+    }
+
+    #[test]
+    fn collude_treats_labels_beyond_the_mask_as_outsiders() {
+        // Bits 0 and 63 are the clique. Labels the 64-bit mask cannot
+        // name used to shift out of range: a panic in debug, label k
+        // aliased onto k mod 64 in release — 64 and 70 would have been
+        // taken for members 0 and 6.
+        let fault = ServerFault::collude_from(ts(0.0), 1 | 1 << 63 | 1 << 6, dur(5.0), 0.1);
+        let honest = TimeEstimate::new(ts(100.0), dur(0.5));
+        let lie = TimeEstimate::new(ts(105.0), dur(0.5) * 0.1);
+        assert_eq!(answer_to(fault, 0), Some(honest));
+        assert_eq!(answer_to(fault, 63), Some(honest));
+        assert_eq!(answer_to(fault, 1), Some(lie));
+        assert_eq!(answer_to(fault, 64), Some(lie));
+        assert_eq!(answer_to(fault, 70), Some(lie));
+        assert_eq!(answer_to(fault, usize::MAX), Some(lie));
+    }
+
+    #[test]
+    fn answers_are_honest_until_the_fault_arms() {
+        let fault = ServerFault::lie_from(ts(10.5), dur(5.0), 0.1);
+        assert_eq!(
+            answer_to(fault, 1),
+            Some(TimeEstimate::new(ts(100.0), dur(0.5)))
+        );
+        // Schedule-driven and bug-injection kinds never touch a reply.
+        for fault in [
+            ServerFault::crash_at(ts(0.0)),
+            ServerFault::corrupt_at(ts(0.0), 1),
+            ServerFault::weaken_adoption_from(ts(0.0), dur(1.0)),
+        ] {
+            assert_eq!(
+                answer_to(fault, 1),
+                Some(TimeEstimate::new(ts(100.0), dur(0.5)))
+            );
+        }
+    }
+
+    #[test]
+    fn omission_draws_before_the_clock_is_read() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut read = 0;
+        let mut sent = 0;
+        let fault = ServerFault::omit_from(ts(0.0), 0.5);
+        for _ in 0..200 {
+            let honest = || {
+                read += 1;
+                TimeEstimate::new(ts(100.0), dur(0.5))
+            };
+            sent += usize::from(
+                fault
+                    .answer(ts(1.0), honest, 0, None, delta(), &mut rng)
+                    .is_some(),
+            );
+        }
+        assert_eq!(read, sent, "an omitted request must not read the clock");
+        assert!((60..140).contains(&sent), "p = 0.5 sent {sent} of 200");
+    }
+
+    #[test]
+    fn adversary_answers_honestly_until_it_remembers_the_victim() {
+        let fault = ServerFault::adversarial_from(ts(0.0), 0.1);
+        let honest = TimeEstimate::new(ts(100.0), dur(0.5));
+        assert_eq!(answer_to(fault, 1), Some(honest));
+        // The victim said ⟨99, 0.2⟩ when our clock read 98: aged to 100
+        // that is ⟨101, 0.2 + 2·2δ⟩, and the lie sits 90 % of the way
+        // from its centre to where a 0.05-wide claim would poke out.
+        let remembered = Some((TimeEstimate::new(ts(99.0), dur(0.2)), ts(98.0)));
+        let mut rng = StdRng::seed_from_u64(7);
+        let lie = fault
+            .answer(ts(10.0), || honest, 1, remembered, delta(), &mut rng)
+            .expect("a liar always answers");
+        let victim_error = dur(0.2) + dur(2.0) * (2.0 * 1e-4);
+        assert_eq!(lie.error(), dur(0.5) * 0.1);
+        assert_eq!(lie.time(), ts(101.0) + (victim_error - lie.error()) * 0.9);
+        assert!(lie.is_consistent_with(&TimeEstimate::new(ts(101.0), victim_error)));
+    }
+
+    #[test]
+    fn weakened_guard_adopts_within_slack_and_only_when_armed() {
+        let own = TimeEstimate::new(ts(100.0), dur(0.10));
+        let reply = TimedReply::new(TimeEstimate::new(ts(100.01), dur(0.12)), dur(0.01));
+        let adjusted = mm2_adjusted_error(dur(0.12), dur(0.01), delta());
+        let weak = |at, slack| ServerFault::weaken_adoption_from(ts(at), dur(slack));
+        assert_eq!(
+            weak(0.0, 0.05).weakened_adoption(ts(1.0), &own, delta(), &reply),
+            Some(Reset {
+                new_clock: ts(100.01),
+                new_error: adjusted,
+            }),
+            "an error larger than E_i is written"
+        );
+        assert!(adjusted > own.error());
+        assert_eq!(
+            weak(0.0, 0.01).weakened_adoption(ts(1.0), &own, delta(), &reply),
+            None,
+            "beyond the slack the guard still holds"
+        );
+        assert_eq!(
+            weak(2.0, 0.05).weakened_adoption(ts(1.0), &own, delta(), &reply),
+            None,
+            "not armed yet"
+        );
+        let liar = ServerFault::lie_from(ts(0.0), dur(5.0), 0.1);
+        assert_eq!(liar.weakened_adoption(ts(1.0), &own, delta(), &reply), None);
+    }
+
+    #[test]
+    fn schedule_arms_one_timer_for_crash_and_corruption_only() {
+        assert_eq!(
+            ServerFault::crash_at(ts(15.0)).first_timer(ts(5.0)),
+            Some((dur(10.0), TIMER_CRASH))
+        );
+        assert_eq!(
+            ServerFault::corrupt_at(ts(3.0), 9).first_timer(ts(5.0)),
+            Some((Duration::ZERO, TIMER_CORRUPT)),
+            "a past instant fires at once"
+        );
+        assert_eq!(
+            ServerFault::omit_from(ts(1.0), 0.5).first_timer(ts(0.0)),
+            None
+        );
+    }
+
+    #[test]
+    fn garbage_is_a_function_of_the_seed() {
+        let garbage = |seed, peers| {
+            ServerFault::corrupt_at(ts(1.0), seed)
+                .garbage(peers)
+                .expect("a corruption fault")
+        };
+        assert_eq!(garbage(9, 3), garbage(9, 3));
+        assert_ne!(garbage(9, 3), garbage(10, 3));
+        for seed in 0..64 {
+            let g = garbage(seed, 5);
+            let jump = g.clock_offset.abs();
+            assert!(jump >= dur(1.0) && jump < dur(50.0), "jump {jump}");
+            assert!(g.error >= dur(0.001) && g.error < dur(10.0));
+            assert_eq!(g.phantom_timeouts.len(), 5);
+            assert!(g.phantom_timeouts.iter().all(|&burst| burst < 8));
+        }
+        assert_eq!(ServerFault::crash_at(ts(1.0)).garbage(3), None);
+    }
+
+    #[test]
+    fn two_faced_liar_splits_its_story_by_destination() {
+        // Server 2 is two-faced: even-indexed requesters are told the
+        // clock is 5 s fast, odd-indexed ones 5 s slow. Each victim's
+        // freshest record of the liar shows its own half of the split.
+        let mut servers: Vec<TimeServer> = Vec::new();
+        for i in 0..3 {
+            let mut config = base_config(Strategy::Mm);
+            if i == 2 {
+                config = config.fault(ServerFault::two_faced_from(ts(0.0), dur(5.0), 0.1));
+            }
+            servers.push(server(0.0, config, i));
+        }
+        let mut world = World::new(
+            servers,
+            Topology::full_mesh(3),
+            NetConfig::with_delay(DelayModel::Constant(dur(0.001))),
+            41,
+        );
+        world.run_until(ts(35.0));
+        let (to_even, err_even) = recorded_offset(&world.actors()[0], 2);
+        let (to_odd, err_odd) = recorded_offset(&world.actors()[1], 2);
+        assert!(to_even > dur(4.0), "even victim saw {to_even}, not +5 s");
+        assert!(to_odd < dur(-4.0), "odd victim saw {to_odd}, not -5 s");
+        assert!(err_even < dur(0.02), "the error claim was not shrunk");
+        assert!(err_odd < dur(0.02));
+    }
+
+    #[test]
+    fn colluders_lie_to_victims_but_not_to_the_clique() {
+        // Server 3 colludes with server 2 (clique bitmask {2, 3}): its
+        // replies to 0 and 1 carry a coordinated 5 s lie, while server 2
+        // is told the truth — the clique's mutual screens see nothing.
+        let mut servers: Vec<TimeServer> = Vec::new();
+        for i in 0..4 {
+            let mut config = base_config(Strategy::Mm);
+            if i == 3 {
+                config = config.fault(ServerFault::collude_from(ts(0.0), 0b1100, dur(5.0), 0.1));
+            }
+            servers.push(server(0.0, config, i));
+        }
+        let mut world = World::new(
+            servers,
+            Topology::full_mesh(4),
+            NetConfig::with_delay(DelayModel::Constant(dur(0.001))),
+            42,
+        );
+        world.run_until(ts(35.0));
+        let (to_victim, _) = recorded_offset(&world.actors()[0], 3);
+        let (to_other_victim, _) = recorded_offset(&world.actors()[1], 3);
+        let (to_clique, _) = recorded_offset(&world.actors()[2], 3);
+        assert!(to_victim > dur(4.0), "victim 0 saw {to_victim}");
+        assert!(to_other_victim > dur(4.0), "victim 1 saw {to_other_victim}");
+        assert!(
+            to_clique.abs() < dur(0.5),
+            "the clique member was lied to: {to_clique}"
+        );
+    }
+
+    #[test]
+    fn adversarial_liar_crafts_the_lie_inside_the_victims_interval() {
+        // The adversarial liar shapes each reply against the victim's
+        // remembered `(r, ε)`: a sharply shrunken error claim placed
+        // near the upper edge of the victim's own interval, so it is
+        // consistent with what the victim believes yet pulls as hard as
+        // one faulty source can.
+        let mut servers: Vec<TimeServer> = Vec::new();
+        for i in 0..3 {
+            // A loose drift bound keeps every interval tens of
+            // milliseconds wide, so the crafted pull is well clear of
+            // network-delay noise.
+            let mut config = ServerConfig::new(Strategy::Mm, DriftRate::new(2e-3))
+                .resync_period(dur(10.0))
+                .collect_window(dur(0.5))
+                .initial_error(dur(0.05))
+                .jitter(0.0);
+            if i == 2 {
+                config = config.fault(ServerFault::adversarial_from(ts(0.0), 0.1));
+            }
+            servers.push(server(0.0, config, i));
+        }
+        let mut world = World::new(
+            servers,
+            Topology::full_mesh(3),
+            NetConfig::with_delay(DelayModel::Constant(dur(0.001))),
+            43,
+        );
+        world.run_until(ts(35.0));
+        let now = ts(35.0);
+        // The victims' clocks drift-free at 0.0, so any displacement
+        // from real time is the lie's doing. (The recorded offset of
+        // the liar is no pull gauge here: MM steps onto the shrunken
+        // claim at receipt, and the mark rebasing then reads the
+        // post-adoption residual — exactly zero.)
+        let pull = world.actors_mut()[0].sample(now).true_offset;
+        let (_, claimed_error) = recorded_offset(&world.actors()[0], 2);
+        // The lie is shifted upward but stays small (within the
+        // victim's ~50 ms interval) — nothing like the blatant 5 s of
+        // the cruder tiers.
+        assert!(
+            pull > dur(0.005),
+            "the crafted lie did not pull the victim: {pull}"
+        );
+        assert!(pull < dur(0.5), "the lie overshot the victim's interval");
+        assert!(
+            claimed_error < dur(0.02),
+            "the error claim was not shrunk: {claimed_error}"
+        );
     }
 }

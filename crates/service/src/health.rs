@@ -11,6 +11,7 @@
 //! scripted joins/leaves).
 
 use tempo_net::NodeId;
+use tempo_telemetry::HealthState;
 
 /// A peer's health verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,6 +22,17 @@ pub enum PeerState {
     Suspect,
     /// Missed many consecutive replies; only polled on probe rounds.
     Dead,
+}
+
+/// The verdict's telemetry mirror.
+impl From<PeerState> for HealthState {
+    fn from(state: PeerState) -> Self {
+        match state {
+            PeerState::Healthy => HealthState::Healthy,
+            PeerState::Suspect => HealthState::Suspect,
+            PeerState::Dead => HealthState::Dead,
+        }
+    }
 }
 
 /// Thresholds for the health state machine.

@@ -61,7 +61,10 @@ mod health;
 mod message;
 mod node;
 mod rate;
+mod requests;
+mod round;
 mod server;
+mod stats;
 mod store;
 pub mod wire;
 
@@ -72,5 +75,6 @@ pub use health::{HealthConfig, HealthTracker, PeerState};
 pub use message::Message;
 pub use node::ServiceNode;
 pub use rate::{AdmissionControl, RateMonitor};
-pub use server::{Lifecycle, ServerSample, ServerStats, TimeServer};
+pub use server::{Lifecycle, TimeServer};
+pub use stats::{ServerSample, ServerStats};
 pub use store::{ClusterState, MemoryStore, PersistedState, StableStore};

@@ -30,10 +30,10 @@ pub enum Message {
     /// deployments with processing delay.
     ///
     /// Nothing in the format proves two recipients were told the same
-    /// thing: under a Byzantine fault (`ServerFaultKind::TwoFaced`,
-    /// `::Collude`, `::AdversarialLie`) the `estimate` may be crafted
-    /// per destination, which is precisely why requesters screen
-    /// replies rather than trust them.
+    /// thing: under a Byzantine fault (the two-faced, colluding and
+    /// adversarial tiers of [`ServerFault`](crate::ServerFault)) the
+    /// `estimate` may be crafted per destination, which is precisely
+    /// why requesters screen replies rather than trust them.
     TimeReply {
         /// Correlation id copied from the request.
         request_id: u64,
