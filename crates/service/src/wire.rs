@@ -21,7 +21,10 @@
 //! last 2        checksum (ones'-complement sum of 16-bit words)
 //! ```
 //!
-//! Requests and uninitialized refusals are 14 bytes, replies 38.
+//! Requests and uninitialized refusals are 14 bytes, replies 38: those
+//! three rows, and the cluster-time frames' ten, are the `frames!` table
+//! below — the one place a type byte is paired with its length, which
+//! every decoder's envelope check reads.
 //!
 //! ## Batch frames
 //!
@@ -51,37 +54,67 @@ use tempo_telemetry::RefusalCause;
 use crate::message::Message;
 
 const MAGIC: u16 = 0x7E30;
-const TYPE_REQUEST: u8 = 1;
-const TYPE_REPLY: u8 = 2;
-const TYPE_UNINIT: u8 = 3;
-const TYPE_BATCH: u8 = 4;
-const TYPE_TS_REQUEST: u8 = 5;
-const TYPE_TS_REPLY: u8 = 6;
-const TYPE_TS_REFUSED: u8 = 7;
-const TYPE_TS_REDIRECT: u8 = 8;
-const TYPE_LEASE_RENEW: u8 = 9;
-const TYPE_LEASE_ACK: u8 = 10;
-const TYPE_VIEW_CHANGE_REQ: u8 = 11;
-const TYPE_VIEW_CHANGE_ACK: u8 = 12;
-const TYPE_HW_UPDATE: u8 = 13;
-const TYPE_HW_ACK: u8 = 14;
-const REQUEST_LEN: usize = 14;
-const REPLY_LEN: usize = 38;
-const UNINIT_LEN: usize = 14;
-const TS_REQUEST_LEN: usize = 14;
-const TS_REPLY_LEN: usize = 30;
-const TS_REFUSED_LEN: usize = 22;
-const TS_REDIRECT_LEN: usize = 26;
-const LEASE_RENEW_LEN: usize = 22;
-const LEASE_ACK_LEN: usize = 46;
-const VIEW_CHANGE_REQ_LEN: usize = 14;
-const VIEW_CHANGE_ACK_LEN: usize = 22;
-const HW_UPDATE_LEN: usize = 22;
-const HW_ACK_LEN: usize = 22;
 /// Batch header: magic + type + count.
 const BATCH_HEADER_LEN: usize = 4;
 /// Most inner frames one batch can carry (the count is a byte).
 pub const MAX_BATCH: usize = 255;
+/// The batch frame's type byte. It is the one variable-length frame, so
+/// it has no row below: its length follows from the inner frames.
+const TYPE_BATCH: u8 = 4;
+
+/// Which decoder admits a frame type.
+#[derive(Clone, Copy, PartialEq, PartialOrd)]
+enum Family {
+    /// The base time-service protocol (types 1–3): [`decode`], the inner
+    /// frames of a batch, and [`decode_cluster`].
+    Base,
+    /// The cluster-time superset (types 5–14): [`decode_cluster`] only.
+    Cluster,
+}
+
+/// Declares the frame table: one row per fixed-length frame, giving its
+/// type byte, its encoded length and its family — each stated here and
+/// nowhere else. [`frame_spec`] is how every decoder reads it.
+macro_rules! frames {
+    ($($kind:ident = $byte:literal, $len:ident = $bytes:literal, $family:ident;)*) => {
+        $(
+            const $kind: u8 = $byte;
+            const $len: usize = $bytes;
+            // The envelope reports a datagram shorter than this as
+            // truncated before it trusts the type byte.
+            const _: () = assert!($len >= REQUEST_LEN);
+        )*
+
+        /// The encoded length and family of frame type `kind`, if there
+        /// is such a type.
+        fn frame_spec(kind: u8) -> Option<(usize, Family)> {
+            match kind {
+                $($kind => Some(($len, Family::$family)),)*
+                _ => None,
+            }
+        }
+    };
+}
+
+// Every frame is a 4-byte header (magic, type, one type-specific byte),
+// 8-byte big-endian fields, and a 2-byte checksum; the module docs draw
+// the base frames byte by byte.
+frames! {
+    // type byte              encoded length            family    fields after the header
+    TYPE_REQUEST = 1,         REQUEST_LEN = 14,         Base;     // request id (attempt in header byte 3)
+    TYPE_REPLY = 2,           REPLY_LEN = 38,           Base;     // request id, received-at T2, clock C, error E
+    TYPE_UNINIT = 3,          UNINIT_LEN = 14,          Base;     // request id
+    TYPE_TS_REQUEST = 5,      TS_REQUEST_LEN = 14,      Cluster;  // request id (attempt in header byte 3)
+    TYPE_TS_REPLY = 6,        TS_REPLY_LEN = 30,        Cluster;  // request id, view, timestamp
+    TYPE_TS_REFUSED = 7,      TS_REFUSED_LEN = 22,      Cluster;  // request id, view (cause in header byte 3)
+    TYPE_TS_REDIRECT = 8,     TS_REDIRECT_LEN = 26,     Cluster;  // request id, view, primary (u32)
+    TYPE_LEASE_RENEW = 9,     LEASE_RENEW_LEN = 22,     Cluster;  // view, seq
+    TYPE_LEASE_ACK = 10,      LEASE_ACK_LEN = 46,       Cluster;  // view, seq, clock C, error E, high water
+    TYPE_VIEW_CHANGE_REQ = 11, VIEW_CHANGE_REQ_LEN = 14, Cluster; // view
+    TYPE_VIEW_CHANGE_ACK = 12, VIEW_CHANGE_ACK_LEN = 22, Cluster; // view, high water (ok in header byte 3)
+    TYPE_HW_UPDATE = 13,      HW_UPDATE_LEN = 22,       Cluster;  // view, high water
+    TYPE_HW_ACK = 14,         HW_ACK_LEN = 22,          Cluster;  // view, high water
+}
 
 /// Why a packet failed to decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,6 +200,95 @@ fn checksum(bytes: &[u8]) -> u16 {
     !(sum as u16)
 }
 
+// ----- the envelope, written once for every frame -----
+
+/// Starts a frame at the end of `out`: magic, type byte, header byte 3,
+/// then `words` big-endian. [`seal`] closes it.
+fn begin(out: &mut Vec<u8>, kind: u8, byte3: u8, words: &[u64]) {
+    out.extend_from_slice(&MAGIC.to_be_bytes());
+    out.push(kind);
+    out.push(byte3);
+    for word in words {
+        out.extend_from_slice(&word.to_be_bytes());
+    }
+}
+
+/// Closes the frame that starts at `start` with its checksum.
+fn seal(out: &mut Vec<u8>, start: usize) {
+    let ck = checksum(&out[start..]);
+    out.extend_from_slice(&ck.to_be_bytes());
+}
+
+/// The magic of a datagram at least a header long.
+fn check_magic(bytes: &[u8]) -> Result<(), DecodeError> {
+    match u16::from_be_bytes([bytes[0], bytes[1]]) {
+        MAGIC => Ok(()),
+        found => Err(DecodeError::BadMagic { found }),
+    }
+}
+
+/// Holds `bytes` to being one whole frame of type `kind`: exactly `len`
+/// bytes, the last two the checksum of the rest. Returns the rest.
+fn sealed_body(bytes: &[u8], kind: u8, len: usize) -> Result<&[u8], DecodeError> {
+    // A shortfall is truncation — a reply cut anywhere between the
+    // header and its last checksum byte lands here — while excess
+    // bytes are a framing error. Distinguishing them keeps a
+    // truncation-under-fault soak attributable in telemetry.
+    if bytes.len() < len {
+        return Err(DecodeError::Truncated { len: bytes.len() });
+    }
+    if bytes.len() > len {
+        return Err(DecodeError::BadLength {
+            kind,
+            len: bytes.len(),
+        });
+    }
+    let (body, ck_bytes) = bytes.split_at(len - 2);
+    if checksum(body) != u16::from_be_bytes([ck_bytes[0], ck_bytes[1]]) {
+        return Err(DecodeError::BadChecksum);
+    }
+    Ok(body)
+}
+
+/// The checks every fixed-length frame passes before a field of it is
+/// read, in this order: long enough to be any frame, the magic, a type
+/// of a family the caller `speaks`, exactly the length the frame table
+/// gives that type, the checksum. Returns the type byte and the frame
+/// without its checksum.
+fn envelope(bytes: &[u8], speaks: Family) -> Result<(u8, &[u8]), DecodeError> {
+    // No frame is shorter than a request (the frame table asserts it),
+    // so this much is missing whatever the type byte claims.
+    if bytes.len() < REQUEST_LEN {
+        return Err(DecodeError::Truncated { len: bytes.len() });
+    }
+    check_magic(bytes)?;
+    let kind = bytes[2];
+    match frame_spec(kind) {
+        Some((len, family)) if family <= speaks => Ok((kind, sealed_body(bytes, kind, len)?)),
+        _ => Err(DecodeError::UnknownType { found: kind }),
+    }
+}
+
+/// The big-endian word at `off` of a frame the envelope has measured.
+fn word(body: &[u8], off: usize) -> u64 {
+    u64::from_be_bytes(body[off..off + 8].try_into().expect("length checked"))
+}
+
+/// The `(clock C, error E)` pair at `off`: both finite, `E` not negative.
+fn estimate_at(body: &[u8], off: usize) -> Result<TimeEstimate, DecodeError> {
+    let time = f64::from_bits(word(body, off));
+    let error = f64::from_bits(word(body, off + 8));
+    if !time.is_finite() || !error.is_finite() || error < 0.0 {
+        return Err(DecodeError::BadPayload);
+    }
+    Ok(TimeEstimate::new(
+        Timestamp::from_secs(time),
+        Duration::from_secs(error),
+    ))
+}
+
+// ----- base frames -----
+
 /// Encodes a message.
 #[must_use]
 pub fn encode(msg: &Message) -> Vec<u8> {
@@ -181,36 +303,27 @@ pub fn encode(msg: &Message) -> Vec<u8> {
 /// exactly [`encode`]'s output.
 pub fn encode_into(msg: &Message, out: &mut Vec<u8>) {
     let start = out.len();
-    out.extend_from_slice(&MAGIC.to_be_bytes());
     match *msg {
         Message::TimeRequest {
             request_id,
             attempt,
-        } => {
-            out.push(TYPE_REQUEST);
-            out.push(attempt);
-            out.extend_from_slice(&request_id.to_be_bytes());
-        }
+        } => begin(out, TYPE_REQUEST, attempt, &[request_id]),
         Message::TimeReply {
             request_id,
             received_at,
             estimate,
         } => {
-            out.push(TYPE_REPLY);
-            out.push(0);
-            out.extend_from_slice(&request_id.to_be_bytes());
-            out.extend_from_slice(&received_at.as_secs().to_bits().to_be_bytes());
-            out.extend_from_slice(&estimate.time().as_secs().to_bits().to_be_bytes());
-            out.extend_from_slice(&estimate.error().as_secs().to_bits().to_be_bytes());
+            let words = [
+                request_id,
+                received_at.as_secs().to_bits(),
+                estimate.time().as_secs().to_bits(),
+                estimate.error().as_secs().to_bits(),
+            ];
+            begin(out, TYPE_REPLY, 0, &words)
         }
-        Message::Uninitialized { request_id } => {
-            out.push(TYPE_UNINIT);
-            out.push(0);
-            out.extend_from_slice(&request_id.to_be_bytes());
-        }
+        Message::Uninitialized { request_id } => begin(out, TYPE_UNINIT, 0, &[request_id]),
     }
-    let ck = checksum(&out[start..]);
-    out.extend_from_slice(&ck.to_be_bytes());
+    seal(out, start);
 }
 
 /// Encodes a batch of messages as one self-checking frame (see the
@@ -243,14 +356,11 @@ pub fn encode_batch_into(msgs: &[Message], out: &mut Vec<u8>) {
     );
     assert!(msgs.len() <= MAX_BATCH, "batch count is a single byte");
     let start = out.len();
-    out.extend_from_slice(&MAGIC.to_be_bytes());
-    out.push(TYPE_BATCH);
-    out.push(msgs.len() as u8);
+    begin(out, TYPE_BATCH, msgs.len() as u8, &[]);
     for msg in msgs {
         encode_into(msg, out);
     }
-    let ck = checksum(&out[start..]);
-    out.extend_from_slice(&ck.to_be_bytes());
+    seal(out, start);
 }
 
 /// Whether a received frame declares itself a batch (so the caller
@@ -259,17 +369,6 @@ pub fn encode_batch_into(msgs: &[Message], out: &mut Vec<u8>) {
 #[must_use]
 pub fn is_batch_frame(bytes: &[u8]) -> bool {
     bytes.len() >= 3 && bytes[..2] == MAGIC.to_be_bytes() && bytes[2] == TYPE_BATCH
-}
-
-/// The encoded length an inner frame of type `kind` declares, if the
-/// type is known.
-fn inner_len(kind: u8) -> Option<usize> {
-    match kind {
-        TYPE_REQUEST => Some(REQUEST_LEN),
-        TYPE_REPLY => Some(REPLY_LEN),
-        TYPE_UNINIT => Some(UNINIT_LEN),
-        _ => None,
-    }
 }
 
 /// Decodes a batch frame into its messages, in order.
@@ -287,10 +386,7 @@ pub fn decode_batch(bytes: &[u8]) -> Result<Vec<Message>, DecodeError> {
     if bytes.len() < BATCH_HEADER_LEN {
         return Err(DecodeError::Truncated { len: bytes.len() });
     }
-    let magic = u16::from_be_bytes([bytes[0], bytes[1]]);
-    if magic != MAGIC {
-        return Err(DecodeError::BadMagic { found: magic });
-    }
+    check_magic(bytes)?;
     if bytes[2] != TYPE_BATCH {
         return Err(DecodeError::UnknownType { found: bytes[2] });
     }
@@ -312,10 +408,9 @@ pub fn decode_batch(bytes: &[u8]) -> Result<Vec<Message>, DecodeError> {
         if offset + 3 > bytes.len() {
             return Err(DecodeError::Truncated { len: bytes.len() });
         }
-        let Some(len) = inner_len(bytes[offset + 2]) else {
-            return Err(DecodeError::UnknownType {
-                found: bytes[offset + 2],
-            });
+        let kind = bytes[offset + 2];
+        let Some((len, Family::Base)) = frame_spec(kind) else {
+            return Err(DecodeError::UnknownType { found: kind });
         };
         if offset + len > bytes.len() {
             return Err(DecodeError::Truncated { len: bytes.len() });
@@ -323,21 +418,7 @@ pub fn decode_batch(bytes: &[u8]) -> Result<Vec<Message>, DecodeError> {
         bounds.push((offset, offset + len));
         offset += len;
     }
-    let total = offset + 2;
-    if bytes.len() < total {
-        return Err(DecodeError::Truncated { len: bytes.len() });
-    }
-    if bytes.len() > total {
-        return Err(DecodeError::BadLength {
-            kind: TYPE_BATCH,
-            len: bytes.len(),
-        });
-    }
-    let (body, ck_bytes) = bytes.split_at(total - 2);
-    let declared = u16::from_be_bytes([ck_bytes[0], ck_bytes[1]]);
-    if checksum(body) != declared {
-        return Err(DecodeError::BadChecksum);
-    }
+    sealed_body(bytes, TYPE_BATCH, offset + 2)?;
     bounds
         .into_iter()
         .map(|(start, end)| decode(&bytes[start..end]))
@@ -352,39 +433,13 @@ pub fn decode_batch(bytes: &[u8]) -> Result<Vec<Message>, DecodeError> {
 /// truncation, bad magic, unknown type, wrong length, checksum
 /// mismatch, or an invalid payload.
 pub fn decode(bytes: &[u8]) -> Result<Message, DecodeError> {
-    if bytes.len() < REQUEST_LEN {
-        return Err(DecodeError::Truncated { len: bytes.len() });
-    }
-    let magic = u16::from_be_bytes([bytes[0], bytes[1]]);
-    if magic != MAGIC {
-        return Err(DecodeError::BadMagic { found: magic });
-    }
-    let kind = bytes[2];
-    let expected_len = match kind {
-        TYPE_REQUEST => REQUEST_LEN,
-        TYPE_REPLY => REPLY_LEN,
-        TYPE_UNINIT => UNINIT_LEN,
-        other => return Err(DecodeError::UnknownType { found: other }),
-    };
-    // A shortfall is truncation — a reply cut anywhere between the
-    // header and its last checksum byte lands here — while excess
-    // bytes are a framing error. Distinguishing them keeps a
-    // truncation-under-fault soak attributable in telemetry.
-    if bytes.len() < expected_len {
-        return Err(DecodeError::Truncated { len: bytes.len() });
-    }
-    if bytes.len() > expected_len {
-        return Err(DecodeError::BadLength {
-            kind,
-            len: bytes.len(),
-        });
-    }
-    let (body, ck_bytes) = bytes.split_at(expected_len - 2);
-    let declared = u16::from_be_bytes([ck_bytes[0], ck_bytes[1]]);
-    if checksum(body) != declared {
-        return Err(DecodeError::BadChecksum);
-    }
-    let request_id = u64::from_be_bytes(body[4..12].try_into().expect("length checked"));
+    let (kind, body) = envelope(bytes, Family::Base)?;
+    base_payload(kind, body)
+}
+
+/// The fields of a base frame whose envelope has been checked.
+fn base_payload(kind: u8, body: &[u8]) -> Result<Message, DecodeError> {
+    let request_id = word(body, 4);
     match kind {
         TYPE_REQUEST => Ok(Message::TimeRequest {
             request_id,
@@ -392,25 +447,17 @@ pub fn decode(bytes: &[u8]) -> Result<Message, DecodeError> {
         }),
         TYPE_UNINIT => Ok(Message::Uninitialized { request_id }),
         TYPE_REPLY => {
-            let received = f64::from_bits(u64::from_be_bytes(
-                body[12..20].try_into().expect("length checked"),
-            ));
-            let time = f64::from_bits(u64::from_be_bytes(
-                body[20..28].try_into().expect("length checked"),
-            ));
-            let error = f64::from_bits(u64::from_be_bytes(
-                body[28..36].try_into().expect("length checked"),
-            ));
-            if !received.is_finite() || !time.is_finite() || !error.is_finite() || error < 0.0 {
+            let received = f64::from_bits(word(body, 12));
+            if !received.is_finite() {
                 return Err(DecodeError::BadPayload);
             }
             Ok(Message::TimeReply {
                 request_id,
                 received_at: Timestamp::from_secs(received),
-                estimate: TimeEstimate::new(Timestamp::from_secs(time), Duration::from_secs(error)),
+                estimate: estimate_at(body, 20)?,
             })
         }
-        _ => unreachable!("type validated above"),
+        _ => unreachable!("the envelope admits base types only"),
     }
 }
 
@@ -422,21 +469,7 @@ pub fn decode(bytes: &[u8]) -> Result<Message, DecodeError> {
 // plain data — the cluster crate maps them onto its actor messages —
 // so the codec stays self-contained and every frame keeps the same
 // magic/type/checksum discipline (and the same truncation taxonomy) as
-// the base frames.
-//
-// ```text
-// type  frame            len  fields after the 4-byte header
-// 5     ts request       14   request id (attempt in header byte 3)
-// 6     ts reply         30   request id, view, timestamp
-// 7     ts refused       22   request id, view (cause in header byte 3)
-// 8     ts redirect      26   request id, view, primary (u32)
-// 9     lease renew      22   view, seq
-// 10    lease ack        46   view, seq, clock C, error E, high water
-// 11    view-change req  14   view
-// 12    view-change ack  22   view, high water (ok in header byte 3)
-// 13    hw update        22   view, high water
-// 14    hw ack           22   view, high water
-// ```
+// the base frames. Their rows in the frame table list the fields.
 
 /// A message of the cluster-time protocol: either a base time-service
 /// message (types 1–3, encoded exactly as [`encode`] would — the
@@ -564,7 +597,6 @@ fn cause_from_byte(b: u8) -> Option<RefusalCause> {
 #[must_use]
 pub fn encode_cluster(frame: &ClusterFrame) -> Vec<u8> {
     let mut out = Vec::with_capacity(LEASE_ACK_LEN);
-    let start = out.len();
     match *frame {
         ClusterFrame::Base(ref msg) => {
             encode_into(msg, &mut out);
@@ -573,53 +605,30 @@ pub fn encode_cluster(frame: &ClusterFrame) -> Vec<u8> {
         ClusterFrame::TsRequest {
             request_id,
             attempt,
-        } => {
-            out.extend_from_slice(&MAGIC.to_be_bytes());
-            out.push(TYPE_TS_REQUEST);
-            out.push(attempt);
-            out.extend_from_slice(&request_id.to_be_bytes());
-        }
+        } => begin(&mut out, TYPE_TS_REQUEST, attempt, &[request_id]),
         ClusterFrame::TsReply {
             request_id,
             view,
             timestamp,
-        } => {
-            out.extend_from_slice(&MAGIC.to_be_bytes());
-            out.push(TYPE_TS_REPLY);
-            out.push(0);
-            out.extend_from_slice(&request_id.to_be_bytes());
-            out.extend_from_slice(&view.to_be_bytes());
-            out.extend_from_slice(&timestamp.to_be_bytes());
-        }
+        } => begin(&mut out, TYPE_TS_REPLY, 0, &[request_id, view, timestamp]),
         ClusterFrame::TsRefused {
             request_id,
             view,
             cause,
         } => {
-            out.extend_from_slice(&MAGIC.to_be_bytes());
-            out.push(TYPE_TS_REFUSED);
-            out.push(cause_to_byte(cause));
-            out.extend_from_slice(&request_id.to_be_bytes());
-            out.extend_from_slice(&view.to_be_bytes());
+            let cause = cause_to_byte(cause);
+            begin(&mut out, TYPE_TS_REFUSED, cause, &[request_id, view])
         }
         ClusterFrame::TsRedirect {
             request_id,
             view,
             primary,
         } => {
-            out.extend_from_slice(&MAGIC.to_be_bytes());
-            out.push(TYPE_TS_REDIRECT);
-            out.push(0);
-            out.extend_from_slice(&request_id.to_be_bytes());
-            out.extend_from_slice(&view.to_be_bytes());
+            begin(&mut out, TYPE_TS_REDIRECT, 0, &[request_id, view]);
             out.extend_from_slice(&primary.to_be_bytes());
         }
         ClusterFrame::LeaseRenew { view, seq } => {
-            out.extend_from_slice(&MAGIC.to_be_bytes());
-            out.push(TYPE_LEASE_RENEW);
-            out.push(0);
-            out.extend_from_slice(&view.to_be_bytes());
-            out.extend_from_slice(&seq.to_be_bytes());
+            begin(&mut out, TYPE_LEASE_RENEW, 0, &[view, seq])
         }
         ClusterFrame::LeaseAck {
             view,
@@ -627,55 +636,41 @@ pub fn encode_cluster(frame: &ClusterFrame) -> Vec<u8> {
             estimate,
             high_water,
         } => {
-            out.extend_from_slice(&MAGIC.to_be_bytes());
-            out.push(TYPE_LEASE_ACK);
-            out.push(0);
-            out.extend_from_slice(&view.to_be_bytes());
-            out.extend_from_slice(&seq.to_be_bytes());
-            out.extend_from_slice(&estimate.time().as_secs().to_bits().to_be_bytes());
-            out.extend_from_slice(&estimate.error().as_secs().to_bits().to_be_bytes());
-            out.extend_from_slice(&high_water.to_be_bytes());
+            let words = [
+                view,
+                seq,
+                estimate.time().as_secs().to_bits(),
+                estimate.error().as_secs().to_bits(),
+                high_water,
+            ];
+            begin(&mut out, TYPE_LEASE_ACK, 0, &words)
         }
-        ClusterFrame::ViewChangeReq { view } => {
-            out.extend_from_slice(&MAGIC.to_be_bytes());
-            out.push(TYPE_VIEW_CHANGE_REQ);
-            out.push(0);
-            out.extend_from_slice(&view.to_be_bytes());
-        }
+        ClusterFrame::ViewChangeReq { view } => begin(&mut out, TYPE_VIEW_CHANGE_REQ, 0, &[view]),
         ClusterFrame::ViewChangeAck {
             view,
             ok,
             high_water,
-        } => {
-            out.extend_from_slice(&MAGIC.to_be_bytes());
-            out.push(TYPE_VIEW_CHANGE_ACK);
-            out.push(u8::from(ok));
-            out.extend_from_slice(&view.to_be_bytes());
-            out.extend_from_slice(&high_water.to_be_bytes());
-        }
+        } => begin(
+            &mut out,
+            TYPE_VIEW_CHANGE_ACK,
+            u8::from(ok),
+            &[view, high_water],
+        ),
         ClusterFrame::HwUpdate { view, high_water } => {
-            out.extend_from_slice(&MAGIC.to_be_bytes());
-            out.push(TYPE_HW_UPDATE);
-            out.push(0);
-            out.extend_from_slice(&view.to_be_bytes());
-            out.extend_from_slice(&high_water.to_be_bytes());
+            begin(&mut out, TYPE_HW_UPDATE, 0, &[view, high_water])
         }
         ClusterFrame::HwAck { view, high_water } => {
-            out.extend_from_slice(&MAGIC.to_be_bytes());
-            out.push(TYPE_HW_ACK);
-            out.push(0);
-            out.extend_from_slice(&view.to_be_bytes());
-            out.extend_from_slice(&high_water.to_be_bytes());
+            begin(&mut out, TYPE_HW_ACK, 0, &[view, high_water])
         }
     }
-    let ck = checksum(&out[start..]);
-    out.extend_from_slice(&ck.to_be_bytes());
+    seal(&mut out, 0);
     out
 }
 
-/// Decodes a cluster frame. Types 1–3 delegate to [`decode`] and come
-/// back as [`ClusterFrame::Base`]; batch frames (type 4) are not part
-/// of the cluster protocol and are rejected as an unknown type.
+/// Decodes a cluster frame. Types 1–3 come back as
+/// [`ClusterFrame::Base`], decoded as [`decode`] would; batch frames
+/// (type 4) are not part of the cluster protocol and are rejected as an
+/// unknown type.
 ///
 /// # Errors
 ///
@@ -686,115 +681,67 @@ pub fn encode_cluster(frame: &ClusterFrame) -> Vec<u8> {
 /// non-boolean ok byte, or non-finite/negative lease estimate is
 /// [`DecodeError::BadPayload`].
 pub fn decode_cluster(bytes: &[u8]) -> Result<ClusterFrame, DecodeError> {
-    // The smallest cluster frame matches the smallest base frame, so
-    // truncation is detectable before the type byte is trusted.
-    if bytes.len() < TS_REQUEST_LEN.min(REQUEST_LEN) {
-        return Err(DecodeError::Truncated { len: bytes.len() });
-    }
-    let magic = u16::from_be_bytes([bytes[0], bytes[1]]);
-    if magic != MAGIC {
-        return Err(DecodeError::BadMagic { found: magic });
-    }
-    let kind = bytes[2];
-    if matches!(kind, TYPE_REQUEST | TYPE_REPLY | TYPE_UNINIT) {
-        return decode(bytes).map(ClusterFrame::Base);
-    }
-    let expected_len = match kind {
-        TYPE_TS_REQUEST => TS_REQUEST_LEN,
-        TYPE_TS_REPLY => TS_REPLY_LEN,
-        TYPE_TS_REFUSED => TS_REFUSED_LEN,
-        TYPE_TS_REDIRECT => TS_REDIRECT_LEN,
-        TYPE_LEASE_RENEW => LEASE_RENEW_LEN,
-        TYPE_LEASE_ACK => LEASE_ACK_LEN,
-        TYPE_VIEW_CHANGE_REQ => VIEW_CHANGE_REQ_LEN,
-        TYPE_VIEW_CHANGE_ACK => VIEW_CHANGE_ACK_LEN,
-        TYPE_HW_UPDATE => HW_UPDATE_LEN,
-        TYPE_HW_ACK => HW_ACK_LEN,
-        other => return Err(DecodeError::UnknownType { found: other }),
-    };
-    if bytes.len() < expected_len {
-        return Err(DecodeError::Truncated { len: bytes.len() });
-    }
-    if bytes.len() > expected_len {
-        return Err(DecodeError::BadLength {
-            kind,
-            len: bytes.len(),
-        });
-    }
-    let (body, ck_bytes) = bytes.split_at(expected_len - 2);
-    let declared = u16::from_be_bytes([ck_bytes[0], ck_bytes[1]]);
-    if checksum(body) != declared {
-        return Err(DecodeError::BadChecksum);
-    }
-    let u64_at = |off: usize| u64::from_be_bytes(body[off..off + 8].try_into().expect("length"));
-    match kind {
-        TYPE_TS_REQUEST => Ok(ClusterFrame::TsRequest {
-            request_id: u64_at(4),
+    let (kind, body) = envelope(bytes, Family::Cluster)?;
+    Ok(match kind {
+        TYPE_TS_REQUEST => ClusterFrame::TsRequest {
+            request_id: word(body, 4),
             attempt: body[3],
-        }),
-        TYPE_TS_REPLY => Ok(ClusterFrame::TsReply {
-            request_id: u64_at(4),
-            view: u64_at(12),
-            timestamp: u64_at(20),
-        }),
-        TYPE_TS_REFUSED => {
-            let Some(cause) = cause_from_byte(body[3]) else {
-                return Err(DecodeError::BadPayload);
-            };
-            Ok(ClusterFrame::TsRefused {
-                request_id: u64_at(4),
-                view: u64_at(12),
-                cause,
-            })
-        }
-        TYPE_TS_REDIRECT => Ok(ClusterFrame::TsRedirect {
-            request_id: u64_at(4),
-            view: u64_at(12),
-            primary: u32::from_be_bytes(body[20..24].try_into().expect("length")),
-        }),
-        TYPE_LEASE_RENEW => Ok(ClusterFrame::LeaseRenew {
-            view: u64_at(4),
-            seq: u64_at(12),
-        }),
-        TYPE_LEASE_ACK => {
-            let time = f64::from_bits(u64_at(20));
-            let error = f64::from_bits(u64_at(28));
-            if !time.is_finite() || !error.is_finite() || error < 0.0 {
-                return Err(DecodeError::BadPayload);
-            }
-            Ok(ClusterFrame::LeaseAck {
-                view: u64_at(4),
-                seq: u64_at(12),
-                estimate: TimeEstimate::new(Timestamp::from_secs(time), Duration::from_secs(error)),
-                high_water: u64_at(36),
-            })
-        }
-        TYPE_VIEW_CHANGE_REQ => Ok(ClusterFrame::ViewChangeReq { view: u64_at(4) }),
+        },
+        TYPE_TS_REPLY => ClusterFrame::TsReply {
+            request_id: word(body, 4),
+            view: word(body, 12),
+            timestamp: word(body, 20),
+        },
+        TYPE_TS_REFUSED => ClusterFrame::TsRefused {
+            request_id: word(body, 4),
+            view: word(body, 12),
+            cause: cause_from_byte(body[3]).ok_or(DecodeError::BadPayload)?,
+        },
+        TYPE_TS_REDIRECT => ClusterFrame::TsRedirect {
+            request_id: word(body, 4),
+            view: word(body, 12),
+            primary: u32::from_be_bytes(body[20..24].try_into().expect("length checked")),
+        },
+        TYPE_LEASE_RENEW => ClusterFrame::LeaseRenew {
+            view: word(body, 4),
+            seq: word(body, 12),
+        },
+        TYPE_LEASE_ACK => ClusterFrame::LeaseAck {
+            view: word(body, 4),
+            seq: word(body, 12),
+            estimate: estimate_at(body, 20)?,
+            high_water: word(body, 36),
+        },
+        TYPE_VIEW_CHANGE_REQ => ClusterFrame::ViewChangeReq {
+            view: word(body, 4),
+        },
         TYPE_VIEW_CHANGE_ACK => {
             if body[3] > 1 {
                 return Err(DecodeError::BadPayload);
             }
-            Ok(ClusterFrame::ViewChangeAck {
-                view: u64_at(4),
+            ClusterFrame::ViewChangeAck {
+                view: word(body, 4),
                 ok: body[3] == 1,
-                high_water: u64_at(12),
-            })
+                high_water: word(body, 12),
+            }
         }
-        TYPE_HW_UPDATE => Ok(ClusterFrame::HwUpdate {
-            view: u64_at(4),
-            high_water: u64_at(12),
-        }),
-        TYPE_HW_ACK => Ok(ClusterFrame::HwAck {
-            view: u64_at(4),
-            high_water: u64_at(12),
-        }),
-        _ => unreachable!("type validated above"),
-    }
+        TYPE_HW_UPDATE => ClusterFrame::HwUpdate {
+            view: word(body, 4),
+            high_water: word(body, 12),
+        },
+        TYPE_HW_ACK => ClusterFrame::HwAck {
+            view: word(body, 4),
+            high_water: word(body, 12),
+        },
+        // The envelope admits table rows only, and the rest are base.
+        _ => ClusterFrame::Base(base_payload(kind, body)?),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tempo_telemetry::TelemetryEvent;
 
     fn reply(id: u64, c: f64, e: f64) -> Message {
         Message::TimeReply {
@@ -986,6 +933,43 @@ mod tests {
         assert_eq!(checksum(body), declared);
         // Odd-length bodies are padded, not rejected.
         assert_ne!(checksum(&[0x12]), checksum(&[0x13]));
+    }
+
+    #[test]
+    fn every_decode_error_label_is_in_the_jsonl_schema() {
+        // `"malformed".cause` exports `label()`, and the schema's list
+        // of legal causes lives in tempo-telemetry, which cannot see
+        // this enum: a new variant must be added there too.
+        for error in [
+            DecodeError::Truncated { len: 3 },
+            DecodeError::BadMagic { found: 0 },
+            DecodeError::UnknownType { found: 99 },
+            DecodeError::BadLength { kind: 1, len: 15 },
+            DecodeError::BadChecksum,
+            DecodeError::BadPayload,
+        ] {
+            // Exhaustive on purpose: a new variant fails to compile
+            // here until it joins the list above.
+            match error {
+                DecodeError::Truncated { .. }
+                | DecodeError::BadMagic { .. }
+                | DecodeError::UnknownType { .. }
+                | DecodeError::BadLength { .. }
+                | DecodeError::BadChecksum
+                | DecodeError::BadPayload => {}
+            }
+            let line = tempo_telemetry::json::event_line(&TelemetryEvent::MalformedFrame {
+                at: Timestamp::from_secs(1.5),
+                server: 0,
+                len: 3,
+                cause: error.label(),
+            });
+            assert_eq!(
+                tempo_telemetry::json::validate_line(&line),
+                Ok(()),
+                "{line}"
+            );
+        }
     }
 
     #[test]

@@ -7,11 +7,16 @@
 //! order is fixed and numbers are written by [`crate::num`] exactly as
 //! Rust's `{}` formats them (shortest round-trip, never an exponent),
 //! so a fixed seed yields a byte-identical stream.
+//!
+//! Which records exist, under which tag, with which keys, is the event
+//! table in the crate root: [`write_event`] and the schema
+//! [`validate_line`] checks are both generated from its rows.
 
 use tempo_core::{Duration, Timestamp};
 
 use crate::num::{write_f64, write_u64};
-use crate::{SampleSnapshot, TelemetryEvent};
+// The event table names its field types as the crate root spells them.
+use crate::{DropCause, HealthState, RefusalCause, RejectCause, SampleSnapshot, TelemetryEvent};
 
 // ---------------------------------------------------------------------------
 // Writing
@@ -20,53 +25,65 @@ use crate::{SampleSnapshot, TelemetryEvent};
 /// A value [`json_record!`](crate::json_record) can append to a line
 /// in place.
 pub trait Value {
+    /// The JSON shape `write_json` produces: the schema type of an
+    /// event field of this Rust type.
+    const FIELD: Field;
+
     /// Appends `self` as JSON.
     fn write_json(&self, out: &mut Vec<u8>);
 }
 
 impl<T: Value + ?Sized> Value for &T {
+    const FIELD: Field = T::FIELD;
     fn write_json(&self, out: &mut Vec<u8>) {
         (**self).write_json(out);
     }
 }
 
 impl Value for f64 {
+    const FIELD: Field = Field::Num;
     fn write_json(&self, out: &mut Vec<u8>) {
         write_f64(out, *self);
     }
 }
 
 impl Value for Timestamp {
+    const FIELD: Field = Field::Num;
     fn write_json(&self, out: &mut Vec<u8>) {
         write_f64(out, self.as_secs());
     }
 }
 
 impl Value for Duration {
+    const FIELD: Field = Field::Num;
     fn write_json(&self, out: &mut Vec<u8>) {
         write_f64(out, self.as_secs());
     }
 }
 
 impl Value for u64 {
+    const FIELD: Field = Field::Int;
     fn write_json(&self, out: &mut Vec<u8>) {
         write_u64(out, *self);
     }
 }
 
 impl Value for u32 {
+    const FIELD: Field = Field::Int;
     fn write_json(&self, out: &mut Vec<u8>) {
         write_u64(out, u64::from(*self));
     }
 }
 
 impl Value for usize {
+    const FIELD: Field = Field::Int;
     fn write_json(&self, out: &mut Vec<u8>) {
         write_u64(out, *self as u64);
     }
 }
 
 impl Value for bool {
+    const FIELD: Field = Field::Bool;
     fn write_json(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(if *self { b"true" } else { b"false" });
     }
@@ -74,6 +91,7 @@ impl Value for bool {
 
 /// A string literal, quoted and escaped.
 impl Value for str {
+    const FIELD: Field = Field::Str;
     fn write_json(&self, out: &mut Vec<u8>) {
         out.push(b'"');
         let mut rest = self.as_bytes();
@@ -105,6 +123,7 @@ impl Value for str {
 
 /// An array, written in place.
 impl<T: Value> Value for [T] {
+    const FIELD: Field = Field::Arr(&T::FIELD);
     fn write_json(&self, out: &mut Vec<u8>) {
         out.push(b'[');
         for (i, item) in self.iter().enumerate() {
@@ -117,10 +136,23 @@ impl<T: Value> Value for [T] {
     }
 }
 
+impl<T: Value> Value for Vec<T> {
+    const FIELD: Field = <[T]>::FIELD;
+    fn write_json(&self, out: &mut Vec<u8>) {
+        self.as_slice().write_json(out);
+    }
+}
+
 // Inactive servers export as `null`: their free-running clocks are
 // visible in-process, but the JSONL schema only carries service
 // members.
 impl Value for SampleSnapshot {
+    const FIELD: Field = Field::NullOr(&[
+        ("clock", Field::Num),
+        ("error", Field::Num),
+        ("offset", Field::Num),
+        ("correct", Field::Bool),
+    ]);
     fn write_json(&self, out: &mut Vec<u8>) {
         if !self.active {
             out.extend_from_slice(b"null");
@@ -145,7 +177,9 @@ impl Value for SampleSnapshot {
 /// [`json::Value`](crate::json::Value).
 #[macro_export]
 macro_rules! json_record {
-    ($out:expr, $tag:literal, $first:literal : $head:expr $(, $key:literal : $value:expr)* $(,)?) => {{
+    // Keys as anything `concat!` expands to a literal — the event
+    // table's codec passes `stringify!`-ed field names.
+    (@keys $out:expr, $tag:literal, $first:expr => $head:expr $(, $key:expr => $value:expr)*) => {{
         let out: &mut ::std::vec::Vec<u8> = $out;
         out.extend_from_slice(concat!("{\"type\":\"", $tag, "\",\"", $first, "\":").as_bytes());
         $crate::json::Value::write_json(&$head, out);
@@ -155,105 +189,68 @@ macro_rules! json_record {
         )*
         out.push(b'}');
     }};
+    ($out:expr, $tag:literal, $first:literal : $head:expr $(, $key:literal : $value:expr)* $(,)?) => {
+        $crate::json_record!(@keys $out, $tag, $first => $head $(, $key => $value)*)
+    };
 }
 
-/// Appends one event's JSONL line (no trailing newline) to `out`,
-/// allocating nothing beyond `out`'s own growth. The tags repeat
-/// [`crate::EventKind::name`]; the per-kind fixtures in this module's
-/// tests hold the two together.
-#[rustfmt::skip]
-pub fn write_event(out: &mut Vec<u8>, event: &TelemetryEvent) {
-    match event {
-        TelemetryEvent::MsgSend { at, from, to } =>
-            json_record!(out, "send", "t": at, "from": from, "to": to),
-        TelemetryEvent::MsgRecv { at, from, to } =>
-            json_record!(out, "recv", "t": at, "from": from, "to": to),
-        TelemetryEvent::MsgDuplicate { at, from, to } =>
-            json_record!(out, "dup", "t": at, "from": from, "to": to),
-        TelemetryEvent::MsgDrop { at, from, to, cause } =>
-            json_record!(out, "drop", "t": at, "from": from, "to": to, "cause": cause.label()),
-        TelemetryEvent::TimerFired { at, node, tag } =>
-            json_record!(out, "timer", "t": at, "node": node, "tag": tag),
-        TelemetryEvent::Join { at, server, clock } =>
-            json_record!(out, "join", "t": at, "server": server, "clock": clock),
-        TelemetryEvent::Leave { at, server } =>
-            json_record!(out, "leave", "t": at, "server": server),
-        TelemetryEvent::RecoveryStarted { at, server } =>
-            json_record!(out, "recovery", "t": at, "server": server),
-        TelemetryEvent::RoundBegin { at, server, round, clock, polled } =>
-            json_record!(out, "round_begin", "t": at, "server": server, "round": round,
-                "clock": clock, "polled": polled),
-        TelemetryEvent::RoundAdopt {
-            at, server, round, clock, error_before, error_after, input_widths, recovery,
-        } =>
-            json_record!(out, "adopt", "t": at, "server": server, "round": round,
-                "clock": clock, "e_before": error_before, "e_after": error_after,
-                "inputs": input_widths.as_slice(), "recovery": recovery),
-        TelemetryEvent::RoundReject { at, server, round, cause } =>
-            json_record!(out, "reject", "t": at, "server": server, "round": round,
-                "cause": cause.label()),
-        TelemetryEvent::ClockStep { at, server, from, to, error } =>
-            json_record!(out, "step", "t": at, "server": server, "from": from, "to": to,
-                "error": error),
-        TelemetryEvent::ClockSlew { at, server, from, to, error } =>
-            json_record!(out, "slew", "t": at, "server": server, "from": from, "to": to,
-                "error": error),
-        TelemetryEvent::Timeout { at, server, peer, round, attempt } =>
-            json_record!(out, "timeout", "t": at, "server": server, "peer": peer,
-                "round": round, "attempt": attempt),
-        TelemetryEvent::Retry { at, server, peer, round, attempt } =>
-            json_record!(out, "retry", "t": at, "server": server, "peer": peer,
-                "round": round, "attempt": attempt),
-        TelemetryEvent::HealthChanged { at, server, peer, from, to } =>
-            json_record!(out, "health", "t": at, "server": server, "peer": peer,
-                "from": from.label(), "to": to.label()),
-        TelemetryEvent::DegradedEnter { at, server, round, replies, quorum } =>
-            json_record!(out, "degraded_enter", "t": at, "server": server, "round": round,
-                "replies": replies, "quorum": quorum),
-        TelemetryEvent::DegradedExit { at, server, round } =>
-            json_record!(out, "degraded_exit", "t": at, "server": server, "round": round),
-        TelemetryEvent::Sample { at, servers } =>
-            json_record!(out, "sample", "t": at, "servers": servers.as_slice()),
-        TelemetryEvent::ServerCrashed { at, server } =>
-            json_record!(out, "crash", "t": at, "server": server),
-        TelemetryEvent::ServerRestarted { at, server, amnesia } =>
-            json_record!(out, "restart", "t": at, "server": server, "amnesia": amnesia),
-        TelemetryEvent::StateRehydrated {
-            at, server, clock, error, reset_clock, persisted_error,
-        } =>
-            json_record!(out, "rehydrate", "t": at, "server": server, "clock": clock,
-                "error": error, "reset_clock": reset_clock,
-                "persisted_error": persisted_error),
-        TelemetryEvent::BootstrapCompleted { at, server, rounds, clock, error } =>
-            json_record!(out, "bootstrap", "t": at, "server": server, "rounds": rounds,
-                "clock": clock, "error": error),
-        TelemetryEvent::StateCorrupted { at, server, clock, error } =>
-            json_record!(out, "corrupt", "t": at, "server": server, "clock": clock,
-                "error": error),
-        TelemetryEvent::Stabilized { at, server, elapsed } =>
-            json_record!(out, "stabilized", "t": at, "server": server, "elapsed": elapsed),
-        TelemetryEvent::MalformedFrame { at, server, len, cause } =>
-            json_record!(out, "malformed", "t": at, "server": server, "len": len,
-                "cause": cause),
-        TelemetryEvent::ViewChange { at, server, view, high_water } =>
-            json_record!(out, "view_change", "t": at, "server": server, "view": view,
-                "high_water": high_water),
-        TelemetryEvent::LeaseGranted { at, server, view, until } =>
-            json_record!(out, "lease_granted", "t": at, "server": server, "view": view,
-                "until": until),
-        TelemetryEvent::LeaseExpired { at, server, view } =>
-            json_record!(out, "lease_expired", "t": at, "server": server, "view": view),
-        TelemetryEvent::TsIssued { at, server, view, timestamp, lo, hi } =>
-            json_record!(out, "ts_issued", "t": at, "server": server, "view": view,
-                "timestamp": timestamp, "lo": lo, "hi": hi),
-        TelemetryEvent::TsRefused { at, server, view, cause } =>
-            json_record!(out, "ts_refused", "t": at, "server": server, "view": view,
-                "cause": cause.label()),
-        TelemetryEvent::HwRehydrated { at, server, view, high_water } =>
-            json_record!(out, "hw_rehydrated", "t": at, "server": server, "view": view,
-                "high_water": high_water),
-    }
+/// A field's JSON key: stated in the event table, or else its name.
+macro_rules! key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $key:literal) => {
+        $key
+    };
 }
+
+/// A field's schema type: the labels stated in the event table, or else
+/// what its Rust type exports as.
+macro_rules! field {
+    ($ty:ty) => {
+        <$ty as Value>::FIELD
+    };
+    ($ty:ty, $($label:literal),+) => {
+        Field::Label(&[$($label),+])
+    };
+}
+
+/// Turns the rows of [`events!`](crate::events) into the encoder and
+/// the schema. The encoder is straight-line code per event — one
+/// `json_record!` whose key fragments are `concat!`-ed at compile time
+/// — not a loop over a field list: the audited simulator spends its
+/// export time here.
+macro_rules! define_codec {
+    ($(
+        $(#[$doc:meta])* $variant:ident = $bit:literal, $tag:literal {
+            $(#[$at_doc:meta])* at,
+            $($(#[$field_doc:meta])* $field:ident : $ty:ty $(= $key:literal)? $(| $label:literal)*),* $(,)?
+        }
+    )*) => {
+        /// Appends one event's JSONL line (no trailing newline) to `out`,
+        /// allocating nothing beyond `out`'s own growth.
+        pub fn write_event(out: &mut Vec<u8>, event: &TelemetryEvent) {
+            match event {
+                $(TelemetryEvent::$variant { at $(, $field)* } => json_record!(
+                    @keys out, $tag, "t" => at $(, key!($field $($key)?) => $field)*
+                ),)*
+            }
+        }
+
+        /// The fields of each event record.
+        fn event_schema(tag: &str) -> Option<Schema> {
+            match tag {
+                $($tag => Some(&[
+                    ("type", Field::Str),
+                    ("t", Field::Num),
+                    $((key!($field $($key)?), field!($ty $(, $label)*)),)*
+                ]),)*
+                _ => None,
+            }
+        }
+    };
+}
+crate::events!(define_codec);
 
 /// One event's JSONL line as a `String`, for callers that want text
 /// rather than a buffer to append to.
@@ -296,19 +293,18 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] follows. The parser recurses
+/// once per level and its input comes from files, so without a cap one
+/// line of `[[[[…` overflows the stack. The JSONL schema nests 3 deep.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn new(input: &'a str) -> Self {
-        Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        }
-    }
-
+impl Parser<'_> {
     fn err(&self, msg: &str) -> String {
         format!("{msg} at byte {}", self.pos)
     }
@@ -327,9 +323,15 @@ impl<'a> Parser<'a> {
         self.bytes.get(self.pos).copied()
     }
 
+    /// Consumes the next byte if it is one of `any`.
+    fn eat(&mut self, any: &[u8]) -> bool {
+        let hit = self.peek().is_some_and(|b| any.contains(&b));
+        self.pos += usize::from(hit);
+        hit
+    }
+
     fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
+        if self.eat(&[byte]) {
             Ok(())
         } else {
             Err(self.err(&format!("expected '{}'", byte as char)))
@@ -339,8 +341,8 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => self.parse_string().map(Json::Str),
             Some(b't') => self.parse_literal("true", Json::Bool(true)),
             Some(b'f') => self.parse_literal("false", Json::Bool(false)),
@@ -348,6 +350,16 @@ impl<'a> Parser<'a> {
             Some(_) => self.parse_number(),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
@@ -359,23 +371,35 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_number(&mut self) -> Result<Json, String> {
+    /// At least one digit.
+    fn digits(&mut self) -> bool {
         let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid utf8 in number"))?;
-        let value: f64 = text
-            .parse()
-            .map_err(|_| self.err(&format!("bad number '{text}'")))?;
-        if !value.is_finite() {
-            return Err(self.err("non-finite number"));
+        self.pos > start
+    }
+
+    /// The JSON grammar, not `f64::from_str`'s (which also takes `+1`,
+    /// `.5`, `1.`, `inf`): `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
+    fn parse_number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        self.eat(b"-");
+        let int = self.pos;
+        let mut ok = self.digits() && (self.bytes[int] != b'0' || self.pos == int + 1);
+        if self.eat(b".") {
+            ok &= self.digits();
         }
-        Ok(Json::Num(value))
+        if self.eat(b"eE") {
+            self.eat(b"+-");
+            ok &= self.digits();
+        }
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.pos]).expect("only ASCII was scanned");
+        match text.parse::<f64>() {
+            Ok(value) if ok && value.is_finite() => Ok(Json::Num(value)),
+            _ => Err(self.err(&format!("bad number '{text}'"))),
+        }
     }
 
     fn parse_string(&mut self) -> Result<String, String> {
@@ -480,9 +504,14 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Parses one JSON document (rejects trailing garbage).
+/// Parses one JSON document (rejects trailing garbage, and nesting
+/// deeper than 64 levels).
 pub fn parse(input: &str) -> Result<Json, String> {
-    let mut parser = Parser::new(input);
+    let mut parser = Parser {
+        bytes: input.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
     let value = parser.parse_value()?;
     parser.skip_ws();
     if parser.pos != parser.bytes.len() {
@@ -495,209 +524,84 @@ pub fn parse(input: &str) -> Result<Json, String> {
 // Schema validation
 // ---------------------------------------------------------------------------
 
-/// Expected type of a schema field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Field {
+/// The JSON shape a [`Value`] exports as, which is what the validator
+/// holds a record's field of that type to.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Field {
+    /// Any number.
     Num,
+    /// A non-negative whole number.
     Int,
+    /// Any string.
     Str,
+    /// `true` or `false`.
     Bool,
-    NumArr,
-    SampleArr,
+    /// One of these strings.
+    Label(&'static [&'static str]),
+    /// An array whose items all have this shape.
+    Arr(&'static Field),
+    /// `null`, or an object with exactly these fields.
+    NullOr(&'static [(&'static str, Field)]),
 }
 
-fn check_field(value: &Json, expected: Field) -> bool {
-    match (expected, value) {
-        (Field::Num, Json::Num(_)) => true,
-        (Field::Int, Json::Num(n)) => n.fract() == 0.0 && *n >= 0.0,
-        (Field::Str, Json::Str(_)) => true,
-        (Field::Bool, Json::Bool(_)) => true,
-        (Field::NumArr, Json::Arr(items)) => items.iter().all(|i| matches!(i, Json::Num(_))),
-        (Field::SampleArr, Json::Arr(items)) => items.iter().all(|item| match item {
-            Json::Null => true,
-            Json::Obj(_) => {
-                const SNAP: [(&str, Field); 4] = [
-                    ("clock", Field::Num),
-                    ("error", Field::Num),
-                    ("offset", Field::Num),
-                    ("correct", Field::Bool),
-                ];
-                fields_match(item, &SNAP)
-            }
-            _ => false,
-        }),
-        _ => false,
-    }
-}
+/// The fields of one record or object: key and shape, in export order.
+type Schema = &'static [(&'static str, Field)];
 
-/// Exact match: every listed field present with the right type, and no
-/// unlisted field (besides `"type"`).
-fn fields_match(obj: &Json, schema: &[(&str, Field)]) -> bool {
-    let Json::Obj(fields) = obj else {
-        return false;
-    };
-    for (key, expected) in schema {
-        match obj.get(key) {
-            Some(value) if check_field(value, *expected) => {}
-            _ => return false,
+impl Field {
+    fn check(&self, value: &Json) -> Result<(), String> {
+        match (self, value) {
+            (Field::Num, Json::Num(_))
+            | (Field::Str, Json::Str(_))
+            | (Field::Bool, Json::Bool(_))
+            | (Field::NullOr(_), Json::Null) => Ok(()),
+            (Field::Int, Json::Num(n)) if n.fract() == 0.0 && *n >= 0.0 => Ok(()),
+            (Field::Label(known), Json::Str(label)) if known.contains(&label.as_str()) => Ok(()),
+            (Field::Label(_), Json::Str(label)) => Err(format!("has unknown label \"{label}\"")),
+            (Field::Arr(item), Json::Arr(items)) => items.iter().try_for_each(|i| item.check(i)),
+            (Field::NullOr(schema), Json::Obj(fields)) => check_fields(fields, schema),
+            _ => Err(format!("is not {self:?}")),
         }
     }
-    fields
-        .iter()
-        .all(|(k, _)| k == "type" || schema.iter().any(|(key, _)| key == k))
 }
 
-/// Required fields (beyond `"type"`) for each record type.
-fn schema_for(tag: &str) -> Option<&'static [(&'static str, Field)]> {
-    Some(match tag {
-        "run_start" => &[
+/// Exact match: every field of the schema present once with the right
+/// shape, and no other field.
+fn check_fields(fields: &[(String, Json)], schema: Schema) -> Result<(), String> {
+    for (i, (key, value)) in fields.iter().enumerate() {
+        if fields[..i].iter().any(|(earlier, _)| earlier == key) {
+            return Err(format!("field \"{key}\" appears twice"));
+        }
+        let Some((_, shape)) = schema.iter().find(|(k, _)| k == key) else {
+            return Err(format!("unexpected field \"{key}\""));
+        };
+        shape
+            .check(value)
+            .map_err(|e| format!("field \"{key}\" {e}"))?;
+    }
+    match schema
+        .iter()
+        .find(|(k, _)| fields.iter().all(|(f, _)| f != k))
+    {
+        Some((missing, _)) => Err(format!("missing field \"{missing}\"")),
+        None => Ok(()),
+    }
+}
+
+/// The fields of each record type. The two framing records are written
+/// by `tempo-sim`'s JSONL sink, not from an event, so they are listed
+/// here; every other tag is a row of the event table.
+fn schema_for(tag: &str) -> Option<Schema> {
+    match tag {
+        "run_start" => Some(&[
+            ("type", Field::Str),
             ("seed", Field::Int),
             ("servers", Field::Int),
             ("strategy", Field::Str),
             ("xi", Field::Num),
             ("tau", Field::Num),
-        ],
-        "send" | "recv" | "dup" => &[("t", Field::Num), ("from", Field::Int), ("to", Field::Int)],
-        "drop" => &[
-            ("t", Field::Num),
-            ("from", Field::Int),
-            ("to", Field::Int),
-            ("cause", Field::Str),
-        ],
-        "timer" => &[("t", Field::Num), ("node", Field::Int), ("tag", Field::Int)],
-        "join" => &[
-            ("t", Field::Num),
-            ("server", Field::Int),
-            ("clock", Field::Num),
-        ],
-        "leave" | "recovery" => &[("t", Field::Num), ("server", Field::Int)],
-        "round_begin" => &[
-            ("t", Field::Num),
-            ("server", Field::Int),
-            ("round", Field::Int),
-            ("clock", Field::Num),
-            ("polled", Field::Int),
-        ],
-        "adopt" => &[
-            ("t", Field::Num),
-            ("server", Field::Int),
-            ("round", Field::Int),
-            ("clock", Field::Num),
-            ("e_before", Field::Num),
-            ("e_after", Field::Num),
-            ("inputs", Field::NumArr),
-            ("recovery", Field::Bool),
-        ],
-        "reject" => &[
-            ("t", Field::Num),
-            ("server", Field::Int),
-            ("round", Field::Int),
-            ("cause", Field::Str),
-        ],
-        "step" | "slew" => &[
-            ("t", Field::Num),
-            ("server", Field::Int),
-            ("from", Field::Num),
-            ("to", Field::Num),
-            ("error", Field::Num),
-        ],
-        "timeout" | "retry" => &[
-            ("t", Field::Num),
-            ("server", Field::Int),
-            ("peer", Field::Int),
-            ("round", Field::Int),
-            ("attempt", Field::Int),
-        ],
-        "health" => &[
-            ("t", Field::Num),
-            ("server", Field::Int),
-            ("peer", Field::Int),
-            ("from", Field::Str),
-            ("to", Field::Str),
-        ],
-        "degraded_enter" => &[
-            ("t", Field::Num),
-            ("server", Field::Int),
-            ("round", Field::Int),
-            ("replies", Field::Int),
-            ("quorum", Field::Int),
-        ],
-        "degraded_exit" => &[
-            ("t", Field::Num),
-            ("server", Field::Int),
-            ("round", Field::Int),
-        ],
-        "sample" => &[("t", Field::Num), ("servers", Field::SampleArr)],
-        "crash" => &[("t", Field::Num), ("server", Field::Int)],
-        "restart" => &[
-            ("t", Field::Num),
-            ("server", Field::Int),
-            ("amnesia", Field::Bool),
-        ],
-        "rehydrate" => &[
-            ("t", Field::Num),
-            ("server", Field::Int),
-            ("clock", Field::Num),
-            ("error", Field::Num),
-            ("reset_clock", Field::Num),
-            ("persisted_error", Field::Num),
-        ],
-        "bootstrap" => &[
-            ("t", Field::Num),
-            ("server", Field::Int),
-            ("rounds", Field::Int),
-            ("clock", Field::Num),
-            ("error", Field::Num),
-        ],
-        "corrupt" => &[
-            ("t", Field::Num),
-            ("server", Field::Int),
-            ("clock", Field::Num),
-            ("error", Field::Num),
-        ],
-        "stabilized" => &[
-            ("t", Field::Num),
-            ("server", Field::Int),
-            ("elapsed", Field::Num),
-        ],
-        "malformed" => &[
-            ("t", Field::Num),
-            ("server", Field::Int),
-            ("len", Field::Int),
-            ("cause", Field::Str),
-        ],
-        "view_change" | "hw_rehydrated" => &[
-            ("t", Field::Num),
-            ("server", Field::Int),
-            ("view", Field::Int),
-            ("high_water", Field::Int),
-        ],
-        "lease_granted" => &[
-            ("t", Field::Num),
-            ("server", Field::Int),
-            ("view", Field::Int),
-            ("until", Field::Num),
-        ],
-        "lease_expired" => &[
-            ("t", Field::Num),
-            ("server", Field::Int),
-            ("view", Field::Int),
-        ],
-        "ts_issued" => &[
-            ("t", Field::Num),
-            ("server", Field::Int),
-            ("view", Field::Int),
-            ("timestamp", Field::Int),
-            ("lo", Field::Num),
-            ("hi", Field::Num),
-        ],
-        "ts_refused" => &[
-            ("t", Field::Num),
-            ("server", Field::Int),
-            ("view", Field::Int),
-            ("cause", Field::Str),
-        ],
-        "summary" => &[
+        ]),
+        "summary" => Some(&[
+            ("type", Field::Str),
             ("events", Field::Int),
             ("dropped", Field::Int),
             ("xi_witness", Field::Num),
@@ -707,80 +611,44 @@ fn schema_for(tag: &str) -> Option<&'static [(&'static str, Field)]> {
             ("duplicated", Field::Int),
             ("partitioned", Field::Int),
             ("timers", Field::Int),
-        ],
-        _ => return None,
-    })
+        ]),
+        _ => event_schema(tag),
+    }
 }
 
-const ENUM_FIELDS: [(&str, &str, &[&str]); 6] = [
-    ("drop", "cause", &["loss", "partition"]),
-    (
-        "ts_refused",
-        "cause",
-        &["no_lease", "no_quorum", "booting", "ahead"],
-    ),
-    ("reject", "cause", &["inconsistent", "starved"]),
-    ("health", "from", &["healthy", "suspect", "dead"]),
-    ("health", "to", &["healthy", "suspect", "dead"]),
-    (
-        "malformed",
-        "cause",
-        &[
-            "truncated",
-            "bad_magic",
-            "unknown_type",
-            "bad_length",
-            "bad_checksum",
-            "bad_payload",
-        ],
-    ),
-];
-
-/// Validates one JSONL line against the documented schema: it must
-/// parse, carry a known `"type"`, have exactly the documented fields
-/// with the documented types, and use only documented enum labels.
-pub fn validate_line(line: &str) -> Result<(), String> {
-    let value = parse(line)?;
-    let Some(Json::Str(tag)) = value.get("type") else {
+/// Checks one line and returns its record type.
+fn record_tag(line: &str) -> Result<String, String> {
+    let Json::Obj(fields) = parse(line)? else {
+        return Err("not an object".into());
+    };
+    let Some((_, Json::Str(tag))) = fields.iter().find(|(k, _)| k == "type") else {
         return Err("missing string field \"type\"".into());
     };
     let schema = schema_for(tag).ok_or_else(|| format!("unknown record type \"{tag}\""))?;
-    if !fields_match(&value, schema) {
-        return Err(format!("record \"{tag}\" does not match its schema"));
-    }
-    for (record, field, allowed) in ENUM_FIELDS {
-        if record == tag {
-            if let Some(Json::Str(label)) = value.get(field) {
-                if !allowed.contains(&label.as_str()) {
-                    return Err(format!("\"{tag}\".{field} has unknown label \"{label}\""));
-                }
-            }
-        }
-    }
-    Ok(())
+    check_fields(&fields, schema).map_err(|e| format!("record \"{tag}\": {e}"))?;
+    Ok(tag.clone())
+}
+
+/// Validates one JSONL line against the documented schema: it must
+/// parse, carry a known `"type"`, have exactly the documented fields
+/// (each once) with the documented types, and use only documented enum
+/// labels.
+pub fn validate_line(line: &str) -> Result<(), String> {
+    record_tag(line).map(|_| ())
 }
 
 /// Validates a whole JSONL stream: every non-empty line must satisfy
 /// [`validate_line`], the first line must be `run_start`, and the last
 /// must be `summary`. Returns the number of lines checked.
 pub fn validate_stream(text: &str) -> Result<usize, String> {
-    let lines: Vec<(usize, &str)> = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty())
-        .collect();
-    if lines.is_empty() {
-        return Err("empty stream".into());
-    }
-    let mut tags = Vec::with_capacity(lines.len());
-    for (lineno, line) in &lines {
-        validate_line(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let Json::Obj(fields) = parse(line)? else {
-            unreachable!("validate_line accepts objects only");
-        };
-        if let Some((_, Json::Str(tag))) = fields.iter().find(|(k, _)| k == "type") {
-            tags.push(tag.clone());
+    let mut tags = Vec::new();
+    for (lineno, line) in text.lines().enumerate() {
+        if !line.trim().is_empty() {
+            tags.push(record_tag(line).map_err(|e| format!("line {}: {e}", lineno + 1))?);
         }
+    }
+    if tags.is_empty() {
+        return Err("empty stream".into());
     }
     if tags.first().map(String::as_str) != Some("run_start") {
         return Err("stream must start with a run_start record".into());
@@ -788,7 +656,7 @@ pub fn validate_stream(text: &str) -> Result<usize, String> {
     if tags.last().map(String::as_str) != Some("summary") {
         return Err("stream must end with a summary record".into());
     }
-    Ok(lines.len())
+    Ok(tags.len())
 }
 
 #[cfg(test)]
@@ -1196,6 +1064,18 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("1e999").is_err(), "non-finite numbers rejected");
+        for not_json in ["+1", ".5", "1.", "01", "-", "1e", "1e+", "--1", "1.e2"] {
+            assert!(parse(not_json).is_err(), "{not_json} is not a JSON number");
+        }
+        for number in ["-0", "10", "0.5", "1E+2", "-2.5e-3"] {
+            assert!(parse(number).is_ok(), "{number} is a JSON number");
+        }
+        // One stack frame per level: uncapped, this line overflows the
+        // stack and aborts the process instead of returning.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]
@@ -1225,6 +1105,87 @@ mod tests {
             .is_err(),
             "unknown enum label"
         );
+        assert!(
+            validate_line("{\"type\":\"leave\",\"t\":1,\"server\":2,\"server\":\"x\"}").is_err(),
+            "duplicate key"
+        );
+        assert!(
+            validate_line("{\"type\":\"leave\",\"type\":\"send\",\"t\":1,\"server\":2}").is_err(),
+            "duplicate type"
+        );
+    }
+
+    /// EXPERIMENTS.md § "Telemetry export" is what a third party reads
+    /// the JSONL by. It writes a record as `` `tag` / `tag` — `{key, …}` ``
+    /// and an enum-valued field as `` ∈ `a | b` `` after the record;
+    /// both must say what the event table says, for every tag.
+    #[test]
+    fn experiments_md_documents_exactly_the_table() {
+        let doc = include_str!("../../../EXPERIMENTS.md");
+        let section = doc
+            .split("\n## ")
+            .find(|s| s.starts_with("Telemetry export"))
+            .expect("EXPERIMENTS.md has a Telemetry export section");
+        // Odd pieces are code spans, even pieces the prose between them.
+        let pieces: Vec<&str> = section.split('`').collect();
+        let span = |i: usize| pieces.get(i).copied().unwrap_or("");
+        // `servers: [...]` documents the key `servers`.
+        let list = |text: &'static str, sep: char| -> Vec<&str> {
+            let items = text.split(sep);
+            items
+                .map(|item| item.split(':').next().unwrap_or(item).trim())
+                .collect()
+        };
+        let keys_of = |schema: Schema| -> Vec<&str> {
+            let keys = schema.iter().map(|(key, _)| *key);
+            keys.filter(|key| *key != "type").collect()
+        };
+        let mut documented = Vec::new();
+        for i in (1..pieces.len()).step_by(2) {
+            let Some(keys) = span(i).strip_prefix('{').and_then(|s| s.strip_suffix('}')) else {
+                continue;
+            };
+            let keys = list(keys, ',');
+            if span(i - 1).trim().ends_with("each entry is") {
+                let Field::NullOr(snapshot) = SampleSnapshot::FIELD else {
+                    panic!("a snapshot exports as null or an object");
+                };
+                assert_eq!(keys, keys_of(snapshot), "sample entry");
+                documented.push("sample entry");
+                continue;
+            }
+            if span(i - 1).trim() != "—" {
+                continue;
+            }
+            let labels = span(i + 1)
+                .trim()
+                .ends_with('∈')
+                .then(|| list(span(i + 2), '|'));
+            // The tags sharing this field list: `a` / `b` / `c` — `{…}`.
+            let mut at = i - 2;
+            loop {
+                let tag = span(at);
+                let schema = schema_for(tag).unwrap_or_else(|| panic!("`{tag}` is not a record"));
+                assert_eq!(keys, keys_of(schema), "fields of `{tag}`");
+                // Every enum-valued field of the record takes the one
+                // documented list (`health`'s `from` and `to` share it).
+                let mut enums = schema.iter().filter_map(|(_, field)| match field {
+                    Field::Label(allowed) => Some(allowed.to_vec()),
+                    _ => None,
+                });
+                assert_eq!(enums.next(), labels, "labels of `{tag}`");
+                assert!(enums.all(|allowed| Some(allowed) == labels), "`{tag}`");
+                documented.push(tag);
+                if at < 2 || span(at - 1).trim() != "/" {
+                    break;
+                }
+                at -= 2;
+            }
+        }
+        let tags = EventKind::ALL.map(EventKind::name);
+        for tag in tags.iter().chain(&["run_start", "summary", "sample entry"]) {
+            assert!(documented.contains(tag), "`{tag}` is undocumented");
+        }
     }
 
     #[test]

@@ -68,269 +68,81 @@ use std::rc::Rc;
 
 use tempo_core::{Duration, Timestamp};
 
-/// Discriminant-only mirror of [`TelemetryEvent`], used for the cheap
-/// `enabled` gate and the bus's aggregate bitmask.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum EventKind {
-    /// A message was handed to the network.
-    MsgSend = 0,
-    /// A message was delivered to its destination.
-    MsgRecv = 1,
-    /// A message was dropped in flight (loss or partition).
-    MsgDrop = 2,
-    /// A message was duplicated by the network.
-    MsgDuplicate = 3,
-    /// A node's timer fired.
-    TimerFired = 4,
-    /// A server joined the service.
-    Join = 5,
-    /// A server left the service.
-    Leave = 6,
-    /// A resynchronization round started polling peers.
-    RoundBegin = 7,
-    /// A round produced a new estimate that the server adopted.
-    RoundAdopt = 8,
-    /// A round ended without adopting (inconsistency or starvation).
-    RoundReject = 9,
-    /// The clock was stepped to a new value.
-    ClockStep = 10,
-    /// The clock was slewed toward a new value.
-    ClockSlew = 11,
-    /// A pending request exceeded its deadline.
-    Timeout = 12,
-    /// A timed-out request was retried.
-    Retry = 13,
-    /// A peer's health classification changed.
-    HealthChanged = 14,
-    /// The server entered degraded (quorum-starved) mode.
-    DegradedEnter = 15,
-    /// The server recovered from degraded mode.
-    DegradedExit = 16,
-    /// The §3 third-server recovery protocol was triggered.
-    RecoveryStarted = 17,
-    /// A periodic snapshot of every server's estimate.
-    Sample = 18,
-    /// A server process crashed (its clock keeps running).
-    ServerCrashed = 19,
-    /// A crashed server's process came back up.
-    ServerRestarted = 20,
-    /// A restarted server rehydrated its interval from stable storage.
-    StateRehydrated = 21,
-    /// A booting server finished the §5 bootstrap and promoted to
-    /// active.
-    BootstrapCompleted = 22,
-    /// A server's state was overwritten with garbage by a transient
-    /// `CorruptState` fault (no crash — it keeps serving).
-    StateCorrupted = 23,
-    /// A previously corrupted server adopted an estimate that passes
-    /// the §5 consistency screen again — it has self-stabilized.
-    Stabilized = 24,
-    /// A datagram arrived that failed wire-codec decoding (truncated,
-    /// corrupted, garbage) and was dropped before reaching the
-    /// protocol. Only real transports emit this — the simulator
-    /// delivers typed messages and never produces one.
-    MalformedFrame = 25,
-    /// A cluster-time replica adopted a new view (failover): either it
-    /// won an election by quorum ack, or it observed a higher view on
-    /// the wire.
-    ViewChange = 26,
-    /// A cluster-time primary acquired (or renewed) its serving lease
-    /// from a quorum of replica estimates.
-    LeaseGranted = 27,
-    /// A cluster-time primary's lease ran out before a renewal quorum
-    /// answered — it stops issuing timestamps.
-    LeaseExpired = 28,
-    /// A cluster-time primary released a monotonic timestamp to a
-    /// client, after the high-water mark was made durable and
-    /// replicated to a quorum.
-    TsIssued = 29,
-    /// A cluster-time replica refused a timestamp request rather than
-    /// risk a regression (no lease, no quorum, still booting, or the
-    /// high-water mark is ahead of the quorum intersection).
-    TsRefused = 30,
-    /// A restarted cluster-time replica rehydrated its durable
-    /// high-water mark from stable storage.
-    HwRehydrated = 31,
+/// Declares enums whose variants export as fixed JSONL labels: the one
+/// list gives the variants, `label()` and the labels the schema
+/// validator accepts.
+macro_rules! label_enums {
+    ($($(#[$doc:meta])* $name:ident { $($(#[$vdoc:meta])* $variant:ident = $label:literal,)+ })+) => {$(
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $name {
+            $($(#[$vdoc])* $variant,)+
+        }
+
+        impl $name {
+            /// Stable JSONL tag.
+            #[must_use]
+            pub fn label(self) -> &'static str {
+                match self {
+                    $($name::$variant => $label,)+
+                }
+            }
+        }
+
+        impl json::Value for $name {
+            const FIELD: json::Field = json::Field::Label(&[$($label),+]);
+            fn write_json(&self, out: &mut Vec<u8>) {
+                json::Value::write_json(self.label(), out);
+            }
+        }
+    )+};
 }
 
-impl EventKind {
-    /// Every kind, in discriminant order.
-    pub const ALL: [EventKind; 32] = [
-        EventKind::MsgSend,
-        EventKind::MsgRecv,
-        EventKind::MsgDrop,
-        EventKind::MsgDuplicate,
-        EventKind::TimerFired,
-        EventKind::Join,
-        EventKind::Leave,
-        EventKind::RoundBegin,
-        EventKind::RoundAdopt,
-        EventKind::RoundReject,
-        EventKind::ClockStep,
-        EventKind::ClockSlew,
-        EventKind::Timeout,
-        EventKind::Retry,
-        EventKind::HealthChanged,
-        EventKind::DegradedEnter,
-        EventKind::DegradedExit,
-        EventKind::RecoveryStarted,
-        EventKind::Sample,
-        EventKind::ServerCrashed,
-        EventKind::ServerRestarted,
-        EventKind::StateRehydrated,
-        EventKind::BootstrapCompleted,
-        EventKind::StateCorrupted,
-        EventKind::Stabilized,
-        EventKind::MalformedFrame,
-        EventKind::ViewChange,
-        EventKind::LeaseGranted,
-        EventKind::LeaseExpired,
-        EventKind::TsIssued,
-        EventKind::TsRefused,
-        EventKind::HwRehydrated,
-    ];
-
-    /// This kind's position in the bus bitmask.
-    #[must_use]
-    pub fn bit(self) -> u64 {
-        1 << (self as u8)
+label_enums! {
+    /// Why the network dropped a message.
+    DropCause {
+        /// Random loss on the link.
+        Loss = "loss",
+        /// An active partition blocked the link.
+        Partition = "partition",
     }
 
-    /// The stable tag used as the `"type"` field of the JSONL export.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::MsgSend => "send",
-            EventKind::MsgRecv => "recv",
-            EventKind::MsgDrop => "drop",
-            EventKind::MsgDuplicate => "dup",
-            EventKind::TimerFired => "timer",
-            EventKind::Join => "join",
-            EventKind::Leave => "leave",
-            EventKind::RoundBegin => "round_begin",
-            EventKind::RoundAdopt => "adopt",
-            EventKind::RoundReject => "reject",
-            EventKind::ClockStep => "step",
-            EventKind::ClockSlew => "slew",
-            EventKind::Timeout => "timeout",
-            EventKind::Retry => "retry",
-            EventKind::HealthChanged => "health",
-            EventKind::DegradedEnter => "degraded_enter",
-            EventKind::DegradedExit => "degraded_exit",
-            EventKind::RecoveryStarted => "recovery",
-            EventKind::Sample => "sample",
-            EventKind::ServerCrashed => "crash",
-            EventKind::ServerRestarted => "restart",
-            EventKind::StateRehydrated => "rehydrate",
-            EventKind::BootstrapCompleted => "bootstrap",
-            EventKind::StateCorrupted => "corrupt",
-            EventKind::Stabilized => "stabilized",
-            EventKind::MalformedFrame => "malformed",
-            EventKind::ViewChange => "view_change",
-            EventKind::LeaseGranted => "lease_granted",
-            EventKind::LeaseExpired => "lease_expired",
-            EventKind::TsIssued => "ts_issued",
-            EventKind::TsRefused => "ts_refused",
-            EventKind::HwRehydrated => "hw_rehydrated",
-        }
+    /// Why a resynchronization round did not adopt a new estimate.
+    RejectCause {
+        /// The synchronization algorithm detected inconsistent estimates.
+        Inconsistent = "inconsistent",
+        /// Too few replies arrived to satisfy the quorum.
+        Starved = "starved",
     }
-}
 
-/// Why the network dropped a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropCause {
-    /// Random loss on the link.
-    Loss,
-    /// An active partition blocked the link.
-    Partition,
-}
-
-impl DropCause {
-    /// Stable JSONL tag.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            DropCause::Loss => "loss",
-            DropCause::Partition => "partition",
-        }
+    /// Why a cluster-time replica refused a timestamp request, mirroring
+    /// the cluster crate's refusal taxonomy without depending on it.
+    RefusalCause {
+        /// The replica holds no valid serving lease (it is a backup, was
+        /// deposed, or its lease expired before a renewal quorum arrived).
+        NoLease = "no_lease",
+        /// Not enough replicas acknowledged the high-water replication in
+        /// time — the request is refused rather than released unreplicated.
+        NoQuorum = "no_quorum",
+        /// The replica (or its embedded time server) is still booting and
+        /// holds no trustworthy interval yet.
+        Booting = "booting",
+        /// The next monotonic timestamp would exceed the quorum
+        /// intersection's upper edge — issuing it would break the
+        /// boundedness invariant, so the primary waits for time to catch
+        /// up.
+        Ahead = "ahead",
     }
-}
 
-/// Why a resynchronization round did not adopt a new estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RejectCause {
-    /// The synchronization algorithm detected inconsistent estimates.
-    Inconsistent,
-    /// Too few replies arrived to satisfy the quorum.
-    Starved,
-}
-
-impl RejectCause {
-    /// Stable JSONL tag.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            RejectCause::Inconsistent => "inconsistent",
-            RejectCause::Starved => "starved",
-        }
-    }
-}
-
-/// Why a cluster-time replica refused a timestamp request, mirroring
-/// the cluster crate's refusal taxonomy without depending on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RefusalCause {
-    /// The replica holds no valid serving lease (it is a backup, was
-    /// deposed, or its lease expired before a renewal quorum arrived).
-    NoLease,
-    /// Not enough replicas acknowledged the high-water replication in
-    /// time — the request is refused rather than released unreplicated.
-    NoQuorum,
-    /// The replica (or its embedded time server) is still booting and
-    /// holds no trustworthy interval yet.
-    Booting,
-    /// The next monotonic timestamp would exceed the quorum
-    /// intersection's upper edge — issuing it would break the
-    /// boundedness invariant, so the primary waits for time to catch
-    /// up.
-    Ahead,
-}
-
-impl RefusalCause {
-    /// Stable JSONL tag.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            RefusalCause::NoLease => "no_lease",
-            RefusalCause::NoQuorum => "no_quorum",
-            RefusalCause::Booting => "booting",
-            RefusalCause::Ahead => "ahead",
-        }
-    }
-}
-
-/// A peer-health classification, mirroring the service's tracker
-/// states without depending on the service crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HealthState {
-    /// The peer answers within the deadline.
-    Healthy,
-    /// The peer missed enough consecutive deadlines to be suspect.
-    Suspect,
-    /// The peer is presumed dead and only probed occasionally.
-    Dead,
-}
-
-impl HealthState {
-    /// Stable JSONL tag.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            HealthState::Healthy => "healthy",
-            HealthState::Suspect => "suspect",
-            HealthState::Dead => "dead",
-        }
+    /// A peer-health classification, mirroring the service's tracker
+    /// states without depending on the service crate.
+    HealthState {
+        /// The peer answers within the deadline.
+        Healthy = "healthy",
+        /// The peer missed enough consecutive deadlines to be suspect.
+        Suspect = "suspect",
+        /// The peer is presumed dead and only probed occasionally.
+        Dead = "dead",
     }
 }
 
@@ -354,481 +166,501 @@ pub struct SampleSnapshot {
     pub active: bool,
 }
 
-/// A typed telemetry event. `at` is always real (simulated-world)
-/// time; clock readings are the emitting server's logical time.
+/// The event catalogue: the one place an event is declared. A row is
 ///
-/// Node and server identifiers are plain actor indexes so the crate
-/// stays dependency-free below `tempo-core`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TelemetryEvent {
-    /// A message was handed to the network.
-    MsgSend {
-        /// Real time of the send.
-        at: Timestamp,
-        /// Sending node index.
-        from: usize,
-        /// Destination node index.
-        to: usize,
-    },
-    /// A message was delivered.
-    MsgRecv {
-        /// Real time of the delivery.
-        at: Timestamp,
-        /// Sending node index.
-        from: usize,
-        /// Destination node index.
-        to: usize,
-    },
-    /// A message was dropped in flight.
-    MsgDrop {
-        /// Real time of the (attempted) send.
-        at: Timestamp,
-        /// Sending node index.
-        from: usize,
-        /// Destination node index.
-        to: usize,
-        /// Whether loss or a partition killed it.
-        cause: DropCause,
-    },
-    /// The network duplicated a message.
-    MsgDuplicate {
-        /// Real time of the send.
-        at: Timestamp,
-        /// Sending node index.
-        from: usize,
-        /// Destination node index.
-        to: usize,
-    },
-    /// A node's timer fired.
-    TimerFired {
-        /// Real time the timer fired.
-        at: Timestamp,
-        /// Node whose timer fired.
-        node: usize,
-        /// The timer tag the node set.
-        tag: u64,
-    },
-    /// A server joined the service.
-    Join {
-        /// Real time of the join.
-        at: Timestamp,
-        /// Joining server index.
-        server: usize,
-        /// Its clock reading at the join.
-        clock: Timestamp,
-    },
-    /// A server left the service.
-    Leave {
-        /// Real time of the leave.
-        at: Timestamp,
-        /// Leaving server index.
-        server: usize,
-    },
-    /// A resynchronization round started polling peers.
-    RoundBegin {
-        /// Real time the round began.
-        at: Timestamp,
-        /// Polling server index.
-        server: usize,
-        /// Monotonic round number on that server.
-        round: u64,
-        /// The server's clock when the round began.
-        clock: Timestamp,
-        /// How many peers it polled this round.
-        polled: usize,
-    },
-    /// A round adopted a new estimate (rule MM-2 / IM-2, the
-    /// fault-tolerant intersection, or a recovery adoption).
-    RoundAdopt {
-        /// Real time of the adoption.
-        at: Timestamp,
-        /// Adopting server index.
-        server: usize,
-        /// Monotonic round number on that server.
-        round: u64,
-        /// The server's clock just before applying the reset.
-        clock: Timestamp,
-        /// Error bound before the round.
-        error_before: Duration,
-        /// Error bound adopted by the round.
-        error_after: Duration,
-        /// Full widths (2·error) of every input interval the decision
-        /// saw, own estimate first. Empty when no observer wants
-        /// adoption events (the widths are built lazily).
-        input_widths: Vec<Duration>,
-        /// True when the adoption came from the §3 recovery protocol
-        /// (exempt from the "result no wider than an input" check).
-        recovery: bool,
-    },
-    /// A round finished without adopting.
-    RoundReject {
-        /// Real time of the rejection.
-        at: Timestamp,
-        /// Rejecting server index.
-        server: usize,
-        /// Monotonic round number on that server.
-        round: u64,
-        /// Why nothing was adopted.
-        cause: RejectCause,
-    },
-    /// The clock was stepped to a new value.
-    ClockStep {
-        /// Real time of the step.
-        at: Timestamp,
-        /// Stepping server index.
-        server: usize,
-        /// Clock reading before the step.
-        from: Timestamp,
-        /// Clock reading after the step.
-        to: Timestamp,
-        /// Error bound after the step.
-        error: Duration,
-    },
-    /// The clock was slewed (amortized) toward a new value.
-    ClockSlew {
-        /// Real time the slew started.
-        at: Timestamp,
-        /// Slewing server index.
-        server: usize,
-        /// Clock reading when the slew started.
-        from: Timestamp,
-        /// The target the slew converges to.
-        to: Timestamp,
-        /// Error bound covering the pending correction.
-        error: Duration,
-    },
-    /// A pending request exceeded its deadline.
-    Timeout {
-        /// Real time of the timeout.
-        at: Timestamp,
-        /// Waiting server index.
-        server: usize,
-        /// The peer that failed to answer.
-        peer: usize,
-        /// The round the request belonged to.
-        round: u64,
-        /// Which attempt timed out (0 = first send).
-        attempt: u32,
-    },
-    /// A timed-out request was retried with backoff.
-    Retry {
-        /// Real time of the retry.
-        at: Timestamp,
-        /// Retrying server index.
-        server: usize,
-        /// The peer being asked again.
-        peer: usize,
-        /// The round the request belongs to.
-        round: u64,
-        /// The new attempt number.
-        attempt: u32,
-    },
-    /// A peer's health classification changed.
-    HealthChanged {
-        /// Real time of the transition.
-        at: Timestamp,
-        /// The observing server.
-        server: usize,
-        /// The peer whose classification changed.
-        peer: usize,
-        /// Previous classification.
-        from: HealthState,
-        /// New classification.
-        to: HealthState,
-    },
-    /// The server entered degraded (quorum-starved) mode.
-    DegradedEnter {
-        /// Real time the starved round closed.
-        at: Timestamp,
-        /// The starved server.
-        server: usize,
-        /// The round that starved.
-        round: u64,
-        /// How many usable replies arrived.
-        replies: usize,
-        /// The configured quorum.
-        quorum: usize,
-    },
-    /// The server left degraded mode (a round met quorum again).
-    DegradedExit {
-        /// Real time of the recovering round.
-        at: Timestamp,
-        /// The recovering server.
-        server: usize,
-        /// The round that met quorum.
-        round: u64,
-    },
-    /// The §3 third-server recovery protocol started.
-    RecoveryStarted {
-        /// Real time recovery was triggered.
-        at: Timestamp,
-        /// The recovering server.
-        server: usize,
-    },
-    /// A periodic snapshot of every server's estimate, indexed by
-    /// server. Every server appears, active or not; see
-    /// [`SampleSnapshot::active`].
-    Sample {
-        /// Real time of the snapshot.
-        at: Timestamp,
-        /// Per-server state, indexed by server.
-        servers: Vec<SampleSnapshot>,
-    },
-    /// A server process crashed: it answers nothing and runs no rounds
-    /// until (and unless) a scheduled restart brings it back. Its
-    /// hardware clock keeps running through the downtime.
-    ServerCrashed {
-        /// Real time of the crash.
-        at: Timestamp,
-        /// The crashed server.
-        server: usize,
-    },
-    /// A crashed server's process came back up and entered the
-    /// lifecycle's re-entry path.
-    ServerRestarted {
-        /// Real time of the restart.
-        at: Timestamp,
-        /// The restarting server.
-        server: usize,
-        /// Whether stable storage was lost: an amnesia restart holds
-        /// no interval and must bootstrap from a quorum before
-        /// serving; a durable restart rehydrates and re-enters
-        /// directly.
-        amnesia: bool,
-    },
-    /// A durable restart rehydrated `(r_i, ε_i)` from stable storage
-    /// and re-derived its error per rule MM-1 across the downtime.
-    StateRehydrated {
-        /// Real time of the rehydration.
-        at: Timestamp,
-        /// The rehydrating server.
-        server: usize,
-        /// The server's clock reading at rehydration.
-        clock: Timestamp,
-        /// The re-derived error `ε + (clock − r)·δ`.
-        error: Duration,
-        /// The persisted reset reading `r_i`.
-        reset_clock: Timestamp,
-        /// The persisted inherited error `ε_i`.
-        persisted_error: Duration,
-    },
-    /// A booting server completed the §5 bootstrap read of a quorum of
-    /// neighbours and promoted to active.
-    BootstrapCompleted {
-        /// Real time of the promotion.
-        at: Timestamp,
-        /// The promoted server.
-        server: usize,
-        /// How many bootstrap rounds it took (`0` for a durable
-        /// restart, which needs none).
-        rounds: u32,
-        /// The server's clock reading at promotion.
-        clock: Timestamp,
-        /// Its error bound at promotion.
-        error: Duration,
-    },
-    /// A transient `CorruptState` fault overwrote a server's
-    /// `(r, ε, reset-t)` and health tables with garbage. The server
-    /// does not crash: it keeps serving and synchronising from the
-    /// corrupted state until the protocol pulls it back.
-    StateCorrupted {
-        /// Real time of the corruption.
-        at: Timestamp,
-        /// The corrupted server.
-        server: usize,
-        /// Its (garbage) clock reading just after the overwrite.
-        clock: Timestamp,
-        /// Its (garbage) error bound just after the overwrite.
-        error: Duration,
-    },
-    /// A previously corrupted server adopted an estimate that passes
-    /// the §5 consistency screen again: it has converged back to a
-    /// legitimate state (self-stabilization in Herman's sense).
-    Stabilized {
-        /// Real time of the stabilizing adoption.
-        at: Timestamp,
-        /// The stabilized server.
-        server: usize,
-        /// Real-time distance from the corruption to this adoption.
-        elapsed: Duration,
-    },
-    /// A datagram failed wire-codec decoding and was dropped at the
-    /// transport boundary — truncated in flight, bit-flipped past the
-    /// checksum, or outright garbage. The protocol never sees it; this
-    /// event is the audit trail proving the drop was deliberate, not
-    /// silent.
-    MalformedFrame {
-        /// Real time of the arrival.
-        at: Timestamp,
-        /// The server that received (and discarded) the datagram.
-        server: usize,
-        /// The datagram's byte length as received.
-        len: usize,
-        /// The decoder's verdict (a stable label such as
-        /// `"truncated"`, `"bad_checksum"`, `"bad_magic"`).
-        cause: &'static str,
-    },
-    /// A cluster-time replica adopted a new view. Emitted both by an
-    /// elected primary (quorum of acks gathered, high-water caught up
-    /// by quorum read) and by a replica that merely observed a higher
-    /// view on the wire.
-    ViewChange {
-        /// Real time of the adoption.
-        at: Timestamp,
-        /// The replica adopting the view.
-        server: usize,
-        /// The adopted view number.
-        view: u64,
-        /// The replica's high-water mark after the catch-up.
-        high_water: u64,
-    },
-    /// A cluster-time primary acquired or renewed its serving lease:
-    /// a quorum of replicas answered the renewal with their current
-    /// estimates and the Marzullo intersection of those estimates is
-    /// non-empty.
-    LeaseGranted {
-        /// Real time of the grant.
-        at: Timestamp,
-        /// The lease-holding primary.
-        server: usize,
-        /// The view the lease belongs to.
-        view: u64,
-        /// When the lease runs out (local-time deadline).
-        until: Timestamp,
-    },
-    /// A cluster-time primary's lease expired before a renewal quorum
-    /// answered. It refuses timestamp requests until re-leased.
-    LeaseExpired {
-        /// Real time of the expiry.
-        at: Timestamp,
-        /// The deposed (or starved) primary.
-        server: usize,
-        /// The view whose lease lapsed.
-        view: u64,
-    },
-    /// A cluster-time primary released a strictly monotonic timestamp:
-    /// the high-water mark was persisted and acknowledged by a quorum
-    /// *before* this event.
-    TsIssued {
-        /// Real time of the release.
-        at: Timestamp,
-        /// The issuing primary.
-        server: usize,
-        /// The view under which it was issued.
-        view: u64,
-        /// The issued timestamp (microsecond ticks).
-        timestamp: u64,
-        /// Lower edge of the issuing quorum's Marzullo intersection.
-        lo: Timestamp,
-        /// Upper edge of the issuing quorum's Marzullo intersection.
-        hi: Timestamp,
-    },
-    /// A cluster-time replica refused a timestamp request rather than
-    /// risk regression — the failover-safe alternative to guessing.
-    TsRefused {
-        /// Real time of the refusal.
-        at: Timestamp,
-        /// The refusing replica.
-        server: usize,
-        /// Its current view.
-        view: u64,
-        /// Why it refused.
-        cause: RefusalCause,
-    },
-    /// A restarted cluster-time replica reloaded its durable
-    /// high-water mark (and last view) from stable storage before
-    /// answering anything.
-    HwRehydrated {
-        /// Real time of the rehydration.
-        at: Timestamp,
-        /// The restarted replica.
-        server: usize,
-        /// The persisted view.
-        view: u64,
-        /// The persisted high-water mark.
-        high_water: u64,
-    },
-}
-
-impl TelemetryEvent {
-    /// The kind discriminant of this event.
-    #[must_use]
-    pub fn kind(&self) -> EventKind {
-        match self {
-            TelemetryEvent::MsgSend { .. } => EventKind::MsgSend,
-            TelemetryEvent::MsgRecv { .. } => EventKind::MsgRecv,
-            TelemetryEvent::MsgDrop { .. } => EventKind::MsgDrop,
-            TelemetryEvent::MsgDuplicate { .. } => EventKind::MsgDuplicate,
-            TelemetryEvent::TimerFired { .. } => EventKind::TimerFired,
-            TelemetryEvent::Join { .. } => EventKind::Join,
-            TelemetryEvent::Leave { .. } => EventKind::Leave,
-            TelemetryEvent::RoundBegin { .. } => EventKind::RoundBegin,
-            TelemetryEvent::RoundAdopt { .. } => EventKind::RoundAdopt,
-            TelemetryEvent::RoundReject { .. } => EventKind::RoundReject,
-            TelemetryEvent::ClockStep { .. } => EventKind::ClockStep,
-            TelemetryEvent::ClockSlew { .. } => EventKind::ClockSlew,
-            TelemetryEvent::Timeout { .. } => EventKind::Timeout,
-            TelemetryEvent::Retry { .. } => EventKind::Retry,
-            TelemetryEvent::HealthChanged { .. } => EventKind::HealthChanged,
-            TelemetryEvent::DegradedEnter { .. } => EventKind::DegradedEnter,
-            TelemetryEvent::DegradedExit { .. } => EventKind::DegradedExit,
-            TelemetryEvent::RecoveryStarted { .. } => EventKind::RecoveryStarted,
-            TelemetryEvent::Sample { .. } => EventKind::Sample,
-            TelemetryEvent::ServerCrashed { .. } => EventKind::ServerCrashed,
-            TelemetryEvent::ServerRestarted { .. } => EventKind::ServerRestarted,
-            TelemetryEvent::StateRehydrated { .. } => EventKind::StateRehydrated,
-            TelemetryEvent::BootstrapCompleted { .. } => EventKind::BootstrapCompleted,
-            TelemetryEvent::StateCorrupted { .. } => EventKind::StateCorrupted,
-            TelemetryEvent::Stabilized { .. } => EventKind::Stabilized,
-            TelemetryEvent::MalformedFrame { .. } => EventKind::MalformedFrame,
-            TelemetryEvent::ViewChange { .. } => EventKind::ViewChange,
-            TelemetryEvent::LeaseGranted { .. } => EventKind::LeaseGranted,
-            TelemetryEvent::LeaseExpired { .. } => EventKind::LeaseExpired,
-            TelemetryEvent::TsIssued { .. } => EventKind::TsIssued,
-            TelemetryEvent::TsRefused { .. } => EventKind::TsRefused,
-            TelemetryEvent::HwRehydrated { .. } => EventKind::HwRehydrated,
+/// ```text
+/// /// what happened (the docs of the variant, in both enums)
+/// Variant = discriminant, "jsonl tag" {
+///     /// when
+///     at,
+///     /// what the field holds
+///     field: RustType [= "json key, if not the field name"] [| "label" | …],
+/// }
+/// ```
+///
+/// and `events!(consumer)` hands every row to `consumer!`: `define_events!`
+/// below makes [`EventKind`] and [`TelemetryEvent`] of them, `json`'s
+/// `define_codec!` makes [`json::write_event`] and the per-tag schema.
+/// Every event has its real (simulated-world) time `at`, exported as
+/// `"t"`, so a row gives only that field's docs. A field's schema type
+/// follows from its Rust type ([`json::Value::FIELD`]); the `| "label"`
+/// list is for a string whose legal values a crate above this one owns.
+/// Discriminants are bit positions in the bus mask and never change.
+/// EXPERIMENTS.md § "Telemetry export" documents tags, keys and labels,
+/// and a test in `json` fails when it and this table disagree.
+macro_rules! events {
+    ($consumer:ident) => {
+        $consumer! {
+            /// A message was handed to the network.
+            MsgSend = 0, "send" {
+                /// Real time of the send.
+                at,
+                /// Sending node index.
+                from: usize,
+                /// Destination node index.
+                to: usize,
+            }
+            /// A message was delivered to its destination.
+            MsgRecv = 1, "recv" {
+                /// Real time of the delivery.
+                at,
+                /// Sending node index.
+                from: usize,
+                /// Destination node index.
+                to: usize,
+            }
+            /// A message was dropped in flight (loss or partition).
+            MsgDrop = 2, "drop" {
+                /// Real time of the (attempted) send.
+                at,
+                /// Sending node index.
+                from: usize,
+                /// Destination node index.
+                to: usize,
+                /// Whether loss or a partition killed it.
+                cause: DropCause,
+            }
+            /// A message was duplicated by the network.
+            MsgDuplicate = 3, "dup" {
+                /// Real time of the send.
+                at,
+                /// Sending node index.
+                from: usize,
+                /// Destination node index.
+                to: usize,
+            }
+            /// A node's timer fired.
+            TimerFired = 4, "timer" {
+                /// Real time the timer fired.
+                at,
+                /// Node whose timer fired.
+                node: usize,
+                /// The timer tag the node set.
+                tag: u64,
+            }
+            /// A server joined the service.
+            Join = 5, "join" {
+                /// Real time of the join.
+                at,
+                /// Joining server index.
+                server: usize,
+                /// Its clock reading at the join.
+                clock: Timestamp,
+            }
+            /// A server left the service.
+            Leave = 6, "leave" {
+                /// Real time of the leave.
+                at,
+                /// Leaving server index.
+                server: usize,
+            }
+            /// A resynchronization round started polling peers.
+            RoundBegin = 7, "round_begin" {
+                /// Real time the round began.
+                at,
+                /// Polling server index.
+                server: usize,
+                /// Monotonic round number on that server.
+                round: u64,
+                /// The server's clock when the round began.
+                clock: Timestamp,
+                /// How many peers it polled this round.
+                polled: usize,
+            }
+            /// A round adopted a new estimate (rule MM-2 / IM-2, the
+            /// fault-tolerant intersection, or a recovery adoption).
+            RoundAdopt = 8, "adopt" {
+                /// Real time of the adoption.
+                at,
+                /// Adopting server index.
+                server: usize,
+                /// Monotonic round number on that server.
+                round: u64,
+                /// The server's clock just before applying the reset.
+                clock: Timestamp,
+                /// Error bound before the round.
+                error_before: Duration = "e_before",
+                /// Error bound adopted by the round.
+                error_after: Duration = "e_after",
+                /// Full widths (2·error) of every input interval the decision
+                /// saw, own estimate first. Empty when no observer wants
+                /// adoption events (the widths are built lazily).
+                input_widths: Vec<Duration> = "inputs",
+                /// True when the adoption came from the §3 recovery protocol
+                /// (exempt from the "result no wider than an input" check).
+                recovery: bool,
+            }
+            /// A round ended without adopting (inconsistency or starvation).
+            RoundReject = 9, "reject" {
+                /// Real time of the rejection.
+                at,
+                /// Rejecting server index.
+                server: usize,
+                /// Monotonic round number on that server.
+                round: u64,
+                /// Why nothing was adopted.
+                cause: RejectCause,
+            }
+            /// The clock was stepped to a new value.
+            ClockStep = 10, "step" {
+                /// Real time of the step.
+                at,
+                /// Stepping server index.
+                server: usize,
+                /// Clock reading before the step.
+                from: Timestamp,
+                /// Clock reading after the step.
+                to: Timestamp,
+                /// Error bound after the step.
+                error: Duration,
+            }
+            /// The clock was slewed (amortized) toward a new value.
+            ClockSlew = 11, "slew" {
+                /// Real time the slew started.
+                at,
+                /// Slewing server index.
+                server: usize,
+                /// Clock reading when the slew started.
+                from: Timestamp,
+                /// The target the slew converges to.
+                to: Timestamp,
+                /// Error bound covering the pending correction.
+                error: Duration,
+            }
+            /// A pending request exceeded its deadline.
+            Timeout = 12, "timeout" {
+                /// Real time of the timeout.
+                at,
+                /// Waiting server index.
+                server: usize,
+                /// The peer that failed to answer.
+                peer: usize,
+                /// The round the request belonged to.
+                round: u64,
+                /// Which attempt timed out (0 = first send).
+                attempt: u32,
+            }
+            /// A timed-out request was retried with backoff.
+            Retry = 13, "retry" {
+                /// Real time of the retry.
+                at,
+                /// Retrying server index.
+                server: usize,
+                /// The peer being asked again.
+                peer: usize,
+                /// The round the request belongs to.
+                round: u64,
+                /// The new attempt number.
+                attempt: u32,
+            }
+            /// A peer's health classification changed.
+            HealthChanged = 14, "health" {
+                /// Real time of the transition.
+                at,
+                /// The observing server.
+                server: usize,
+                /// The peer whose classification changed.
+                peer: usize,
+                /// Previous classification.
+                from: HealthState,
+                /// New classification.
+                to: HealthState,
+            }
+            /// The server entered degraded (quorum-starved) mode.
+            DegradedEnter = 15, "degraded_enter" {
+                /// Real time the starved round closed.
+                at,
+                /// The starved server.
+                server: usize,
+                /// The round that starved.
+                round: u64,
+                /// How many usable replies arrived.
+                replies: usize,
+                /// The configured quorum.
+                quorum: usize,
+            }
+            /// The server left degraded mode (a round met quorum again).
+            DegradedExit = 16, "degraded_exit" {
+                /// Real time of the recovering round.
+                at,
+                /// The recovering server.
+                server: usize,
+                /// The round that met quorum.
+                round: u64,
+            }
+            /// The §3 third-server recovery protocol was triggered.
+            RecoveryStarted = 17, "recovery" {
+                /// Real time recovery was triggered.
+                at,
+                /// The recovering server.
+                server: usize,
+            }
+            /// A periodic snapshot of every server's estimate, indexed by
+            /// server. Every server appears, active or not; see
+            /// [`SampleSnapshot::active`].
+            Sample = 18, "sample" {
+                /// Real time of the snapshot.
+                at,
+                /// Per-server state, indexed by server.
+                servers: Vec<SampleSnapshot>,
+            }
+            /// A server process crashed: it answers nothing and runs no rounds
+            /// until (and unless) a scheduled restart brings it back. Its
+            /// hardware clock keeps running through the downtime.
+            ServerCrashed = 19, "crash" {
+                /// Real time of the crash.
+                at,
+                /// The crashed server.
+                server: usize,
+            }
+            /// A crashed server's process came back up and entered the
+            /// lifecycle's re-entry path.
+            ServerRestarted = 20, "restart" {
+                /// Real time of the restart.
+                at,
+                /// The restarting server.
+                server: usize,
+                /// Whether stable storage was lost: an amnesia restart holds
+                /// no interval and must bootstrap from a quorum before
+                /// serving; a durable restart rehydrates and re-enters
+                /// directly.
+                amnesia: bool,
+            }
+            /// A durable restart rehydrated `(r_i, ε_i)` from stable storage
+            /// and re-derived its error per rule MM-1 across the downtime.
+            StateRehydrated = 21, "rehydrate" {
+                /// Real time of the rehydration.
+                at,
+                /// The rehydrating server.
+                server: usize,
+                /// The server's clock reading at rehydration.
+                clock: Timestamp,
+                /// The re-derived error `ε + (clock − r)·δ`.
+                error: Duration,
+                /// The persisted reset reading `r_i`.
+                reset_clock: Timestamp,
+                /// The persisted inherited error `ε_i`.
+                persisted_error: Duration,
+            }
+            /// A booting server completed the §5 bootstrap read of a quorum of
+            /// neighbours and promoted to active.
+            BootstrapCompleted = 22, "bootstrap" {
+                /// Real time of the promotion.
+                at,
+                /// The promoted server.
+                server: usize,
+                /// How many bootstrap rounds it took (`0` for a durable
+                /// restart, which needs none).
+                rounds: u32,
+                /// The server's clock reading at promotion.
+                clock: Timestamp,
+                /// Its error bound at promotion.
+                error: Duration,
+            }
+            /// A transient `CorruptState` fault overwrote a server's
+            /// `(r, ε, reset-t)` and health tables with garbage. The server
+            /// does not crash: it keeps serving and synchronising from the
+            /// corrupted state until the protocol pulls it back.
+            StateCorrupted = 23, "corrupt" {
+                /// Real time of the corruption.
+                at,
+                /// The corrupted server.
+                server: usize,
+                /// Its (garbage) clock reading just after the overwrite.
+                clock: Timestamp,
+                /// Its (garbage) error bound just after the overwrite.
+                error: Duration,
+            }
+            /// A previously corrupted server adopted an estimate that passes
+            /// the §5 consistency screen again: it has converged back to a
+            /// legitimate state (self-stabilization in Herman's sense).
+            Stabilized = 24, "stabilized" {
+                /// Real time of the stabilizing adoption.
+                at,
+                /// The stabilized server.
+                server: usize,
+                /// Real-time distance from the corruption to this adoption.
+                elapsed: Duration,
+            }
+            /// A datagram failed wire-codec decoding and was dropped at the
+            /// transport boundary — truncated in flight, bit-flipped past the
+            /// checksum, or outright garbage. The protocol never sees it; this
+            /// event is the audit trail proving the drop was deliberate, not
+            /// silent. Only real transports emit it — the simulator delivers
+            /// typed messages and never produces one.
+            MalformedFrame = 25, "malformed" {
+                /// Real time of the arrival.
+                at,
+                /// The server that received (and discarded) the datagram.
+                server: usize,
+                /// The datagram's byte length as received.
+                len: usize,
+                /// The decoder's verdict: `tempo-service`'s
+                /// `DecodeError::label`, whose tests hold it to this list.
+                cause: &'static str
+                    | "truncated" | "bad_magic" | "unknown_type" | "bad_length"
+                    | "bad_checksum" | "bad_payload",
+            }
+            /// A cluster-time replica adopted a new view (failover). Emitted
+            /// both by an elected primary (quorum of acks gathered, high-water
+            /// caught up by quorum read) and by a replica that merely observed
+            /// a higher view on the wire.
+            ViewChange = 26, "view_change" {
+                /// Real time of the adoption.
+                at,
+                /// The replica adopting the view.
+                server: usize,
+                /// The adopted view number.
+                view: u64,
+                /// The replica's high-water mark after the catch-up.
+                high_water: u64,
+            }
+            /// A cluster-time primary acquired or renewed its serving lease:
+            /// a quorum of replicas answered the renewal with their current
+            /// estimates and the Marzullo intersection of those estimates is
+            /// non-empty.
+            LeaseGranted = 27, "lease_granted" {
+                /// Real time of the grant.
+                at,
+                /// The lease-holding primary.
+                server: usize,
+                /// The view the lease belongs to.
+                view: u64,
+                /// When the lease runs out (local-time deadline).
+                until: Timestamp,
+            }
+            /// A cluster-time primary's lease expired before a renewal quorum
+            /// answered. It refuses timestamp requests until re-leased.
+            LeaseExpired = 28, "lease_expired" {
+                /// Real time of the expiry.
+                at,
+                /// The deposed (or starved) primary.
+                server: usize,
+                /// The view whose lease lapsed.
+                view: u64,
+            }
+            /// A cluster-time primary released a strictly monotonic timestamp
+            /// to a client: the high-water mark was persisted and acknowledged
+            /// by a quorum *before* this event.
+            TsIssued = 29, "ts_issued" {
+                /// Real time of the release.
+                at,
+                /// The issuing primary.
+                server: usize,
+                /// The view under which it was issued.
+                view: u64,
+                /// The issued timestamp (microsecond ticks).
+                timestamp: u64,
+                /// Lower edge of the issuing quorum's Marzullo intersection.
+                lo: Timestamp,
+                /// Upper edge of the issuing quorum's Marzullo intersection.
+                hi: Timestamp,
+            }
+            /// A cluster-time replica refused a timestamp request rather than
+            /// risk a regression (no lease, no quorum, still booting, or the
+            /// high-water mark is ahead of the quorum intersection) — the
+            /// failover-safe alternative to guessing.
+            TsRefused = 30, "ts_refused" {
+                /// Real time of the refusal.
+                at,
+                /// The refusing replica.
+                server: usize,
+                /// Its current view.
+                view: u64,
+                /// Why it refused.
+                cause: RefusalCause,
+            }
+            /// A restarted cluster-time replica reloaded its durable
+            /// high-water mark (and last view) from stable storage before
+            /// answering anything.
+            HwRehydrated = 31, "hw_rehydrated" {
+                /// Real time of the rehydration.
+                at,
+                /// The restarted replica.
+                server: usize,
+                /// The persisted view.
+                view: u64,
+                /// The persisted high-water mark.
+                high_water: u64,
+            }
         }
-    }
-
-    /// Real time the event happened.
-    #[must_use]
-    pub fn at(&self) -> Timestamp {
-        match self {
-            TelemetryEvent::MsgSend { at, .. }
-            | TelemetryEvent::MsgRecv { at, .. }
-            | TelemetryEvent::MsgDrop { at, .. }
-            | TelemetryEvent::MsgDuplicate { at, .. }
-            | TelemetryEvent::TimerFired { at, .. }
-            | TelemetryEvent::Join { at, .. }
-            | TelemetryEvent::Leave { at, .. }
-            | TelemetryEvent::RoundBegin { at, .. }
-            | TelemetryEvent::RoundAdopt { at, .. }
-            | TelemetryEvent::RoundReject { at, .. }
-            | TelemetryEvent::ClockStep { at, .. }
-            | TelemetryEvent::ClockSlew { at, .. }
-            | TelemetryEvent::Timeout { at, .. }
-            | TelemetryEvent::Retry { at, .. }
-            | TelemetryEvent::HealthChanged { at, .. }
-            | TelemetryEvent::DegradedEnter { at, .. }
-            | TelemetryEvent::DegradedExit { at, .. }
-            | TelemetryEvent::RecoveryStarted { at, .. }
-            | TelemetryEvent::Sample { at, .. }
-            | TelemetryEvent::ServerCrashed { at, .. }
-            | TelemetryEvent::ServerRestarted { at, .. }
-            | TelemetryEvent::StateRehydrated { at, .. }
-            | TelemetryEvent::BootstrapCompleted { at, .. }
-            | TelemetryEvent::StateCorrupted { at, .. }
-            | TelemetryEvent::Stabilized { at, .. }
-            | TelemetryEvent::MalformedFrame { at, .. }
-            | TelemetryEvent::ViewChange { at, .. }
-            | TelemetryEvent::LeaseGranted { at, .. }
-            | TelemetryEvent::LeaseExpired { at, .. }
-            | TelemetryEvent::TsIssued { at, .. }
-            | TelemetryEvent::TsRefused { at, .. }
-            | TelemetryEvent::HwRehydrated { at, .. } => *at,
-        }
-    }
+    };
 }
+pub(crate) use events;
+
+/// Turns the rows of [`events!`] into the two enums and the accessors
+/// that are one arm per event.
+macro_rules! define_events {
+    ($(
+        $(#[$doc:meta])* $variant:ident = $bit:literal, $tag:literal {
+            $(#[$at_doc:meta])* at,
+            $($(#[$field_doc:meta])* $field:ident : $ty:ty $(= $key:literal)? $(| $label:literal)*),* $(,)?
+        }
+    )*) => {
+        /// Discriminant-only mirror of [`TelemetryEvent`], used for the cheap
+        /// `enabled` gate and the bus's aggregate bitmask.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(u8)]
+        pub enum EventKind {
+            $($(#[$doc])* $variant = $bit,)*
+        }
+
+        impl EventKind {
+            /// Every kind, in discriminant order.
+            pub const ALL: [EventKind; [$($bit),*].len()] = [$(EventKind::$variant),*];
+
+            /// This kind's position in the bus bitmask.
+            #[must_use]
+            pub fn bit(self) -> u64 {
+                1 << (self as u8)
+            }
+
+            /// The stable tag used as the `"type"` field of the JSONL export.
+            #[must_use]
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(EventKind::$variant => $tag,)*
+                }
+            }
+        }
+
+        /// A typed telemetry event. `at` is always real (simulated-world)
+        /// time; clock readings are the emitting server's logical time.
+        ///
+        /// Node and server identifiers are plain actor indexes so the crate
+        /// stays dependency-free below `tempo-core`.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum TelemetryEvent {
+            $(
+                $(#[$doc])*
+                $variant {
+                    $(#[$at_doc])*
+                    at: Timestamp,
+                    $($(#[$field_doc])* $field: $ty,)*
+                },
+            )*
+        }
+
+        impl TelemetryEvent {
+            /// The kind discriminant of this event.
+            #[must_use]
+            pub fn kind(&self) -> EventKind {
+                match self {
+                    $(TelemetryEvent::$variant { .. } => EventKind::$variant,)*
+                }
+            }
+
+            /// Real time the event happened.
+            #[must_use]
+            pub fn at(&self) -> Timestamp {
+                match self {
+                    $(TelemetryEvent::$variant { at, .. })|* => *at,
+                }
+            }
+        }
+    };
+}
+events!(define_events);
 
 /// A telemetry sink. Implementations are subscribed to a [`Bus`] and
 /// receive every event whose kind they declare interest in.
