@@ -1,9 +1,13 @@
 //! The audit-trail client: a workload generator that requests cluster
 //! timestamps, follows redirects to the current primary, retries
-//! refusals, and checks the stream it receives for regressions.
+//! refusals, and checks the stream it receives for regressions. It is
+//! also the real client: `tempo_transport::UdpClusterClient` hosts this
+//! very machine on a UDP socket, so the rules the simulator checks are
+//! the rules that ship.
 
 use tempo_core::{Duration, Timestamp};
 use tempo_net::{Actor, Context, NodeId};
+use tempo_telemetry::RefusalCause;
 
 use crate::msg::ClusterFrame;
 
@@ -17,7 +21,10 @@ pub struct AuditClientConfig {
     /// [`ClusterFrame::TsRedirect`] `primary` index can be resolved to a
     /// node).
     pub replicas: Vec<NodeId>,
-    /// Delay between a satisfied request and the next one.
+    /// Delay between a satisfied request and the next one. Zero means
+    /// the host paces the client instead: after a reply nothing is sent
+    /// until the host starts it again ([`Actor::on_start`]), as
+    /// `tempo_transport::UdpClusterClient` does once per call.
     pub period: Duration,
     /// How long to wait for any response before trying the next
     /// replica round-robin.
@@ -111,6 +118,7 @@ pub struct AuditClient {
     timer_epoch: u64,
     last_ts: Option<u64>,
     consecutive_refusals: u32,
+    last_refusal: Option<(u64, RefusalCause)>,
     trail: Vec<AuditRecord>,
     stats: ClientStats,
     me: usize,
@@ -128,6 +136,7 @@ impl AuditClient {
             timer_epoch: 0,
             last_ts: None,
             consecutive_refusals: 0,
+            last_refusal: None,
             trail: Vec::new(),
             stats: ClientStats::default(),
             me: 0,
@@ -152,20 +161,29 @@ impl AuditClient {
         self.last_ts
     }
 
-    fn send_request(&mut self, attempt: u8, ctx: &mut Context<'_, ClusterFrame>) {
-        let request_id = if attempt == 0 {
-            self.counter += 1;
-            (self.me as u64) << 32 | self.counter
-        } else {
-            // Retries keep their correlation id so a late first reply
-            // still matches.
-            self.outstanding.map_or_else(
-                || {
-                    self.counter += 1;
-                    (self.me as u64) << 32 | self.counter
-                },
-                |(id, _)| id,
-            )
+    /// The replica (an index into [`AuditClientConfig::replicas`]) the
+    /// next send goes to.
+    #[must_use]
+    pub fn target(&self) -> usize {
+        self.target
+    }
+
+    /// The view and cause of the last refusal received, if any.
+    #[must_use]
+    pub fn last_refusal(&self) -> Option<(u64, RefusalCause)> {
+        self.last_refusal
+    }
+
+    /// Sends the request in flight again — retries keep their
+    /// correlation id so a late first reply still matches — or, with
+    /// none in flight, a new one.
+    fn send_request(&mut self, ctx: &mut Context<'_, ClusterFrame>) {
+        let (request_id, attempt) = match self.outstanding {
+            Some((id, attempt)) => (id, attempt.saturating_add(1)),
+            None => {
+                self.counter += 1;
+                ((self.me as u64) << 32 | self.counter, 0)
+            }
         };
         self.outstanding = Some((request_id, attempt));
         let to = self.config.replicas[self.target % self.config.replicas.len()];
@@ -186,15 +204,21 @@ impl AuditClient {
     fn schedule_next(&mut self, ctx: &mut Context<'_, ClusterFrame>) {
         self.outstanding = None;
         self.timer_epoch += 1;
-        ctx.set_timer(self.config.period, SEND_TAG);
+        if self.config.period > Duration::ZERO {
+            ctx.set_timer(self.config.period, SEND_TAG);
+        }
     }
 
     fn live_timeout_tag(&self) -> u64 {
         TIMEOUT_BASE | self.timer_epoch << 8
     }
 
-    fn matches(&self, request_id: u64) -> bool {
+    /// Whether a frame from `from` answers the request in flight. Only a
+    /// configured replica speaks for the cluster: request ids are
+    /// predictable, so anyone else could forge the next reply.
+    fn answers(&self, from: NodeId, request_id: u64) -> bool {
         self.outstanding.is_some_and(|(id, _)| id == request_id)
+            && self.config.replicas.contains(&from)
     }
 }
 
@@ -203,24 +227,21 @@ impl Actor for AuditClient {
 
     fn on_start(&mut self, ctx: &mut Context<'_, ClusterFrame>) {
         self.me = ctx.label();
+        // A host-paced client is started once per request: whatever
+        // answers a request from before this start was read before it.
+        if self.outstanding.take().is_some() {
+            self.timer_epoch += 1;
+        }
         ctx.set_timer(self.config.period, SEND_TAG);
     }
 
-    fn on_message(
-        &mut self,
-        _from: NodeId,
-        msg: ClusterFrame,
-        ctx: &mut Context<'_, ClusterFrame>,
-    ) {
+    fn on_message(&mut self, from: NodeId, msg: ClusterFrame, ctx: &mut Context<'_, ClusterFrame>) {
         match msg {
             ClusterFrame::TsReply {
                 request_id,
                 view,
                 timestamp,
-            } => {
-                if !self.matches(request_id) {
-                    return;
-                }
+            } if self.answers(from, request_id) => {
                 self.stats.issued += 1;
                 self.consecutive_refusals = 0;
                 if self.last_ts.is_some_and(|prev| timestamp <= prev) {
@@ -234,11 +255,13 @@ impl Actor for AuditClient {
                 });
                 self.schedule_next(ctx);
             }
-            ClusterFrame::TsRefused { request_id, .. } => {
-                if !self.matches(request_id) {
-                    return;
-                }
+            ClusterFrame::TsRefused {
+                request_id,
+                view,
+                cause,
+            } if self.answers(from, request_id) => {
                 self.stats.refused += 1;
+                self.last_refusal = Some((view, cause));
                 let (_, attempt) = self.outstanding.expect("matched above");
                 self.outstanding = Some((request_id, attempt.saturating_add(1)));
                 self.timer_epoch += 1;
@@ -252,29 +275,22 @@ impl Actor for AuditClient {
                 request_id,
                 primary,
                 ..
-            } => {
-                if !self.matches(request_id) {
-                    return;
-                }
+            } if self.answers(from, request_id) => {
                 self.stats.redirected += 1;
                 // The index is the sender's claim: reduce it into range.
                 self.target = primary as usize % self.config.replicas.len();
-                let (_, attempt) = self.outstanding.expect("matched above");
-                self.send_request(attempt.saturating_add(1), ctx);
+                self.send_request(ctx);
             }
-            // Replica-to-replica traffic and base resync messages are
-            // not for us; a client just ignores them.
+            // Stale or foreign answers, replica-to-replica traffic and
+            // base resync messages are not for us; a client ignores them.
             _ => {}
         }
     }
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, ClusterFrame>) {
         if tag == SEND_TAG {
-            match self.outstanding {
-                // A refusal retry: the request id survives.
-                Some((_, attempt)) => self.send_request(attempt.saturating_add(1), ctx),
-                None => self.send_request(0, ctx),
-            }
+            // The next request, or a refusal retry of the one in flight.
+            self.send_request(ctx);
             return;
         }
         // Only the time-out of the latest send of the request still
@@ -282,8 +298,7 @@ impl Actor for AuditClient {
         if tag == self.live_timeout_tag() {
             self.stats.timeouts += 1;
             self.target = (self.target + 1) % self.config.replicas.len();
-            let (_, attempt) = self.outstanding.expect("a live time-out has its request");
-            self.send_request(attempt.saturating_add(1), ctx);
+            self.send_request(ctx);
         }
     }
 }
@@ -293,7 +308,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tempo_net::ActorAction;
-    use tempo_telemetry::RefusalCause;
 
     use super::*;
 
@@ -319,6 +333,21 @@ mod tests {
     }
 
     impl Harness {
+        /// A client of replicas 0–2, itself node 3.
+        fn new() -> Self {
+            Harness::with(AuditClientConfig::new(ids(3)))
+        }
+
+        fn with(config: AuditClientConfig) -> Self {
+            Harness {
+                client: AuditClient::new(config),
+                now: 0.0,
+                timers: Vec::new(),
+                sent: Vec::new(),
+                rng: StdRng::seed_from_u64(0),
+            }
+        }
+
         fn drive(&mut self, call: impl FnOnce(&mut AuditClient, &mut Context<'_, ClusterFrame>)) {
             let replicas = ids(3);
             let now = Timestamp::from_secs(self.now);
@@ -349,19 +378,17 @@ mod tests {
         }
 
         fn deliver(&mut self, msg: ClusterFrame) {
-            self.drive(|client, ctx| client.on_message(NodeId::new(0), msg, ctx));
+            self.deliver_from(NodeId::new(0), msg);
+        }
+
+        fn deliver_from(&mut self, from: NodeId, msg: ClusterFrame) {
+            self.drive(|client, ctx| client.on_message(from, msg, ctx));
         }
     }
 
     #[test]
     fn one_live_timeout_through_redirect_refusal_and_timeouts() {
-        let mut h = Harness {
-            client: AuditClient::new(AuditClientConfig::new(ids(3))),
-            now: 0.0,
-            timers: Vec::new(),
-            sent: Vec::new(),
-            rng: StdRng::seed_from_u64(0),
-        };
+        let mut h = Harness::new();
         h.drive(|client, ctx| client.on_start(ctx));
         h.fire_next();
         let Some((_, ClusterFrame::TsRequest { request_id, .. })) = h.sent.last().cloned() else {
@@ -422,6 +449,17 @@ mod tests {
             let (to, _) = h.sent.last().expect("a redirect re-sends");
             assert!(to.index() < 3, "redirected out of range to {to:?}");
         }
+        // A stranger who learned the id forges the answer: nothing moves.
+        let before = (h.client.stats(), h.sent.len(), h.timers.len());
+        h.deliver_from(
+            NodeId::new(7),
+            ClusterFrame::TsReply {
+                request_id,
+                view: 2,
+                timestamp: 1,
+            },
+        );
+        assert_eq!((h.client.stats(), h.sent.len(), h.timers.len()), before);
         h.deliver(ClusterFrame::TsReply {
             request_id,
             view: 2,
@@ -436,6 +474,125 @@ mod tests {
             "a satisfied request times out no more"
         );
         assert_eq!(h.client.stats().issued, 1);
+    }
+
+    #[test]
+    fn a_host_paced_client_sends_only_when_started_and_abandons_what_is_in_flight() {
+        let mut h = Harness::with(AuditClientConfig::new(ids(3)).period(Duration::ZERO));
+        let start = |h: &mut Harness| {
+            h.drive(|client, ctx| client.on_start(ctx));
+            h.fire_next();
+            let Some((_, ClusterFrame::TsRequest { request_id, .. })) = h.sent.last().cloned()
+            else {
+                panic!("a start sends a request at once");
+            };
+            request_id
+        };
+        let first = start(&mut h);
+        h.deliver(ClusterFrame::TsReply {
+            request_id: first,
+            view: 0,
+            timestamp: 5,
+        });
+        // Only the answered request's time-out is armed, and it is stale.
+        h.fire_next();
+        assert!(h.timers.is_empty(), "{:?}", h.timers);
+        assert_eq!(h.sent.len(), 1, "no request without a start");
+        // Started again with `second` unanswered: `second` is abandoned,
+        // so its late reply is not taken and its time-out is stale.
+        let second = start(&mut h);
+        let third = start(&mut h);
+        assert!(first < second && second < third);
+        let before = h.client.stats();
+        h.deliver(ClusterFrame::TsReply {
+            request_id: second,
+            view: 0,
+            timestamp: 6,
+        });
+        assert_eq!(h.client.stats(), before);
+        // Both sends' time-outs come due at t = 2 s.
+        h.fire_next();
+        h.fire_next();
+        assert_eq!(h.client.stats().timeouts, 1, "only the third's time-out");
+        h.deliver(ClusterFrame::TsReply {
+            request_id: third,
+            view: 0,
+            timestamp: 7,
+        });
+        assert_eq!(h.client.trail().len(), 2);
+    }
+
+    /// Random interleavings of due timers and answers — genuine, stale
+    /// or from strangers — against a model of what the client may do.
+    #[test]
+    fn audit_client_keeps_its_invariants_under_any_answer_sequence() {
+        const CAUSES: [RefusalCause; 4] = [
+            RefusalCause::NoLease,
+            RefusalCause::NoQuorum,
+            RefusalCause::Booting,
+            RefusalCause::Ahead,
+        ];
+        tempo_check::check("audit_client_invariants", 256, |g| {
+            let mut h = Harness::new();
+            h.drive(|client, ctx| client.on_start(ctx));
+            // The model: the id in flight, every id sent, the last
+            // accepted timestamp and the regressions among them.
+            let (mut live, mut seen) = (None, vec![0]);
+            let (mut last_ts, mut regressions) = (None::<u64>, 0);
+            for _ in 0..g.int(1..=80usize) {
+                let before = (h.client.stats(), h.sent.len(), h.timers.len());
+                if g.int(0..3u8) == 0 {
+                    h.fire_next();
+                } else {
+                    let request_id = match g.int(0..3u8) {
+                        0 => live.unwrap_or_default(),
+                        1 => *g.pick(&seen),
+                        _ => g.u64(),
+                    };
+                    // Nodes 0–2 are the replicas; 3 (the client) and up
+                    // are strangers.
+                    let from = NodeId::new(g.int(0..6usize));
+                    let view = g.u64();
+                    let frame = match g.int(0..3u8) {
+                        0 => ClusterFrame::TsReply {
+                            request_id,
+                            view,
+                            timestamp: g.int(0..=40u64),
+                        },
+                        1 => ClusterFrame::TsRefused {
+                            request_id,
+                            view,
+                            cause: *g.pick(&CAUSES),
+                        },
+                        _ => ClusterFrame::TsRedirect {
+                            request_id,
+                            view,
+                            primary: g.int(0..=u32::MAX),
+                        },
+                    };
+                    h.deliver_from(from, frame);
+                    if live != Some(request_id) || from.index() >= 3 {
+                        let after = (h.client.stats(), h.sent.len(), h.timers.len());
+                        assert_eq!(after, before, "{frame:?} from {from:?} was acted on");
+                    } else if let ClusterFrame::TsReply { timestamp, .. } = frame {
+                        regressions += usize::from(last_ts.is_some_and(|prev| timestamp <= prev));
+                        last_ts = Some(timestamp);
+                        live = None;
+                    }
+                }
+                for &(to, msg) in &h.sent[before.1..] {
+                    assert!(to.index() < 3, "sent to {to:?}, not a replica");
+                    let ClusterFrame::TsRequest { request_id, .. } = msg else {
+                        panic!("a client sends requests only, not {msg:?}");
+                    };
+                    assert_eq!(*live.get_or_insert(request_id), request_id);
+                    seen.push(request_id);
+                }
+                let stats = h.client.stats();
+                assert_eq!(stats.issued, h.client.trail().len());
+                assert_eq!(stats.regressions, regressions);
+            }
+        });
     }
 
     #[test]

@@ -1,6 +1,12 @@
 //! Deployment configuration for a cluster-time replica.
+//!
+//! This is the only file that knows what a [`ClusterFault`] *does*: the
+//! replica is honest and reaches the adversary through three seams —
+//! [`ClusterConfig::acked_high_water`] on every ack it sends,
+//! [`ClusterConfig::reported_estimate`] on a lease ack, and
+//! [`ClusterConfig::skips_hw_flush`] before a release.
 
-use tempo_core::Duration;
+use tempo_core::{Duration, TimeEstimate};
 use tempo_net::NodeId;
 
 /// A cluster-level fault or injected bug carried by one replica.
@@ -184,6 +190,43 @@ impl ClusterConfig {
         let n = self.n();
         let heir = (self.primary_of(view) + 1) % n;
         (self.index + n - heir) % n
+    }
+
+    /// Every *other* replica with its index, in index order — the one
+    /// loop behind every broadcast, so each send keeps its place in the
+    /// event stream.
+    pub(crate) fn peers(&self) -> impl Iterator<Item = (usize, NodeId)> + '_ {
+        self.replicas
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(move |&(idx, _)| idx != self.index)
+    }
+
+    /// The high-water mark this replica reports in an ack (lease,
+    /// view-change and hw acks alike) when it holds `honest`.
+    pub(crate) fn acked_high_water(&self, honest: u64) -> u64 {
+        if self.fault == Some(ClusterFault::UnderstateHw) {
+            0
+        } else {
+            honest
+        }
+    }
+
+    /// The clock reading this replica reports in a lease ack.
+    pub(crate) fn reported_estimate(&self, honest: TimeEstimate) -> TimeEstimate {
+        match self.fault {
+            Some(ClusterFault::LieEstimate { shift }) => {
+                TimeEstimate::new(honest.time() + shift, honest.error())
+            }
+            _ => honest,
+        }
+    }
+
+    /// Whether the primary releases a timestamp with its mark neither
+    /// persisted nor replicated — the planted bug.
+    pub(crate) fn skips_hw_flush(&self) -> bool {
+        self.fault == Some(ClusterFault::SkipHwFlush)
     }
 
     fn validate(&self) {

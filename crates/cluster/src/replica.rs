@@ -5,12 +5,12 @@
 use std::collections::BTreeMap;
 
 use tempo_core::marzullo::intersect_tolerating;
-use tempo_core::{TimeEstimate, TimeInterval, Timestamp};
+use tempo_core::{Duration, TimeEstimate, TimeInterval, Timestamp};
 use tempo_net::{Actor, Context, NodeId};
 use tempo_service::{ClusterState, HealthTracker, Lifecycle, Message, StableStore, TimeServer};
 use tempo_telemetry::{Bus, EventKind, RefusalCause, TelemetryEvent};
 
-use crate::config::{ClusterConfig, ClusterFault};
+use crate::config::ClusterConfig;
 use crate::msg::ClusterFrame;
 
 /// The cluster housekeeping timer. Bit 62 keeps the tag disjoint from
@@ -252,25 +252,31 @@ impl ClusterReplica {
             if self.config.amnesia {
                 self.store.wipe();
             }
-            if let Some(cs) = self.store.load_cluster() {
-                self.view = cs.view;
-                self.high_water = cs.high_water;
-                self.stats.rehydrations += 1;
-                let (at, server, view, high_water) =
-                    (ctx.now(), self.me, self.view, self.high_water);
-                self.bus
-                    .emit_with(EventKind::HwRehydrated, || TelemetryEvent::HwRehydrated {
-                        at,
-                        server,
-                        view,
-                        high_water,
-                    });
-            }
             // Give the cluster a grace period before electing against
             // whatever view we rejoined in.
-            self.last_renew_seen = ctx.now();
-            self.election_not_before = ctx.now() + self.config.election_timeout;
+            self.rehydrate(self.config.election_timeout, ctx);
         }
+    }
+
+    /// Reloads the durable `(view, high-water)` record, if there is one,
+    /// and restarts the election clock: no campaign before `grace` has
+    /// passed.
+    fn rehydrate(&mut self, grace: Duration, ctx: &mut Context<'_, ClusterFrame>) {
+        if let Some(cs) = self.store.load_cluster() {
+            self.view = cs.view;
+            self.high_water = cs.high_water;
+            self.stats.rehydrations += 1;
+            let (at, server, view, high_water) = (ctx.now(), self.me, self.view, self.high_water);
+            self.bus
+                .emit_with(EventKind::HwRehydrated, || TelemetryEvent::HwRehydrated {
+                    at,
+                    server,
+                    view,
+                    high_water,
+                });
+        }
+        self.last_renew_seen = ctx.now();
+        self.election_not_before = ctx.now() + grace;
     }
 
     fn clear_primary_role(&mut self) {
@@ -301,13 +307,20 @@ impl ClusterReplica {
         if view <= self.view {
             return;
         }
-        self.view = view;
-        self.clear_primary_role();
         if self.candidate_view.is_some_and(|cv| cv <= view) {
             self.clear_candidacy();
         }
-        self.persist_cluster();
         self.last_renew_seen = ctx.now();
+        self.enter_view(view, ctx);
+    }
+
+    /// Moves to `view` — learned from a peer or won — dropping any
+    /// primary role held under the old one, and makes the move durable
+    /// before announcing it.
+    fn enter_view(&mut self, view: u64, ctx: &mut Context<'_, ClusterFrame>) {
+        self.view = view;
+        self.clear_primary_role();
+        self.persist_cluster();
         self.election_attempts = 0;
         self.stats.views_adopted += 1;
         let (at, server, high_water) = (ctx.now(), self.me, self.high_water);
@@ -381,10 +394,7 @@ impl ClusterReplica {
             view: self.view,
             seq: self.renew_seq,
         };
-        for (idx, &peer) in self.config.replicas.clone().iter().enumerate() {
-            if idx == self.config.index {
-                continue;
-            }
+        for (_, peer) in self.config.peers() {
             // E16 machinery: Dead peers are skipped except on probe
             // rounds, so a crashed backup costs nothing per renewal.
             if self.health.should_poll(peer, self.renew_seq) {
@@ -487,10 +497,8 @@ impl ClusterReplica {
             return;
         }
         self.high_water = ts;
-        if self.config.fault == Some(ClusterFault::SkipHwFlush) {
-            // Injected bug: release immediately, with the mark neither
-            // persisted nor replicated. In-memory monotonicity still
-            // holds — until the first crash.
+        if self.config.skips_hw_flush() {
+            // In-memory monotonicity still holds — until the first crash.
             self.release(ts, request_id, client, interval.lo(), interval.hi(), ctx);
             return;
         }
@@ -509,15 +517,19 @@ impl ClusterReplica {
         self.try_release(ctx);
     }
 
-    fn broadcast_hw(&mut self, ctx: &mut Context<'_, ClusterFrame>) {
-        let msg = ClusterFrame::HwUpdate {
-            view: self.view,
-            high_water: self.high_water,
-        };
-        for (idx, &peer) in self.config.replicas.clone().iter().enumerate() {
-            if idx != self.config.index {
-                ctx.send(peer, msg);
-            }
+    fn broadcast_hw(&self, ctx: &mut Context<'_, ClusterFrame>) {
+        self.broadcast(
+            ClusterFrame::HwUpdate {
+                view: self.view,
+                high_water: self.high_water,
+            },
+            ctx,
+        );
+    }
+
+    fn broadcast(&self, msg: ClusterFrame, ctx: &mut Context<'_, ClusterFrame>) {
+        for (_, peer) in self.config.peers() {
+            ctx.send(peer, msg);
         }
     }
 
@@ -560,10 +572,9 @@ impl ClusterReplica {
                 return;
             };
             let acked = self
-                .backup_acked_hw
-                .iter()
-                .enumerate()
-                .filter(|&(idx, &hw)| idx != self.config.index && hw >= ts)
+                .config
+                .peers()
+                .filter(|&(idx, _)| self.backup_acked_hw[idx] >= ts)
                 .count();
             if acked + 1 < self.config.quorum() {
                 return;
@@ -598,12 +609,7 @@ impl ClusterReplica {
         let backoff = 1u32 << self.election_attempts.min(5);
         self.election_not_before = ctx.now() + self.config.request_timeout * f64::from(backoff);
         self.election_attempts += 1;
-        let msg = ClusterFrame::ViewChangeReq { view: v };
-        for (idx, &peer) in self.config.replicas.clone().iter().enumerate() {
-            if idx != self.config.index {
-                ctx.send(peer, msg);
-            }
-        }
+        self.broadcast(ClusterFrame::ViewChangeReq { view: v }, ctx);
         // A single replica elects itself.
         self.try_win(ctx);
     }
@@ -614,22 +620,10 @@ impl ClusterReplica {
         if granted + 1 < self.config.quorum() {
             return;
         }
-        self.view = v;
         self.high_water = self.high_water.max(self.vote_hw_max);
         self.clear_candidacy();
-        self.clear_primary_role();
-        self.persist_cluster();
-        self.election_attempts = 0;
         self.stats.elections_won += 1;
-        self.stats.views_adopted += 1;
-        let (at, server, view, high_water) = (ctx.now(), self.me, self.view, self.high_water);
-        self.bus
-            .emit_with(EventKind::ViewChange, || TelemetryEvent::ViewChange {
-                at,
-                server,
-                view,
-                high_water,
-            });
+        self.enter_view(v, ctx);
         // Serve only once a lease quorum confirms the new reign.
         self.send_renewal(ctx);
     }
@@ -643,21 +637,17 @@ impl ClusterReplica {
         let now = ctx.now();
 
         // Lease expiry.
-        if self.is_primary() {
-            if let Some(until) = self.lease_until {
-                if now >= until {
-                    self.lease_until = None;
-                    self.lease_snapshot = None;
-                    self.stats.leases_expired += 1;
-                    let (at, server, view) = (now, self.me, self.view);
-                    self.bus
-                        .emit_with(EventKind::LeaseExpired, || TelemetryEvent::LeaseExpired {
-                            at,
-                            server,
-                            view,
-                        });
-                }
-            }
+        if self.is_primary() && self.lease_until.is_some_and(|until| now >= until) {
+            self.lease_until = None;
+            self.lease_snapshot = None;
+            self.stats.leases_expired += 1;
+            let (at, server, view) = (now, self.me, self.view);
+            self.bus
+                .emit_with(EventKind::LeaseExpired, || TelemetryEvent::LeaseExpired {
+                    at,
+                    server,
+                    view,
+                });
         }
 
         // Renewal cadence (the primary's heartbeat doubles as the
@@ -672,10 +662,7 @@ impl ClusterReplica {
             // health strike (the E16 state machine demotes them
             // Healthy → Suspect → Dead on consecutive misses).
             if self.last_renew_sent.is_some() {
-                for (idx, &peer) in self.config.replicas.clone().iter().enumerate() {
-                    if idx == self.config.index {
-                        continue;
-                    }
+                for (idx, peer) in self.config.peers() {
                     if self.renew_acks[idx].is_none() {
                         self.health.record_timeout(peer);
                     }
@@ -752,22 +739,14 @@ impl ClusterReplica {
                 }
                 self.last_renew_seen = ctx.now();
                 self.election_attempts = 0;
-                let mut estimate = self.server.current_estimate(ctx.now());
-                if let Some(ClusterFault::LieEstimate { shift }) = self.config.fault {
-                    estimate = TimeEstimate::new(estimate.time() + shift, estimate.error());
-                }
-                let high_water = if self.config.fault == Some(ClusterFault::UnderstateHw) {
-                    0
-                } else {
-                    self.high_water
-                };
+                let estimate = self.server.current_estimate(ctx.now());
                 ctx.send(
                     from,
                     ClusterFrame::LeaseAck {
                         view,
                         seq,
-                        estimate,
-                        high_water,
+                        estimate: self.config.reported_estimate(estimate),
+                        high_water: self.config.acked_high_water(self.high_water),
                     },
                 );
             }
@@ -790,28 +769,16 @@ impl ClusterReplica {
             ClusterFrame::ViewChangeReq { view } => {
                 if view > self.view {
                     self.observe_view(view, ctx);
-                    let high_water = if self.config.fault == Some(ClusterFault::UnderstateHw) {
-                        0
-                    } else {
-                        self.high_water
-                    };
                     ctx.send(
                         from,
                         ClusterFrame::ViewChangeAck {
                             view,
                             ok: true,
-                            high_water,
+                            high_water: self.config.acked_high_water(self.high_water),
                         },
                     );
                 } else {
-                    ctx.send(
-                        from,
-                        ClusterFrame::ViewChangeAck {
-                            view: self.view,
-                            ok: false,
-                            high_water: self.high_water,
-                        },
-                    );
+                    self.nack_stale(from, ctx);
                 }
             }
             ClusterFrame::ViewChangeAck {
@@ -843,16 +810,11 @@ impl ClusterReplica {
                     self.high_water = high_water;
                 }
                 self.persist_cluster();
-                let acked = if self.config.fault == Some(ClusterFault::UnderstateHw) {
-                    0
-                } else {
-                    self.high_water
-                };
                 ctx.send(
                     from,
                     ClusterFrame::HwAck {
                         view,
-                        high_water: acked,
+                        high_water: self.config.acked_high_water(self.high_water),
                     },
                 );
             }
@@ -896,21 +858,7 @@ impl Actor for ClusterReplica {
 
     fn on_start(&mut self, ctx: &mut Context<'_, ClusterFrame>) {
         self.me = ctx.label();
-        if let Some(cs) = self.store.load_cluster() {
-            self.view = cs.view;
-            self.high_water = cs.high_water;
-            self.stats.rehydrations += 1;
-            let (at, server, view, high_water) = (ctx.now(), self.me, self.view, self.high_water);
-            self.bus
-                .emit_with(EventKind::HwRehydrated, || TelemetryEvent::HwRehydrated {
-                    at,
-                    server,
-                    view,
-                    high_water,
-                });
-        }
-        self.last_renew_seen = ctx.now();
-        self.election_not_before = ctx.now();
+        self.rehydrate(Duration::ZERO, ctx);
         self.drive_inner(ctx, |server, inner| server.on_start(inner));
         ctx.set_timer(self.config.tick, TICK_TAG);
     }
@@ -944,6 +892,7 @@ impl Actor for ClusterReplica {
 mod tests {
     use super::*;
     use crate::client::{AuditClient, AuditClientConfig};
+    use crate::config::ClusterFault;
     use crate::node::ClusterNode;
     use tempo_clocks::SimClock;
     use tempo_core::DriftRate;

@@ -1,16 +1,21 @@
-//! A blocking UDP client for the time service: ask every server,
-//! time the round trip on the local monotonic clock, and return
+//! Blocking UDP clients. [`UdpTimeClient`] asks every time server,
+//! times the round trip on the local monotonic clock, and returns
 //! rtt-adjusted readings — the client half of rule MM-1 over a real
-//! network.
+//! network. [`UdpClusterClient`] requests ClusterTime timestamps through
+//! the simulator's own `AuditClient`.
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration as StdDuration, Instant};
 
+use tempo_cluster::{AuditClient, AuditClientConfig, ClientStats};
 use tempo_core::{Duration, TimeEstimate};
-use tempo_service::wire::{decode, decode_cluster, encode, encode_cluster, ClusterFrame};
+use tempo_net::NodeId;
+use tempo_service::wire::{decode, encode};
 use tempo_service::Message;
 use tempo_telemetry::RefusalCause;
+
+use crate::runtime::UdpRuntime;
 
 /// One server's answer to a query round.
 #[derive(Debug, Clone, Copy)]
@@ -182,16 +187,16 @@ pub enum TsOutcome {
         /// The view it was issued under.
         view: u64,
     },
-    /// Every attempt was answered with a refusal — the cluster is
-    /// degraded (no lease, no quorum, booting) and said so rather
-    /// than risk a regression.
+    /// The attempt budget ran out and a replica refused along the way —
+    /// the cluster is degraded (no lease, no quorum, booting) and said
+    /// so rather than risk a regression.
     Refused {
-        /// The refusing replica's view on the last attempt.
+        /// The last refusing replica's view.
         view: u64,
         /// The last refusal's cause.
         cause: RefusalCause,
     },
-    /// Nobody answered within the attempt budget.
+    /// Nobody answered with a timestamp or a refusal within the budget.
     TimedOut,
 }
 
@@ -206,31 +211,25 @@ impl TsOutcome {
     }
 }
 
-/// What one attempt at one replica produced.
-enum Attempt {
-    Reply(TsOutcome),
-    Redirect(u32),
-    Refusal(u64, RefusalCause),
-    Silence,
-}
-
-/// A blocking client for the cluster-time service: requests monotonic
-/// timestamps from the believed primary, following redirects and
-/// rotating through the replica set on silence — the real-socket twin
-/// of the simulator's `AuditClient`.
+/// A blocking client for the cluster-time service: the simulator's
+/// [`AuditClient`] — its redirect, rotate and refusal back-off rules and
+/// its sender check — hosted by a [`UdpRuntime`] on an ephemeral socket.
+/// The client is host-paced (`period` zero): each call starts one fresh
+/// request and abandons any the previous call gave up on, so a returned
+/// timestamp always answers a request sent during the call.
 #[derive(Debug)]
 pub struct UdpClusterClient {
-    socket: UdpSocket,
-    replicas: Vec<SocketAddr>,
-    believed_primary: usize,
-    next_request_id: u64,
+    runtime: UdpRuntime<UdpSocket, AuditClient>,
     timeout: StdDuration,
+    /// Re-sends a request may take: three laps of the replica set.
+    budget: usize,
 }
 
 impl UdpClusterClient {
     /// Binds an ephemeral local socket aimed at `replicas` (indexed in
     /// node-id order, so redirects can name their target). `timeout`
-    /// bounds each attempt, not the whole request.
+    /// bounds each attempt, not the whole request; a refusal is retried
+    /// after `timeout / 4`, doubled per consecutive refusal up to 32×.
     ///
     /// # Errors
     ///
@@ -240,110 +239,58 @@ impl UdpClusterClient {
     ///
     /// Panics if `replicas` is empty.
     pub fn new(replicas: Vec<SocketAddr>, timeout: StdDuration) -> io::Result<Self> {
-        assert!(!replicas.is_empty(), "need at least one replica");
         let socket = UdpSocket::bind("127.0.0.1:0")?;
+        // The replicas are nodes 0..n, the client itself node n.
+        let n = replicas.len();
+        let peers = [replicas, vec![socket.local_addr()?]].concat();
+        let attempt = Duration::from_secs(timeout.as_secs_f64());
+        let config = AuditClientConfig::new((0..n).map(NodeId::new).collect())
+            .period(Duration::ZERO)
+            .request_timeout(attempt)
+            .retry_delay(attempt / 4.0);
         Ok(UdpClusterClient {
-            socket,
-            replicas,
-            believed_primary: 0,
-            next_request_id: 1,
+            runtime: UdpRuntime::new(AuditClient::new(config), socket, n, peers, 0),
             timeout,
+            budget: 3 * n,
         })
     }
 
-    /// Requests one cluster timestamp: send to the believed primary,
-    /// follow redirects, rotate on silence, and return the first
-    /// reply — or the last refusal once the attempt budget (three
-    /// laps of the replica set) runs out.
+    /// Requests one cluster timestamp and returns the first reply — or,
+    /// once the request has been re-sent three laps of the replica set,
+    /// the last refusal, or [`TsOutcome::TimedOut`] if none came.
+    ///
+    /// The budget counts re-sends, not time. Silence costs `timeout`
+    /// per re-send, a refusal up to 8 × `timeout` (the back-off at its
+    /// cap; it resets only on a reply), so against `n` replicas that
+    /// all refuse a call can block for (3n − 1) × 8 × `timeout` — about
+    /// 45 s for five replicas at 400 ms.
     ///
     /// # Errors
     ///
-    /// Fails only on local socket errors; unreachable or refusing
-    /// replicas are reported through [`TsOutcome`].
+    /// None: as in `tempod`, a socket error is a lost datagram (logged
+    /// to stderr by the runtime).
     pub fn request(&mut self) -> io::Result<TsOutcome> {
-        let request_id = self.next_request_id;
-        self.next_request_id += 1;
-        let mut last_refusal = None;
-        let budget = self.replicas.len() * 3;
-        for attempt in 0..budget {
-            let target = self.replicas[self.believed_primary];
-            match self.one_attempt(request_id, attempt, target)? {
-                Attempt::Reply(outcome) => return Ok(outcome),
-                // The index is the sender's claim: reduce it into range.
-                Attempt::Redirect(primary) => {
-                    self.believed_primary = primary as usize % self.replicas.len();
-                }
-                Attempt::Refusal(view, cause) => {
-                    last_refusal = Some((view, cause));
-                    // A refusal is authoritative for this replica right
-                    // now; a lease or quorum may be moments away.
-                    std::thread::sleep(self.timeout / 4);
-                }
-                Attempt::Silence => {
-                    self.believed_primary = (self.believed_primary + 1) % self.replicas.len();
-                }
-            }
-        }
-        Ok(match last_refusal {
-            Some((view, cause)) => TsOutcome::Refused { view, cause },
-            None => TsOutcome::TimedOut,
-        })
-    }
-
-    fn one_attempt(
-        &mut self,
-        request_id: u64,
-        attempt: usize,
-        target: SocketAddr,
-    ) -> io::Result<Attempt> {
-        let msg = ClusterFrame::TsRequest {
-            request_id,
-            attempt: attempt.min(u8::MAX as usize) as u8,
-        };
-        self.socket.send_to(&encode_cluster(&msg), target)?;
-        let deadline = Instant::now() + self.timeout;
-        let mut buf = [0u8; 512];
+        let resends = |s: ClientStats| s.refused + s.redirected + s.timeouts;
+        let client = self.runtime.server();
+        let (issued, before) = (client.trail().len(), client.stats());
+        self.runtime.start();
         loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok(Attempt::Silence);
+            self.runtime.poll(self.timeout);
+            let client = self.runtime.server();
+            if let Some(record) = client.trail().get(issued) {
+                return Ok(TsOutcome::Issued {
+                    timestamp: record.timestamp,
+                    view: record.view,
+                });
             }
-            self.socket.set_read_timeout(Some(deadline - now))?;
-            let (len, _) = match self.socket.recv_from(&mut buf) {
-                Ok(hit) => hit,
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Ok(Attempt::Silence);
-                }
-                Err(e) => return Err(e),
-            };
-            let Ok(frame) = decode_cluster(&buf[..len]) else {
-                continue;
-            };
-            match frame {
-                ClusterFrame::TsReply {
-                    request_id: id,
-                    view,
-                    timestamp,
-                } if id == request_id => {
-                    self.believed_primary = (view as usize) % self.replicas.len();
-                    return Ok(Attempt::Reply(TsOutcome::Issued { timestamp, view }));
-                }
-                ClusterFrame::TsRedirect {
-                    request_id: id,
-                    primary,
-                    ..
-                } if id == request_id => return Ok(Attempt::Redirect(primary)),
-                ClusterFrame::TsRefused {
-                    request_id: id,
-                    view,
-                    cause,
-                } if id == request_id => return Ok(Attempt::Refusal(view, cause)),
-                // Stale replies to earlier requests, base-protocol
-                // traffic, anything else: ignore and keep waiting.
-                _ => {}
+            let now = client.stats();
+            if resends(now) - resends(before) >= self.budget {
+                let refusal = client
+                    .last_refusal()
+                    .filter(|_| now.refused > before.refused);
+                return Ok(refusal.map_or(TsOutcome::TimedOut, |(view, cause)| {
+                    TsOutcome::Refused { view, cause }
+                }));
             }
         }
     }
@@ -351,7 +298,7 @@ impl UdpClusterClient {
     /// The replica this client currently believes is primary.
     #[must_use]
     pub fn believed_primary(&self) -> usize {
-        self.believed_primary
+        self.runtime.server().target()
     }
 }
 
@@ -359,6 +306,7 @@ impl UdpClusterClient {
 mod tests {
     use super::*;
     use tempo_core::Timestamp;
+    use tempo_service::wire::{decode_cluster, encode_cluster, ClusterFrame};
 
     #[test]
     fn query_collects_replies_and_refusals() {
@@ -403,6 +351,17 @@ mod tests {
         assert!(adjusted.error() >= r.estimate.error());
     }
 
+    /// Waits for the next timestamp request on a hand-rolled replica:
+    /// its id and sender.
+    fn next_request(socket: &UdpSocket) -> (u64, SocketAddr) {
+        let mut buf = [0u8; 512];
+        let (len, from) = socket.recv_from(&mut buf).unwrap();
+        let Ok(ClusterFrame::TsRequest { request_id, .. }) = decode_cluster(&buf[..len]) else {
+            panic!("expected a timestamp request");
+        };
+        (request_id, from)
+    }
+
     #[test]
     fn out_of_range_redirects_keep_the_cluster_client_on_real_replicas() {
         // Two hand-rolled "backups", each confused about who is
@@ -418,12 +377,7 @@ mod tests {
         let mut client = UdpClusterClient::new(addrs, StdDuration::from_secs(5)).unwrap();
         let answer = std::thread::spawn(move || {
             let answer_with = |socket: &UdpSocket, reply: fn(u64) -> ClusterFrame| {
-                let mut buf = [0u8; 512];
-                let (len, from) = socket.recv_from(&mut buf).unwrap();
-                let Ok(ClusterFrame::TsRequest { request_id, .. }) = decode_cluster(&buf[..len])
-                else {
-                    panic!("expected a timestamp request");
-                };
+                let (request_id, from) = next_request(socket);
                 socket
                     .send_to(&encode_cluster(&reply(request_id)), from)
                     .unwrap();
@@ -455,6 +409,133 @@ mod tests {
             }
         );
         assert!(client.believed_primary() < 2);
+    }
+
+    #[test]
+    fn a_forged_reply_from_a_stranger_is_not_taken() {
+        // The replica leaks the request id to a stranger, whose forged
+        // reply reaches the client before the genuine one does.
+        let replica = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let stranger = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let addrs = vec![replica.local_addr().unwrap()];
+        let mut client = UdpClusterClient::new(addrs, StdDuration::from_secs(5)).unwrap();
+        let answer = std::thread::spawn(move || {
+            let (request_id, from) = next_request(&replica);
+            let reply = |timestamp| {
+                encode_cluster(&ClusterFrame::TsReply {
+                    request_id,
+                    view: 0,
+                    timestamp,
+                })
+            };
+            stranger.send_to(&reply(1), from).unwrap();
+            replica.send_to(&reply(99), from).unwrap();
+        });
+        let outcome = client.request().unwrap();
+        answer.join().unwrap();
+        assert!(
+            matches!(outcome, TsOutcome::Issued { timestamp: 99, .. }),
+            "{outcome:?}"
+        );
+    }
+
+    #[test]
+    fn each_timestamp_answers_a_request_that_arrived_during_the_call() {
+        // The replica issues 1, 2, … and notes when each request came.
+        let replica = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let addrs = vec![replica.local_addr().unwrap()];
+        let mut client = UdpClusterClient::new(addrs, StdDuration::from_secs(5)).unwrap();
+        let issuer = std::thread::spawn(move || {
+            let mut arrivals = Vec::new();
+            for timestamp in 1..=2 {
+                let (request_id, from) = next_request(&replica);
+                arrivals.push(Instant::now());
+                let reply = ClusterFrame::TsReply {
+                    request_id,
+                    view: 0,
+                    timestamp,
+                };
+                replica.send_to(&encode_cluster(&reply), from).unwrap();
+            }
+            arrivals
+        });
+        assert_eq!(client.request().unwrap().timestamp(), Some(1));
+        std::thread::sleep(StdDuration::from_millis(100));
+        let call = Instant::now();
+        let second = client.request().unwrap();
+        let arrivals = issuer.join().unwrap();
+        assert_eq!(second.timestamp(), Some(2));
+        assert!(arrivals[1] >= call, "timestamp 2 was read before the call");
+    }
+
+    #[test]
+    fn a_request_the_last_call_gave_up_on_does_not_answer_the_next() {
+        // The replica sits on a request until the client has given up
+        // on it, then answers it late; the next call must not take that.
+        let replica = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let addrs = vec![replica.local_addr().unwrap()];
+        let mut client = UdpClusterClient::new(addrs, StdDuration::from_millis(50)).unwrap();
+        let late = std::thread::spawn(move || {
+            let reply = |request_id, timestamp| {
+                encode_cluster(&ClusterFrame::TsReply {
+                    request_id,
+                    view: 0,
+                    timestamp,
+                })
+            };
+            // The first send and three re-sends after time-outs.
+            let (stale, from) = next_request(&replica);
+            for _ in 0..3 {
+                assert_eq!(next_request(&replica).0, stale);
+            }
+            std::thread::sleep(StdDuration::from_millis(500));
+            replica.send_to(&reply(stale, 5), from).unwrap();
+            let (fresh, from) = next_request(&replica);
+            replica.send_to(&reply(fresh, 9), from).unwrap();
+        });
+        assert_eq!(client.request().unwrap(), TsOutcome::TimedOut);
+        // Let the late answer land in the client's socket buffer.
+        std::thread::sleep(StdDuration::from_secs(1));
+        let outcome = client.request().unwrap();
+        late.join().unwrap();
+        assert_eq!(outcome.timestamp(), Some(9), "{outcome:?}");
+    }
+
+    #[test]
+    fn refusals_back_off_exponentially() {
+        // A replica that refuses everything: the client must pace its
+        // retries at timeout / 4 · 2^k, not hammer it at a constant rate.
+        let replica = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let addrs = vec![replica.local_addr().unwrap()];
+        let mut client = UdpClusterClient::new(addrs, StdDuration::from_millis(400)).unwrap();
+        let refuser = std::thread::spawn(move || {
+            let mut arrivals = Vec::new();
+            for _ in 0..3 {
+                let (request_id, from) = next_request(&replica);
+                arrivals.push(Instant::now());
+                let refusal = ClusterFrame::TsRefused {
+                    request_id,
+                    view: 7,
+                    cause: RefusalCause::NoQuorum,
+                };
+                replica.send_to(&encode_cluster(&refusal), from).unwrap();
+            }
+            arrivals
+        });
+        let outcome = client.request().unwrap();
+        let arrivals = refuser.join().unwrap();
+        assert_eq!(
+            outcome,
+            TsOutcome::Refused {
+                view: 7,
+                cause: RefusalCause::NoQuorum
+            }
+        );
+        // Lower bounds only: a slow machine stretches gaps, never
+        // shrinks them.
+        let gaps = [arrivals[1] - arrivals[0], arrivals[2] - arrivals[1]];
+        assert!(gaps[0] >= StdDuration::from_millis(100), "{gaps:?}");
+        assert!(gaps[1] >= StdDuration::from_millis(200), "{gaps:?}");
     }
 
     #[test]

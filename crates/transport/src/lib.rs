@@ -18,16 +18,18 @@
 //! * [`FaultyTransport`] — a socket decorator that injects loss,
 //!   duplication, delay/reordering, truncation, and garbage *below*
 //!   the codec, on real datagrams — the robustness hammer.
-//! * [`UdpRuntime`] — owns a [`WireActor`] (a `TimeServer`, or a
-//!   [`tempo_cluster::ClusterReplica`] for `tempod --cluster`), a
-//!   socket, the peer table, and a wall-clock timer wheel; pumps
-//!   receive/decode/dispatch.
+//! * [`UdpRuntime`] — owns a [`WireActor`] (a `TimeServer`, a
+//!   [`tempo_cluster::ClusterReplica`] for `tempod --cluster`, or a
+//!   [`tempo_cluster::AuditClient`]), a socket, the peer table, and a
+//!   wall-clock timer wheel; pumps receive/decode/dispatch.
 //! * [`ServeFront`] — the lock-free read path: N threads on a shared
 //!   serve socket answering time requests straight from the actor's
 //!   seqlock-published snapshot, with batched replies and an optional
 //!   admission tier.
 //! * [`UdpTimeClient`] — a blocking client that queries a cluster and
 //!   returns rtt-adjusted readings.
+//! * [`UdpClusterClient`] — a blocking ClusterTime client: the
+//!   simulator's `AuditClient` hosted by a `UdpRuntime`.
 //! * [`FileStore`] — a durable [`tempo_service::StableStore`] (atomic
 //!   tmp-write + fsync + rename), so a SIGKILLed server rehydrates
 //!   `(r_i, ε_i)` on relaunch.

@@ -1,5 +1,6 @@
-//! The UDP runtime: one [`TimeServer`] actor, one socket, wall-clock
-//! timers — the real-network twin of `tempo_net::World`.
+//! The UDP runtime: one sans-io actor — a [`TimeServer`], a
+//! [`ClusterReplica`] or an [`AuditClient`] — one socket, wall-clock
+//! timers: the real-network twin of `tempo_net::World`.
 //!
 //! The state machine is untouched: the runtime merely plays the
 //! [`Transport`] role that the simulator plays in tests. Simulated
@@ -9,9 +10,9 @@
 //! with, so FIFO tie-breaking among simultaneous timers matches the
 //! simulator exactly — drained between socket read timeouts, and
 //! `Context::send` becomes `encode` + `send_to`. Datagrams that fail
-//! the wire codec are dropped *audibly* via
-//! [`TimeServer::note_malformed_frame`] — the protocol never sees
-//! them.
+//! the wire codec never reach the protocol: a server drops them
+//! *audibly* via [`TimeServer::note_malformed_frame`], a client
+//! silently.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -19,7 +20,7 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 
-use tempo_cluster::ClusterReplica;
+use tempo_cluster::{AuditClient, ClusterReplica};
 use tempo_core::{Duration, Timestamp};
 use tempo_net::{node_rng, Actor, Context, EventQueue, NodeId, Transport};
 use tempo_service::wire::{
@@ -105,9 +106,24 @@ impl WireActor for ClusterReplica {
     }
 }
 
-/// Drives a [`WireActor`] — a [`TimeServer`] by default, or a
-/// [`ClusterReplica`] in `tempod --cluster` — over a real datagram
-/// socket.
+impl WireActor for AuditClient {
+    fn encode_msg(msg: &ClusterFrame) -> Vec<u8> {
+        encode_cluster(msg)
+    }
+
+    fn decode_msg(bytes: &[u8]) -> Result<ClusterFrame, DecodeError> {
+        decode_cluster(bytes)
+    }
+
+    // A client drops what it cannot decode and keeps nothing durable.
+    fn note_malformed(&mut self, _: Timestamp, _: usize, _: DecodeError) {}
+
+    fn flush(&mut self) {}
+}
+
+/// Drives a [`WireActor`] — a [`TimeServer`] by default, a
+/// [`ClusterReplica`] in `tempod --cluster`, or the [`AuditClient`]
+/// inside [`crate::UdpClusterClient`] — over a real datagram socket.
 ///
 /// The runtime is single-threaded by design — the actor model already
 /// serialises the protocol, so the loop is: fire due timers, block on
@@ -248,8 +264,9 @@ impl<S: DatagramSocket, A: WireActor> UdpRuntime<S, A> {
         ids
     }
 
-    /// Runs the actor's `on_start` (join timers, first poll). Call
-    /// once before [`UdpRuntime::poll`].
+    /// Runs the actor's `on_start` (join timers, first poll). A server
+    /// calls it once before [`UdpRuntime::poll`]; the host-paced
+    /// [`AuditClient`] in [`crate::UdpClusterClient`] once per request.
     pub fn start(&mut self) {
         let now = self.elapsed();
         let neighbors = self.neighbor_ids(None);
