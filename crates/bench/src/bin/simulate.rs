@@ -101,7 +101,7 @@ fn main() -> ExitCode {
     );
     if result.dropped_events > 0 {
         println!(
-            "  telemetry ring evicted {} events (sinks saw all)",
+            "  telemetry stream ran {} events past a 4096-event ring (sinks saw all)",
             result.dropped_events
         );
     }

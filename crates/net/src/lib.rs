@@ -72,6 +72,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod config;
 mod delay;
 mod node;
 mod queue;
@@ -79,9 +80,10 @@ mod topology;
 mod transport;
 mod world;
 
+pub use config::{NetConfig, NetStats, Partition};
 pub use delay::DelayModel;
 pub use node::NodeId;
 pub use queue::{EventQueue, TimerHandle};
 pub use topology::Topology;
 pub use transport::{node_rng, ActorAction, Transport};
-pub use world::{Actor, Context, NetConfig, NetStats, Partition, World};
+pub use world::{Actor, Context, World};

@@ -18,12 +18,16 @@
 //! `u32` link.
 //!
 //! Within a tick, entries are drained into a scratch batch and sorted
-//! by `(time, seq)` — `seq` is a monotone insertion counter — so pops
-//! observe exactly the total order a `(time, seq)`-keyed binary heap
-//! would produce. That equivalence is what lets the simulator swap the
-//! heap out without perturbing a single event, and it is pinned by the
+//! by `(time, key)`, where `key` packs the entry's *rank* above a
+//! monotone insertion counter — so pops observe exactly the total
+//! order a `(time, rank, insertion)`-keyed binary heap would produce.
+//! That equivalence is what lets the simulator swap the heap out
+//! without perturbing a single event, and it is pinned by the
 //! randomized differential tests below and by the seed-swept telemetry
-//! goldens in `tempo-sim`.
+//! goldens in `tempo-sim`. The simulator pushes at a connected
+//! component's rank, so one queue interleaves a multi-component world
+//! exactly as the sharded merge does; every other user pushes at rank
+//! 0, where the order is `(time, insertion)`.
 //!
 //! Entries may be cancelled through the [`TimerHandle`] returned by
 //! [`EventQueue::push`]. Cancellation is lazy: the slab entry is marked
@@ -49,6 +53,8 @@ const QUANTUM: f64 = 1e-3;
 const L0_SPAN: u64 = 256;
 const L1_SPAN: u64 = 256 * 256;
 const L2_SPAN: u64 = 256 * 256 * 256;
+/// Low bits of an order key: the insertion counter, below the rank.
+const SEQ_BITS: u32 = 40;
 
 /// A handle to a pending entry, returned by [`EventQueue::push`] and
 /// redeemable once via [`EventQueue::cancel`]. Handles are cheap,
@@ -62,7 +68,8 @@ pub struct TimerHandle {
 
 struct Entry<T> {
     time: Timestamp,
-    seq: u64,
+    /// `rank << SEQ_BITS | insertion`: the tie-break within an instant.
+    key: u64,
     /// Bumped every time the slab slot is reclaimed; guards handles.
     gen: u32,
     /// Next entry in the slot list (while parked) or free list.
@@ -71,12 +78,13 @@ struct Entry<T> {
     value: Option<T>,
 }
 
-/// A monotone-time event queue ordered by `(time, insertion order)`.
+/// A monotone-time event queue ordered by `(time, rank, insertion)`.
 ///
-/// Semantics match a `BinaryHeap` keyed on `(time, seq)`: pops are
-/// globally time-ordered, and entries pushed for the same instant pop
-/// in insertion order. Entries scheduled in the past (relative to the
-/// last pop) fire immediately, still time-ordered among themselves.
+/// Semantics match a `BinaryHeap` keyed on `(time, rank, seq)`: pops
+/// are globally time-ordered, and entries pushed for the same instant
+/// pop by ascending rank, then in insertion order. Entries scheduled
+/// in the past (relative to the last pop) fire immediately, still
+/// ordered among themselves.
 pub struct EventQueue<T> {
     entries: Vec<Entry<T>>,
     free_head: u32,
@@ -89,14 +97,17 @@ pub struct EventQueue<T> {
     /// The wheel's current tick; never retreats.
     cursor: u64,
     /// The drained current-tick batch, sorted descending by
-    /// `(time, seq)` so the minimum pops from the end.
+    /// `(time, key)` so the minimum pops from the end.
     batch: Vec<(Timestamp, u64, u32)>,
     /// Tick the batch was drained for.
     batch_tick: u64,
     /// Live (un-popped, un-cancelled) entries.
     len: usize,
-    /// Insertion counter; the deterministic tiebreak.
+    /// Insertion counter; the deterministic tiebreak within a rank.
     seq: u64,
+    /// Set by the first push above rank 0; until then a key is the
+    /// bare insertion counter and needs no limit.
+    ranked: bool,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -153,6 +164,7 @@ impl<T> EventQueue<T> {
             batch_tick: 0,
             len: 0,
             seq: 0,
+            ranked: false,
         }
     }
 
@@ -168,21 +180,38 @@ impl<T> EventQueue<T> {
         self.len == 0
     }
 
-    /// Schedules `value` for `time`. Returns a handle redeemable via
-    /// [`EventQueue::cancel`].
+    /// Schedules `value` for `time` at rank 0. Returns a handle
+    /// redeemable via [`EventQueue::cancel`].
     pub fn push(&mut self, time: Timestamp, value: T) -> TimerHandle {
+        self.push_ranked(time, 0, value)
+    }
+
+    /// Schedules `value` for `time` at `rank`: same-instant entries pop
+    /// by ascending rank, then in insertion order.
+    ///
+    /// # Panics
+    ///
+    /// Panics, rather than misorder, if `rank` is 2²⁴ or more, or once
+    /// a queue that has held a ranked entry reaches 2⁴⁰ insertions.
+    pub fn push_ranked(&mut self, time: Timestamp, rank: u32, value: T) -> TimerHandle {
         let seq = self.seq;
         self.seq += 1;
-        let idx = self.alloc(time, seq, value);
+        self.ranked |= rank > 0;
+        assert!(
+            !self.ranked || (rank < 1 << (64 - SEQ_BITS) && seq < 1 << SEQ_BITS),
+            "event queue rank {rank} or insertion {seq} is past the order key's limit"
+        );
+        let key = (u64::from(rank) << SEQ_BITS) | seq;
+        let idx = self.alloc(time, key, value);
         self.len += 1;
         let tick = tick_of(time);
         if !self.batch.is_empty() && tick <= self.batch_tick {
             // The wheel is mid-drain on this tick (or the entry is
             // past due): merge straight into the live batch, keeping
-            // the descending (time, seq) order.
-            let e = (time, seq);
-            let pos = self.batch.partition_point(|&(t, s, _)| (t, s) > e);
-            self.batch.insert(pos, (time, seq, idx));
+            // the descending (time, key) order.
+            let e = (time, key);
+            let pos = self.batch.partition_point(|&(t, k, _)| (t, k) > e);
+            self.batch.insert(pos, (time, key, idx));
         } else {
             self.place(idx);
         }
@@ -239,13 +268,13 @@ impl<T> EventQueue<T> {
         Some(value)
     }
 
-    fn alloc(&mut self, time: Timestamp, seq: u64, value: T) -> u32 {
+    fn alloc(&mut self, time: Timestamp, key: u64, value: T) -> u32 {
         if self.free_head != NIL {
             let idx = self.free_head;
             let e = &mut self.entries[idx as usize];
             self.free_head = e.next;
             e.time = time;
-            e.seq = seq;
+            e.key = key;
             e.next = NIL;
             e.value = Some(value);
             idx
@@ -253,7 +282,7 @@ impl<T> EventQueue<T> {
             assert!(self.entries.len() < NIL as usize, "event queue slab full");
             self.entries.push(Entry {
                 time,
-                seq,
+                key,
                 gen: 0,
                 next: NIL,
                 value: Some(value),
@@ -272,7 +301,7 @@ impl<T> EventQueue<T> {
 
     /// Parks `idx` in the wheel level covering its delay from the
     /// cursor. Past-due entries clamp to the cursor tick; the batch
-    /// sort by true `(time, seq)` keeps pops correctly ordered anyway.
+    /// sort by true `(time, key)` keeps pops correctly ordered anyway.
     fn place(&mut self, idx: u32) {
         let tick = tick_of(self.entries[idx as usize].time).max(self.cursor);
         let delta = tick - self.cursor;
@@ -283,8 +312,8 @@ impl<T> EventQueue<T> {
         } else if delta < L2_SPAN {
             (2, ((tick >> 16) & 0xFF) as usize)
         } else {
-            let seq = self.entries[idx as usize].seq;
-            self.overflow.push(Reverse((tick, seq, idx)));
+            let key = self.entries[idx as usize].key;
+            self.overflow.push(Reverse((tick, key, idx)));
             return;
         };
         self.entries[idx as usize].next = self.heads[level][slot];
@@ -293,7 +322,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Drains level-0 slot `slot` (all of whose entries share `tick`)
-    /// into the batch, sorted descending by `(time, seq)`.
+    /// into the batch, sorted descending by `(time, key)`.
     fn drain_slot(&mut self, slot: usize, tick: u64) {
         debug_assert!(self.batch.is_empty());
         let mut head = std::mem::replace(&mut self.heads[0][slot], NIL);
@@ -302,14 +331,14 @@ impl<T> EventQueue<T> {
             let e = &self.entries[head as usize];
             let next = e.next;
             if e.value.is_some() {
-                self.batch.push((e.time, e.seq, head));
+                self.batch.push((e.time, e.key, head));
             } else {
                 self.release(head);
             }
             head = next;
         }
         self.batch
-            .sort_unstable_by_key(|&(time, seq, _)| Reverse((time, seq)));
+            .sort_unstable_by_key(|&(time, key, _)| Reverse((time, key)));
         self.batch_tick = tick;
     }
 
@@ -526,32 +555,36 @@ mod tests {
     }
 
     /// The differential test: against a reference `BinaryHeap` keyed
-    /// `(time, seq)` (whose `peek` + `pop` is what `pop_due` must
-    /// equal), over a randomized push/pop/cancel workload whose delays
-    /// span every wheel level and include exact ties.
+    /// `(time, rank, seq)` (whose `peek` + `pop` is what `pop_due` must
+    /// equal), over a randomized push/pop/cancel workload at ranks
+    /// `0..4` whose delays span every wheel level and include exact
+    /// ties, within a rank and across ranks.
     #[test]
     fn matches_reference_heap_under_random_workload() {
         for seed in 0..8u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut wheel = EventQueue::new();
-            let mut heap: BinaryHeap<Reverse<(Timestamp, u64, u32)>> = BinaryHeap::new();
+            let mut heap: BinaryHeap<Reverse<(Timestamp, u32, u64, u32)>> = BinaryHeap::new();
             let mut live = std::collections::HashMap::new(); // seq -> handle
             let mut now = 0.0f64;
+            let mut last = ts(0.0);
             let mut seq = 0u64;
             for _ in 0..4000 {
                 match rng.random_range(0..10) {
                     // push (weighted)
                     0..=5 => {
-                        let delay = match rng.random_range(0..8) {
-                            0 => 0.0, // exact tie with `now`
-                            1..=4 => rng.random_range(0.0..0.2),
-                            5 | 6 => rng.random_range(0.0..40.0),
-                            _ => rng.random_range(0.0..200.0),
+                        let t = match rng.random_range(0..9) {
+                            0 => ts(now), // exact tie with `now`
+                            1 => last,    // exact tie with the previous push
+                            2..=5 => ts(now + rng.random_range(0.0..0.2)),
+                            6 | 7 => ts(now + rng.random_range(0.0..40.0)),
+                            _ => ts(now + rng.random_range(0.0..200.0)),
                         };
-                        let t = ts(now + delay);
-                        let h = wheel.push(t, seq as u32);
-                        heap.push(Reverse((t, seq, seq as u32)));
+                        let rank = rng.random_range(0..4u32);
+                        let h = wheel.push_ranked(t, rank, seq as u32);
+                        heap.push(Reverse((t, rank, seq, seq as u32)));
                         live.insert(seq, h);
+                        last = t;
                         seq += 1;
                     }
                     // pop — half of them through `pop_due`, under a
@@ -568,9 +601,9 @@ mod tests {
                         };
                         let due = heap
                             .peek()
-                            .is_some_and(|&Reverse((t, _, _))| until.is_none_or(|u| t <= u));
+                            .is_some_and(|&Reverse((t, ..))| until.is_none_or(|u| t <= u));
                         let want = if due { heap.pop() } else { None };
-                        let want = want.map(|Reverse((t, _, v))| (t, v));
+                        let want = want.map(|Reverse((t, _, _, v))| (t, v));
                         assert_eq!(got, want, "seed {seed}");
                         if let Some((t, v)) = got {
                             now = t.as_secs();
@@ -582,7 +615,7 @@ mod tests {
                         if let Some(&k) = live.keys().next() {
                             let h = live.remove(&k).unwrap();
                             assert_eq!(wheel.cancel(h), Some(k as u32), "seed {seed}");
-                            heap.retain(|&Reverse((_, s, _))| s != k);
+                            heap.retain(|&Reverse((_, _, s, _))| s != k);
                         }
                     }
                 }
@@ -591,13 +624,53 @@ mod tests {
             // Drain the rest.
             loop {
                 let got = wheel.pop();
-                let want = heap.pop().map(|Reverse((t, _, v))| (t, v));
+                let want = heap.pop().map(|Reverse((t, _, _, v))| (t, v));
                 assert_eq!(got, want, "seed {seed} drain");
                 if got.is_none() {
                     break;
                 }
             }
         }
+    }
+
+    /// Ranks below 2²⁴; insertions below 2⁴⁰.
+    const RANK_LIMIT: u32 = 1 << 24;
+    const SEQ_LIMIT: u64 = 1 << 40;
+
+    #[test]
+    #[should_panic(expected = "rank 16777216 or insertion 0 is past")]
+    fn over_limit_rank_panics() {
+        let mut q = EventQueue::new();
+        q.push_ranked(ts(1.0), RANK_LIMIT, ());
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 0 or insertion 1099511627776 is past")]
+    fn over_limit_insertion_count_panics_once_ranked() {
+        let mut q = EventQueue::new();
+        q.push_ranked(ts(1.0), 1, ());
+        q.seq = SEQ_LIMIT;
+        // Rank 0 too: its key would now sort among rank 1's.
+        q.push(ts(1.0), ());
+    }
+
+    #[test]
+    fn rank_zero_pushes_never_hit_the_limit() {
+        let mut q = EventQueue::new();
+        q.seq = u64::MAX - 3;
+        q.push(ts(1.0), "b");
+        q.push(ts(1.0), "c");
+        q.push(ts(0.5), "a");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
+        assert_eq!(order, ["a", "b", "c"]);
+        // Both limits are exclusive: the largest rank at the last
+        // insertion still orders.
+        let mut q = EventQueue::new();
+        q.push_ranked(ts(1.0), RANK_LIMIT - 1, "last");
+        q.seq = SEQ_LIMIT - 1;
+        q.push_ranked(ts(1.0), 0, "first");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
+        assert_eq!(order, ["first", "last"]);
     }
 
     #[test]

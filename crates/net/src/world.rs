@@ -1,18 +1,17 @@
 //! The discrete-event world: actors, context, and the event loop.
 //!
-//! The engine is built for scale: events live in per-component
-//! hierarchical timing wheels ([`EventQueue`]) instead of one global
-//! `BinaryHeap`, dispatch recycles a single action buffer so the hot
-//! loop is allocation-free, and each connected component of the
-//! topology owns an independent deterministic RNG stream. Because
-//! component streams never interact, a component executes identically
-//! whether it runs inside a combined world or alone in a sub-world
-//! built with [`World::new_labeled`] — the property the sharded runner
-//! in `tempo-sim` relies on to parallelise independent consistency
-//! groups without changing a single byte of telemetry.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! The engine is built for scale: every event lives in one
+//! hierarchical timing wheel ([`EventQueue`]) ordered by `(time,
+//! component rank, insertion)`, dispatch recycles a single action
+//! buffer so the hot loop is allocation-free, and each connected
+//! component of the topology owns an independent deterministic RNG
+//! stream. Because component streams never interact, and same-instant
+//! events run component by component in rank order, a component
+//! executes identically whether it runs inside a combined world or
+//! alone in a sub-world built with [`World::new_labeled`] — the
+//! property the sharded runner in `tempo-sim` relies on to parallelise
+//! independent consistency groups without changing a single byte of
+//! telemetry.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use tempo_core::{Duration, Timestamp};
 use tempo_telemetry::{Bus, DropCause, EventKind as TelemetryKind, TelemetryEvent};
 
-use crate::delay::DelayModel;
+use crate::config::{NetConfig, NetStats};
 use crate::node::NodeId;
 use crate::queue::EventQueue;
 use crate::topology::Topology;
@@ -146,8 +145,8 @@ impl<'a, M> Context<'a, M> {
     }
 
     /// Sends `msg` to a *neighbouring* node. Delivery is asynchronous,
-    /// delayed per the network's [`DelayModel`], and may be lost or
-    /// blocked by a partition.
+    /// delayed per the network's [`DelayModel`](crate::DelayModel), and
+    /// may be lost or blocked by a partition.
     ///
     /// # Panics
     ///
@@ -215,231 +214,13 @@ impl<'a, M> Context<'a, M> {
     }
 }
 
-/// A scheduled communication outage: while active, messages between
-/// nodes in different groups are dropped. Nodes absent from every group
-/// are isolated entirely during the partition.
-///
-/// Groups are expressed in *global label* space (identical to node-id
-/// space unless the world was built with [`World::new_labeled`]).
-#[derive(Debug, Clone)]
-pub struct Partition {
-    /// Start of the outage (inclusive).
-    pub from: Timestamp,
-    /// End of the outage (exclusive).
-    pub until: Timestamp,
-    /// The mutually isolated groups.
-    pub groups: Vec<Vec<NodeId>>,
-}
-
-impl Partition {
-    fn blocks(&self, now: Timestamp, a: NodeId, b: NodeId) -> bool {
-        if now < self.from || now >= self.until {
-            return false;
-        }
-        let group_of = |n: NodeId| self.groups.iter().position(|g| g.contains(&n));
-        match (group_of(a), group_of(b)) {
-            (Some(ga), Some(gb)) => ga != gb,
-            // A node outside all groups is isolated during the outage.
-            _ => true,
-        }
-    }
-}
-
-/// Network configuration: default delay, loss, per-link overrides, and
-/// partitions.
-///
-/// Link overrides, loss overrides, and partitions name nodes by their
-/// *global label* (identical to node-id space unless the world was
-/// built with [`World::new_labeled`]), so one config describes the
-/// same network whether a component runs combined or sharded.
-#[derive(Debug, Clone)]
-pub struct NetConfig {
-    /// Default one-way delay model for every link.
-    pub delay: DelayModel,
-    /// Probability that any message is silently lost.
-    pub loss: f64,
-    /// Per-directed-link delay overrides `((from, to), model)`.
-    pub link_overrides: Vec<((NodeId, NodeId), DelayModel)>,
-    /// Per-directed-link loss overrides `((from, to), probability)` —
-    /// these replace the global [`loss`](Self::loss) on their link,
-    /// exactly as delay overrides replace the default delay model.
-    pub loss_overrides: Vec<((NodeId, NodeId), f64)>,
-    /// Probability that a delivered message is *duplicated*: a second
-    /// copy is scheduled with an independently sampled delay. Datagram
-    /// networks (and retransmitting transports) deliver duplicates, so
-    /// protocol retries must be idempotent.
-    pub duplication: f64,
-    /// Scheduled partitions.
-    pub partitions: Vec<Partition>,
-    /// When `true`, each directed link delivers in FIFO order: a
-    /// message never overtakes an earlier message on the same link
-    /// (its delivery is pushed to just after the latest delivery
-    /// already scheduled there). Random delays alone can reorder, which
-    /// some transports (and the PUP internet's single-path routes)
-    /// rarely did.
-    pub fifo_links: bool,
-}
-
-impl NetConfig {
-    /// A lossless network with the given delay model everywhere.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the delay model is invalid.
-    #[must_use]
-    pub fn with_delay(delay: DelayModel) -> Self {
-        delay.validate();
-        NetConfig {
-            delay,
-            loss: 0.0,
-            link_overrides: Vec::new(),
-            loss_overrides: Vec::new(),
-            duplication: 0.0,
-            partitions: Vec::new(),
-            fifo_links: false,
-        }
-    }
-
-    /// Enables per-link FIFO delivery ordering.
-    #[must_use]
-    pub fn fifo(mut self) -> Self {
-        self.fifo_links = true;
-        self
-    }
-
-    /// Sets the loss probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ loss < 1`.
-    #[must_use]
-    pub fn loss(mut self, loss: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&loss),
-            "loss probability must be in [0, 1), got {loss}"
-        );
-        self.loss = loss;
-        self
-    }
-
-    /// Overrides the delay model of one directed link.
-    #[must_use]
-    pub fn link_override(mut self, from: NodeId, to: NodeId, delay: DelayModel) -> Self {
-        delay.validate();
-        self.link_overrides.push(((from, to), delay));
-        self
-    }
-
-    /// Overrides the loss probability of one directed link.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ loss < 1`.
-    #[must_use]
-    pub fn link_loss(mut self, from: NodeId, to: NodeId, loss: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&loss),
-            "link loss probability must be in [0, 1), got {loss}"
-        );
-        self.loss_overrides.push(((from, to), loss));
-        self
-    }
-
-    /// Sets the duplication probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ duplication < 1`.
-    #[must_use]
-    pub fn duplication(mut self, duplication: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&duplication),
-            "duplication probability must be in [0, 1), got {duplication}"
-        );
-        self.duplication = duplication;
-        self
-    }
-
-    /// Adds a scheduled partition.
-    #[must_use]
-    pub fn partition(mut self, partition: Partition) -> Self {
-        self.partitions.push(partition);
-        self
-    }
-
-    /// The worst-case round-trip over any link — the paper's `ξ`.
-    #[must_use]
-    pub fn max_round_trip(&self) -> Duration {
-        let mut max = self.delay.max_delay();
-        for (_, model) in &self.link_overrides {
-            max = max.max(model.max_delay());
-        }
-        max * 2.0
-    }
-
-    fn delay_for(&self, from: NodeId, to: NodeId) -> &DelayModel {
-        self.link_overrides
-            .iter()
-            .find(|((f, t), _)| *f == from && *t == to)
-            .map_or(&self.delay, |(_, model)| model)
-    }
-
-    fn loss_for(&self, from: NodeId, to: NodeId) -> f64 {
-        self.loss_overrides
-            .iter()
-            .find(|((f, t), _)| *f == from && *t == to)
-            .map_or(self.loss, |(_, loss)| *loss)
-    }
-}
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig::with_delay(DelayModel::instant())
-    }
-}
-
-/// Counters describing what the network did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Messages handed to the network by actors.
-    pub sent: usize,
-    /// Messages delivered to their destination.
-    pub delivered: usize,
-    /// Messages dropped by random loss.
-    pub lost: usize,
-    /// Extra message copies injected by random duplication.
-    pub duplicated: usize,
-    /// Messages dropped because a partition separated the endpoints.
-    pub partitioned: usize,
-    /// Timer events fired.
-    pub timers_fired: usize,
-}
-
-impl NetStats {
-    /// Sums two stat blocks — used when merging per-shard results.
-    #[must_use]
-    pub fn merged(self, other: NetStats) -> NetStats {
-        NetStats {
-            sent: self.sent + other.sent,
-            delivered: self.delivered + other.delivered,
-            lost: self.lost + other.lost,
-            duplicated: self.duplicated + other.duplicated,
-            partitioned: self.partitioned + other.partitioned,
-            timers_fired: self.timers_fired + other.timers_fired,
-        }
-    }
-}
-
 enum EventKind<M> {
     Deliver { from: NodeId, to: NodeId, msg: M },
     Timer { node: NodeId, tag: u64 },
 }
 
-/// A popped event: its time, its component's rank, what it is.
-type Event<M> = (Timestamp, u32, EventKind<M>);
-
 /// The simulation driver: owns the actors, the clock of *real* time,
-/// and the per-component event queues.
+/// and the event queue.
 pub struct World<A: Actor> {
     actors: Vec<A>,
     topology: Topology,
@@ -450,21 +231,15 @@ pub struct World<A: Actor> {
     /// Connected-component rank of each node (components ordered by
     /// their smallest node).
     comp_of: Vec<u32>,
-    /// One timing-wheel event queue per connected component. Events
-    /// within a component are totally ordered by `(time, push seq)`;
-    /// components are interleaved by the scheduler below.
-    queues: Vec<EventQueue<EventKind<A::Msg>>>,
+    /// Every pending delivery and timer, pushed at its component's
+    /// rank: same-instant events pop component by component in rank
+    /// order, each component's in push order — the canonical
+    /// interleaving the sharded merge reproduces.
+    queue: EventQueue<EventKind<A::Msg>>,
     /// One network RNG per component, seeded from the component's
     /// smallest global label — so a component's delay/loss/duplication
     /// stream is the same whether it runs combined or sharded.
     net_rngs: Vec<StdRng>,
-    /// Cross-component scheduler: a min-heap of `(head time, comp)`.
-    /// Same-time heads run in component-rank order — the canonical
-    /// interleaving the sharded merge reproduces.
-    sched: BinaryHeap<Reverse<(Timestamp, u32)>>,
-    /// The key currently armed in `sched` per component (stale heap
-    /// entries are skipped when they don't match).
-    armed_at: Vec<Option<Timestamp>>,
     now: Timestamp,
     node_rngs: Vec<StdRng>,
     stats: NetStats,
@@ -485,11 +260,8 @@ impl<A: Actor> std::fmt::Debug for World<A> {
         f.debug_struct("World")
             .field("now", &self.now)
             .field("nodes", &self.actors.len())
-            .field("components", &self.queues.len())
-            .field(
-                "pending",
-                &self.queues.iter().map(EventQueue::len).sum::<usize>(),
-            )
+            .field("components", &self.net_rngs.len())
+            .field("pending", &self.queue.len())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
@@ -581,18 +353,14 @@ impl<A: Actor> World<A> {
                 seed ^ COMPONENT_SEED_SALT.wrapping_mul(min_label),
             ));
         }
-        let queues = (0..comps.len()).map(|_| EventQueue::new()).collect();
-        let armed_at = vec![None; comps.len()];
         let mut world = World {
             actors,
             topology,
             config,
             labels,
             comp_of,
-            queues,
+            queue: EventQueue::new(),
             net_rngs,
-            sched: BinaryHeap::new(),
-            armed_at,
             now: Timestamp::ZERO,
             node_rngs,
             stats: NetStats::default(),
@@ -608,7 +376,7 @@ impl<A: Actor> World<A> {
         // invariant the sharded engine relies on.
         for members in &comps {
             for &n in members {
-                world.dispatch_start(n);
+                world.dispatch(n, |actor, ctx| actor.on_start(ctx));
             }
         }
         world
@@ -665,61 +433,11 @@ impl<A: Actor> World<A> {
     /// `true` when no events remain.
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.queues.iter().all(EventQueue::is_empty)
-    }
-
-    /// The `(time, component)` of the next event of a multi-component
-    /// world, without popping it. Skips stale scheduler entries.
-    fn next_ready(&mut self) -> Option<(Timestamp, u32)> {
-        while let Some(&Reverse((t, c))) = self.sched.peek() {
-            if self.armed_at[c as usize] == Some(t) {
-                return Some((t, c));
-            }
-            let _ = self.sched.pop();
-        }
-        None
-    }
-
-    /// Registers component `comp`'s current head in the scheduler
-    /// unless it is already armed at that key. Called after any push
-    /// that may have lowered the head; superseded entries are left in
-    /// the heap and skipped as stale by [`next_ready`](Self::next_ready).
-    fn arm(&mut self, comp: u32) {
-        let c = comp as usize;
-        if let Some(head) = self.queues[c].peek_time() {
-            if self.armed_at[c].is_none_or(|t| head < t) {
-                self.armed_at[c] = Some(head);
-                self.sched.push(Reverse((head, comp)));
-            }
-        }
-    }
-
-    /// Pops the next event across all components, provided it is due at
-    /// or before `until` (no limit when `None`). A world with one queue
-    /// — every sharded sub-world — asks the wheel once per event.
-    fn pop_event(&mut self, until: Option<Timestamp>) -> Option<Event<A::Msg>> {
-        if self.queues.len() == 1 {
-            let queue = &mut self.queues[0];
-            let (time, kind) = match until {
-                Some(until) => queue.pop_due(until),
-                None => queue.pop(),
-            }?;
-            return Some((time, 0, kind));
-        }
-        let (time, comp) = self.next_ready()?;
-        if until.is_some_and(|until| time > until) {
-            return None;
-        }
-        let _ = self.sched.pop();
-        self.armed_at[comp as usize] = None;
-        let (time, kind) = self.queues[comp as usize]
-            .pop()
-            .expect("scheduled component has an event");
-        Some((time, comp, kind))
+        self.queue.is_empty()
     }
 
     /// Delivers one popped event to its actor.
-    fn process(&mut self, (time, comp, kind): Event<A::Msg>) {
+    fn process(&mut self, (time, kind): (Timestamp, EventKind<A::Msg>)) {
         debug_assert!(time >= self.now, "event queue went backwards");
         self.now = time;
         match kind {
@@ -731,7 +449,7 @@ impl<A: Actor> World<A> {
                         from: self.labels[from.index()],
                         to: self.labels[to.index()],
                     });
-                self.dispatch_message(to, from, msg);
+                self.dispatch(to, |actor, ctx| actor.on_message(from, msg, ctx));
             }
             EventKind::Timer { node, tag } => {
                 self.stats.timers_fired += 1;
@@ -741,18 +459,15 @@ impl<A: Actor> World<A> {
                         node: self.labels[node.index()],
                         tag,
                     });
-                self.dispatch_timer(node, tag);
+                self.dispatch(node, |actor, ctx| actor.on_timer(tag, ctx));
             }
-        }
-        if self.queues.len() > 1 {
-            self.arm(comp);
         }
     }
 
     /// Processes the single next event, if any. Returns `false` when the
     /// queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(event) = self.pop_event(None) else {
+        let Some(event) = self.queue.pop() else {
             return false;
         };
         self.process(event);
@@ -763,7 +478,7 @@ impl<A: Actor> World<A> {
     /// `until`. Events scheduled at exactly `until` are processed; on
     /// return, `now() == until` (even if the queue drained early).
     pub fn run_until(&mut self, until: Timestamp) {
-        while let Some(event) = self.pop_event(Some(until)) {
+        while let Some(event) = self.queue.pop_due(until) {
             self.process(event);
         }
         if self.now < until {
@@ -817,65 +532,25 @@ impl<A: Actor> World<A> {
             self.link_horizon.insert((from, to), deliver_at);
         }
         self.max_observed_delay = self.max_observed_delay.max(deliver_at - self.now);
-        let _ = self.queues[comp as usize].push(deliver_at, EventKind::Deliver { from, to, msg });
-        if self.queues.len() > 1 {
-            self.arm(comp);
-        }
+        let _ = self
+            .queue
+            .push_ranked(deliver_at, comp, EventKind::Deliver { from, to, msg });
     }
 
-    fn dispatch_start(&mut self, node: NodeId) {
-        let mut actions = std::mem::take(&mut self.scratch);
-        {
-            let mut ctx = Context {
-                now: self.now,
-                me: node,
-                label: self.labels[node.index()],
-                labels: &self.labels,
-                neighbors: self.topology.neighbors(node),
-                rng: &mut self.node_rngs[node.index()],
-                actions,
-            };
-            self.actors[node.index()].on_start(&mut ctx);
-            actions = ctx.actions;
-        }
-        self.apply_actions(node, &mut actions);
-        self.scratch = actions;
-    }
-
-    fn dispatch_message(&mut self, node: NodeId, from: NodeId, msg: A::Msg) {
-        let mut actions = std::mem::take(&mut self.scratch);
-        {
-            let mut ctx = Context {
-                now: self.now,
-                me: node,
-                label: self.labels[node.index()],
-                labels: &self.labels,
-                neighbors: self.topology.neighbors(node),
-                rng: &mut self.node_rngs[node.index()],
-                actions,
-            };
-            self.actors[node.index()].on_message(from, msg, &mut ctx);
-            actions = ctx.actions;
-        }
-        self.apply_actions(node, &mut actions);
-        self.scratch = actions;
-    }
-
-    fn dispatch_timer(&mut self, node: NodeId, tag: u64) {
-        let mut actions = std::mem::take(&mut self.scratch);
-        {
-            let mut ctx = Context {
-                now: self.now,
-                me: node,
-                label: self.labels[node.index()],
-                labels: &self.labels,
-                neighbors: self.topology.neighbors(node),
-                rng: &mut self.node_rngs[node.index()],
-                actions,
-            };
-            self.actors[node.index()].on_timer(tag, &mut ctx);
-            actions = ctx.actions;
-        }
+    /// Runs one callback of `node`'s actor on a context over the
+    /// recycled action buffer, then applies the actions it queued.
+    fn dispatch(&mut self, node: NodeId, callback: impl FnOnce(&mut A, &mut Context<'_, A::Msg>)) {
+        let mut ctx = Context {
+            now: self.now,
+            me: node,
+            label: self.labels[node.index()],
+            labels: &self.labels,
+            neighbors: self.topology.neighbors(node),
+            rng: &mut self.node_rngs[node.index()],
+            actions: std::mem::take(&mut self.scratch),
+        };
+        callback(&mut self.actors[node.index()], &mut ctx);
+        let mut actions = ctx.actions;
         self.apply_actions(node, &mut actions);
         self.scratch = actions;
     }
@@ -896,7 +571,8 @@ impl<A: Actor> World<A> {
 
 /// The simulator *is* a [`Transport`]: sends run the delay / loss /
 /// duplication / partition pipeline against the owning component's
-/// deterministic RNG, timers go into the component's event queue.
+/// deterministic RNG, timers go into the event queue at the component's
+/// rank.
 /// Action order maps one-to-one onto RNG draw order, so routing through
 /// this trait is byte-identical to the pre-trait pipeline (pinned by
 /// the `transport_equivalence` goldens in `tempo-sim`).
@@ -961,17 +637,17 @@ impl<A: Actor> Transport<A::Msg> for World<A> {
     }
 
     fn set_timer(&mut self, node: NodeId, delay: Duration, tag: u64) {
-        let comp = self.comp_of[node.index()];
-        let _ = self.queues[comp as usize].push(self.now + delay, EventKind::Timer { node, tag });
-        if self.queues.len() > 1 {
-            self.arm(comp);
-        }
+        let rank = self.comp_of[node.index()];
+        let _ = self
+            .queue
+            .push_ranked(self.now + delay, rank, EventKind::Timer { node, tag });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DelayModel, Partition};
 
     fn ts(s: f64) -> Timestamp {
         Timestamp::from_secs(s)
@@ -1281,18 +957,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplication probability")]
-    fn bad_duplication_rejected() {
-        let _ = NetConfig::default().duplication(1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "link loss probability")]
-    fn bad_link_loss_rejected() {
-        let _ = NetConfig::default().link_loss(NodeId::new(0), NodeId::new(1), -0.1);
-    }
-
-    #[test]
     fn partition_blocks_cross_group_messages() {
         let mut actors = recorders(3);
         actors[0].start_broadcast = Some(9);
@@ -1364,16 +1028,6 @@ mod tests {
         world.run_until(ts(1.0));
         assert_eq!(world.actors()[1].received[0].2, ts(0.01));
         assert_eq!(world.actors()[2].received[0].2, ts(0.5));
-    }
-
-    #[test]
-    fn max_round_trip_accounts_for_overrides() {
-        let cfg = NetConfig::with_delay(DelayModel::Constant(dur(0.01))).link_override(
-            NodeId::new(0),
-            NodeId::new(1),
-            DelayModel::Constant(dur(0.2)),
-        );
-        assert_eq!(cfg.max_round_trip(), dur(0.4));
     }
 
     #[test]
@@ -1477,6 +1131,7 @@ mod tests {
 #[cfg(test)]
 mod component_tests {
     use super::*;
+    use crate::{DelayModel, Partition};
 
     fn ts(s: f64) -> Timestamp {
         Timestamp::from_secs(s)
@@ -1696,36 +1351,88 @@ mod component_tests {
         assert_eq!(world.stats().delivered, 0);
     }
 
-    #[test]
-    fn same_time_heads_run_in_component_rank_order() {
-        // Constant delay: both cliques deliver at exactly t=0.01; the
-        // canonical interleaving is all of component 0's events first.
-        let mut order = Vec::new();
-        let mut world = World::new(
-            gossips(0..4),
-            Topology::disjoint_cliques(2, 2),
-            NetConfig::with_delay(DelayModel::Constant(dur(0.01))),
-            1,
-        );
-        while world.step() {
-            order.push(world.now());
+    /// Every 10 ms: pings its neighbours and re-arms through a
+    /// zero-delay timer; answers each ping once.
+    struct Pulse;
+
+    impl Actor for Pulse {
+        type Msg = u32;
+        fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+            ctx.set_timer(dur(0.01), 0);
         }
-        // Deliveries: nodes 0,1 (comp 0) then nodes 2,3 (comp 1) —
-        // observable through the actors' receive logs being complete
-        // and the run deterministic.
-        let firsts: Vec<_> = world
-            .actors()
-            .iter()
-            .map(|a| a.received.first().copied())
-            .collect();
-        assert!(firsts.iter().all(Option::is_some));
-        assert_eq!(order, vec![ts(0.01); 4]);
+        fn on_message(&mut self, from: NodeId, msg: u32, ctx: &mut Context<'_, u32>) {
+            if msg == 0 {
+                ctx.send(from, 1);
+            }
+        }
+        fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, u32>) {
+            if tag == 0 {
+                ctx.broadcast(0);
+                ctx.set_timer(Duration::ZERO, 1);
+            } else {
+                ctx.set_timer(dur(0.01), 0);
+            }
+        }
+    }
+
+    fn node_of(event: &TelemetryEvent) -> usize {
+        match *event {
+            TelemetryEvent::MsgSend { from, .. } | TelemetryEvent::MsgRecv { from, .. } => from,
+            TelemetryEvent::TimerFired { node, .. } => node,
+            ref other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn combined_world_interleaves_components_like_the_merge() {
+        // Constant delay and 10 ms timers put every event of both
+        // components on a shared instant, and each zero-delay re-arm
+        // is pushed after the other component's events at that
+        // instant. Component 0 is {0, 1}, component 1 is {2, 3, 4}.
+        let full = Topology::from_edges(5, &[(0, 1), (2, 3), (3, 4), (2, 4)]);
+        let record = |members: &[NodeId]| {
+            let bus = Bus::with_ring(1 << 16);
+            let mut world = World::new_labeled(
+                members.iter().map(|_| Pulse).collect(),
+                full.induced(members),
+                NetConfig::with_delay(DelayModel::Constant(dur(0.01))),
+                1,
+                bus.clone(),
+                members.iter().map(|n| n.index()).collect(),
+            );
+            world.run_until(ts(0.5));
+            assert_eq!(bus.dropped_events(), 0);
+            bus.recent_events()
+        };
+        let comp = |event: &TelemetryEvent| usize::from(node_of(event) >= 2);
+        let combined = record(&(0..5).map(NodeId::new).collect::<Vec<_>>());
+        let (mut instants, mut shared) = (1, 0);
+        for pair in combined.windows(2) {
+            if pair[0].at() == pair[1].at() {
+                assert!(comp(&pair[0]) <= comp(&pair[1]), "{pair:?}");
+                shared += usize::from(comp(&pair[0]) < comp(&pair[1]));
+            } else {
+                instants += 1;
+            }
+        }
+        assert_eq!(shared, instants, "both components act at every instant");
+        for members in full.components() {
+            let alone = record(&members);
+            let rank = comp(&alone[0]);
+            let mine: Vec<_> = combined
+                .iter()
+                .filter(|&e| comp(e) == rank)
+                .cloned()
+                .collect();
+            assert_eq!(mine, alone, "component {rank}");
+        }
     }
 }
 
 #[cfg(test)]
 mod ring_tests {
     use super::*;
+    use crate::DelayModel;
 
     #[derive(Default)]
     struct Echo;
@@ -1822,6 +1529,7 @@ mod ring_tests {
 #[cfg(test)]
 mod fifo_tests {
     use super::*;
+    use crate::DelayModel;
 
     /// Node 0 fires a burst of sequenced messages at node 1; node 1
     /// records arrival order.

@@ -520,7 +520,9 @@ pub struct ClusterRunResult {
     pub oracle: Option<Vec<ClusterReport>>,
     /// Network-layer counters.
     pub net: NetStats,
-    /// Telemetry events beyond the bus ring's retention.
+    /// The telemetry stream's length beyond 4,096 events: what a
+    /// 4,096-event ring would evict. No ring is kept, and sinks see
+    /// every event they subscribe to regardless.
     pub dropped_events: u64,
     /// Twice the worst one-way delay the network delivered.
     pub xi_witness: Duration,

@@ -28,9 +28,10 @@ use tempo_core::{Duration, Timestamp};
 use tempo_net::{Actor, DelayModel, NetConfig, NetStats, NodeId, Partition, Topology, World};
 use tempo_telemetry::{Bus, EventKind, Observer, SampleSnapshot, TelemetryEvent};
 
-/// How many recent events a run's bus ring retains for post-mortem
-/// inspection; overflow is counted in the result's `dropped_events`.
-const RING_CAPACITY: usize = 4096;
+/// The window a post-mortem ring of recent events would keep. No ring
+/// is kept: a run reports its stream's length beyond this window —
+/// what such a ring would evict — as `dropped_events`.
+const RING_CAPACITY: u64 = 4096;
 
 /// The seed of global node `index`'s hardware clock. A function of the
 /// *global* index, so a sub-world hosting a subset of the nodes gets
@@ -114,7 +115,7 @@ pub(crate) struct Harvest<D: Deployment> {
     pub(crate) sinks: D::Sinks,
     /// The combined world's leavings, however many worlds ran.
     pub(crate) world: WorldRun<D::Outcome>,
-    /// Telemetry events beyond the bus ring's retention.
+    /// The event stream's length beyond [`RING_CAPACITY`].
     pub(crate) dropped_events: u64,
     /// Twice the worst one-way delay the network delivered.
     pub(crate) xi_witness: Duration,
@@ -147,7 +148,7 @@ pub(crate) fn run<D: Deployment>(deployment: &D, topology: Topology) -> Harvest<
     let shards = (components.len() > 1)
         .then(|| run_sharded(deployment, &plan, &topology, &components, !full_stream));
 
-    let bus = Bus::with_ring(RING_CAPACITY);
+    let bus = Bus::new();
     let sinks = deployment.attach_sinks(&bus);
     let jsonl = crate::sinks::open_jsonl(plan.telemetry_out);
     if let Some(sink) = &jsonl {
@@ -160,14 +161,15 @@ pub(crate) fn run<D: Deployment>(deployment: &D, topology: Topology) -> Harvest<
         );
         bus.subscribe(Rc::clone(sink));
     }
-    let (world, dropped_events) = match shards {
+    let (world, offered) = match shards {
         Some(shards) => merge_shards(n, &components, shards, &bus, full_stream),
         None => {
             let members: Vec<NodeId> = (0..n).map(NodeId::new).collect();
             let world = run_world(deployment, &plan, topology, &members, &bus);
-            (world, bus.dropped_events())
+            (world, bus.offered_events())
         }
     };
+    let dropped_events = offered.saturating_sub(RING_CAPACITY);
 
     let xi_witness = world.max_observed_delay * 2.0;
     if let Some(sink) = &jsonl {
@@ -227,12 +229,11 @@ fn run_world<D: Deployment>(
 }
 
 /// Captures a shard's raw event stream for the deterministic merge. It
-/// wants every kind, as the ring-armed bus of the single-threaded path
-/// does — or, in `samples_only` mode, just the
+/// wants every kind — or, in `samples_only` mode, just the
 /// [`TelemetryEvent::Sample`]s: building and k-way merging millions of
 /// events nobody consumes is the dominant cost of a large sharded run,
-/// and the ring-drop accounting needs only the shard bus's count of
-/// events offered.
+/// and `dropped_events` needs only the shard bus's count of events
+/// offered.
 struct RecordingSink {
     events: Vec<TelemetryEvent>,
     samples_only: bool,
@@ -311,7 +312,8 @@ fn run_sharded<D: Deployment>(
 
 /// The sharded path's second half: a deterministic merge of the
 /// recorded streams into `bus` — the same sinks the single path feeds
-/// live. Returns the combined world's leavings and its ring-drop count.
+/// live. Returns the combined world's leavings and the length of the
+/// combined stream, which the sinks may not all have seen.
 fn merge_shards<O>(
     n: usize,
     components: &[Vec<NodeId>],
@@ -322,17 +324,16 @@ fn merge_shards<O>(
     // A samples-only shard recorded exactly its ticks.
     let ticks = shards.first().map_or(0, |s| s.events.len()) as u64;
     merge_events(n, components, &mut shards, |event| bus.emit(event));
-    let dropped = if full_stream {
-        bus.dropped_events()
+    let offered = if full_stream {
+        bus.offered_events()
     } else {
-        // Only the stitched samples went through the bus; the ring-drop
-        // count the single-threaded run would report is reconstructed
-        // from each shard bus's count of events offered: the combined
-        // stream has every non-sample event, plus ONE deployment-wide
-        // sample per tick where each shard counted its own (none at all
-        // in an unsampled deployment).
+        // Only the stitched samples went through the bus; the combined
+        // stream's length is reconstructed from each shard bus's count
+        // of events offered: the combined stream has every non-sample
+        // event, plus ONE deployment-wide sample per tick where each
+        // shard counted its own (none at all in an unsampled deployment).
         let offered: u64 = shards.iter().map(|s| s.offered).sum();
-        (offered - ticks * (shards.len() as u64 - 1)).saturating_sub(RING_CAPACITY as u64)
+        offered - ticks * (shards.len() as u64 - 1)
     };
 
     let mut outcomes: Vec<(NodeId, O)> = Vec::with_capacity(n);
@@ -349,14 +350,14 @@ fn merge_shards<O>(
         net,
         max_observed_delay,
     };
-    (combined, dropped)
+    (combined, offered)
 }
 
 /// K-way merges the per-shard streams, handing each event to `emit` in
 /// the exact emission order of the combined single-threaded world (the
 /// merged stream is consumed as it forms, never held whole): ascending
-/// time, component rank breaking ties (the combined scheduler drains
-/// same-time heads in rank order), with the per-tick [`Sample`]s of
+/// time, component rank breaking ties (the combined world's queue pops
+/// same-instant events in rank order), with the per-tick [`Sample`]s of
 /// every shard stitched into one deployment-wide snapshot that sorts
 /// *after* same-instant events (`run_sampled` drains the queue up to
 /// the tick before snapshotting). Streams with no samples at all merge

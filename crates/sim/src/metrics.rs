@@ -147,8 +147,9 @@ pub struct RunResult {
     pub net: NetStats,
     /// Theorem-oracle findings, when the scenario armed one.
     pub oracle: Option<tempo_oracle::OracleReport>,
-    /// Events the bus's bounded debug ring had to evict (sinks see
-    /// everything regardless; this only measures ring overflow).
+    /// The telemetry stream's length beyond 4,096 events: what a
+    /// 4,096-event ring would evict. No ring is kept, and sinks see
+    /// every event they subscribe to regardless.
     pub dropped_events: u64,
     /// The empirical round-trip witness: twice the worst one-way
     /// delay the network actually delivered. The paper's `ξ` is

@@ -1,15 +1,17 @@
 //! A sampling profiler for a box with neither `perf` nor `valgrind`: on
 //! every `ITIMER_PROF` tick SIGPROF records the interrupted `RIP` and a
-//! short frame-pointer walk while E20 deployments run.
+//! short frame-pointer walk while E20 or ClusterTime deployments run.
 //!
 //! ```text
 //! RUSTFLAGS="-C force-frame-pointers=yes" cargo build --release --example sim_profile
 //! taskset -c 1 target/release/examples/sim_profile 500 400 sharded > pcs.txt
+//! taskset -c 1 target/release/examples/sim_profile cluster 60 > pcs.txt
 //! ```
 //!
 //! Arguments: servers, jobs, `sharded` (two workers, as `sim_bare`) or
-//! `single`. Prints the load base, then one sample a line, innermost
-//! frame first; DESIGN.md § Observability has the rest of the recipe.
+//! `single`; or `cluster` and jobs, for `cluster_failover`'s deployment.
+//! Prints the load base, then one sample a line, innermost frame first;
+//! DESIGN.md § Observability has the rest of the recipe.
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod linux {
@@ -18,7 +20,7 @@ mod linux {
     use tempo::core::{Duration, Timestamp};
     use tempo::net::{DelayModel, Topology};
     use tempo::service::{HealthConfig, RetryPolicy, ServerFault, Strategy};
-    use tempo::sim::{Scenario, ServerSpec};
+    use tempo::sim::{ClusterScenario, ReplicaSpec, Scenario, ServerSpec};
 
     const DEPTH: usize = 8;
     const MAX_SAMPLES: usize = 1 << 16;
@@ -110,13 +112,40 @@ mod linux {
         scenario
     }
 
+    /// `cluster_failover`'s deployment as the benchmark builds it: eight
+    /// three-replica clusters in one unsharded world, two clients each
+    /// asking every 20 ms, a durable crash storm on every cluster's
+    /// replica 0 (down 5 s, up 10 s, from t = 10 s), 5 ms links, and the
+    /// cluster oracle armed.
+    fn failover(seed: u64) -> ClusterScenario {
+        let (secs, at) = (Duration::from_secs, Timestamp::from_secs);
+        let honest = ReplicaSpec::honest(1e-5, 1e-4);
+        let storm = ServerFault::restart_storm(at(10.0), secs(5.0), secs(10.0), false);
+        ClusterScenario::new()
+            .replica(honest.clone().server_fault(storm))
+            .replicas(2, &honest)
+            .clients(2)
+            .clusters(8)
+            .max_faulty(0)
+            .client_period(Duration::from_millis(20.0))
+            .delay(DelayModel::Constant(Duration::from_millis(5.0)))
+            .duration(secs(60.0))
+            .oracle(true)
+            .seed(seed)
+    }
+
     pub fn run() {
-        const USAGE: &str = "usage: sim_profile <servers> <jobs> sharded|single";
-        let mut args = std::env::args().skip(1);
-        let n: usize = args.next().and_then(|a| a.parse().ok()).expect(USAGE);
-        let jobs: u64 = args.next().and_then(|a| a.parse().ok()).expect(USAGE);
-        // Two shard threads or none (0 runs the one-world engine).
-        let threads = 2 * usize::from(args.next().expect(USAGE) == "sharded");
+        const USAGE: &str =
+            "usage: sim_profile <servers> <jobs> sharded|single, or sim_profile cluster <jobs>";
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let arg = |i: usize| args.get(i).map(String::as_str).expect(USAGE);
+        let jobs: u64 = arg(1).parse().expect(USAGE);
+        // E20's size and two shard threads or none (0 runs the one-world
+        // engine); `None` for the cluster deployment.
+        let e20_shape = (arg(0) != "cluster").then(|| {
+            let n: usize = arg(0).parse().expect(USAGE);
+            (n, 2 * usize::from(arg(2) == "sharded"))
+        });
         let handler = on_tick as *const () as usize;
         let action = SigAction(handler, [0; 16], SA_SIGINFO_RESTART, 0);
         // Asks for 1 kHz; the kernel rounds the period up to its tick.
@@ -128,9 +157,13 @@ mod linux {
                 && setitimer(ITIMER_PROF, &tick, std::ptr::null_mut()) == 0
         };
         assert!(armed, "could not arm the profiling timer");
-        for seed in 0..jobs {
-            let result = e20(n, 1_000 + seed).sharded(threads).run();
-            assert!(result.net.delivered > 0);
+        for seed in 1_000..1_000 + jobs {
+            match e20_shape {
+                Some((n, threads)) => {
+                    assert!(e20(n, seed).sharded(threads).run().net.delivered > 0)
+                }
+                None => assert!(failover(seed).run().issued() > 0),
+            }
         }
         // SAFETY: a zero interval and value disarm the timer.
         unsafe { setitimer(ITIMER_PROF, &[0; 4], std::ptr::null_mut()) };
