@@ -20,8 +20,9 @@
 //!   `timestamp = max(intersection.now, high_water + 1)` in
 //!   microsecond ticks.
 //! * **Durable high water before release.** Before a timestamp leaves
-//!   the building the primary persists it via
-//!   [`tempo_service::StableStore`] *and* replicates it to a quorum of
+//!   the building the primary persists it in its durable record (a
+//!   [`tempo_service::MemoryStore`] its host mirrors to disk) *and*
+//!   replicates it to a quorum of
 //!   backups ([`ClusterFrame::HwUpdate`] / [`ClusterFrame::HwAck`]): the
 //!   reply is withheld until a quorum has the mark on stable
 //!   storage. A new primary's election quorum therefore always

@@ -7,7 +7,9 @@ use std::collections::BTreeMap;
 use tempo_core::marzullo::intersect_tolerating;
 use tempo_core::{Duration, TimeEstimate, TimeInterval, Timestamp};
 use tempo_net::{Actor, Context, NodeId};
-use tempo_service::{ClusterState, HealthTracker, Lifecycle, Message, StableStore, TimeServer};
+use tempo_service::{
+    ClusterState, HealthTracker, Lifecycle, MemoryStore, Message, StableStore, TimeServer,
+};
 use tempo_telemetry::{Bus, EventKind, RefusalCause, TelemetryEvent};
 
 use crate::config::ClusterConfig;
@@ -79,13 +81,13 @@ struct PendingIssue {
 /// (still running its interval resync protocol) plus the lease /
 /// view-change / replication machinery that turns quorum intervals
 /// into failover-safe monotonic timestamps.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ClusterReplica {
     server: TimeServer,
     config: ClusterConfig,
-    store: Box<dyn StableStore>,
-    bus: Bus,
-    me: usize,
+    /// The durable `(view, high-water)` record, apart from the inner
+    /// server's (see [`ClusterReplica::durable`]).
+    durable: MemoryStore,
 
     view: u64,
     high_water: u64,
@@ -114,22 +116,22 @@ pub struct ClusterReplica {
 }
 
 impl ClusterReplica {
-    /// Builds a replica around an embedded server, with a dedicated
-    /// stable store for the cluster `(view, high-water)` record.
-    ///
-    /// The store is deliberately separate from the inner server's: the
-    /// base record belongs to the resync protocol, the cluster record
-    /// to this layer, and a deployment may give them different media.
+    /// Builds a replica around an embedded server, starting from the
+    /// cluster `(view, high-water)` record `store` holds, if any. The
+    /// store is read, not kept: the replica's durable record is a value
+    /// its host mirrors (see [`ClusterReplica::durable`]).
     #[must_use]
     pub fn new(server: TimeServer, config: ClusterConfig, store: Box<dyn StableStore>) -> Self {
         let n = config.replicas.len();
         let health = HealthTracker::new(server.config().health);
+        let mut durable = MemoryStore::new();
+        if let Some(record) = store.load_cluster() {
+            durable.persist_cluster(record);
+        }
         ClusterReplica {
             server,
             config,
-            store,
-            bus: Bus::default(),
-            me: 0,
+            durable,
             view: 0,
             high_water: 0,
             lease_until: None,
@@ -152,10 +154,12 @@ impl ClusterReplica {
         }
     }
 
-    /// Attaches the telemetry bus (to this layer and the inner server).
+    /// Does nothing: a replica (and its inner server) emits on the bus
+    /// of the [`Context`] each callback runs with, which its host owns.
+    /// Kept because the repo benchmark still calls it with the bus it
+    /// hands the world.
     pub fn attach_bus(&mut self, bus: Bus) {
-        self.server.attach_bus(bus.clone());
-        self.bus = bus;
+        let _ = bus;
     }
 
     /// The embedded time server.
@@ -167,6 +171,13 @@ impl ClusterReplica {
     /// Mutable access to the embedded time server.
     pub fn server_mut(&mut self) -> &mut TimeServer {
         &mut self.server
+    }
+
+    /// The durable cluster record as it stands after the last callback:
+    /// what a host that outlives crashes of the *process* writes to disk.
+    #[must_use]
+    pub fn durable(&self) -> MemoryStore {
+        self.durable
     }
 
     /// This replica's accumulated counters.
@@ -250,7 +261,7 @@ impl ClusterReplica {
         if stats.restarts > self.seen_restarts {
             self.seen_restarts = stats.restarts;
             if self.config.amnesia {
-                self.store.wipe();
+                self.durable.wipe();
             }
             // Give the cluster a grace period before electing against
             // whatever view we rejoined in.
@@ -262,18 +273,16 @@ impl ClusterReplica {
     /// and restarts the election clock: no campaign before `grace` has
     /// passed.
     fn rehydrate(&mut self, grace: Duration, ctx: &mut Context<'_, ClusterFrame>) {
-        if let Some(cs) = self.store.load_cluster() {
+        if let Some(cs) = self.durable.load_cluster() {
             self.view = cs.view;
             self.high_water = cs.high_water;
             self.stats.rehydrations += 1;
-            let (at, server, view, high_water) = (ctx.now(), self.me, self.view, self.high_water);
-            self.bus
-                .emit_with(EventKind::HwRehydrated, || TelemetryEvent::HwRehydrated {
-                    at,
-                    server,
-                    view,
-                    high_water,
-                });
+            ctx.emit_with(EventKind::HwRehydrated, || TelemetryEvent::HwRehydrated {
+                at: ctx.now(),
+                server: ctx.label(),
+                view: self.view,
+                high_water: self.high_water,
+            });
         }
         self.last_renew_seen = ctx.now();
         self.election_not_before = ctx.now() + grace;
@@ -295,7 +304,7 @@ impl ClusterReplica {
     }
 
     fn persist_cluster(&mut self) {
-        self.store.persist_cluster(ClusterState {
+        self.durable.persist_cluster(ClusterState {
             view: self.view,
             high_water: self.high_water,
         });
@@ -323,14 +332,12 @@ impl ClusterReplica {
         self.persist_cluster();
         self.election_attempts = 0;
         self.stats.views_adopted += 1;
-        let (at, server, high_water) = (ctx.now(), self.me, self.high_water);
-        self.bus
-            .emit_with(EventKind::ViewChange, || TelemetryEvent::ViewChange {
-                at,
-                server,
-                view,
-                high_water,
-            });
+        ctx.emit_with(EventKind::ViewChange, || TelemetryEvent::ViewChange {
+            at: ctx.now(),
+            server: ctx.label(),
+            view,
+            high_water: self.high_water,
+        });
     }
 
     fn refuse(
@@ -346,14 +353,12 @@ impl ClusterReplica {
             RefusalCause::Booting => self.stats.refused_booting += 1,
             RefusalCause::Ahead => self.stats.refused_ahead += 1,
         }
-        let (at, server, view) = (ctx.now(), self.me, self.view);
-        self.bus
-            .emit_with(EventKind::TsRefused, || TelemetryEvent::TsRefused {
-                at,
-                server,
-                view,
-                cause,
-            });
+        ctx.emit_with(EventKind::TsRefused, || TelemetryEvent::TsRefused {
+            at: ctx.now(),
+            server: ctx.label(),
+            view: self.view,
+            cause,
+        });
         ctx.send(
             client,
             ClusterFrame::TsRefused {
@@ -441,15 +446,13 @@ impl ClusterReplica {
         }
         if !was_valid {
             self.stats.leases_granted += 1;
-            let (at, server, view) = (now, self.me, self.view);
             let until = self.lease_until.expect("just set");
-            self.bus
-                .emit_with(EventKind::LeaseGranted, || TelemetryEvent::LeaseGranted {
-                    at,
-                    server,
-                    view,
-                    until,
-                });
+            ctx.emit_with(EventKind::LeaseGranted, || TelemetryEvent::LeaseGranted {
+                at: now,
+                server: ctx.label(),
+                view: self.view,
+                until,
+            });
         }
     }
 
@@ -543,16 +546,14 @@ impl ClusterReplica {
         ctx: &mut Context<'_, ClusterFrame>,
     ) {
         self.stats.issued += 1;
-        let (at, server, view) = (ctx.now(), self.me, self.view);
-        self.bus
-            .emit_with(EventKind::TsIssued, || TelemetryEvent::TsIssued {
-                at,
-                server,
-                view,
-                timestamp: ts,
-                lo,
-                hi,
-            });
+        ctx.emit_with(EventKind::TsIssued, || TelemetryEvent::TsIssued {
+            at: ctx.now(),
+            server: ctx.label(),
+            view: self.view,
+            timestamp: ts,
+            lo,
+            hi,
+        });
         ctx.send(
             client,
             ClusterFrame::TsReply {
@@ -641,13 +642,11 @@ impl ClusterReplica {
             self.lease_until = None;
             self.lease_snapshot = None;
             self.stats.leases_expired += 1;
-            let (at, server, view) = (now, self.me, self.view);
-            self.bus
-                .emit_with(EventKind::LeaseExpired, || TelemetryEvent::LeaseExpired {
-                    at,
-                    server,
-                    view,
-                });
+            ctx.emit_with(EventKind::LeaseExpired, || TelemetryEvent::LeaseExpired {
+                at: now,
+                server: ctx.label(),
+                view: self.view,
+            });
         }
 
         // Renewal cadence (the primary's heartbeat doubles as the
@@ -857,7 +856,6 @@ impl Actor for ClusterReplica {
     type Msg = ClusterFrame;
 
     fn on_start(&mut self, ctx: &mut Context<'_, ClusterFrame>) {
-        self.me = ctx.label();
         self.rehydrate(Duration::ZERO, ctx);
         self.drive_inner(ctx, |server, inner| server.on_start(inner));
         ctx.set_timer(self.config.tick, TICK_TAG);
@@ -1069,5 +1067,146 @@ mod tests {
         assert!(buggy.regressions > 0, "bug not observable: {buggy:?}");
         let clean = run(false);
         assert_eq!(clean.regressions, 0, "{clean:?}");
+    }
+
+    /// Drives one replica by hand on `Context::external`s with fixed
+    /// neighbours and RNG seed, recording what it queues and emits.
+    struct Hand {
+        rng: rand::rngs::StdRng,
+        bus: tempo_telemetry::Bus,
+        tap: std::rc::Rc<std::cell::RefCell<Tap>>,
+        actions: Vec<tempo_net::ActorAction<ClusterFrame>>,
+    }
+
+    #[derive(Default)]
+    struct Tap(Vec<TelemetryEvent>);
+
+    impl tempo_telemetry::Observer for Tap {
+        fn observe(&mut self, event: &TelemetryEvent) {
+            self.0.push(event.clone());
+        }
+    }
+
+    impl Hand {
+        fn new() -> Self {
+            let bus = tempo_telemetry::Bus::new();
+            let tap = std::rc::Rc::new(std::cell::RefCell::new(Tap::default()));
+            bus.subscribe(std::rc::Rc::clone(&tap));
+            Hand {
+                rng: tempo_net::node_rng(7, NodeId::new(0)),
+                bus,
+                tap,
+                actions: Vec::new(),
+            }
+        }
+
+        fn call(
+            &mut self,
+            replica: &mut ClusterReplica,
+            at: f64,
+            callback: impl FnOnce(&mut ClusterReplica, &mut Context<'_, ClusterFrame>),
+        ) {
+            let peers: Vec<NodeId> = (1..4).map(NodeId::new).collect();
+            let now = Timestamp::from_secs(at);
+            let mut ctx =
+                Context::external(now, NodeId::new(0), &peers, &mut self.rng).emitting(&self.bus);
+            callback(replica, &mut ctx);
+            self.actions.extend(ctx.take_actions());
+        }
+
+        /// The payload of the last frame of the given shape sent to
+        /// `to`.
+        fn sent<T>(&self, to: usize, pick: impl Fn(&ClusterFrame) -> Option<T>) -> T {
+            self.actions
+                .iter()
+                .rev()
+                .find_map(|action| match action {
+                    tempo_net::ActorAction::Send { to: t, msg } if t.index() == to => pick(msg),
+                    _ => None,
+                })
+                .expect("the frame was sent")
+        }
+    }
+
+    /// An inner interval round (polls, two replies, the close), then a
+    /// timestamp request released by one backup's ack, then a tick.
+    fn replay(replica: &mut ClusterReplica, at: f64) -> Hand {
+        let mut hand = Hand::new();
+        hand.call(replica, at, |r, ctx| r.on_timer(1, ctx));
+        for peer in [1, 2] {
+            let request_id = hand.sent(peer, |frame| match frame {
+                ClusterFrame::Base(Message::TimeRequest { request_id, .. }) => Some(*request_id),
+                _ => None,
+            });
+            let estimate = TimeEstimate::new(Timestamp::from_secs(at + 0.01), dur(0.001));
+            let reply = ClusterFrame::Base(Message::TimeReply {
+                request_id,
+                received_at: estimate.time(),
+                estimate,
+            });
+            hand.call(replica, at + 0.01, |r, ctx| {
+                r.on_message(NodeId::new(peer), reply, ctx);
+            });
+        }
+        hand.call(replica, at + 0.02, |r, ctx| r.on_timer(2, ctx));
+        let request = ClusterFrame::TsRequest {
+            request_id: 77,
+            attempt: 0,
+        };
+        hand.call(replica, at + 0.03, |r, ctx| {
+            r.on_message(NodeId::new(3), request, ctx);
+        });
+        let (view, high_water) = hand.sent(1, |frame| match frame {
+            ClusterFrame::HwUpdate { view, high_water } => Some((*view, *high_water)),
+            _ => None,
+        });
+        let ack = ClusterFrame::HwAck { view, high_water };
+        hand.call(replica, at + 0.04, |r, ctx| {
+            r.on_message(NodeId::new(1), ack, ctx);
+        });
+        hand.call(replica, at + 0.05, |r, ctx| r.on_timer(TICK_TAG, ctx));
+        hand
+    }
+
+    #[test]
+    fn a_clone_is_an_independent_copy() {
+        let replicas: Vec<NodeId> = (0..3).map(NodeId::new).collect();
+        let nodes: Vec<ClusterNode> = vec![
+            skewed_replica(replicas.clone(), 0, 0.0, 0.05, None).into(),
+            skewed_replica(replicas.clone(), 1, 0.0, 0.05, None).into(),
+            skewed_replica(replicas.clone(), 2, 0.0, 0.05, None).into(),
+            AuditClient::new(AuditClientConfig::new(replicas).period(dur(0.1))).into(),
+        ];
+        let mut world = run_world(nodes, 5.0, 19);
+        let original = world.actors_mut()[0].as_replica_mut().unwrap();
+        assert!(original.is_serving_primary(), "replica 0 holds the lease");
+        let reader = original.server().snapshot_reader();
+        let published = reader.read();
+
+        let mut copy = original.clone();
+        let (issued, resets) = (copy.stats().issued, copy.server().stats().resets);
+        let on_copy = replay(&mut copy, 5.0);
+        assert!(copy.stats().issued > issued, "the replay issues");
+        assert!(copy.server().stats().resets > resets, "the replay adopts");
+        assert_eq!(
+            reader.read(),
+            published,
+            "the copy published to the original"
+        );
+
+        let on_original = replay(original, 5.0);
+        assert_eq!(on_copy.actions, on_original.actions);
+        let events = on_copy.tap.borrow().0.clone();
+        assert_eq!(events, on_original.tap.borrow().0);
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, TelemetryEvent::RoundAdopt { .. })));
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, TelemetryEvent::TsIssued { .. })));
+        assert_eq!(copy.durable(), original.durable());
+        assert_eq!(copy.server().durable(), original.server().durable());
+        assert_eq!(copy.stats(), original.stats());
+        assert_eq!(copy.server().stats(), original.server().stats());
     }
 }

@@ -23,24 +23,23 @@
 //! The payload is stored as individually atomic `u64` words, so no
 //! load ever observes a torn *word* (this is what keeps the whole
 //! construction inside safe Rust). Tuple consistency across words is
-//! the seqlock's job:
+//! the seqlock's job. A `Release` access orders only what precedes it
+//! and an `Acquire` access only what follows it, so two fences do it:
 //!
-//! * the writer bumps the sequence to an **odd** value with a
-//!   `Release`-ordered RMW *before* touching the payload, writes the
-//!   words (`Relaxed`), then publishes the **even** successor with a
-//!   `Release` store — so a reader that observes the final even value
-//!   with an `Acquire` load is guaranteed, by release/acquire
-//!   synchronisation on `seq` itself, to observe every payload word
-//!   written before it;
-//! * a reader loads `seq` (`Acquire`), gives up on odd (write in
-//!   flight), loads the words (`Relaxed`), then loads `seq` again
-//!   (`Acquire`) — the second load can only equal the first if no
-//!   writer bumped the sequence in between, i.e. the words belong to
-//!   one generation. The `Acquire` on the *first* load pairs with the
-//!   writer's final `Release` store; the re-read is made meaningful by
-//!   the writer's odd bump being `Release`-ordered *before* its word
-//!   stores (an in-flight write is always visible as an odd or
-//!   advanced sequence).
+//! * the writer bumps `seq` to **odd**, issues `fence(Release)`, stores
+//!   the words (`Relaxed`), then stores the **even** successor with
+//!   `Release`. A reader whose `Acquire` load sees that even value sees
+//!   every word before it; the fence keeps the odd bump before the words.
+//! * a reader loads `seq` (`Acquire`), retries on odd, loads the words
+//!   (`Relaxed`), issues `fence(Acquire)`, and re-loads `seq`
+//!   (`Relaxed`). If any word came from a later write, the two fences
+//!   synchronise and the re-load sees at least that write's odd bump;
+//!   so equal even values prove the words are one generation's.
+//!
+//! Without the fences (a `Release` bump and an `Acquire` re-read) the
+//! word stores may pass the bump and the word loads the re-read: the
+//! old code held only under x86-TSO, where both fences compile to no
+//! instruction.
 //!
 //! Belt and braces, every payload carries a mixing checksum over its
 //! words, verified on read — so even a hypothetical ordering bug (or a
@@ -48,7 +47,7 @@
 //! estimate. The stress test in `tests/snapshot_stress.rs` hammers
 //! exactly this property from eight threads.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::estimate::{ErrorState, TimeEstimate};
@@ -219,9 +218,11 @@ impl SnapshotCell {
     /// call this, and never concurrently with itself.
     pub fn publish(&self, snapshot: &ClockSnapshot) {
         let words = snapshot.to_words();
-        // Odd: write in flight. The RMW is Release so the bump is
-        // ordered before the word stores from any reader's viewpoint.
+        // Odd: write in flight. The fence orders the bump before the
+        // word stores from any reader's viewpoint (a Release RMW alone
+        // orders only what precedes it).
         let prev = self.seq.fetch_add(1, Ordering::Release);
+        fence(Ordering::Release);
         debug_assert!(
             prev.is_multiple_of(2),
             "concurrent writers on a SnapshotCell"
@@ -254,10 +255,11 @@ impl SnapshotCell {
                 *word = slot.load(Ordering::Relaxed);
             }
             let checksum = self.checksum.load(Ordering::Relaxed);
-            // The re-read pairs with the writer's Release stores; only
-            // an unchanged even value proves the words are one
-            // generation's.
-            let s2 = self.seq.load(Ordering::Acquire);
+            // The fence keeps the word loads above the re-read and pairs
+            // with the writer's fence; only an unchanged even value
+            // proves the words are one generation's.
+            fence(Ordering::Acquire);
+            let s2 = self.seq.load(Ordering::Relaxed);
             if s1 != s2 {
                 std::hint::spin_loop();
                 continue;

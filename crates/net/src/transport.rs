@@ -32,7 +32,7 @@ use crate::node::NodeId;
 /// [`Context::set_timer`](crate::Context::set_timer) and drained via
 /// [`Context::take_actions`](crate::Context::take_actions); a
 /// [`Transport`] executes them in queue order.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub enum ActorAction<M> {
     /// Deliver `msg` to node `to` (asynchronously; the transport may
     /// delay, reorder, duplicate, or lose it).

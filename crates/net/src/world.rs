@@ -64,6 +64,8 @@ pub struct Context<'a, M> {
     labels: &'a [usize],
     neighbors: &'a [NodeId],
     rng: &'a mut StdRng,
+    /// The host's telemetry bus: actors own none, they emit through it.
+    bus: &'a Bus,
     actions: Vec<ActorAction<M>>,
 }
 
@@ -75,7 +77,8 @@ impl<'a, M> Context<'a, M> {
     /// queued actions with [`Context::take_actions`] and executes
     /// them via [`Transport::apply`](crate::Transport::apply).
     ///
-    /// The [`label`](Context::label) defaults to `me.index()`.
+    /// The [`label`](Context::label) defaults to `me.index()`, and
+    /// nothing is emitted unless [`Context::emitting`] supplies a bus.
     #[must_use]
     pub fn external(
         now: Timestamp,
@@ -90,8 +93,22 @@ impl<'a, M> Context<'a, M> {
             labels: &[],
             neighbors,
             rng,
+            bus: const { &Bus::disabled() },
             actions: Vec::new(),
         }
+    }
+
+    /// Routes the actor's telemetry to an external driver's `bus`.
+    #[must_use]
+    pub fn emitting(mut self, bus: &'a Bus) -> Self {
+        self.bus = bus;
+        self
+    }
+
+    /// Emits on the host's bus, building the event only if `kind` is
+    /// wanted ([`Bus::emit_with`]: counted either way).
+    pub fn emit_with(&self, kind: TelemetryKind, build: impl FnOnce() -> TelemetryEvent) {
+        self.bus.emit_with(kind, build);
     }
 
     /// Drains the actions the actor queued during the callback,
@@ -195,7 +212,7 @@ impl<'a, M> Context<'a, M> {
     /// adapter a wrapping actor uses to drive an embedded inner actor
     /// (e.g. a cluster replica hosting a plain time server). The
     /// derived context shares this context's clock, identity, labels,
-    /// neighbours, and RNG (reborrowed, so deterministic draws
+    /// neighbours, bus and RNG (reborrowed, so deterministic draws
     /// interleave exactly as if the inner actor ran directly), and
     /// starts with an empty action queue: the wrapper drains it with
     /// [`Context::take_actions`] and translates each action into its
@@ -209,6 +226,7 @@ impl<'a, M> Context<'a, M> {
             labels: self.labels,
             neighbors: self.neighbors,
             rng: self.rng,
+            bus: self.bus,
             actions: Vec::new(),
         }
     }
@@ -243,8 +261,8 @@ pub struct World<A: Actor> {
     now: Timestamp,
     node_rngs: Vec<StdRng>,
     stats: NetStats,
-    /// Telemetry fan-out; the disabled default costs one branch per
-    /// would-be emission.
+    /// Telemetry fan-out, handed to every callback's [`Context`]; the
+    /// disabled default costs one branch per would-be emission.
     bus: Bus,
     /// Latest delivery time scheduled per directed link (FIFO mode).
     link_horizon: std::collections::HashMap<(NodeId, NodeId), Timestamp>,
@@ -547,6 +565,7 @@ impl<A: Actor> World<A> {
             labels: &self.labels,
             neighbors: self.topology.neighbors(node),
             rng: &mut self.node_rngs[node.index()],
+            bus: &self.bus,
             actions: std::mem::take(&mut self.scratch),
         };
         callback(&mut self.actors[node.index()], &mut ctx);
@@ -1426,6 +1445,100 @@ mod component_tests {
                 .collect();
             assert_eq!(mine, alone, "component {rank}");
         }
+    }
+}
+
+#[cfg(test)]
+mod context_tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use super::*;
+    use tempo_telemetry::Observer;
+
+    #[derive(Default)]
+    struct Tap(Vec<TelemetryEvent>);
+
+    impl Observer for Tap {
+        fn observe(&mut self, event: &TelemetryEvent) {
+            self.0.push(event.clone());
+        }
+    }
+
+    /// Announces a departure on start, through whatever context it is
+    /// handed.
+    struct Inner;
+
+    impl Actor for Inner {
+        type Msg = u8;
+        fn on_start(&mut self, ctx: &mut Context<'_, u8>) {
+            ctx.emit_with(TelemetryKind::Leave, || TelemetryEvent::Leave {
+                at: ctx.now(),
+                server: ctx.label(),
+            });
+        }
+        fn on_message(&mut self, _: NodeId, _: u8, _: &mut Context<'_, u8>) {}
+        fn on_timer(&mut self, _: u64, _: &mut Context<'_, u8>) {}
+    }
+
+    /// Hosts an [`Inner`] in another message space, the way a cluster
+    /// replica hosts its time server.
+    struct Outer(Inner);
+
+    impl Actor for Outer {
+        type Msg = u32;
+        fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+            self.0.on_start(&mut ctx.map_msg::<u8>());
+        }
+        fn on_message(&mut self, _: NodeId, _: u32, _: &mut Context<'_, u32>) {}
+        fn on_timer(&mut self, _: u64, _: &mut Context<'_, u32>) {}
+    }
+
+    #[test]
+    fn inner_actor_emits_on_the_world_bus() {
+        let bus = Bus::new();
+        let tap = Rc::new(RefCell::new(Tap::default()));
+        bus.subscribe(Rc::clone(&tap));
+        let _world = World::new_labeled(
+            vec![Outer(Inner), Outer(Inner)],
+            Topology::full_mesh(2),
+            NetConfig::default(),
+            1,
+            bus,
+            vec![40, 41],
+        );
+        let servers: Vec<usize> = tap
+            .borrow()
+            .0
+            .iter()
+            .map(|event| match event {
+                TelemetryEvent::Leave { server, .. } => *server,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(servers, vec![40, 41], "global labels, on the world's bus");
+    }
+
+    #[test]
+    fn external_context_without_a_bus_builds_nothing() {
+        let mut rng = crate::node_rng(1, NodeId::new(0));
+        let ctx: Context<'_, u8> =
+            Context::external(Timestamp::ZERO, NodeId::new(0), &[], &mut rng);
+        ctx.emit_with(TelemetryKind::Leave, || {
+            panic!("a bus-less context built an event")
+        });
+    }
+
+    #[test]
+    fn a_disabled_kind_is_counted_but_never_built() {
+        // Subscribed to nothing: every kind is disabled, yet the offer
+        // counts, as `dropped_events` needs.
+        let bus = Bus::new();
+        let mut rng = crate::node_rng(1, NodeId::new(0));
+        let ctx: Context<'_, u8> =
+            Context::external(Timestamp::ZERO, NodeId::new(0), &[], &mut rng).emitting(&bus);
+        ctx.emit_with(TelemetryKind::Leave, || panic!("a disabled kind was built"));
+        assert_eq!(bus.offered_events(), 1);
     }
 }
 

@@ -1,5 +1,5 @@
 //! Where a [`TimeServer`] stands, and what it publishes about that:
-//! birth (rehydrating from a stable store), joining and leaving the
+//! birth (rehydrating a durable record), joining and leaving the
 //! service (§1.1 churn), the crash–restart lifecycle with its §5
 //! bootstrap, the state-corruption probe, and the serving snapshot each
 //! transition republishes. The schedule that drives crashes and
@@ -14,7 +14,7 @@ use tempo_clocks::{ClockDiscipline, DisciplineConfig, SimClock};
 use tempo_core::{ClockSnapshot, DriftRate, ErrorState, SnapshotCell, SnapshotReader};
 use tempo_core::{Duration, Timestamp};
 use tempo_net::Context;
-use tempo_telemetry::{Bus, EventKind as TelemetryKind, TelemetryEvent};
+use tempo_telemetry::{EventKind as TelemetryKind, TelemetryEvent};
 
 use super::{TimeServer, TIMER_BOOT_ROUND, TIMER_CRASH, TIMER_RESTART, TIMER_RESYNC};
 use crate::config::{ApplyMode, ScreeningPolicy, ServerConfig};
@@ -54,6 +54,22 @@ fn rehydrate(p: &PersistedState, reading: Timestamp, delta: DriftRate) -> ErrorS
     ErrorState::new(p.reset_clock.min(reading), p.inherited_error, delta)
 }
 
+/// The publication point of a server's serving snapshot. A clone gets
+/// a fresh cell holding the same published payload: a copy of a server
+/// must never publish to the original's serving front.
+#[derive(Debug)]
+pub(super) struct Published(Arc<SnapshotCell>);
+
+impl Clone for Published {
+    fn clone(&self) -> Self {
+        let cell = SnapshotCell::new();
+        if let Some(snapshot) = self.0.read() {
+            cell.publish(&snapshot);
+        }
+        Published(Arc::new(cell))
+    }
+}
+
 impl TimeServer {
     /// Creates a server around a simulated clock.
     ///
@@ -66,47 +82,44 @@ impl TimeServer {
     /// (see [`ServerConfig::validate`]).
     #[must_use]
     pub fn new(clock: SimClock, config: ServerConfig) -> Self {
-        Self::with_store(clock, config, Box::new(MemoryStore::new()))
+        Self::with_persisted(clock, config, None)
     }
 
-    /// Creates a server around a simulated clock and an explicit
-    /// stable store — the real-deployment constructor.
+    /// Creates a server around a simulated clock and the durable record
+    /// a previous run left — the real-deployment constructor.
     ///
-    /// If `store` already holds persisted state (the process was
-    /// killed and relaunched against the same file), the server
-    /// rehydrates it exactly as a durable in-process restart does:
-    /// `(r_i, ε_i)` come from the store and rule MM-1 re-derives
-    /// `E = ε + (C − r)·δ`, so the error keeps growing across the
-    /// downtime instead of resetting to the configured initial error.
-    /// An empty store gets the initial `(r_i, ε_i)` persisted, exactly
-    /// as [`TimeServer::new`].
+    /// With a `persisted` record (the process was killed and relaunched
+    /// against the same file), the server rehydrates it exactly as a
+    /// durable in-process restart does: `(r_i, ε_i)` come from the
+    /// record and rule MM-1 re-derives `E = ε + (C − r)·δ`, so the
+    /// error keeps growing across the downtime instead of resetting to
+    /// the configured initial error. Without one, the initial
+    /// `(r_i, ε_i)` is persisted, exactly as [`TimeServer::new`].
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid
     /// (see [`ServerConfig::validate`]).
     #[must_use]
-    pub fn with_store(
+    pub fn with_persisted(
         mut clock: SimClock,
         config: ServerConfig,
-        mut store: Box<dyn StableStore>,
+        persisted: Option<PersistedState>,
     ) -> Self {
         config.validate();
         let start_reading = clock.read(clock.last_real());
         // The initial `(r_i, ε_i)` counts as the first reset: a durable
         // restart before any adoption still rehydrates something. A
-        // store that already holds state is left untouched — its
+        // record that survived a previous run is kept as it is — its
         // persisted reset predates this launch and stays the truth
         // until the first post-launch adoption.
-        let persisted = store.load().unwrap_or_else(|| {
-            let first = PersistedState {
-                reset_clock: start_reading,
-                inherited_error: config.initial_error,
-                reset_at: clock.last_real(),
-            };
-            store.persist(first);
-            first
+        let persisted = persisted.unwrap_or(PersistedState {
+            reset_clock: start_reading,
+            inherited_error: config.initial_error,
+            reset_at: clock.last_real(),
         });
+        let mut durable = MemoryStore::new();
+        durable.persist(persisted);
         let state = rehydrate(&persisted, start_reading, config.drift_bound);
         let rates = match config.screening {
             ScreeningPolicy::Off => None,
@@ -140,16 +153,14 @@ impl TimeServer {
             health,
             round_start_clock: start_reading,
             discipline,
-            bus: Bus::disabled(),
-            me: 0,
             degraded: false,
             lifecycle: Lifecycle::Active,
             epoch: 0,
-            store,
+            durable,
             boot_rounds: 0,
             recent_estimates: Vec::new(),
             corrupted_at: None,
-            snapshot: Arc::new(SnapshotCell::new()),
+            snapshot: Published(Arc::new(SnapshotCell::new())),
         };
         // First publication: the payload exists from birth, flagged
         // not-serving until the join.
@@ -171,19 +182,12 @@ impl TimeServer {
         self.lifecycle
     }
 
-    /// The most recently persisted stable state, if any survives (the
-    /// amnesia path wipes it).
+    /// The durable record as it stands after the last callback (the
+    /// amnesia path wipes it): what a host that outlives crashes of the
+    /// *process* writes to disk.
     #[must_use]
-    pub fn persisted(&self) -> Option<PersistedState> {
-        self.store.load()
-    }
-
-    /// Forces the stable store onto its durable medium (see
-    /// [`StableStore::flush`]). Real deployments call this from their
-    /// graceful-shutdown path so the persisted `(r_i, ε_i)` survives
-    /// the process.
-    pub fn flush_store(&mut self) {
-        self.store.flush();
+    pub fn durable(&self) -> MemoryStore {
+        self.durable
     }
 
     /// A cloneable, lock-free handle onto the published serving
@@ -191,7 +195,7 @@ impl TimeServer {
     /// without ever touching this actor — the million-QPS read path.
     #[must_use]
     pub fn snapshot_reader(&self) -> SnapshotReader {
-        SnapshotReader::new(Arc::clone(&self.snapshot))
+        SnapshotReader::new(Arc::clone(&self.snapshot.0))
     }
 
     /// Republishes the serving snapshot from the current MM-1 state.
@@ -212,7 +216,7 @@ impl TimeServer {
             epoch: self.epoch,
             serving: self.is_active(),
         };
-        self.snapshot.publish(&snapshot);
+        self.snapshot.0.publish(&snapshot);
     }
 
     /// When a state corruption
@@ -242,12 +246,11 @@ impl TimeServer {
         let now = ctx.now();
         self.publish_snapshot(now);
         let clock = self.reading(now);
-        self.bus
-            .emit_with(TelemetryKind::Join, || TelemetryEvent::Join {
-                at: now,
-                server: self.me,
-                clock,
-            });
+        ctx.emit_with(TelemetryKind::Join, || TelemetryEvent::Join {
+            at: now,
+            server: ctx.label(),
+            clock,
+        });
         self.start_resync_chain(ctx);
     }
 
@@ -261,11 +264,10 @@ impl TimeServer {
         self.degraded = false;
         let at = ctx.now();
         self.publish_snapshot(at);
-        self.bus
-            .emit_with(TelemetryKind::Leave, || TelemetryEvent::Leave {
-                at,
-                server: self.me,
-            });
+        ctx.emit_with(TelemetryKind::Leave, || TelemetryEvent::Leave {
+            at,
+            server: ctx.label(),
+        });
     }
 
     /// The scheduled crash: the server goes deaf and mute and loses all
@@ -284,10 +286,10 @@ impl TimeServer {
         let at = ctx.now();
         // Down: the front must refuse on our behalf immediately.
         self.publish_snapshot(at);
-        self.bus.emit_with(TelemetryKind::ServerCrashed, || {
+        ctx.emit_with(TelemetryKind::ServerCrashed, || {
             TelemetryEvent::ServerCrashed {
                 at,
-                server: self.me,
+                server: ctx.label(),
             }
         });
         if let Some(schedule) = self.config.fault.and_then(|f| f.restart_schedule()) {
@@ -311,27 +313,27 @@ impl TimeServer {
         self.stats.restarts += 1;
         let now = ctx.now();
         let amnesia = schedule.amnesia;
-        self.bus.emit_with(TelemetryKind::ServerRestarted, || {
+        ctx.emit_with(TelemetryKind::ServerRestarted, || {
             TelemetryEvent::ServerRestarted {
                 at: now,
-                server: self.me,
+                server: ctx.label(),
                 amnesia,
             }
         });
         if amnesia {
-            self.store.wipe();
+            self.durable.wipe();
             self.lifecycle = Lifecycle::Booting;
             self.boot_rounds = 0;
             self.begin_boot_round(ctx);
         } else {
             let clock_now = self.reading(now);
-            if let Some(p) = self.store.load() {
+            if let Some(p) = self.durable.load() {
                 self.state = rehydrate(&p, clock_now, self.config.drift_bound);
                 let reset_clock = self.state.last_reset();
-                self.bus.emit_with(TelemetryKind::StateRehydrated, || {
+                ctx.emit_with(TelemetryKind::StateRehydrated, || {
                     TelemetryEvent::StateRehydrated {
                         at: now,
-                        server: self.me,
+                        server: ctx.label(),
                         clock: clock_now,
                         error: self.state.error_at(clock_now),
                         reset_clock,
@@ -356,10 +358,10 @@ impl TimeServer {
         // place): reopen the serving front under the new epoch.
         self.publish_snapshot(now);
         let clock = self.reading(now);
-        self.bus.emit_with(TelemetryKind::BootstrapCompleted, || {
+        ctx.emit_with(TelemetryKind::BootstrapCompleted, || {
             TelemetryEvent::BootstrapCompleted {
                 at: now,
-                server: self.me,
+                server: ctx.label(),
                 rounds,
                 clock,
                 error: self.state.error_at(clock),
@@ -393,7 +395,7 @@ impl TimeServer {
         let (delta, quorum) = (self.config.drift_bound, self.config.quorum);
         match round::bootstrap(clock_now, delta, &self.round_replies, quorum) {
             Decision::Reset { reset, .. } => {
-                self.apply_reset(now, reset);
+                self.apply_reset(reset, ctx);
                 self.round_replies.clear();
                 self.requests.clear();
                 self.promote(self.boot_rounds, ctx);
@@ -421,7 +423,7 @@ impl TimeServer {
         // The corruption reaches stable storage too: a durable restart
         // inside the window would rehydrate garbage, exactly as a real
         // memory fault that was checkpointed before detection.
-        self.store.persist(PersistedState {
+        self.durable.persist(PersistedState {
             reset_clock: served,
             inherited_error: garbage.error,
             reset_at: now,
@@ -455,10 +457,10 @@ impl TimeServer {
         // published too (the §5 stabilization exit will republish the
         // clean adoption the same way).
         self.publish_snapshot(now);
-        self.bus.emit_with(TelemetryKind::StateCorrupted, || {
+        ctx.emit_with(TelemetryKind::StateCorrupted, || {
             TelemetryEvent::StateCorrupted {
                 at: now,
-                server: self.me,
+                server: ctx.label(),
                 clock: served,
                 error: garbage.error,
             }
@@ -506,7 +508,7 @@ mod tests {
                 "the garbage clock jump is missing: offset {}",
                 sample.true_offset
             );
-            let persisted = victim.persisted().expect("store survives corruption");
+            let persisted = victim.durable().load().expect("store survives corruption");
             assert_eq!(
                 persisted.reset_at,
                 ts(50.0),
@@ -566,7 +568,7 @@ mod tests {
             assert_eq!(stats.restarts, 1);
             assert_eq!(stats.bootstrap_rounds, 0, "durable restarts do not boot");
             assert_eq!(restarted.lifecycle(), Lifecycle::Active);
-            assert!(restarted.persisted().is_some());
+            assert!(restarted.durable().load().is_some());
             let sample = restarted.sample(now);
             assert!(
                 sample.correct,
@@ -615,7 +617,7 @@ mod tests {
         );
         assert_eq!(restarted.lifecycle(), Lifecycle::Active);
         // The bootstrap adoption re-persisted fresh state.
-        assert!(restarted.persisted().is_some());
+        assert!(restarted.durable().load().is_some());
         let sample = restarted.sample(now);
         assert!(
             sample.correct,

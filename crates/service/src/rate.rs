@@ -16,8 +16,6 @@
 //! consistent-but-incorrect and quietly drags the intersection off
 //! true time.
 
-use std::collections::HashMap;
-
 use tempo_core::consonance::{are_consonant, RateObservation};
 use tempo_core::{DriftRate, Duration, Timestamp};
 use tempo_net::NodeId;
@@ -36,12 +34,13 @@ struct PairedSample {
 /// estimated over a baseline `B` carries an uncertainty of roughly
 /// `2ξ/B`; the monitor refuses to estimate until the baseline is long
 /// enough for the claimed bounds to be resolvable.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RateMonitor {
     window: usize,
     min_baseline: Duration,
     sample_noise: Duration,
-    samples: HashMap<NodeId, Vec<PairedSample>>,
+    /// Samples per neighbour, by [`NodeId::index`], grown on first record.
+    samples: Vec<Vec<PairedSample>>,
 }
 
 impl RateMonitor {
@@ -71,26 +70,30 @@ impl RateMonitor {
             window,
             min_baseline,
             sample_noise,
-            samples: HashMap::new(),
+            samples: Vec::new(),
         }
     }
 
     /// Records a paired reading for `peer`.
     pub fn record(&mut self, peer: NodeId, own_clock: Timestamp, peer_clock: Timestamp) {
-        let window = self.window;
-        let entry = self.samples.entry(peer).or_default();
+        if self.samples.len() <= peer.index() {
+            self.samples.resize_with(peer.index() + 1, Vec::new);
+        }
+        let entry = &mut self.samples[peer.index()];
         entry.push(PairedSample {
             own: own_clock,
             peer: peer_clock,
         });
-        if entry.len() > window {
+        if entry.len() > self.window {
             entry.remove(0);
         }
     }
 
     /// Forgets everything about `peer` (e.g. after it leaves).
     pub fn forget(&mut self, peer: NodeId) {
-        self.samples.remove(&peer);
+        if let Some(samples) = self.samples.get_mut(peer.index()) {
+            samples.clear();
+        }
     }
 
     /// Translates every retained own-clock reading by `delta`.
@@ -102,7 +105,7 @@ impl RateMonitor {
     /// consonant neighbour can be flagged dissonant (or a dissonant one
     /// masked) for a whole window.
     pub fn rebase(&mut self, delta: Duration) {
-        for samples in self.samples.values_mut() {
+        for samples in &mut self.samples {
             for s in samples.iter_mut() {
                 s.own += delta;
             }
@@ -118,7 +121,7 @@ impl RateMonitor {
     /// consonance test, not the estimate.
     #[must_use]
     pub fn estimate(&self, peer: NodeId) -> Option<RateObservation> {
-        let samples = self.samples.get(&peer)?;
+        let samples = self.samples.get(peer.index())?;
         let (first, last) = (samples.first()?, samples.last()?);
         let baseline = last.own - first.own;
         if baseline < self.min_baseline {
@@ -156,7 +159,7 @@ impl RateMonitor {
     /// Number of neighbours currently tracked.
     #[must_use]
     pub fn tracked(&self) -> usize {
-        self.samples.len()
+        self.samples.iter().filter(|s| !s.is_empty()).count()
     }
 }
 

@@ -86,7 +86,7 @@ pub(crate) fn patience(policy: RetryPolicy, attempt: u32, rng: &mut impl Rng) ->
 /// round has at most neighbours × (1 + retries) of them open and
 /// [`Requests::sweep`] drops the rest, so a short vector searched from
 /// the newest entry beats hashing the id.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct Requests {
     next_id: u64,
     open: Vec<(u64, Pending)>,

@@ -14,14 +14,11 @@
 //! `lifecycle.rs`, and everything a faulty server does differently is
 //! `fault.rs`.
 
-use std::sync::Arc;
-
 use rand::Rng;
 
 use tempo_clocks::{ClockDiscipline, SimClock};
 use tempo_core::sync::{Reset, TimedReply};
-use tempo_core::{Duration, TimeEstimate, Timestamp};
-use tempo_core::{ErrorState, SnapshotCell};
+use tempo_core::{Duration, ErrorState, TimeEstimate, Timestamp};
 use tempo_net::{Actor, Context, NodeId};
 use tempo_telemetry::{Bus, EventKind as TelemetryKind, RejectCause, TelemetryEvent};
 
@@ -32,11 +29,12 @@ use crate::rate::RateMonitor;
 use crate::requests::{patience, Claim, Pending, Requests};
 use crate::round::{self, BufferedReply, Decision};
 use crate::stats::{ServerSample, ServerStats};
-use crate::store::{PersistedState, StableStore};
+use crate::store::{MemoryStore, PersistedState, StableStore};
 
 #[path = "lifecycle.rs"]
 mod lifecycle;
 pub use lifecycle::Lifecycle;
+use lifecycle::Published;
 
 /// Timer tag: start a new resync round.
 const TIMER_RESYNC: u64 = 1;
@@ -65,7 +63,11 @@ const TIMER_EPOCH_SHIFT: u64 = 32;
 const TIMER_TIMEOUT_FLAG: u64 = 1 << 63;
 
 /// A time server (see module docs).
-#[derive(Debug)]
+///
+/// Plain state: telemetry leaves through each callback's [`Context`]
+/// and the durable record is a value, so a server can be cloned into an
+/// independent copy.
+#[derive(Debug, Clone)]
 pub struct TimeServer {
     clock: SimClock,
     state: ErrorState,
@@ -93,15 +95,6 @@ pub struct TimeServer {
     /// Slewing discipline, present in [`ApplyMode::Slew`](crate::ApplyMode::Slew). The protocol
     /// then runs entirely on the *disciplined* (monotonic) clock.
     discipline: Option<ClockDiscipline>,
-    /// Telemetry fan-out (disabled by default; see
-    /// [`TimeServer::attach_bus`]). Every synthesis decision, health
-    /// transition, and clock correction is emitted here — the oracle
-    /// and metrics layers consume these events instead of bespoke
-    /// per-server buffers.
-    bus: Bus,
-    /// Our own actor index, learned in `on_start` (events need it in
-    /// paths that have no [`Context`], e.g. `apply_reset`).
-    me: usize,
     /// Whether the previous windowed round was quorum-starved, for
     /// degraded-mode enter/exit transition events.
     degraded: bool,
@@ -109,13 +102,11 @@ pub struct TimeServer {
     lifecycle: Lifecycle,
     /// Bumped on every crash; round timers from older epochs are stale.
     epoch: u32,
-    /// Stable storage for `(r_i, ε_i)`, written at every reset and read
-    /// back on a durable restart. Boxed so real deployments can plug a
-    /// file-backed store that survives the *process* (see
-    /// [`TimeServer::with_store`]); the default
-    /// [`MemoryStore`](crate::MemoryStore) only survives simulated
-    /// crashes.
-    store: Box<dyn StableStore>,
+    /// The durable `(r_i, ε_i)` record, written at every reset and
+    /// read back on a durable restart. A plain value: a host that must
+    /// survive the *process* mirrors it to disk after each callback
+    /// (see [`TimeServer::durable`]).
+    durable: MemoryStore,
     /// Bootstrap rounds run since the current restart.
     boot_rounds: u32,
     /// The freshest processed estimate per peer (with the own-clock
@@ -132,15 +123,15 @@ pub struct TimeServer {
     /// [`TimeServer::snapshot_reader`] handles answer time requests
     /// without touching this actor (see
     /// `tempo_core::snapshot` and DESIGN.md §Serving path).
-    snapshot: Arc<SnapshotCell>,
+    snapshot: Published,
 }
 
 impl TimeServer {
-    /// Wires the server onto a telemetry [`Bus`]. Call before the
-    /// world starts (the bus should see the join). With no bus (or a
-    /// [`Bus::disabled`] one) every emission is a single branch.
+    /// Does nothing: a server emits on the bus of the [`Context`] each
+    /// callback runs with, which its host owns. Kept because the repo
+    /// benchmark still calls it with the bus it hands the world.
     pub fn attach_bus(&mut self, bus: Bus) {
-        self.bus = bus;
+        let _ = bus;
     }
 
     /// The clock reading the server *serves*: the raw hardware reading
@@ -163,21 +154,21 @@ impl TimeServer {
     /// Records a datagram that failed wire-codec decoding: the frame
     /// is dropped *audibly* — counted in
     /// [`ServerStats::malformed_frames`] and emitted as a
-    /// [`TelemetryKind::MalformedFrame`] event — never handed to the
-    /// protocol. Real transports call this from their receive loop;
-    /// the simulator delivers typed messages and has no malformed
+    /// [`TelemetryKind::MalformedFrame`] event on `ctx` — never handed
+    /// to the protocol. Real transports call this from their receive
+    /// loop; the simulator delivers typed messages and has no malformed
     /// path.
-    pub fn note_malformed_frame(
+    pub fn note_malformed_frame<M>(
         &mut self,
-        now: Timestamp,
+        ctx: &Context<'_, M>,
         len: usize,
         error: crate::wire::DecodeError,
     ) {
         self.stats.malformed_frames += 1;
-        self.bus.emit_with(TelemetryKind::MalformedFrame, || {
+        ctx.emit_with(TelemetryKind::MalformedFrame, || {
             TelemetryEvent::MalformedFrame {
-                at: now,
-                server: self.me,
+                at: ctx.now(),
+                server: ctx.label(),
                 len,
                 cause: error.label(),
             }
@@ -228,34 +219,32 @@ impl TimeServer {
     /// rounds cost nothing extra when no observer wants adoptions.
     fn emit_adopt(
         &self,
-        now: Timestamp,
+        ctx: &Context<'_, Message>,
         round: u64,
         own: &TimeEstimate,
         reset: &Reset,
         recovery: bool,
         input_widths: impl FnOnce() -> Vec<Duration>,
     ) {
-        self.bus
-            .emit_with(TelemetryKind::RoundAdopt, || TelemetryEvent::RoundAdopt {
-                at: now,
-                server: self.me,
-                round,
-                clock: own.time(),
-                error_before: own.error(),
-                error_after: reset.new_error,
-                input_widths: input_widths(),
-                recovery,
-            });
+        ctx.emit_with(TelemetryKind::RoundAdopt, || TelemetryEvent::RoundAdopt {
+            at: ctx.now(),
+            server: ctx.label(),
+            round,
+            clock: own.time(),
+            error_before: own.error(),
+            error_after: reset.new_error,
+            input_widths: input_widths(),
+            recovery,
+        });
     }
 
-    fn emit_reject(&self, now: Timestamp, round: u64, cause: RejectCause) {
-        self.bus
-            .emit_with(TelemetryKind::RoundReject, || TelemetryEvent::RoundReject {
-                at: now,
-                server: self.me,
-                round,
-                cause,
-            });
+    fn emit_reject(&self, ctx: &Context<'_, Message>, round: u64, cause: RejectCause) {
+        ctx.emit_with(TelemetryKind::RoundReject, || TelemetryEvent::RoundReject {
+            at: ctx.now(),
+            server: ctx.label(),
+            round,
+            cause,
+        });
     }
 
     /// Feeds `peer`'s health record a reply (`replied`) or an exhausted
@@ -271,10 +260,10 @@ impl TimeServer {
         }
         let after = self.health.state(peer);
         if before != after {
-            self.bus.emit_with(TelemetryKind::HealthChanged, || {
+            ctx.emit_with(TelemetryKind::HealthChanged, || {
                 TelemetryEvent::HealthChanged {
                     at: ctx.now(),
-                    server: self.me,
+                    server: ctx.label(),
                     peer: ctx.label_of(peer),
                     from: before.into(),
                     to: after.into(),
@@ -319,7 +308,8 @@ impl TimeServer {
     /// (the read-back is what keeps the MM-1 state honest even when the
     /// clock refuses the set — see `FaultKind::RefuseSet`), and replaces
     /// `(r_i, ε_i)`.
-    fn apply_reset(&mut self, now: Timestamp, reset: Reset) {
+    fn apply_reset(&mut self, reset: Reset, ctx: &Context<'_, Message>) {
+        let now = ctx.now();
         match &mut self.discipline {
             None => {
                 let before = self.clock.read(now);
@@ -327,14 +317,13 @@ impl TimeServer {
                 let actual = self.clock.read(now);
                 self.state.reset(actual, reset.new_error);
                 self.rebase_clock_marks(actual - before);
-                self.bus
-                    .emit_with(TelemetryKind::ClockStep, || TelemetryEvent::ClockStep {
-                        at: now,
-                        server: self.me,
-                        from: before,
-                        to: actual,
-                        error: reset.new_error,
-                    });
+                ctx.emit_with(TelemetryKind::ClockStep, || TelemetryEvent::ClockStep {
+                    at: now,
+                    server: ctx.label(),
+                    from: before,
+                    to: actual,
+                    error: reset.new_error,
+                });
             }
             Some(_) => {
                 // Slew mode: queue the correction on the discipline and
@@ -347,14 +336,13 @@ impl TimeServer {
                 let _ = d.correct(raw, reset.new_clock - current);
                 let pending = d.pending().abs();
                 self.state.reset(current, reset.new_error + pending);
-                self.bus
-                    .emit_with(TelemetryKind::ClockSlew, || TelemetryEvent::ClockSlew {
-                        at: now,
-                        server: self.me,
-                        from: current,
-                        to: reset.new_clock,
-                        error: reset.new_error + pending,
-                    });
+                ctx.emit_with(TelemetryKind::ClockSlew, || TelemetryEvent::ClockSlew {
+                    at: now,
+                    server: ctx.label(),
+                    from: current,
+                    to: reset.new_clock,
+                    error: reset.new_error + pending,
+                });
             }
         }
         // The serving front sees the adoption as soon as the sync core
@@ -362,7 +350,7 @@ impl TimeServer {
         self.publish_snapshot(now);
         // Every reset reaches stable storage, so a durable restart can
         // rehydrate the freshest `(r_i, ε_i)` pair.
-        self.store.persist(PersistedState {
+        self.durable.persist(PersistedState {
             reset_clock: self.state.last_reset(),
             inherited_error: self.state.inherited_error(),
             reset_at: now,
@@ -385,12 +373,11 @@ impl TimeServer {
             {
                 let elapsed = (now - since).max(Duration::ZERO);
                 self.corrupted_at = None;
-                self.bus
-                    .emit_with(TelemetryKind::Stabilized, || TelemetryEvent::Stabilized {
-                        at: now,
-                        server: self.me,
-                        elapsed,
-                    });
+                ctx.emit_with(TelemetryKind::Stabilized, || TelemetryEvent::Stabilized {
+                    at: now,
+                    server: ctx.label(),
+                    elapsed,
+                });
             }
         }
     }
@@ -414,14 +401,13 @@ impl TimeServer {
             .copied()
             .filter(|&peer| !self.config.retry.is_enabled() || self.health.should_poll(peer, round))
             .collect();
-        self.bus
-            .emit_with(TelemetryKind::RoundBegin, || TelemetryEvent::RoundBegin {
-                at: now,
-                server: self.me,
-                round,
-                clock: self.round_start_clock,
-                polled: polled.len(),
-            });
+        ctx.emit_with(TelemetryKind::RoundBegin, || TelemetryEvent::RoundBegin {
+            at: now,
+            server: ctx.label(),
+            round,
+            clock: self.round_start_clock,
+            polled: polled.len(),
+        });
         for peer in polled {
             self.send_request(peer, 0, false, ctx);
         }
@@ -494,14 +480,13 @@ impl TimeServer {
         }
         self.requests.remove(request_id);
         self.stats.timeouts += 1;
-        self.bus
-            .emit_with(TelemetryKind::Timeout, || TelemetryEvent::Timeout {
-                at: now,
-                server: self.me,
-                peer: ctx.label_of(pending.peer),
-                round: pending.round,
-                attempt: pending.attempt,
-            });
+        ctx.emit_with(TelemetryKind::Timeout, || TelemetryEvent::Timeout {
+            at: now,
+            server: ctx.label(),
+            peer: ctx.label_of(pending.peer),
+            round: pending.round,
+            attempt: pending.attempt,
+        });
         if pending.recovery {
             // A lost recovery request just clears the latch so a future
             // inconsistency can try another third server.
@@ -516,14 +501,13 @@ impl TimeServer {
             || clock_now - self.round_start_clock < self.config.collect_window;
         if pending.attempt < max_retries && round_current && window_open {
             self.stats.retries += 1;
-            self.bus
-                .emit_with(TelemetryKind::Retry, || TelemetryEvent::Retry {
-                    at: now,
-                    server: self.me,
-                    peer: ctx.label_of(pending.peer),
-                    round: pending.round,
-                    attempt: pending.attempt + 1,
-                });
+            ctx.emit_with(TelemetryKind::Retry, || TelemetryEvent::Retry {
+                at: now,
+                server: ctx.label(),
+                peer: ctx.label_of(pending.peer),
+                round: pending.round,
+                attempt: pending.attempt + 1,
+            });
             self.send_request(pending.peer, pending.attempt + 1, false, ctx);
         } else {
             self.note_health(pending.peer, false, ctx);
@@ -595,13 +579,13 @@ impl TimeServer {
             match round::recover(&reply, from, clock_now, delta, &self.recent_estimates) {
                 Decision::Reset { reset, recovery } => {
                     let own = self.state.estimate_at(clock_now);
-                    self.emit_adopt(now, pending.round, &own, &reset, recovery, Vec::new);
-                    self.apply_reset(now, reset);
+                    self.emit_adopt(ctx, pending.round, &own, &reset, recovery, Vec::new);
+                    self.apply_reset(reset, ctx);
                     self.stats.recoveries_applied += 1;
                 }
                 _ => {
                     self.stats.recoveries_rejected += 1;
-                    self.emit_reject(now, pending.round, RejectCause::Inconsistent);
+                    self.emit_reject(ctx, pending.round, RejectCause::Inconsistent);
                 }
             }
             return;
@@ -635,12 +619,12 @@ impl TimeServer {
         }
         match decision {
             Decision::Reset { reset, recovery } => {
-                self.emit_adopt(now, pending.round, &own, &reset, recovery, Vec::new);
-                self.apply_reset(now, reset);
+                self.emit_adopt(ctx, pending.round, &own, &reset, recovery, Vec::new);
+                self.apply_reset(reset, ctx);
             }
             Decision::Inconsistent => {
                 self.stats.inconsistencies += 1;
-                self.emit_reject(now, pending.round, RejectCause::Inconsistent);
+                self.emit_reject(ctx, pending.round, RejectCause::Inconsistent);
                 self.maybe_recover(Some(from), ctx);
             }
             Decision::Keep | Decision::Starved => {}
@@ -674,10 +658,10 @@ impl TimeServer {
         }
         let peer = pool[ctx.rng().random_range(0..pool.len())];
         let at = ctx.now();
-        self.bus.emit_with(TelemetryKind::RecoveryStarted, || {
+        ctx.emit_with(TelemetryKind::RecoveryStarted, || {
             TelemetryEvent::RecoveryStarted {
                 at,
-                server: self.me,
+                server: ctx.label(),
             }
         });
         self.send_request(peer, 0, true, ctx);
@@ -725,13 +709,13 @@ impl TimeServer {
         );
         if decision == Decision::Starved {
             self.stats.degraded_rounds += 1;
-            self.emit_reject(now, round, RejectCause::Starved);
+            self.emit_reject(ctx, round, RejectCause::Starved);
             if !self.degraded {
                 self.degraded = true;
-                self.bus.emit_with(TelemetryKind::DegradedEnter, || {
+                ctx.emit_with(TelemetryKind::DegradedEnter, || {
                     TelemetryEvent::DegradedEnter {
                         at: now,
-                        server: self.me,
+                        server: ctx.label(),
                         round,
                         replies: self.round_replies.len(),
                         quorum: self.config.quorum,
@@ -744,10 +728,10 @@ impl TimeServer {
         }
         if self.degraded {
             self.degraded = false;
-            self.bus.emit_with(TelemetryKind::DegradedExit, || {
+            ctx.emit_with(TelemetryKind::DegradedExit, || {
                 TelemetryEvent::DegradedExit {
                     at: now,
-                    server: self.me,
+                    server: ctx.label(),
                     round,
                 }
             });
@@ -757,15 +741,15 @@ impl TimeServer {
                 // A baseline is not an MM-2/IM-2 adoption (it may raise
                 // E): applied, never announced as one.
                 if !matches!(strategy, Strategy::Baseline(_)) {
-                    self.emit_adopt(now, round, &own, &reset, recovery, || {
+                    self.emit_adopt(ctx, round, &own, &reset, recovery, || {
                         round::input_widths(strategy, &own, delta, &self.round_replies)
                     });
                 }
-                self.apply_reset(now, reset);
+                self.apply_reset(reset, ctx);
             }
             Decision::Inconsistent => {
                 self.stats.inconsistencies += 1;
-                self.emit_reject(now, round, RejectCause::Inconsistent);
+                self.emit_reject(ctx, round, RejectCause::Inconsistent);
                 if strategy == Strategy::Im {
                     let peer = self.round_replies.first().map(|b| b.peer);
                     self.maybe_recover(peer, ctx);
@@ -781,10 +765,6 @@ impl Actor for TimeServer {
     type Msg = Message;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
-        // Global label, not the local node id: in a sharded sub-world
-        // this server's telemetry must carry its deployment-wide
-        // identity.
-        self.me = ctx.label();
         // Make sure the clock has seen time zero.
         let _ = self.clock.read(ctx.now());
         if self.config.join_after == Duration::ZERO {
@@ -989,12 +969,13 @@ mod tests {
         // 9 ms into the flight an adoption steps the clock back 50 ms.
         let t1 = ts(100.009);
         let target = s.reading(t1) - dur(0.050);
+        let mut rng = tempo_net::node_rng(9, NodeId::new(0));
         s.apply_reset(
-            t1,
             Reset {
                 new_clock: target,
                 new_error: dur(0.005),
             },
+            &Context::external(t1, NodeId::new(0), &[], &mut rng),
         );
         let Claim::Matched(p) = s.requests.claim(NodeId::new(1), id) else {
             panic!("still in flight");
@@ -1627,6 +1608,139 @@ mod tests {
 }
 
 #[cfg(test)]
+mod clone_tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use rand::rngs::StdRng;
+
+    use super::testkit::{base_config, dur, server, ts};
+    use super::*;
+    use tempo_net::{ActorAction, DelayModel, NetConfig, Topology, World};
+    use tempo_telemetry::Observer;
+
+    #[derive(Default)]
+    struct Tap(Vec<TelemetryEvent>);
+
+    impl Observer for Tap {
+        fn observe(&mut self, event: &TelemetryEvent) {
+            self.0.push(event.clone());
+        }
+    }
+
+    /// Drives one server by hand on `Context::external`s with fixed
+    /// neighbours and RNG seed, recording what it queues and emits.
+    struct Hand {
+        rng: StdRng,
+        bus: Bus,
+        tap: Rc<RefCell<Tap>>,
+        actions: Vec<ActorAction<Message>>,
+    }
+
+    impl Hand {
+        fn new() -> Self {
+            let bus = Bus::new();
+            let tap = Rc::new(RefCell::new(Tap::default()));
+            bus.subscribe(Rc::clone(&tap));
+            Hand {
+                rng: tempo_net::node_rng(7, NodeId::new(0)),
+                bus,
+                tap,
+                actions: Vec::new(),
+            }
+        }
+
+        fn call(
+            &mut self,
+            server: &mut TimeServer,
+            at: f64,
+            callback: impl FnOnce(&mut TimeServer, &mut Context<'_, Message>),
+        ) {
+            let peers = [NodeId::new(1), NodeId::new(2)];
+            let mut ctx = Context::external(ts(at), NodeId::new(0), &peers, &mut self.rng)
+                .emitting(&self.bus);
+            callback(server, &mut ctx);
+            self.actions.extend(ctx.take_actions());
+        }
+
+        fn events(&self) -> Vec<TelemetryEvent> {
+            self.tap.borrow().0.clone()
+        }
+    }
+
+    /// A resync round, an adoption from peer 1's reply, and an answer
+    /// to peer 2's request.
+    fn replay(server: &mut TimeServer, at: f64) -> Hand {
+        let mut hand = Hand::new();
+        hand.call(server, at, |s, ctx| s.on_timer(TIMER_RESYNC, ctx));
+        let request_id = hand
+            .actions
+            .iter()
+            .find_map(|action| match action {
+                ActorAction::Send {
+                    to,
+                    msg: Message::TimeRequest { request_id, .. },
+                } if *to == NodeId::new(1) => Some(*request_id),
+                _ => None,
+            })
+            .expect("the round polls peer 1");
+        let estimate = TimeEstimate::new(ts(at + 0.01), dur(1e-6));
+        let reply = Message::TimeReply {
+            request_id,
+            received_at: estimate.time(),
+            estimate,
+        };
+        hand.call(server, at + 0.01, |s, ctx| {
+            s.on_message(NodeId::new(1), reply, ctx);
+        });
+        let request = Message::TimeRequest {
+            request_id: 9,
+            attempt: 0,
+        };
+        hand.call(server, at + 0.02, |s, ctx| {
+            s.on_message(NodeId::new(2), request, ctx);
+        });
+        hand
+    }
+
+    #[test]
+    fn a_clone_is_an_independent_copy() {
+        let servers = (0..3)
+            .map(|i| server(0.0, base_config(Strategy::Mm), i))
+            .collect();
+        let net = NetConfig::with_delay(DelayModel::Constant(dur(0.005)));
+        let mut world = World::new(servers, Topology::full_mesh(3), net, 3);
+        world.run_until(ts(25.0));
+        let reader = world.actors()[0].snapshot_reader();
+        let published = reader.read();
+
+        let mut copy = world.actors()[0].clone();
+        assert_eq!(copy.snapshot_reader().read(), published);
+        let resets = copy.stats().resets;
+        let on_copy = replay(&mut copy, 25.0);
+        assert!(copy.stats().resets > resets, "the replay adopts");
+        assert_ne!(copy.snapshot_reader().read(), published);
+        assert_eq!(
+            reader.read(),
+            published,
+            "the copy published to the original"
+        );
+
+        let original = &mut world.actors_mut()[0];
+        let on_original = replay(original, 25.0);
+        assert_eq!(on_copy.actions, on_original.actions);
+        assert_eq!(on_copy.events(), on_original.events());
+        assert!(!on_copy.events().is_empty());
+        assert_eq!(copy.durable(), original.durable());
+        assert_eq!(copy.stats(), original.stats());
+        assert_eq!(
+            copy.snapshot_reader().read(),
+            original.snapshot_reader().read()
+        );
+    }
+}
+
+#[cfg(test)]
 mod slew_tests {
     use super::*;
     use crate::config::ApplyMode;
@@ -1757,12 +1871,13 @@ mod slew_tests {
         let mut server = TimeServer::new(clock, slew_config().initial_error(dur(6.0)));
         // Force a reset to true time through the public path: feed the
         // server a reply directly via apply_reset (white-box).
+        let mut rng = tempo_net::node_rng(0, NodeId::new(0));
         server.apply_reset(
-            ts(0.0),
             Reset {
                 new_clock: ts(0.0),
                 new_error: dur(0.01),
             },
+            &Context::external(ts(0.0), NodeId::new(0), &[], &mut rng),
         );
         // The served clock is still ~5 s fast, but the claimed error
         // covers the full pending correction.

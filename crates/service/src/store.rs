@@ -43,11 +43,13 @@ pub struct ClusterState {
 
 /// Durable storage surviving a server crash.
 ///
-/// The simulator's stores are in-memory stand-ins: durability here
-/// means "survives the *process*", which in a discrete-event world is
-/// simply "not wiped when the lifecycle machine crashes the actor".
-/// An amnesia restart models a lost disk by calling [`StableStore::wipe`]
-/// before rehydrating.
+/// A state machine keeps its durable record as a plain
+/// [`MemoryStore`] value: durability here means "survives the
+/// *crash*", which in a discrete-event world is simply "not wiped when
+/// the lifecycle machine crashes the actor". A host that must survive
+/// the *process* mirrors that value to disk after every callback
+/// (`tempo_transport::UdpRuntime`). An amnesia restart models a lost
+/// disk by calling [`StableStore::wipe`] before rehydrating.
 pub trait StableStore: std::fmt::Debug {
     /// Records the state written by a reset, replacing any previous
     /// record.
@@ -59,30 +61,17 @@ pub trait StableStore: std::fmt::Debug {
     /// Destroys the store's contents (the amnesia restart path).
     fn wipe(&mut self);
 
-    /// Forces any buffered state onto the durable medium. In-memory
-    /// stores have nothing to do; file-backed stores fsync here. Called
-    /// on graceful shutdown so a SIGTERM never races an in-flight
-    /// persist.
-    fn flush(&mut self) {}
-
     /// Records the cluster-time `(view, high-water)` pair, replacing
-    /// any previous record. The default is a no-op so plain
-    /// time-service stores need not care; cluster replicas must use a
-    /// store that overrides it.
-    fn persist_cluster(&mut self, state: ClusterState) {
-        let _ = state;
-    }
+    /// any previous record.
+    fn persist_cluster(&mut self, state: ClusterState);
 
     /// The most recently persisted cluster state, if any survives.
-    /// Defaults to `None` (no cluster record).
-    fn load_cluster(&self) -> Option<ClusterState> {
-        None
-    }
+    fn load_cluster(&self) -> Option<ClusterState>;
 }
 
-/// The default [`StableStore`]: a single in-memory slot (plus a second
-/// slot for the cluster-time record).
-#[derive(Debug, Default, Clone, Copy)]
+/// The durable record itself: a single slot (plus a second slot for the
+/// cluster-time record), a plain value a host can compare and copy.
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct MemoryStore {
     state: Option<PersistedState>,
     cluster: Option<ClusterState>,
@@ -168,25 +157,5 @@ mod tests {
         store.wipe();
         assert_eq!(store.load_cluster(), None);
         assert_eq!(store.load(), None);
-    }
-
-    #[test]
-    fn default_trait_methods_are_inert() {
-        // A store that never overrides the cluster hooks ignores them.
-        #[derive(Debug)]
-        struct BaseOnly;
-        impl StableStore for BaseOnly {
-            fn persist(&mut self, _: PersistedState) {}
-            fn load(&self) -> Option<PersistedState> {
-                None
-            }
-            fn wipe(&mut self) {}
-        }
-        let mut store = BaseOnly;
-        store.persist_cluster(ClusterState {
-            view: 1,
-            high_water: 2,
-        });
-        assert_eq!(store.load_cluster(), None);
     }
 }

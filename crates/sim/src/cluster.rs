@@ -393,7 +393,7 @@ impl Deployment for ClusterScenario {
     /// Node `i` is node `i % per_cluster()` of cluster `i /
     /// per_cluster()`; its replica set is addressed by the ids the
     /// hosting world gives it.
-    fn build_node(&self, i: usize, members: &[NodeId], bus: &Bus) -> ClusterNode {
+    fn build_node(&self, i: usize, members: &[NodeId]) -> ClusterNode {
         let r = self.replicas.len();
         let per = self.per_cluster();
         let (g, k) = (i / per, i % per);
@@ -437,9 +437,7 @@ impl Deployment for ClusterScenario {
         if let Some(fault) = spec.cluster_fault {
             cluster_config = cluster_config.fault(fault);
         }
-        let mut replica = ClusterReplica::new(server, cluster_config, Box::new(MemoryStore::new()));
-        replica.attach_bus(bus.clone());
-        replica.into()
+        ClusterReplica::new(server, cluster_config, Box::new(MemoryStore::new())).into()
     }
 
     fn sampler(&self) -> Option<(Duration, Sampler<ClusterNode>)> {

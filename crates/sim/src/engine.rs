@@ -5,7 +5,7 @@
 //! ([`crate::Scenario`]) and the ClusterTime layer above it
 //! ([`crate::ClusterScenario`]) — run through [`run`]. A
 //! [`Deployment`] says what is particular to its layer: how node `i` is
-//! built and wired to the bus, whether the run is sampled on a tick,
+//! built, whether the run is sampled on a tick,
 //! which sinks listen, and what a node's final state looks like.
 //! Everything else is written here once: the network configuration and
 //! clock seeds, the single combined world, and the sharded path — each
@@ -83,10 +83,11 @@ pub(crate) trait Deployment: Sync {
 
     fn plan(&self) -> Plan<'_>;
 
-    /// Builds global node `i`, reporting to `bus`, for a world hosting
-    /// exactly `members` (ascending global indices; a node's id in that
-    /// world is its position in `members`).
-    fn build_node(&self, i: usize, members: &[NodeId], bus: &Bus) -> Self::Node;
+    /// Builds global node `i` for a world hosting exactly `members`
+    /// (ascending global indices; a node's id in that world is its
+    /// position in `members`). The node reports to the world's bus
+    /// through its callbacks' contexts.
+    fn build_node(&self, i: usize, members: &[NodeId]) -> Self::Node;
 
     /// The sampling interval and measurement, for deployments whose
     /// stream carries a per-tick [`TelemetryEvent::Sample`].
@@ -196,7 +197,7 @@ fn run_world<D: Deployment>(
 ) -> WorldRun<D::Outcome> {
     let nodes: Vec<D::Node> = members
         .iter()
-        .map(|m| deployment.build_node(m.index(), members, bus))
+        .map(|m| deployment.build_node(m.index(), members))
         .collect();
     let labels = members.iter().map(|m| m.index()).collect();
     let mut world = World::new_labeled(

@@ -492,7 +492,7 @@ impl Deployment for Scenario {
         }
     }
 
-    fn build_node(&self, i: usize, _members: &[NodeId], bus: &Bus) -> TimeServer {
+    fn build_node(&self, i: usize, _members: &[NodeId]) -> TimeServer {
         let spec = &self.servers[i];
         let mut builder = SimClock::builder()
             .drift(spec.drift.clone())
@@ -519,9 +519,7 @@ impl Deployment for Scenario {
         if let Some(fault) = spec.server_fault {
             config = config.fault(fault);
         }
-        let mut server = TimeServer::new(builder.build(), config);
-        server.attach_bus(bus.clone());
-        server
+        TimeServer::new(builder.build(), config)
     }
 
     fn sampler(&self) -> Option<(Duration, Sampler<TimeServer>)> {

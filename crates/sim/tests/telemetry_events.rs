@@ -83,10 +83,7 @@ fn run_pair(partitioned: bool) -> Vec<(usize, usize, HealthState, HealthState)> 
     let recorder = Rc::new(RefCell::new(HealthRecorder::default()));
     bus.subscribe(Rc::clone(&recorder));
 
-    let mut servers = vec![server(1), server(2)];
-    for s in &mut servers {
-        s.attach_bus(bus.clone());
-    }
+    let servers = vec![server(1), server(2)];
     let mut net = NetConfig::with_delay(DelayModel::Constant(Duration::from_millis(5.0)));
     if partitioned {
         net.partitions.push(Partition {
@@ -195,7 +192,7 @@ fn dead_peer_is_probe_reinstated_after_restart() {
     // resync period, both peers walk server 2 to Dead (dead_after 6)
     // well before the restart at 90 s, then a probe (every 4th skip)
     // reinstates it.
-    let mut servers = vec![
+    let servers = vec![
         server(11),
         server(12),
         server_with(
@@ -207,9 +204,6 @@ fn dead_peer_is_probe_reinstated_after_restart() {
             )),
         ),
     ];
-    for s in &mut servers {
-        s.attach_bus(bus.clone());
-    }
     let net = NetConfig::with_delay(DelayModel::Constant(Duration::from_millis(5.0)));
     let mut world = World::new_with_bus(servers, Topology::full_mesh(3), net, 42, bus.clone());
     world.run_until(Timestamp::from_secs(300.0));

@@ -742,7 +742,7 @@ impl Bus {
 
     /// The no-op bus: emissions cost one branch and build nothing.
     #[must_use]
-    pub fn disabled() -> Self {
+    pub const fn disabled() -> Self {
         Bus { shared: None }
     }
 

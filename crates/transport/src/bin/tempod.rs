@@ -14,7 +14,7 @@
 //! done
 //! ```
 //!
-//! SIGTERM/SIGINT trigger a graceful stop: the stable store is
+//! SIGTERM/SIGINT trigger a graceful stop: the state file is
 //! flushed and the socket closed. SIGKILL does not — which is the
 //! point of the store: relaunching with the same `--state` rehydrates
 //! `(r_i, ε_i)` and re-derives the error grown across the downtime.
@@ -27,13 +27,16 @@ use std::rc::Rc;
 
 use tempo_clocks::{DriftModel, SimClock};
 use tempo_cluster::{ClusterConfig, ClusterReplica};
-use tempo_core::{DriftRate, Duration, Timestamp};
+use tempo_core::{DriftRate, Duration, SnapshotReader, Timestamp};
 use tempo_net::NodeId;
-use tempo_service::{MemoryStore, RetryPolicy, ServerConfig, StableStore, Strategy, TimeServer};
+use tempo_service::{
+    MemoryStore, PersistedState, RetryPolicy, ServerConfig, StableStore, Strategy, TimeServer,
+};
 use tempo_telemetry::json::write_event;
 use tempo_telemetry::{Bus, EventKind, Observer, TelemetryEvent};
 use tempo_transport::{
-    signal, FaultPlan, FaultyTransport, FileStore, ServeFront, ServeOptions, UdpRuntime,
+    signal, DatagramSocket, FaultPlan, FaultyTransport, FileStore, ServeFront, ServeOptions,
+    UdpRuntime, WireActor,
 };
 
 const USAGE: &str = "\
@@ -325,8 +328,9 @@ fn boot_value(opts: &Options) -> Result<f64, String> {
     })
 }
 
-/// The embedded resync server, configured from the base flags.
-fn build_server(opts: &Options, store: Box<dyn StableStore>) -> Result<TimeServer, String> {
+/// The embedded resync server, configured from the base flags and
+/// rehydrated from `persisted` when a previous run left a record.
+fn build_server(opts: &Options, persisted: Option<PersistedState>) -> Result<TimeServer, String> {
     let clock = SimClock::builder()
         .initial_value(Timestamp::from_secs(boot_value(opts)?))
         .drift(DriftModel::Constant(opts.drift))
@@ -338,12 +342,14 @@ fn build_server(opts: &Options, store: Box<dyn StableStore>) -> Result<TimeServe
         .initial_error(Duration::from_secs(opts.initial_error))
         .retry(RetryPolicy::backoff_defaults())
         .quorum(opts.quorum);
-    Ok(TimeServer::with_store(clock, config, store))
+    Ok(TimeServer::with_persisted(clock, config, persisted))
 }
 
-fn telemetry_bus(opts: &Options) -> Result<Option<Bus>, String> {
+/// The bus the runtime's contexts emit on: a JSONL writer under
+/// `--telemetry-out`, disabled otherwise.
+fn telemetry_bus(opts: &Options) -> Result<Bus, String> {
     let Some(path) = &opts.telemetry_out else {
-        return Ok(None);
+        return Ok(Bus::disabled());
     };
     let file = std::fs::File::create(path).map_err(|e| e.to_string())?;
     let bus = Bus::new();
@@ -351,69 +357,49 @@ fn telemetry_bus(opts: &Options) -> Result<Option<Bus>, String> {
         out: file,
         line: Vec::new(),
     })));
-    Ok(Some(bus))
+    Ok(bus)
+}
+
+/// The banner's note of the injected socket faults, if any.
+fn fault_note(opts: &Options) -> String {
+    match &opts.fault {
+        Some(plan) => format!(", faults {plan:?}"),
+        None => String::new(),
+    }
 }
 
 fn run(opts: Options) -> Result<(), String> {
+    // The `--state` file, opened once: the actor is built from the
+    // record it held at launch, and the runtime mirrors to it after.
+    let file = opts.state.as_ref().map(FileStore::open).transpose();
+    let file = file.map_err(|e| e.to_string())?;
     if opts.cluster {
-        return run_cluster(&opts);
+        return run_cluster(&opts, file);
     }
-    let store: Box<dyn StableStore> = match &opts.state {
-        Some(path) => Box::new(FileStore::open(path).map_err(|e| e.to_string())?),
-        None => Box::new(MemoryStore::new()),
-    };
-    let mut server = build_server(&opts, store)?;
-    if let Some(bus) = telemetry_bus(&opts)? {
-        server.attach_bus(bus);
-    }
-    let socket = UdpSocket::bind(opts.listen).map_err(|e| e.to_string())?;
-    signal::install();
-    eprintln!(
-        "tempod: node {} serving on {} ({} peers{})",
+    let server = build_server(&opts, file.as_ref().and_then(|f| f.record().load()))?;
+    let reader = server.snapshot_reader();
+    let banner = format!(
+        "node {} serving on {} ({} peers{})",
         opts.id,
         opts.listen,
         opts.peers.len() - 1,
-        match &opts.fault {
-            Some(plan) => format!(", faults {plan:?}"),
-            None => String::new(),
-        }
+        fault_note(&opts)
     );
-    let deadline = opts.duration.map(Duration::from_secs);
-    // Faulty and clean paths instantiate the runtime at different
-    // socket types; each arm runs its own monomorphisation.
-    match opts.fault.filter(FaultPlan::is_active) {
-        Some(plan) => {
-            let faulty = FaultyTransport::new(socket, plan, opts.fault_seed);
-            let mut rt = UdpRuntime::new(server, faulty, opts.id, opts.peers.clone(), opts.seed);
-            let front = spawn_front(&opts, rt.server().snapshot_reader(), rt.clock_epoch())?;
-            rt.run(|rt| deadline.is_some_and(|d| rt.elapsed() >= Timestamp::ZERO + d));
-            stop_front(front);
-            report(&opts, &mut rt);
-        }
-        None => {
-            let mut rt = UdpRuntime::new(server, socket, opts.id, opts.peers.clone(), opts.seed);
-            let front = spawn_front(&opts, rt.server().snapshot_reader(), rt.clock_epoch())?;
-            rt.run(|rt| deadline.is_some_and(|d| rt.elapsed() >= Timestamp::ZERO + d));
-            stop_front(front);
-            report(&opts, &mut rt);
-        }
-    }
-    Ok(())
+    serve(&opts, server, reader, file, &banner, report)
 }
 
 /// `--cluster`: run one ClusterTime replica over the same socket. The
-/// embedded resync server always uses an in-memory store here — the
+/// embedded resync server keeps its record in memory only — the
 /// durable promise of cluster mode is the *cluster record* (view,
-/// high-water mark), which `--state` persists via the replica, and two
-/// `FileStore` handles on one path would clobber each other. The
-/// embedded estimate rebuilds from peers after a restart; until it
+/// high-water mark), which the replica exposes and `--state` mirrors.
+/// The embedded estimate rebuilds from peers after a restart; until it
 /// does, the replica refuses timestamp requests with `booting`.
-fn run_cluster(opts: &Options) -> Result<(), String> {
-    let server = build_server(opts, Box::new(MemoryStore::new()))?;
-    let cluster_store: Box<dyn StableStore> = match &opts.state {
-        Some(path) => Box::new(FileStore::open(path).map_err(|e| e.to_string())?),
-        None => Box::new(MemoryStore::new()),
-    };
+fn run_cluster(opts: &Options, file: Option<FileStore>) -> Result<(), String> {
+    let server = build_server(opts, None)?;
+    let reader = server.snapshot_reader();
+    let record = file
+        .as_ref()
+        .map_or_else(MemoryStore::new, FileStore::record);
     let replicas: Vec<NodeId> = (0..opts.peers.len()).map(NodeId::new).collect();
     let config = ClusterConfig::new(replicas, opts.id)
         .max_faulty(opts.max_faulty)
@@ -421,50 +407,64 @@ fn run_cluster(opts: &Options) -> Result<(), String> {
         .renew_period(Duration::from_secs(opts.renew))
         .election_timeout(Duration::from_secs(opts.election))
         .request_timeout(Duration::from_secs(opts.request_timeout));
-    let mut replica = ClusterReplica::new(server, config, cluster_store);
-    if let Some(bus) = telemetry_bus(opts)? {
-        replica.attach_bus(bus);
-    }
-    let socket = UdpSocket::bind(opts.listen).map_err(|e| e.to_string())?;
-    signal::install();
-    eprintln!(
-        "tempod: cluster replica {} on {} ({} peers, f={}{})",
+    let replica = ClusterReplica::new(server, config, Box::new(record));
+    let banner = format!(
+        "cluster replica {} on {} ({} peers, f={}{})",
         opts.id,
         opts.listen,
         opts.peers.len() - 1,
         opts.max_faulty,
-        match &opts.fault {
-            Some(plan) => format!(", faults {plan:?}"),
-            None => String::new(),
-        }
+        fault_note(opts)
     );
-    let deadline = opts.duration.map(Duration::from_secs);
+    serve(opts, replica, reader, file, &banner, cluster_report)
+}
+
+/// Binds the node's socket and runs `actor` on it — through the fault
+/// decorator under `--fault` — with its telemetry on the
+/// `--telemetry-out` bus and its durable record mirrored to `file`.
+fn serve<A: WireActor>(
+    opts: &Options,
+    actor: A,
+    reader: SnapshotReader,
+    file: Option<FileStore>,
+    banner: &str,
+    report: fn(&Options, &mut A, Timestamp),
+) -> Result<(), String> {
+    let bus = telemetry_bus(opts)?;
+    let socket = UdpSocket::bind(opts.listen).map_err(|e| e.to_string())?;
+    signal::install();
+    eprintln!("tempod: {banner}");
+    let (id, peers, seed) = (opts.id, opts.peers.clone(), opts.seed);
+    // Faulty and clean paths instantiate the runtime at different
+    // socket types; each arm runs its own monomorphisation.
     match opts.fault.filter(FaultPlan::is_active) {
         Some(plan) => {
             let faulty = FaultyTransport::new(socket, plan, opts.fault_seed);
-            let mut rt: UdpRuntime<_, ClusterReplica> =
-                UdpRuntime::new(replica, faulty, opts.id, opts.peers.clone(), opts.seed);
-            let front = spawn_front(
-                opts,
-                rt.server().server().snapshot_reader(),
-                rt.clock_epoch(),
-            )?;
-            rt.run(|rt| deadline.is_some_and(|d| rt.elapsed() >= Timestamp::ZERO + d));
-            stop_front(front);
-            cluster_report(opts, &mut rt);
+            let rt = UdpRuntime::new(actor, faulty, id, peers, seed);
+            drive(opts, rt.emitting(bus).persisting(file), reader, report)
         }
         None => {
-            let mut rt: UdpRuntime<_, ClusterReplica> =
-                UdpRuntime::new(replica, socket, opts.id, opts.peers.clone(), opts.seed);
-            let front = spawn_front(
-                opts,
-                rt.server().server().snapshot_reader(),
-                rt.clock_epoch(),
-            )?;
-            rt.run(|rt| deadline.is_some_and(|d| rt.elapsed() >= Timestamp::ZERO + d));
-            stop_front(front);
-            cluster_report(opts, &mut rt);
+            let rt = UdpRuntime::new(actor, socket, id, peers, seed);
+            drive(opts, rt.emitting(bus).persisting(file), reader, report)
         }
+    }
+}
+
+/// Runs the event loop until `--duration` or a signal, with the serving
+/// front beside it when `--serve` asks, then reports under `--report`.
+fn drive<S: DatagramSocket, A: WireActor>(
+    opts: &Options,
+    mut rt: UdpRuntime<S, A>,
+    reader: SnapshotReader,
+    report: fn(&Options, &mut A, Timestamp),
+) -> Result<(), String> {
+    let front = spawn_front(opts, reader, rt.clock_epoch())?;
+    let deadline = opts.duration.map(Duration::from_secs);
+    rt.run(|rt| deadline.is_some_and(|d| rt.elapsed() >= Timestamp::ZERO + d));
+    stop_front(front);
+    if opts.report {
+        let now = rt.elapsed();
+        report(opts, rt.server_mut(), now);
     }
     Ok(())
 }
@@ -472,7 +472,7 @@ fn run_cluster(opts: &Options) -> Result<(), String> {
 /// Bind and start the lock-free serving front when `--serve` was given.
 fn spawn_front(
     opts: &Options,
-    reader: tempo_core::SnapshotReader,
+    reader: SnapshotReader,
     epoch: std::time::Instant,
 ) -> Result<Option<ServeFront>, String> {
     let Some(addr) = opts.serve else {
@@ -508,14 +508,7 @@ fn stop_front(front: Option<ServeFront>) {
     }
 }
 
-fn cluster_report<S: tempo_transport::DatagramSocket>(
-    opts: &Options,
-    rt: &mut UdpRuntime<S, ClusterReplica>,
-) {
-    if !opts.report {
-        return;
-    }
-    let replica = rt.server();
+fn cluster_report(opts: &Options, replica: &mut ClusterReplica, _: Timestamp) {
     let stats = replica.stats();
     println!(
         "{{\"node\":{},\"view\":{},\"primary\":{},\"high_water\":{},\"issued\":{},\"refused\":{},\"redirects\":{},\"elections_won\":{},\"rehydrations\":{}}}",
@@ -531,12 +524,7 @@ fn cluster_report<S: tempo_transport::DatagramSocket>(
     );
 }
 
-fn report<S: tempo_transport::DatagramSocket>(opts: &Options, rt: &mut UdpRuntime<S>) {
-    if !opts.report {
-        return;
-    }
-    let now = rt.elapsed();
-    let server = rt.server_mut();
+fn report(opts: &Options, server: &mut TimeServer, now: Timestamp) {
     let stats = server.stats();
     let active = server.is_active();
     let estimate = server.current_estimate(now);

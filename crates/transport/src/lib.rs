@@ -20,8 +20,9 @@
 //!   the codec, on real datagrams — the robustness hammer.
 //! * [`UdpRuntime`] — owns a [`WireActor`] (a `TimeServer`, a
 //!   [`tempo_cluster::ClusterReplica`] for `tempod --cluster`, or a
-//!   [`tempo_cluster::AuditClient`]), a socket, the peer table, and a
-//!   wall-clock timer wheel; pumps receive/decode/dispatch.
+//!   [`tempo_cluster::AuditClient`]), a socket, the peer table, a
+//!   wall-clock timer wheel, the telemetry bus and the state file;
+//!   pumps receive/decode/dispatch/mirror.
 //! * [`ServeFront`] — the lock-free read path: N threads on a shared
 //!   serve socket answering time requests straight from the actor's
 //!   seqlock-published snapshot, with batched replies and an optional
@@ -30,7 +31,7 @@
 //!   returns rtt-adjusted readings.
 //! * [`UdpClusterClient`] — a blocking ClusterTime client: the
 //!   simulator's `AuditClient` hosted by a `UdpRuntime`.
-//! * [`FileStore`] — a durable [`tempo_service::StableStore`] (atomic
+//! * [`FileStore`] — the file a durable record is mirrored to (atomic
 //!   tmp-write + fsync + rename), so a SIGKILLed server rehydrates
 //!   `(r_i, ε_i)` on relaunch.
 //! * [`signal`] — minimal SIGTERM/SIGINT latching for graceful

@@ -13,6 +13,11 @@
 //! the wire codec never reach the protocol: a server drops them
 //! *audibly* via [`TimeServer::note_malformed_frame`], a client
 //! silently.
+//!
+//! The runtime owns the host concerns the actor does not: the [`Bus`]
+//! its contexts emit on, and the [`FileStore`] its durable record is
+//! mirrored to after every callback — *before* that callback's
+//! datagrams leave, so a reply never precedes the record it depends on.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -26,15 +31,16 @@ use tempo_net::{node_rng, Actor, Context, EventQueue, NodeId, Transport};
 use tempo_service::wire::{
     decode, decode_cluster, encode, encode_cluster, ClusterFrame, DecodeError,
 };
-use tempo_service::{Message, TimeServer};
+use tempo_service::{MemoryStore, Message, TimeServer};
+use tempo_telemetry::Bus;
 
 use crate::signal;
 use crate::socket::DatagramSocket;
+use crate::store::FileStore;
 
 /// What the runtime needs beyond [`Actor`] to drive a protocol state
 /// machine over a real datagram socket: a wire codec for its message
-/// space, malformed-frame accounting, and a durable flush for the
-/// graceful-stop path.
+/// space, malformed-frame accounting, and the durable record to mirror.
 pub trait WireActor: Actor {
     /// Encodes one message into a datagram.
     fn encode_msg(msg: &Self::Msg) -> Vec<u8>;
@@ -48,11 +54,14 @@ pub trait WireActor: Actor {
     /// hands them to the protocol.
     fn decode_msg(bytes: &[u8]) -> Result<Self::Msg, DecodeError>;
 
-    /// Notes a datagram that failed the codec.
-    fn note_malformed(&mut self, now: Timestamp, len: usize, err: DecodeError);
+    /// Notes a datagram that failed the codec, emitting on `ctx`.
+    fn note_malformed(&mut self, ctx: &Context<'_, Self::Msg>, len: usize, err: DecodeError);
 
-    /// Flushes durable state on graceful shutdown.
-    fn flush(&mut self);
+    /// The durable record as it stands after the last callback (by
+    /// default none: the actor keeps nothing durable).
+    fn durable(&self) -> MemoryStore {
+        MemoryStore::new()
+    }
 
     /// Whether this actor replies to clients *after* the callback that
     /// received their request has returned. If true, every minted
@@ -73,12 +82,12 @@ impl WireActor for TimeServer {
         decode(bytes)
     }
 
-    fn note_malformed(&mut self, now: Timestamp, len: usize, err: DecodeError) {
-        self.note_malformed_frame(now, len, err);
+    fn note_malformed(&mut self, ctx: &Context<'_, Message>, len: usize, err: DecodeError) {
+        self.note_malformed_frame(ctx, len, err);
     }
 
-    fn flush(&mut self) {
-        self.flush_store();
+    fn durable(&self) -> MemoryStore {
+        TimeServer::durable(self)
     }
 }
 
@@ -91,14 +100,14 @@ impl WireActor for ClusterReplica {
         decode_cluster(bytes)
     }
 
-    fn note_malformed(&mut self, now: Timestamp, len: usize, err: DecodeError) {
-        self.server_mut().note_malformed_frame(now, len, err);
+    fn note_malformed(&mut self, ctx: &Context<'_, ClusterFrame>, len: usize, err: DecodeError) {
+        self.server_mut().note_malformed_frame(ctx, len, err);
     }
 
-    fn flush(&mut self) {
-        // The cluster record is persisted before every release; only
-        // the embedded server's soft state waits for a flush.
-        self.server_mut().flush_store();
+    /// The cluster record only: the embedded server rebuilds its
+    /// estimate from peers after a restart.
+    fn durable(&self) -> MemoryStore {
+        ClusterReplica::durable(self)
     }
 
     fn replies_later() -> bool {
@@ -116,9 +125,7 @@ impl WireActor for AuditClient {
     }
 
     // A client drops what it cannot decode and keeps nothing durable.
-    fn note_malformed(&mut self, _: Timestamp, _: usize, _: DecodeError) {}
-
-    fn flush(&mut self) {}
+    fn note_malformed(&mut self, _: &Context<'_, ClusterFrame>, _: usize, _: DecodeError) {}
 }
 
 /// Drives a [`WireActor`] — a [`TimeServer`] by default, a
@@ -145,6 +152,10 @@ pub struct UdpRuntime<S: DatagramSocket, A: WireActor = TimeServer> {
     timers: EventQueue<u64>,
     started_at: Instant,
     rng: StdRng,
+    /// The bus every callback's context emits on.
+    bus: Bus,
+    /// The file the actor's durable record is mirrored to, if any.
+    store: Option<FileStore>,
     recv_buf: [u8; 512],
 }
 
@@ -189,8 +200,27 @@ impl<S: DatagramSocket, A: WireActor> UdpRuntime<S, A> {
             timers: EventQueue::new(),
             started_at: Instant::now(),
             rng: node_rng(seed, NodeId::new(me)),
+            bus: Bus::disabled(),
+            store: None,
             recv_buf: [0u8; 512],
         }
+    }
+
+    /// Emits the actor's telemetry on `bus`.
+    #[must_use]
+    pub fn emitting(mut self, bus: Bus) -> Self {
+        self.bus = bus;
+        self
+    }
+
+    /// Mirrors the actor's durable record to `store` (none: kept in
+    /// memory only), writing it now if it differs from what the file
+    /// holds — a first launch persists the initial record.
+    #[must_use]
+    pub fn persisting(mut self, store: Option<FileStore>) -> Self {
+        self.store = store;
+        self.mirror();
+        self
     }
 
     /// The driven actor (counters, samples, lifecycle).
@@ -269,11 +299,39 @@ impl<S: DatagramSocket, A: WireActor> UdpRuntime<S, A> {
     /// [`AuditClient`] in [`crate::UdpClusterClient`] once per request.
     pub fn start(&mut self) {
         let now = self.elapsed();
-        let neighbors = self.neighbor_ids(None);
-        let mut ctx = Context::external(now, self.me, &neighbors, &mut self.rng);
-        self.server.on_start(&mut ctx);
+        self.dispatch(now, None, |actor, ctx| actor.on_start(ctx));
+    }
+
+    /// Runs one actor callback on a context over this runtime's clock
+    /// reading, RNG and bus, then mirrors the durable record and only
+    /// then sends what the callback queued: the promise a reply carries
+    /// is on disk before the reply leaves. `include` joins a message's
+    /// sender to the neighbour set (see [`UdpRuntime::neighbor_ids`]).
+    fn dispatch(
+        &mut self,
+        now: Timestamp,
+        include: Option<NodeId>,
+        callback: impl FnOnce(&mut A, &mut Context<'_, A::Msg>),
+    ) {
+        let neighbors = self.neighbor_ids(include);
+        let mut ctx =
+            Context::external(now, self.me, &neighbors, &mut self.rng).emitting(&self.bus);
+        callback(&mut self.server, &mut ctx);
         let actions = ctx.take_actions();
+        self.mirror();
         self.apply(self.me, actions);
+    }
+
+    /// Writes the actor's durable record through to the state file if
+    /// it changed. Several persists in one callback become one write:
+    /// nothing the callback queued has left yet.
+    fn mirror(&mut self) {
+        if let Some(store) = &mut self.store {
+            let record = self.server.durable();
+            if record != store.record() {
+                store.write(record);
+            }
+        }
     }
 
     /// Fires every due timer, then waits for one datagram for at most
@@ -281,7 +339,7 @@ impl<S: DatagramSocket, A: WireActor> UdpRuntime<S, A> {
     /// datagram was processed. This is one turn of the event loop.
     pub fn poll(&mut self, max_wait: std::time::Duration) -> bool {
         self.fire_due_timers();
-        let wait = match self.next_deadline() {
+        let wait = match self.timers.peek_time() {
             Some(due) => {
                 let gap = (due - self.elapsed()).as_secs().max(0.0);
                 std::time::Duration::from_secs_f64(gap).min(max_wait)
@@ -295,24 +353,16 @@ impl<S: DatagramSocket, A: WireActor> UdpRuntime<S, A> {
 
     /// Runs the full serve loop: `on_start`, then poll until `until`
     /// returns true or a shutdown signal is latched, then a graceful
-    /// stop — the stable store is flushed so the persisted
+    /// stop — the state file is flushed so the persisted
     /// `(r_i, ε_i)` survives the process (§5's recoverable departure).
     pub fn run(&mut self, mut until: impl FnMut(&Self) -> bool) {
         self.start();
         while !signal::shutdown_requested() && !until(self) {
             self.poll(std::time::Duration::from_millis(10));
         }
-        self.shutdown();
-    }
-
-    /// The graceful-stop half of [`UdpRuntime::run`], public so
-    /// embedders with their own loop can reuse it.
-    pub fn shutdown(&mut self) {
-        self.server.flush();
-    }
-
-    fn next_deadline(&mut self) -> Option<Timestamp> {
-        self.timers.peek_time()
+        if let Some(store) = &mut self.store {
+            store.flush();
+        }
     }
 
     fn fire_due_timers(&mut self) {
@@ -325,11 +375,7 @@ impl<S: DatagramSocket, A: WireActor> UdpRuntime<S, A> {
                 return;
             }
             let (_, tag) = self.timers.pop().expect("peeked timer exists");
-            let neighbors = self.neighbor_ids(None);
-            let mut ctx = Context::external(now, self.me, &neighbors, &mut self.rng);
-            self.server.on_timer(tag, &mut ctx);
-            let actions = ctx.take_actions();
-            self.apply(self.me, actions);
+            self.dispatch(now, None, |actor, ctx| actor.on_timer(tag, ctx));
         }
     }
 
@@ -357,13 +403,11 @@ impl<S: DatagramSocket, A: WireActor> UdpRuntime<S, A> {
         match A::decode_msg(&self.recv_buf[..len]) {
             Ok(msg) => {
                 let from = self.node_for(from_addr);
-                let neighbors = self.neighbor_ids(Some(from));
-                let mut ctx = Context::external(now, self.me, &neighbors, &mut self.rng);
-                self.server.on_message(from, msg, &mut ctx);
-                let actions = ctx.take_actions();
-                self.apply(self.me, actions);
+                self.dispatch(now, Some(from), |actor, ctx| {
+                    actor.on_message(from, msg, ctx);
+                });
             }
-            Err(e) => self.server.note_malformed(now, len, e),
+            Err(e) => self.dispatch(now, None, |actor, ctx| actor.note_malformed(ctx, len, e)),
         }
         true
     }
@@ -408,12 +452,13 @@ mod tests {
     use super::*;
     use std::net::UdpSocket;
 
-    use tempo_clocks::{DriftModel, SimClock};
-    use tempo_core::DriftRate;
-    use tempo_service::{ServerConfig, Strategy};
+    use std::path::PathBuf;
+    use std::sync::{Arc, Mutex};
 
-    use crate::store::FileStore;
-    use tempo_service::StableStore;
+    use tempo_clocks::{DriftModel, SimClock};
+    use tempo_cluster::ClusterConfig;
+    use tempo_core::DriftRate;
+    use tempo_service::{ServerConfig, StableStore, Strategy};
 
     fn server(offset: f64, initial_error: f64) -> TimeServer {
         TimeServer::new(
@@ -483,22 +528,162 @@ mod tests {
         );
     }
 
+    /// A fresh state-file path for one test.
+    fn state_path(name: &str) -> PathBuf {
+        let mut path = std::env::temp_dir();
+        path.push(format!("tempo-runtime-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    /// What a [`FileWitness`] saw: each datagram sent, beside the
+    /// record the state file held at that instant.
+    type Witnessed = Arc<Mutex<Vec<(Vec<u8>, MemoryStore)>>>;
+
+    /// A loopback socket that reads the state file at every send.
+    #[derive(Debug)]
+    struct FileWitness {
+        socket: UdpSocket,
+        path: PathBuf,
+        seen: Witnessed,
+    }
+
+    impl FileWitness {
+        fn new(socket: UdpSocket, path: &std::path::Path) -> (Self, Witnessed) {
+            let seen = Witnessed::default();
+            let witness = FileWitness {
+                socket,
+                path: path.to_path_buf(),
+                seen: Arc::clone(&seen),
+            };
+            (witness, seen)
+        }
+    }
+
+    impl DatagramSocket for FileWitness {
+        fn send_to(&self, buf: &[u8], addr: SocketAddr) -> std::io::Result<usize> {
+            let on_disk = FileStore::open(&self.path).expect("a readable state file");
+            self.seen
+                .lock()
+                .unwrap()
+                .push((buf.to_vec(), on_disk.record()));
+            self.socket.send_to(buf, addr)
+        }
+
+        fn recv_from(&self, buf: &mut [u8]) -> std::io::Result<(usize, SocketAddr)> {
+            self.socket.recv_from(buf)
+        }
+
+        fn local_addr(&self) -> std::io::Result<SocketAddr> {
+            self.socket.local_addr()
+        }
+
+        fn configure_read_timeout(&self, wait: std::time::Duration) {
+            let _ = self.socket.set_read_timeout(Some(wait));
+        }
+    }
+
+    #[test]
+    fn replies_leave_only_after_the_reset_they_carry_is_on_disk() {
+        // `b` adopts from `a` (as in the loopback sync test above) and
+        // answers `a`'s polls; every answer is rule MM-1 over the
+        // `(r, ε)` the state file held when the answer left.
+        let path = state_path("reset");
+        let (sock_a, sock_b, addrs) = loopback_pair();
+        let (witness, seen) = FileWitness::new(sock_b, &path);
+        let mut a = UdpRuntime::new(server(0.00, 0.005), sock_a, 0, addrs.clone(), 1);
+        let mut b = UdpRuntime::new(server(0.02, 0.05), witness, 1, addrs, 1)
+            .persisting(Some(FileStore::open(&path).unwrap()));
+        let launched = b.server().durable();
+        a.start();
+        b.start();
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        let answered_after_reset = || {
+            seen.lock().unwrap().iter().any(|(frame, on_disk)| {
+                *on_disk != launched && matches!(decode(frame), Ok(Message::TimeReply { .. }))
+            })
+        };
+        while !answered_after_reset() {
+            a.poll(std::time::Duration::from_millis(2));
+            b.poll(std::time::Duration::from_millis(2));
+            assert!(Instant::now() < deadline, "b never answered after a reset");
+        }
+        for (frame, on_disk) in seen.lock().unwrap().iter() {
+            let Ok(Message::TimeReply { estimate, .. }) = decode(frame) else {
+                continue;
+            };
+            let record = on_disk.load().expect("a record on disk");
+            let grown = (estimate.time() - record.reset_clock) * DriftRate::new(1e-4);
+            let drift = (estimate.error() - (record.inherited_error + grown)).abs();
+            assert!(
+                drift < Duration::from_secs(1e-9),
+                "reply {estimate:?} is not MM-1 over the record on disk, {record:?}"
+            );
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_timestamp_leaves_only_after_its_high_water_is_on_disk() {
+        // A one-replica cluster is its own quorum: the callback that
+        // raises the high-water mark also releases the timestamp, so
+        // only mirroring before the send keeps the promise on disk.
+        let path = state_path("issue");
+        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let addrs = vec![socket.local_addr().unwrap()];
+        let (witness, seen) = FileWitness::new(socket, &path);
+        let replica = ClusterReplica::new(
+            server(0.0, 0.01),
+            ClusterConfig::new(vec![NodeId::new(0)], 0),
+            Box::new(MemoryStore::new()),
+        );
+        let mut rt = UdpRuntime::new(replica, witness, 0, addrs.clone(), 1)
+            .persisting(Some(FileStore::open(&path).unwrap()));
+        rt.start();
+        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        let mut request_id = 0;
+        while rt.server().stats().issued < 5 {
+            request_id += 1;
+            let frame = encode_cluster(&ClusterFrame::TsRequest {
+                request_id,
+                attempt: 0,
+            });
+            client.send_to(&frame, addrs[0]).unwrap();
+            rt.poll(std::time::Duration::from_millis(10));
+            assert!(Instant::now() < deadline, "the replica never issued");
+        }
+        let mut replies = 0;
+        for (frame, on_disk) in seen.lock().unwrap().iter() {
+            let Ok(ClusterFrame::TsReply { timestamp, .. }) = decode_cluster(frame) else {
+                continue;
+            };
+            replies += 1;
+            let high_water = on_disk.load_cluster().map_or(0, |c| c.high_water);
+            assert!(
+                high_water >= timestamp,
+                "timestamp {timestamp} left with high-water {high_water} on disk"
+            );
+        }
+        assert!(replies >= 5, "only {replies} timestamps sent");
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn run_exits_gracefully_on_shutdown_signal_and_flushes_the_store() {
         crate::signal::reset();
-        let mut path = std::env::temp_dir();
-        path.push(format!("tempo-runtime-shutdown-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let store: Box<dyn StableStore> = Box::new(FileStore::open(&path).unwrap());
-        let server = TimeServer::with_store(
+        let path = state_path("shutdown");
+        let server = TimeServer::new(
             SimClock::builder().drift(DriftModel::Constant(0.0)).build(),
             config(0.01),
-            store,
         );
         let (sock, _other, addrs) = loopback_pair();
-        let mut rt = UdpRuntime::new(server, sock, 0, addrs, 1);
-        // The constructor persisted the initial state; lose the file
-        // so only the shutdown flush can bring it back.
+        let mut rt = UdpRuntime::new(server, sock, 0, addrs, 1)
+            .persisting(Some(FileStore::open(&path).unwrap()));
+        // Attaching the file wrote the initial record; lose the file so
+        // only the shutdown flush can bring it back (a lone server
+        // never resets, so no callback rewrites it).
+        assert!(FileStore::open(&path).unwrap().record().load().is_some());
         std::fs::remove_file(&path).unwrap();
         let stopper = std::thread::spawn(|| {
             std::thread::sleep(std::time::Duration::from_millis(50));
@@ -512,7 +697,7 @@ mod tests {
             "run did not stop on the signal"
         );
         assert!(
-            FileStore::open(&path).unwrap().load().is_some(),
+            FileStore::open(&path).unwrap().record().load().is_some(),
             "graceful shutdown did not flush the persisted state"
         );
         let _ = std::fs::remove_file(&path);

@@ -1,16 +1,17 @@
-//! Durable stable storage: the file-backed [`StableStore`] that lets a
-//! SIGKILLed `tempod` rehydrate `(r_i, ε_i)` on relaunch.
+//! Durable stable storage: the file a host mirrors an actor's durable
+//! record to, so a SIGKILLed `tempod` rehydrates `(r_i, ε_i)` — or the
+//! cluster `(view, high-water)` record — on relaunch.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 use tempo_core::{Duration, Timestamp};
-use tempo_service::{ClusterState, PersistedState, StableStore};
+use tempo_service::{ClusterState, MemoryStore, PersistedState, StableStore};
 
-/// A [`StableStore`] persisting to a single file.
+/// The file a [`MemoryStore`] durable record is mirrored to.
 ///
-/// Writes are atomic in the crash sense: the state is written to a
+/// Writes are atomic in the crash sense: the record is written to a
 /// sibling temporary file, fsynced, then renamed over the target, so
 /// a crash at any instant leaves either the old record or the new one
 /// — never a torn write. A stale `.tmp` left by a crash *between* the
@@ -27,11 +28,8 @@ use tempo_service::{ClusterState, PersistedState, StableStore};
 #[derive(Debug)]
 pub struct FileStore {
     path: PathBuf,
-    /// Last state written or loaded, so `load` needs no re-read and
-    /// `flush` can re-persist after a wipe-less shutdown.
-    cached: Option<PersistedState>,
-    /// Last cluster record written or loaded.
-    cached_cluster: Option<ClusterState>,
+    /// The record last written or read, so a flush can rewrite it.
+    record: MemoryStore,
 }
 
 const FLAG_BASE: u64 = 1;
@@ -57,7 +55,7 @@ impl FileStore {
         if tmp.exists() {
             let _ = fs::remove_file(&tmp);
         }
-        let (cached, cached_cluster) = match File::open(&path) {
+        let record = match File::open(&path) {
             Ok(mut file) => {
                 let mut text = String::new();
                 file.read_to_string(&mut text)?;
@@ -68,20 +66,35 @@ impl FileStore {
                     )
                 })?
             }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => (None, None),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => MemoryStore::new(),
             Err(e) => return Err(e),
         };
-        Ok(FileStore {
-            path,
-            cached,
-            cached_cluster,
-        })
+        Ok(FileStore { path, record })
     }
 
-    /// The backing file's path.
+    /// The record the file holds.
     #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
+    pub fn record(&self) -> MemoryStore {
+        self.record
+    }
+
+    /// Makes `record` the file's content: atomically rewritten, or the
+    /// file removed when the record is empty (an amnesia wipe).
+    pub fn write(&mut self, record: MemoryStore) {
+        self.record = record;
+        if record == MemoryStore::new() {
+            let _ = fs::remove_file(&self.path);
+        } else {
+            self.write_or_report("persist");
+        }
+    }
+
+    /// Rewrites the record in case the medium lost it: the
+    /// graceful-shutdown hook, so a SIGTERM leaves the record on disk.
+    pub fn flush(&mut self) {
+        if self.record != MemoryStore::new() {
+            self.write_or_report("flush");
+        }
     }
 
     fn write_record(&self) -> io::Result<()> {
@@ -91,7 +104,7 @@ impl FileStore {
             .create(true)
             .truncate(true)
             .open(&tmp)?;
-        file.write_all(encode_record(self.cached, self.cached_cluster).as_bytes())?;
+        file.write_all(encode_record(&self.record).as_bytes())?;
         file.sync_all()?;
         drop(file);
         fs::rename(&tmp, &self.path)?;
@@ -105,11 +118,10 @@ impl FileStore {
         Ok(())
     }
 
-    fn persist_or_report(&self, what: &str) {
-        // StableStore is infallible by contract (the simulator's
-        // stores cannot fail); a disk error here degrades durability,
-        // not correctness, so it is reported and survived — the server
-        // keeps running on its in-memory state.
+    fn write_or_report(&self, what: &str) {
+        // A disk error degrades durability, not correctness, so it is
+        // reported and survived — the actor keeps running on its
+        // in-memory record.
         if let Err(e) = self.write_record() {
             eprintln!(
                 "tempo-transport: failed to {what} state to {}: {e}",
@@ -119,7 +131,8 @@ impl FileStore {
     }
 }
 
-fn encode_record(base: Option<PersistedState>, cluster: Option<ClusterState>) -> String {
+fn encode_record(record: &MemoryStore) -> String {
+    let (base, cluster) = (record.load(), record.load_cluster());
     let b = base.unwrap_or(PersistedState {
         reset_clock: Timestamp::from_secs(0.0),
         inherited_error: Duration::from_secs(0.0),
@@ -138,9 +151,7 @@ fn encode_record(base: Option<PersistedState>, cluster: Option<ClusterState>) ->
     )
 }
 
-type ParsedRecord = (Option<PersistedState>, Option<ClusterState>);
-
-fn parse_record(text: &str) -> Result<ParsedRecord, String> {
+fn parse_record(text: &str) -> Result<MemoryStore, String> {
     let words: Vec<&str> = text.split_whitespace().collect();
     if words.len() != 3 && words.len() != 6 {
         return Err(format!("expected 3 or 6 fields, found {}", words.len()));
@@ -163,59 +174,21 @@ fn parse_record(text: &str) -> Result<ParsedRecord, String> {
     } else {
         raw(5, "flags")?
     };
-    let base = if flags & FLAG_BASE != 0 {
-        Some(PersistedState {
+    let mut record = MemoryStore::new();
+    if flags & FLAG_BASE != 0 {
+        record.persist(PersistedState {
             reset_clock: Timestamp::from_secs(secs(0, "reset_clock")?),
             inherited_error: Duration::from_secs(secs(1, "inherited_error")?),
             reset_at: Timestamp::from_secs(secs(2, "reset_at")?),
-        })
-    } else {
-        None
-    };
-    let cluster = if words.len() == 6 && flags & FLAG_CLUSTER != 0 {
-        Some(ClusterState {
+        });
+    }
+    if words.len() == 6 && flags & FLAG_CLUSTER != 0 {
+        record.persist_cluster(ClusterState {
             view: raw(3, "view")?,
             high_water: raw(4, "high_water")?,
-        })
-    } else {
-        None
-    };
-    Ok((base, cluster))
-}
-
-impl StableStore for FileStore {
-    fn persist(&mut self, state: PersistedState) {
-        self.cached = Some(state);
-        self.persist_or_report("persist");
+        });
     }
-
-    fn load(&self) -> Option<PersistedState> {
-        self.cached
-    }
-
-    fn wipe(&mut self) {
-        let _ = fs::remove_file(&self.path);
-        self.cached = None;
-        self.cached_cluster = None;
-    }
-
-    fn flush(&mut self) {
-        // persist() already fsyncs, but a flush after a wipe-less run
-        // re-writes the record in case the medium ate it (and is the
-        // graceful-shutdown hook tempod relies on).
-        if self.cached.is_some() || self.cached_cluster.is_some() {
-            self.persist_or_report("flush");
-        }
-    }
-
-    fn persist_cluster(&mut self, state: ClusterState) {
-        self.cached_cluster = Some(state);
-        self.persist_or_report("persist cluster");
-    }
-
-    fn load_cluster(&self) -> Option<ClusterState> {
-        self.cached_cluster
-    }
+    Ok(record)
 }
 
 #[cfg(test)]
@@ -230,11 +203,22 @@ mod tests {
         }
     }
 
+    /// A record holding only the base triple.
+    fn base(state: PersistedState) -> MemoryStore {
+        let mut record = MemoryStore::new();
+        record.persist(state);
+        record
+    }
+
     fn temp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("tempo-filestore-{name}-{}", std::process::id()));
         let _ = fs::remove_file(&p);
         p
+    }
+
+    fn reopened(path: &Path) -> MemoryStore {
+        FileStore::open(path).unwrap().record()
     }
 
     #[test]
@@ -243,11 +227,10 @@ mod tests {
         let written = state(123.456789, 0.001234, 123.5);
         {
             let mut store = FileStore::open(&path).unwrap();
-            assert_eq!(store.load(), None);
-            store.persist(written);
+            assert_eq!(store.record(), MemoryStore::new());
+            store.write(base(written));
         }
-        let reopened = FileStore::open(&path).unwrap();
-        assert_eq!(reopened.load(), Some(written));
+        assert_eq!(reopened(&path).load(), Some(written));
         let _ = fs::remove_file(&path);
     }
 
@@ -256,36 +239,31 @@ mod tests {
         let path = temp_path("bits");
         // A value with no short decimal representation.
         let written = state(1.0 / 3.0, f64::MIN_POSITIVE, 1e9 + 1.0 / 7.0);
-        {
-            let mut store = FileStore::open(&path).unwrap();
-            store.persist(written);
-        }
-        assert_eq!(FileStore::open(&path).unwrap().load(), Some(written));
+        FileStore::open(&path).unwrap().write(base(written));
+        assert_eq!(reopened(&path).load(), Some(written));
         let _ = fs::remove_file(&path);
     }
 
     #[test]
-    fn persist_overwrites() {
+    fn write_overwrites() {
         let path = temp_path("overwrite");
         let mut store = FileStore::open(&path).unwrap();
-        store.persist(state(1.0, 0.5, 1.0));
-        store.persist(state(2.0, 0.25, 2.0));
-        assert_eq!(store.load(), Some(state(2.0, 0.25, 2.0)));
-        assert_eq!(
-            FileStore::open(&path).unwrap().load(),
-            Some(state(2.0, 0.25, 2.0))
-        );
+        store.write(base(state(1.0, 0.5, 1.0)));
+        store.write(base(state(2.0, 0.25, 2.0)));
+        assert_eq!(store.record().load(), Some(state(2.0, 0.25, 2.0)));
+        assert_eq!(reopened(&path).load(), Some(state(2.0, 0.25, 2.0)));
         let _ = fs::remove_file(&path);
     }
 
     #[test]
-    fn wipe_is_durable_amnesia() {
+    fn empty_record_is_durable_amnesia() {
         let path = temp_path("wipe");
         let mut store = FileStore::open(&path).unwrap();
-        store.persist(state(1.0, 0.5, 1.0));
-        store.wipe();
-        assert_eq!(store.load(), None);
-        assert_eq!(FileStore::open(&path).unwrap().load(), None);
+        store.write(base(state(1.0, 0.5, 1.0)));
+        store.write(MemoryStore::new());
+        assert_eq!(store.record(), MemoryStore::new());
+        assert!(!path.exists(), "a wiped record leaves no file");
+        assert_eq!(reopened(&path), MemoryStore::new());
     }
 
     #[test]
@@ -302,13 +280,10 @@ mod tests {
     fn flush_rewrites_a_lost_file() {
         let path = temp_path("flush");
         let mut store = FileStore::open(&path).unwrap();
-        store.persist(state(3.0, 0.1, 3.0));
+        store.write(base(state(3.0, 0.1, 3.0)));
         fs::remove_file(&path).unwrap();
         store.flush();
-        assert_eq!(
-            FileStore::open(&path).unwrap().load(),
-            Some(state(3.0, 0.1, 3.0))
-        );
+        assert_eq!(reopened(&path).load(), Some(state(3.0, 0.1, 3.0)));
         let _ = fs::remove_file(&path);
     }
 
@@ -319,56 +294,53 @@ mod tests {
             view: 7,
             high_water: 12_500_001,
         };
-        {
-            let mut store = FileStore::open(&path).unwrap();
-            assert_eq!(store.load_cluster(), None);
-            store.persist_cluster(cs);
-        }
-        let reopened = FileStore::open(&path).unwrap();
-        assert_eq!(reopened.load_cluster(), Some(cs));
+        let mut record = MemoryStore::new();
+        record.persist_cluster(cs);
+        FileStore::open(&path).unwrap().write(record);
+        let back = reopened(&path);
+        assert_eq!(back.load_cluster(), Some(cs));
         // No base record was ever written; the slot stays empty.
-        assert_eq!(reopened.load(), None);
+        assert_eq!(back.load(), None);
         let _ = fs::remove_file(&path);
     }
 
     #[test]
     fn base_and_cluster_records_coexist() {
         let path = temp_path("both");
-        let base = state(5.0, 0.02, 5.001);
         let cs = ClusterState {
             view: 2,
             high_water: 99,
         };
+        let mut record = base(state(5.0, 0.02, 5.001));
+        record.persist_cluster(cs);
         {
             let mut store = FileStore::open(&path).unwrap();
-            store.persist(base);
-            store.persist_cluster(cs);
+            store.write(record);
             // Re-persisting one side must not lose the other.
-            store.persist(state(6.0, 0.01, 6.0));
+            record.persist(state(6.0, 0.01, 6.0));
+            store.write(record);
         }
-        let reopened = FileStore::open(&path).unwrap();
-        assert_eq!(reopened.load(), Some(state(6.0, 0.01, 6.0)));
-        assert_eq!(reopened.load_cluster(), Some(cs));
+        let back = reopened(&path);
+        assert_eq!(back.load(), Some(state(6.0, 0.01, 6.0)));
+        assert_eq!(back.load_cluster(), Some(cs));
         let _ = fs::remove_file(&path);
     }
 
     #[test]
     fn legacy_three_field_file_parses_as_base_only() {
         let path = temp_path("legacy");
-        let base = state(123.456789, 0.001234, 123.5);
+        let written = state(123.456789, 0.001234, 123.5);
         fs::write(
             &path,
             format!(
                 "{:016x} {:016x} {:016x}\n",
-                base.reset_clock.as_secs().to_bits(),
-                base.inherited_error.as_secs().to_bits(),
-                base.reset_at.as_secs().to_bits(),
+                written.reset_clock.as_secs().to_bits(),
+                written.inherited_error.as_secs().to_bits(),
+                written.reset_at.as_secs().to_bits(),
             ),
         )
         .unwrap();
-        let store = FileStore::open(&path).unwrap();
-        assert_eq!(store.load(), Some(base));
-        assert_eq!(store.load_cluster(), None);
+        assert_eq!(reopened(&path), base(written));
         let _ = fs::remove_file(&path);
     }
 
@@ -380,14 +352,14 @@ mod tests {
         // committed file and remove the leftover.
         let path = temp_path("staletmp");
         let committed = state(10.0, 0.5, 10.0);
-        {
-            let mut store = FileStore::open(&path).unwrap();
-            store.persist(committed);
-        }
+        FileStore::open(&path).unwrap().write(base(committed));
         let tmp = path.with_extension("tmp");
         fs::write(&tmp, "0123456789abcdef 0123").unwrap(); // torn write
-        let store = FileStore::open(&path).unwrap();
-        assert_eq!(store.load(), Some(committed), "committed record lost");
+        assert_eq!(
+            reopened(&path).load(),
+            Some(committed),
+            "committed record lost"
+        );
         assert!(!tmp.exists(), "stale .tmp not cleaned up");
         let _ = fs::remove_file(&path);
     }
@@ -401,17 +373,12 @@ mod tests {
         let path = temp_path("orphantmp");
         let tmp = path.with_extension("tmp");
         fs::write(&tmp, "deadbeef").unwrap();
-        let store = FileStore::open(&path).unwrap();
-        assert_eq!(store.load(), None);
-        assert_eq!(store.load_cluster(), None);
+        let mut store = FileStore::open(&path).unwrap();
+        assert_eq!(store.record(), MemoryStore::new());
         assert!(!tmp.exists(), "orphan .tmp not cleaned up");
-        // And the next persist works normally.
-        let mut store = store;
-        store.persist(state(1.0, 0.1, 1.0));
-        assert_eq!(
-            FileStore::open(&path).unwrap().load(),
-            Some(state(1.0, 0.1, 1.0))
-        );
+        // And the next write works normally.
+        store.write(base(state(1.0, 0.1, 1.0)));
+        assert_eq!(reopened(&path).load(), Some(state(1.0, 0.1, 1.0)));
         let _ = fs::remove_file(&path);
     }
 
