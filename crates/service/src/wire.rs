@@ -56,8 +56,14 @@ use crate::message::Message;
 const MAGIC: u16 = 0x7E30;
 /// Batch header: magic + type + count.
 const BATCH_HEADER_LEN: usize = 4;
+/// The trailing ones'-complement checksum of every frame.
+const CHECKSUM_LEN: usize = 2;
 /// Most inner frames one batch can carry (the count is a byte).
 pub const MAX_BATCH: usize = 255;
+/// The longest valid batch of requests: [`MAX_BATCH`] request frames
+/// between the batch header and the outer checksum. A receive buffer of
+/// this size takes every datagram the serving front answers.
+pub const MAX_REQUEST_BATCH_LEN: usize = BATCH_HEADER_LEN + MAX_BATCH * REQUEST_LEN + CHECKSUM_LEN;
 /// The batch frame's type byte. It is the one variable-length frame, so
 /// it has no row below: its length follows from the inner frames.
 const TYPE_BATCH: u8 = 4;
@@ -336,7 +342,7 @@ pub fn encode_into(msg: &Message, out: &mut Vec<u8>) {
 /// caller owns the aggregation loop and must split at the cap.
 #[must_use]
 pub fn encode_batch(msgs: &[Message]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(BATCH_HEADER_LEN + msgs.len() * REPLY_LEN + 2);
+    let mut out = Vec::with_capacity(BATCH_HEADER_LEN + msgs.len() * REPLY_LEN + CHECKSUM_LEN);
     encode_batch_into(msgs, &mut out);
     out
 }
@@ -418,7 +424,7 @@ pub fn decode_batch(bytes: &[u8]) -> Result<Vec<Message>, DecodeError> {
         bounds.push((offset, offset + len));
         offset += len;
     }
-    sealed_body(bytes, TYPE_BATCH, offset + 2)?;
+    sealed_body(bytes, TYPE_BATCH, offset + CHECKSUM_LEN)?;
     bounds
         .into_iter()
         .map(|(start, end)| decode(&bytes[start..end]))
@@ -1016,6 +1022,18 @@ mod tests {
             offset += single.len();
         }
         assert_eq!(offset + 2, bytes.len());
+    }
+
+    #[test]
+    fn a_full_request_batch_is_max_request_batch_len_long() {
+        let requests: Vec<Message> = (0..MAX_BATCH as u64)
+            .map(|request_id| Message::TimeRequest {
+                request_id,
+                attempt: 0,
+            })
+            .collect();
+        assert_eq!(encode_batch(&requests).len(), MAX_REQUEST_BATCH_LEN);
+        assert_eq!(MAX_REQUEST_BATCH_LEN, 4 + 255 * 14 + 2);
     }
 
     #[test]

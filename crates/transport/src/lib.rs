@@ -26,7 +26,9 @@
 //! * [`ServeFront`] — the lock-free read path: N threads on a shared
 //!   serve socket answering time requests straight from the actor's
 //!   seqlock-published snapshot, with batched replies and an optional
-//!   admission tier.
+//!   admission tier. Each thread drains the socket with one
+//!   `recvmmsg` and answers with one `sendmmsg` (one datagram per call
+//!   off Linux); every datagram is still answered on its own.
 //! * [`UdpTimeClient`] — a blocking client that queries a cluster and
 //!   returns rtt-adjusted readings.
 //! * [`UdpClusterClient`] — a blocking ClusterTime client: the
@@ -43,6 +45,7 @@
 
 mod client;
 mod fault;
+mod mmsg;
 mod runtime;
 mod serve;
 pub mod signal;

@@ -4,17 +4,24 @@
 //! The paper's read operation is a pure function of the last published
 //! `(r, ε)` pair, so it does not need the sync actor at all —
 //! [`ServeFront`] spawns N threads that share a dedicated UDP socket
-//! (each thread owns a `try_clone`d handle; the kernel distributes
-//! datagrams among concurrent receivers), answer `TimeRequest`s
+//! (each thread owns a `try_clone`d handle), answer `TimeRequest`s
 //! straight from the actor's seqlock-published
 //! [`tempo_core::ClockSnapshot`], and never touch the protocol event
 //! loop. The sync runtime keeps its own socket: serving threads can
 //! never steal a peer's protocol datagram.
 //!
+//! Each thread drains the socket: one `recvmmsg` waits for a datagram
+//! and takes up to 16 already queued, and one `sendmmsg` sends every
+//! reply back to the address the kernel reported for its request (one
+//! datagram per call off Linux). The drain changes only the syscalls:
+//! every datagram is admitted, decoded, answered and counted on its
+//! own, exactly as when each took a `recv_from` and a `send_to`.
+//!
 //! Clients may send single request frames (answered with single reply
 //! frames) or batch frames of up to 255 requests (answered with one
 //! batch frame of replies — see `tempo_service::wire`'s batch layout).
-//! Reply encoding appends to one reusable per-thread buffer, so the
+//! A datagram longer than the largest request batch is malformed.
+//! Replies are encoded into reusable per-thread buffers, so the
 //! steady-state reply path allocates nothing.
 //!
 //! An optional admission tier — [`tempo_service::AdmissionControl`],
@@ -30,6 +37,8 @@ use std::time::Instant;
 use tempo_core::{SnapshotReader, Timestamp};
 use tempo_service::wire::{decode, decode_batch, encode_batch_into, encode_into, is_batch_frame};
 use tempo_service::{AdmissionControl, Message};
+
+use crate::mmsg::Drain;
 
 /// How the serving front is shaped.
 #[derive(Debug, Clone)]
@@ -58,6 +67,18 @@ struct Counters {
     rejected: AtomicU64,
     malformed: AtomicU64,
     batches: AtomicU64,
+}
+
+impl Counters {
+    fn snapshot(&self) -> ServeStats {
+        ServeStats {
+            served: self.served.load(Ordering::Relaxed),
+            refused: self.refused.load(Ordering::Relaxed),
+            rejected: self.rejected.load(Ordering::Relaxed),
+            malformed: self.malformed.load(Ordering::Relaxed),
+            batches: self.batches.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// A point-in-time view of the front's counters.
@@ -118,8 +139,8 @@ impl ServeFront {
         let mut threads = Vec::with_capacity(options.threads);
         for i in 0..options.threads {
             // Each thread owns a cloned handle onto the same bound
-            // socket; concurrent recv_from calls race for datagrams,
-            // which is exactly the fan-out we want.
+            // socket; concurrent drains race for datagrams, which is
+            // exactly the fan-out we want.
             let socket = socket.try_clone()?;
             socket.set_read_timeout(Some(std::time::Duration::from_millis(5)))?;
             let reader = reader.clone();
@@ -154,13 +175,7 @@ impl ServeFront {
     /// Live counters (monotone; callable while the front runs).
     #[must_use]
     pub fn stats(&self) -> ServeStats {
-        ServeStats {
-            served: self.counters.served.load(Ordering::Relaxed),
-            refused: self.counters.refused.load(Ordering::Relaxed),
-            rejected: self.counters.rejected.load(Ordering::Relaxed),
-            malformed: self.counters.malformed.load(Ordering::Relaxed),
-            batches: self.counters.batches.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 
     /// Stops the reader threads and returns the final counters.
@@ -169,13 +184,7 @@ impl ServeFront {
         for t in self.threads {
             let _ = t.join();
         }
-        ServeStats {
-            served: self.counters.served.load(Ordering::Relaxed),
-            refused: self.counters.refused.load(Ordering::Relaxed),
-            rejected: self.counters.rejected.load(Ordering::Relaxed),
-            malformed: self.counters.malformed.load(Ordering::Relaxed),
-            batches: self.counters.batches.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 }
 
@@ -204,85 +213,76 @@ fn serve_loop(
     counters: &Counters,
     mut admission: Option<AdmissionControl>,
 ) {
-    let mut buf = [0u8; 16 * 1024];
-    let mut out: Vec<u8> = Vec::with_capacity(4 + 255 * 38 + 2);
+    let mut drain = Drain::new();
     let mut replies: Vec<Message> = Vec::with_capacity(64);
     while !stop.load(Ordering::Relaxed) {
-        let (len, from) = match socket.recv_from(&mut buf) {
-            Ok(hit) => hit,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => continue,
+        // A quiet socket times out after 5 ms; any receive error just
+        // sends the thread back to check its stop flag.
+        let Ok(datagrams) = drain.recv(socket) else {
+            continue;
         };
+        // One reading for the whole drain. Every datagram in it was
+        // received before this instant, so each still gets a reading
+        // taken after it arrived, as a reading per datagram would.
         let now = Timestamp::from_secs(epoch.elapsed().as_secs_f64());
-        if let Some(a) = admission.as_mut() {
-            if !a.admit(now) {
-                counters.rejected.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-        }
-        out.clear();
-        if is_batch_frame(&buf[..len]) {
-            match decode_batch(&buf[..len]) {
-                Ok(msgs) => {
-                    replies.clear();
-                    for msg in msgs {
-                        if let Message::TimeRequest { request_id, .. } = msg {
-                            replies.push(respond(reader, request_id, now));
-                        }
-                    }
-                    if replies.is_empty() {
-                        continue;
-                    }
-                    counters.batches.fetch_add(1, Ordering::Relaxed);
-                    note_replies(counters, &replies);
-                    encode_batch_into(&replies, &mut out);
-                }
-                Err(_) => {
-                    counters.malformed.fetch_add(1, Ordering::Relaxed);
+        for (datagram, out) in datagrams {
+            if let Some(a) = admission.as_mut() {
+                if !a.admit(now) {
+                    counters.rejected.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
             }
-        } else {
-            match decode(&buf[..len]) {
-                Ok(Message::TimeRequest { request_id, .. }) => {
-                    let reply = respond(reader, request_id, now);
-                    note_replies(counters, std::slice::from_ref(&reply));
-                    encode_into(&reply, &mut out);
-                }
-                // Replies/refusals aimed at a serve port are nonsense;
-                // drop silently like any UDP service would.
-                Ok(_) => continue,
-                Err(_) => {
+            if is_batch_frame(datagram) {
+                let Ok(msgs) = decode_batch(datagram) else {
                     counters.malformed.fetch_add(1, Ordering::Relaxed);
                     continue;
+                };
+                replies.clear();
+                for msg in msgs {
+                    if let Message::TimeRequest { request_id, .. } = msg {
+                        replies.push(respond(reader, request_id, now));
+                    }
+                }
+                if replies.is_empty() {
+                    continue;
+                }
+                counters.batches.fetch_add(1, Ordering::Relaxed);
+                note_replies(counters, &replies);
+                encode_batch_into(&replies, out);
+            } else {
+                match decode(datagram) {
+                    Ok(Message::TimeRequest { request_id, .. }) => {
+                        let reply = respond(reader, request_id, now);
+                        note_replies(counters, std::slice::from_ref(&reply));
+                        encode_into(&reply, out);
+                    }
+                    // Replies/refusals aimed at a serve port are nonsense;
+                    // drop silently like any UDP service would.
+                    Ok(_) => {}
+                    Err(_) => {
+                        counters.malformed.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
             }
         }
-        let _ = socket.send_to(&out, from);
+        drain.send(socket);
     }
 }
 
-/// Counts a reply set into the served/refused counters.
+/// Counts a reply set (each a [`respond`] result: a reply or a refusal)
+/// into the served/refused counters.
 fn note_replies(counters: &Counters, replies: &[Message]) {
-    let mut served = 0;
-    let mut refused = 0;
-    for r in replies {
-        match r {
-            Message::TimeReply { .. } => served += 1,
-            Message::Uninitialized { .. } => refused += 1,
-            Message::TimeRequest { .. } => {}
+    let served = replies
+        .iter()
+        .filter(|r| matches!(r, Message::TimeReply { .. }));
+    let served = served.count();
+    for (counter, n) in [
+        (&counters.served, served),
+        (&counters.refused, replies.len() - served),
+    ] {
+        if n > 0 {
+            counter.fetch_add(n as u64, Ordering::Relaxed);
         }
-    }
-    if served > 0 {
-        counters.served.fetch_add(served, Ordering::Relaxed);
-    }
-    if refused > 0 {
-        counters.refused.fetch_add(refused, Ordering::Relaxed);
     }
 }
 
@@ -410,6 +410,133 @@ mod tests {
         let stats = front.stop();
         assert_eq!(stats.malformed, 2);
         assert_eq!(stats.served, 1);
+    }
+
+    fn full_batch(first_id: u64) -> Vec<u8> {
+        let requests: Vec<Message> = (first_id..)
+            .take(tempo_service::wire::MAX_BATCH)
+            .map(request)
+            .collect();
+        tempo_service::wire::encode_batch(&requests)
+    }
+
+    #[test]
+    fn a_full_request_batch_gets_a_full_batch_of_replies() {
+        let (front, client) = front(true, &ServeOptions::default());
+        client.send_to(&full_batch(0), front.local_addr()).unwrap();
+        let mut buf = [0u8; 16 * 1024];
+        let (len, _) = client.recv_from(&mut buf).expect("batch reply");
+        let replies = decode_batch(&buf[..len]).expect("well-formed batch");
+        assert_eq!(replies.len(), 255);
+        let stats = front.stop();
+        assert_eq!((stats.served, stats.batches, stats.malformed), (255, 1, 0));
+    }
+
+    #[test]
+    fn a_datagram_one_byte_over_the_slot_is_malformed_and_unanswered() {
+        let (front, client) = front(true, &ServeOptions::default());
+        let addr = front.local_addr();
+        // Cut to the slot, this would be a valid full batch.
+        let mut over = full_batch(0);
+        over.push(0);
+        assert_eq!(over.len(), tempo_service::wire::MAX_REQUEST_BATCH_LEN + 1);
+        client.send_to(&over, addr).unwrap();
+        client
+            .send_to(&tempo_service::wire::encode(&request(900)), addr)
+            .unwrap();
+        let mut buf = [0u8; 16 * 1024];
+        let (len, _) = client.recv_from(&mut buf).expect("the single reply");
+        assert!(matches!(
+            decode(&buf[..len]),
+            Ok(Message::TimeReply {
+                request_id: 900,
+                ..
+            })
+        ));
+        assert!(client.recv_from(&mut buf).is_err(), "nothing else answered");
+        let stats = front.stop();
+        assert_eq!((stats.served, stats.batches, stats.malformed), (1, 0, 1));
+    }
+
+    /// Three clients queue singles, batches and garbage (21 datagrams,
+    /// more than one drain takes) before the front's thread starts; each
+    /// gets exactly its own replies, and the counters are the sums of
+    /// what each datagram alone would count.
+    fn drains_keep_per_datagram_semantics(host: &str) {
+        let Ok(socket) = UdpSocket::bind((host, 0)) else {
+            println!("skipped: cannot bind {host}");
+            return;
+        };
+        let addr = socket.local_addr().unwrap();
+        let clients: Vec<UdpSocket> = (0..3)
+            .map(|_| {
+                let client = UdpSocket::bind((host, 0)).unwrap();
+                client
+                    .set_read_timeout(Some(std::time::Duration::from_millis(200)))
+                    .unwrap();
+                client
+            })
+            .collect();
+        for (c, client) in clients.iter().enumerate() {
+            let id = |k: u64| 1000 * c as u64 + k;
+            for k in 0..3 {
+                client
+                    .send_to(&tempo_service::wire::encode(&request(id(k))), addr)
+                    .unwrap();
+                let batch: Vec<Message> =
+                    (10 * k + 10..10 * k + 13).map(|k| request(id(k))).collect();
+                client
+                    .send_to(&tempo_service::wire::encode_batch(&batch), addr)
+                    .unwrap();
+            }
+            client.send_to(&[0xFF; 20], addr).unwrap();
+        }
+        let front = ServeFront::spawn(
+            socket,
+            published_reader(true),
+            Instant::now(),
+            &ServeOptions::default(),
+        )
+        .unwrap();
+        let mut buf = [0u8; 4096];
+        for (c, client) in clients.iter().enumerate() {
+            let mut ids = Vec::new();
+            while let Ok((len, _)) = client.recv_from(&mut buf) {
+                let replies = if is_batch_frame(&buf[..len]) {
+                    decode_batch(&buf[..len]).unwrap()
+                } else {
+                    vec![decode(&buf[..len]).unwrap()]
+                };
+                for reply in replies {
+                    let Message::TimeReply { request_id, .. } = reply else {
+                        panic!("unexpected {reply:?}");
+                    };
+                    ids.push(request_id);
+                }
+            }
+            ids.sort_unstable();
+            let base = 1000 * c as u64;
+            let want: Vec<u64> = [0, 1, 2, 10, 11, 12, 20, 21, 22, 30, 31, 32]
+                .iter()
+                .map(|k| base + k)
+                .collect();
+            assert_eq!(ids, want, "client {c} gets exactly its own replies");
+        }
+        let stats = front.stop();
+        assert_eq!(
+            (stats.served, stats.batches, stats.malformed),
+            (3 * 12, 3 * 3, 3)
+        );
+    }
+
+    #[test]
+    fn drains_keep_per_datagram_semantics_v4() {
+        drains_keep_per_datagram_semantics("127.0.0.1");
+    }
+
+    #[test]
+    fn drains_keep_per_datagram_semantics_v6() {
+        drains_keep_per_datagram_semantics("::1");
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! between a *graceful* departure (state persisted at a known instant)
 //! and a crash (state as of the last reset only).
 //!
-//! This module is the crate's single `unsafe` island: registering a
-//! handler via the C `signal(2)` entry point that `std` already links.
+//! This module is one of the crate's two `unsafe` islands (the other is
+//! `mmsg.rs`'s `recvmmsg` / `sendmmsg`): registering a handler via the
+//! C `signal(2)` entry point that `std` already links.
 //! The handler body is async-signal-safe — one relaxed atomic store.
 
 use std::sync::atomic::{AtomicBool, Ordering};
