@@ -16,12 +16,9 @@
 
 use std::fmt;
 
-use tempo_core::{Duration, Timestamp};
+use tempo_core::Timestamp;
 
-use crate::{TheoremId, Violation};
-
-/// Keep at most this many violations verbatim; the total is counted.
-const MAX_STORED_VIOLATIONS: usize = 64;
+use crate::{rules, write_violations, Findings, TheoremId, Violation};
 
 /// One released cluster timestamp, as reported by telemetry.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,39 +39,24 @@ pub struct IssueObservation {
 /// order) and view changes, then [`finish`](ClusterOracle::finish).
 #[derive(Debug)]
 pub struct ClusterOracle {
-    seed: u64,
-    tolerance: Duration,
-    /// The last released timestamp with its issuer and view.
-    last: Option<(u64, usize, u64)>,
+    /// The last released timestamp.
+    last: Option<IssueObservation>,
     issues_checked: usize,
     view_changes: usize,
     highest_view: u64,
-    violations: Vec<Violation>,
-    total_violations: usize,
+    findings: Findings,
 }
 
 impl ClusterOracle {
-    /// Creates a checker for a run with the given master seed. The
-    /// tolerance absorbs the microsecond truncation of the tick
-    /// conversion (2 µs covers both edges).
+    /// Creates a checker for a run with the given master seed.
     #[must_use]
     pub fn new(seed: u64) -> Self {
         ClusterOracle {
-            seed,
-            tolerance: Duration::from_micros(2.0),
             last: None,
             issues_checked: 0,
             view_changes: 0,
             highest_view: 0,
-            violations: Vec::new(),
-            total_violations: 0,
-        }
-    }
-
-    fn record(&mut self, violation: Violation) {
-        self.total_violations += 1;
-        if self.violations.len() < MAX_STORED_VIOLATIONS {
-            self.violations.push(violation);
+            findings: Findings::new(seed),
         }
     }
 
@@ -83,46 +65,13 @@ impl ClusterOracle {
     pub fn observe_issue(&mut self, obs: &IssueObservation) {
         let event = self.issues_checked;
         self.issues_checked += 1;
-
-        if let Some((prev_ts, prev_server, prev_view)) = self.last {
-            if obs.timestamp <= prev_ts {
-                self.record(Violation {
-                    seed: self.seed,
-                    event,
-                    server: obs.server,
-                    theorem: TheoremId::ClusterMonotonic,
-                    observed: obs.timestamp as f64 * 1e-6,
-                    bound: prev_ts as f64 * 1e-6,
-                    detail: format!(
-                        "ts {} (view {}) after ts {prev_ts} from server \
-                         {prev_server} (view {prev_view})",
-                        obs.timestamp, obs.view
-                    ),
-                });
-            }
-        }
-        self.last = Some((obs.timestamp, obs.server, obs.view));
-
-        // The tick conversion floors to a microsecond, so compare in
-        // seconds with matching tolerance.
-        let ts_secs = obs.timestamp as f64 * 1e-6;
-        let lo = obs.lo.as_secs() - self.tolerance.as_secs();
-        let hi = obs.hi.as_secs() + self.tolerance.as_secs();
-        if ts_secs < lo || ts_secs > hi {
-            let edge = if ts_secs < lo { obs.lo } else { obs.hi };
-            self.record(Violation {
-                seed: self.seed,
-                event,
-                server: obs.server,
-                theorem: TheoremId::ClusterBounded,
-                observed: ts_secs,
-                bound: edge.as_secs(),
-                detail: format!(
-                    "ts {} outside the issuing intersection [{}, {}]",
-                    obs.timestamp, obs.lo, obs.hi
-                ),
-            });
-        }
+        let monotonic = rules::cluster_monotonic(self.last.as_ref(), obs);
+        self.findings
+            .flag(event, obs.server, TheoremId::ClusterMonotonic, monotonic);
+        self.last = Some(*obs);
+        let bounded = rules::cluster_bounded(obs);
+        self.findings
+            .flag(event, obs.server, TheoremId::ClusterBounded, bounded);
     }
 
     /// Records a view change (context for violation messages and the
@@ -136,8 +85,8 @@ impl ClusterOracle {
     #[must_use]
     pub fn finish(self) -> ClusterReport {
         ClusterReport {
-            violations: self.violations,
-            total_violations: self.total_violations,
+            violations: self.findings.stored,
+            total_violations: self.findings.total,
             issues_checked: self.issues_checked,
             view_changes: self.view_changes,
             highest_view: self.highest_view,
@@ -148,7 +97,8 @@ impl ClusterOracle {
 /// The structured outcome of a ClusterTime-checked run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterReport {
-    /// The first [`MAX_STORED_VIOLATIONS`] violations, in release order.
+    /// The first [`MAX_STORED_VIOLATIONS`](crate::MAX_STORED_VIOLATIONS)
+    /// violations, in release order.
     pub violations: Vec<Violation>,
     /// The total number of violations (may exceed `violations.len()`).
     pub total_violations: usize,
@@ -183,23 +133,14 @@ impl fmt::Display for ClusterReport {
              (highest view {}), violations: {}",
             self.issues_checked, self.view_changes, self.highest_view, self.total_violations
         )?;
-        for v in &self.violations {
-            writeln!(f, "  {v}")?;
-        }
-        if self.total_violations > self.violations.len() {
-            writeln!(
-                f,
-                "  … and {} more",
-                self.total_violations - self.violations.len()
-            )?;
-        }
-        Ok(())
+        write_violations(f, &self.violations, self.total_violations)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MAX_STORED_VIOLATIONS;
 
     fn ts(s: f64) -> Timestamp {
         Timestamp::from_secs(s)
@@ -289,15 +230,5 @@ mod tests {
         assert!(report.total_violations > MAX_STORED_VIOLATIONS);
         let text = report.to_string();
         assert!(text.contains("more"), "{text}");
-    }
-
-    #[test]
-    fn cluster_theorem_ids_name_their_invariants() {
-        assert!(TheoremId::ClusterMonotonic
-            .paper_ref()
-            .contains("monotonic"));
-        assert!(TheoremId::ClusterBounded
-            .paper_ref()
-            .contains("intersection"));
     }
 }

@@ -3,24 +3,10 @@
 //! Online checking of the paper's theorems against a running simulation.
 //!
 //! The simulator knows ground-truth real time, so every claim the paper
-//! *proves* can be evaluated mechanically while a scenario runs:
-//!
-//! | Check | Paper reference |
-//! |---|---|
-//! | [`TheoremId::Correctness`] | Theorems 1 & 5 — `real ∈ [C−E, C+E]` |
-//! | [`TheoremId::ErrorGrowth`] | Rules MM-1/IM-1 — `E` grows at ≤ δ, resets only shrink it |
-//! | [`TheoremId::AdoptionGuard`] | Rules MM-2/IM-2 — a reset never increases `E` |
-//! | [`TheoremId::ErrorEnvelope`] | Theorems 2 & 4 — `E_i − E_M ≤ ξ + δ_i(τ+2ξ)` |
-//! | [`TheoremId::MmAsynchronism`] | Theorem 3 — MM pairwise clock skew bound |
-//! | [`TheoremId::IntersectionWidth`] | Theorem 6 — IM output ≤ narrowest input |
-//! | [`TheoremId::ImAsynchronism`] | Theorem 7 — IM pairwise clock skew bound |
-//! | [`TheoremId::Consistency`] | §5 — correct servers form one consistency group |
-//! | [`TheoremId::Rehydration`] | Rule MM-1 across downtime — a rehydrated interval is derived correctly and still contains real time |
-//! | [`TheoremId::Lifecycle`] | §5 rejoin — no service while down, bootstrap completes in bounded rounds |
-//! | [`TheoremId::FTolerant`] | §4 `f`-tolerant synthesis — an adopted interval contains real time while ≤ `f` inputs are faulty |
-//! | [`TheoremId::Stabilization`] | Self-stabilization — a state-corrupted server re-converges within a bounded window |
-//! | [`TheoremId::ClusterMonotonic`] | ClusterTime invariant M — released cluster timestamps strictly increase across failovers (see [`cluster`]) |
-//! | [`TheoremId::ClusterBounded`] | ClusterTime invariant B — every released timestamp lies in the issuing quorum's §4 intersection (see [`cluster`]) |
+//! *proves* can be evaluated mechanically while a scenario runs. The
+//! predicates are the variants of [`TheoremId`], each of which cites its
+//! statement ([`TheoremId::paper_ref`]); [`rules`] holds one pure function
+//! per check, and [`cluster`] checks the two ClusterTime invariants.
 //!
 //! (Theorem 8 — the *expected* IM width need not grow with the number of
 //! servers — is a distributional claim; experiment E9 covers it offline.)
@@ -39,7 +25,7 @@
 //! non-faulty server, for example, is only guaranteed when no lying peer
 //! can sneak a consistent-but-wrong estimate past the strategy, and the
 //! envelope theorems assume a clean steady state (no loss, partitions, or
-//! faults). [`OracleConfig`] therefore gates each family; the scenario
+//! faults). [`OracleConfig`] therefore gates those families; the scenario
 //! layer decides what applies.
 
 #![forbid(unsafe_code)]
@@ -47,11 +33,13 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cluster;
+pub mod rules;
 
 use std::fmt;
 
-use tempo_core::bounds::{thm2_gap_bound, thm3_asynchronism_bound, thm7_asynchronism_bound};
 use tempo_core::{DriftRate, Duration, Timestamp};
+
+use rules::Breach;
 
 /// Which proved statement a check (and hence a violation) refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,8 +127,14 @@ impl fmt::Display for TheoremId {
 pub struct Violation {
     /// The scenario's master seed (reproduces the run).
     pub seed: u64,
-    /// Event index: the sample index for sample-level checks, the round
-    /// record index for round-level checks.
+    /// When it happened, counted by the check that found it:
+    /// * sample checks carry the sample index;
+    /// * round checks carry that server's own round count (its rounds
+    ///   before this one);
+    /// * reset, rehydration, bootstrap and stabilization checks
+    ///   (including those at [`Oracle::finish`]) carry the number of
+    ///   samples checked so far;
+    /// * cluster checks carry the issue index.
     pub event: usize,
     /// The server the predicate is *about* (for pairwise predicates, the
     /// first of the pair; `detail` names the other).
@@ -198,31 +192,23 @@ pub enum EnvelopeKind {
     Im,
 }
 
-/// Which predicate families the oracle evaluates.
+/// Which scenario-dependent predicate families the oracle evaluates.
 ///
 /// Soundness is scenario-dependent; the layer that builds the scenario
 /// (and therefore knows about faults, loss, and the strategy) is
 /// responsible for enabling only the checks the theorems actually
-/// guarantee there.
+/// guarantee there. The adoption guard, Theorem 6, rehydration and the
+/// lifecycle checks hold in every scenario and are always on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OracleConfig {
-    /// Theorems 1 & 5 on every trusted server.
-    pub check_correctness: bool,
-    /// Rule MM-1/IM-1 growth between consecutive samples.
-    pub check_error_growth: bool,
-    /// Rules MM-2/IM-2: resets never increase `E` (round-level).
-    pub check_adoption: bool,
-    /// Theorem 6 on IM round records.
-    pub check_intersection: bool,
-    /// §5 pairwise consistency of trusted servers.
-    pub check_consistency: bool,
-    /// Crash–restart lifecycle discipline: rehydration correctness,
-    /// silence while down, and the bootstrap round bound.
-    pub check_lifecycle: bool,
+    /// Correctness (Theorems 1 & 5), error growth (rules MM-1/IM-1)
+    /// and §5 consistency on every trusted server. Each needs every
+    /// honest estimate to be sound, which a lying peer can void;
+    /// [`OracleConfig::without_trust_checks`] clears it.
+    pub trust_checks: bool,
     /// A booting server must reach a quorum within this many rounds
-    /// (only checked when `check_lifecycle` is on; scenarios that
-    /// legitimately starve the quorum — partitions, storms of crashed
-    /// peers — should raise it or disable the family).
+    /// (scenarios that legitimately starve the quorum — partitions,
+    /// storms of crashed peers — should raise it).
     pub max_bootstrap_rounds: u32,
     /// Steady-state envelope theorems (2/3 or 7), when applicable.
     pub envelope: Option<EnvelopeParams>,
@@ -236,28 +222,20 @@ pub struct OracleConfig {
     /// `Stabilized` within this much real time of its corruption (and
     /// before the run ends). `None` disables the family.
     pub stabilization_bound: Option<Duration>,
-    /// Numeric tolerance added to every bound (floating-point headroom).
-    pub tolerance: Duration,
 }
 
 impl OracleConfig {
     /// The always-sound safety core for the interval strategies under
     /// step application: correctness, growth, adoption, intersection,
-    /// and consistency — no envelope.
+    /// consistency and the lifecycle — no envelope.
     #[must_use]
     pub fn safety() -> Self {
         OracleConfig {
-            check_correctness: true,
-            check_error_growth: true,
-            check_adoption: true,
-            check_intersection: true,
-            check_consistency: true,
-            check_lifecycle: true,
+            trust_checks: true,
             max_bootstrap_rounds: 8,
             envelope: None,
             check_f_tolerant: false,
             stabilization_bound: None,
-            tolerance: Duration::from_secs(1e-9),
         }
     }
 
@@ -283,13 +261,12 @@ impl OracleConfig {
         self
     }
 
-    /// Disables the per-server correctness and consistency checks (for
+    /// Disables the correctness, growth and consistency checks (for
     /// scenarios where a lying peer can legitimately corrupt an honest
     /// server's estimate).
     #[must_use]
     pub fn without_trust_checks(mut self) -> Self {
-        self.check_correctness = false;
-        self.check_consistency = false;
+        self.trust_checks = false;
         self
     }
 }
@@ -321,8 +298,8 @@ pub struct RoundObservation {
     pub clock: Timestamp,
     /// `E_i` immediately before the decision.
     pub error_before: Duration,
-    /// `E_i` written by the reset (`None` when the round kept the clock).
-    pub error_after: Option<Duration>,
+    /// `E_i` written by the reset.
+    pub error_after: Duration,
     /// Full widths of the candidate intervals (own first, each reply
     /// widened by its round-trip allowance). Empty when the strategy is
     /// not interval-synthesising (MM records leave it empty).
@@ -349,12 +326,64 @@ pub struct RehydrationObservation {
 /// Keep at most this many violations verbatim; the total is still counted.
 const MAX_STORED_VIOLATIONS: usize = 64;
 
+/// What one run has found: the first [`MAX_STORED_VIOLATIONS`]
+/// violations verbatim, and how many there were. Both oracles keep one,
+/// and [`Findings::flag`] is the only code that builds a [`Violation`].
+#[derive(Debug)]
+struct Findings {
+    seed: u64,
+    stored: Vec<Violation>,
+    total: usize,
+}
+
+impl Findings {
+    fn new(seed: u64) -> Self {
+        Findings {
+            seed,
+            stored: Vec::new(),
+            total: 0,
+        }
+    }
+
+    /// Records a row's breach, if it found one, as `server` violating
+    /// `theorem` at `event`.
+    #[inline]
+    fn flag(&mut self, event: usize, server: usize, theorem: TheoremId, breach: Option<Breach>) {
+        let Some(breach) = breach else {
+            return;
+        };
+        self.total += 1;
+        if self.stored.len() < MAX_STORED_VIOLATIONS {
+            self.stored.push(Violation {
+                seed: self.seed,
+                event,
+                server,
+                theorem,
+                observed: breach.observed,
+                bound: breach.bound,
+                detail: breach.detail,
+            });
+        }
+    }
+}
+
+/// Writes a report's stored violations, one per line, then how many
+/// more its `total` counted.
+fn write_violations(f: &mut fmt::Formatter<'_>, stored: &[Violation], total: usize) -> fmt::Result {
+    for v in stored {
+        writeln!(f, "  {v}")?;
+    }
+    if total > stored.len() {
+        writeln!(f, "  … and {} more", total - stored.len())?;
+    }
+    Ok(())
+}
+
 /// The checker. Feed it samples and round records, then [`finish`].
 ///
 /// [`finish`]: Oracle::finish
 #[derive(Debug)]
 pub struct Oracle {
-    seed: u64,
     config: OracleConfig,
     servers: Vec<ServerView>,
     /// Last (real, error) per server, for the growth check.
@@ -374,8 +403,7 @@ pub struct Oracle {
     /// The latest real time seen, so `finish` can measure how long a
     /// never-stabilized server had been corrupted.
     last_real: Timestamp,
-    violations: Vec<Violation>,
-    total_violations: usize,
+    findings: Findings,
     samples_checked: usize,
     rounds_checked: Vec<usize>,
     lifecycle_checked: usize,
@@ -389,7 +417,6 @@ impl Oracle {
     pub fn new(seed: u64, config: OracleConfig, servers: Vec<ServerView>) -> Self {
         let n = servers.len();
         Oracle {
-            seed,
             config,
             servers,
             prev: vec![None; n],
@@ -397,24 +424,12 @@ impl Oracle {
             corrupted: vec![None; n],
             pending_recovery: vec![false; n],
             last_real: Timestamp::from_secs(0.0),
-            violations: Vec::new(),
-            total_violations: 0,
+            findings: Findings::new(seed),
             samples_checked: 0,
             rounds_checked: vec![0; n],
             lifecycle_checked: 0,
             resets_checked: 0,
         }
-    }
-
-    fn record(&mut self, violation: Violation) {
-        self.total_violations += 1;
-        if self.violations.len() < MAX_STORED_VIOLATIONS {
-            self.violations.push(violation);
-        }
-    }
-
-    fn tol(&self) -> Duration {
-        self.config.tolerance
     }
 
     /// Checks one sampling instant: `real` is ground-truth real time,
@@ -434,15 +449,17 @@ impl Oracle {
         let event = self.samples_checked;
         self.samples_checked += 1;
         self.last_real = self.last_real.max(real);
-        let tol = self.tol();
+        let trust = self.config.trust_checks;
 
+        // The servers the theorems speak for at this instant: present,
+        // trusted and uncorrupted, in index order.
+        let mut live = Vec::with_capacity(states.len());
         for (i, state) in states.iter().enumerate() {
-            let view = self.servers[i];
-            let Some(s) = state else {
+            let Some(s) = *state else {
                 self.prev[i] = None;
                 continue;
             };
-            if !view.trusted {
+            if !self.servers[i].trusted {
                 continue;
             }
             if self.corrupted[i].is_some() {
@@ -452,182 +469,67 @@ impl Oracle {
                 self.prev[i] = None;
                 continue;
             }
-            if self.config.check_lifecycle && self.down[i] {
-                // The sample exists at all — a crashed/booting server
-                // must stay silent until its bootstrap completes.
-                self.record(Violation {
-                    seed: self.seed,
-                    event,
-                    server: i,
-                    theorem: TheoremId::Lifecycle,
-                    observed: 1.0,
-                    bound: 0.0,
-                    detail: format!("server {i} served a sample while down"),
-                });
-            }
-            if self.config.check_correctness {
-                let offset = (s.clock - real).abs();
-                if offset > s.error + tol {
-                    self.record(Violation {
-                        seed: self.seed,
-                        event,
-                        server: i,
-                        theorem: TheoremId::Correctness,
-                        observed: offset.as_secs(),
-                        bound: s.error.as_secs(),
-                        detail: format!("clock {} at real {real}", s.clock),
-                    });
-                }
-            }
-            if self.config.check_error_growth {
-                if let Some((prev_real, prev_error)) = self.prev[i] {
-                    let dt = (real - prev_real).max(Duration::ZERO);
-                    let delta = view.drift_bound;
-                    // The clock runs at most (1+δ) fast, and E grows at δ
-                    // per clock second; resets only shrink it.
-                    let allowed = prev_error
-                        + Duration::from_secs(dt.as_secs() * delta.as_f64() * delta.inflation())
-                        + tol;
-                    if s.error > allowed {
-                        self.record(Violation {
-                            seed: self.seed,
-                            event,
-                            server: i,
-                            theorem: TheoremId::ErrorGrowth,
-                            observed: s.error.as_secs(),
-                            bound: allowed.as_secs(),
-                            detail: format!("error rose from {prev_error} over {dt} of real time"),
-                        });
-                    }
-                }
+            // The sample exists at all — a crashed/booting server must
+            // stay silent until its bootstrap completes.
+            let down = rules::served_while_down(i, self.down[i]);
+            self.findings.flag(event, i, TheoremId::Lifecycle, down);
+            if trust {
+                let correct = rules::correctness(real, s);
+                self.findings
+                    .flag(event, i, TheoremId::Correctness, correct);
+                let delta = self.servers[i].drift_bound;
+                let growth = rules::error_growth(self.prev[i], real, s.error, delta);
+                self.findings.flag(event, i, TheoremId::ErrorGrowth, growth);
             }
             self.prev[i] = Some((real, s.error));
+            live.push((i, s));
         }
 
-        if self.config.check_consistency {
-            self.check_pairwise_consistency(real, states, event);
-        }
-        if let Some(envelope) = self.config.envelope {
-            if real >= envelope.warmup {
-                self.check_envelope(&envelope, states, event);
-            }
-        }
-    }
-
-    fn check_pairwise_consistency(
-        &mut self,
-        _real: Timestamp,
-        states: &[Option<SampleState>],
-        event: usize,
-    ) {
-        let tol = self.tol();
-        for i in 0..states.len() {
-            if !self.servers[i].trusted || self.corrupted[i].is_some() {
-                continue;
-            }
-            let Some(a) = states[i] else { continue };
-            for (j, b) in states.iter().enumerate().skip(i + 1) {
-                if !self.servers[j].trusted || self.corrupted[j].is_some() {
-                    continue;
-                }
-                let Some(b) = *b else { continue };
-                let gap = (a.clock - b.clock).abs();
-                let reach = a.error + b.error + tol;
-                if gap > reach {
-                    self.record(Violation {
-                        seed: self.seed,
-                        event,
-                        server: i,
-                        theorem: TheoremId::Consistency,
-                        observed: gap.as_secs(),
-                        bound: reach.as_secs(),
-                        detail: format!("intervals of servers {i} and {j} are disjoint"),
-                    });
+        if trust {
+            for (k, &(i, a)) in live.iter().enumerate() {
+                for &(j, b) in &live[k + 1..] {
+                    let consistent = rules::consistency((i, j), a, b);
+                    self.findings
+                        .flag(event, i, TheoremId::Consistency, consistent);
                 }
             }
         }
+        if let Some(envelope) = self.config.envelope.filter(|e| real >= e.warmup) {
+            self.check_envelope(&envelope, &live, event);
+        }
     }
 
+    /// The steady-state rows over the live servers: each server's E-gap
+    /// (under MM), then its pairs' skews.
     fn check_envelope(
         &mut self,
-        envelope: &EnvelopeParams,
-        states: &[Option<SampleState>],
+        env: &EnvelopeParams,
+        live: &[(usize, SampleState)],
         event: usize,
     ) {
-        let tol = self.tol() + envelope.slack;
-        // E_M stand-in: the most accurate trusted (and uncorrupted)
-        // server right now.
-        let Some(e_min) = states
-            .iter()
-            .zip(&self.servers)
-            .enumerate()
-            .filter_map(|(i, (s, v))| {
-                if v.trusted && self.corrupted[i].is_none() {
-                    s.map(|s| s.error)
-                } else {
-                    None
-                }
-            })
-            .min()
-        else {
+        // E_M stand-in: the most accurate live server right now.
+        let Some(e_min) = live.iter().map(|(_, s)| s.error).min() else {
             return;
         };
-
-        for i in 0..states.len() {
-            if !self.servers[i].trusted || self.corrupted[i].is_some() {
-                continue;
-            }
-            let Some(a) = states[i] else { continue };
+        for (k, &(i, a)) in live.iter().enumerate() {
             let delta_i = self.servers[i].drift_bound;
-
-            if envelope.kind == EnvelopeKind::Mm {
-                let bound = thm2_gap_bound(envelope.xi, envelope.tau, delta_i) + tol;
-                let gap = (a.error - e_min).max(Duration::ZERO);
-                if gap > bound {
-                    self.record(Violation {
-                        seed: self.seed,
-                        event,
-                        server: i,
-                        theorem: TheoremId::ErrorEnvelope,
-                        observed: gap.as_secs(),
-                        bound: bound.as_secs(),
-                        detail: format!("E_i {} vs E_M {e_min}", a.error),
-                    });
-                }
+            if env.kind == EnvelopeKind::Mm {
+                let gap = rules::error_envelope(a.error, e_min, delta_i, env);
+                self.findings.flag(event, i, TheoremId::ErrorEnvelope, gap);
             }
-
-            for (j, b) in states.iter().enumerate().skip(i + 1) {
-                if !self.servers[j].trusted || self.corrupted[j].is_some() {
-                    continue;
-                }
-                let Some(b) = *b else { continue };
-                let delta_j = self.servers[j].drift_bound;
-                let skew = (a.clock - b.clock).abs();
-                let (theorem, bound) = match envelope.kind {
+            for &(j, b) in &live[k + 1..] {
+                let deltas = (delta_i, self.servers[j].drift_bound);
+                let (theorem, skew) = match env.kind {
                     EnvelopeKind::Mm => (
                         TheoremId::MmAsynchronism,
-                        thm3_asynchronism_bound(e_min, envelope.xi, envelope.tau, delta_i, delta_j),
+                        rules::mm_asynchronism((i, j), a, b, e_min, deltas, env),
                     ),
                     EnvelopeKind::Im => (
                         TheoremId::ImAsynchronism,
-                        // The extra ξ absorbs the one-way skew of
-                        // non-simultaneous resets (cf. experiment E8).
-                        thm7_asynchronism_bound(envelope.xi, envelope.tau, delta_i, delta_j)
-                            + envelope.xi,
+                        rules::im_asynchronism((i, j), a, b, deltas, env),
                     ),
                 };
-                let bound = bound + tol;
-                if skew > bound {
-                    self.record(Violation {
-                        seed: self.seed,
-                        event,
-                        server: i,
-                        theorem,
-                        observed: skew.as_secs(),
-                        bound: bound.as_secs(),
-                        detail: format!("pair ({i}, {j})"),
-                    });
-                }
+                self.findings.flag(event, i, theorem, skew);
             }
         }
     }
@@ -638,53 +540,21 @@ impl Oracle {
     ///
     /// Panics if `server` is out of range.
     pub fn observe_round(&mut self, server: usize, round: &RoundObservation) {
-        let view = self.servers[server];
         let event = self.rounds_checked[server];
         self.rounds_checked[server] += 1;
         // The reset event that follows this record inherits its recovery
         // flag: unconditional (§3-style) adoptions are exempt from the
         // f-tolerance check.
         self.pending_recovery[server] = round.recovery;
-        if !view.trusted || self.corrupted[server].is_some() {
+        if !self.servers[server].trusted || self.corrupted[server].is_some() {
             return;
         }
-        let tol = self.tol();
-        let Some(after) = round.error_after else {
-            return;
-        };
-        if self.config.check_adoption && !round.recovery && after > round.error_before + tol {
-            self.record(Violation {
-                seed: self.seed,
-                event,
-                server,
-                theorem: TheoremId::AdoptionGuard,
-                observed: after.as_secs(),
-                bound: round.error_before.as_secs(),
-                detail: format!("reset at clock {} increased E", round.clock),
-            });
-        }
-        if self.config.check_intersection && !round.input_widths.is_empty() {
-            let narrowest = round
-                .input_widths
-                .iter()
-                .copied()
-                .fold(round.input_widths[0], Duration::min);
-            let width = after + after;
-            if width > narrowest + tol {
-                self.record(Violation {
-                    seed: self.seed,
-                    event,
-                    server,
-                    theorem: TheoremId::IntersectionWidth,
-                    observed: width.as_secs(),
-                    bound: narrowest.as_secs(),
-                    detail: format!(
-                        "intersection of {} inputs wider than the narrowest",
-                        round.input_widths.len()
-                    ),
-                });
-            }
-        }
+        let guard = rules::adoption_guard(round);
+        self.findings
+            .flag(event, server, TheoremId::AdoptionGuard, guard);
+        let width = rules::intersection_width(round);
+        self.findings
+            .flag(event, server, TheoremId::IntersectionWidth, width);
     }
 
     /// Checks one applied reset (a `ClockStep`/`ClockSlew` event):
@@ -705,28 +575,18 @@ impl Oracle {
         error: Duration,
     ) {
         let recovery = std::mem::take(&mut self.pending_recovery[server]);
-        if !self.config.check_f_tolerant {
-            return;
-        }
-        let view = self.servers[server];
-        if !view.trusted || self.down[server] || self.corrupted[server].is_some() || recovery {
+        if !self.config.check_f_tolerant
+            || !self.servers[server].trusted
+            || self.down[server]
+            || self.corrupted[server].is_some()
+            || recovery
+        {
             return;
         }
         self.resets_checked += 1;
-        let offset = (center - at).abs();
-        if offset > error + self.tol() {
-            self.record(Violation {
-                seed: self.seed,
-                event: self.samples_checked,
-                server,
-                theorem: TheoremId::FTolerant,
-                observed: offset.as_secs(),
-                bound: error.as_secs(),
-                detail: format!(
-                    "adopted interval (centre {center}, radius {error}) excludes real time {at}"
-                ),
-            });
-        }
+        let adopted = rules::f_tolerant(at, center, error);
+        self.findings
+            .flag(self.samples_checked, server, TheoremId::FTolerant, adopted);
     }
 
     /// Records that `server`'s state was transiently overwritten with
@@ -763,19 +623,10 @@ impl Oracle {
         let Some(bound) = self.config.stabilization_bound else {
             return;
         };
-        if !self.servers[server].trusted {
-            return;
-        }
-        if elapsed > bound + self.tol() {
-            self.record(Violation {
-                seed: self.seed,
-                event: self.samples_checked,
-                server,
-                theorem: TheoremId::Stabilization,
-                observed: elapsed.as_secs(),
-                bound: bound.as_secs(),
-                detail: format!("stabilized only {elapsed} after the corruption"),
-            });
+        if self.servers[server].trusted {
+            let late = rules::stabilization_late(elapsed, bound);
+            self.findings
+                .flag(self.samples_checked, server, TheoremId::Stabilization, late);
         }
     }
 
@@ -803,7 +654,7 @@ impl Oracle {
     /// # Panics
     ///
     /// Panics if `server` is out of range.
-    pub fn observe_restart(&mut self, server: usize, _amnesia: bool) {
+    pub fn observe_restart(&mut self, server: usize) {
         self.lifecycle_checked += 1;
         self.down[server] = true;
     }
@@ -825,43 +676,16 @@ impl Oracle {
     ) {
         self.lifecycle_checked += 1;
         let view = self.servers[server];
-        if !view.trusted || !self.config.check_lifecycle {
+        if !view.trusted {
             return;
         }
         let event = self.samples_checked;
-        let tol = self.tol();
-        let since_reset = (obs.clock - obs.reset_clock).max(Duration::ZERO);
-        let expected = obs.persisted_error + since_reset * view.drift_bound;
-        let derivation_gap = (obs.error - expected).abs();
-        if derivation_gap > tol {
-            self.record(Violation {
-                seed: self.seed,
-                event,
-                server,
-                theorem: TheoremId::Rehydration,
-                observed: obs.error.as_secs(),
-                bound: expected.as_secs(),
-                detail: format!(
-                    "rehydrated E differs from ε + (C − r)·δ with ε {} r {}",
-                    obs.persisted_error, obs.reset_clock
-                ),
-            });
-        }
-        let offset = (obs.clock - real).abs();
-        if offset > obs.error + tol {
-            self.record(Violation {
-                seed: self.seed,
-                event,
-                server,
-                theorem: TheoremId::Rehydration,
-                observed: offset.as_secs(),
-                bound: obs.error.as_secs(),
-                detail: format!(
-                    "rehydrated interval excludes real time (clock {} at real {real})",
-                    obs.clock
-                ),
-            });
-        }
+        let derived = rules::rehydration_derivation(obs, view.drift_bound);
+        self.findings
+            .flag(event, server, TheoremId::Rehydration, derived);
+        let contained = rules::rehydration_containment(real, obs);
+        self.findings
+            .flag(event, server, TheoremId::Rehydration, contained);
     }
 
     /// Records that `server` finished bootstrapping in `rounds` quorum
@@ -872,21 +696,11 @@ impl Oracle {
     /// Panics if `server` is out of range.
     pub fn observe_bootstrap_complete(&mut self, server: usize, rounds: u32) {
         self.lifecycle_checked += 1;
-        let trusted = self.servers[server].trusted;
         self.down[server] = false;
-        if !trusted || !self.config.check_lifecycle {
-            return;
-        }
-        if rounds > self.config.max_bootstrap_rounds {
-            self.record(Violation {
-                seed: self.seed,
-                event: self.samples_checked,
-                server,
-                theorem: TheoremId::Lifecycle,
-                observed: f64::from(rounds),
-                bound: f64::from(self.config.max_bootstrap_rounds),
-                detail: format!("bootstrap took {rounds} rounds"),
-            });
+        if self.servers[server].trusted {
+            let slow = rules::bootstrap_rounds(rounds, self.config.max_bootstrap_rounds);
+            self.findings
+                .flag(self.samples_checked, server, TheoremId::Lifecycle, slow);
         }
     }
 
@@ -896,28 +710,18 @@ impl Oracle {
     #[must_use]
     pub fn finish(mut self) -> OracleReport {
         if let Some(bound) = self.config.stabilization_bound {
-            for i in 0..self.servers.len() {
-                let Some(since) = self.corrupted[i] else {
-                    continue;
-                };
-                if !self.servers[i].trusted {
-                    continue;
+            for (i, view) in self.servers.iter().enumerate() {
+                if view.trusted {
+                    let never =
+                        rules::stabilization_never(self.corrupted[i], self.last_real, bound);
+                    self.findings
+                        .flag(self.samples_checked, i, TheoremId::Stabilization, never);
                 }
-                let outstanding = (self.last_real - since).max(Duration::ZERO);
-                self.record(Violation {
-                    seed: self.seed,
-                    event: self.samples_checked,
-                    server: i,
-                    theorem: TheoremId::Stabilization,
-                    observed: outstanding.as_secs(),
-                    bound: bound.as_secs(),
-                    detail: format!("never stabilized: corrupted since {since}"),
-                });
             }
         }
         OracleReport {
-            violations: self.violations,
-            total_violations: self.total_violations,
+            violations: self.findings.stored,
+            total_violations: self.findings.total,
             samples_checked: self.samples_checked,
             rounds_checked: self.rounds_checked.iter().sum(),
             lifecycle_checked: self.lifecycle_checked,
@@ -967,17 +771,7 @@ impl fmt::Display for OracleReport {
             self.lifecycle_checked,
             self.total_violations
         )?;
-        for v in &self.violations {
-            writeln!(f, "  {v}")?;
-        }
-        if self.total_violations > self.violations.len() {
-            writeln!(
-                f,
-                "  … and {} more",
-                self.total_violations - self.violations.len()
-            )?;
-        }
-        Ok(())
+        write_violations(f, &self.violations, self.total_violations)
     }
 }
 
@@ -1078,21 +872,17 @@ mod tests {
 
     #[test]
     fn disjoint_intervals_violate_consistency() {
-        let mut o = Oracle::new(0, OracleConfig::safety(), views(2));
-        // Both "correct-looking" individually is impossible here, so turn
-        // correctness off to isolate the §5 predicate.
-        let mut cfg = OracleConfig::safety();
-        cfg.check_correctness = false;
-        let mut o2 = Oracle::new(0, cfg, views(2));
-        o2.observe_sample(ts(10.0), &[state(10.0, 0.01), state(10.5, 0.01)]);
-        let report = o2.finish();
-        assert_eq!(
-            report.first().expect("violation").theorem,
-            TheoremId::Consistency
-        );
+        // Both "correct-looking" individually is impossible here, so ask
+        // the §5 row alone.
+        let (a, b) = (state(10.0, 0.01), state(10.5, 0.01));
+        let breach = rules::consistency((0, 1), a.unwrap(), b.unwrap());
+        let breach = breach.expect("0.5 s apart with 10 ms each is disjoint");
+        assert!(breach.observed > breach.bound);
+        assert_eq!(breach.detail, "intervals of servers 0 and 1 are disjoint");
         // And the plain-safety oracle flags the same instant (as
         // correctness), proving the checks overlap as intended.
-        o.observe_sample(ts(10.0), &[state(10.0, 0.01), state(10.5, 0.01)]);
+        let mut o = Oracle::new(0, OracleConfig::safety(), views(2));
+        o.observe_sample(ts(10.0), &[a, b]);
         assert!(!o.finish().is_clean());
     }
 
@@ -1104,7 +894,7 @@ mod tests {
             &RoundObservation {
                 clock: ts(30.0),
                 error_before: dur(0.010),
-                error_after: Some(dur(0.025)),
+                error_after: dur(0.025),
                 input_widths: vec![],
                 recovery: false,
             },
@@ -1123,7 +913,7 @@ mod tests {
             &RoundObservation {
                 clock: ts(30.0),
                 error_before: dur(0.010),
-                error_after: Some(dur(0.025)),
+                error_after: dur(0.025),
                 input_widths: vec![],
                 recovery: true,
             },
@@ -1139,7 +929,7 @@ mod tests {
             &RoundObservation {
                 clock: ts(30.0),
                 error_before: dur(0.050),
-                error_after: Some(dur(0.040)), // width 0.08 > narrowest 0.06
+                error_after: dur(0.040), // width 0.08 > narrowest 0.06
                 input_widths: vec![dur(0.10), dur(0.06)],
                 recovery: false,
             },
@@ -1159,7 +949,7 @@ mod tests {
             &RoundObservation {
                 clock: ts(30.0),
                 error_before: dur(0.050),
-                error_after: Some(dur(0.020)),
+                error_after: dur(0.020),
                 input_widths: vec![dur(0.10), dur(0.06)],
                 recovery: false,
             },
@@ -1197,9 +987,9 @@ mod tests {
             warmup: ts(0.0),
             slack: Duration::ZERO,
         };
-        let mut cfg = OracleConfig::safety().envelope(params);
-        cfg.check_correctness = false;
-        cfg.check_consistency = false;
+        let cfg = OracleConfig::safety()
+            .envelope(params)
+            .without_trust_checks();
         let mut o = Oracle::new(0, cfg, views(2));
         // Thm 7 bound ≈ 0.01 + 2e-4·10 + 0.01 = 0.022; skew of 0.3 breaks it.
         o.observe_sample(ts(8.0), &[state(8.0, 0.5), state(8.3, 0.5)]);
@@ -1225,13 +1015,118 @@ mod tests {
     }
 
     #[test]
-    fn theorem_ids_cite_the_paper() {
-        assert!(TheoremId::Correctness.paper_ref().contains("1"));
-        assert!(TheoremId::IntersectionWidth.paper_ref().contains("6"));
-        assert!(TheoremId::ImAsynchronism.paper_ref().contains("7"));
-        assert!(TheoremId::Consistency.paper_ref().contains("5"));
-        assert!(TheoremId::Rehydration.paper_ref().contains("MM-1"));
-        assert!(TheoremId::Lifecycle.paper_ref().contains("5"));
+    fn mm_envelope_flags_excess_skew() {
+        let params = EnvelopeParams {
+            kind: EnvelopeKind::Mm,
+            xi: dur(0.01),
+            tau: dur(10.0),
+            warmup: ts(0.0),
+            slack: Duration::ZERO,
+        };
+        // Equal errors keep the E-gap at zero. A skew within E_i + E_j
+        // never breaks Theorem 3's 2E_M + …, so the trust checks, which
+        // would see the disjoint pair first, are off.
+        let cfg = OracleConfig::safety()
+            .envelope(params)
+            .without_trust_checks();
+        let mut o = Oracle::new(21, cfg, views(2));
+        // Thm 3 bound ≈ 2·0.01 + 2·0.01 + 2e-4·(10 + 0.02) ≈ 0.042.
+        o.observe_sample(ts(8.0), &[state(8.0, 0.01), state(8.3, 0.01)]);
+        let report = o.finish();
+        let v = report.first().expect("violation");
+        assert_eq!(v.theorem, TheoremId::MmAsynchronism);
+        assert_eq!((v.seed, v.server), (21, 0));
+        assert_eq!(v.detail, "pair (0, 1)");
+        assert!(v.observed > v.bound);
+    }
+
+    #[test]
+    fn mm_skew_within_theorem_3_passes() {
+        let params = EnvelopeParams {
+            kind: EnvelopeKind::Mm,
+            xi: dur(0.01),
+            tau: dur(10.0),
+            warmup: ts(0.0),
+            slack: Duration::ZERO,
+        };
+        let cfg = OracleConfig::safety().envelope(params);
+        let mut o = Oracle::new(0, cfg, views(2));
+        // 30 ms of skew against a bound of ≈ 62 ms (E_M is 20 ms here);
+        // each interval still contains real time and they intersect.
+        o.observe_sample(ts(8.0), &[state(7.985, 0.02), state(8.015, 0.02)]);
+        assert!(o.finish().is_clean());
+    }
+
+    /// Every predicate, in declaration order.
+    fn every_theorem() -> [TheoremId; 14] {
+        use TheoremId::*;
+        let all = [
+            Correctness,
+            ErrorGrowth,
+            AdoptionGuard,
+            ErrorEnvelope,
+            MmAsynchronism,
+            IntersectionWidth,
+            ImAsynchronism,
+            Consistency,
+            Rehydration,
+            Lifecycle,
+            FTolerant,
+            Stabilization,
+            ClusterMonotonic,
+            ClusterBounded,
+        ];
+        for (k, id) in all.into_iter().enumerate() {
+            // Exhaustive on purpose: a new variant fails to compile
+            // here until it joins the list above.
+            match id {
+                Correctness | ErrorGrowth | AdoptionGuard | ErrorEnvelope | MmAsynchronism
+                | IntersectionWidth | ImAsynchronism | Consistency | Rehydration | Lifecycle
+                | FTolerant | Stabilization | ClusterMonotonic | ClusterBounded => {}
+            }
+            assert_eq!(id as usize, k, "{id:?} is out of declaration order");
+        }
+        all
+    }
+
+    #[test]
+    fn every_theorem_id_cites_the_paper() {
+        use TheoremId::*;
+        for id in every_theorem() {
+            let cited = match id {
+                Correctness => "1",
+                ErrorGrowth => "MM-1",
+                AdoptionGuard => "MM-2",
+                ErrorEnvelope => "2",
+                MmAsynchronism => "3",
+                IntersectionWidth => "6",
+                ImAsynchronism => "7",
+                Consistency | Lifecycle | Stabilization => "5",
+                Rehydration => "MM-1",
+                FTolerant => "4",
+                ClusterMonotonic => "monotonic",
+                ClusterBounded => "intersection",
+            };
+            assert!(id.paper_ref().contains(cited), "{id}");
+        }
+    }
+
+    /// DESIGN.md § "Oracle & theorem checking" tabulates the predicates
+    /// for readers; its first column must name exactly the variants, in
+    /// order.
+    #[test]
+    fn design_md_tabulates_exactly_the_theorem_ids() {
+        let doc = include_str!("../../../DESIGN.md");
+        let section = doc
+            .split("\n### ")
+            .find(|s| s.starts_with("Oracle & theorem checking"))
+            .expect("DESIGN.md has an Oracle & theorem checking section");
+        let tabulated: Vec<&str> = section
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `")?.split('`').next())
+            .collect();
+        let variants: Vec<String> = every_theorem().iter().map(|id| format!("{id:?}")).collect();
+        assert_eq!(tabulated, variants);
     }
 
     #[test]
@@ -1257,7 +1152,7 @@ mod tests {
         o.observe_sample(ts(10.0), &[state(10.0, 0.01), state(10.0, 0.01)]);
         o.observe_crash(1);
         o.observe_sample(ts(20.0), &[state(20.0, 0.011), None]);
-        o.observe_restart(1, true);
+        o.observe_restart(1);
         o.observe_sample(ts(25.0), &[state(25.0, 0.0112), None]);
         o.observe_bootstrap_complete(1, 2);
         o.observe_sample(ts(30.0), &[state(30.0, 0.0114), state(30.0, 0.02)]);
@@ -1270,7 +1165,7 @@ mod tests {
     fn bootstrap_beyond_round_bound_is_flagged() {
         let mut o = Oracle::new(5, OracleConfig::safety(), views(1));
         o.observe_crash(0);
-        o.observe_restart(0, true);
+        o.observe_restart(0);
         o.observe_bootstrap_complete(0, 9);
         let report = o.finish();
         let v = report.first().expect("violation");
@@ -1282,7 +1177,7 @@ mod tests {
     fn faithful_rehydration_passes() {
         let mut o = Oracle::new(0, OracleConfig::safety(), views(1));
         o.observe_crash(0);
-        o.observe_restart(0, false);
+        o.observe_restart(0);
         // δ = 1e-4, 100 s since the persisted reset → E = 1 ms + 10 ms.
         o.observe_rehydration(
             0,
@@ -1302,7 +1197,7 @@ mod tests {
     fn understated_rehydrated_error_is_flagged() {
         let mut o = Oracle::new(0, OracleConfig::safety(), views(1));
         o.observe_crash(0);
-        o.observe_restart(0, false);
+        o.observe_restart(0);
         // Claims the persisted error verbatim, ignoring 100 s of drift.
         o.observe_rehydration(
             0,
@@ -1325,7 +1220,7 @@ mod tests {
     fn rehydrated_interval_excluding_real_time_is_flagged() {
         let mut o = Oracle::new(0, OracleConfig::safety(), views(1));
         o.observe_crash(0);
-        o.observe_restart(0, false);
+        o.observe_restart(0);
         // Correctly derived, but the clock is 1 s off with 11 ms of error:
         // the downtime drift bound cannot have held.
         o.observe_rehydration(
@@ -1351,18 +1246,7 @@ mod tests {
         let mut o = Oracle::new(0, OracleConfig::safety(), servers);
         o.observe_crash(0);
         o.observe_sample(ts(10.0), &[state(10.0, 0.01)]);
-        o.observe_restart(0, true);
-        o.observe_bootstrap_complete(0, 99);
-        assert!(o.finish().is_clean());
-    }
-
-    #[test]
-    fn lifecycle_checks_can_be_disabled() {
-        let mut cfg = OracleConfig::safety();
-        cfg.check_lifecycle = false;
-        let mut o = Oracle::new(0, cfg, views(1));
-        o.observe_crash(0);
-        o.observe_sample(ts(10.0), &[state(10.0, 0.01)]);
+        o.observe_restart(0);
         o.observe_bootstrap_complete(0, 99);
         assert!(o.finish().is_clean());
     }
@@ -1398,7 +1282,7 @@ mod tests {
             &RoundObservation {
                 clock: ts(30.0),
                 error_before: dur(0.01),
-                error_after: Some(dur(0.5)),
+                error_after: dur(0.5),
                 input_widths: vec![],
                 recovery: true,
             },
@@ -1411,7 +1295,7 @@ mod tests {
         // A down server's bootstrap resets are not adoption decisions.
         let mut o = Oracle::new(0, OracleConfig::safety().f_tolerant(), views(1));
         o.observe_crash(0);
-        o.observe_restart(0, true);
+        o.observe_restart(0);
         o.observe_reset(0, ts(30.0), ts(40.0), dur(0.01));
         assert!(o.finish().is_clean());
     }
@@ -1465,12 +1349,6 @@ mod tests {
         assert!(v.detail.contains("never stabilized"), "{}", v.detail);
         // ~100 s outstanding against a 30 s bound.
         assert!(v.observed > v.bound);
-    }
-
-    #[test]
-    fn new_theorem_ids_cite_the_paper() {
-        assert!(TheoremId::FTolerant.paper_ref().contains("4"));
-        assert!(TheoremId::Stabilization.paper_ref().contains("5"));
     }
 
     #[test]

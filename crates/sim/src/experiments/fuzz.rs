@@ -255,12 +255,12 @@ impl FuzzCase {
 
     /// The oracle gating this case is *sound* under:
     ///
-    /// * error growth and the adoption guard always apply (with a liar
-    ///   under Marzullo, the disjoint-fallback adoption may raise `E` on
-    ///   an honest server, so growth is exempted there);
-    /// * correctness and consistency apply unless a liar can corrupt an
-    ///   honest server's estimate (Marzullo's max-coverage region is not
-    ///   guaranteed to contain real time when a liar is present);
+    /// * the adoption guard always applies;
+    /// * the trust checks — correctness, error growth and consistency —
+    ///   apply unless a liar can corrupt an honest server's estimate
+    ///   (Marzullo's max-coverage region is not guaranteed to contain
+    ///   real time when a liar is present, and its disjoint-fallback
+    ///   adoption may raise `E` on an honest server);
     /// * the Theorem 6 intersection check applies wherever IM rounds are
     ///   traced;
     /// * for Marzullo cases the §4 f-tolerance predicate is armed:
@@ -278,7 +278,6 @@ impl FuzzCase {
         let mut config = OracleConfig::safety();
         if self.has_liar() {
             config = config.without_trust_checks();
-            config.check_error_growth = false;
         }
         if matches!(self.strategy, Strategy::MarzulloTolerant { .. }) {
             config = config.f_tolerant();

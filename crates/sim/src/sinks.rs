@@ -147,7 +147,7 @@ impl Observer for OracleSink {
                     &RoundObservation {
                         clock: *clock,
                         error_before: *error_before,
-                        error_after: Some(*error_after),
+                        error_after: *error_after,
                         input_widths: input_widths.clone(),
                         recovery: *recovery,
                     },
@@ -179,10 +179,8 @@ impl Observer for OracleSink {
             TelemetryEvent::ServerCrashed { server, .. } => {
                 oracle.observe_crash(*server);
             }
-            TelemetryEvent::ServerRestarted {
-                server, amnesia, ..
-            } => {
-                oracle.observe_restart(*server, *amnesia);
+            TelemetryEvent::ServerRestarted { server, .. } => {
+                oracle.observe_restart(*server);
             }
             TelemetryEvent::StateRehydrated {
                 at,
