@@ -7,9 +7,7 @@ use std::collections::BTreeMap;
 use tempo_core::marzullo::intersect_tolerating;
 use tempo_core::{Duration, TimeEstimate, TimeInterval, Timestamp};
 use tempo_net::{Actor, Context, NodeId};
-use tempo_service::{
-    ClusterState, HealthTracker, Lifecycle, MemoryStore, Message, StableStore, TimeServer,
-};
+use tempo_service::{ClusterState, HealthTracker, Lifecycle, MemoryStore, Message, TimeServer};
 use tempo_telemetry::{Bus, EventKind, RefusalCause, TelemetryEvent};
 
 use crate::config::ClusterConfig;
@@ -120,8 +118,12 @@ impl ClusterReplica {
     /// cluster `(view, high-water)` record `store` holds, if any. The
     /// store is read, not kept: the replica's durable record is a value
     /// its host mirrors (see [`ClusterReplica::durable`]).
+    ///
+    /// `store` is boxed only because the repo benchmark still passes
+    /// `Box::new(MemoryStore::new())`.
     #[must_use]
-    pub fn new(server: TimeServer, config: ClusterConfig, store: Box<dyn StableStore>) -> Self {
+    #[allow(clippy::boxed_local)]
+    pub fn new(server: TimeServer, config: ClusterConfig, store: Box<MemoryStore>) -> Self {
         let n = config.replicas.len();
         let health = HealthTracker::new(server.config().health);
         let mut durable = MemoryStore::new();

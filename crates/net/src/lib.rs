@@ -83,7 +83,7 @@ mod world;
 pub use config::{NetConfig, NetStats, Partition};
 pub use delay::DelayModel;
 pub use node::NodeId;
-pub use queue::{EventQueue, TimerHandle};
+pub use queue::EventQueue;
 pub use topology::Topology;
 pub use transport::{node_rng, ActorAction, Transport};
 pub use world::{Actor, Context, World};

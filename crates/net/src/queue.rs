@@ -29,12 +29,9 @@
 //! exactly as the sharded merge does; every other user pushes at rank
 //! 0, where the order is `(time, insertion)`.
 //!
-//! Entries may be cancelled through the [`TimerHandle`] returned by
-//! [`EventQueue::push`]. Cancellation is lazy: the slab entry is marked
-//! dead immediately (the value is returned) but stays parked in its
-//! slot until the wheel would have delivered it, at which point it is
-//! reclaimed. A generation counter per slab entry makes stale handles
-//! harmless.
+//! Nothing is cancelled: a user that must ignore a timer tags it (the
+//! servers carry their lifecycle epoch in the tag) and drops a stale
+//! one when it fires.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -56,25 +53,13 @@ const L2_SPAN: u64 = 256 * 256 * 256;
 /// Low bits of an order key: the insertion counter, below the rank.
 const SEQ_BITS: u32 = 40;
 
-/// A handle to a pending entry, returned by [`EventQueue::push`] and
-/// redeemable once via [`EventQueue::cancel`]. Handles are cheap,
-/// copyable, and safe to hold after the entry fires — cancellation of
-/// an already-popped (or already-cancelled) entry returns `None`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimerHandle {
-    idx: u32,
-    gen: u32,
-}
-
 struct Entry<T> {
     time: Timestamp,
     /// `rank << SEQ_BITS | insertion`: the tie-break within an instant.
     key: u64,
-    /// Bumped every time the slab slot is reclaimed; guards handles.
-    gen: u32,
     /// Next entry in the slot list (while parked) or free list.
     next: u32,
-    /// `None` marks a cancelled (or reclaimed) entry.
+    /// `None` marks a free slab entry.
     value: Option<T>,
 }
 
@@ -101,7 +86,7 @@ pub struct EventQueue<T> {
     batch: Vec<(Timestamp, u64, u32)>,
     /// Tick the batch was drained for.
     batch_tick: u64,
-    /// Live (un-popped, un-cancelled) entries.
+    /// Pushed, not yet popped, entries.
     len: usize,
     /// Insertion counter; the deterministic tiebreak within a rank.
     seq: u64,
@@ -168,22 +153,21 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Live entries (pushed, not yet popped or cancelled).
+    /// Pending entries (pushed, not yet popped).
     #[must_use]
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// `true` when no live entries remain.
+    /// `true` when no entries are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// Schedules `value` for `time` at rank 0. Returns a handle
-    /// redeemable via [`EventQueue::cancel`].
-    pub fn push(&mut self, time: Timestamp, value: T) -> TimerHandle {
-        self.push_ranked(time, 0, value)
+    /// Schedules `value` for `time` at rank 0.
+    pub fn push(&mut self, time: Timestamp, value: T) {
+        self.push_ranked(time, 0, value);
     }
 
     /// Schedules `value` for `time` at `rank`: same-instant entries pop
@@ -193,7 +177,7 @@ impl<T> EventQueue<T> {
     ///
     /// Panics, rather than misorder, if `rank` is 2²⁴ or more, or once
     /// a queue that has held a ranked entry reaches 2⁴⁰ insertions.
-    pub fn push_ranked(&mut self, time: Timestamp, rank: u32, value: T) -> TimerHandle {
+    pub fn push_ranked(&mut self, time: Timestamp, rank: u32, value: T) {
         let seq = self.seq;
         self.seq += 1;
         self.ranked |= rank > 0;
@@ -214,10 +198,6 @@ impl<T> EventQueue<T> {
             self.batch.insert(pos, (time, key, idx));
         } else {
             self.place(idx);
-        }
-        TimerHandle {
-            idx,
-            gen: self.entries[idx as usize].gen,
         }
     }
 
@@ -244,28 +224,16 @@ impl<T> EventQueue<T> {
         (self.peek_time()? <= until).then(|| self.take_front())
     }
 
-    /// Removes the batch front, which `fill_batch` just left live.
+    /// Removes the batch front, which `fill_batch` just filled.
     fn take_front(&mut self) -> (Timestamp, T) {
         let (time, _, idx) = self.batch.pop().expect("fill_batch returned true");
         let value = self.entries[idx as usize]
             .value
             .take()
-            .expect("fill_batch leaves a live entry in front");
+            .expect("batched entries are pending");
         self.release(idx);
         self.len -= 1;
         (time, value)
-    }
-
-    /// Cancels a pending entry, returning its value. `None` when the
-    /// entry already fired or was already cancelled.
-    pub fn cancel(&mut self, handle: TimerHandle) -> Option<T> {
-        let e = self.entries.get_mut(handle.idx as usize)?;
-        if e.gen != handle.gen {
-            return None;
-        }
-        let value = e.value.take()?;
-        self.len -= 1;
-        Some(value)
     }
 
     fn alloc(&mut self, time: Timestamp, key: u64, value: T) -> u32 {
@@ -283,7 +251,6 @@ impl<T> EventQueue<T> {
             self.entries.push(Entry {
                 time,
                 key,
-                gen: 0,
                 next: NIL,
                 value: Some(value),
             });
@@ -293,8 +260,7 @@ impl<T> EventQueue<T> {
 
     fn release(&mut self, idx: u32) {
         let e = &mut self.entries[idx as usize];
-        debug_assert!(e.value.is_none(), "releasing a live entry");
-        e.gen = e.gen.wrapping_add(1);
+        debug_assert!(e.value.is_none(), "releasing a pending entry");
         e.next = self.free_head;
         self.free_head = idx;
     }
@@ -329,13 +295,8 @@ impl<T> EventQueue<T> {
         self.occupied[0][slot / 64] &= !(1u64 << (slot % 64));
         while head != NIL {
             let e = &self.entries[head as usize];
-            let next = e.next;
-            if e.value.is_some() {
-                self.batch.push((e.time, e.key, head));
-            } else {
-                self.release(head);
-            }
-            head = next;
+            self.batch.push((e.time, e.key, head));
+            head = e.next;
         }
         self.batch
             .sort_unstable_by_key(|&(time, key, _)| Reverse((time, key)));
@@ -348,11 +309,7 @@ impl<T> EventQueue<T> {
         self.occupied[level][slot / 64] &= !(1u64 << (slot % 64));
         while head != NIL {
             let next = std::mem::replace(&mut self.entries[head as usize].next, NIL);
-            if self.entries[head as usize].value.is_some() {
-                self.place(head);
-            } else {
-                self.release(head);
-            }
+            self.place(head);
             head = next;
         }
     }
@@ -363,17 +320,12 @@ impl<T> EventQueue<T> {
             .all(|level| level.iter().all(|&w| w == 0))
     }
 
-    /// Ensures the batch front is a live entry, advancing the wheel as
+    /// Ensures the batch holds the next entry, advancing the wheel as
     /// needed. Returns `false` when the queue is empty.
     fn fill_batch(&mut self) -> bool {
         loop {
-            // Skip cancelled entries parked at the batch front.
-            while let Some(&(_, _, idx)) = self.batch.last() {
-                if self.entries[idx as usize].value.is_some() {
-                    return true;
-                }
-                self.batch.pop();
-                self.release(idx);
+            if !self.batch.is_empty() {
+                return true;
             }
             if self.len == 0 {
                 return false;
@@ -424,11 +376,7 @@ impl<T> EventQueue<T> {
                 break;
             }
             let Reverse((_, _, idx)) = self.overflow.pop().expect("peeked");
-            if self.entries[idx as usize].value.is_some() {
-                self.place(idx);
-            } else {
-                self.release(idx);
-            }
+            self.place(idx);
         }
     }
 }
@@ -502,43 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_prevents_delivery_and_returns_value() {
-        let mut q = EventQueue::new();
-        let h = q.push(ts(1.0), "x");
-        q.push(ts(2.0), "y");
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.cancel(h), Some("x"));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.cancel(h), None, "double cancel");
-        assert_eq!(q.pop(), Some((ts(2.0), "y")));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn stale_handle_after_pop_is_harmless() {
-        let mut q = EventQueue::new();
-        let h = q.push(ts(0.5), 1);
-        assert_eq!(q.pop(), Some((ts(0.5), 1)));
-        // The slab slot may be recycled by the next push; the stale
-        // handle must not cancel the new entry.
-        let _h2 = q.push(ts(1.0), 2);
-        assert_eq!(q.cancel(h), None);
-        assert_eq!(q.pop(), Some((ts(1.0), 2)));
-    }
-
-    #[test]
-    fn cancel_entry_already_in_batch() {
-        let mut q = EventQueue::new();
-        let _ = q.push(ts(1.0), 1);
-        let h = q.push(ts(1.0002), 2);
-        q.push(ts(1.0004), 3);
-        assert_eq!(q.peek_time(), Some(ts(1.0))); // drains the tick
-        assert_eq!(q.cancel(h), Some(2));
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
-        assert_eq!(order, [1, 3]);
-    }
-
-    #[test]
     fn slab_recycles_instead_of_growing() {
         let mut q = EventQueue::new();
         for round in 0..100 {
@@ -556,7 +467,7 @@ mod tests {
 
     /// The differential test: against a reference `BinaryHeap` keyed
     /// `(time, rank, seq)` (whose `peek` + `pop` is what `pop_due` must
-    /// equal), over a randomized push/pop/cancel workload at ranks
+    /// equal), over a randomized push/pop workload at ranks
     /// `0..4` whose delays span every wheel level and include exact
     /// ties, within a rank and across ranks.
     #[test]
@@ -565,12 +476,11 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut wheel = EventQueue::new();
             let mut heap: BinaryHeap<Reverse<(Timestamp, u32, u64, u32)>> = BinaryHeap::new();
-            let mut live = std::collections::HashMap::new(); // seq -> handle
             let mut now = 0.0f64;
             let mut last = ts(0.0);
             let mut seq = 0u64;
             for _ in 0..4000 {
-                match rng.random_range(0..10) {
+                match rng.random_range(0..9) {
                     // push (weighted)
                     0..=5 => {
                         let t = match rng.random_range(0..9) {
@@ -581,9 +491,8 @@ mod tests {
                             _ => ts(now + rng.random_range(0.0..200.0)),
                         };
                         let rank = rng.random_range(0..4u32);
-                        let h = wheel.push_ranked(t, rank, seq as u32);
+                        wheel.push_ranked(t, rank, seq as u32);
                         heap.push(Reverse((t, rank, seq, seq as u32)));
-                        live.insert(seq, h);
                         last = t;
                         seq += 1;
                     }
@@ -591,7 +500,7 @@ mod tests {
                     // limit the head misses about as often as it meets
                     // (a refusal may still have advanced the wheel, so
                     // the pushes after it land behind the cursor).
-                    6..=8 => {
+                    _ => {
                         let until = rng
                             .random_bool(0.5)
                             .then(|| ts(now + rng.random_range(0.0..0.1)));
@@ -605,17 +514,8 @@ mod tests {
                         let want = if due { heap.pop() } else { None };
                         let want = want.map(|Reverse((t, _, _, v))| (t, v));
                         assert_eq!(got, want, "seed {seed}");
-                        if let Some((t, v)) = got {
+                        if let Some((t, _)) = got {
                             now = t.as_secs();
-                            live.remove(&u64::from(v));
-                        }
-                    }
-                    // cancel a random live entry
-                    _ => {
-                        if let Some(&k) = live.keys().next() {
-                            let h = live.remove(&k).unwrap();
-                            assert_eq!(wheel.cancel(h), Some(k as u32), "seed {seed}");
-                            heap.retain(|&Reverse((_, _, s, _))| s != k);
                         }
                     }
                 }

@@ -550,8 +550,7 @@ impl<A: Actor> World<A> {
             self.link_horizon.insert((from, to), deliver_at);
         }
         self.max_observed_delay = self.max_observed_delay.max(deliver_at - self.now);
-        let _ = self
-            .queue
+        self.queue
             .push_ranked(deliver_at, comp, EventKind::Deliver { from, to, msg });
     }
 
@@ -657,8 +656,7 @@ impl<A: Actor> Transport<A::Msg> for World<A> {
 
     fn set_timer(&mut self, node: NodeId, delay: Duration, tag: u64) {
         let rank = self.comp_of[node.index()];
-        let _ = self
-            .queue
+        self.queue
             .push_ranked(self.now + delay, rank, EventKind::Timer { node, tag });
     }
 }
@@ -1149,6 +1147,7 @@ mod tests {
 
 #[cfg(test)]
 mod component_tests {
+    use super::context_tests::Tap;
     use super::*;
     use crate::{DelayModel, Partition};
 
@@ -1410,7 +1409,8 @@ mod component_tests {
         // instant. Component 0 is {0, 1}, component 1 is {2, 3, 4}.
         let full = Topology::from_edges(5, &[(0, 1), (2, 3), (3, 4), (2, 4)]);
         let record = |members: &[NodeId]| {
-            let bus = Bus::with_ring(1 << 16);
+            let bus = Bus::new();
+            let tap = Tap::subscribed(&bus);
             let mut world = World::new_labeled(
                 members.iter().map(|_| Pulse).collect(),
                 full.induced(members),
@@ -1420,8 +1420,7 @@ mod component_tests {
                 members.iter().map(|n| n.index()).collect(),
             );
             world.run_until(ts(0.5));
-            assert_eq!(bus.dropped_events(), 0);
-            bus.recent_events()
+            tap.take().0
         };
         let comp = |event: &TelemetryEvent| usize::from(node_of(event) >= 2);
         let combined = record(&(0..5).map(NodeId::new).collect::<Vec<_>>());
@@ -1456,12 +1455,22 @@ mod context_tests {
     use super::*;
     use tempo_telemetry::Observer;
 
+    /// Records every event it is offered.
     #[derive(Default)]
-    struct Tap(Vec<TelemetryEvent>);
+    pub(super) struct Tap(pub(super) Vec<TelemetryEvent>);
 
     impl Observer for Tap {
         fn observe(&mut self, event: &TelemetryEvent) {
             self.0.push(event.clone());
+        }
+    }
+
+    impl Tap {
+        /// A tap subscribed to `bus`.
+        pub(super) fn subscribed(bus: &Bus) -> Rc<RefCell<Tap>> {
+            let tap = Rc::new(RefCell::new(Tap::default()));
+            bus.subscribe(Rc::clone(&tap));
+            tap
         }
     }
 
@@ -1544,6 +1553,7 @@ mod context_tests {
 
 #[cfg(test)]
 mod ring_tests {
+    use super::context_tests::Tap;
     use super::*;
     use crate::DelayModel;
 
@@ -1562,24 +1572,20 @@ mod ring_tests {
         }
     }
 
-    /// Runs two `Echo`s for a second and returns the world and what
-    /// its 16-event telemetry ring holds.
-    fn run_with_ring(config: NetConfig) -> (World<Echo>, Vec<TelemetryEvent>) {
-        let bus = Bus::with_ring(16);
-        let mut world = World::new_with_bus(
-            vec![Echo, Echo],
-            Topology::full_mesh(2),
-            config,
-            1,
-            bus.clone(),
-        );
+    /// Runs two `Echo`s for a second and returns the world and every
+    /// event its bus carried.
+    fn run_tapped(config: NetConfig) -> (World<Echo>, Vec<TelemetryEvent>) {
+        let bus = Bus::new();
+        let tap = Tap::subscribed(&bus);
+        let mut world =
+            World::new_with_bus(vec![Echo, Echo], Topology::full_mesh(2), config, 1, bus);
         world.run_until(Timestamp::from_secs(1.0));
-        (world, bus.recent_events())
+        (world, tap.take().0)
     }
 
     #[test]
     fn ring_records_send_deliver_and_timer() {
-        let (_, events) = run_with_ring(NetConfig::with_delay(DelayModel::Constant(
+        let (_, events) = run_tapped(NetConfig::with_delay(DelayModel::Constant(
             Duration::from_secs(0.1),
         )));
         assert!(events
@@ -1617,7 +1623,7 @@ mod ring_tests {
     #[test]
     fn ring_records_duplicates() {
         let (world, events) =
-            run_with_ring(NetConfig::with_delay(DelayModel::instant()).duplication(0.999_999));
+            run_tapped(NetConfig::with_delay(DelayModel::instant()).duplication(0.999_999));
         assert!(events
             .iter()
             .any(|e| matches!(e, TelemetryEvent::MsgDuplicate { .. })));
@@ -1627,8 +1633,7 @@ mod ring_tests {
 
     #[test]
     fn ring_records_losses() {
-        let (_, events) =
-            run_with_ring(NetConfig::with_delay(DelayModel::instant()).loss(0.999_999));
+        let (_, events) = run_tapped(NetConfig::with_delay(DelayModel::instant()).loss(0.999_999));
         assert!(events.iter().any(|e| matches!(
             e,
             TelemetryEvent::MsgDrop {

@@ -138,6 +138,32 @@ impl std::fmt::Display for Strategy {
     }
 }
 
+/// The command-line spelling shared by `experiments simulate` and
+/// `tempod`: `mm`, `im`, `tolerant:F` (Marzullo with fault budget `F`),
+/// `max`, `median` or `mean`. [`Display`](std::fmt::Display) is the
+/// report label instead, which exported runs and goldens pin.
+impl std::str::FromStr for Strategy {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Self, String> {
+        Ok(match name {
+            "mm" => Strategy::Mm,
+            "im" => Strategy::Im,
+            "max" => Strategy::Baseline(BaselineKind::LamportMax),
+            "median" => Strategy::Baseline(BaselineKind::Median),
+            "mean" => Strategy::Baseline(BaselineKind::Mean),
+            _ => match name.strip_prefix("tolerant:").map(str::parse) {
+                Some(Ok(max_faulty)) => Strategy::MarzulloTolerant { max_faulty },
+                _ => {
+                    return Err(format!(
+                        "unknown strategy '{name}' (mm, im, tolerant:F, max, median, mean)"
+                    ))
+                }
+            },
+        })
+    }
+}
+
 /// What a server does when it receives a reply inconsistent with its
 /// own interval (§3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -415,6 +441,33 @@ mod tests {
             "Marzullo"
         );
         assert_eq!(Strategy::Baseline(BaselineKind::Median).name(), "median");
+    }
+
+    #[test]
+    fn every_strategy_spelling_parses() {
+        for (name, expected) in [
+            ("mm", Strategy::Mm),
+            ("im", Strategy::Im),
+            ("tolerant:0", Strategy::MarzulloTolerant { max_faulty: 0 }),
+            ("tolerant:1", Strategy::MarzulloTolerant { max_faulty: 1 }),
+            ("tolerant:3", Strategy::MarzulloTolerant { max_faulty: 3 }),
+            ("max", Strategy::Baseline(BaselineKind::LamportMax)),
+            ("median", Strategy::Baseline(BaselineKind::Median)),
+            ("mean", Strategy::Baseline(BaselineKind::Mean)),
+        ] {
+            assert_eq!(name.parse::<Strategy>(), Ok(expected), "{name}");
+        }
+    }
+
+    #[test]
+    fn unknown_strategy_spellings_are_refused_with_the_list() {
+        for name in ["marzullo", "tolerant:", "tolerant:x", "ntp", ""] {
+            let err = name.parse::<Strategy>().unwrap_err();
+            assert_eq!(
+                err,
+                format!("unknown strategy '{name}' (mm, im, tolerant:F, max, median, mean)")
+            );
+        }
     }
 
     #[test]

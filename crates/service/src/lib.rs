@@ -76,5 +76,5 @@ pub use message::Message;
 pub use node::ServiceNode;
 pub use rate::{AdmissionControl, RateMonitor};
 pub use server::{Lifecycle, TimeServer};
-pub use stats::{ServerSample, ServerStats};
-pub use store::{ClusterState, MemoryStore, PersistedState, StableStore};
+pub use stats::ServerStats;
+pub use store::{ClusterState, MemoryStore, PersistedState};

@@ -24,7 +24,7 @@ use crate::rate::RateMonitor;
 use crate::requests::Requests;
 use crate::round::{self, Decision};
 use crate::stats::ServerStats;
-use crate::store::{MemoryStore, PersistedState, StableStore};
+use crate::store::{MemoryStore, PersistedState};
 
 /// Where a server stands in the crash–restart lifecycle.
 ///

@@ -20,7 +20,9 @@ use tempo_clocks::{ClockDiscipline, SimClock};
 use tempo_core::sync::{Reset, TimedReply};
 use tempo_core::{Duration, ErrorState, TimeEstimate, Timestamp};
 use tempo_net::{Actor, Context, NodeId};
-use tempo_telemetry::{Bus, EventKind as TelemetryKind, RejectCause, TelemetryEvent};
+use tempo_telemetry::{
+    Bus, EventKind as TelemetryKind, RejectCause, SampleSnapshot, TelemetryEvent,
+};
 
 use crate::config::{RecoveryPolicy, RetryPolicy, ScreeningPolicy, ServerConfig, Strategy};
 use crate::health::{HealthTracker, PeerState};
@@ -28,8 +30,8 @@ use crate::message::Message;
 use crate::rate::RateMonitor;
 use crate::requests::{patience, Claim, Pending, Requests};
 use crate::round::{self, BufferedReply, Decision};
-use crate::stats::{ServerSample, ServerStats};
-use crate::store::{MemoryStore, PersistedState, StableStore};
+use crate::stats::ServerStats;
+use crate::store::{MemoryStore, PersistedState};
 
 #[path = "lifecycle.rs"]
 mod lifecycle;
@@ -189,14 +191,14 @@ impl TimeServer {
     }
 
     /// Takes a metrics snapshot (simulation-only observability).
-    pub fn sample(&mut self, now: Timestamp) -> ServerSample {
+    pub fn sample(&mut self, now: Timestamp) -> SampleSnapshot {
         let estimate = self.current_estimate(now);
-        let true_offset = estimate.time() - now;
-        ServerSample {
+        SampleSnapshot {
             clock: estimate.time(),
             error: estimate.error(),
-            true_offset,
+            true_offset: estimate.time() - now,
             correct: estimate.is_correct_at(now),
+            active: self.is_active(),
         }
     }
 

@@ -1,7 +1,5 @@
 //! What a [`TimeServer`](crate::TimeServer) reports about itself:
-//! protocol counters and the metrics layer's sample.
-
-use tempo_core::{Duration, TimeEstimate, Timestamp};
+//! its protocol counters.
 
 /// Counters describing a server's protocol activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -51,27 +49,4 @@ pub struct ServerStats {
     /// the transport boundary (real transports only; the simulator
     /// delivers typed messages and never increments this).
     pub malformed_frames: usize,
-}
-
-/// A snapshot of a server's externally observable and simulation-only
-/// state, taken by the metrics layer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServerSample {
-    /// The server's clock reading `C_i(t)`.
-    pub clock: Timestamp,
-    /// The claimed maximum error `E_i(t)` (rule MM-1).
-    pub error: Duration,
-    /// Simulation-only: the true offset `C_i(t) − t`.
-    pub true_offset: Duration,
-    /// Simulation-only: whether the server is *correct*
-    /// (`|C_i(t) − t| ≤ E_i(t)`).
-    pub correct: bool,
-}
-
-impl ServerSample {
-    /// The sample as a reported estimate `⟨C, E⟩`.
-    #[must_use]
-    pub fn estimate(&self) -> TimeEstimate {
-        TimeEstimate::new(self.clock, self.error)
-    }
 }

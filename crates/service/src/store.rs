@@ -1,7 +1,7 @@
 //! Stable storage for the crash–restart lifecycle.
 //!
 //! §5 of the paper assumes a recovering server can tell whether it
-//! still *has* a trustworthy interval. [`StableStore`] is that
+//! still *has* a trustworthy interval. [`MemoryStore`] is that
 //! distinction made explicit: a server persists `(r_i, ε_i)` — the
 //! clock reading at its last reset and the error it inherited there —
 //! plus the real time of the write, at every reset. On restart it
@@ -41,36 +41,17 @@ pub struct ClusterState {
     pub high_water: u64,
 }
 
-/// Durable storage surviving a server crash.
+/// The durable record surviving a server crash: a single slot (plus a
+/// second slot for the cluster-time record), a plain value a host can
+/// compare and copy.
 ///
-/// A state machine keeps its durable record as a plain
-/// [`MemoryStore`] value: durability here means "survives the
-/// *crash*", which in a discrete-event world is simply "not wiped when
-/// the lifecycle machine crashes the actor". A host that must survive
-/// the *process* mirrors that value to disk after every callback
+/// A state machine keeps its durable record as a `MemoryStore` value:
+/// durability here means "survives the *crash*", which in a
+/// discrete-event world is simply "not wiped when the lifecycle machine
+/// crashes the actor". A host that must survive the *process* mirrors
+/// that value to disk after every callback
 /// (`tempo_transport::UdpRuntime`). An amnesia restart models a lost
-/// disk by calling [`StableStore::wipe`] before rehydrating.
-pub trait StableStore: std::fmt::Debug {
-    /// Records the state written by a reset, replacing any previous
-    /// record.
-    fn persist(&mut self, state: PersistedState);
-
-    /// The most recently persisted state, if any survives.
-    fn load(&self) -> Option<PersistedState>;
-
-    /// Destroys the store's contents (the amnesia restart path).
-    fn wipe(&mut self);
-
-    /// Records the cluster-time `(view, high-water)` pair, replacing
-    /// any previous record.
-    fn persist_cluster(&mut self, state: ClusterState);
-
-    /// The most recently persisted cluster state, if any survives.
-    fn load_cluster(&self) -> Option<ClusterState>;
-}
-
-/// The durable record itself: a single slot (plus a second slot for the
-/// cluster-time record), a plain value a host can compare and copy.
+/// disk by calling [`MemoryStore::wipe`] before rehydrating.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct MemoryStore {
     state: Option<PersistedState>,
@@ -83,27 +64,34 @@ impl MemoryStore {
     pub fn new() -> Self {
         MemoryStore::default()
     }
-}
 
-impl StableStore for MemoryStore {
-    fn persist(&mut self, state: PersistedState) {
+    /// Records the state written by a reset, replacing any previous
+    /// record.
+    pub fn persist(&mut self, state: PersistedState) {
         self.state = Some(state);
     }
 
-    fn load(&self) -> Option<PersistedState> {
+    /// The most recently persisted state, if any survives.
+    #[must_use]
+    pub fn load(&self) -> Option<PersistedState> {
         self.state
     }
 
-    fn wipe(&mut self) {
+    /// Destroys the store's contents (the amnesia restart path).
+    pub fn wipe(&mut self) {
         self.state = None;
         self.cluster = None;
     }
 
-    fn persist_cluster(&mut self, state: ClusterState) {
+    /// Records the cluster-time `(view, high-water)` pair, replacing
+    /// any previous record.
+    pub fn persist_cluster(&mut self, state: ClusterState) {
         self.cluster = Some(state);
     }
 
-    fn load_cluster(&self) -> Option<ClusterState> {
+    /// The most recently persisted cluster state, if any survives.
+    #[must_use]
+    pub fn load_cluster(&self) -> Option<ClusterState> {
         self.cluster
     }
 }

@@ -4,7 +4,8 @@
 //!
 //! Each experiment is a pure function returning a result struct whose
 //! `Display` implementation prints the paper-style report; the
-//! `experiments` binary in `tempo-bench` simply calls these.
+//! root package's `experiments` binary (`src/bin/experiments`) simply
+//! calls these.
 
 pub mod ablations;
 pub mod bounds;

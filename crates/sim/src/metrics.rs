@@ -7,7 +7,8 @@
 use tempo_core::consistency::{consistency_groups, ConsistencyGroup};
 use tempo_core::{Duration, TimeInterval, Timestamp};
 use tempo_net::NetStats;
-use tempo_service::{ServerSample, ServerStats};
+use tempo_service::ServerStats;
+use tempo_telemetry::SampleSnapshot;
 
 /// All server samples taken at one instant.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,7 +16,7 @@ pub struct SampleRow {
     /// The real time of the snapshot.
     pub t: Timestamp,
     /// One sample per server, indexed by node id.
-    pub per_server: Vec<ServerSample>,
+    pub per_server: Vec<SampleSnapshot>,
 }
 
 impl SampleRow {
@@ -330,17 +331,18 @@ mod tests {
     use super::*;
     use tempo_core::TimeEstimate;
 
-    fn sample(clock: f64, error: f64, offset: f64) -> ServerSample {
+    fn sample(clock: f64, error: f64, offset: f64) -> SampleSnapshot {
         let estimate = TimeEstimate::new(Timestamp::from_secs(clock), Duration::from_secs(error));
-        ServerSample {
+        SampleSnapshot {
             clock: estimate.time(),
             error: estimate.error(),
             true_offset: Duration::from_secs(offset),
             correct: offset.abs() <= error,
+            active: true,
         }
     }
 
-    fn row(t: f64, samples: Vec<ServerSample>) -> SampleRow {
+    fn row(t: f64, samples: Vec<SampleSnapshot>) -> SampleRow {
         SampleRow {
             t: Timestamp::from_secs(t),
             per_server: samples,

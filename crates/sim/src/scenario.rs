@@ -450,19 +450,7 @@ impl Scenario {
     }
 
     fn sample_servers(t: Timestamp, actors: &mut [TimeServer]) -> Vec<SampleSnapshot> {
-        actors
-            .iter_mut()
-            .map(|s| {
-                let sample = s.sample(t);
-                SampleSnapshot {
-                    clock: sample.clock,
-                    error: sample.error,
-                    true_offset: sample.true_offset,
-                    correct: sample.correct,
-                    active: s.is_active(),
-                }
-            })
-            .collect()
+        actors.iter_mut().map(|s| s.sample(t)).collect()
     }
 }
 

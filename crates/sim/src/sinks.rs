@@ -18,7 +18,6 @@ use tempo_core::Duration;
 use tempo_net::NetStats;
 use tempo_oracle::cluster::{ClusterOracle, ClusterReport, IssueObservation};
 use tempo_oracle::{Oracle, OracleReport, RehydrationObservation, RoundObservation, SampleState};
-use tempo_service::ServerSample;
 use tempo_telemetry::json::write_event;
 use tempo_telemetry::{json_record, EventKind, Observer, TelemetryEvent};
 
@@ -56,15 +55,7 @@ impl Observer for MetricsSink {
         if let TelemetryEvent::Sample { at, servers } = event {
             self.rows.push(SampleRow {
                 t: *at,
-                per_server: servers
-                    .iter()
-                    .map(|s| ServerSample {
-                        clock: s.clock,
-                        error: s.error,
-                        true_offset: s.true_offset,
-                        correct: s.correct,
-                    })
-                    .collect(),
+                per_server: servers.clone(),
             });
         }
     }

@@ -16,9 +16,9 @@
 //! * [`Observer`] — a sink with a cheap [`Observer::enabled`] gate so
 //!   producers can skip building events nobody wants,
 //! * [`Bus`] — a fan-out dispatcher with a lazy
-//!   [`Bus::emit_with`] API, an aggregate kind mask, and an optional
-//!   bounded ring buffer (with an explicit dropped-event counter)
-//!   holding the most recent events for post-mortems.
+//!   [`Bus::emit_with`] API, an aggregate kind mask, and a count of the
+//!   events offered, from which [`Bus::dropped_events`] reports what a
+//!   bounded post-mortem ring would have evicted.
 //!
 //! A disabled bus ([`Bus::disabled`]) is a single `Option` check per
 //! emission and never builds the event, so instrumented code costs
@@ -62,11 +62,10 @@ pub mod json;
 pub mod num;
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 
-use tempo_core::{Duration, Timestamp};
+use tempo_core::{Duration, TimeEstimate, Timestamp};
 
 /// Declares enums whose variants export as fixed JSONL labels: the one
 /// list gives the variants, `label()` and the labels the schema
@@ -164,6 +163,14 @@ pub struct SampleSnapshot {
     /// elide them and checkers must not hold the theorems against
     /// them.
     pub active: bool,
+}
+
+impl SampleSnapshot {
+    /// The sample as a reported estimate `⟨C, E⟩`.
+    #[must_use]
+    pub fn estimate(&self) -> TimeEstimate {
+        TimeEstimate::new(self.clock, self.error)
+    }
 }
 
 /// The event catalogue: the one place an event is declared. A row is
@@ -678,39 +685,16 @@ pub trait Observer {
     fn observe(&mut self, event: &TelemetryEvent);
 }
 
-/// Bounded buffer of the most recent events, for post-mortems.
-struct Ring {
-    buf: VecDeque<TelemetryEvent>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl Ring {
-    fn push(&mut self, event: TelemetryEvent) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(event);
-    }
-}
-
-struct Inner {
-    observers: Vec<Rc<RefCell<dyn Observer>>>,
-    ring: Option<Ring>,
-}
-
 struct Shared {
-    /// OR of every subscriber's enabled kinds (all ones when a ring is
-    /// attached). Checked before the event is even built.
+    /// OR of every subscriber's enabled kinds. Checked before the event
+    /// is even built.
     mask: Cell<u64>,
     /// Emissions offered so far (see [`Bus::offered_events`]).
     offered: Cell<u64>,
-    inner: RefCell<Inner>,
+    /// The window [`Bus::dropped_events`] is counted past (see
+    /// [`Bus::with_ring`]); `u64::MAX` when none was asked for.
+    ring: u64,
+    observers: RefCell<Vec<Rc<RefCell<dyn Observer>>>>,
 }
 
 /// A fan-out dispatcher for [`TelemetryEvent`]s.
@@ -728,16 +712,7 @@ impl Bus {
     /// An enabled bus with no subscribers and no ring.
     #[must_use]
     pub fn new() -> Self {
-        Bus {
-            shared: Some(Rc::new(Shared {
-                mask: Cell::new(0),
-                offered: Cell::new(0),
-                inner: RefCell::new(Inner {
-                    observers: Vec::new(),
-                    ring: None,
-                }),
-            })),
-        }
+        Bus::counting_past(u64::MAX)
     }
 
     /// The no-op bus: emissions cost one branch and build nothing.
@@ -746,21 +721,23 @@ impl Bus {
         Bus { shared: None }
     }
 
-    /// An enabled bus that additionally keeps the most recent
-    /// `capacity` events in a bounded ring; older events are evicted
-    /// and counted in [`Bus::dropped_events`].
+    /// An enabled bus that counts the events a ring of the most recent
+    /// `capacity` would evict, in [`Bus::dropped_events`]. No ring is
+    /// kept: subscribers see every event they want regardless.
     #[must_use]
     pub fn with_ring(capacity: usize) -> Self {
-        let bus = Bus::new();
-        if let Some(shared) = &bus.shared {
-            shared.inner.borrow_mut().ring = Some(Ring {
-                buf: VecDeque::with_capacity(capacity.min(4096)),
-                capacity,
-                dropped: 0,
-            });
-            shared.mask.set(u64::MAX);
+        Bus::counting_past(capacity as u64)
+    }
+
+    fn counting_past(ring: u64) -> Self {
+        Bus {
+            shared: Some(Rc::new(Shared {
+                mask: Cell::new(0),
+                offered: Cell::new(0),
+                ring,
+                observers: RefCell::new(Vec::new()),
+            })),
         }
-        bus
     }
 
     /// Whether this bus dispatches at all.
@@ -769,7 +746,7 @@ impl Bus {
         self.shared.is_some()
     }
 
-    /// Whether any subscriber (or the ring) wants events of `kind`.
+    /// Whether any subscriber wants events of `kind`.
     /// Producers may use this to skip expensive bookkeeping that only
     /// feeds a given event kind — never to skip the [`Bus::emit_with`]
     /// itself, which [`Bus::offered_events`] must still see.
@@ -794,11 +771,11 @@ impl Bus {
             }
         }
         shared.mask.set(shared.mask.get() | bits);
-        shared.inner.borrow_mut().observers.push(observer);
+        shared.observers.borrow_mut().push(observer);
     }
 
     /// Emits an event, building it lazily: `build` only runs when some
-    /// subscriber (or the ring) wants events of `kind`.
+    /// subscriber wants events of `kind`.
     pub fn emit_with(&self, kind: EventKind, build: impl FnOnce() -> TelemetryEvent) {
         let Some(shared) = &self.shared else {
             return;
@@ -809,16 +786,11 @@ impl Bus {
         }
         let event = build();
         debug_assert_eq!(event.kind(), kind);
-        let mut inner = shared.inner.borrow_mut();
-        let Inner { observers, ring } = &mut *inner;
-        for observer in observers.iter() {
+        for observer in shared.observers.borrow().iter() {
             let mut observer = observer.borrow_mut();
             if observer.enabled(kind) {
                 observer.observe(&event);
             }
-        }
-        if let Some(ring) = ring {
-            ring.push(event);
         }
     }
 
@@ -829,19 +801,13 @@ impl Bus {
         self.emit_with(kind, || event);
     }
 
-    /// How many events the bounded ring has evicted (or refused, for a
-    /// zero-capacity ring). Zero when no ring is attached.
+    /// How many events a ring of [`Bus::with_ring`]'s capacity would
+    /// have evicted: the offered events past it. Zero without one.
     #[must_use]
     pub fn dropped_events(&self) -> u64 {
-        match &self.shared {
-            Some(shared) => shared
-                .inner
-                .borrow()
-                .ring
-                .as_ref()
-                .map_or(0, |ring| ring.dropped),
-            None => 0,
-        }
+        self.shared
+            .as_ref()
+            .map_or(0, |s| s.offered.get().saturating_sub(s.ring))
     }
 
     /// How many events producers offered to this bus: every
@@ -852,45 +818,18 @@ impl Bus {
     pub fn offered_events(&self) -> u64 {
         self.shared.as_ref().map_or(0, |s| s.offered.get())
     }
-
-    /// A copy of the ring's current contents, oldest first. Empty when
-    /// no ring is attached.
-    #[must_use]
-    pub fn recent_events(&self) -> Vec<TelemetryEvent> {
-        match &self.shared {
-            Some(shared) => shared
-                .inner
-                .borrow()
-                .ring
-                .as_ref()
-                .map_or_else(Vec::new, |ring| ring.buf.iter().cloned().collect()),
-            None => Vec::new(),
-        }
-    }
-
-    /// How many observers are subscribed.
-    #[must_use]
-    pub fn observer_count(&self) -> usize {
-        match &self.shared {
-            Some(shared) => shared.inner.borrow().observers.len(),
-            None => 0,
-        }
-    }
 }
 
 impl fmt::Debug for Bus {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.shared {
             None => f.write_str("Bus(disabled)"),
-            Some(shared) => {
-                let inner = shared.inner.borrow();
-                f.debug_struct("Bus")
-                    .field("mask", &format_args!("{:#x}", shared.mask.get()))
-                    .field("observers", &inner.observers.len())
-                    .field("ring", &inner.ring.as_ref().map(|r| r.buf.len()))
-                    .field("dropped", &inner.ring.as_ref().map_or(0, |r| r.dropped))
-                    .finish()
-            }
+            Some(shared) => f
+                .debug_struct("Bus")
+                .field("mask", &format_args!("{:#x}", shared.mask.get()))
+                .field("observers", &shared.observers.borrow().len())
+                .field("offered", &shared.offered.get())
+                .finish(),
         }
     }
 }
@@ -929,7 +868,6 @@ mod tests {
         bus.emit_with(EventKind::MsgSend, || unreachable!());
         assert_eq!(bus.dropped_events(), 0);
         assert_eq!(bus.offered_events(), 0);
-        assert!(bus.recent_events().is_empty());
     }
 
     #[test]
@@ -963,23 +901,24 @@ mod tests {
         }));
         bus.subscribe(all.clone());
         bus.subscribe(joins.clone());
-        assert_eq!(bus.observer_count(), 2);
         bus.emit(send_at(0.5));
         assert_eq!(all.borrow().kinds, vec![EventKind::MsgSend]);
         assert!(joins.borrow().kinds.is_empty());
     }
 
     #[test]
-    fn ring_bounds_and_counts_drops() {
+    fn ring_counts_the_offered_events_past_its_capacity() {
         let bus = Bus::with_ring(2);
-        for i in 0..5 {
+        for i in 0..2 {
             bus.emit(send_at(f64::from(i)));
         }
+        assert_eq!(bus.dropped_events(), 0);
+        // Unwanted emissions count too: a ring would have kept them.
+        for i in 2..5 {
+            bus.emit_with(EventKind::MsgSend, || send_at(f64::from(i)));
+        }
         assert_eq!(bus.dropped_events(), 3);
-        let recent = bus.recent_events();
-        assert_eq!(recent.len(), 2);
-        assert_eq!(recent[0].at(), Timestamp::from_secs(3.0));
-        assert_eq!(recent[1].at(), Timestamp::from_secs(4.0));
+        assert_eq!(Bus::new().dropped_events(), 0);
     }
 
     #[test]
@@ -987,7 +926,6 @@ mod tests {
         let bus = Bus::with_ring(0);
         bus.emit(send_at(1.0));
         assert_eq!(bus.dropped_events(), 1);
-        assert!(bus.recent_events().is_empty());
     }
 
     #[test]
@@ -1013,6 +951,6 @@ mod tests {
     #[test]
     fn debug_formats() {
         assert_eq!(format!("{:?}", Bus::disabled()), "Bus(disabled)");
-        assert!(format!("{:?}", Bus::with_ring(8)).contains("ring"));
+        assert!(format!("{:?}", Bus::with_ring(8)).contains("offered"));
     }
 }

@@ -29,9 +29,7 @@ use tempo_clocks::{DriftModel, SimClock};
 use tempo_cluster::{ClusterConfig, ClusterReplica};
 use tempo_core::{DriftRate, Duration, SnapshotReader, Timestamp};
 use tempo_net::NodeId;
-use tempo_service::{
-    MemoryStore, PersistedState, RetryPolicy, ServerConfig, StableStore, Strategy, TimeServer,
-};
+use tempo_service::{MemoryStore, PersistedState, RetryPolicy, ServerConfig, Strategy, TimeServer};
 use tempo_telemetry::json::write_event;
 use tempo_telemetry::{Bus, EventKind, Observer, TelemetryEvent};
 use tempo_transport::{
@@ -61,7 +59,7 @@ OPTIONS:
     --initial-error S   initial error epsilon                 [0.01]
     --period SECS       resync period tau                     [1.0]
     --window SECS       reply-collection window               [0.25]
-    --strategy NAME     mm | im | tolerant:F                  [mm]
+    --strategy NAME     mm | im | tolerant:F | max | median | mean  [mm]
     --quorum N          §5 bootstrap quorum                   [1]
     --seed N            protocol rng seed                     [0]
     --state PATH        durable state file (omit: in-memory)
@@ -186,7 +184,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--initial-error" => opts.initial_error = parse(&value()?, "--initial-error")?,
             "--period" => opts.period = parse(&value()?, "--period")?,
             "--window" => opts.window = parse(&value()?, "--window")?,
-            "--strategy" => opts.strategy = parse_strategy(&value()?)?,
+            "--strategy" => opts.strategy = value()?.parse()?,
             "--quorum" => opts.quorum = parse(&value()?, "--quorum")?,
             "--seed" => opts.seed = parse(&value()?, "--seed")?,
             "--state" => opts.state = Some(value()?),
@@ -275,19 +273,6 @@ fn parse_admit(value: &str) -> Result<(f64, f64), String> {
         return Err("--serve-admit needs rate > 0 and burst >= 1".into());
     }
     Ok((rate, burst))
-}
-
-fn parse_strategy(value: &str) -> Result<Strategy, String> {
-    match value {
-        "mm" => Ok(Strategy::Mm),
-        "im" => Ok(Strategy::Im),
-        other => match other.strip_prefix("tolerant:") {
-            Some(f) => Ok(Strategy::MarzulloTolerant {
-                max_faulty: parse(f, "--strategy tolerant:F")?,
-            }),
-            None => Err(format!("unknown strategy `{other}` (mm, im, tolerant:F)")),
-        },
-    }
 }
 
 /// Telemetry sink: every event is one JSON line and one `write` to

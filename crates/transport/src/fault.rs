@@ -248,7 +248,7 @@ impl<S: DatagramSocket> FaultyTransport<S> {
             let (lock, cvar) = &*self.state;
             let mut state = lock.lock().unwrap();
             let key = state.due_key(due);
-            let _ = state.queue.push(key, (payload, addr));
+            state.queue.push(key, (payload, addr));
             cvar.notify_one();
             return Ok(());
         }

@@ -443,7 +443,7 @@ impl<S: DatagramSocket, A: WireActor> Transport<A::Msg> for UdpRuntime<S, A> {
     fn set_timer(&mut self, node: NodeId, delay: Duration, tag: u64) {
         debug_assert_eq!(node, self.me, "UdpRuntime hosts exactly one actor");
         let due = self.elapsed() + delay.max(Duration::ZERO);
-        let _ = self.timers.push(due, tag);
+        self.timers.push(due, tag);
     }
 }
 
@@ -458,7 +458,7 @@ mod tests {
     use tempo_clocks::{DriftModel, SimClock};
     use tempo_cluster::ClusterConfig;
     use tempo_core::DriftRate;
-    use tempo_service::{ServerConfig, StableStore, Strategy};
+    use tempo_service::{ServerConfig, Strategy};
 
     fn server(offset: f64, initial_error: f64) -> TimeServer {
         TimeServer::new(

@@ -7,7 +7,7 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 use tempo_core::{Duration, Timestamp};
-use tempo_service::{ClusterState, MemoryStore, PersistedState, StableStore};
+use tempo_service::{ClusterState, MemoryStore, PersistedState};
 
 /// The file a [`MemoryStore`] durable record is mirrored to.
 ///
