@@ -19,6 +19,7 @@ use tempo_core::{DriftRate, Duration, TimeInterval, Timestamp};
 use tempo_net::DelayModel;
 use tempo_service::{ScreeningPolicy, Strategy};
 
+use super::Verdict;
 use crate::report::{secs, Table};
 use crate::scenario::{Scenario, ServerSpec};
 
@@ -127,12 +128,11 @@ pub fn marzullo_ablation() -> MarzulloAblation {
     MarzulloAblation { n, trials, rows }
 }
 
-impl MarzulloAblation {
+impl Verdict for MarzulloAblation {
     /// The expected shape: with zero faults all combiners contain true
     /// time; with faults, plain intersection collapses while
     /// Marzullo(f) keeps succeeding.
-    #[must_use]
-    pub fn reproduces_shape(&self) -> bool {
+    fn reproduces_shape(&self) -> bool {
         let get = |faulty: usize, name: &str| {
             self.rows
                 .iter()
@@ -172,12 +172,7 @@ impl fmt::Display for MarzulloAblation {
                 },
             ]);
         }
-        write!(f, "{table}")?;
-        writeln!(
-            f,
-            "reproduces the expected shape: {}",
-            self.reproduces_shape()
-        )
+        write!(f, "{table}")
     }
 }
 
@@ -282,11 +277,10 @@ pub fn strategy_comparison() -> StrategyComparison {
     StrategyComparison { rows }
 }
 
-impl StrategyComparison {
+impl Verdict for StrategyComparison {
     /// The headline expectations: interval-based strategies keep honest
     /// servers correct even with the racing peer; Lamport-max does not.
-    #[must_use]
-    pub fn reproduces_shape(&self) -> bool {
+    fn reproduces_shape(&self) -> bool {
         let get = |name: &str, with_fault: bool| {
             self.rows
                 .iter()
@@ -321,12 +315,7 @@ impl fmt::Display for StrategyComparison {
                 secs(r.final_mean_error),
             ]);
         }
-        write!(f, "{table}")?;
-        writeln!(
-            f,
-            "reproduces the expected shape: {}",
-            self.reproduces_shape()
-        )
+        write!(f, "{table}")
     }
 }
 
@@ -451,15 +440,14 @@ pub fn screening_ablation() -> ScreeningAblation {
     ScreeningAblation { rows }
 }
 
-impl ScreeningAblation {
+impl Verdict for ScreeningAblation {
     /// The expected shape: screening detects the attacker by rate and
     /// keeps every configuration violation-free; IM — which has no
     /// fault budget — is dragged several times further off true time
     /// without screening than with it; and Marzullo's `f`-tolerant
     /// hull keeps honest servers correct even with screening off (the
     /// attacker is a single faulty source within the budget).
-    #[must_use]
-    pub fn reproduces_shape(&self) -> bool {
+    fn reproduces_shape(&self) -> bool {
         let get = |screening: bool, prefix: &str| {
             self.rows
                 .iter()
@@ -497,12 +485,7 @@ impl fmt::Display for ScreeningAblation {
                 r.screened_replies.to_string(),
             ]);
         }
-        write!(f, "{table}")?;
-        writeln!(
-            f,
-            "reproduces the expected shape: {}",
-            self.reproduces_shape()
-        )
+        write!(f, "{table}")
     }
 }
 

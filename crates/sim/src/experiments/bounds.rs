@@ -8,6 +8,7 @@ use tempo_core::{DriftRate, Duration, Timestamp};
 use tempo_net::DelayModel;
 use tempo_service::Strategy;
 
+use super::Verdict;
 use crate::report::{secs, Table};
 use crate::scenario::{Scenario, ServerSpec};
 
@@ -43,7 +44,7 @@ impl BoundRow {
     /// Whether both observed quantities respect their bounds and the
     /// claimed `ξ` really covered every round trip.
     #[must_use]
-    pub fn holds(&self) -> bool {
+    pub fn within_bounds(&self) -> bool {
         self.observed_gap <= self.gap_bound
             && self.observed_asynch <= self.asynch_bound
             && self.xi_witness <= self.xi
@@ -137,6 +138,13 @@ pub fn mm_bounds() -> MmBounds {
     MmBounds { rows }
 }
 
+impl Verdict for MmBounds {
+    /// Every configuration stays within both theorems' bounds.
+    fn reproduces_shape(&self) -> bool {
+        !self.rows.is_empty() && self.rows.iter().all(BoundRow::within_bounds)
+    }
+}
+
 impl fmt::Display for MmBounds {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -168,7 +176,7 @@ impl fmt::Display for MmBounds {
                 secs(r.observed_asynch),
                 secs(r.asynch_bound),
                 r.violations.to_string(),
-                r.holds().to_string(),
+                r.within_bounds().to_string(),
             ]);
         }
         write!(f, "{table}")
@@ -206,7 +214,7 @@ impl ImAsynchRow {
     /// Whether the observation respects the bound and the claimed `ξ`
     /// really covered every round trip.
     #[must_use]
-    pub fn holds(&self) -> bool {
+    pub fn within_bounds(&self) -> bool {
         self.observed <= self.bound && self.xi_witness <= self.xi && self.violations == 0
     }
 }
@@ -298,6 +306,13 @@ pub fn min_delay_ablation() -> ImBounds {
     ImBounds { rows }
 }
 
+impl Verdict for ImBounds {
+    /// Every configuration stays within Theorem 7's bound.
+    fn reproduces_shape(&self) -> bool {
+        !self.rows.is_empty() && self.rows.iter().all(ImAsynchRow::within_bounds)
+    }
+}
+
 impl fmt::Display for ImBounds {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Theorem 7 — IM asynchronism vs bound")?;
@@ -315,7 +330,7 @@ impl fmt::Display for ImBounds {
                 secs(r.observed),
                 secs(r.bound),
                 r.violations.to_string(),
-                r.holds().to_string(),
+                r.within_bounds().to_string(),
             ]);
         }
         write!(f, "{table}")
@@ -348,7 +363,7 @@ mod tests {
             row.xi_witness,
             row.xi
         );
-        assert!(row.holds());
+        assert!(row.within_bounds());
     }
 
     #[test]
@@ -377,7 +392,7 @@ mod tests {
             row.xi_witness >= 2.0 * row.min_delay,
             "witness must see the delay floor"
         );
-        assert!(row.holds());
+        assert!(row.within_bounds());
     }
 
     #[test]

@@ -23,12 +23,12 @@
 use std::fmt;
 
 use tempo_core::{Duration, Timestamp};
-use tempo_net::DelayModel;
 use tempo_oracle::{OracleConfig, TheoremId};
-use tempo_service::{HealthConfig, RetryPolicy, ServerFault, Strategy};
+use tempo_service::ServerFault;
 
+use super::{fault_tolerant, Verdict};
 use crate::report::{secs, Table};
-use crate::scenario::{Scenario, ServerSpec};
+use crate::scenario::ServerSpec;
 
 /// Servers in the deployment.
 const N: usize = 6;
@@ -227,31 +227,11 @@ fn run_regime(regime: &Regime, base_seed: u64) -> ByzantineRow {
         if let Some(bound) = regime.stabilization {
             oracle = oracle.stabilization(bound);
         }
-        let mut scenario = Scenario::new(Strategy::MarzulloTolerant {
-            max_faulty: regime.max_faulty,
-        })
-        .delay(DelayModel::Uniform {
-            min: Duration::ZERO,
-            max: Duration::from_millis(20.0),
-        })
-        .resync_period(Duration::from_secs(10.0))
-        .collect_window(Duration::from_secs(1.0))
-        .retry(RetryPolicy::Backoff {
-            timeout: Duration::from_millis(100.0),
-            max_retries: 3,
-            multiplier: 2.0,
-            jitter: 0.1,
-        })
-        .health(HealthConfig {
-            suspect_after: 2,
-            dead_after: 6,
-            probe_every: 3,
-        })
-        .quorum(3)
-        .oracle(oracle)
-        .duration(Duration::from_secs(DURATION))
-        .sample_interval(Duration::from_secs(2.0))
-        .seed(base_seed + k);
+        let mut scenario = fault_tolerant(regime.max_faulty)
+            .oracle(oracle)
+            .duration(Duration::from_secs(DURATION))
+            .sample_interval(Duration::from_secs(2.0))
+            .seed(base_seed + k);
         for i in 0..N {
             let sign = if i % 2 == 0 { 1.0 } else { -1.0 };
             let mut spec = ServerSpec::honest(sign * 0.5 * 1e-4, regime.claimed_bound)
@@ -263,13 +243,7 @@ fn run_regime(regime: &Regime, base_seed: u64) -> ByzantineRow {
         }
         let result = scenario.run();
 
-        row.honest_violations += result
-            .violations_per_server()
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| !faulty.contains(&i))
-            .map(|(_, &v)| v)
-            .sum::<usize>();
+        row.honest_violations += result.honest_violations(|i| faulty.contains(&i));
         let report = result.oracle.as_ref().expect("oracle was armed");
         row.oracle_violations += report.total_violations;
         row.f_violations += report
@@ -311,7 +285,7 @@ pub fn byzantine() -> Byzantine {
     Byzantine { rows }
 }
 
-impl Byzantine {
+impl Verdict for Byzantine {
     /// The headline claims. Within budget (tiers up to and including
     /// coordinated collusion, plus the corruption storm): zero oracle
     /// violations of any predicate and zero honest incorrectness —
@@ -319,8 +293,7 @@ impl Byzantine {
     /// (disruptions observed) yet stabilized within the bound. Beyond
     /// budget: the oracle provably flags the capture with at least
     /// one f-tolerance violation.
-    #[must_use]
-    pub fn reproduces_shape(&self) -> bool {
+    fn reproduces_shape(&self) -> bool {
         self.rows.iter().all(|r| {
             if r.beyond_budget {
                 r.f_violations > 0
@@ -368,12 +341,7 @@ impl fmt::Display for Byzantine {
                 secs(r.worst_honest_offset),
             ]);
         }
-        write!(f, "{table}")?;
-        writeln!(
-            f,
-            "reproduces the expected shape: {}",
-            self.reproduces_shape()
-        )
+        write!(f, "{table}")
     }
 }
 

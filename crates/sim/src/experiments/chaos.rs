@@ -16,9 +16,10 @@
 use std::fmt;
 
 use tempo_core::{Duration, Timestamp};
-use tempo_net::{DelayModel, NodeId, Partition};
-use tempo_service::{HealthConfig, RetryPolicy, ServerFault, Strategy};
+use tempo_net::{NodeId, Partition};
+use tempo_service::ServerFault;
 
+use super::{fault_tolerant, Verdict};
 use crate::report::{secs, Table};
 use crate::scenario::{Scenario, ServerSpec};
 
@@ -91,28 +92,7 @@ fn run_regime(
     configure: impl FnOnce(Scenario) -> Scenario,
 ) -> ChaosRow {
     let delta = 1e-4;
-    let mut scenario = Scenario::new(Strategy::MarzulloTolerant { max_faulty: 1 })
-        .delay(DelayModel::Uniform {
-            min: Duration::ZERO,
-            max: Duration::from_millis(20.0),
-        })
-        .resync_period(Duration::from_secs(10.0))
-        .collect_window(Duration::from_secs(1.0))
-        .retry(RetryPolicy::Backoff {
-            // Max honest round-trip is 40 ms: a 100 ms floor never
-            // falsely suspects, yet detects real losses fast enough to
-            // re-solicit three times inside the one-second window.
-            timeout: Duration::from_millis(100.0),
-            max_retries: 3,
-            multiplier: 2.0,
-            jitter: 0.1,
-        })
-        .health(HealthConfig {
-            suspect_after: 2,
-            dead_after: 6,
-            probe_every: 3,
-        })
-        .quorum(3)
+    let mut scenario = fault_tolerant(1)
         .duration(Duration::from_secs(300.0))
         .sample_interval(Duration::from_secs(2.0))
         .seed(seed);
@@ -130,13 +110,7 @@ fn run_regime(
     }
     let result = configure(scenario).run();
 
-    let honest_violations = result
-        .violations_per_server()
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !faulty.contains(i))
-        .map(|(_, &v)| v)
-        .sum();
+    let honest_violations = result.honest_violations(|i| faulty.contains(&i));
     let sum = |f: fn(&tempo_service::ServerStats) -> usize| -> usize {
         result.final_stats.iter().map(f).sum()
     };
@@ -172,12 +146,11 @@ pub fn chaos() -> Chaos {
     Chaos { rows }
 }
 
-impl Chaos {
+impl Verdict for Chaos {
     /// The qualitative claim: non-faulty servers are *never* incorrect,
     /// the clean run shows no false suspicion (zero timeouts), and each
     /// failure regime makes its corresponding counters fire.
-    #[must_use]
-    pub fn reproduces_shape(&self) -> bool {
+    fn reproduces_shape(&self) -> bool {
         let [lossless, loss, partition, crash, _liar, all] = &self.rows[..] else {
             return false;
         };
@@ -238,12 +211,7 @@ impl fmt::Display for Chaos {
                 secs(r.final_mean_error),
             ]);
         }
-        write!(f, "{table}")?;
-        writeln!(
-            f,
-            "reproduces the expected shape: {}",
-            self.reproduces_shape()
-        )
+        write!(f, "{table}")
     }
 }
 

@@ -14,12 +14,13 @@ use tempo_core::{Duration, Timestamp};
 use tempo_net::DelayModel;
 use tempo_service::Strategy;
 
+use super::Verdict;
 use crate::report::secs;
 use crate::scenario::{Scenario, ServerSpec};
 
-/// The outcome of the churn experiment.
+/// The churn experiment under one strategy.
 #[derive(Debug, Clone)]
-pub struct Churn {
+pub struct ChurnRun {
     /// Strategy under test.
     pub strategy: Strategy,
     /// Simulated time at which the workstation joined.
@@ -38,7 +39,7 @@ pub struct Churn {
 
 /// Runs E13 with the given strategy.
 #[must_use]
-pub fn churn_with(strategy: Strategy) -> Churn {
+pub fn churn_with(strategy: Strategy) -> ChurnRun {
     let join_at = 120.0;
     let leave_at = 200.0;
     let joiner_offset = 3.0;
@@ -81,7 +82,7 @@ pub fn churn_with(strategy: Strategy) -> Churn {
         }
     }
     let last = scenario.last();
-    Churn {
+    ChurnRun {
         strategy,
         join_at,
         joiner_initial_offset: joiner_offset,
@@ -97,17 +98,38 @@ fn result_rows(r: &crate::metrics::RunResult) -> &[crate::metrics::SampleRow] {
     &r.samples
 }
 
-/// Runs E13 for MM and IM.
-#[must_use]
-pub fn churn() -> Vec<Churn> {
-    vec![churn_with(Strategy::Mm), churn_with(Strategy::Im)]
+/// Results of E13: one run per strategy.
+#[derive(Debug, Clone)]
+pub struct Churn {
+    /// The MM run, then the IM run.
+    pub runs: Vec<ChurnRun>,
 }
 
-impl Churn {
+/// Runs E13 for MM and IM.
+#[must_use]
+pub fn churn() -> Churn {
+    Churn {
+        runs: vec![churn_with(Strategy::Mm), churn_with(Strategy::Im)],
+    }
+}
+
+impl Verdict for Churn {
+    /// Every strategy's run reproduces the shape.
+    fn reproduces_shape(&self) -> bool {
+        self.runs.iter().all(ChurnRun::reproduces_shape)
+    }
+}
+
+impl fmt::Display for Churn {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.runs.iter().try_for_each(|run| write!(f, "{run}"))
+    }
+}
+
+impl Verdict for ChurnRun {
     /// The expected outcome: nobody already in the service is disturbed,
     /// and the joiner converges from seconds to milliseconds.
-    #[must_use]
-    pub fn reproduces_shape(&self) -> bool {
+    fn reproduces_shape(&self) -> bool {
         self.stable_violations == 0
             && self.joiner_violations == 0
             && self.joiner_final_offset.abs() < 0.1
@@ -115,7 +137,7 @@ impl Churn {
     }
 }
 
-impl fmt::Display for Churn {
+impl fmt::Display for ChurnRun {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
@@ -132,10 +154,8 @@ impl fmt::Display for Churn {
         )?;
         writeln!(
             f,
-            "  violations — stable servers: {}, joiner: {}; converged: {}",
-            self.stable_violations,
-            self.joiner_violations,
-            self.reproduces_shape()
+            "  violations — stable servers: {}, joiner: {}",
+            self.stable_violations, self.joiner_violations
         )
     }
 }
@@ -146,7 +166,7 @@ mod tests {
 
     #[test]
     fn joiner_converges_under_mm_and_im() {
-        for c in churn() {
+        for c in churn().runs {
             assert!(c.reproduces_shape(), "{c}");
             // It really did start seconds away.
             assert!(c.joiner_initial_offset >= 1.0);

@@ -23,6 +23,7 @@ use tempo_core::{Duration, Timestamp};
 use tempo_net::{NodeId, Partition};
 use tempo_service::ServerFault;
 
+use super::Verdict;
 use crate::cluster::{ClusterScenario, ReplicaSpec};
 use crate::report::Table;
 use tempo_cluster::ClusterFault;
@@ -244,13 +245,12 @@ pub fn cluster() -> Cluster {
     Cluster { rows }
 }
 
-impl Cluster {
+impl Verdict for Cluster {
     /// The headline claims: zero oracle violations and zero client
     /// regressions everywhere; every failover regime actually elects a
     /// new primary and resumes issuing; the quorum-loss regime refuses
     /// instead of guessing.
-    #[must_use]
-    pub fn reproduces_shape(&self) -> bool {
+    fn reproduces_shape(&self) -> bool {
         self.rows.iter().all(ClusterRow::ok)
     }
 }
@@ -292,12 +292,7 @@ impl fmt::Display for Cluster {
                 r.ok().to_string(),
             ]);
         }
-        write!(f, "{table}")?;
-        writeln!(
-            f,
-            "reproduces the expected shape: {}",
-            self.reproduces_shape()
-        )
+        write!(f, "{table}")
     }
 }
 

@@ -14,6 +14,7 @@ use tempo_core::consonance::{
 };
 use tempo_core::{DriftRate, Timestamp};
 
+use super::Verdict;
 use crate::report::Table;
 
 /// The outcome of the consonance experiment.
@@ -107,10 +108,9 @@ pub fn consonance() -> Consonance {
     }
 }
 
-impl Consonance {
+impl Verdict for Consonance {
     /// The racing clock (index 2) — and only it — is identified.
-    #[must_use]
-    pub fn identifies_racer(&self) -> bool {
+    fn reproduces_shape(&self) -> bool {
         self.dissonant == vec![2]
     }
 }
@@ -154,11 +154,7 @@ impl fmt::Display for Consonance {
         if let Some(c) = &self.consensus {
             writeln!(f, "consensus rate interval of the majority: {c}")?;
         }
-        writeln!(
-            f,
-            "identifies the racing clock: {}",
-            self.identifies_racer()
-        )
+        Ok(())
     }
 }
 
@@ -169,7 +165,7 @@ mod tests {
     #[test]
     fn racer_is_dissonant_with_everyone() {
         let c = consonance();
-        assert!(c.identifies_racer());
+        assert!(c.reproduces_shape());
         // Matrix: S1 and S2 consonant with each other; S3 with nobody.
         assert!(c.matrix[0][1] && c.matrix[1][0]);
         assert!(!c.matrix[0][2] && !c.matrix[2][0]);

@@ -6,6 +6,7 @@ use tempo_clocks::{DriftModel, SimClock};
 use tempo_core::consistency::{consistency_groups, ConsistencyGroup};
 use tempo_core::{DriftRate, Duration, ErrorState, TimeEstimate, TimeInterval, Timestamp};
 
+use super::Verdict;
 use crate::report::{secs, Table};
 
 /// One server's interval at one instant of Figure 1.
@@ -78,11 +79,10 @@ pub fn figure1() -> Fig1 {
     }
 }
 
-impl Fig1 {
+impl Verdict for Fig1 {
     /// True time is inside every interval at every instant (the figure
     /// shows all three servers correct).
-    #[must_use]
-    pub fn all_correct(&self) -> bool {
+    fn reproduces_shape(&self) -> bool {
         self.cells
             .iter()
             .all(|row| row.iter().all(|c| c.trailing <= 0.0 && 0.0 <= c.leading))
@@ -144,11 +144,7 @@ impl fmt::Display for Fig1 {
                 )?;
             }
         }
-        writeln!(
-            f,
-            "all servers correct at all instants: {}",
-            self.all_correct()
-        )
+        Ok(())
     }
 }
 
@@ -203,11 +199,10 @@ pub fn figure2() -> Fig2 {
     }
 }
 
-impl Fig2 {
+impl Verdict for Fig2 {
     /// Theorem 6: each intersection is at most as wide as the narrowest
     /// input.
-    #[must_use]
-    pub fn theorem6_holds(&self) -> bool {
+    fn reproduces_shape(&self) -> bool {
         [self.subset_case, self.offset_case].iter().all(|case| {
             let narrowest = case.inputs[0].width().min(case.inputs[1].width());
             case.intersection.width() <= narrowest
@@ -228,11 +223,7 @@ impl fmt::Display for Fig2 {
                 case.inputs[0], case.inputs[1], case.intersection, case.single_source
             )?;
         }
-        writeln!(
-            f,
-            "Theorem 6 (∩ ≤ smallest interval): {}",
-            self.theorem6_holds()
-        )
+        Ok(())
     }
 }
 
@@ -283,6 +274,14 @@ pub fn figure3() -> Fig3 {
         mm_correct,
         im_interval,
         im_correct,
+    }
+}
+
+impl Verdict for Fig3 {
+    /// The figure's conclusion: MM's choice is correct, IM's derived
+    /// interval is not.
+    fn reproduces_shape(&self) -> bool {
+        self.mm_correct && !self.im_correct
     }
 }
 
@@ -353,6 +352,13 @@ impl Fig4 {
     }
 }
 
+impl Verdict for Fig4 {
+    /// Group detection finds the figure's three shaded groups.
+    fn reproduces_shape(&self) -> bool {
+        self.groups.len() == 3
+    }
+}
+
 impl fmt::Display for Fig4 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Figure 4 — an inconsistent six-server time service")?;
@@ -380,7 +386,7 @@ mod tests {
     #[test]
     fn fig1_intervals_grow_and_stay_correct() {
         let fig = figure1();
-        assert!(fig.all_correct());
+        assert!(fig.reproduces_shape());
         // Widths grow with time.
         for i in 0..3 {
             let w0 = fig.cells[0][i].leading - fig.cells[0][i].trailing;
@@ -398,12 +404,12 @@ mod tests {
         let fig = figure2();
         assert!(fig.subset_case.single_source);
         assert!(!fig.offset_case.single_source);
-        assert!(fig.theorem6_holds());
+        assert!(fig.reproduces_shape());
         // Offset case is strictly narrower than both inputs.
         let c = fig.offset_case;
         assert!(c.intersection.width() < c.inputs[0].width());
         assert!(c.intersection.width() < c.inputs[1].width());
-        assert!(fig.to_string().contains("Theorem 6"));
+        assert!(fig.to_string().contains("single-source"));
     }
 
     #[test]

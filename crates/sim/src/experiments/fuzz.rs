@@ -23,6 +23,7 @@ use tempo_net::{DelayModel, NodeId, Partition};
 use tempo_oracle::{EnvelopeKind, EnvelopeParams, OracleConfig, Violation};
 use tempo_service::{ServerFault, Strategy};
 
+use super::Verdict;
 use crate::scenario::{Scenario, ServerSpec};
 
 /// The Byzantine tier of a generated liar: how sophisticated its lie
@@ -89,7 +90,6 @@ pub struct FuzzCase {
 
 impl FuzzTarget for FuzzCase {
     const TITLE: &'static str = "E17 — oracle-gated fuzz";
-    const CLEAN: &'static str = "ok: every gated theorem held on every generated case";
 
     fn from_seed(seed: u64, horizon: f64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -413,12 +413,10 @@ impl fmt::Display for FuzzCase {
 /// generated from a seed, run against its oracle, and simplified.
 /// [`fuzz`]'s sweep, [`shrink`] and the [`Fuzz`] report are written
 /// once over this trait; an arm supplies its generator, its candidate
-/// order and its two report lines.
+/// order and its report's headline.
 pub trait FuzzTarget: Clone + fmt::Display {
     /// The report's headline, before `: N cases, M violating`.
     const TITLE: &'static str;
-    /// The line a clean sweep prints.
-    const CLEAN: &'static str;
 
     /// Generates a case from a seed. The same `(seed, horizon)` always
     /// yields the same case.
@@ -488,10 +486,11 @@ impl<C: FuzzTarget> Fuzz<C> {
             failures,
         }
     }
+}
 
-    /// True when no generated case violated any gated predicate.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
+impl<C: FuzzTarget> Verdict for Fuzz<C> {
+    /// No generated case violated any gated predicate.
+    fn reproduces_shape(&self) -> bool {
         self.failures.is_empty()
     }
 }
@@ -505,9 +504,6 @@ impl<C: FuzzTarget> fmt::Display for Fuzz<C> {
             self.cases_run,
             self.failures.len()
         )?;
-        if self.is_clean() {
-            writeln!(f, "{}", C::CLEAN)?;
-        }
         for failure in &self.failures {
             writeln!(f, "FAIL seed {}:", failure.seed)?;
             writeln!(f, "  {}", failure.violation)?;
@@ -534,11 +530,10 @@ pub struct FuzzSmoke {
     pub cluster: Fuzz<super::fuzz_cluster::ClusterFuzzCase>,
 }
 
-impl FuzzSmoke {
-    /// True when both arms came back clean.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.time.is_clean() && self.cluster.is_clean()
+impl Verdict for FuzzSmoke {
+    /// Both arms came back clean.
+    fn reproduces_shape(&self) -> bool {
+        self.time.reproduces_shape() && self.cluster.reproduces_shape()
     }
 }
 
@@ -625,7 +620,7 @@ mod tests {
     fn small_fuzz_sweep_is_clean() {
         let outcome = fuzz(0..8, 45.0);
         assert_eq!(outcome.cases_run, 8);
-        assert!(outcome.is_clean(), "{outcome}");
+        assert!(outcome.reproduces_shape(), "{outcome}");
     }
 
     #[test]

@@ -95,8 +95,6 @@ pub struct ClusterFuzzCase {
 
 impl FuzzTarget for ClusterFuzzCase {
     const TITLE: &'static str = "E17 (cluster arm) — failover-schedule fuzz";
-    const CLEAN: &'static str =
-        "ok: ClusterMonotonic and ClusterBounded held on every generated case";
 
     fn from_seed(seed: u64, horizon: f64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0xD1B5_4A32_D192_ED03));
@@ -369,6 +367,7 @@ pub fn cluster_fuzz(seeds: Range<u64>, horizon: f64) -> Fuzz<ClusterFuzzCase> {
 #[cfg(test)]
 mod tests {
     use super::super::fuzz::shrink;
+    use super::super::Verdict;
     use super::*;
     use tempo_oracle::TheoremId;
 
@@ -430,7 +429,7 @@ mod tests {
     fn small_cluster_fuzz_sweep_is_clean() {
         let outcome = cluster_fuzz(0..6, 30.0);
         assert_eq!(outcome.cases_run, 6);
-        assert!(outcome.is_clean(), "{outcome}");
+        assert!(outcome.reproduces_shape(), "{outcome}");
     }
 
     #[test]

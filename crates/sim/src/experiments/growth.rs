@@ -8,6 +8,7 @@ use tempo_core::{DriftRate, Duration, ErrorState, TimeInterval, Timestamp};
 use tempo_net::DelayModel;
 use tempo_service::Strategy;
 
+use super::Verdict;
 use crate::metrics::RunResult;
 use crate::report::{ratio, secs, Table};
 use crate::scenario::{Scenario, ServerSpec};
@@ -98,11 +99,10 @@ pub fn thm8_error_vs_n(ns: &[usize], trials: usize) -> Thm8 {
     }
 }
 
-impl Thm8 {
+impl Verdict for Thm8 {
     /// The curve is monotone-ish decreasing towards `e₀`: the largest
     /// `n` comes closer to 1 than the smallest.
-    #[must_use]
-    pub fn converges(&self) -> bool {
+    fn reproduces_shape(&self) -> bool {
         match (self.rows.first(), self.rows.last()) {
             (Some(first), Some(last)) => last.ratio < first.ratio && last.ratio < 1.5,
             _ => false,
@@ -127,8 +127,7 @@ impl fmt::Display for Thm8 {
                 secs(r.single_server_e),
             ]);
         }
-        write!(f, "{table}")?;
-        writeln!(f, "E(e)/e0 approaches 1 with n: {}", self.converges())
+        write!(f, "{table}")
     }
 }
 
@@ -188,13 +187,12 @@ pub fn ten_x() -> TenX {
     }
 }
 
-impl TenX {
+impl Verdict for TenX {
     /// The paper's claim: the error grew "ten times slower" under IM.
     /// With drifts spread to ±0.9 of the casually claimed bound, the
     /// analytical ratio is `δ_claimed / (δ_claimed − max drift) = 10`;
     /// we accept ≥ 8× as reproducing it.
-    #[must_use]
-    pub fn reproduces_shape(&self) -> bool {
+    fn reproduces_shape(&self) -> bool {
         self.speedup >= 8.0 && self.violations == 0
     }
 }
@@ -234,7 +232,7 @@ mod tests {
             assert!(r.mean_e <= r.single_server_e + 1e-12);
             assert!(r.ratio >= 1.0 - 1e-9, "cannot beat e0 itself");
         }
-        assert!(t.converges());
+        assert!(t.reproduces_shape());
         assert!(t.to_string().contains("Theorem 8"));
     }
 

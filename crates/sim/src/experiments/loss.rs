@@ -13,6 +13,7 @@ use tempo_core::Duration;
 use tempo_net::DelayModel;
 use tempo_service::Strategy;
 
+use super::Verdict;
 use crate::report::{secs, Table};
 use crate::scenario::{Scenario, ServerSpec};
 
@@ -80,11 +81,10 @@ pub fn loss_sweep() -> LossSweep {
     LossSweep { strategy, rows }
 }
 
-impl LossSweep {
+impl Verdict for LossSweep {
     /// Safety at every loss rate; freshness (claimed error) degrades
     /// monotonically-ish with loss.
-    #[must_use]
-    pub fn reproduces_shape(&self) -> bool {
+    fn reproduces_shape(&self) -> bool {
         let safe = self.rows.iter().all(|r| r.violations == 0);
         let degrades = match (self.rows.first(), self.rows.last()) {
             (Some(clean), Some(lossy)) => lossy.final_mean_error >= clean.final_mean_error,
@@ -111,12 +111,7 @@ impl fmt::Display for LossSweep {
                 secs(r.asynchronism),
             ]);
         }
-        write!(f, "{table}")?;
-        writeln!(
-            f,
-            "reproduces the expected shape: {}",
-            self.reproduces_shape()
-        )
+        write!(f, "{table}")
     }
 }
 

@@ -16,6 +16,7 @@ use tempo_core::{DriftRate, Duration};
 use tempo_net::{DelayModel, Topology};
 use tempo_service::{RecoveryPolicy, Strategy};
 
+use super::Verdict;
 use crate::report::{secs, Table};
 use crate::scenario::{Scenario, ServerSpec};
 
@@ -108,12 +109,11 @@ pub fn recovery() -> Recovery {
     }
 }
 
-impl Recovery {
+impl Verdict for Recovery {
     /// The anecdote's shape: with recovery the bad clock's excursion is
     /// proportional to τ (within a small factor of drift×τ); without
     /// recovery it runs away (an order of magnitude worse).
-    #[must_use]
-    pub fn reproduces_shape(&self) -> bool {
+    fn reproduces_shape(&self) -> bool {
         let with: Vec<&RecoveryRow> = self.rows.iter().filter(|r| r.recovery_enabled).collect();
         let without: Vec<&RecoveryRow> = self.rows.iter().filter(|r| !r.recovery_enabled).collect();
         let bounded = with
@@ -152,8 +152,7 @@ impl fmt::Display for Recovery {
                 secs(r.predicted_excursion),
             ]);
         }
-        write!(f, "{table}")?;
-        writeln!(f, "reproduces the anecdote: {}", self.reproduces_shape())
+        write!(f, "{table}")
     }
 }
 

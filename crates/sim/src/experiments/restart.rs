@@ -19,12 +19,12 @@
 use std::fmt;
 
 use tempo_core::{Duration, Timestamp};
-use tempo_net::DelayModel;
 use tempo_oracle::OracleConfig;
-use tempo_service::{HealthConfig, RetryPolicy, ServerFault, Strategy};
+use tempo_service::ServerFault;
 
+use super::{fault_tolerant, Verdict};
 use crate::report::{secs, Table};
-use crate::scenario::{Scenario, ServerSpec};
+use crate::scenario::ServerSpec;
 
 /// Index of the server that crashes and restarts.
 const RESTARTER: usize = 5;
@@ -145,25 +145,7 @@ fn run_regime(regime: &Regime, base_seed: u64) -> RestartRow {
         reintegrated: true,
     };
     for k in 0..SEEDS {
-        let mut scenario = Scenario::new(Strategy::MarzulloTolerant { max_faulty: 1 })
-            .delay(DelayModel::Uniform {
-                min: Duration::ZERO,
-                max: Duration::from_millis(20.0),
-            })
-            .resync_period(Duration::from_secs(10.0))
-            .collect_window(Duration::from_secs(1.0))
-            .retry(RetryPolicy::Backoff {
-                timeout: Duration::from_millis(100.0),
-                max_retries: 3,
-                multiplier: 2.0,
-                jitter: 0.1,
-            })
-            .health(HealthConfig {
-                suspect_after: 2,
-                dead_after: 6,
-                probe_every: 3,
-            })
-            .quorum(3)
+        let mut scenario = fault_tolerant(1)
             .oracle(OracleConfig::safety())
             .duration(Duration::from_secs(DURATION))
             .sample_interval(Duration::from_secs(2.0))
@@ -178,13 +160,7 @@ fn run_regime(regime: &Regime, base_seed: u64) -> RestartRow {
         }
         let result = scenario.run();
 
-        row.honest_violations += result
-            .violations_per_server()
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != RESTARTER)
-            .map(|(_, &v)| v)
-            .sum::<usize>();
+        row.honest_violations += result.honest_violations(|i| i == RESTARTER);
         let report = result.oracle.as_ref().expect("oracle was armed");
         row.oracle_violations += report.total_violations;
         let stats = &result.final_stats[RESTARTER];
@@ -245,15 +221,14 @@ pub fn restart() -> Restart {
     Restart { rows }
 }
 
-impl Restart {
+impl Verdict for Restart {
     /// The headline claims: zero oracle violations and zero honest
     /// incorrectness everywhere; durable restarts rehydrate (no
     /// bootstrap rounds) while amnesia restarts bootstrap before
     /// serving; storms keep reintegrating cycle after cycle; the
     /// crashed server is suspected and later probed back; and the
     /// restarted server always ends correct with a bounded interval.
-    #[must_use]
-    pub fn reproduces_shape(&self) -> bool {
+    fn reproduces_shape(&self) -> bool {
         let expected_restarts = |r: &RestartRow| {
             if r.storm {
                 3 * SEEDS as usize
@@ -319,12 +294,7 @@ impl fmt::Display for Restart {
                 r.reintegrated.to_string(),
             ]);
         }
-        write!(f, "{table}")?;
-        writeln!(
-            f,
-            "reproduces the expected shape: {}",
-            self.reproduces_shape()
-        )
+        write!(f, "{table}")
     }
 }
 

@@ -14,6 +14,7 @@ use tempo_core::{Duration, Timestamp};
 use tempo_net::{DelayModel, Topology};
 use tempo_service::Strategy;
 
+use super::Verdict;
 use crate::report::{secs, Table};
 use crate::scenario::{Scenario, ServerSpec};
 
@@ -104,12 +105,11 @@ pub fn scale() -> Scale {
     Scale { rows }
 }
 
-impl Scale {
+impl Verdict for Scale {
     /// Safety holds everywhere, message cost in a mesh grows linearly
     /// with `n` per server (broadcast), and sparse topologies stay
     /// correct at a fraction of the cost.
-    #[must_use]
-    pub fn reproduces_shape(&self) -> bool {
+    fn reproduces_shape(&self) -> bool {
         let safe = self.rows.iter().all(|r| r.violations == 0);
         let mesh_cost_grows = {
             let cost = |n: usize| {
@@ -162,12 +162,7 @@ impl fmt::Display for Scale {
                 r.violations.to_string(),
             ]);
         }
-        write!(f, "{table}")?;
-        writeln!(
-            f,
-            "reproduces the expected shape: {}",
-            self.reproduces_shape()
-        )
+        write!(f, "{table}")
     }
 }
 

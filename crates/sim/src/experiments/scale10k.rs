@@ -16,10 +16,11 @@ use std::fmt;
 use std::time::Instant;
 
 use tempo_core::{Duration, Timestamp};
-use tempo_net::{DelayModel, Topology};
+use tempo_net::Topology;
 use tempo_oracle::OracleConfig;
-use tempo_service::{HealthConfig, RetryPolicy, ServerFault, Strategy};
+use tempo_service::ServerFault;
 
+use super::{fault_tolerant, Verdict};
 use crate::metrics::RunResult;
 use crate::report::{secs, Table};
 use crate::scenario::{Scenario, ServerSpec};
@@ -30,8 +31,6 @@ const CLIQUE: usize = 20;
 const CRASHER: usize = 1;
 /// Local index (within each clique) of the Byzantine liar.
 const LIAR: usize = 7;
-/// Resynchronization period (seconds).
-const TAU: f64 = 10.0;
 /// Simulated run length (seconds).
 const DURATION: f64 = 60.0;
 
@@ -77,30 +76,13 @@ fn deployment(n: usize, seed: u64, oracle: bool) -> Scenario {
         n.is_multiple_of(CLIQUE),
         "deployment size must be a multiple of {CLIQUE}"
     );
-    let mut scenario = Scenario::new(Strategy::MarzulloTolerant { max_faulty: 1 })
+    let mut scenario = fault_tolerant(1)
         .topology(Topology::disjoint_cliques(n / CLIQUE, CLIQUE))
-        .delay(DelayModel::Uniform {
-            min: Duration::ZERO,
-            max: Duration::from_millis(20.0),
-        })
         .loss(0.05)
         .duplication(0.01)
-        .resync_period(Duration::from_secs(TAU))
-        .collect_window(Duration::from_secs(1.0))
-        .retry(RetryPolicy::Backoff {
-            timeout: Duration::from_millis(100.0),
-            max_retries: 3,
-            multiplier: 2.0,
-            jitter: 0.1,
-        })
-        .health(HealthConfig {
-            suspect_after: 2,
-            dead_after: 6,
-            probe_every: 3,
-        })
-        .quorum(3)
         .duration(Duration::from_secs(DURATION))
-        .sample_interval(Duration::from_secs(TAU / 2.0))
+        // Two samples per τ.
+        .sample_interval(Duration::from_secs(5.0))
         .seed(seed);
     if oracle {
         // Crash–restart servers stay trusted (a crash is not a lie),
@@ -163,13 +145,7 @@ fn run_size(n: usize, seed: u64, threads: usize, check_single: bool, oracle: boo
         (None, None)
     };
 
-    let honest_violations = sharded
-        .violations_per_server()
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| !matches!(i % CLIQUE, CRASHER | LIAR))
-        .map(|(_, &v)| v)
-        .sum();
+    let honest_violations = sharded.honest_violations(|i| matches!(i % CLIQUE, CRASHER | LIAR));
     Scale10kRow {
         n,
         components: n / CLIQUE,
@@ -208,14 +184,13 @@ pub fn scale10k() -> Scale10k {
     scale10k_sized(&[100, 1_000, 10_000])
 }
 
-impl Scale10k {
+impl Verdict for Scale10k {
     /// The qualitative claim: every non-faulty server is correct at
     /// every sample instant at every size, the sharded engine
     /// reproduces the single-threaded run exactly wherever both ran,
     /// and the oracle signs off wherever it was armed. Wall-clock
     /// numbers are reported, not gated — machines differ.
-    #[must_use]
-    pub fn reproduces_shape(&self) -> bool {
+    fn reproduces_shape(&self) -> bool {
         !self.rows.is_empty()
             && self.rows.iter().all(|r| {
                 r.honest_violations == 0
@@ -255,12 +230,7 @@ impl fmt::Display for Scale10k {
                 flag(r.deterministic),
             ]);
         }
-        write!(f, "{table}")?;
-        writeln!(
-            f,
-            "reproduces the expected shape: {}",
-            self.reproduces_shape()
-        )
+        write!(f, "{table}")
     }
 }
 

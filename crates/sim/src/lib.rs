@@ -9,8 +9,11 @@
 //! * [`metrics`] — what a finished run reveals
 //!   ([`RunResult`]): correctness violations,
 //!   asynchronism, error growth, consistency groups,
-//! * [`experiments`] — E1–E12 and A1–A3, one function per paper
-//!   artifact (see DESIGN.md for the index),
+//! * [`experiments`] — E1–E21 and A1–A4, one function per paper
+//!   artifact, each result judged by its
+//!   [`Verdict`](experiments::Verdict) and listed in
+//!   [`CATALOGUE`](experiments::CATALOGUE) (see DESIGN.md for the
+//!   index),
 //! * [`sinks`] — the telemetry-bus observers a run wires up: metrics
 //!   collection, online theorem checking, and JSONL export,
 //! * [`report`] — plain-text tables for the experiment reports.

@@ -185,6 +185,18 @@ impl RunResult {
         counts
     }
 
+    /// Violations summed over the servers `is_faulty` does not name:
+    /// the count a fault-injection experiment holds to zero.
+    #[must_use]
+    pub fn honest_violations(&self, is_faulty: impl Fn(usize) -> bool) -> usize {
+        self.violations_per_server()
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| !is_faulty(i))
+            .map(|(_, &v)| v)
+            .sum()
+    }
+
     /// The worst asynchronism over the whole run.
     #[must_use]
     pub fn max_asynchronism(&self) -> Duration {
@@ -408,6 +420,8 @@ mod tests {
         assert!((result.max_error_gap_after(Timestamp::ZERO).as_secs() - 0.2).abs() < 1e-12);
         assert_eq!(result.correctness_violations(), 1); // 0.5 > 0.4
         assert_eq!(result.violations_per_server(), vec![0, 1]);
+        assert_eq!(result.honest_violations(|i| i == 1), 0);
+        assert_eq!(result.honest_violations(|i| i == 0), 1);
         assert_eq!(result.error_series(0), vec![(1.0, 0.1), (2.0, 0.2)]);
         assert_eq!(result.offset_series(1), vec![(1.0, 0.2), (2.0, 0.5)]);
         assert_eq!(result.last().t, Timestamp::from_secs(2.0));

@@ -12,8 +12,10 @@
 //! experiments simulate [options]             # one ad-hoc simulation
 //! ```
 //!
-//! `fuzz` exits non-zero when any generated scenario violates a gated
-//! theorem, so CI can run it as a smoke gate. `--telemetry-out`
+//! Every report ends with `reproduces the expected shape: true|false`,
+//! its [`Verdict`]. The exit status is that verdict: 1, with the broken
+//! experiments named on stderr, when any shape breaks (a `fuzz` sweep
+//! breaks on any violation of a gated theorem). `--telemetry-out`
 //! truncates the file, then every scenario the selected experiments
 //! run appends its framed JSONL stream (schema in EXPERIMENTS.md);
 //! `validate-telemetry` checks such a file line by line and exits
@@ -39,7 +41,6 @@
 
 #![forbid(unsafe_code)]
 
-mod catalog;
 mod cli;
 
 use std::ops::Range;
@@ -48,8 +49,42 @@ use std::process::ExitCode;
 use tempo_core::{DriftRate, Duration};
 use tempo_net::DelayModel;
 use tempo_service::ScreeningPolicy;
+use tempo_sim::experiments::{Experiment, Verdict, CATALOGUE};
 use tempo_sim::plot::{ascii_chart, to_csv};
 use tempo_sim::{Scenario, ServerSpec};
+
+/// Prints a report and its verdict line; returns the verdict.
+fn print_judged(report: &dyn Verdict) -> bool {
+    let shape = report.reproduces_shape();
+    println!("{report}reproduces the expected shape: {shape}\n");
+    shape
+}
+
+/// Runs `experiments` in order, each under its header, and returns the
+/// names of those whose shape broke.
+fn run(experiments: &[&Experiment]) -> Vec<&'static str> {
+    let mut broken = Vec::new();
+    for (i, e) in experiments.iter().enumerate() {
+        if i > 0 {
+            println!();
+        }
+        println!("=== {} — {} ===", e.name, e.artifact);
+        if !print_judged(&*(e.run)()) {
+            broken.push(e.name);
+        }
+    }
+    broken
+}
+
+/// The exit status of a run whose `broken` experiments failed their
+/// shape: success when there are none, else failure naming them.
+fn status(broken: &[&str]) -> ExitCode {
+    if broken.is_empty() {
+        return ExitCode::SUCCESS;
+    }
+    eprintln!("shape broken: {}", broken.join(", "));
+    ExitCode::FAILURE
+}
 
 /// Parses `fuzz` subcommand flags. Defaults: seeds `0..32`, 60 s.
 fn parse_fuzz_args(args: &[String]) -> Result<(Range<u64>, f64), String> {
@@ -97,13 +132,8 @@ fn run_fuzz(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let outcome = tempo_sim::experiments::fuzz(seeds, horizon);
-    println!("{outcome}");
-    if outcome.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    let shape = print_judged(&tempo_sim::experiments::fuzz(seeds, horizon));
+    status(if shape { &[] } else { &["fuzz"] })
 }
 
 /// Parses `scale10k` subcommand flags. Defaults: the full
@@ -144,13 +174,8 @@ fn run_scale10k(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let outcome = tempo_sim::experiments::scale10k_sized(&sizes);
-    println!("{outcome}");
-    if outcome.reproduces_shape() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    let shape = print_judged(&tempo_sim::experiments::scale10k_sized(&sizes));
+    status(if shape { &[] } else { &["scale10k"] })
 }
 
 fn run_validate(args: &[String]) -> ExitCode {
@@ -309,7 +334,6 @@ fn run_simulate(args: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let experiments = catalog::all();
 
     if args.first().is_some_and(|a| a == "validate-telemetry") {
         return run_validate(&args[1..]);
@@ -339,7 +363,7 @@ fn main() -> ExitCode {
 
     if args.iter().any(|a| a == "--list" || a == "-l") {
         println!("available experiments:");
-        for e in &experiments {
+        for e in CATALOGUE {
             println!("  {:<20} {}", e.name, e.artifact);
         }
         return ExitCode::SUCCESS;
@@ -357,12 +381,12 @@ fn main() -> ExitCode {
         return run_scale10k(&args[1..]);
     }
 
-    let selected: Vec<&catalog::Experiment> = if args.is_empty() {
-        experiments.iter().collect()
+    let selected: Vec<&Experiment> = if args.is_empty() {
+        CATALOGUE.iter().collect()
     } else {
         let mut picked = Vec::new();
         for arg in &args {
-            match experiments.iter().find(|e| e.name == *arg) {
+            match CATALOGUE.iter().find(|e| e.name == *arg) {
                 Some(e) => picked.push(e),
                 None => {
                     eprintln!("unknown experiment '{arg}' (try --list)");
@@ -372,13 +396,64 @@ fn main() -> ExitCode {
         }
         picked
     };
+    status(&run(&selected))
+}
 
-    for (i, e) in selected.iter().enumerate() {
-        if i > 0 {
-            println!();
+#[cfg(test)]
+mod tests {
+    use std::fmt;
+
+    use super::*;
+
+    /// A report whose verdict is fixed.
+    struct Stub(bool);
+
+    impl fmt::Display for Stub {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            writeln!(f, "stub report")
         }
-        println!("=== {} — {} ===", e.name, e.artifact);
-        println!("{}", (e.run)());
     }
-    ExitCode::SUCCESS
+
+    impl Verdict for Stub {
+        fn reproduces_shape(&self) -> bool {
+            self.0
+        }
+    }
+
+    #[test]
+    fn a_broken_shape_fails_the_run_and_is_named() {
+        let good = Experiment {
+            name: "good",
+            artifact: "a shape that holds",
+            run: || Box::new(Stub(true)),
+        };
+        let bad = Experiment {
+            name: "bad",
+            artifact: "a shape that breaks",
+            run: || Box::new(Stub(false)),
+        };
+        assert_eq!(run(&[&good, &bad, &good]), ["bad"]);
+        assert_eq!(status(&["bad"]), ExitCode::FAILURE);
+        assert!(run(&[&good]).is_empty());
+        assert_eq!(status(&[]), ExitCode::SUCCESS);
+    }
+
+    #[test]
+    fn catalogue_is_complete_and_unique() {
+        assert_eq!(CATALOGUE.len(), 24);
+        let mut names: Vec<&str> = CATALOGUE.iter().map(|e| e.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), 24, "names must be unique");
+    }
+
+    #[test]
+    fn fast_experiments_render() {
+        for e in CATALOGUE {
+            if ["fig1", "fig2", "fig3", "fig4", "consonance"].contains(&e.name) {
+                let report = (e.run)().to_string();
+                assert!(!report.is_empty(), "{} produced no report", e.name);
+            }
+        }
+    }
 }

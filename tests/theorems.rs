@@ -1,172 +1,115 @@
-//! Theorem-level integration tests: every experiment in the DESIGN.md
-//! index reproduces the paper's claim. (The experiments binary prints
-//! the full reports; these tests pin the pass/fail verdicts.)
+//! Theorem-level integration tests: every row of the experiment
+//! catalogue reproduces the paper's claim, judged exactly as
+//! `experiments <row>` judges it, plus the premises and numbers a
+//! verdict does not pin.
 
-use tempo::sim::experiments as ex;
+use tempo::sim::experiments::{self as ex, Verdict, CATALOGUE};
 
-#[test]
-fn e1_figure1_intervals_grow_and_shift() {
-    let fig = ex::figure1();
-    assert!(fig.all_correct());
-    // Interval widths at the last instant exceed the first.
-    for i in 0..3 {
+/// Runs catalogue row `name` exactly as `experiments <name>` does and
+/// asserts its verdict.
+fn judge(name: &str) {
+    let row = CATALOGUE
+        .iter()
+        .find(|e| e.name == name)
+        .unwrap_or_else(|| panic!("no catalogue row '{name}'"));
+    let report = (row.run)();
+    assert!(report.reproduces_shape(), "{name}:\n{report}");
+}
+
+/// One test per catalogue row, in catalogue order: `test: "row"`,
+/// optionally followed by a block of further assertions.
+/// `every_catalogue_row_is_judged` holds the list to `CATALOGUE`, so a
+/// new row cannot go unjudged.
+macro_rules! judged_rows {
+    ($($test:ident: $row:literal $(=> $extra:block)?,)*) => {
+        $(
+            #[test]
+            fn $test() {
+                judge($row);
+                $($extra)?
+            }
+        )*
+
+        #[test]
+        fn every_catalogue_row_is_judged() {
+            let rows: Vec<&str> = CATALOGUE.iter().map(|e| e.name).collect();
+            assert_eq!(rows, [$($row),*]);
+        }
+    };
+}
+
+judged_rows! {
+    e1_figure1_intervals_grow_and_shift: "fig1" => {
+        // Interval widths at the last instant exceed the first.
+        let fig = ex::figure1();
+        for i in 0..3 {
+            assert!(
+                fig.cells[2][i].leading - fig.cells[2][i].trailing
+                    > fig.cells[0][i].leading - fig.cells[0][i].trailing
+            );
+        }
+    },
+    e2_figure2_theorem6: "fig2" => {
+        let fig = ex::figure2();
+        assert!(fig.subset_case.single_source);
+        assert!(!fig.offset_case.single_source);
+    },
+    e3_figure3_mm_recovers_im_does_not: "fig3" => {
+        // The premises: S2 is incorrect yet consistent with the correct S3.
+        let fig = ex::figure3();
+        assert!(fig.servers[0].is_correct_at(fig.true_time));
+        assert!(!fig.servers[1].is_correct_at(fig.true_time));
+        assert!(fig.servers[2].is_correct_at(fig.true_time));
+        assert!(fig.servers[1].is_consistent_with(&fig.servers[2]));
+    },
+    e4_figure4_three_consistency_groups: "fig4" => {
+        // The premise: no point is common to all six servers.
+        assert!(ex::figure4().service_inconsistent());
+    },
+    e5_e6_theorems_2_and_3_bounds_hold: "thm2",
+    e7_theorem4_convergence: "thm4",
+    e8_theorem7_bound_holds: "thm7",
+    e9_theorem8_error_returns_to_e0: "thm8" => {
+        // Monotone trend along a coarser curve (allowing sampling noise
+        // of a few percent between adjacent points).
+        let t = ex::thm8_error_vs_n(&[2, 8, 32, 128], 60);
+        assert!(t.reproduces_shape(), "{t}");
+        for pair in t.rows.windows(2) {
+            assert!(
+                pair[1].ratio <= pair[0].ratio * 1.05,
+                "ratio should fall with n: {:?}",
+                t.rows
+            );
+        }
+    },
+    e10_recovery_anecdote: "recovery",
+    e11_ten_times_slower: "tenx" => {
+        let t = ex::ten_x();
         assert!(
-            fig.cells[2][i].leading - fig.cells[2][i].trailing
-                > fig.cells[0][i].leading - fig.cells[0][i].trailing
+            (8.0..=12.5).contains(&t.speedup),
+            "expected ≈10x, got {:.2}x",
+            t.speedup
         );
-    }
-}
-
-#[test]
-fn e2_figure2_theorem6() {
-    let fig = ex::figure2();
-    assert!(fig.subset_case.single_source);
-    assert!(!fig.offset_case.single_source);
-    assert!(fig.theorem6_holds());
-}
-
-#[test]
-fn e3_figure3_mm_recovers_im_does_not() {
-    let fig = ex::figure3();
-    assert!(fig.mm_correct);
-    assert!(!fig.im_correct);
-}
-
-#[test]
-fn e4_figure4_three_consistency_groups() {
-    let fig = ex::figure4();
-    assert!(fig.service_inconsistent());
-    assert_eq!(fig.groups.len(), 3);
-}
-
-#[test]
-fn e5_e6_theorems_2_and_3_bounds_hold() {
-    let bounds = ex::mm_bounds();
-    assert!(!bounds.rows.is_empty());
-    for row in &bounds.rows {
-        assert!(
-            row.holds(),
-            "MM bound violated at n={} δ={} τ={}: gap {}/{} asynch {}/{} viol {}",
-            row.n,
-            row.delta,
-            row.tau,
-            row.observed_gap,
-            row.gap_bound,
-            row.observed_asynch,
-            row.asynch_bound,
-            row.violations
-        );
-    }
-}
-
-#[test]
-fn e7_theorem4_convergence() {
-    let c = ex::convergence();
-    assert!(c.holds(), "{c}");
-}
-
-#[test]
-fn e8_theorem7_bound_holds() {
-    let bounds = ex::im_bounds();
-    for row in &bounds.rows {
-        assert!(
-            row.holds(),
-            "IM bound violated at n={}: {} vs {}",
-            row.n,
-            row.observed,
-            row.bound
-        );
-    }
-}
-
-#[test]
-fn e9_theorem8_error_returns_to_e0() {
-    let t = ex::thm8_error_vs_n(&[2, 8, 32, 128], 60);
-    assert!(t.converges(), "{t}");
-    // Monotone trend along the whole curve (allowing sampling noise of
-    // a few percent between adjacent points).
-    for pair in t.rows.windows(2) {
-        assert!(
-            pair[1].ratio <= pair[0].ratio * 1.05,
-            "ratio should fall with n: {:?}",
-            t.rows
-        );
-    }
-}
-
-#[test]
-fn e10_recovery_anecdote() {
-    let r = ex::recovery();
-    assert!(r.reproduces_shape(), "{r}");
-}
-
-#[test]
-fn e11_ten_times_slower() {
-    let t = ex::ten_x();
-    assert!(t.reproduces_shape(), "{t}");
-    assert!(
-        (8.0..=12.5).contains(&t.speedup),
-        "expected ≈10x, got {:.2}x",
-        t.speedup
-    );
-}
-
-#[test]
-fn e12_consonance_identifies_racer() {
-    let c = ex::consonance();
-    assert!(c.identifies_racer(), "{c}");
-}
-
-#[test]
-fn a1_marzullo_ablation() {
-    let a = ex::marzullo_ablation();
-    assert!(a.reproduces_shape(), "{a}");
-}
-
-#[test]
-fn a2_strategy_comparison() {
-    let a = ex::strategy_comparison();
-    assert!(a.reproduces_shape(), "{a}");
-}
-
-#[test]
-fn a3_min_delay_ablation() {
-    let a = ex::min_delay_ablation();
-    for row in &a.rows {
-        assert!(row.holds(), "min-delay row failed: {row:?}");
-    }
-}
-
-#[test]
-fn e13_churn_converges() {
-    for c in ex::churn() {
-        assert!(c.reproduces_shape(), "{c}");
-    }
-}
-
-#[test]
-fn e14_scale_shape() {
-    let s = ex::scale();
-    assert!(s.reproduces_shape(), "{s}");
-}
-
-#[test]
-fn e15_loss_is_safe() {
-    let l = ex::loss_sweep();
-    assert!(l.reproduces_shape(), "{l}");
-}
-
-#[test]
-fn a4_screening_ablation() {
-    let a = ex::screening_ablation();
-    assert!(a.reproduces_shape(), "{a}");
-}
-
-#[test]
-fn e17_fuzz_smoke_is_clean() {
-    // A short oracle-gated sweep: every generated deployment must
-    // satisfy every theorem its configuration is entitled to.
-    let f = ex::fuzz(0..16, 45.0);
-    assert_eq!(f.cases_run, 16);
-    assert!(f.is_clean(), "{f}");
+    },
+    e12_consonance_identifies_racer: "consonance",
+    a1_marzullo_ablation: "ablation-marzullo",
+    a2_strategy_comparison: "ablation-baselines",
+    a3_min_delay_ablation: "ablation-mindelay",
+    a4_screening_ablation: "ablation-screening",
+    e13_churn_converges: "churn",
+    e14_scale_shape: "scale",
+    e15_loss_is_safe: "loss",
+    e16_chaos_keeps_honest_servers_correct: "chaos",
+    e17_fuzz_smoke_is_clean: "fuzz" => {
+        // A second oracle-gated sweep at a shorter horizon: every
+        // generated deployment must satisfy every theorem its
+        // configuration is entitled to.
+        let f = ex::fuzz(0..16, 45.0);
+        assert_eq!(f.cases_run, 16);
+        assert!(f.reproduces_shape(), "{f}");
+    },
+    e18_restarts_rehydrate_or_bootstrap: "restart",
+    e19_byzantine_tiers_within_budget_are_clean: "byzantine",
+    e20_sharded_engine_is_exact_at_scale: "scale10k",
+    e21_cluster_timestamps_never_regress: "cluster",
 }
