@@ -1,12 +1,12 @@
 //! The paper's bound formulas as named functions.
 //!
 //! Every theorem in §3–§4 is an inequality between an observable quantity
-//! and a closed-form bound. Until now those right-hand sides lived as
-//! inline arithmetic scattered through `sync::mm`, `sync::im`, and the
-//! experiment harness, which meant the oracle (and any future regression
-//! check) would have to re-derive them. This module is the single home:
-//! each function is the bound of exactly one rule or theorem, named after
-//! it, so a checker can cite "Theorem 2" and mean this code.
+//! and a closed-form bound. This module is the single home of those
+//! right-hand sides: each function is the bound of exactly one rule or
+//! theorem, named after it, so a checker can cite "Theorem 2" and mean
+//! this code. The synchronisation rules call the rule bounds; the theorem
+//! bounds have one caller each, a row of `tempo_oracle::rules`, and the
+//! experiments print the margins the oracle measured against them.
 //!
 //! Conventions: `xi` (ξ) is the round-trip bound, `tau` (τ) the resync
 //! period, `delta` (δ) a drift bound, `e_m` the maximum error `E_M` of
@@ -49,18 +49,11 @@ pub fn im2_leading_allowance(round_trip: Duration, delta: DriftRate) -> Duration
     round_trip * delta.inflation()
 }
 
-/// Theorem 2: steady-state error bound for MM,
-/// `E_i ≤ E_M + ξ + δ_i(τ + 2ξ)`.
-#[must_use]
-pub fn thm2_error_bound(e_m: Duration, xi: Duration, tau: Duration, delta: DriftRate) -> Duration {
-    e_m + xi + (tau + xi + xi) * delta
-}
-
-/// Theorem 2 restated as a gap above `E_M`:
+/// Theorem 2 (`E_i ≤ E_M + ξ + δ_i(τ + 2ξ)`) as a gap above `E_M`:
 /// `E_i − E_M ≤ ξ + δ_i(τ + 2ξ) + 2δ_iξ`.
 ///
 /// The trailing `2δ_iξ` reinstates the slack the paper's proof drops as
-/// second-order; the experiments check against the honest (larger) form.
+/// second-order; the oracle checks against the honest (larger) form.
 #[must_use]
 pub fn thm2_gap_bound(xi: Duration, tau: Duration, delta: DriftRate) -> Duration {
     xi + (tau + xi + xi) * delta + (xi + xi) * delta
@@ -139,13 +132,11 @@ mod tests {
     }
 
     #[test]
-    fn thm2_bound_is_e_m_plus_gap_without_slack() {
-        let (xi, tau, d) = (dur(0.01), dur(10.0), DriftRate::new(1e-4));
-        let with_e_m = thm2_error_bound(dur(0.2), xi, tau, d);
-        // gap bound carries an extra 2δξ of slack on top of Thm 2 proper.
-        let slack = (xi + xi) * d;
-        let gap = thm2_gap_bound(xi, tau, d);
-        assert!(((with_e_m.as_secs() - 0.2 + slack.as_secs()) - gap.as_secs()).abs() < 1e-12);
+    fn thm2_gap_is_theorem_2_plus_the_dropped_slack() {
+        let gap = thm2_gap_bound(dur(0.01), dur(10.0), DriftRate::new(1e-4)).as_secs();
+        // ξ + δ(τ + 2ξ), then the proof's second-order 2δξ.
+        let expect = 0.01 + 1e-4 * (10.0 + 0.02) + 2.0 * 1e-4 * 0.01;
+        assert!((gap - expect).abs() < 1e-12);
     }
 
     #[test]

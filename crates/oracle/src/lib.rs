@@ -39,7 +39,7 @@ use std::fmt;
 
 use tempo_core::{DriftRate, Duration, Timestamp};
 
-use rules::Breach;
+use rules::{Breach, Check, Margin};
 
 /// Which proved statement a check (and hence a violation) refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,6 +94,24 @@ pub enum TheoremId {
 }
 
 impl TheoremId {
+    /// Every predicate, in declaration order.
+    pub(crate) const ALL: [TheoremId; 14] = [
+        TheoremId::Correctness,
+        TheoremId::ErrorGrowth,
+        TheoremId::AdoptionGuard,
+        TheoremId::ErrorEnvelope,
+        TheoremId::MmAsynchronism,
+        TheoremId::IntersectionWidth,
+        TheoremId::ImAsynchronism,
+        TheoremId::Consistency,
+        TheoremId::Rehydration,
+        TheoremId::Lifecycle,
+        TheoremId::FTolerant,
+        TheoremId::Stabilization,
+        TheoremId::ClusterMonotonic,
+        TheoremId::ClusterBounded,
+    ];
+
     /// The statement in the paper this predicate encodes.
     #[must_use]
     pub fn paper_ref(&self) -> &'static str {
@@ -172,15 +190,13 @@ pub struct EnvelopeParams {
     pub kind: EnvelopeKind,
     /// The round-trip bound `ξ`.
     pub xi: Duration,
-    /// The *effective* inter-reset spacing (nominal period plus jitter
-    /// plus collection window — see the E5/E8 experiments).
+    /// The *effective* inter-reset spacing: the longest time between one
+    /// server's resets (nominal period plus jitter plus collection
+    /// window; `Scenario::envelope` in `tempo-sim` derives it).
     pub tau: Duration,
     /// Real time before which the envelope is not checked (the service
     /// needs a few rounds to reach steady state).
     pub warmup: Timestamp,
-    /// Extra slack granted on top of the theorem bound, absorbing the
-    /// discreteness of sampling and non-simultaneous resets.
-    pub slack: Duration,
 }
 
 /// Which asynchronism theorem an envelope check uses.
@@ -323,17 +339,70 @@ pub struct RehydrationObservation {
     pub persisted_error: Duration,
 }
 
+/// The worst [`Margin`] each predicate's numeric rows reached: per
+/// [`TheoremId`], the check that used the largest share of its bound.
+/// Recording is one comparison and no allocation; a predicate that
+/// measured nothing has no entry.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Tightness([Option<Margin>; TheoremId::ALL.len()]);
+
+impl Tightness {
+    /// Keeps `margin` if it is `theorem`'s tightest so far: the larger
+    /// share of its bound, compared without dividing (so a zero bound is
+    /// infinitely tight unless nothing was observed).
+    #[inline]
+    pub(crate) fn record(&mut self, theorem: TheoremId, margin: Margin) {
+        let worst = &mut self.0[theorem as usize];
+        if worst.is_none_or(|w| margin.observed * w.bound > w.observed * margin.bound) {
+            *worst = Some(margin);
+        }
+    }
+
+    /// The tightest margin `theorem`'s rows measured, if they measured
+    /// any.
+    #[must_use]
+    pub fn worst(&self, theorem: TheoremId) -> Option<Margin> {
+        self.0[theorem as usize]
+    }
+
+    /// Folds in another run's margins, keeping the tighter of each.
+    pub fn merge(&mut self, other: &Tightness) {
+        for (theorem, margin) in TheoremId::ALL.into_iter().zip(other.0) {
+            if let Some(margin) = margin {
+                self.record(theorem, margin);
+            }
+        }
+    }
+}
+
+impl fmt::Display for Tightness {
+    /// One line per measured predicate: its name, worst
+    /// `observed ÷ bound` and paper source.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for theorem in TheoremId::ALL {
+            if let Some(margin) = self.worst(theorem) {
+                let name = format!("{theorem:?}");
+                let (tightness, source) = (margin.tightness(), theorem.paper_ref());
+                writeln!(f, "  {name:<18} {tightness:.3}  {source}")?;
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Keep at most this many violations verbatim; the total is still counted.
 const MAX_STORED_VIOLATIONS: usize = 64;
 
 /// What one run has found: the first [`MAX_STORED_VIOLATIONS`]
-/// violations verbatim, and how many there were. Both oracles keep one,
-/// and [`Findings::flag`] is the only code that builds a [`Violation`].
+/// violations verbatim, how many there were, and each predicate's
+/// tightest margin. Both oracles keep one, and [`Findings::flag`] is the
+/// only code that builds a [`Violation`].
 #[derive(Debug)]
 struct Findings {
     seed: u64,
     stored: Vec<Violation>,
     total: usize,
+    tightness: Tightness,
 }
 
 impl Findings {
@@ -342,7 +411,24 @@ impl Findings {
             seed,
             stored: Vec::new(),
             total: 0,
+            tightness: Tightness::default(),
         }
+    }
+
+    /// Records a numeric row's margin, then its breach, if any.
+    #[inline]
+    fn measure(
+        &mut self,
+        event: usize,
+        server: usize,
+        theorem: TheoremId,
+        check: impl Into<Option<Check>>,
+    ) {
+        let Some(check) = check.into() else {
+            return;
+        };
+        self.tightness.record(theorem, check.margin);
+        self.flag(event, server, theorem, check.breach);
     }
 
     /// Records a row's breach, if it found one, as `server` violating
@@ -476,10 +562,11 @@ impl Oracle {
             if trust {
                 let correct = rules::correctness(real, s);
                 self.findings
-                    .flag(event, i, TheoremId::Correctness, correct);
+                    .measure(event, i, TheoremId::Correctness, correct);
                 let delta = self.servers[i].drift_bound;
                 let growth = rules::error_growth(self.prev[i], real, s.error, delta);
-                self.findings.flag(event, i, TheoremId::ErrorGrowth, growth);
+                self.findings
+                    .measure(event, i, TheoremId::ErrorGrowth, growth);
             }
             self.prev[i] = Some((real, s.error));
             live.push((i, s));
@@ -490,7 +577,7 @@ impl Oracle {
                 for &(j, b) in &live[k + 1..] {
                     let consistent = rules::consistency((i, j), a, b);
                     self.findings
-                        .flag(event, i, TheoremId::Consistency, consistent);
+                        .measure(event, i, TheoremId::Consistency, consistent);
                 }
             }
         }
@@ -515,7 +602,8 @@ impl Oracle {
             let delta_i = self.servers[i].drift_bound;
             if env.kind == EnvelopeKind::Mm {
                 let gap = rules::error_envelope(a.error, e_min, delta_i, env);
-                self.findings.flag(event, i, TheoremId::ErrorEnvelope, gap);
+                self.findings
+                    .measure(event, i, TheoremId::ErrorEnvelope, gap);
             }
             for &(j, b) in &live[k + 1..] {
                 let deltas = (delta_i, self.servers[j].drift_bound);
@@ -529,7 +617,7 @@ impl Oracle {
                         rules::im_asynchronism((i, j), a, b, deltas, env),
                     ),
                 };
-                self.findings.flag(event, i, theorem, skew);
+                self.findings.measure(event, i, theorem, skew);
             }
         }
     }
@@ -551,10 +639,10 @@ impl Oracle {
         }
         let guard = rules::adoption_guard(round);
         self.findings
-            .flag(event, server, TheoremId::AdoptionGuard, guard);
+            .measure(event, server, TheoremId::AdoptionGuard, guard);
         let width = rules::intersection_width(round);
         self.findings
-            .flag(event, server, TheoremId::IntersectionWidth, width);
+            .measure(event, server, TheoremId::IntersectionWidth, width);
     }
 
     /// Checks one applied reset (a `ClockStep`/`ClockSlew` event):
@@ -586,7 +674,7 @@ impl Oracle {
         self.resets_checked += 1;
         let adopted = rules::f_tolerant(at, center, error);
         self.findings
-            .flag(self.samples_checked, server, TheoremId::FTolerant, adopted);
+            .measure(self.samples_checked, server, TheoremId::FTolerant, adopted);
     }
 
     /// Records that `server`'s state was transiently overwritten with
@@ -626,7 +714,7 @@ impl Oracle {
         if self.servers[server].trusted {
             let late = rules::stabilization_late(elapsed, bound);
             self.findings
-                .flag(self.samples_checked, server, TheoremId::Stabilization, late);
+                .measure(self.samples_checked, server, TheoremId::Stabilization, late);
         }
     }
 
@@ -685,7 +773,7 @@ impl Oracle {
             .flag(event, server, TheoremId::Rehydration, derived);
         let contained = rules::rehydration_containment(real, obs);
         self.findings
-            .flag(event, server, TheoremId::Rehydration, contained);
+            .measure(event, server, TheoremId::Rehydration, contained);
     }
 
     /// Records that `server` finished bootstrapping in `rounds` quorum
@@ -700,7 +788,7 @@ impl Oracle {
         if self.servers[server].trusted {
             let slow = rules::bootstrap_rounds(rounds, self.config.max_bootstrap_rounds);
             self.findings
-                .flag(self.samples_checked, server, TheoremId::Lifecycle, slow);
+                .measure(self.samples_checked, server, TheoremId::Lifecycle, slow);
         }
     }
 
@@ -726,6 +814,7 @@ impl Oracle {
             rounds_checked: self.rounds_checked.iter().sum(),
             lifecycle_checked: self.lifecycle_checked,
             resets_checked: self.resets_checked,
+            tightness: self.findings.tightness,
         }
     }
 }
@@ -745,6 +834,8 @@ pub struct OracleReport {
     pub lifecycle_checked: usize,
     /// Applied resets put through the §4 `f`-tolerance check.
     pub resets_checked: usize,
+    /// Each predicate's tightest margin over the run, breaches included.
+    pub tightness: Tightness,
 }
 
 impl OracleReport {
@@ -771,6 +862,7 @@ impl fmt::Display for OracleReport {
             self.lifecycle_checked,
             self.total_violations
         )?;
+        write!(f, "{}", self.tightness)?;
         write_violations(f, &self.violations, self.total_violations)
     }
 }
@@ -875,8 +967,11 @@ mod tests {
         // Both "correct-looking" individually is impossible here, so ask
         // the §5 row alone.
         let (a, b) = (state(10.0, 0.01), state(10.5, 0.01));
-        let breach = rules::consistency((0, 1), a.unwrap(), b.unwrap());
-        let breach = breach.expect("0.5 s apart with 10 ms each is disjoint");
+        let check = rules::consistency((0, 1), a.unwrap(), b.unwrap());
+        let breach = check
+            .breach
+            .expect("0.5 s apart with 10 ms each is disjoint");
+        assert!(check.margin.tightness() > 1.0);
         assert!(breach.observed > breach.bound);
         assert_eq!(breach.detail, "intervals of servers 0 and 1 are disjoint");
         // And the plain-safety oracle flags the same instant (as
@@ -964,7 +1059,6 @@ mod tests {
             xi: dur(0.01),
             tau: dur(10.0),
             warmup: ts(5.0),
-            slack: Duration::ZERO,
         };
         let mut o = Oracle::new(0, OracleConfig::safety().envelope(params), views(2));
         // Before warmup nothing is checked.
@@ -985,7 +1079,6 @@ mod tests {
             xi: dur(0.01),
             tau: dur(10.0),
             warmup: ts(0.0),
-            slack: Duration::ZERO,
         };
         let cfg = OracleConfig::safety()
             .envelope(params)
@@ -998,6 +1091,44 @@ mod tests {
             report.first().expect("violation").theorem,
             TheoremId::ImAsynchronism
         );
+    }
+
+    #[test]
+    fn tightness_keeps_each_predicates_worst_margin() {
+        let mut o = Oracle::new(0, OracleConfig::safety(), views(2));
+        // Offsets of 2 ms and 6 ms against 10 ms of error use 0.2 and
+        // 0.6 of Theorem 1's bound; the later sample is looser.
+        o.observe_sample(ts(10.0), &[state(10.002, 0.01), state(9.994, 0.01)]);
+        o.observe_sample(ts(20.0), &[state(20.001, 0.011), state(20.0, 0.011)]);
+        let report = o.finish();
+        assert!(report.is_clean(), "{report}");
+        let worst = report.tightness.worst(TheoremId::Correctness);
+        let worst = worst.expect("every sample measures correctness");
+        assert!((worst.tightness() - 0.6).abs() < 1e-9, "{worst:?}");
+        assert_eq!(worst.bound, 0.01);
+        assert_eq!(
+            report.tightness.worst(TheoremId::ErrorEnvelope),
+            None,
+            "an unarmed row measures nothing"
+        );
+    }
+
+    #[test]
+    fn tightness_merges_by_share_of_bound() {
+        let margin = |observed, bound| Margin { observed, bound };
+        let mut a = Tightness::default();
+        a.record(TheoremId::Consistency, margin(1.0, 4.0));
+        a.record(TheoremId::Consistency, margin(0.1, 1.0));
+        assert_eq!(a.worst(TheoremId::Consistency), Some(margin(1.0, 4.0)));
+        let mut b = Tightness::default();
+        b.record(TheoremId::Consistency, margin(3.0, 4.0));
+        b.record(TheoremId::Lifecycle, margin(0.0, 8.0));
+        a.merge(&b);
+        assert_eq!(a.worst(TheoremId::Consistency), Some(margin(3.0, 4.0)));
+        assert_eq!(a.worst(TheoremId::Lifecycle), Some(margin(0.0, 8.0)));
+        let text = a.to_string();
+        assert!(text.contains("Consistency        0.750"), "{text}");
+        assert!(!text.contains("Correctness"), "{text}");
     }
 
     #[test]
@@ -1021,7 +1152,6 @@ mod tests {
             xi: dur(0.01),
             tau: dur(10.0),
             warmup: ts(0.0),
-            slack: Duration::ZERO,
         };
         // Equal errors keep the E-gap at zero. A skew within E_i + E_j
         // never breaks Theorem 3's 2E_M + …, so the trust checks, which
@@ -1047,7 +1177,6 @@ mod tests {
             xi: dur(0.01),
             tau: dur(10.0),
             warmup: ts(0.0),
-            slack: Duration::ZERO,
         };
         let cfg = OracleConfig::safety().envelope(params);
         let mut o = Oracle::new(0, cfg, views(2));
@@ -1060,25 +1189,9 @@ mod tests {
     /// Every predicate, in declaration order.
     fn every_theorem() -> [TheoremId; 14] {
         use TheoremId::*;
-        let all = [
-            Correctness,
-            ErrorGrowth,
-            AdoptionGuard,
-            ErrorEnvelope,
-            MmAsynchronism,
-            IntersectionWidth,
-            ImAsynchronism,
-            Consistency,
-            Rehydration,
-            Lifecycle,
-            FTolerant,
-            Stabilization,
-            ClusterMonotonic,
-            ClusterBounded,
-        ];
-        for (k, id) in all.into_iter().enumerate() {
+        for (k, id) in TheoremId::ALL.into_iter().enumerate() {
             // Exhaustive on purpose: a new variant fails to compile
-            // here until it joins the list above.
+            // here until it joins `TheoremId::ALL`.
             match id {
                 Correctness | ErrorGrowth | AdoptionGuard | ErrorEnvelope | MmAsynchronism
                 | IntersectionWidth | ImAsynchronism | Consistency | Rehydration | Lifecycle
@@ -1086,7 +1199,7 @@ mod tests {
             }
             assert_eq!(id as usize, k, "{id:?} is out of declaration order");
         }
-        all
+        TheoremId::ALL
     }
 
     #[test]

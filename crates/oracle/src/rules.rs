@@ -2,12 +2,15 @@
 //! order, each named after the variant it checks.
 //!
 //! A row reads plain values — states, errors, drift bounds, the envelope,
-//! one observation — and returns the [`Breach`] it found, if any. It holds
-//! no state and knows no seed, event index or configuration, and it
-//! applies its own numeric headroom, so the simulator's
-//! [`Oracle`](crate::Oracle), a model checker and a live daemon that call
-//! it cannot disagree about what it means. A row that needs ground-truth
-//! real time takes `real`. The `detail` string is built only on a breach.
+//! one observation. It holds no state and knows no seed, event index or
+//! configuration, and it applies its own numeric headroom, so the
+//! simulator's [`Oracle`](crate::Oracle), a model checker and a live
+//! daemon that call it cannot disagree about what it means. A row that
+//! needs ground-truth real time takes `real`. A row that measures a
+//! quantity against a bound returns a [`Check`]: its [`Margin`] on every
+//! call, and its [`Breach`] only when it found one. The rest (served while
+//! down, never stabilized, the rehydration derivation, ClusterTime) return
+//! their breach, if any. The `detail` string is built only on a breach.
 //!
 //! A predicate with two checks has two rows: rehydration (derivation,
 //! containment), lifecycle (served while down, bootstrap rounds),
@@ -44,15 +47,62 @@ pub struct Breach {
     pub detail: String,
 }
 
+/// What a numeric row measured on one call, breach or not: the observed
+/// quantity and the bound it is held to, in the units of its [`Breach`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Margin {
+    /// The observed quantity.
+    pub observed: f64,
+    /// The bound it had to respect.
+    pub bound: f64,
+}
+
+impl Margin {
+    fn secs(observed: Duration, bound: Duration) -> Self {
+        Margin {
+            observed: observed.as_secs(),
+            bound: bound.as_secs(),
+        }
+    }
+
+    /// `observed ÷ bound`: the share of its bound the observation used.
+    /// Past 1 only on a breach, or within the row's headroom.
+    #[must_use]
+    pub fn tightness(self) -> f64 {
+        self.observed / self.bound
+    }
+
+    /// This margin as a row's result, with a breach (carrying `detail`)
+    /// when the row found one.
+    fn check(self, breached: bool, detail: impl FnOnce() -> String) -> Check {
+        Check {
+            margin: self,
+            breach: breached.then(|| Breach {
+                observed: self.observed,
+                bound: self.bound,
+                detail: detail(),
+            }),
+        }
+    }
+}
+
+/// A numeric row's result: its [`Margin`] on every call, and the
+/// [`Breach`] only when it found one.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Check {
+    /// What the row measured.
+    pub margin: Margin,
+    /// What it found wrong, if anything.
+    pub breach: Option<Breach>,
+}
+
 /// Theorems 1 & 5: `|C − real| ≤ E`.
 #[inline]
 #[must_use]
-pub fn correctness(real: Timestamp, s: SampleState) -> Option<Breach> {
+pub fn correctness(real: Timestamp, s: SampleState) -> Check {
     let offset = (s.clock - real).abs();
-    (offset > s.error + tol()).then(|| Breach {
-        observed: offset.as_secs(),
-        bound: s.error.as_secs(),
-        detail: format!("clock {} at real {real}", s.clock),
+    Margin::secs(offset, s.error).check(offset > s.error + tol(), || {
+        format!("clock {} at real {real}", s.clock)
     })
 }
 
@@ -66,25 +116,24 @@ pub fn error_growth(
     real: Timestamp,
     error: Duration,
     delta: DriftRate,
-) -> Option<Breach> {
+) -> Option<Check> {
     let (prev_real, prev_error) = prev?;
     let dt = (real - prev_real).max(Duration::ZERO);
     let allowed =
         prev_error + Duration::from_secs(dt.as_secs() * delta.as_f64() * delta.inflation()) + tol();
-    (error > allowed).then(|| Breach {
-        observed: error.as_secs(),
-        bound: allowed.as_secs(),
-        detail: format!("error rose from {prev_error} over {dt} of real time"),
-    })
+    Some(Margin::secs(error, allowed).check(error > allowed, || {
+        format!("error rose from {prev_error} over {dt} of real time")
+    }))
 }
 
 /// Rules MM-2/IM-2: a reset that is not a §3 recovery never raises `E`.
 #[must_use]
-pub fn adoption_guard(round: &RoundObservation) -> Option<Breach> {
-    (!round.recovery && round.error_after > round.error_before + tol()).then(|| Breach {
-        observed: round.error_after.as_secs(),
-        bound: round.error_before.as_secs(),
-        detail: format!("reset at clock {} increased E", round.clock),
+pub fn adoption_guard(round: &RoundObservation) -> Option<Check> {
+    let (before, after) = (round.error_before, round.error_after);
+    (!round.recovery).then(|| {
+        Margin::secs(after, before).check(after > before + tol(), || {
+            format!("reset at clock {} increased E", round.clock)
+        })
     })
 }
 
@@ -96,14 +145,10 @@ pub fn error_envelope(
     e_min: Duration,
     delta: DriftRate,
     env: &EnvelopeParams,
-) -> Option<Breach> {
-    let bound = thm2_gap_bound(env.xi, env.tau, delta) + (tol() + env.slack);
+) -> Check {
+    let bound = thm2_gap_bound(env.xi, env.tau, delta) + tol();
     let gap = (error - e_min).max(Duration::ZERO);
-    (gap > bound).then(|| Breach {
-        observed: gap.as_secs(),
-        bound: bound.as_secs(),
-        detail: format!("E_i {error} vs E_M {e_min}"),
-    })
+    Margin::secs(gap, bound).check(gap > bound, || format!("E_i {error} vs E_M {e_min}"))
 }
 
 /// Theorem 3: under MM, the clocks of the servers `pair` are within
@@ -116,24 +161,24 @@ pub fn mm_asynchronism(
     e_min: Duration,
     deltas: (DriftRate, DriftRate),
     env: &EnvelopeParams,
-) -> Option<Breach> {
+) -> Check {
     let bound = thm3_asynchronism_bound(e_min, env.xi, env.tau, deltas.0, deltas.1);
-    skew_within(pair, a, b, bound + (tol() + env.slack))
+    skew_within(pair, a, b, bound + tol())
 }
 
 /// Theorem 6: an IM reset is no wider than the narrowest of its inputs.
 #[must_use]
-pub fn intersection_width(round: &RoundObservation) -> Option<Breach> {
+pub fn intersection_width(round: &RoundObservation) -> Option<Check> {
     let narrowest = round.input_widths.iter().copied().reduce(Duration::min)?;
     let width = round.error_after + round.error_after;
-    (width > narrowest + tol()).then(|| Breach {
-        observed: width.as_secs(),
-        bound: narrowest.as_secs(),
-        detail: format!(
-            "intersection of {} inputs wider than the narrowest",
-            round.input_widths.len()
-        ),
-    })
+    Some(
+        Margin::secs(width, narrowest).check(width > narrowest + tol(), || {
+            format!(
+                "intersection of {} inputs wider than the narrowest",
+                round.input_widths.len()
+            )
+        }),
+    )
 }
 
 /// Theorem 7: under IM, the clocks of the servers `pair` are within
@@ -146,39 +191,28 @@ pub fn im_asynchronism(
     b: SampleState,
     deltas: (DriftRate, DriftRate),
     env: &EnvelopeParams,
-) -> Option<Breach> {
+) -> Check {
     let bound = thm7_asynchronism_bound(env.xi, env.tau, deltas.0, deltas.1) + env.xi;
-    skew_within(pair, a, b, bound + (tol() + env.slack))
+    skew_within(pair, a, b, bound + tol())
 }
 
-fn skew_within(
-    pair: (usize, usize),
-    a: SampleState,
-    b: SampleState,
-    bound: Duration,
-) -> Option<Breach> {
+fn skew_within(pair: (usize, usize), a: SampleState, b: SampleState, bound: Duration) -> Check {
     let skew = (a.clock - b.clock).abs();
-    (skew > bound).then(|| Breach {
-        observed: skew.as_secs(),
-        bound: bound.as_secs(),
-        detail: format!("pair ({}, {})", pair.0, pair.1),
-    })
+    Margin::secs(skew, bound).check(skew > bound, || format!("pair ({}, {})", pair.0, pair.1))
 }
 
 /// §5: the intervals of the servers `pair` intersect, `|C_i − C_j| ≤
 /// E_i + E_j`.
 #[inline]
 #[must_use]
-pub fn consistency(pair: (usize, usize), a: SampleState, b: SampleState) -> Option<Breach> {
+pub fn consistency(pair: (usize, usize), a: SampleState, b: SampleState) -> Check {
     let gap = (a.clock - b.clock).abs();
     let reach = a.error + b.error + tol();
-    (gap > reach).then(|| Breach {
-        observed: gap.as_secs(),
-        bound: reach.as_secs(),
-        detail: format!(
+    Margin::secs(gap, reach).check(gap > reach, || {
+        format!(
             "intervals of servers {} and {} are disjoint",
             pair.0, pair.1
-        ),
+        )
     })
 }
 
@@ -201,15 +235,13 @@ pub fn rehydration_derivation(obs: &RehydrationObservation, delta: DriftRate) ->
 /// Rule MM-1 across downtime, containment: the rehydrated interval still
 /// contains real time.
 #[must_use]
-pub fn rehydration_containment(real: Timestamp, obs: &RehydrationObservation) -> Option<Breach> {
+pub fn rehydration_containment(real: Timestamp, obs: &RehydrationObservation) -> Check {
     let offset = (obs.clock - real).abs();
-    (offset > obs.error + tol()).then(|| Breach {
-        observed: offset.as_secs(),
-        bound: obs.error.as_secs(),
-        detail: format!(
+    Margin::secs(offset, obs.error).check(offset > obs.error + tol(), || {
+        format!(
             "rehydrated interval excludes real time (clock {} at real {real})",
             obs.clock
-        ),
+        )
     })
 }
 
@@ -227,36 +259,32 @@ pub fn served_while_down(server: usize, down: bool) -> Option<Breach> {
 /// §5 rejoin, progress: a bootstrap took at most `max_rounds` rounds.
 /// Observed and bound count rounds.
 #[must_use]
-pub fn bootstrap_rounds(rounds: u32, max_rounds: u32) -> Option<Breach> {
-    (rounds > max_rounds).then(|| Breach {
+pub fn bootstrap_rounds(rounds: u32, max_rounds: u32) -> Check {
+    let margin = Margin {
         observed: f64::from(rounds),
         bound: f64::from(max_rounds),
-        detail: format!("bootstrap took {rounds} rounds"),
+    };
+    margin.check(rounds > max_rounds, || {
+        format!("bootstrap took {rounds} rounds")
     })
 }
 
 /// §4 `f`-tolerance: an adopted interval (centre `center`, radius
 /// `error`) contains real time.
 #[must_use]
-pub fn f_tolerant(real: Timestamp, center: Timestamp, error: Duration) -> Option<Breach> {
+pub fn f_tolerant(real: Timestamp, center: Timestamp, error: Duration) -> Check {
     let offset = (center - real).abs();
-    (offset > error + tol()).then(|| Breach {
-        observed: offset.as_secs(),
-        bound: error.as_secs(),
-        detail: format!(
-            "adopted interval (centre {center}, radius {error}) excludes real time {real}"
-        ),
+    Margin::secs(offset, error).check(offset > error + tol(), || {
+        format!("adopted interval (centre {center}, radius {error}) excludes real time {real}")
     })
 }
 
 /// Self-stabilization, late: a server stabilized within `bound` of its
 /// corruption.
 #[must_use]
-pub fn stabilization_late(elapsed: Duration, bound: Duration) -> Option<Breach> {
-    (elapsed > bound + tol()).then(|| Breach {
-        observed: elapsed.as_secs(),
-        bound: bound.as_secs(),
-        detail: format!("stabilized only {elapsed} after the corruption"),
+pub fn stabilization_late(elapsed: Duration, bound: Duration) -> Check {
+    Margin::secs(elapsed, bound).check(elapsed > bound + tol(), || {
+        format!("stabilized only {elapsed} after the corruption")
     })
 }
 

@@ -1,18 +1,25 @@
 //! Theorem-bound experiments: E5 (Theorem 2), E6 (Theorem 3), E8
 //! (Theorem 7) and the nonzero-minimum-delay ablation A3.
+//!
+//! Every configuration runs with the oracle armed with the scenario's
+//! [`envelope`](Scenario::envelope), and its row reports the tightest
+//! margin the oracle's rows measured. Each bound is computed once, in
+//! `tempo_oracle::rules`; nothing here derives one.
 
 use std::fmt;
 
-use tempo_core::bounds::{thm2_gap_bound, thm3_asynchronism_bound, thm7_asynchronism_bound};
-use tempo_core::{DriftRate, Duration, Timestamp};
+use tempo_core::Duration;
 use tempo_net::DelayModel;
+use tempo_oracle::rules::Margin;
+use tempo_oracle::{EnvelopeKind, OracleConfig, TheoremId};
 use tempo_service::Strategy;
 
 use super::Verdict;
 use crate::report::{secs, Table};
 use crate::scenario::{Scenario, ServerSpec};
 
-/// One configuration of the bound sweep and what it measured.
+/// One configuration of a bound sweep and the margins the oracle
+/// measured on it.
 #[derive(Debug, Clone, Copy)]
 pub struct BoundRow {
     /// Number of servers.
@@ -21,317 +28,181 @@ pub struct BoundRow {
     pub delta: f64,
     /// Resync period `τ` (seconds).
     pub tau: f64,
+    /// Minimum one-way delay (A3 varies this).
+    pub min_delay: f64,
     /// Round-trip bound `ξ` (seconds).
     pub xi: f64,
     /// Empirical round-trip witness: twice the worst one-way delay
     /// the network delivered. `ξ` is honest iff `xi_witness ≤ xi`.
     pub xi_witness: f64,
-    /// Largest observed `E_i − E_M` after warm-up.
-    pub observed_gap: f64,
-    /// Theorem 2's bound `ξ + δ(τ + 2ξ)` (plus the `2δξ` slack the
-    /// proof drops).
-    pub gap_bound: f64,
-    /// Largest observed asynchronism after warm-up.
-    pub observed_asynch: f64,
-    /// Theorem 3's bound at the worst sample:
-    /// `2·E_M + 2ξ + 2δ(τ + 2ξ)`.
-    pub asynch_bound: f64,
-    /// Correctness violations over the whole run (theorems promise 0).
+    /// Theorem 2's tightest E-gap margin (MM only).
+    pub gap: Option<Margin>,
+    /// The tightest pairwise-skew margin: Theorem 3's under MM,
+    /// Theorem 7's under IM.
+    pub asynch: Margin,
+    /// Oracle violations over the whole run, every armed predicate
+    /// counted (the theorems promise 0).
     pub violations: usize,
 }
 
 impl BoundRow {
-    /// Whether both observed quantities respect their bounds and the
-    /// claimed `ξ` really covered every round trip.
+    /// Whether the oracle found nothing and the claimed `ξ` really
+    /// covered every round trip.
     #[must_use]
     pub fn within_bounds(&self) -> bool {
-        self.observed_gap <= self.gap_bound
-            && self.observed_asynch <= self.asynch_bound
-            && self.xi_witness <= self.xi
-            && self.violations == 0
+        self.violations == 0 && self.xi_witness <= self.xi
     }
 }
 
-/// Results of E5+E6: the MM bound sweep.
+/// Results of one bound sweep: E5+E6 under MM, E8 or A3 under IM.
 #[derive(Debug, Clone)]
-pub struct MmBounds {
+pub struct Bounds {
+    /// The report's headline.
+    pub title: &'static str,
     /// One row per configuration.
     pub rows: Vec<BoundRow>,
 }
 
-/// Runs one MM configuration and measures the Theorem 2/3 quantities.
-fn run_mm_config(n: usize, delta: f64, tau: f64, max_delay: f64, seed: u64) -> BoundRow {
-    let duration = Duration::from_secs(tau * 30.0);
-    let warmup = Timestamp::from_secs(tau * 3.0);
-    // Actual drifts alternate around ±delta/2 so clocks genuinely
-    // separate.
-    let mut scenario = Scenario::new(Strategy::Mm)
-        .delay(DelayModel::Uniform {
-            min: Duration::ZERO,
-            max: Duration::from_secs(max_delay),
-        })
-        .resync_period(Duration::from_secs(tau))
-        .collect_window(Duration::from_secs((max_delay * 4.0).min(tau / 2.0)))
-        .duration(duration)
-        .sample_interval(Duration::from_secs(tau / 10.0))
-        .seed(seed);
-    for i in 0..n {
-        let sign = if i % 2 == 0 { 1.0 } else { -1.0 };
-        let drift = sign * delta * 0.5 * (1.0 + i as f64 / n as f64).min(1.0);
-        scenario = scenario.server(ServerSpec::honest(drift, delta));
-    }
-    let result = scenario.run();
+/// One configuration of a sweep: servers, the claimed drift bound `δ`,
+/// the resync period `τ`, the one-way delay range `[min, max]` (seconds)
+/// and the seed.
+type Config = (usize, f64, f64, (f64, f64), u64);
 
-    let xi = 2.0 * max_delay;
-    let d = DriftRate::new(delta);
-    let observed_gap = result.max_error_gap_after(warmup).as_secs();
-    // Theorem 2 bound with the proof's dropped 2δξ slack reinstated.
-    let gap_bound = thm2_gap_bound(Duration::from_secs(xi), Duration::from_secs(tau), d).as_secs();
-
-    // Theorem 3 is per-instant (it references E_M(t)); check the worst
-    // margin over the post-warm-up samples.
-    let mut observed_asynch: f64 = 0.0;
-    let mut asynch_bound: f64 = 0.0;
-    for row in result.samples.iter().filter(|r| r.t >= warmup) {
-        let a = row.asynchronism().as_secs();
-        if a >= observed_asynch {
-            observed_asynch = a;
-            asynch_bound = thm3_asynchronism_bound(
-                row.min_error(),
-                Duration::from_secs(xi),
-                Duration::from_secs(tau),
-                d,
-                d,
-            )
-            .as_secs();
-        }
-    }
-
-    BoundRow {
-        n,
-        delta,
-        tau,
-        xi,
-        xi_witness: result.xi_witness.as_secs(),
-        observed_gap,
-        gap_bound,
-        observed_asynch,
-        asynch_bound,
-        violations: result.correctness_violations(),
-    }
-}
-
-/// Runs E5+E6 across the default sweep.
-#[must_use]
-pub fn mm_bounds() -> MmBounds {
-    let mut rows = Vec::new();
-    for (n, delta, tau, max_delay, seed) in [
-        (3, 1e-4, 10.0, 0.005, 1),
-        (5, 1e-4, 10.0, 0.005, 2),
-        (8, 1e-4, 10.0, 0.005, 3),
-        (5, 1e-3, 10.0, 0.005, 4),
-        (5, 1e-4, 30.0, 0.005, 5),
-        (5, 1e-4, 10.0, 0.020, 6),
-    ] {
-        rows.push(run_mm_config(n, delta, tau, max_delay, seed));
-    }
-    MmBounds { rows }
-}
-
-impl Verdict for MmBounds {
-    /// Every configuration stays within both theorems' bounds.
-    fn reproduces_shape(&self) -> bool {
-        !self.rows.is_empty() && self.rows.iter().all(BoundRow::within_bounds)
-    }
-}
-
-impl fmt::Display for MmBounds {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "Theorems 2 & 3 — MM error gap and asynchronism vs bounds"
-        )?;
-        let mut table = Table::new(vec![
-            "n",
-            "delta",
-            "tau",
-            "xi",
-            "xi wit",
-            "gap",
-            "gap bound",
-            "asynch",
-            "asynch bound",
-            "viol",
-            "holds",
-        ]);
-        for r in &self.rows {
-            table.row(vec![
-                r.n.to_string(),
-                format!("{:.0e}", r.delta),
-                format!("{:.0}s", r.tau),
-                secs(r.xi),
-                secs(r.xi_witness),
-                secs(r.observed_gap),
-                secs(r.gap_bound),
-                secs(r.observed_asynch),
-                secs(r.asynch_bound),
-                r.violations.to_string(),
-                r.within_bounds().to_string(),
-            ]);
-        }
-        write!(f, "{table}")
-    }
-}
-
-/// One row of the IM asynchronism sweep (Theorem 7) or the min-delay
-/// ablation (A3).
-#[derive(Debug, Clone, Copy)]
-pub struct ImAsynchRow {
-    /// Number of servers.
-    pub n: usize,
-    /// Claimed drift bound.
-    pub delta: f64,
-    /// Resync period `τ`.
-    pub tau: f64,
-    /// Minimum one-way delay (A3 varies this).
-    pub min_delay: f64,
-    /// Round-trip bound `ξ`.
-    pub xi: f64,
-    /// Empirical round-trip witness: twice the worst one-way delay
-    /// the network delivered.
-    pub xi_witness: f64,
-    /// Largest observed asynchronism after warm-up.
-    pub observed: f64,
-    /// Theorem 7's bound `ξ + 2δτ` plus the round-window allowance
-    /// (servers reset at most one collect-window apart, during which
-    /// clocks drift).
-    pub bound: f64,
-    /// Correctness violations.
-    pub violations: usize,
-}
-
-impl ImAsynchRow {
-    /// Whether the observation respects the bound and the claimed `ξ`
-    /// really covered every round trip.
-    #[must_use]
-    pub fn within_bounds(&self) -> bool {
-        self.observed <= self.bound && self.xi_witness <= self.xi && self.violations == 0
-    }
-}
-
-/// Results of E8 / A3.
-#[derive(Debug, Clone)]
-pub struct ImBounds {
-    /// One row per configuration.
-    pub rows: Vec<ImAsynchRow>,
-}
-
-fn run_im_config(
-    n: usize,
-    delta: f64,
-    tau: f64,
-    min_delay: f64,
-    max_delay: f64,
-    seed: u64,
-) -> ImAsynchRow {
-    let window = (max_delay * 4.0).min(tau / 2.0);
-    let duration = Duration::from_secs(tau * 30.0);
-    let warmup = Timestamp::from_secs(tau * 3.0);
-    let mut scenario = Scenario::new(Strategy::Im)
+/// Runs one configuration of `strategy` (MM or IM) for `30τ`.
+fn run_config(strategy: Strategy, config: Config) -> BoundRow {
+    let (n, delta, tau, (min_delay, max_delay), seed) = config;
+    let mut scenario = Scenario::new(strategy)
         .delay(DelayModel::Uniform {
             min: Duration::from_secs(min_delay),
             max: Duration::from_secs(max_delay),
         })
         .resync_period(Duration::from_secs(tau))
-        .collect_window(Duration::from_secs(window))
-        .duration(duration)
+        .collect_window(Duration::from_secs((max_delay * 4.0).min(tau / 2.0)))
+        .duration(Duration::from_secs(tau * 30.0))
         .sample_interval(Duration::from_secs(tau / 10.0))
         .seed(seed);
+    let envelope = scenario.envelope().expect("the sweeps run MM or IM");
+    // Actual drifts alternate in sign so clocks genuinely separate.
+    let (share, skew) = match envelope.kind {
+        EnvelopeKind::Mm => (0.5, TheoremId::MmAsynchronism),
+        EnvelopeKind::Im => (0.8, TheoremId::ImAsynchronism),
+    };
     for i in 0..n {
         let sign = if i % 2 == 0 { 1.0 } else { -1.0 };
-        scenario = scenario.server(ServerSpec::honest(sign * delta * 0.8, delta));
+        scenario = scenario.server(ServerSpec::honest(sign * delta * share, delta));
     }
-    let result = scenario.run();
-    let xi = 2.0 * max_delay;
-    // Theorem 7 assumes simultaneous resets; in the protocol, resets are
-    // up to (τ·(1+jitter) + window) apart, during which two clocks can
-    // separate at 2δ, and the reset itself can land anywhere in an extra
-    // ξ of one-way skew. Using the full period keeps the bound honest.
-    let d = DriftRate::new(delta);
-    let bound = thm7_asynchronism_bound(
-        Duration::from_secs(xi),
-        Duration::from_secs(tau * 1.1 + window),
-        d,
-        d,
-    )
-    .as_secs()
-        + xi;
-    ImAsynchRow {
+    let result = scenario
+        .oracle(OracleConfig::safety().envelope(envelope))
+        .run();
+    let report = result.oracle.expect("the oracle was armed");
+    BoundRow {
         n,
         delta,
         tau,
         min_delay,
-        xi,
+        xi: envelope.xi.as_secs(),
         xi_witness: result.xi_witness.as_secs(),
-        observed: result.max_asynchronism_after(warmup).as_secs(),
-        bound,
-        violations: result.correctness_violations(),
+        gap: report.tightness.worst(TheoremId::ErrorEnvelope),
+        asynch: report
+            .tightness
+            .worst(skew)
+            .expect("the skew is checked after warm-up"),
+        violations: report.total_violations,
     }
+}
+
+fn sweep(title: &'static str, strategy: Strategy, configs: &[Config]) -> Bounds {
+    let rows = configs.iter().map(|&c| run_config(strategy, c)).collect();
+    Bounds { title, rows }
+}
+
+/// Up to 5 ms one way, from zero.
+const FAST: (f64, f64) = (0.0, 0.005);
+
+/// Runs E5+E6 across the default sweep.
+#[must_use]
+pub fn mm_bounds() -> Bounds {
+    sweep(
+        "Theorems 2 & 3 — MM error gap and asynchronism vs bounds",
+        Strategy::Mm,
+        &[
+            (3, 1e-4, 10.0, FAST, 1),
+            (5, 1e-4, 10.0, FAST, 2),
+            (8, 1e-4, 10.0, FAST, 3),
+            (5, 1e-3, 10.0, FAST, 4),
+            (5, 1e-4, 30.0, FAST, 5),
+            (5, 1e-4, 10.0, (0.0, 0.020), 6),
+        ],
+    )
 }
 
 /// Runs E8: the Theorem 7 sweep with zero minimum delay.
 #[must_use]
-pub fn im_bounds() -> ImBounds {
-    let mut rows = Vec::new();
-    for (n, delta, tau, max_delay, seed) in [
-        (3, 1e-4, 10.0, 0.005, 11),
-        (5, 1e-4, 10.0, 0.005, 12),
-        (8, 1e-4, 10.0, 0.005, 13),
-        (5, 1e-3, 10.0, 0.005, 14),
-        (5, 1e-4, 30.0, 0.005, 15),
-    ] {
-        rows.push(run_im_config(n, delta, tau, 0.0, max_delay, seed));
-    }
-    ImBounds { rows }
+pub fn im_bounds() -> Bounds {
+    sweep(
+        "Theorem 7 — IM asynchronism vs bound",
+        Strategy::Im,
+        &[
+            (3, 1e-4, 10.0, FAST, 11),
+            (5, 1e-4, 10.0, FAST, 12),
+            (8, 1e-4, 10.0, FAST, 13),
+            (5, 1e-3, 10.0, FAST, 14),
+            (5, 1e-4, 30.0, FAST, 15),
+        ],
+    )
 }
 
 /// Runs A3: the same service with increasing minimum one-way delay —
 /// the extension the paper notes the algorithms "can easily" absorb.
 #[must_use]
-pub fn min_delay_ablation() -> ImBounds {
-    let mut rows = Vec::new();
-    for (min_delay, seed) in [(0.0, 21), (0.002, 22), (0.004, 23)] {
-        rows.push(run_im_config(5, 1e-4, 10.0, min_delay, 0.005, seed));
-    }
-    ImBounds { rows }
+pub fn min_delay_ablation() -> Bounds {
+    sweep(
+        "Theorem 7 — IM asynchronism vs bound",
+        Strategy::Im,
+        &[
+            (5, 1e-4, 10.0, FAST, 21),
+            (5, 1e-4, 10.0, (0.002, 0.005), 22),
+            (5, 1e-4, 10.0, (0.004, 0.005), 23),
+        ],
+    )
 }
 
-impl Verdict for ImBounds {
-    /// Every configuration stays within Theorem 7's bound.
+impl Verdict for Bounds {
+    /// Every configuration stays within its theorems' bounds.
     fn reproduces_shape(&self) -> bool {
-        !self.rows.is_empty() && self.rows.iter().all(ImAsynchRow::within_bounds)
+        !self.rows.is_empty() && self.rows.iter().all(BoundRow::within_bounds)
     }
 }
 
-impl fmt::Display for ImBounds {
+impl fmt::Display for Bounds {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Theorem 7 — IM asynchronism vs bound")?;
-        let mut table = Table::new(vec![
-            "n", "delta", "tau", "min d", "xi", "xi wit", "observed", "bound", "viol", "holds",
-        ]);
+        writeln!(f, "{}", self.title)?;
+        let mm = self.rows.iter().any(|r| r.gap.is_some());
+        let mut header = vec!["n", "delta", "tau", "min d", "xi", "xi wit"];
+        if mm {
+            header.extend(["gap", "gap bound"]);
+        }
+        header.extend(["asynch", "asynch bound", "viol", "holds"]);
+        let mut table = Table::new(header);
         for r in &self.rows {
-            table.row(vec![
+            let mut cells = vec![
                 r.n.to_string(),
                 format!("{:.0e}", r.delta),
                 format!("{:.0}s", r.tau),
                 secs(r.min_delay),
                 secs(r.xi),
                 secs(r.xi_witness),
-                secs(r.observed),
-                secs(r.bound),
+            ];
+            if let Some(gap) = r.gap {
+                cells.extend([secs(gap.observed), secs(gap.bound)]);
+            }
+            cells.extend([
+                secs(r.asynch.observed),
+                secs(r.asynch.bound),
                 r.violations.to_string(),
                 r.within_bounds().to_string(),
             ]);
+            table.row(cells);
         }
         write!(f, "{table}")
     }
@@ -343,20 +214,11 @@ mod tests {
 
     #[test]
     fn mm_bound_holds_for_a_small_config() {
-        let row = run_mm_config(4, 1e-4, 10.0, 0.005, 99);
-        assert_eq!(row.violations, 0, "MM must preserve correctness");
-        assert!(
-            row.observed_gap <= row.gap_bound,
-            "gap {} exceeded bound {}",
-            row.observed_gap,
-            row.gap_bound
-        );
-        assert!(
-            row.observed_asynch <= row.asynch_bound,
-            "asynch {} exceeded bound {}",
-            row.observed_asynch,
-            row.asynch_bound
-        );
+        let row = run_config(Strategy::Mm, (4, 1e-4, 10.0, FAST, 99));
+        assert_eq!(row.violations, 0, "MM must preserve every armed theorem");
+        let gap = row.gap.expect("MM measures Theorem 2's gap");
+        assert!(gap.observed <= gap.bound, "gap {gap:?}");
+        assert!(row.asynch.observed <= row.asynch.bound, "{:?}", row.asynch);
         assert!(
             row.xi_witness > 0.0 && row.xi_witness <= row.xi,
             "witness {} outside (0, {}]",
@@ -368,14 +230,10 @@ mod tests {
 
     #[test]
     fn im_bound_holds_for_a_small_config() {
-        let row = run_im_config(4, 1e-4, 10.0, 0.0, 0.005, 98);
-        assert_eq!(row.violations, 0, "IM must preserve correctness");
-        assert!(
-            row.observed <= row.bound,
-            "asynch {} exceeded bound {}",
-            row.observed,
-            row.bound
-        );
+        let row = run_config(Strategy::Im, (4, 1e-4, 10.0, FAST, 98));
+        assert_eq!(row.violations, 0, "IM must preserve every armed theorem");
+        assert_eq!(row.gap, None, "Theorem 2 is MM's");
+        assert!(row.asynch.observed <= row.asynch.bound, "{:?}", row.asynch);
         assert!(
             row.xi_witness > 0.0 && row.xi_witness <= row.xi,
             "witness {} outside (0, {}]",
@@ -386,7 +244,7 @@ mod tests {
 
     #[test]
     fn nonzero_min_delay_still_correct() {
-        let row = run_im_config(4, 1e-4, 10.0, 0.003, 0.005, 97);
+        let row = run_config(Strategy::Im, (4, 1e-4, 10.0, (0.003, 0.005), 97));
         assert_eq!(row.violations, 0);
         assert!(
             row.xi_witness >= 2.0 * row.min_delay,
@@ -397,9 +255,12 @@ mod tests {
 
     #[test]
     fn displays_render() {
-        let rows = ImBounds {
-            rows: vec![run_im_config(3, 1e-4, 10.0, 0.0, 0.005, 96)],
+        let rows = Bounds {
+            title: "Theorem 7 — IM asynchronism vs bound",
+            rows: vec![run_config(Strategy::Im, (3, 1e-4, 10.0, FAST, 96))],
         };
-        assert!(rows.to_string().contains("Theorem 7"));
+        let text = rows.to_string();
+        assert!(text.contains("Theorem 7"), "{text}");
+        assert!(!text.contains("gap bound"), "{text}");
     }
 }

@@ -23,7 +23,7 @@
 use std::fmt;
 
 use tempo_core::{Duration, Timestamp};
-use tempo_oracle::{OracleConfig, TheoremId};
+use tempo_oracle::{OracleConfig, TheoremId, Tightness};
 use tempo_service::ServerFault;
 
 use super::{fault_tolerant, Verdict};
@@ -64,6 +64,10 @@ pub struct ByzantineRow {
     pub stab_violations: usize,
     /// Total theorem-oracle violations (all predicates).
     pub oracle_violations: usize,
+    /// The oracle's tightest margins across the sweep; its
+    /// `Stabilization` entry is the slowest re-convergence against the
+    /// bound, when the regime arms one.
+    pub tightness: Tightness,
     /// Samples at which a corrupted server was observed visibly off
     /// true time (proof the corruption actually fired).
     pub disruptions: usize,
@@ -219,6 +223,7 @@ fn run_regime(regime: &Regime, base_seed: u64) -> ByzantineRow {
         f_violations: 0,
         stab_violations: 0,
         oracle_violations: 0,
+        tightness: Tightness::default(),
         disruptions: 0,
         worst_honest_offset: 0.0,
     };
@@ -246,6 +251,7 @@ fn run_regime(regime: &Regime, base_seed: u64) -> ByzantineRow {
         row.honest_violations += result.honest_violations(|i| faulty.contains(&i));
         let report = result.oracle.as_ref().expect("oracle was armed");
         row.oracle_violations += report.total_violations;
+        row.tightness.merge(&report.tightness);
         row.f_violations += report
             .violations
             .iter()
@@ -322,6 +328,7 @@ impl fmt::Display for Byzantine {
             "honest viol",
             "f-tol viol",
             "stab viol",
+            "worst stab",
             "oracle viol",
             "disrupted",
             "worst honest off",
@@ -336,6 +343,11 @@ impl fmt::Display for Byzantine {
                 r.honest_violations.to_string(),
                 r.f_violations.to_string(),
                 r.stab_violations.to_string(),
+                r.tightness
+                    .worst(TheoremId::Stabilization)
+                    .map_or("-".into(), |m| {
+                        format!("{}/{}", secs(m.observed), secs(m.bound))
+                    }),
                 r.oracle_violations.to_string(),
                 r.disruptions.to_string(),
                 secs(r.worst_honest_offset),

@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tempo_core::{Duration, Timestamp};
 use tempo_net::{DelayModel, NodeId, Partition};
-use tempo_oracle::{EnvelopeKind, EnvelopeParams, OracleConfig, Violation};
+use tempo_oracle::{OracleConfig, Tightness, Violation};
 use tempo_service::{ServerFault, Strategy};
 
 use super::Verdict;
@@ -174,10 +174,11 @@ impl FuzzTarget for FuzzCase {
         }
     }
 
-    fn check(&self) -> Option<Violation> {
+    fn check(&self) -> Result<Tightness, Violation> {
         let result = self.scenario().run();
         let report = result.oracle.expect("fuzz cases always arm the oracle");
-        report.violations.into_iter().next()
+        let first = report.violations.into_iter().next();
+        first.map_or(Ok(report.tightness), Err)
     }
 
     /// Order: drop network chaos, drop liars, drop the corruption,
@@ -247,12 +248,6 @@ impl FuzzCase {
         self.loss > 0.0 || self.duplication > 0.0 || self.partition
     }
 
-    /// The round-trip bound `ξ` implied by the delay model.
-    #[must_use]
-    pub fn xi(&self) -> f64 {
-        2.0 * self.max_delay
-    }
-
     /// The oracle gating this case is *sound* under:
     ///
     /// * the adoption guard always applies;
@@ -271,10 +266,10 @@ impl FuzzCase {
     ///   is armed at `8τ` — a handful of rounds is ample for the §5
     ///   screen to re-converge even through loss or a partition;
     /// * the steady-state envelope theorems (2/3 for MM, 7 for IM) apply
-    ///   only to clean deployments: no loss, duplication, partitions, or
-    ///   liars, and a warm-up of `3τ`.
-    #[must_use]
-    pub fn oracle_config(&self) -> OracleConfig {
+    ///   only to clean deployments — no loss, duplication, partitions,
+    ///   or liars — with the `scenario`'s own
+    ///   [`envelope`](Scenario::envelope).
+    fn oracle_config(&self, scenario: &Scenario) -> OracleConfig {
         let mut config = OracleConfig::safety();
         if self.has_liar() {
             config = config.without_trust_checks();
@@ -285,27 +280,10 @@ impl FuzzCase {
         if self.has_corrupt() {
             config = config.stabilization(Duration::from_secs(8.0 * self.resync));
         }
-        let envelope_kind = match self.strategy {
-            Strategy::Mm => Some(EnvelopeKind::Mm),
-            Strategy::Im => Some(EnvelopeKind::Im),
-            _ => None,
-        };
-        if let Some(kind) = envelope_kind {
-            if !self.has_chaos() && !self.has_liar() {
-                let xi = self.xi();
-                // Effective inter-reset spacing: period + 10 % jitter +
-                // the collection window (cf. experiment E8).
-                let tau_eff = self.resync * 1.1 + self.collect_window();
-                config = config.envelope(EnvelopeParams {
-                    kind,
-                    xi: Duration::from_secs(xi),
-                    tau: Duration::from_secs(tau_eff),
-                    warmup: Timestamp::from_secs(3.0 * self.resync),
-                    slack: Duration::from_secs(xi),
-                });
-            }
+        match scenario.envelope() {
+            Some(envelope) if !self.has_chaos() && !self.has_liar() => config.envelope(envelope),
+            _ => config,
         }
-        config
     }
 
     fn collect_window(&self) -> f64 {
@@ -327,8 +305,7 @@ impl FuzzCase {
             .collect_window(Duration::from_secs(self.collect_window()))
             .duration(Duration::from_secs(self.horizon))
             .sample_interval(Duration::from_secs(1.0))
-            .seed(self.seed)
-            .oracle(self.oracle_config());
+            .seed(self.seed);
         if self.partition {
             let half = n / 2;
             scenario = scenario.partition(Partition {
@@ -368,7 +345,8 @@ impl FuzzCase {
             }
             scenario = scenario.server(spec);
         }
-        scenario
+        let oracle = self.oracle_config(&scenario);
+        scenario.oracle(oracle)
     }
 }
 
@@ -423,9 +401,9 @@ pub trait FuzzTarget: Clone + fmt::Display {
     #[must_use]
     fn from_seed(seed: u64, horizon: f64) -> Self;
 
-    /// Runs the case and returns the first violation, if any.
-    #[must_use]
-    fn check(&self) -> Option<Violation>;
+    /// Runs the case: the oracle's margins when it found nothing, the
+    /// first violation otherwise.
+    fn check(&self) -> Result<Tightness, Violation>;
 
     /// The cases one simplification away from this one, cheapest
     /// first.
@@ -437,7 +415,7 @@ pub trait FuzzTarget: Clone + fmt::Display {
 /// first of [`FuzzTarget::simpler`] that still violates, to a fixpoint.
 #[must_use]
 pub fn shrink<C: FuzzTarget>(mut case: C) -> C {
-    while let Some(simpler) = case.simpler().into_iter().find(|c| c.check().is_some()) {
+    while let Some(simpler) = case.simpler().into_iter().find(|c| c.check().is_err()) {
         case = simpler;
     }
     case
@@ -461,29 +439,38 @@ pub struct Fuzz<C> {
     pub cases_run: usize,
     /// The failures, one per violating seed, each shrunk.
     pub failures: Vec<FuzzFailure<C>>,
+    /// The tightest margin each predicate reached over the clean cases.
+    pub tightness: Tightness,
 }
 
 impl<C: FuzzTarget> Fuzz<C> {
     /// Runs the arm over a seed range, shrinking every failure.
     pub(super) fn sweep(seeds: Range<u64>, horizon: f64) -> Self {
         let mut failures = Vec::new();
+        let mut tightness = Tightness::default();
         let mut cases_run = 0;
         for seed in seeds {
             cases_run += 1;
             let case = C::from_seed(seed, horizon);
-            if case.check().is_some() {
-                let minimal = shrink(case);
-                let violation = minimal.check().expect("shrinking preserves the violation");
-                failures.push(FuzzFailure {
-                    seed,
-                    minimal,
-                    violation,
-                });
+            match case.check() {
+                Ok(margins) => tightness.merge(&margins),
+                Err(_) => {
+                    let minimal = shrink(case);
+                    let violation = minimal
+                        .check()
+                        .expect_err("shrinking preserves the violation");
+                    failures.push(FuzzFailure {
+                        seed,
+                        minimal,
+                        violation,
+                    });
+                }
             }
         }
         Fuzz {
             cases_run,
             failures,
+            tightness,
         }
     }
 }
@@ -504,6 +491,13 @@ impl<C: FuzzTarget> fmt::Display for Fuzz<C> {
             self.cases_run,
             self.failures.len()
         )?;
+        if self.tightness != Tightness::default() {
+            writeln!(
+                f,
+                "worst observed ÷ bound per predicate over the clean cases:"
+            )?;
+            write!(f, "{}", self.tightness)?;
+        }
         for failure in &self.failures {
             writeln!(f, "FAIL seed {}:", failure.seed)?;
             writeln!(f, "  {}", failure.violation)?;
@@ -640,7 +634,7 @@ mod tests {
         case.loss = 0.0;
         case.duplication = 0.0;
         case.partition = false;
-        assert_eq!(case.check(), None, "rebased marks keep MM correct");
+        assert!(case.check().is_ok(), "rebased marks keep MM correct");
     }
 
     #[test]
@@ -662,7 +656,7 @@ mod tests {
         case.partition = true;
         case.servers[1].weakened = true;
 
-        let violation = case.check().expect("the weakened guard must violate");
+        let violation = case.check().expect_err("the weakened guard must violate");
         assert!(matches!(
             violation.theorem,
             TheoremId::AdoptionGuard | TheoremId::ErrorGrowth
@@ -679,7 +673,7 @@ mod tests {
             minimal.servers.iter().any(|s| s.weakened),
             "the buggy server must survive shrinking"
         );
-        let v = minimal.check().expect("still violating");
+        let v = minimal.check().expect_err("still violating");
         assert_eq!(v.seed, minimal.seed, "reproducer carries its seed");
     }
 
@@ -712,7 +706,7 @@ mod tests {
 
         let violation = case
             .check()
-            .expect("two crafted liars against f = 1 violate");
+            .expect_err("two crafted liars against f = 1 violate");
         assert!(
             matches!(
                 violation.theorem,
@@ -733,7 +727,7 @@ mod tests {
             "bystanders must shrink away, got {}",
             minimal.servers.len()
         );
-        let v = minimal.check().expect("still violating");
+        let v = minimal.check().expect_err("still violating");
         assert_eq!(v.seed, minimal.seed, "reproducer carries its seed");
     }
 

@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 use tempo_cluster::ClusterFault;
 use tempo_core::{Duration, Timestamp};
 use tempo_net::{NodeId, Partition};
-use tempo_oracle::Violation;
+use tempo_oracle::{Tightness, Violation};
 use tempo_service::ServerFault;
 
 use super::fuzz::{Fuzz, FuzzTarget};
@@ -178,12 +178,15 @@ impl FuzzTarget for ClusterFuzzCase {
         }
     }
 
-    fn check(&self) -> Option<Violation> {
+    /// The ClusterTime rows measure no margin, so a clean case returns
+    /// an empty [`Tightness`].
+    fn check(&self) -> Result<Tightness, Violation> {
         let result = self.scenario().run();
         let reports = result
             .oracle
             .expect("cluster fuzz cases always arm the oracle");
-        reports.into_iter().flat_map(|r| r.violations).next()
+        let first = reports.into_iter().flat_map(|r| r.violations).next();
+        first.map_or(Ok(Tightness::default()), Err)
     }
 
     /// Order: calm the network, drop the lies, drop amnesia, drop
@@ -475,7 +478,7 @@ mod tests {
             honest,
         ];
 
-        let violation = case.check().expect("the skipped flush must violate");
+        let violation = case.check().expect_err("the skipped flush must violate");
         assert_eq!(violation.theorem, TheoremId::ClusterMonotonic);
 
         let minimal = shrink(case);
@@ -489,7 +492,7 @@ mod tests {
             minimal.replicas.iter().any(|r| r.skip_hw_flush),
             "the buggy replica must survive shrinking"
         );
-        let v = minimal.check().expect("still violating");
+        let v = minimal.check().expect_err("still violating");
         assert_eq!(v.theorem, TheoremId::ClusterMonotonic);
         assert_eq!(v.seed, minimal.seed, "reproducer carries its seed");
     }

@@ -39,7 +39,7 @@ pub use ablations::{
     marzullo_ablation, screening_ablation, strategy_comparison, MarzulloAblation,
     ScreeningAblation, StrategyComparison,
 };
-pub use bounds::{im_bounds, min_delay_ablation, mm_bounds, ImBounds, MmBounds};
+pub use bounds::{im_bounds, min_delay_ablation, mm_bounds, BoundRow, Bounds};
 pub use byzantine::{byzantine, Byzantine, ByzantineRow};
 pub use chaos::{chaos, Chaos};
 pub use churn::{churn, churn_with, Churn, ChurnRun};

@@ -19,7 +19,7 @@
 use std::fmt;
 
 use tempo_core::{Duration, Timestamp};
-use tempo_oracle::OracleConfig;
+use tempo_oracle::{OracleConfig, TheoremId, Tightness};
 use tempo_service::ServerFault;
 
 use super::{fault_tolerant, Verdict};
@@ -61,6 +61,9 @@ pub struct RestartRow {
     pub honest_violations: usize,
     /// Total theorem-oracle violations (lifecycle checks included).
     pub oracle_violations: usize,
+    /// The oracle's tightest margins across the sweep; its `Lifecycle`
+    /// entry is the slowest bootstrap against the round allowance.
+    pub tightness: Tightness,
     /// Worst time from a restart instant to the first sample at which
     /// the restarted server is correct again (seconds).
     pub worst_lag: f64,
@@ -140,6 +143,7 @@ fn run_regime(regime: &Regime, base_seed: u64) -> RestartRow {
         reinstated: 0,
         honest_violations: 0,
         oracle_violations: 0,
+        tightness: Tightness::default(),
         worst_lag: 0.0,
         worst_post_error: 0.0,
         reintegrated: true,
@@ -163,6 +167,7 @@ fn run_regime(regime: &Regime, base_seed: u64) -> RestartRow {
         row.honest_violations += result.honest_violations(|i| i == RESTARTER);
         let report = result.oracle.as_ref().expect("oracle was armed");
         row.oracle_violations += report.total_violations;
+        row.tightness.merge(&report.tightness);
         let stats = &result.final_stats[RESTARTER];
         row.crashes += stats.crashes;
         row.restarts += stats.restarts;
@@ -268,6 +273,7 @@ impl fmt::Display for Restart {
             "crashes",
             "restarts",
             "boot rounds",
+            "worst boot",
             "tmo",
             "susp",
             "reinst",
@@ -284,6 +290,9 @@ impl fmt::Display for Restart {
                 r.crashes.to_string(),
                 r.restarts.to_string(),
                 r.boot_rounds.to_string(),
+                r.tightness
+                    .worst(TheoremId::Lifecycle)
+                    .map_or("-".into(), |m| format!("{}/{}", m.observed, m.bound)),
                 r.timeouts.to_string(),
                 r.suspected.to_string(),
                 r.reinstated.to_string(),

@@ -48,6 +48,6 @@ pub use metrics::{RunResult, SampleRow};
 pub use scenario::{Scenario, ServerSpec};
 pub use sinks::{set_default_telemetry_out, ClusterOracleSink, JsonlSink, MetricsSink, OracleSink};
 pub use tempo_oracle::{
-    EnvelopeKind, EnvelopeParams, OracleConfig, OracleReport, TheoremId, Violation,
+    EnvelopeKind, EnvelopeParams, OracleConfig, OracleReport, TheoremId, Tightness, Violation,
 };
 pub use tempo_telemetry::{Bus, EventKind, Observer, TelemetryEvent};

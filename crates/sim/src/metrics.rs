@@ -216,27 +216,6 @@ impl RunResult {
             .fold(Duration::ZERO, Duration::max)
     }
 
-    /// The worst `E_i(t) − E_M(t)` gap after `from` — the quantity
-    /// Theorem 2 bounds by `ξ + δ_i(τ + 2ξ)` (up to the `2δξ` slack).
-    #[must_use]
-    pub fn max_error_gap_after(&self, from: Timestamp) -> Duration {
-        self.samples
-            .iter()
-            .filter(|r| r.t >= from)
-            .map(|r| r.max_error() - r.min_error())
-            .fold(Duration::ZERO, Duration::max)
-    }
-
-    /// Claimed-error time series of one server as `(seconds, error
-    /// seconds)` pairs, for slope fitting and plotting.
-    #[must_use]
-    pub fn error_series(&self, server: usize) -> Vec<(f64, f64)> {
-        self.samples
-            .iter()
-            .map(|r| (r.t.as_secs(), r.per_server[server].error.as_secs()))
-            .collect()
-    }
-
     /// Mean-claimed-error time series across all servers.
     #[must_use]
     pub fn mean_error_series(&self) -> Vec<(f64, f64)> {
@@ -298,23 +277,6 @@ impl RunResult {
             .iter()
             .filter(|r| r.t >= from)
             .map(|r| r.asynchronism().as_secs())
-            .collect();
-        summarize(&values)
-    }
-
-    /// Percentile summary of the per-sample *maximum claimed error*
-    /// at or after `from`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no samples fall in the window.
-    #[must_use]
-    pub fn error_summary(&self, from: Timestamp) -> Summary {
-        let values: Vec<f64> = self
-            .samples
-            .iter()
-            .filter(|r| r.t >= from)
-            .map(|r| r.max_error().as_secs())
             .collect();
         summarize(&values)
     }
@@ -417,12 +379,10 @@ mod tests {
             result.max_asynchronism_after(Timestamp::from_secs(1.5)),
             Duration::from_secs(0.5)
         );
-        assert!((result.max_error_gap_after(Timestamp::ZERO).as_secs() - 0.2).abs() < 1e-12);
         assert_eq!(result.correctness_violations(), 1); // 0.5 > 0.4
         assert_eq!(result.violations_per_server(), vec![0, 1]);
         assert_eq!(result.honest_violations(|i| i == 1), 0);
         assert_eq!(result.honest_violations(|i| i == 0), 1);
-        assert_eq!(result.error_series(0), vec![(1.0, 0.1), (2.0, 0.2)]);
         assert_eq!(result.offset_series(1), vec![(1.0, 0.2), (2.0, 0.5)]);
         assert_eq!(result.last().t, Timestamp::from_secs(2.0));
     }
@@ -469,9 +429,6 @@ mod tests {
         };
         let a = result.asynchronism_summary(Timestamp::ZERO);
         assert!((a.max - 0.5).abs() < 1e-12);
-        let e = result.error_summary(Timestamp::from_secs(1.5));
-        assert!((e.max - 0.4).abs() < 1e-12);
-        assert!((e.p50 - 0.4).abs() < 1e-12);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::rc::Rc;
 use tempo_clocks::{DriftModel, Fault, SimClock};
 use tempo_core::{DriftRate, Duration, Timestamp};
 use tempo_net::{DelayModel, NodeId, Partition, Topology};
-use tempo_oracle::{Oracle, OracleConfig, ServerView};
+use tempo_oracle::{EnvelopeKind, EnvelopeParams, Oracle, OracleConfig, ServerView};
 use tempo_service::{
     ApplyMode, HealthConfig, RecoveryPolicy, RetryPolicy, ScreeningPolicy, ServerConfig,
     ServerFault, ServerStats, Strategy, TimeServer,
@@ -402,6 +402,26 @@ impl Scenario {
     #[must_use]
     pub fn xi(&self) -> Duration {
         self.delay.max_delay() * 2.0
+    }
+
+    /// The steady state the bound theorems hold this deployment to —
+    /// Theorems 2 & 3 under MM, Theorem 7 under IM, `None` for any other
+    /// strategy: its `ξ`; as `τ`, the longest spacing of one server's
+    /// resets, the period stretched by its jitter plus the collection
+    /// window; and a warm-up of three periods.
+    #[must_use]
+    pub fn envelope(&self) -> Option<EnvelopeParams> {
+        let kind = match self.strategy {
+            Strategy::Mm => EnvelopeKind::Mm,
+            Strategy::Im => EnvelopeKind::Im,
+            _ => return None,
+        };
+        Some(EnvelopeParams {
+            kind,
+            xi: self.xi(),
+            tau: self.resync_period * (1.0 + self.jitter) + self.collect_window,
+            warmup: Timestamp::ZERO + self.resync_period * 3.0,
+        })
     }
 
     /// Builds the world and runs it, sampling on the configured
