@@ -314,7 +314,7 @@ impl ClusterReplica {
 
     /// Adopts a strictly higher view learned from a peer, surrendering
     /// any primary role or candidacy for an older view.
-    fn observe_view(&mut self, view: u64, ctx: &mut Context<'_, ClusterFrame>) {
+    fn learn_view(&mut self, view: u64, ctx: &mut Context<'_, ClusterFrame>) {
         if view <= self.view {
             return;
         }
@@ -728,7 +728,7 @@ impl ClusterReplica {
                 // Client-facing traffic; a replica ignores strays.
             }
             ClusterFrame::LeaseRenew { view, seq } => {
-                self.observe_view(view, ctx);
+                self.learn_view(view, ctx);
                 if view < self.view {
                     // A primary deposed while down would otherwise renew
                     // into the void forever: tell it about the succession.
@@ -769,7 +769,7 @@ impl ClusterReplica {
             }
             ClusterFrame::ViewChangeReq { view } => {
                 if view > self.view {
-                    self.observe_view(view, ctx);
+                    self.learn_view(view, ctx);
                     ctx.send(
                         from,
                         ClusterFrame::ViewChangeAck {
@@ -798,11 +798,11 @@ impl ClusterReplica {
                         self.try_win(ctx);
                     }
                 } else {
-                    self.observe_view(view, ctx);
+                    self.learn_view(view, ctx);
                 }
             }
             ClusterFrame::HwUpdate { view, high_water } => {
-                self.observe_view(view, ctx);
+                self.learn_view(view, ctx);
                 if view < self.view {
                     self.nack_stale(from, ctx);
                     return;

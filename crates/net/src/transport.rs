@@ -16,9 +16,11 @@
 //!   loss, reordering, and delay come from an actual network (or a
 //!   `FaultyTransport` decorator on top of real sockets).
 //!
-//! The same `TimeServer`/`TimeClient` state machines drive both: the
-//! paper's robustness claims are only meaningful if the protocol code
-//! cannot tell which side of this trait it is running on.
+//! The production state machines run unchanged on both: `UdpRuntime`
+//! hosts `TimeServer`, `ClusterReplica` and `AuditClient`, the same
+//! actors the simulator steps (`TimeClient` runs only in the
+//! simulator). The paper's robustness claims are only meaningful if the
+//! protocol code cannot tell which side of this trait it is running on.
 
 use rand::rngs::StdRng;
 

@@ -16,31 +16,17 @@
 
 use std::fmt;
 
-use tempo_core::Timestamp;
+use tempo_telemetry::{EventKind, Observer, TelemetryEvent};
 
 use crate::{rules, write_violations, Findings, TheoremId, Violation};
 
-/// One released cluster timestamp, as reported by telemetry.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IssueObservation {
-    /// The replica that released it.
-    pub server: usize,
-    /// The view it was issued under.
-    pub view: u64,
-    /// The cluster timestamp, in microsecond ticks.
-    pub timestamp: u64,
-    /// Lower edge of the quorum intersection backing the issue.
-    pub lo: Timestamp,
-    /// Upper edge of the quorum intersection backing the issue.
-    pub hi: Timestamp,
-}
-
-/// The ClusterTime checker. Feed it released timestamps (in release
-/// order) and view changes, then [`finish`](ClusterOracle::finish).
+/// The ClusterTime checker. Subscribe it to the cluster's bus (released
+/// timestamps arrive in release order, the order `TsIssued` events are
+/// emitted), then [`finish`](ClusterOracle::finish).
 #[derive(Debug)]
 pub struct ClusterOracle {
-    /// The last released timestamp.
-    last: Option<IssueObservation>,
+    /// The last released timestamp's issuer, view and ticks.
+    last: Option<(usize, u64, u64)>,
     issues_checked: usize,
     view_changes: usize,
     highest_view: u64,
@@ -60,25 +46,17 @@ impl ClusterOracle {
         }
     }
 
-    /// Checks one released timestamp. Call in release order (the order
-    /// `TsIssued` telemetry events were emitted).
-    pub fn observe_issue(&mut self, obs: &IssueObservation) {
-        let event = self.issues_checked;
-        self.issues_checked += 1;
-        let monotonic = rules::cluster_monotonic(self.last.as_ref(), obs);
-        self.findings
-            .flag(event, obs.server, TheoremId::ClusterMonotonic, monotonic);
-        self.last = Some(*obs);
-        let bounded = rules::cluster_bounded(obs);
-        self.findings
-            .flag(event, obs.server, TheoremId::ClusterBounded, bounded);
-    }
-
-    /// Records a view change (context for violation messages and the
-    /// report's failover count).
-    pub fn observe_view_change(&mut self, view: u64) {
-        self.view_changes += 1;
-        self.highest_view = self.highest_view.max(view);
+    /// The replica a checked event comes from: the issuer of a `TsIssued`,
+    /// the adopter of a `ViewChange`. A world hosting several clusters
+    /// routes each event to its cluster's checker by it.
+    #[must_use]
+    pub fn replica(event: &TelemetryEvent) -> Option<usize> {
+        match *event {
+            TelemetryEvent::TsIssued { server, .. } | TelemetryEvent::ViewChange { server, .. } => {
+                Some(server)
+            }
+            _ => None,
+        }
     }
 
     /// Consumes the checker and returns its findings.
@@ -90,6 +68,42 @@ impl ClusterOracle {
             issues_checked: self.issues_checked,
             view_changes: self.view_changes,
             highest_view: self.highest_view,
+        }
+    }
+}
+
+impl Observer for ClusterOracle {
+    fn enabled(&self, kind: EventKind) -> bool {
+        matches!(kind, EventKind::TsIssued | EventKind::ViewChange)
+    }
+
+    fn observe(&mut self, event: &TelemetryEvent) {
+        match *event {
+            TelemetryEvent::TsIssued {
+                server,
+                view,
+                timestamp,
+                lo,
+                hi,
+                ..
+            } => {
+                let event = self.issues_checked;
+                self.issues_checked += 1;
+                let monotonic = rules::cluster_monotonic(self.last, view, timestamp);
+                self.findings
+                    .flag(event, server, TheoremId::ClusterMonotonic, monotonic);
+                self.last = Some((server, view, timestamp));
+                let bounded = rules::cluster_bounded(timestamp, lo, hi);
+                self.findings
+                    .flag(event, server, TheoremId::ClusterBounded, bounded);
+            }
+            // Context for violation messages and the report's failover
+            // count.
+            TelemetryEvent::ViewChange { view, .. } => {
+                self.view_changes += 1;
+                self.highest_view = self.highest_view.max(view);
+            }
+            _ => {}
         }
     }
 }
@@ -139,15 +153,22 @@ impl fmt::Display for ClusterReport {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
     use crate::MAX_STORED_VIOLATIONS;
+    use tempo_core::Timestamp;
+    use tempo_telemetry::Bus;
 
     fn ts(s: f64) -> Timestamp {
         Timestamp::from_secs(s)
     }
 
-    fn issue(server: usize, view: u64, timestamp: u64, lo: f64, hi: f64) -> IssueObservation {
-        IssueObservation {
+    /// A `TsIssued` by `server` under `view`, backed by `[lo, hi]`.
+    fn issue(server: usize, view: u64, timestamp: u64, lo: f64, hi: f64) -> TelemetryEvent {
+        TelemetryEvent::TsIssued {
+            at: ts(lo),
             server,
             view,
             timestamp,
@@ -156,13 +177,23 @@ mod tests {
         }
     }
 
+    /// A `ViewChange` to `view` by replica 1.
+    fn view_change(view: u64) -> TelemetryEvent {
+        TelemetryEvent::ViewChange {
+            at: ts(0.0),
+            server: 1,
+            view,
+            high_water: 0,
+        }
+    }
+
     #[test]
     fn clean_monotonic_stream_is_clean() {
         let mut o = ClusterOracle::new(7);
-        o.observe_issue(&issue(0, 0, 10_000_000, 9.9, 10.2));
-        o.observe_issue(&issue(0, 0, 10_050_000, 9.95, 10.25));
-        o.observe_view_change(1);
-        o.observe_issue(&issue(1, 1, 10_500_000, 10.4, 10.7));
+        o.observe(&issue(0, 0, 10_000_000, 9.9, 10.2));
+        o.observe(&issue(0, 0, 10_050_000, 9.95, 10.25));
+        o.observe(&view_change(1));
+        o.observe(&issue(1, 1, 10_500_000, 10.4, 10.7));
         let report = o.finish();
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.issues_checked, 3);
@@ -173,11 +204,11 @@ mod tests {
     #[test]
     fn regression_across_failover_is_flagged() {
         let mut o = ClusterOracle::new(42);
-        o.observe_issue(&issue(0, 0, 11_000_000, 10.0, 12.0));
-        o.observe_view_change(1);
+        o.observe(&issue(0, 0, 11_000_000, 10.0, 12.0));
+        o.observe(&view_change(1));
         // The successor reissues a lower timestamp — the exact breach
         // the skip-the-flush bug produces.
-        o.observe_issue(&issue(1, 1, 10_500_000, 10.0, 12.0));
+        o.observe(&issue(1, 1, 10_500_000, 10.0, 12.0));
         let report = o.finish();
         let v = report.first().expect("violation");
         assert_eq!(v.theorem, TheoremId::ClusterMonotonic);
@@ -190,8 +221,8 @@ mod tests {
     #[test]
     fn equal_timestamps_are_a_regression() {
         let mut o = ClusterOracle::new(0);
-        o.observe_issue(&issue(0, 0, 10_000_000, 9.0, 11.0));
-        o.observe_issue(&issue(0, 0, 10_000_000, 9.0, 11.0));
+        o.observe(&issue(0, 0, 10_000_000, 9.0, 11.0));
+        o.observe(&issue(0, 0, 10_000_000, 9.0, 11.0));
         assert!(!o.finish().is_clean());
     }
 
@@ -199,14 +230,14 @@ mod tests {
     fn timestamp_outside_intersection_is_flagged() {
         let mut o = ClusterOracle::new(5);
         // 13 s ticks against an intersection ending at 12 s.
-        o.observe_issue(&issue(0, 0, 13_000_000, 10.0, 12.0));
+        o.observe(&issue(0, 0, 13_000_000, 10.0, 12.0));
         let report = o.finish();
         let v = report.first().expect("violation");
         assert_eq!(v.theorem, TheoremId::ClusterBounded);
         assert!(v.detail.contains("outside"), "{}", v.detail);
         // Below the lower edge fires too.
         let mut o = ClusterOracle::new(5);
-        o.observe_issue(&issue(0, 0, 9_000_000, 10.0, 12.0));
+        o.observe(&issue(0, 0, 9_000_000, 10.0, 12.0));
         assert!(!o.finish().is_clean());
     }
 
@@ -214,21 +245,60 @@ mod tests {
     fn truncation_tolerance_is_honoured() {
         let mut o = ClusterOracle::new(0);
         // Exactly the floor of the upper edge: inside with tolerance.
-        o.observe_issue(&issue(0, 0, 11_999_999, 10.0, 12.0));
+        o.observe(&issue(0, 0, 11_999_999, 10.0, 12.0));
         assert!(o.finish().is_clean());
     }
 
     #[test]
     fn violation_overflow_is_counted_not_stored() {
         let mut o = ClusterOracle::new(0);
-        o.observe_issue(&issue(0, 0, u64::MAX, 0.0, f64::MAX));
+        o.observe(&issue(0, 0, u64::MAX, 0.0, f64::MAX));
         for _ in 0..(MAX_STORED_VIOLATIONS + 10) {
-            o.observe_issue(&issue(0, 0, 1, 0.0, 10.0));
+            o.observe(&issue(0, 0, 1, 0.0, 10.0));
         }
         let report = o.finish();
         assert_eq!(report.violations.len(), MAX_STORED_VIOLATIONS);
         assert!(report.total_violations > MAX_STORED_VIOLATIONS);
         let text = report.to_string();
         assert!(text.contains("more"), "{text}");
+    }
+
+    #[test]
+    fn a_bus_delivers_issues_and_view_changes_and_builds_no_other() {
+        let bus = Bus::new();
+        let oracle = Rc::new(RefCell::new(ClusterOracle::new(0)));
+        bus.subscribe(Rc::clone(&oracle));
+        for kind in EventKind::ALL {
+            let checked = matches!(kind, EventKind::TsIssued | EventKind::ViewChange);
+            assert_eq!(bus.enabled(kind), checked, "{kind:?}");
+        }
+        bus.emit(issue(0, 0, 10_000_000, 9.9, 10.2));
+        bus.emit(view_change(1));
+        // A kind the oracle does not check never reaches the mask, so
+        // the bus does not even build it for `observe`.
+        assert!(!bus.enabled(EventKind::LeaseGranted));
+        bus.emit_with(EventKind::LeaseGranted, || {
+            unreachable!("a lease_granted was built")
+        });
+        drop(bus);
+        let report = Rc::try_unwrap(oracle)
+            .expect("the bus held the only other handle")
+            .into_inner()
+            .finish();
+        assert!(report.is_clean(), "{report}");
+        assert_eq!((report.issues_checked, report.view_changes), (1, 1));
+        assert_eq!(report.highest_view, 1);
+    }
+
+    #[test]
+    fn events_route_by_the_replica_they_come_from() {
+        assert_eq!(ClusterOracle::replica(&issue(2, 0, 1, 0.0, 1.0)), Some(2));
+        assert_eq!(ClusterOracle::replica(&view_change(3)), Some(1));
+        let expiry = TelemetryEvent::LeaseExpired {
+            at: ts(0.0),
+            server: 4,
+            view: 0,
+        };
+        assert_eq!(ClusterOracle::replica(&expiry), None);
     }
 }

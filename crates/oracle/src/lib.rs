@@ -11,15 +11,14 @@
 //! (Theorem 8 — the *expected* IM width need not grow with the number of
 //! servers — is a distributional claim; experiment E9 covers it offline.)
 //!
-//! The oracle is pure: it never touches the network or the servers. The
-//! simulation feeds it per-sample snapshots ([`Oracle::observe_sample`]),
-//! per-reset round records ([`Oracle::observe_round`]), and crash–restart
-//! lifecycle transitions ([`Oracle::observe_crash`],
-//! [`Oracle::observe_restart`], [`Oracle::observe_rehydration`],
-//! [`Oracle::observe_bootstrap_complete`]); it returns a
-//! structured [`OracleReport`] whose [`Violation`]s carry everything
-//! needed to reproduce: the scenario seed, the event index, the server,
-//! the predicate, and the observed-vs-bound pair.
+//! The oracle is pure: it never touches the network or the servers.
+//! [`Oracle`] and [`cluster::ClusterOracle`] are [`Observer`]s that read
+//! the telemetry stream themselves, so arming one is a `subscribe` on the
+//! bus the service emits to. [`Oracle`] checks samples, round adoptions,
+//! resets and lifecycle events; [`Oracle::finish`] returns a structured
+//! [`OracleReport`] whose [`Violation`]s carry everything needed to
+//! reproduce: the scenario seed, the event index, the server, the
+//! predicate, and the observed-vs-bound pair.
 //!
 //! Which predicates are *sound* depends on the scenario. Correctness of a
 //! non-faulty server, for example, is only guaranteed when no lying peer
@@ -37,7 +36,8 @@ pub mod rules;
 
 use std::fmt;
 
-use tempo_core::{DriftRate, Duration, Timestamp};
+use tempo_core::{DriftRate, Duration, TimeEstimate, Timestamp};
+use tempo_telemetry::{EventKind, Observer, SampleSnapshot, TelemetryEvent};
 
 use rules::{Breach, Check, Margin};
 
@@ -298,47 +298,6 @@ pub struct ServerView {
     pub trusted: bool,
 }
 
-/// One server's state at a sampling instant.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SampleState {
-    /// The served clock reading `C_i(t)`.
-    pub clock: Timestamp,
-    /// The claimed error `E_i(t)`.
-    pub error: Duration,
-}
-
-/// One synthesis decision, as reported by the service layer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoundObservation {
-    /// Served clock at the decision instant.
-    pub clock: Timestamp,
-    /// `E_i` immediately before the decision.
-    pub error_before: Duration,
-    /// `E_i` written by the reset.
-    pub error_after: Duration,
-    /// Full widths of the candidate intervals (own first, each reply
-    /// widened by its round-trip allowance). Empty when the strategy is
-    /// not interval-synthesising (MM records leave it empty).
-    pub input_widths: Vec<Duration>,
-    /// True for §3 recovery adoptions, which are unconditional and may
-    /// legitimately increase `E`.
-    pub recovery: bool,
-}
-
-/// What a durably restarted server claims to have rehydrated from
-/// stable storage (mirrors the `StateRehydrated` telemetry event).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RehydrationObservation {
-    /// The clock reading at the rehydration instant.
-    pub clock: Timestamp,
-    /// The error the server re-derived for that reading.
-    pub error: Duration,
-    /// The persisted reset point `r` it derived from.
-    pub reset_clock: Timestamp,
-    /// The persisted inherited error `ε` it derived from.
-    pub persisted_error: Duration,
-}
-
 /// The worst [`Margin`] each predicate's numeric rows reached: per
 /// [`TheoremId`], the check that used the largest share of its bound.
 /// Recording is one comparison and no allocation; a predicate that
@@ -465,7 +424,7 @@ fn write_violations(f: &mut fmt::Formatter<'_>, stored: &[Violation], total: usi
     Ok(())
 }
 
-/// The checker. Feed it samples and round records, then [`finish`].
+/// The checker: subscribe it to a bus, then [`finish`] it.
 ///
 /// [`finish`]: Oracle::finish
 #[derive(Debug)]
@@ -519,15 +478,11 @@ impl Oracle {
     }
 
     /// Checks one sampling instant: `real` is ground-truth real time,
-    /// `states[i]` the snapshot of server `i` (`None` while it is not
-    /// part of the service).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states.len()` differs from the server count.
-    pub fn observe_sample(&mut self, real: Timestamp, states: &[Option<SampleState>]) {
+    /// `snapshots[i]` the state of server `i`. The theorems say nothing
+    /// about a server outside the service, so inactive ones are skipped.
+    fn check_sample(&mut self, real: Timestamp, snapshots: &[SampleSnapshot]) {
         assert_eq!(
-            states.len(),
+            snapshots.len(),
             self.servers.len(),
             "oracle was built for {} servers",
             self.servers.len()
@@ -539,12 +494,12 @@ impl Oracle {
 
         // The servers the theorems speak for at this instant: present,
         // trusted and uncorrupted, in index order.
-        let mut live = Vec::with_capacity(states.len());
-        for (i, state) in states.iter().enumerate() {
-            let Some(s) = *state else {
+        let mut live = Vec::with_capacity(snapshots.len());
+        for (i, snapshot) in snapshots.iter().enumerate() {
+            if !snapshot.active {
                 self.prev[i] = None;
                 continue;
-            };
+            }
             if !self.servers[i].trusted {
                 continue;
             }
@@ -555,6 +510,7 @@ impl Oracle {
                 self.prev[i] = None;
                 continue;
             }
+            let s = snapshot.estimate();
             // The sample exists at all — a crashed/booting server must
             // stay silent until its bootstrap completes.
             let down = rules::served_while_down(i, self.down[i]);
@@ -564,11 +520,11 @@ impl Oracle {
                 self.findings
                     .measure(event, i, TheoremId::Correctness, correct);
                 let delta = self.servers[i].drift_bound;
-                let growth = rules::error_growth(self.prev[i], real, s.error, delta);
+                let growth = rules::error_growth(self.prev[i], real, s.error(), delta);
                 self.findings
                     .measure(event, i, TheoremId::ErrorGrowth, growth);
             }
-            self.prev[i] = Some((real, s.error));
+            self.prev[i] = Some((real, s.error()));
             live.push((i, s));
         }
 
@@ -591,17 +547,17 @@ impl Oracle {
     fn check_envelope(
         &mut self,
         env: &EnvelopeParams,
-        live: &[(usize, SampleState)],
+        live: &[(usize, TimeEstimate)],
         event: usize,
     ) {
         // E_M stand-in: the most accurate live server right now.
-        let Some(e_min) = live.iter().map(|(_, s)| s.error).min() else {
+        let Some(e_min) = live.iter().map(|(_, s)| s.error()).min() else {
             return;
         };
         for (k, &(i, a)) in live.iter().enumerate() {
             let delta_i = self.servers[i].drift_bound;
             if env.kind == EnvelopeKind::Mm {
-                let gap = rules::error_envelope(a.error, e_min, delta_i, env);
+                let gap = rules::error_envelope(a.error(), e_min, delta_i, env);
                 self.findings
                     .measure(event, i, TheoremId::ErrorEnvelope, gap);
             }
@@ -619,176 +575,6 @@ impl Oracle {
                 };
                 self.findings.measure(event, i, theorem, skew);
             }
-        }
-    }
-
-    /// Checks one synthesis decision of server `server`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `server` is out of range.
-    pub fn observe_round(&mut self, server: usize, round: &RoundObservation) {
-        let event = self.rounds_checked[server];
-        self.rounds_checked[server] += 1;
-        // The reset event that follows this record inherits its recovery
-        // flag: unconditional (§3-style) adoptions are exempt from the
-        // f-tolerance check.
-        self.pending_recovery[server] = round.recovery;
-        if !self.servers[server].trusted || self.corrupted[server].is_some() {
-            return;
-        }
-        let guard = rules::adoption_guard(round);
-        self.findings
-            .measure(event, server, TheoremId::AdoptionGuard, guard);
-        let width = rules::intersection_width(round);
-        self.findings
-            .measure(event, server, TheoremId::IntersectionWidth, width);
-    }
-
-    /// Checks one applied reset (a `ClockStep`/`ClockSlew` event):
-    /// under the §4 fault budget, the interval a correct server *adopts*
-    /// — centre `center`, radius `error`, applied at real time `at` —
-    /// must contain real time. Recovery adoptions (flagged by the
-    /// preceding round record) are taken on faith and exempt, as are
-    /// down, corrupted, and untrusted servers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `server` is out of range.
-    pub fn observe_reset(
-        &mut self,
-        server: usize,
-        at: Timestamp,
-        center: Timestamp,
-        error: Duration,
-    ) {
-        let recovery = std::mem::take(&mut self.pending_recovery[server]);
-        if !self.config.check_f_tolerant
-            || !self.servers[server].trusted
-            || self.down[server]
-            || self.corrupted[server].is_some()
-            || recovery
-        {
-            return;
-        }
-        self.resets_checked += 1;
-        let adopted = rules::f_tolerant(at, center, error);
-        self.findings
-            .measure(self.samples_checked, server, TheoremId::FTolerant, adopted);
-    }
-
-    /// Records that `server`'s state was transiently overwritten with
-    /// garbage (a `StateCorrupted` event): from here until the matching
-    /// [`observe_stabilized`] the per-sample families are suspended for
-    /// it and the stabilization clock runs.
-    ///
-    /// [`observe_stabilized`]: Oracle::observe_stabilized
-    ///
-    /// # Panics
-    ///
-    /// Panics if `server` is out of range.
-    pub fn observe_corruption(&mut self, server: usize, at: Timestamp) {
-        self.lifecycle_checked += 1;
-        self.last_real = self.last_real.max(at);
-        self.corrupted[server] = Some(at);
-        // The growth baseline is garbage now too.
-        self.prev[server] = None;
-    }
-
-    /// Records that `server` declared itself stabilized `elapsed` after
-    /// its corruption: the window must respect the configured bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `server` is out of range.
-    pub fn observe_stabilized(&mut self, server: usize, at: Timestamp, elapsed: Duration) {
-        self.lifecycle_checked += 1;
-        self.last_real = self.last_real.max(at);
-        self.corrupted[server] = None;
-        // Fresh start for the growth check: the pre-corruption baseline
-        // is ancient history.
-        self.prev[server] = None;
-        let Some(bound) = self.config.stabilization_bound else {
-            return;
-        };
-        if self.servers[server].trusted {
-            let late = rules::stabilization_late(elapsed, bound);
-            self.findings
-                .measure(self.samples_checked, server, TheoremId::Stabilization, late);
-        }
-    }
-
-    /// Records that `server` crashed: from here until its bootstrap
-    /// completes it must present no samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `server` is out of range.
-    pub fn observe_crash(&mut self, server: usize) {
-        self.lifecycle_checked += 1;
-        self.down[server] = true;
-        // The growth baseline dies with the process; the hardware clock
-        // keeps running, so the next observed error may be much larger.
-        self.prev[server] = None;
-    }
-
-    /// Records that `server` restarted. The server stays *down* for
-    /// checking purposes until [`observe_bootstrap_complete`] — a
-    /// durable restart promotes immediately (it completes a zero-round
-    /// bootstrap), an amnesia restart only after a §5 quorum read.
-    ///
-    /// [`observe_bootstrap_complete`]: Oracle::observe_bootstrap_complete
-    ///
-    /// # Panics
-    ///
-    /// Panics if `server` is out of range.
-    pub fn observe_restart(&mut self, server: usize) {
-        self.lifecycle_checked += 1;
-        self.down[server] = true;
-    }
-
-    /// Checks a durable restart's rehydrated state: the re-derived error
-    /// must be exactly rule MM-1 applied to the persisted `(r, ε)` pair,
-    /// and the rehydrated interval must still contain real time `real`
-    /// (the hardware clock honoured its drift bound while the server was
-    /// down).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `server` is out of range.
-    pub fn observe_rehydration(
-        &mut self,
-        server: usize,
-        real: Timestamp,
-        obs: &RehydrationObservation,
-    ) {
-        self.lifecycle_checked += 1;
-        let view = self.servers[server];
-        if !view.trusted {
-            return;
-        }
-        let event = self.samples_checked;
-        let derived = rules::rehydration_derivation(obs, view.drift_bound);
-        self.findings
-            .flag(event, server, TheoremId::Rehydration, derived);
-        let contained = rules::rehydration_containment(real, obs);
-        self.findings
-            .measure(event, server, TheoremId::Rehydration, contained);
-    }
-
-    /// Records that `server` finished bootstrapping in `rounds` quorum
-    /// rounds (zero for a durable restart) and may serve again.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `server` is out of range.
-    pub fn observe_bootstrap_complete(&mut self, server: usize, rounds: u32) {
-        self.lifecycle_checked += 1;
-        self.down[server] = false;
-        if self.servers[server].trusted {
-            let slow = rules::bootstrap_rounds(rounds, self.config.max_bootstrap_rounds);
-            self.findings
-                .measure(self.samples_checked, server, TheoremId::Lifecycle, slow);
         }
     }
 
@@ -815,6 +601,187 @@ impl Oracle {
             lifecycle_checked: self.lifecycle_checked,
             resets_checked: self.resets_checked,
             tightness: self.findings.tightness,
+        }
+    }
+}
+
+impl Observer for Oracle {
+    fn enabled(&self, kind: EventKind) -> bool {
+        matches!(
+            kind,
+            EventKind::Sample
+                | EventKind::RoundAdopt
+                | EventKind::ClockStep
+                | EventKind::ClockSlew
+                | EventKind::ServerCrashed
+                | EventKind::ServerRestarted
+                | EventKind::StateRehydrated
+                | EventKind::BootstrapCompleted
+                | EventKind::StateCorrupted
+                | EventKind::Stabilized
+        )
+    }
+
+    /// Checks one event. A server index out of range, or a sample of
+    /// another server count than the oracle was built for, panics.
+    fn observe(&mut self, event: &TelemetryEvent) {
+        match *event {
+            TelemetryEvent::Sample { at, ref servers } => self.check_sample(at, servers),
+            TelemetryEvent::RoundAdopt {
+                server,
+                clock,
+                error_before,
+                error_after,
+                ref input_widths,
+                recovery,
+                ..
+            } => {
+                let event = self.rounds_checked[server];
+                self.rounds_checked[server] += 1;
+                // The reset event that follows this record inherits its
+                // recovery flag: unconditional (§3-style) adoptions are
+                // exempt from the f-tolerance check.
+                self.pending_recovery[server] = recovery;
+                if !self.servers[server].trusted || self.corrupted[server].is_some() {
+                    return;
+                }
+                let guard = rules::adoption_guard(clock, error_before, error_after, recovery);
+                self.findings
+                    .measure(event, server, TheoremId::AdoptionGuard, guard);
+                let width = rules::intersection_width(error_after, input_widths);
+                self.findings
+                    .measure(event, server, TheoremId::IntersectionWidth, width);
+            }
+            // An applied reset: under the §4 fault budget, the interval a
+            // correct server *adopts* must contain real time. Its centre
+            // is the post-step served reading; under slew the served
+            // reading does not move at the reset instant — `from` is the
+            // new `r_i`, and `error` already covers the queued correction.
+            // Recovery adoptions (flagged by the preceding round record)
+            // are taken on faith and exempt, as are down, corrupted, and
+            // untrusted servers.
+            TelemetryEvent::ClockStep {
+                at,
+                server,
+                to: center,
+                error,
+                ..
+            }
+            | TelemetryEvent::ClockSlew {
+                at,
+                server,
+                from: center,
+                error,
+                ..
+            } => {
+                let recovery = std::mem::take(&mut self.pending_recovery[server]);
+                if !self.config.check_f_tolerant
+                    || !self.servers[server].trusted
+                    || self.down[server]
+                    || self.corrupted[server].is_some()
+                    || recovery
+                {
+                    return;
+                }
+                self.resets_checked += 1;
+                let adopted = rules::f_tolerant(at, center, error);
+                self.findings
+                    .measure(self.samples_checked, server, TheoremId::FTolerant, adopted);
+            }
+            // From a crash until its bootstrap completes a server must
+            // present no samples.
+            TelemetryEvent::ServerCrashed { server, .. } => {
+                self.lifecycle_checked += 1;
+                self.down[server] = true;
+                // The growth baseline dies with the process; the hardware
+                // clock keeps running, so the next observed error may be
+                // much larger.
+                self.prev[server] = None;
+            }
+            // The server stays *down* for checking purposes until its
+            // bootstrap completes — a durable restart promotes
+            // immediately (it completes a zero-round bootstrap), an
+            // amnesia restart only after a §5 quorum read.
+            TelemetryEvent::ServerRestarted { server, .. } => {
+                self.lifecycle_checked += 1;
+                self.down[server] = true;
+            }
+            // The re-derived error must be exactly rule MM-1 applied to
+            // the persisted `(r, ε)` pair, and the rehydrated interval
+            // must still contain real time (the hardware clock honoured
+            // its drift bound while the server was down).
+            TelemetryEvent::StateRehydrated {
+                at,
+                server,
+                clock,
+                error,
+                reset_clock,
+                persisted_error,
+            } => {
+                self.lifecycle_checked += 1;
+                let view = self.servers[server];
+                if !view.trusted {
+                    return;
+                }
+                let event = self.samples_checked;
+                let rehydrated = TimeEstimate::new(clock, error);
+                let persisted = (reset_clock, persisted_error);
+                let derived =
+                    rules::rehydration_derivation(rehydrated, persisted, view.drift_bound);
+                self.findings
+                    .flag(event, server, TheoremId::Rehydration, derived);
+                let contained = rules::rehydration_containment(at, rehydrated);
+                self.findings
+                    .measure(event, server, TheoremId::Rehydration, contained);
+            }
+            // `rounds` quorum rounds (zero for a durable restart) and the
+            // server may serve again.
+            TelemetryEvent::BootstrapCompleted { server, rounds, .. } => {
+                self.lifecycle_checked += 1;
+                self.down[server] = false;
+                if self.servers[server].trusted {
+                    let slow = rules::bootstrap_rounds(rounds, self.config.max_bootstrap_rounds);
+                    self.findings
+                        .measure(self.samples_checked, server, TheoremId::Lifecycle, slow);
+                }
+            }
+            // The state was transiently overwritten with garbage: until
+            // the matching `Stabilized` the per-sample families are
+            // suspended for this server and the stabilization clock runs.
+            TelemetryEvent::StateCorrupted { at, server, .. } => {
+                self.lifecycle_checked += 1;
+                self.last_real = self.last_real.max(at);
+                self.corrupted[server] = Some(at);
+                // The growth baseline is garbage now too.
+                self.prev[server] = None;
+            }
+            // The server stabilized `elapsed` after its corruption: the
+            // window must respect the configured bound.
+            TelemetryEvent::Stabilized {
+                at,
+                server,
+                elapsed,
+            } => {
+                self.lifecycle_checked += 1;
+                self.last_real = self.last_real.max(at);
+                self.corrupted[server] = None;
+                // Fresh start for the growth check: the pre-corruption
+                // baseline is ancient history.
+                self.prev[server] = None;
+                let Some(bound) = self.config.stabilization_bound else {
+                    return;
+                };
+                if self.servers[server].trusted {
+                    let late = rules::stabilization_late(elapsed, bound);
+                    self.findings.measure(
+                        self.samples_checked,
+                        server,
+                        TheoremId::Stabilization,
+                        late,
+                    );
+                }
+            }
+            _ => {}
         }
     }
 }
@@ -869,7 +836,11 @@ impl fmt::Display for OracleReport {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
+    use tempo_telemetry::Bus;
 
     fn ts(s: f64) -> Timestamp {
         Timestamp::from_secs(s)
@@ -889,18 +860,126 @@ mod tests {
         ]
     }
 
-    fn state(clock: f64, error: f64) -> Option<SampleState> {
-        Some(SampleState {
+    fn state(clock: f64, error: f64) -> Option<TimeEstimate> {
+        Some(TimeEstimate::new(ts(clock), dur(error)))
+    }
+
+    /// A `Sample` at real time `real`; `None` is a server outside the
+    /// service.
+    fn sample(real: f64, states: &[Option<TimeEstimate>]) -> TelemetryEvent {
+        let at = ts(real);
+        let servers = states
+            .iter()
+            .map(|state| {
+                let s = state.unwrap_or(TimeEstimate::new(at, Duration::ZERO));
+                SampleSnapshot {
+                    clock: s.time(),
+                    error: s.error(),
+                    true_offset: s.time() - at,
+                    correct: s.is_correct_at(at),
+                    active: state.is_some(),
+                }
+            })
+            .collect();
+        TelemetryEvent::Sample { at, servers }
+    }
+
+    /// A `RoundAdopt` at clock 30 s moving `E` from `before` to `after`.
+    fn adopt(
+        server: usize,
+        before: f64,
+        after: f64,
+        widths: &[f64],
+        recovery: bool,
+    ) -> TelemetryEvent {
+        TelemetryEvent::RoundAdopt {
+            at: ts(30.0),
+            server,
+            round: 0,
+            clock: ts(30.0),
+            error_before: dur(before),
+            error_after: dur(after),
+            input_widths: widths.iter().map(|&w| dur(w)).collect(),
+            recovery,
+        }
+    }
+
+    /// A `ClockStep` to `to` with error `error` at real time `at`.
+    fn step(server: usize, at: f64, to: f64, error: f64) -> TelemetryEvent {
+        TelemetryEvent::ClockStep {
+            at: ts(at),
+            server,
+            from: ts(at),
+            to: ts(to),
+            error: dur(error),
+        }
+    }
+
+    fn crash(server: usize) -> TelemetryEvent {
+        TelemetryEvent::ServerCrashed {
+            at: ts(0.0),
+            server,
+        }
+    }
+
+    fn restart(server: usize) -> TelemetryEvent {
+        TelemetryEvent::ServerRestarted {
+            at: ts(0.0),
+            server,
+            amnesia: false,
+        }
+    }
+
+    /// A `StateRehydrated` at real time `real`: the re-derived `(clock,
+    /// error)` and the persisted `(reset_clock, persisted_error)`.
+    fn rehydrate(
+        server: usize,
+        real: f64,
+        (clock, error): (f64, f64),
+        (r, e): (f64, f64),
+    ) -> TelemetryEvent {
+        TelemetryEvent::StateRehydrated {
+            at: ts(real),
+            server,
             clock: ts(clock),
             error: dur(error),
-        })
+            reset_clock: ts(r),
+            persisted_error: dur(e),
+        }
+    }
+
+    fn bootstrap(server: usize, rounds: u32) -> TelemetryEvent {
+        TelemetryEvent::BootstrapCompleted {
+            at: ts(0.0),
+            server,
+            rounds,
+            clock: ts(0.0),
+            error: Duration::ZERO,
+        }
+    }
+
+    fn corrupt(server: usize, at: f64) -> TelemetryEvent {
+        TelemetryEvent::StateCorrupted {
+            at: ts(at),
+            server,
+            clock: ts(at),
+            error: Duration::ZERO,
+        }
+    }
+
+    fn stabilized(server: usize, at: f64, elapsed: f64) -> TelemetryEvent {
+        TelemetryEvent::Stabilized {
+            at: ts(at),
+            server,
+            elapsed: dur(elapsed),
+        }
     }
 
     #[test]
     fn clean_run_reports_clean() {
         let mut o = Oracle::new(7, OracleConfig::safety(), views(2));
-        o.observe_sample(ts(10.0), &[state(10.001, 0.01), state(9.999, 0.01)]);
-        o.observe_sample(ts(20.0), &[state(20.001, 0.011), state(19.999, 0.011)]);
+        o.observe(&sample(10.0, &[state(10.001, 0.01), state(9.999, 0.01)]));
+        o.observe(&sample(20.0, &[state(20.001, 0.011), state(19.999, 0.011)]));
         let report = o.finish();
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.samples_checked, 2);
@@ -909,9 +988,9 @@ mod tests {
     #[test]
     fn incorrect_server_is_flagged_with_seed_and_event() {
         let mut o = Oracle::new(42, OracleConfig::safety(), views(2));
-        o.observe_sample(ts(10.0), &[state(10.0, 0.01), state(10.0, 0.01)]);
+        o.observe(&sample(10.0, &[state(10.0, 0.01), state(10.0, 0.01)]));
         // Server 1 claims 5 ms of error while being 50 ms off.
-        o.observe_sample(ts(20.0), &[state(20.0, 0.011), state(20.05, 0.005)]);
+        o.observe(&sample(20.0, &[state(20.0, 0.011), state(20.05, 0.005)]));
         let report = o.finish();
         let v = report.first().expect("violation");
         assert_eq!(v.theorem, TheoremId::Correctness);
@@ -926,17 +1005,17 @@ mod tests {
         let mut servers = views(2);
         servers[1].trusted = false;
         let mut o = Oracle::new(0, OracleConfig::safety(), servers);
-        o.observe_sample(ts(10.0), &[state(10.0, 0.01), state(13.0, 0.001)]);
+        o.observe(&sample(10.0, &[state(10.0, 0.01), state(13.0, 0.001)]));
         assert!(o.finish().is_clean());
     }
 
     #[test]
     fn error_jump_beyond_drift_growth_is_flagged() {
         let mut o = Oracle::new(3, OracleConfig::safety(), views(1));
-        o.observe_sample(ts(0.0), &[state(0.0, 0.010)]);
+        o.observe(&sample(0.0, &[state(0.0, 0.010)]));
         // δ = 1e-4 over 2 s allows ≈ 0.2 ms of growth; 5 ms is a breach
         // (exactly what a weakened MM-2 adoption guard would produce).
-        o.observe_sample(ts(2.0), &[state(2.0, 0.015)]);
+        o.observe(&sample(2.0, &[state(2.0, 0.015)]));
         let report = o.finish();
         let v = report.first().expect("violation");
         assert_eq!(v.theorem, TheoremId::ErrorGrowth);
@@ -945,20 +1024,20 @@ mod tests {
     #[test]
     fn error_growth_within_drift_passes() {
         let mut o = Oracle::new(3, OracleConfig::safety(), views(1));
-        o.observe_sample(ts(0.0), &[state(0.0, 0.010)]);
-        o.observe_sample(ts(2.0), &[state(2.0, 0.010 + 1.9e-4)]);
+        o.observe(&sample(0.0, &[state(0.0, 0.010)]));
+        o.observe(&sample(2.0, &[state(2.0, 0.010 + 1.9e-4)]));
         // A reset that shrinks the error is always fine.
-        o.observe_sample(ts(4.0), &[state(4.0, 0.002)]);
+        o.observe(&sample(4.0, &[state(4.0, 0.002)]));
         assert!(o.finish().is_clean());
     }
 
     #[test]
     fn inactive_gap_resets_growth_baseline() {
         let mut o = Oracle::new(0, OracleConfig::safety(), views(1));
-        o.observe_sample(ts(0.0), &[state(0.0, 0.010)]);
-        o.observe_sample(ts(2.0), &[None]);
+        o.observe(&sample(0.0, &[state(0.0, 0.010)]));
+        o.observe(&sample(2.0, &[None]));
         // After an absence the baseline must not be the stale sample.
-        o.observe_sample(ts(4.0), &[state(4.0, 0.5)]);
+        o.observe(&sample(4.0, &[state(4.0, 0.5)]));
         assert!(o.finish().is_clean());
     }
 
@@ -977,23 +1056,14 @@ mod tests {
         // And the plain-safety oracle flags the same instant (as
         // correctness), proving the checks overlap as intended.
         let mut o = Oracle::new(0, OracleConfig::safety(), views(2));
-        o.observe_sample(ts(10.0), &[a, b]);
+        o.observe(&sample(10.0, &[a, b]));
         assert!(!o.finish().is_clean());
     }
 
     #[test]
     fn adoption_that_increases_error_is_flagged() {
         let mut o = Oracle::new(9, OracleConfig::safety(), views(1));
-        o.observe_round(
-            0,
-            &RoundObservation {
-                clock: ts(30.0),
-                error_before: dur(0.010),
-                error_after: dur(0.025),
-                input_widths: vec![],
-                recovery: false,
-            },
-        );
+        o.observe(&adopt(0, 0.010, 0.025, &[], false));
         let report = o.finish();
         let v = report.first().expect("violation");
         assert_eq!(v.theorem, TheoremId::AdoptionGuard);
@@ -1003,32 +1073,15 @@ mod tests {
     #[test]
     fn recovery_adoptions_may_increase_error() {
         let mut o = Oracle::new(0, OracleConfig::safety(), views(1));
-        o.observe_round(
-            0,
-            &RoundObservation {
-                clock: ts(30.0),
-                error_before: dur(0.010),
-                error_after: dur(0.025),
-                input_widths: vec![],
-                recovery: true,
-            },
-        );
+        o.observe(&adopt(0, 0.010, 0.025, &[], true));
         assert!(o.finish().is_clean());
     }
 
     #[test]
     fn intersection_wider_than_narrowest_input_is_flagged() {
         let mut o = Oracle::new(0, OracleConfig::safety(), views(1));
-        o.observe_round(
-            0,
-            &RoundObservation {
-                clock: ts(30.0),
-                error_before: dur(0.050),
-                error_after: dur(0.040), // width 0.08 > narrowest 0.06
-                input_widths: vec![dur(0.10), dur(0.06)],
-                recovery: false,
-            },
-        );
+        // Width 0.08 > narrowest 0.06.
+        o.observe(&adopt(0, 0.050, 0.040, &[0.10, 0.06], false));
         let report = o.finish();
         assert_eq!(
             report.first().expect("violation").theorem,
@@ -1039,16 +1092,7 @@ mod tests {
     #[test]
     fn sound_intersection_passes() {
         let mut o = Oracle::new(0, OracleConfig::safety(), views(1));
-        o.observe_round(
-            0,
-            &RoundObservation {
-                clock: ts(30.0),
-                error_before: dur(0.050),
-                error_after: dur(0.020),
-                input_widths: vec![dur(0.10), dur(0.06)],
-                recovery: false,
-            },
-        );
+        o.observe(&adopt(0, 0.050, 0.020, &[0.10, 0.06], false));
         assert!(o.finish().is_clean());
     }
 
@@ -1062,10 +1106,10 @@ mod tests {
         };
         let mut o = Oracle::new(0, OracleConfig::safety().envelope(params), views(2));
         // Before warmup nothing is checked.
-        o.observe_sample(ts(1.0), &[state(1.0, 0.5), state(1.0, 0.01)]);
+        o.observe(&sample(1.0, &[state(1.0, 0.5), state(1.0, 0.01)]));
         // After warmup a 0.5 s error against a 10 ms best is far beyond
         // ξ + δ(τ+2ξ) ≈ 11 ms.
-        o.observe_sample(ts(8.0), &[state(8.0, 0.5), state(8.0, 0.01)]);
+        o.observe(&sample(8.0, &[state(8.0, 0.5), state(8.0, 0.01)]));
         let report = o.finish();
         let v = report.first().expect("violation");
         assert_eq!(v.theorem, TheoremId::ErrorEnvelope);
@@ -1085,7 +1129,7 @@ mod tests {
             .without_trust_checks();
         let mut o = Oracle::new(0, cfg, views(2));
         // Thm 7 bound ≈ 0.01 + 2e-4·10 + 0.01 = 0.022; skew of 0.3 breaks it.
-        o.observe_sample(ts(8.0), &[state(8.0, 0.5), state(8.3, 0.5)]);
+        o.observe(&sample(8.0, &[state(8.0, 0.5), state(8.3, 0.5)]));
         let report = o.finish();
         assert_eq!(
             report.first().expect("violation").theorem,
@@ -1098,8 +1142,8 @@ mod tests {
         let mut o = Oracle::new(0, OracleConfig::safety(), views(2));
         // Offsets of 2 ms and 6 ms against 10 ms of error use 0.2 and
         // 0.6 of Theorem 1's bound; the later sample is looser.
-        o.observe_sample(ts(10.0), &[state(10.002, 0.01), state(9.994, 0.01)]);
-        o.observe_sample(ts(20.0), &[state(20.001, 0.011), state(20.0, 0.011)]);
+        o.observe(&sample(10.0, &[state(10.002, 0.01), state(9.994, 0.01)]));
+        o.observe(&sample(20.0, &[state(20.001, 0.011), state(20.0, 0.011)]));
         let report = o.finish();
         assert!(report.is_clean(), "{report}");
         let worst = report.tightness.worst(TheoremId::Correctness);
@@ -1135,7 +1179,7 @@ mod tests {
     fn violation_overflow_is_counted_not_stored() {
         let mut o = Oracle::new(0, OracleConfig::safety(), views(1));
         for k in 0..(MAX_STORED_VIOLATIONS + 10) {
-            o.observe_sample(ts(k as f64), &[state(k as f64 + 1.0, 0.001)]);
+            o.observe(&sample(k as f64, &[state(k as f64 + 1.0, 0.001)]));
         }
         let report = o.finish();
         assert_eq!(report.violations.len(), MAX_STORED_VIOLATIONS);
@@ -1161,7 +1205,7 @@ mod tests {
             .without_trust_checks();
         let mut o = Oracle::new(21, cfg, views(2));
         // Thm 3 bound ≈ 2·0.01 + 2·0.01 + 2e-4·(10 + 0.02) ≈ 0.042.
-        o.observe_sample(ts(8.0), &[state(8.0, 0.01), state(8.3, 0.01)]);
+        o.observe(&sample(8.0, &[state(8.0, 0.01), state(8.3, 0.01)]));
         let report = o.finish();
         let v = report.first().expect("violation");
         assert_eq!(v.theorem, TheoremId::MmAsynchronism);
@@ -1182,7 +1226,7 @@ mod tests {
         let mut o = Oracle::new(0, cfg, views(2));
         // 30 ms of skew against a bound of ≈ 62 ms (E_M is 20 ms here);
         // each interval still contains real time and they intersect.
-        o.observe_sample(ts(8.0), &[state(7.985, 0.02), state(8.015, 0.02)]);
+        o.observe(&sample(8.0, &[state(7.985, 0.02), state(8.015, 0.02)]));
         assert!(o.finish().is_clean());
     }
 
@@ -1245,12 +1289,12 @@ mod tests {
     #[test]
     fn sample_served_while_down_is_flagged() {
         let mut o = Oracle::new(11, OracleConfig::safety(), views(2));
-        o.observe_sample(ts(10.0), &[state(10.0, 0.01), state(10.0, 0.01)]);
-        o.observe_crash(1);
+        o.observe(&sample(10.0, &[state(10.0, 0.01), state(10.0, 0.01)]));
+        o.observe(&crash(1));
         // Silence is what the lifecycle demands …
-        o.observe_sample(ts(20.0), &[state(20.0, 0.011), None]);
+        o.observe(&sample(20.0, &[state(20.0, 0.011), None]));
         // … so a present sample is a breach even if numerically correct.
-        o.observe_sample(ts(30.0), &[state(30.0, 0.012), state(30.0, 0.01)]);
+        o.observe(&sample(30.0, &[state(30.0, 0.012), state(30.0, 0.01)]));
         let report = o.finish();
         let v = report.first().expect("violation");
         assert_eq!(v.theorem, TheoremId::Lifecycle);
@@ -1262,13 +1306,13 @@ mod tests {
     #[test]
     fn full_lifecycle_with_silence_is_clean() {
         let mut o = Oracle::new(0, OracleConfig::safety(), views(2));
-        o.observe_sample(ts(10.0), &[state(10.0, 0.01), state(10.0, 0.01)]);
-        o.observe_crash(1);
-        o.observe_sample(ts(20.0), &[state(20.0, 0.011), None]);
-        o.observe_restart(1);
-        o.observe_sample(ts(25.0), &[state(25.0, 0.0112), None]);
-        o.observe_bootstrap_complete(1, 2);
-        o.observe_sample(ts(30.0), &[state(30.0, 0.0114), state(30.0, 0.02)]);
+        o.observe(&sample(10.0, &[state(10.0, 0.01), state(10.0, 0.01)]));
+        o.observe(&crash(1));
+        o.observe(&sample(20.0, &[state(20.0, 0.011), None]));
+        o.observe(&restart(1));
+        o.observe(&sample(25.0, &[state(25.0, 0.0112), None]));
+        o.observe(&bootstrap(1, 2));
+        o.observe(&sample(30.0, &[state(30.0, 0.0114), state(30.0, 0.02)]));
         let report = o.finish();
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.lifecycle_checked, 3);
@@ -1277,9 +1321,9 @@ mod tests {
     #[test]
     fn bootstrap_beyond_round_bound_is_flagged() {
         let mut o = Oracle::new(5, OracleConfig::safety(), views(1));
-        o.observe_crash(0);
-        o.observe_restart(0);
-        o.observe_bootstrap_complete(0, 9);
+        o.observe(&crash(0));
+        o.observe(&restart(0));
+        o.observe(&bootstrap(0, 9));
         let report = o.finish();
         let v = report.first().expect("violation");
         assert_eq!(v.theorem, TheoremId::Lifecycle);
@@ -1289,39 +1333,21 @@ mod tests {
     #[test]
     fn faithful_rehydration_passes() {
         let mut o = Oracle::new(0, OracleConfig::safety(), views(1));
-        o.observe_crash(0);
-        o.observe_restart(0);
+        o.observe(&crash(0));
+        o.observe(&restart(0));
         // δ = 1e-4, 100 s since the persisted reset → E = 1 ms + 10 ms.
-        o.observe_rehydration(
-            0,
-            ts(200.0),
-            &RehydrationObservation {
-                clock: ts(200.002),
-                error: dur(0.011),
-                reset_clock: ts(100.002),
-                persisted_error: dur(0.001),
-            },
-        );
-        o.observe_bootstrap_complete(0, 0);
+        o.observe(&rehydrate(0, 200.0, (200.002, 0.011), (100.002, 0.001)));
+        o.observe(&bootstrap(0, 0));
         assert!(o.finish().is_clean());
     }
 
     #[test]
     fn understated_rehydrated_error_is_flagged() {
         let mut o = Oracle::new(0, OracleConfig::safety(), views(1));
-        o.observe_crash(0);
-        o.observe_restart(0);
+        o.observe(&crash(0));
+        o.observe(&restart(0));
         // Claims the persisted error verbatim, ignoring 100 s of drift.
-        o.observe_rehydration(
-            0,
-            ts(200.0),
-            &RehydrationObservation {
-                clock: ts(200.0),
-                error: dur(0.001),
-                reset_clock: ts(100.0),
-                persisted_error: dur(0.001),
-            },
-        );
+        o.observe(&rehydrate(0, 200.0, (200.0, 0.001), (100.0, 0.001)));
         let report = o.finish();
         assert_eq!(
             report.first().expect("violation").theorem,
@@ -1332,20 +1358,11 @@ mod tests {
     #[test]
     fn rehydrated_interval_excluding_real_time_is_flagged() {
         let mut o = Oracle::new(0, OracleConfig::safety(), views(1));
-        o.observe_crash(0);
-        o.observe_restart(0);
+        o.observe(&crash(0));
+        o.observe(&restart(0));
         // Correctly derived, but the clock is 1 s off with 11 ms of error:
         // the downtime drift bound cannot have held.
-        o.observe_rehydration(
-            0,
-            ts(200.0),
-            &RehydrationObservation {
-                clock: ts(201.0),
-                error: dur(0.011),
-                reset_clock: ts(101.0),
-                persisted_error: dur(0.001),
-            },
-        );
+        o.observe(&rehydrate(0, 200.0, (201.0, 0.011), (101.0, 0.001)));
         let report = o.finish();
         let v = report.first().expect("violation");
         assert_eq!(v.theorem, TheoremId::Rehydration);
@@ -1357,10 +1374,10 @@ mod tests {
         let mut servers = views(1);
         servers[0].trusted = false;
         let mut o = Oracle::new(0, OracleConfig::safety(), servers);
-        o.observe_crash(0);
-        o.observe_sample(ts(10.0), &[state(10.0, 0.01)]);
-        o.observe_restart(0);
-        o.observe_bootstrap_complete(0, 99);
+        o.observe(&crash(0));
+        o.observe(&sample(10.0, &[state(10.0, 0.01)]));
+        o.observe(&restart(0));
+        o.observe(&bootstrap(0, 99));
         assert!(o.finish().is_clean());
     }
 
@@ -1368,10 +1385,10 @@ mod tests {
     fn adoption_excluding_real_time_violates_f_tolerance() {
         let mut o = Oracle::new(13, OracleConfig::safety().f_tolerant(), views(1));
         // Sound adoption: centre 30.02 with radius 50 ms contains 30.0.
-        o.observe_reset(0, ts(30.0), ts(30.02), dur(0.05));
+        o.observe(&step(0, 30.0, 30.02, 0.05));
         // A colluding clique beyond the budget drags the hull off true
         // time: centre 30.5 with radius 10 ms excludes 30.0.
-        o.observe_reset(0, ts(30.0), ts(30.5), dur(0.01));
+        o.observe(&step(0, 30.0, 30.5, 0.01));
         let report = o.finish();
         let v = report.first().expect("violation");
         assert_eq!(v.theorem, TheoremId::FTolerant);
@@ -1384,45 +1401,36 @@ mod tests {
     fn f_tolerance_exempts_recovery_down_and_unarmed() {
         // Unarmed: nothing is checked at all.
         let mut o = Oracle::new(0, OracleConfig::safety(), views(1));
-        o.observe_reset(0, ts(30.0), ts(40.0), dur(0.01));
+        o.observe(&step(0, 30.0, 40.0, 0.01));
         let report = o.finish();
         assert!(report.is_clean());
         assert_eq!(report.resets_checked, 0);
         // Recovery adoptions are taken on faith.
         let mut o = Oracle::new(0, OracleConfig::safety().f_tolerant(), views(1));
-        o.observe_round(
-            0,
-            &RoundObservation {
-                clock: ts(30.0),
-                error_before: dur(0.01),
-                error_after: dur(0.5),
-                input_widths: vec![],
-                recovery: true,
-            },
-        );
-        o.observe_reset(0, ts(30.0), ts(40.0), dur(0.01));
+        o.observe(&adopt(0, 0.01, 0.5, &[], true));
+        o.observe(&step(0, 30.0, 40.0, 0.01));
         // … but only the one immediately following the recovery record.
-        o.observe_reset(0, ts(50.0), ts(60.0), dur(0.01));
+        o.observe(&step(0, 50.0, 60.0, 0.01));
         let report = o.finish();
         assert_eq!(report.total_violations, 1);
         // A down server's bootstrap resets are not adoption decisions.
         let mut o = Oracle::new(0, OracleConfig::safety().f_tolerant(), views(1));
-        o.observe_crash(0);
-        o.observe_restart(0);
-        o.observe_reset(0, ts(30.0), ts(40.0), dur(0.01));
+        o.observe(&crash(0));
+        o.observe(&restart(0));
+        o.observe(&step(0, 30.0, 40.0, 0.01));
         assert!(o.finish().is_clean());
     }
 
     #[test]
     fn corruption_window_suspends_sample_checks() {
         let mut o = Oracle::new(0, OracleConfig::safety(), views(2));
-        o.observe_sample(ts(10.0), &[state(10.0, 0.01), state(10.0, 0.01)]);
-        o.observe_corruption(1, ts(15.0));
+        o.observe(&sample(10.0, &[state(10.0, 0.01), state(10.0, 0.01)]));
+        o.observe(&corrupt(1, 15.0));
         // Server 1 is 40 s off with a tiny claim — correctness, growth,
         // and consistency would all fire, but the window exempts it.
-        o.observe_sample(ts(20.0), &[state(20.0, 0.011), state(60.0, 0.001)]);
-        o.observe_stabilized(1, ts(25.0), dur(10.0));
-        o.observe_sample(ts(30.0), &[state(30.0, 0.012), state(30.0, 0.02)]);
+        o.observe(&sample(20.0, &[state(20.0, 0.011), state(60.0, 0.001)]));
+        o.observe(&stabilized(1, 25.0, 10.0));
+        o.observe(&sample(30.0, &[state(30.0, 0.012), state(30.0, 0.02)]));
         let report = o.finish();
         assert!(report.is_clean(), "{report}");
     }
@@ -1431,8 +1439,8 @@ mod tests {
     fn slow_stabilization_is_flagged() {
         let cfg = OracleConfig::safety().stabilization(dur(30.0));
         let mut o = Oracle::new(17, cfg, views(1));
-        o.observe_corruption(0, ts(100.0));
-        o.observe_stabilized(0, ts(145.0), dur(45.0));
+        o.observe(&corrupt(0, 100.0));
+        o.observe(&stabilized(0, 145.0, 45.0));
         let report = o.finish();
         let v = report.first().expect("violation");
         assert_eq!(v.theorem, TheoremId::Stabilization);
@@ -1444,8 +1452,8 @@ mod tests {
     fn stabilization_within_bound_is_clean() {
         let cfg = OracleConfig::safety().stabilization(dur(30.0));
         let mut o = Oracle::new(0, cfg, views(1));
-        o.observe_corruption(0, ts(100.0));
-        o.observe_stabilized(0, ts(112.0), dur(12.0));
+        o.observe(&corrupt(0, 100.0));
+        o.observe(&stabilized(0, 112.0, 12.0));
         assert!(o.finish().is_clean());
     }
 
@@ -1453,8 +1461,8 @@ mod tests {
     fn never_stabilizing_is_flagged_at_finish() {
         let cfg = OracleConfig::safety().stabilization(dur(30.0));
         let mut o = Oracle::new(0, cfg, views(2));
-        o.observe_corruption(1, ts(100.0));
-        o.observe_sample(ts(200.0), &[state(200.0, 0.01), state(260.0, 0.001)]);
+        o.observe(&corrupt(1, 100.0));
+        o.observe(&sample(200.0, &[state(200.0, 0.01), state(260.0, 0.001)]));
         let report = o.finish();
         let v = report.first().expect("violation");
         assert_eq!(v.theorem, TheoremId::Stabilization);
@@ -1467,12 +1475,99 @@ mod tests {
     #[test]
     fn crash_resets_the_growth_baseline() {
         let mut o = Oracle::new(0, OracleConfig::safety(), views(1));
-        o.observe_sample(ts(0.0), &[state(0.0, 0.001)]);
-        o.observe_crash(0);
-        o.observe_bootstrap_complete(0, 0);
+        o.observe(&sample(0.0, &[state(0.0, 0.001)]));
+        o.observe(&crash(0));
+        o.observe(&bootstrap(0, 0));
         // The error grew across downtime far beyond per-sample drift;
         // that is legitimate — the baseline died with the process.
-        o.observe_sample(ts(100.0), &[state(100.0, 0.5)]);
+        o.observe(&sample(100.0, &[state(100.0, 0.5)]));
         assert!(o.finish().is_clean());
+    }
+
+    /// Hands the oracle to a bus and takes it back once the bus is gone.
+    fn armed(oracle: Oracle) -> (Bus, Rc<RefCell<Oracle>>) {
+        let bus = Bus::new();
+        let oracle = Rc::new(RefCell::new(oracle));
+        bus.subscribe(Rc::clone(&oracle));
+        (bus, oracle)
+    }
+
+    fn disarmed(bus: Bus, oracle: Rc<RefCell<Oracle>>) -> Oracle {
+        drop(bus);
+        Rc::try_unwrap(oracle)
+            .expect("the bus held the only other handle")
+            .into_inner()
+    }
+
+    #[test]
+    fn a_bus_delivers_the_ten_checked_kinds_and_builds_no_other() {
+        use EventKind::*;
+        let checked = [
+            Sample,
+            RoundAdopt,
+            ClockStep,
+            ClockSlew,
+            ServerCrashed,
+            ServerRestarted,
+            StateRehydrated,
+            BootstrapCompleted,
+            StateCorrupted,
+            Stabilized,
+        ];
+        let (bus, oracle) = armed(Oracle::new(
+            0,
+            OracleConfig::safety().f_tolerant(),
+            views(1),
+        ));
+        for kind in EventKind::ALL {
+            assert_eq!(bus.enabled(kind), checked.contains(&kind), "{kind:?}");
+        }
+        let count = |bus: &Bus, oracle: &Rc<RefCell<Oracle>>, event| {
+            bus.emit(event);
+            let o = oracle.borrow();
+            let rounds = o.rounds_checked.iter().sum();
+            (
+                o.samples_checked,
+                rounds,
+                o.lifecycle_checked,
+                o.resets_checked,
+            )
+        };
+        // Each kind moves the counter its report documents.
+        let events = [
+            (sample(10.0, &[state(10.0, 0.01)]), (1, 0, 0, 0)),
+            (adopt(0, 0.01, 0.005, &[], false), (1, 1, 0, 0)),
+            (step(0, 30.0, 30.001, 0.005), (1, 1, 0, 1)),
+            (
+                TelemetryEvent::ClockSlew {
+                    at: ts(31.0),
+                    server: 0,
+                    from: ts(31.001),
+                    to: ts(31.0),
+                    error: dur(0.005),
+                },
+                (1, 1, 0, 2),
+            ),
+            (corrupt(0, 40.0), (1, 1, 1, 2)),
+            (stabilized(0, 45.0, 5.0), (1, 1, 2, 2)),
+            (crash(0), (1, 1, 3, 2)),
+            (restart(0), (1, 1, 4, 2)),
+            (
+                rehydrate(0, 200.0, (200.002, 0.011), (100.002, 0.001)),
+                (1, 1, 5, 2),
+            ),
+            (bootstrap(0, 0), (1, 1, 6, 2)),
+        ];
+        for (event, counts) in events {
+            let kind = event.kind();
+            assert_eq!(count(&bus, &oracle, event), counts, "{kind:?}");
+        }
+        // A kind the oracle does not check never reaches the mask, so
+        // the bus does not even build it for `observe`.
+        assert!(!bus.enabled(RoundBegin));
+        bus.emit_with(RoundBegin, || unreachable!("a round_begin was built"));
+        let report = disarmed(bus, oracle).finish();
+        assert!(report.is_clean(), "{report}");
+        assert_eq!(report.rounds_checked, 1);
     }
 }

@@ -1,10 +1,10 @@
 //! The predicate rows: one pure function per check, in [`TheoremId`]
 //! order, each named after the variant it checks.
 //!
-//! A row reads plain values — states, errors, drift bounds, the envelope,
-//! one observation. It holds no state and knows no seed, event index or
-//! configuration, and it applies its own numeric headroom, so the
-//! simulator's [`Oracle`](crate::Oracle), a model checker and a live
+//! A row reads plain values — estimates, errors, drift bounds, the
+//! envelope, the fields of one event. It holds no state and knows no seed,
+//! event index or configuration, and it applies its own numeric headroom,
+//! so the simulator's [`Oracle`](crate::Oracle), a model checker and a live
 //! daemon that call it cannot disagree about what it means. A row that
 //! needs ground-truth real time takes `real`. A row that measures a
 //! quantity against a bound returns a [`Check`]: its [`Margin`] on every
@@ -19,10 +19,9 @@
 //! [`TheoremId`]: crate::TheoremId
 
 use tempo_core::bounds::{thm2_gap_bound, thm3_asynchronism_bound, thm7_asynchronism_bound};
-use tempo_core::{DriftRate, Duration, Timestamp};
+use tempo_core::{DriftRate, Duration, TimeEstimate, Timestamp};
 
-use crate::cluster::IssueObservation;
-use crate::{EnvelopeParams, RehydrationObservation, RoundObservation, SampleState};
+use crate::EnvelopeParams;
 
 /// Floating-point headroom added to every bound, in seconds.
 const TOLERANCE_SECS: f64 = 1e-9;
@@ -99,10 +98,10 @@ pub struct Check {
 /// Theorems 1 & 5: `|C − real| ≤ E`.
 #[inline]
 #[must_use]
-pub fn correctness(real: Timestamp, s: SampleState) -> Check {
-    let offset = (s.clock - real).abs();
-    Margin::secs(offset, s.error).check(offset > s.error + tol(), || {
-        format!("clock {} at real {real}", s.clock)
+pub fn correctness(real: Timestamp, s: TimeEstimate) -> Check {
+    let offset = (s.time() - real).abs();
+    Margin::secs(offset, s.error()).check(offset > s.error() + tol(), || {
+        format!("clock {} at real {real}", s.time())
     })
 }
 
@@ -126,13 +125,18 @@ pub fn error_growth(
     }))
 }
 
-/// Rules MM-2/IM-2: a reset that is not a §3 recovery never raises `E`.
+/// Rules MM-2/IM-2: a reset at `clock` that is not a §3 `recovery` never
+/// raises `E` from `before` to `after`.
 #[must_use]
-pub fn adoption_guard(round: &RoundObservation) -> Option<Check> {
-    let (before, after) = (round.error_before, round.error_after);
-    (!round.recovery).then(|| {
+pub fn adoption_guard(
+    clock: Timestamp,
+    before: Duration,
+    after: Duration,
+    recovery: bool,
+) -> Option<Check> {
+    (!recovery).then(|| {
         Margin::secs(after, before).check(after > before + tol(), || {
-            format!("reset at clock {} increased E", round.clock)
+            format!("reset at clock {clock} increased E")
         })
     })
 }
@@ -156,8 +160,8 @@ pub fn error_envelope(
 #[must_use]
 pub fn mm_asynchronism(
     pair: (usize, usize),
-    a: SampleState,
-    b: SampleState,
+    a: TimeEstimate,
+    b: TimeEstimate,
     e_min: Duration,
     deltas: (DriftRate, DriftRate),
     env: &EnvelopeParams,
@@ -166,16 +170,17 @@ pub fn mm_asynchronism(
     skew_within(pair, a, b, bound + tol())
 }
 
-/// Theorem 6: an IM reset is no wider than the narrowest of its inputs.
+/// Theorem 6: an IM reset to error `after` is no wider than the narrowest
+/// of its inputs' full widths (none unless the strategy intersects).
 #[must_use]
-pub fn intersection_width(round: &RoundObservation) -> Option<Check> {
-    let narrowest = round.input_widths.iter().copied().reduce(Duration::min)?;
-    let width = round.error_after + round.error_after;
+pub fn intersection_width(after: Duration, input_widths: &[Duration]) -> Option<Check> {
+    let narrowest = input_widths.iter().copied().reduce(Duration::min)?;
+    let width = after + after;
     Some(
         Margin::secs(width, narrowest).check(width > narrowest + tol(), || {
             format!(
                 "intersection of {} inputs wider than the narrowest",
-                round.input_widths.len()
+                input_widths.len()
             )
         }),
     )
@@ -187,8 +192,8 @@ pub fn intersection_width(round: &RoundObservation) -> Option<Check> {
 #[must_use]
 pub fn im_asynchronism(
     pair: (usize, usize),
-    a: SampleState,
-    b: SampleState,
+    a: TimeEstimate,
+    b: TimeEstimate,
     deltas: (DriftRate, DriftRate),
     env: &EnvelopeParams,
 ) -> Check {
@@ -196,8 +201,8 @@ pub fn im_asynchronism(
     skew_within(pair, a, b, bound + tol())
 }
 
-fn skew_within(pair: (usize, usize), a: SampleState, b: SampleState, bound: Duration) -> Check {
-    let skew = (a.clock - b.clock).abs();
+fn skew_within(pair: (usize, usize), a: TimeEstimate, b: TimeEstimate, bound: Duration) -> Check {
+    let skew = a.separation(&b);
     Margin::secs(skew, bound).check(skew > bound, || format!("pair ({}, {})", pair.0, pair.1))
 }
 
@@ -205,9 +210,9 @@ fn skew_within(pair: (usize, usize), a: SampleState, b: SampleState, bound: Dura
 /// E_i + E_j`.
 #[inline]
 #[must_use]
-pub fn consistency(pair: (usize, usize), a: SampleState, b: SampleState) -> Check {
-    let gap = (a.clock - b.clock).abs();
-    let reach = a.error + b.error + tol();
+pub fn consistency(pair: (usize, usize), a: TimeEstimate, b: TimeEstimate) -> Check {
+    let gap = a.separation(&b);
+    let reach = a.error() + b.error() + tol();
     Margin::secs(gap, reach).check(gap > reach, || {
         format!(
             "intervals of servers {} and {} are disjoint",
@@ -216,18 +221,21 @@ pub fn consistency(pair: (usize, usize), a: SampleState, b: SampleState) -> Chec
     })
 }
 
-/// Rule MM-1 across downtime, derivation: the rehydrated `E` is
-/// `ε + (C − r)·δ` from the persisted `(r, ε)`.
+/// Rule MM-1 across downtime, derivation: the rehydrated `⟨C, E⟩` has
+/// `E = ε + (C − r)·δ` from the persisted `(r, ε)`.
 #[must_use]
-pub fn rehydration_derivation(obs: &RehydrationObservation, delta: DriftRate) -> Option<Breach> {
-    let since_reset = (obs.clock - obs.reset_clock).max(Duration::ZERO);
-    let expected = obs.persisted_error + since_reset * delta;
-    ((obs.error - expected).abs() > tol()).then(|| Breach {
-        observed: obs.error.as_secs(),
+pub fn rehydration_derivation(
+    rehydrated: TimeEstimate,
+    (reset_clock, persisted_error): (Timestamp, Duration),
+    delta: DriftRate,
+) -> Option<Breach> {
+    let since_reset = (rehydrated.time() - reset_clock).max(Duration::ZERO);
+    let expected = persisted_error + since_reset * delta;
+    ((rehydrated.error() - expected).abs() > tol()).then(|| Breach {
+        observed: rehydrated.error().as_secs(),
         bound: expected.as_secs(),
         detail: format!(
-            "rehydrated E differs from ε + (C − r)·δ with ε {} r {}",
-            obs.persisted_error, obs.reset_clock
+            "rehydrated E differs from ε + (C − r)·δ with ε {persisted_error} r {reset_clock}"
         ),
     })
 }
@@ -235,12 +243,12 @@ pub fn rehydration_derivation(obs: &RehydrationObservation, delta: DriftRate) ->
 /// Rule MM-1 across downtime, containment: the rehydrated interval still
 /// contains real time.
 #[must_use]
-pub fn rehydration_containment(real: Timestamp, obs: &RehydrationObservation) -> Check {
-    let offset = (obs.clock - real).abs();
-    Margin::secs(offset, obs.error).check(offset > obs.error + tol(), || {
+pub fn rehydration_containment(real: Timestamp, rehydrated: TimeEstimate) -> Check {
+    let offset = (rehydrated.time() - real).abs();
+    Margin::secs(offset, rehydrated.error()).check(offset > rehydrated.error() + tol(), || {
         format!(
             "rehydrated interval excludes real time (clock {} at real {real})",
-            obs.clock
+            rehydrated.time()
         )
     })
 }
@@ -304,38 +312,36 @@ pub fn stabilization_never(
     })
 }
 
-/// ClusterTime invariant M: a released timestamp is above the one
-/// released before it, `prev`. Observed and bound are ticks in seconds.
+/// ClusterTime invariant M: `timestamp`, released under `view`, is above
+/// the one released before it, `prev` (its issuer, view and timestamp).
+/// Observed and bound are ticks in seconds.
 #[must_use]
 pub fn cluster_monotonic(
-    prev: Option<&IssueObservation>,
-    obs: &IssueObservation,
+    prev: Option<(usize, u64, u64)>,
+    view: u64,
+    timestamp: u64,
 ) -> Option<Breach> {
-    let prev = prev.filter(|prev| obs.timestamp <= prev.timestamp)?;
+    let (prev_server, prev_view, prev_ts) = prev.filter(|&(_, _, ts)| timestamp <= ts)?;
     Some(Breach {
-        observed: obs.timestamp as f64 * 1e-6,
-        bound: prev.timestamp as f64 * 1e-6,
+        observed: timestamp as f64 * 1e-6,
+        bound: prev_ts as f64 * 1e-6,
         detail: format!(
-            "ts {} (view {}) after ts {} from server {} (view {})",
-            obs.timestamp, obs.view, prev.timestamp, prev.server, prev.view
+            "ts {timestamp} (view {view}) after ts {prev_ts} from server {prev_server} (view {prev_view})"
         ),
     })
 }
 
-/// ClusterTime invariant B: a released timestamp lies within its issuing
+/// ClusterTime invariant B: a released `timestamp` lies within its issuing
 /// quorum's intersection `[lo, hi]`, compared in seconds.
 #[must_use]
-pub fn cluster_bounded(obs: &IssueObservation) -> Option<Breach> {
-    let ts_secs = obs.timestamp as f64 * 1e-6;
-    let lo = obs.lo.as_secs() - TICK_TOLERANCE_SECS;
-    let hi = obs.hi.as_secs() + TICK_TOLERANCE_SECS;
-    let edge = if ts_secs < lo { obs.lo } else { obs.hi };
-    (ts_secs < lo || ts_secs > hi).then(|| Breach {
+pub fn cluster_bounded(timestamp: u64, lo: Timestamp, hi: Timestamp) -> Option<Breach> {
+    let ts_secs = timestamp as f64 * 1e-6;
+    let lo_secs = lo.as_secs() - TICK_TOLERANCE_SECS;
+    let hi_secs = hi.as_secs() + TICK_TOLERANCE_SECS;
+    let edge = if ts_secs < lo_secs { lo } else { hi };
+    (ts_secs < lo_secs || ts_secs > hi_secs).then(|| Breach {
         observed: ts_secs,
         bound: edge.as_secs(),
-        detail: format!(
-            "ts {} outside the issuing intersection [{}, {}]",
-            obs.timestamp, obs.lo, obs.hi
-        ),
+        detail: format!("ts {timestamp} outside the issuing intersection [{lo}, {hi}]"),
     })
 }

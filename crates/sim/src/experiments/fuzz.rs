@@ -218,10 +218,13 @@ impl FuzzTarget for FuzzCase {
             }
             candidates.push(shorter);
         }
-        if self.servers.len() > 2 {
-            for drop_idx in (0..self.servers.len()).rev() {
-                let mut fewer = self.clone();
-                fewer.servers.remove(drop_idx);
+        // Server drops keep the generator's floors, unless a hand-built
+        // case (a beyond-budget probe) started below them.
+        let floored = self.within_floors();
+        for drop_idx in (0..self.servers.len()).rev() {
+            let mut fewer = self.clone();
+            fewer.servers.remove(drop_idx);
+            if fewer.servers.len() >= 2 && (!floored || fewer.within_floors()) {
                 candidates.push(fewer);
             }
         }
@@ -240,6 +243,14 @@ impl FuzzCase {
     #[must_use]
     pub fn has_corrupt(&self) -> bool {
         self.servers.iter().any(|s| s.corrupt)
+    }
+
+    /// Whether the server count keeps the generator's floors: two more honest
+    /// servers than liars, and four (a quorum to re-screen it) with a corruption.
+    fn within_floors(&self) -> bool {
+        let n = self.servers.len();
+        let liars = self.servers.iter().filter(|s| s.liar).count();
+        n >= 2 * liars + 2 && (n >= 4 || !self.has_corrupt())
     }
 
     /// Whether the network misbehaves at all.
@@ -608,6 +619,32 @@ mod tests {
         );
         assert!(tiers_seen > 0, "higher Byzantine tiers are generated");
         assert!(corruptions > 0, "corruption events are generated");
+    }
+
+    #[test]
+    fn shrinking_keeps_the_generators_server_floors() {
+        let mut case = FuzzCase::from_seed(7, 60.0);
+        case.strategy = Strategy::MarzulloTolerant { max_faulty: 2 };
+        case.servers.resize(5, case.servers[0]);
+        for (i, s) in case.servers.iter_mut().enumerate() {
+            s.corrupt = i == 0;
+            s.liar = i == 4;
+        }
+        assert!(case.within_floors(), "a case the generator could draw");
+        let fewer = |c: &FuzzCase| c.servers.len() < case.servers.len();
+        let candidates = case.simpler();
+        assert!(candidates.iter().all(FuzzCase::within_floors));
+        assert_eq!(candidates.iter().filter(|c| fewer(c)).count(), 5);
+        // At four servers both floors bind: dropping any one leaves a
+        // corruption under four servers or a liar among three.
+        let four = candidates
+            .into_iter()
+            .find(|c| fewer(c) && c.has_corrupt() && c.has_liar())
+            .expect("a bystander can go");
+        assert_eq!(four.servers.len(), 4);
+        let candidates = four.simpler();
+        assert!(candidates.iter().all(FuzzCase::within_floors));
+        assert!(candidates.iter().all(|c| c.servers.len() == 4));
     }
 
     #[test]

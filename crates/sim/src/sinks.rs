@@ -6,7 +6,10 @@
 //! armed), and one [`JsonlSink`] (when an export path is configured)
 //! to a shared [`tempo_telemetry::Bus`], then lets the world run.
 //! Everything the run reports afterwards is reconstructed from the
-//! event stream — there is no side channel.
+//! event stream — there is no side channel. The oracles are
+//! [`Observer`]s of their own and read the events directly; the two
+//! oracle sinks only hold them until their reports are taken, and
+//! [`ClusterOracleSink`] routes each event to its cluster's oracle.
 
 use std::cell::RefCell;
 use std::io::Write;
@@ -16,8 +19,8 @@ use std::sync::Mutex;
 
 use tempo_core::Duration;
 use tempo_net::NetStats;
-use tempo_oracle::cluster::{ClusterOracle, ClusterReport, IssueObservation};
-use tempo_oracle::{Oracle, OracleReport, RehydrationObservation, RoundObservation, SampleState};
+use tempo_oracle::cluster::{ClusterOracle, ClusterReport};
+use tempo_oracle::{Oracle, OracleReport};
 use tempo_telemetry::json::write_event;
 use tempo_telemetry::{json_record, EventKind, Observer, TelemetryEvent};
 
@@ -61,12 +64,9 @@ impl Observer for MetricsSink {
     }
 }
 
-/// Feeds the theorem oracle from the event stream: sample snapshots
-/// become [`SampleState`]s (inactive servers are `None` — the
-/// theorems say nothing about a server outside the service), round
-/// adoptions become [`RoundObservation`]s, and crash–restart
-/// lifecycle events drive the oracle's down/rehydration checks, all
-/// checked online.
+/// Holds the theorem oracle a run is armed with. The [`Oracle`] reads
+/// the bus itself; the sink forwards its events and hands back the
+/// report once.
 #[derive(Debug)]
 pub struct OracleSink {
     // `Oracle::finish` consumes the oracle, so it lives in an Option
@@ -92,133 +92,26 @@ impl OracleSink {
 
 impl Observer for OracleSink {
     fn enabled(&self, kind: EventKind) -> bool {
-        matches!(
-            kind,
-            EventKind::Sample
-                | EventKind::RoundAdopt
-                | EventKind::ClockStep
-                | EventKind::ClockSlew
-                | EventKind::ServerCrashed
-                | EventKind::ServerRestarted
-                | EventKind::StateRehydrated
-                | EventKind::BootstrapCompleted
-                | EventKind::StateCorrupted
-                | EventKind::Stabilized
-        )
+        self.oracle
+            .as_ref()
+            .is_some_and(|oracle| oracle.enabled(kind))
     }
 
     fn observe(&mut self, event: &TelemetryEvent) {
-        let Some(oracle) = self.oracle.as_mut() else {
-            return;
-        };
-        match event {
-            TelemetryEvent::Sample { at, servers } => {
-                let states: Vec<Option<SampleState>> = servers
-                    .iter()
-                    .map(|s| {
-                        s.active.then_some(SampleState {
-                            clock: s.clock,
-                            error: s.error,
-                        })
-                    })
-                    .collect();
-                oracle.observe_sample(*at, &states);
-            }
-            TelemetryEvent::RoundAdopt {
-                server,
-                clock,
-                error_before,
-                error_after,
-                input_widths,
-                recovery,
-                ..
-            } => {
-                oracle.observe_round(
-                    *server,
-                    &RoundObservation {
-                        clock: *clock,
-                        error_before: *error_before,
-                        error_after: *error_after,
-                        input_widths: input_widths.clone(),
-                        recovery: *recovery,
-                    },
-                );
-            }
-            TelemetryEvent::ClockStep {
-                at,
-                server,
-                to,
-                error,
-                ..
-            } => {
-                // The adopted interval's centre is the post-step served
-                // reading.
-                oracle.observe_reset(*server, *at, *to, *error);
-            }
-            TelemetryEvent::ClockSlew {
-                at,
-                server,
-                from,
-                error,
-                ..
-            } => {
-                // Under slew the served reading does not move at the
-                // reset instant — `from` is the new `r_i`, and `error`
-                // already covers the queued correction.
-                oracle.observe_reset(*server, *at, *from, *error);
-            }
-            TelemetryEvent::ServerCrashed { server, .. } => {
-                oracle.observe_crash(*server);
-            }
-            TelemetryEvent::ServerRestarted { server, .. } => {
-                oracle.observe_restart(*server);
-            }
-            TelemetryEvent::StateRehydrated {
-                at,
-                server,
-                clock,
-                error,
-                reset_clock,
-                persisted_error,
-            } => {
-                oracle.observe_rehydration(
-                    *server,
-                    *at,
-                    &RehydrationObservation {
-                        clock: *clock,
-                        error: *error,
-                        reset_clock: *reset_clock,
-                        persisted_error: *persisted_error,
-                    },
-                );
-            }
-            TelemetryEvent::BootstrapCompleted { server, rounds, .. } => {
-                oracle.observe_bootstrap_complete(*server, *rounds);
-            }
-            TelemetryEvent::StateCorrupted { at, server, .. } => {
-                oracle.observe_corruption(*server, *at);
-            }
-            TelemetryEvent::Stabilized {
-                at,
-                server,
-                elapsed,
-            } => {
-                oracle.observe_stabilized(*server, *at, *elapsed);
-            }
-            _ => {}
+        if let Some(oracle) = self.oracle.as_mut() {
+            oracle.observe(event);
         }
     }
 }
 
-/// Feeds the ClusterTime oracle from the event stream: every
-/// [`TelemetryEvent::TsIssued`] becomes an [`IssueObservation`], every
-/// [`TelemetryEvent::ViewChange`] a failover observation.
+/// Holds one ClusterTime oracle per cluster and routes each event to
+/// the oracle of the replica it comes from
+/// ([`ClusterOracle::replica`]).
 ///
 /// ClusterTime's monotonicity invariant is *per cluster* — a world
 /// hosting several independent clusters (disjoint topology components)
-/// makes no cross-cluster promise — so the sink keeps one
-/// [`ClusterOracle`] per cluster and routes events by the issuing
-/// node's global index.
+/// makes no cross-cluster promise — so one oracle per cluster sees only
+/// its own replicas' events.
 #[derive(Debug)]
 pub struct ClusterOracleSink {
     /// `node index → cluster index`. Nodes outside any cluster
@@ -246,11 +139,6 @@ impl ClusterOracleSink {
         }
     }
 
-    fn oracle_for(&mut self, server: usize) -> Option<&mut ClusterOracle> {
-        let cluster = *self.cluster_of.get(server)?;
-        self.oracles[cluster].as_mut()
-    }
-
     /// Closes every per-cluster oracle and returns the reports, in
     /// cluster order. `None` if already finished.
     pub fn finish(&mut self) -> Option<Vec<ClusterReport>> {
@@ -268,35 +156,15 @@ impl ClusterOracleSink {
 
 impl Observer for ClusterOracleSink {
     fn enabled(&self, kind: EventKind) -> bool {
-        matches!(kind, EventKind::TsIssued | EventKind::ViewChange)
+        // Every cluster's oracle checks the same kinds.
+        let mut live = self.oracles.iter().flatten();
+        live.next().is_some_and(|oracle| oracle.enabled(kind))
     }
 
     fn observe(&mut self, event: &TelemetryEvent) {
-        match *event {
-            TelemetryEvent::TsIssued {
-                server,
-                view,
-                timestamp,
-                lo,
-                hi,
-                ..
-            } => {
-                if let Some(oracle) = self.oracle_for(server) {
-                    oracle.observe_issue(&IssueObservation {
-                        server,
-                        view,
-                        timestamp,
-                        lo,
-                        hi,
-                    });
-                }
-            }
-            TelemetryEvent::ViewChange { server, view, .. } => {
-                if let Some(oracle) = self.oracle_for(server) {
-                    oracle.observe_view_change(view);
-                }
-            }
-            _ => {}
+        let cluster = ClusterOracle::replica(event).and_then(|node| self.cluster_of.get(node));
+        if let Some(oracle) = cluster.and_then(|&c| self.oracles[c].as_mut()) {
+            oracle.observe(event);
         }
     }
 }
