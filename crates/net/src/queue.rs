@@ -26,8 +26,8 @@
 //! randomized differential tests below and by the seed-swept telemetry
 //! goldens in `tempo-sim`. The simulator pushes at a connected
 //! component's rank, so one queue interleaves a multi-component world
-//! exactly as the sharded merge does; every other user pushes at rank
-//! 0, where the order is `(time, insertion)`.
+//! component by component at each instant; every other user pushes at
+//! rank 0, where the order is `(time, insertion)`.
 //!
 //! Nothing is cancelled: a user that must ignore a timer tags it (the
 //! servers carry their lifecycle epoch in the tag) and drops a stale

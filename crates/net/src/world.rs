@@ -252,7 +252,7 @@ pub struct World<A: Actor> {
     /// Every pending delivery and timer, pushed at its component's
     /// rank: same-instant events pop component by component in rank
     /// order, each component's in push order — the canonical
-    /// interleaving the sharded merge reproduces.
+    /// interleaving every exported stream records.
     queue: EventQueue<EventKind<A::Msg>>,
     /// One network RNG per component, seeded from the component's
     /// smallest global label — so a component's delay/loss/duplication

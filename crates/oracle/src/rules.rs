@@ -296,17 +296,19 @@ pub fn stabilization_late(elapsed: Duration, bound: Duration) -> Check {
     })
 }
 
-/// Self-stabilization, never: a server is not still corrupted (since
-/// `corrupted`) when the run ends at `real`.
+/// Self-stabilization, never: a server corrupted since `corrupted` is
+/// still corrupted when the run ends at `real`, more than `bound` after
+/// the corruption. A window the run's end cut off before `bound` ran out
+/// is not evidence.
 #[must_use]
 pub fn stabilization_never(
     corrupted: Option<Timestamp>,
     real: Timestamp,
     bound: Duration,
 ) -> Option<Breach> {
-    let since = corrupted?;
+    let since = corrupted.filter(|&since| real - since > bound + tol())?;
     Some(Breach {
-        observed: (real - since).max(Duration::ZERO).as_secs(),
+        observed: (real - since).as_secs(),
         bound: bound.as_secs(),
         detail: format!("never stabilized: corrupted since {since}"),
     })
@@ -344,4 +346,37 @@ pub fn cluster_bounded(timestamp: u64, lo: Timestamp, hi: Timestamp) -> Option<B
         bound: edge.as_secs(),
         detail: format!("ts {timestamp} outside the issuing intersection [{lo}, {hi}]"),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const BOUND: f64 = 30.0;
+
+    fn never(since: Option<f64>, end: f64) -> Option<Breach> {
+        stabilization_never(
+            since.map(Timestamp::from_secs),
+            Timestamp::from_secs(end),
+            Duration::from_secs(BOUND),
+        )
+    }
+
+    #[test]
+    fn stabilization_never_flags_a_window_that_ran_out() {
+        let breach = never(Some(100.0), 140.0).expect("40 s unstabilized against 30 s");
+        assert_eq!((breach.observed, breach.bound), (40.0, BOUND));
+        assert!(
+            breach.detail.contains("never stabilized"),
+            "{}",
+            breach.detail
+        );
+    }
+
+    #[test]
+    fn stabilization_never_ignores_a_window_the_run_cut_off() {
+        assert_eq!(never(Some(100.0), 120.0), None);
+        assert_eq!(never(Some(100.0), 100.0 + BOUND), None);
+        assert_eq!(never(None, 1e6), None);
+    }
 }

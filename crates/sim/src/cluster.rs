@@ -9,9 +9,10 @@
 //! A scenario can host several *independent* clusters (disjoint
 //! cliques of `replicas + clients` nodes). It runs on the same engine
 //! as the plain [`crate::Scenario`] — this module supplies the node,
-//! the sinks and the outcome type, nothing else — so a multi-cluster
-//! run shards one sub-world per cluster and comes back byte-identical,
-//! JSONL included. The ClusterTime oracle is armed per cluster:
+//! the sinks and the outcome type, nothing else — so an unobserved
+//! multi-cluster run shards one sub-world per cluster, an observed one
+//! runs as one world, and either comes back identical to the unsharded
+//! run. The ClusterTime oracle is armed per cluster:
 //! monotonicity is promised within a cluster, never across unrelated
 //! ones.
 
@@ -314,8 +315,10 @@ impl ClusterScenario {
     }
 
     /// Runs multi-cluster deployments on up to `threads` worker
-    /// threads, one sub-world per cluster. The result — telemetry
-    /// stream included — is identical to the single-threaded run.
+    /// threads, one sub-world per cluster, when neither the oracle nor
+    /// a JSONL export (nor the process-wide default export) reads the
+    /// full event stream; a run that has one runs as one world. The
+    /// result is identical to the single-threaded run either way.
     #[must_use]
     pub fn sharded(mut self, threads: usize) -> Self {
         self.shards = threads;
@@ -344,9 +347,9 @@ impl ClusterScenario {
     /// Builds the deployment and runs it to the configured horizon.
     ///
     /// Multi-cluster scenarios with [`ClusterScenario::sharded`]
-    /// enabled run one sub-world per cluster on worker threads and
-    /// merge the telemetry streams back into the canonical order; the
-    /// sinks (and therefore the result) cannot tell the difference.
+    /// enabled, no oracle and no export run one sub-world per cluster
+    /// on worker threads; the sinks (and therefore the result) cannot
+    /// tell the difference.
     ///
     /// # Panics
     ///

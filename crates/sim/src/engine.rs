@@ -10,17 +10,19 @@
 //! Everything else is written here once: the network configuration and
 //! clock seeds, the single combined world, and the sharded path — each
 //! connected component an independent sub-world on a scoped worker
-//! thread, its telemetry recorded verbatim and k-way merged back into
-//! the exact emission order of the combined world, so no sink (and
-//! therefore no result) can tell the two paths apart.
+//! thread. Only a run whose sinks read the samples alone shards: its
+//! shards' per-tick samples are stitched into the combined world's
+//! deployment-wide ones, and the rest of its stream is counted, not
+//! kept. A run with an export or an oracle, which read the full stream,
+//! runs as the one combined world, whose emission order that stream is.
+//! Either way no sink (and therefore no result) can tell a sharded run
+//! from an unsharded one.
 //!
 //! Node names in a [`NetConfig`] — partitions, link overrides — are
 //! *global labels* in every world, combined or sub-world, so every
 //! world of a run is handed the same config, unmapped.
 
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
 use std::path::PathBuf;
 use std::rc::Rc;
 
@@ -46,7 +48,8 @@ pub(crate) fn clock_seed(seed: u64, index: usize) -> u64 {
 pub(crate) struct Plan<'a> {
     pub(crate) seed: u64,
     pub(crate) duration: Duration,
-    /// Worker-thread cap for the sharded path (`0` disables it).
+    /// Worker-thread cap for the sharded path (`0` disables it). A run
+    /// whose sinks read the full stream never takes that path.
     pub(crate) shards: usize,
     pub(crate) delay: &'a DelayModel,
     pub(crate) loss: f64,
@@ -123,14 +126,17 @@ pub(crate) struct Harvest<D: Deployment> {
 }
 
 /// Runs `deployment` over `topology` to its horizon: on worker threads,
-/// one sub-world per connected component, when sharding is enabled and
-/// the topology splits; as one combined world otherwise. The export
-/// (when configured) is opened, headed and closed here; the layer's
-/// sinks come back unharvested.
+/// one sub-world per connected component, when sharding is enabled, the
+/// sinks read only the samples, and the topology splits; as one
+/// combined world otherwise. The export (when configured) is opened,
+/// headed and closed here; the layer's sinks come back unharvested.
 ///
-/// The sub-worlds run before any sink exists. In particular the export
-/// file is not truncated and held open across the fan-out: doing so
-/// cost `sim_audit` 5–10 % of its wall time (CPU unchanged) when tried.
+/// A sink that reads the full stream — the export, an oracle — gets it
+/// from the combined world, whose emission order it is. Recording every
+/// shard's stream and k-way merging it back into that order cost
+/// `sim_audit` about a quarter of its CPU when profiled (the recording
+/// clone 12 %, the heap merge 12 %), and bought no wall time: the merge
+/// and the sinks behind it ran on one thread after the shards finished.
 ///
 /// # Panics
 ///
@@ -138,16 +144,16 @@ pub(crate) struct Harvest<D: Deployment> {
 pub(crate) fn run<D: Deployment>(deployment: &D, topology: Topology) -> Harvest<D> {
     let plan = deployment.plan();
     let n = topology.len();
-    let components = if plan.shards > 0 {
+    let full_stream = plan.telemetry_out.is_some()
+        || crate::sinks::default_telemetry_out().is_some()
+        || deployment.wants_full_stream();
+    let components = if plan.shards > 0 && !full_stream {
         topology.components()
     } else {
         Vec::new()
     };
-    let full_stream = plan.telemetry_out.is_some()
-        || crate::sinks::default_telemetry_out().is_some()
-        || deployment.wants_full_stream();
-    let shards = (components.len() > 1)
-        .then(|| run_sharded(deployment, &plan, &topology, &components, !full_stream));
+    let shards =
+        (components.len() > 1).then(|| run_sharded(deployment, &plan, &topology, &components));
 
     let bus = Bus::new();
     let sinks = deployment.attach_sinks(&bus);
@@ -163,7 +169,7 @@ pub(crate) fn run<D: Deployment>(deployment: &D, topology: Topology) -> Harvest<
         bus.subscribe(Rc::clone(sink));
     }
     let (world, offered) = match shards {
-        Some(shards) => merge_shards(n, &components, shards, &bus, full_stream),
+        Some(shards) => merge_shards(n, &components, shards, &bus),
         None => {
             let members: Vec<NodeId> = (0..n).map(NodeId::new).collect();
             let world = run_world(deployment, &plan, topology, &members, &bus);
@@ -229,56 +235,54 @@ fn run_world<D: Deployment>(
     }
 }
 
-/// Captures a shard's raw event stream for the deterministic merge. It
-/// wants every kind — or, in `samples_only` mode, just the
-/// [`TelemetryEvent::Sample`]s: building and k-way merging millions of
-/// events nobody consumes is the dominant cost of a large sharded run,
-/// and `dropped_events` needs only the shard bus's count of events
-/// offered.
+/// One tick of one world: its instant and every member's snapshot, in
+/// the world's node order.
+type Tick = (Timestamp, Vec<SampleSnapshot>);
+
+/// Captures a shard's [`TelemetryEvent::Sample`]s for the stitch. No
+/// other kind is even built: `dropped_events` needs only the shard
+/// bus's count of events offered.
+#[derive(Default)]
 struct RecordingSink {
-    events: Vec<TelemetryEvent>,
-    samples_only: bool,
+    ticks: Vec<Tick>,
 }
 
 impl Observer for RecordingSink {
     fn enabled(&self, kind: EventKind) -> bool {
-        !self.samples_only || kind == EventKind::Sample
+        kind == EventKind::Sample
     }
 
     fn observe(&mut self, event: &TelemetryEvent) {
-        self.events.push(event.clone());
+        if let TelemetryEvent::Sample { at, servers } = event {
+            self.ticks.push((*at, servers.clone()));
+        }
     }
 }
 
 /// Everything a component sub-world produced, carried back across the
-/// thread boundary as plain data; the merge never looks inside `O`.
+/// thread boundary as plain data; the stitch never looks inside `O`.
 struct ShardRun<O> {
-    events: VecDeque<TelemetryEvent>,
-    /// Every event offered to the shard's bus, including ones not in
-    /// `events`.
+    ticks: Vec<Tick>,
+    /// Every event offered to the shard's bus, samples included.
     offered: u64,
     world: WorldRun<O>,
 }
 
 /// Runs one connected component as an independent sub-world and
-/// records its raw telemetry stream for the deterministic merge.
+/// records its samples for the stitch.
 fn run_shard<D: Deployment>(
     deployment: &D,
     plan: &Plan<'_>,
     topology: &Topology,
     members: &[NodeId],
-    samples_only: bool,
 ) -> ShardRun<D::Outcome> {
     let bus = Bus::new();
-    let recorder = Rc::new(RefCell::new(RecordingSink {
-        events: Vec::new(),
-        samples_only,
-    }));
+    let recorder = Rc::new(RefCell::new(RecordingSink::default()));
     bus.subscribe(Rc::clone(&recorder));
     let world = run_world(deployment, plan, topology.induced(members), members, &bus);
-    let events = std::mem::take(&mut recorder.borrow_mut().events);
+    let ticks = std::mem::take(&mut recorder.borrow_mut().ticks);
     ShardRun {
-        events: events.into(),
+        ticks,
         offered: bus.offered_events(),
         world,
     }
@@ -286,13 +290,12 @@ fn run_shard<D: Deployment>(
 
 /// The sharded path's first half: one sub-world per connected
 /// component on a bounded pool of scoped threads, each recording its
-/// own stream.
+/// own samples.
 fn run_sharded<D: Deployment>(
     deployment: &D,
     plan: &Plan<'_>,
     topology: &Topology,
     components: &[Vec<NodeId>],
-    samples_only: bool,
 ) -> Vec<ShardRun<D::Outcome>> {
     let threads = plan.shards.min(components.len());
     let chunk = components.len().div_ceil(threads);
@@ -301,7 +304,7 @@ fn run_sharded<D: Deployment>(
         for (comps, outs) in components.chunks(chunk).zip(runs.chunks_mut(chunk)) {
             scope.spawn(move || {
                 for (members, out) in comps.iter().zip(outs.iter_mut()) {
-                    *out = Some(run_shard(deployment, plan, topology, members, samples_only));
+                    *out = Some(run_shard(deployment, plan, topology, members));
                 }
             });
         }
@@ -311,40 +314,33 @@ fn run_sharded<D: Deployment>(
         .collect()
 }
 
-/// The sharded path's second half: a deterministic merge of the
-/// recorded streams into `bus` — the same sinks the single path feeds
-/// live. Returns the combined world's leavings and the length of the
-/// combined stream, which the sinks may not all have seen.
+/// The sharded path's second half: the shards' samples stitched into
+/// `bus` — the same sinks the single path feeds live. Returns the
+/// combined world's leavings and the length of the combined stream,
+/// which the sinks have not seen: it is reconstructed from each shard
+/// bus's count of events offered. The combined stream has every
+/// non-sample event, plus ONE deployment-wide sample per tick where
+/// each shard counted its own (none at all in an unsampled deployment).
 fn merge_shards<O>(
     n: usize,
     components: &[Vec<NodeId>],
-    mut shards: Vec<ShardRun<O>>,
+    shards: Vec<ShardRun<O>>,
     bus: &Bus,
-    full_stream: bool,
 ) -> (WorldRun<O>, u64) {
-    // A samples-only shard recorded exactly its ticks.
-    let ticks = shards.first().map_or(0, |s| s.events.len()) as u64;
-    merge_events(n, components, &mut shards, |event| bus.emit(event));
-    let offered = if full_stream {
-        bus.offered_events()
-    } else {
-        // Only the stitched samples went through the bus; the combined
-        // stream's length is reconstructed from each shard bus's count
-        // of events offered: the combined stream has every non-sample
-        // event, plus ONE deployment-wide sample per tick where each
-        // shard counted its own (none at all in an unsampled deployment).
-        let offered: u64 = shards.iter().map(|s| s.offered).sum();
-        offered - ticks * (shards.len() as u64 - 1)
-    };
+    let ticks = shards.first().map_or(0, |s| s.ticks.len()) as u64;
+    let offered = shards.iter().map(|s| s.offered).sum::<u64>() - ticks * (shards.len() as u64 - 1);
 
+    let mut samples = Vec::with_capacity(shards.len());
     let mut outcomes: Vec<(NodeId, O)> = Vec::with_capacity(n);
     let mut net = NetStats::default();
     let mut max_observed_delay = Duration::ZERO;
     for (members, shard) in components.iter().zip(shards) {
+        samples.push(shard.ticks);
         outcomes.extend(members.iter().copied().zip(shard.world.outcomes));
         net = net.merged(shard.world.net);
         max_observed_delay = max_observed_delay.max(shard.world.max_observed_delay);
     }
+    stitch_samples(n, components, samples, |event| bus.emit(event));
     outcomes.sort_unstable_by_key(|&(node, _)| node);
     let combined = WorldRun {
         outcomes: outcomes.into_iter().map(|(_, o)| o).collect(),
@@ -354,83 +350,107 @@ fn merge_shards<O>(
     (combined, offered)
 }
 
-/// K-way merges the per-shard streams, handing each event to `emit` in
-/// the exact emission order of the combined single-threaded world (the
-/// merged stream is consumed as it forms, never held whole): ascending
-/// time, component rank breaking ties (the combined world's queue pops
-/// same-instant events in rank order), with the per-tick [`Sample`]s of
-/// every shard stitched into one deployment-wide snapshot that sorts
-/// *after* same-instant events (`run_sampled` drains the queue up to
-/// the tick before snapshotting). Streams with no samples at all merge
-/// by the plain time/rank key.
+/// Stitches the shards' per-tick samples, tick by tick, into one
+/// deployment-wide [`TelemetryEvent::Sample`] each, re-indexed by
+/// global server id, and hands them to `emit` in tick order. Every
+/// shard samples on the same schedule, so tick `k` is the `k`-th sample
+/// of every shard.
 ///
-/// [`Sample`]: TelemetryEvent::Sample
-fn merge_events<S>(
+/// # Panics
+///
+/// Panics if the shards disagree on the schedule: a different number of
+/// ticks, or a different instant for the same tick.
+fn stitch_samples(
     n: usize,
     components: &[Vec<NodeId>],
-    shards: &mut [ShardRun<S>],
+    shards: Vec<Vec<Tick>>,
     mut emit: impl FnMut(TelemetryEvent),
 ) {
-    let key = |event: &TelemetryEvent, rank: usize| {
-        (
-            event.at(),
-            matches!(event, TelemetryEvent::Sample { .. }),
-            rank,
-        )
-    };
-    // One entry per non-empty shard: its head's key. A linear
-    // min-scan here is O(shards) per event, which at 500
-    // components dwarfs the simulation itself.
-    let mut heads: BinaryHeap<Reverse<(Timestamp, bool, usize)>> =
-        BinaryHeap::with_capacity(shards.len());
-    for (rank, shard) in shards.iter().enumerate() {
-        if let Some(event) = shard.events.front() {
-            heads.push(Reverse(key(event, rank)));
-        }
-    }
-    while let Some(Reverse((at, is_sample, rank))) = heads.pop() {
-        if !is_sample {
-            emit(shards[rank].events.pop_front().expect("head exists"));
-            if let Some(event) = shards[rank].events.front() {
-                heads.push(Reverse(key(event, rank)));
-            }
-            continue;
-        }
-        // Every shard samples on the same schedule, so when the
-        // earliest head is a sample, *every* head is that tick's
-        // sample — the remaining heap entries all refer to it. Drop
-        // them, pop all the heads, re-index by global server id,
-        // and rebuild the heap from the new heads.
-        heads.clear();
+    let ticks = shards.first().map_or(0, Vec::len);
+    assert!(
+        shards.iter().all(|s| s.len() == ticks),
+        "every shard samples every tick"
+    );
+    let mut streams: Vec<_> = shards.into_iter().map(Vec::into_iter).collect();
+    for _ in 0..ticks {
+        let mut at = None;
         let mut servers: Vec<Option<SampleSnapshot>> = vec![None; n];
-        for (members, shard) in components.iter().zip(shards.iter_mut()) {
-            let event = shard
-                .events
-                .pop_front()
-                .expect("every shard samples every tick");
-            let TelemetryEvent::Sample {
-                at: shard_at,
-                servers: local,
-            } = event
-            else {
-                panic!("expected a sample at the head of every shard stream");
-            };
-            assert_eq!(shard_at, at, "shards sample on the same schedule");
-            for (k, snapshot) in local.into_iter().enumerate() {
-                servers[members[k].index()] = Some(snapshot);
-            }
-        }
-        for (rank, shard) in shards.iter().enumerate() {
-            if let Some(event) = shard.events.front() {
-                heads.push(Reverse(key(event, rank)));
+        for (members, stream) in components.iter().zip(&mut streams) {
+            let (shard_at, local) = stream.next().expect("every shard samples every tick");
+            assert_eq!(
+                *at.get_or_insert(shard_at),
+                shard_at,
+                "shards sample on the same schedule"
+            );
+            for (member, snapshot) in members.iter().zip(local) {
+                servers[member.index()] = Some(snapshot);
             }
         }
         emit(TelemetryEvent::Sample {
-            at,
+            at: at.expect("a tick has a shard"),
             servers: servers
                 .into_iter()
                 .map(|s| s.expect("every server sampled"))
                 .collect(),
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Six servers in three shards whose members interleave, as
+    /// components of a real topology need not be contiguous.
+    fn components() -> Vec<Vec<NodeId>> {
+        [vec![0, 3], vec![1, 4, 5], vec![2]]
+            .into_iter()
+            .map(|members| members.into_iter().map(NodeId::new).collect())
+            .collect()
+    }
+
+    /// A shard's samples every 5 s; global server `g`'s clock reads
+    /// `10 t + g` at tick `t`, so a misplaced snapshot shows.
+    fn shard_ticks(members: &[NodeId], ticks: usize) -> Vec<Tick> {
+        (0..ticks)
+            .map(|t| {
+                let snapshot = |g: usize| SampleSnapshot {
+                    clock: Timestamp::from_secs((10 * t + g) as f64),
+                    error: Duration::ZERO,
+                    true_offset: Duration::ZERO,
+                    correct: true,
+                    active: true,
+                };
+                let at = Timestamp::from_secs(5.0 * t as f64);
+                (at, members.iter().map(|m| snapshot(m.index())).collect())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stitch_emits_one_deployment_wide_sample_per_tick_in_global_order() {
+        let components = components();
+        let shards = components.iter().map(|m| shard_ticks(m, 3)).collect();
+        let mut emitted = Vec::new();
+        stitch_samples(6, &components, shards, |event| emitted.push(event));
+        assert_eq!(emitted.len(), 3);
+        for (t, event) in emitted.iter().enumerate() {
+            let TelemetryEvent::Sample { at, servers } = event else {
+                panic!("the stitch emits samples only");
+            };
+            assert_eq!(*at, Timestamp::from_secs(5.0 * t as f64));
+            let clocks: Vec<f64> = servers.iter().map(|s| s.clock.as_secs()).collect();
+            let expected: Vec<f64> = (0..6).map(|g| (10 * t + g) as f64).collect();
+            assert_eq!(clocks, expected, "tick {t}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shards sample on the same schedule")]
+    fn a_shard_whose_tick_disagrees_panics() {
+        let components = components();
+        let mut shards: Vec<Vec<Tick>> = components.iter().map(|m| shard_ticks(m, 3)).collect();
+        shards[1][2].0 = Timestamp::from_secs(11.0);
+        stitch_samples(6, &components, shards, |_| {});
     }
 }

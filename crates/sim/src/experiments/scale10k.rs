@@ -9,8 +9,11 @@
 //! sharded engine — while staying *exactly* the run the single-threaded
 //! engine would have produced. At the small sizes the sweep re-runs
 //! each deployment single-threaded and compares every observable
-//! output, and arms the correctness oracle; at 10,000 only the sharded
-//! engine runs (the point of having it).
+//! output; at 10,000 only the sharded engine runs (the point of having
+//! it). The n = 100 row arms the correctness oracle, which reads the
+//! full event stream, so that row runs one world on both legs and its
+//! `deterministic` column compares one world with itself: the n = 1,000
+//! row is the check of the sharded engine.
 
 use std::fmt;
 use std::time::Instant;

@@ -177,11 +177,12 @@ pub struct Scenario {
     pub telemetry_out: Option<PathBuf>,
     /// Worker-thread cap for component-sharded execution (`0`
     /// disables sharding). When the topology splits into more than
-    /// one connected component, each component runs as an independent
-    /// sub-world on a pool of this many scoped threads and the
-    /// per-component telemetry streams are merged back into the
-    /// canonical single-threaded order, so every observable output is
-    /// byte-identical to the unsharded run.
+    /// one connected component and no oracle or JSONL export reads the
+    /// full event stream, each component runs as an independent
+    /// sub-world on a pool of this many scoped threads and their
+    /// per-tick samples are stitched into the deployment-wide ones, so
+    /// every observable output is identical to the unsharded run. A run
+    /// with an oracle or an export runs as one world.
     pub shards: usize,
 }
 
@@ -371,8 +372,11 @@ impl Scenario {
 
     /// Enables component-sharded execution on up to `threads` worker
     /// threads (`0` disables). Only takes effect when the topology has
-    /// more than one connected component; results are byte-identical
-    /// to the single-threaded run either way.
+    /// more than one connected component and the run's sinks read the
+    /// samples alone: a run with an oracle, a JSONL export or the
+    /// process-wide default export reads the full event stream and runs
+    /// as one world. Results are identical to the single-threaded run
+    /// either way.
     #[must_use]
     pub fn sharded(mut self, threads: usize) -> Self {
         self.shards = threads;
@@ -434,11 +438,12 @@ impl Scenario {
     /// [`RunResult`] is reconstructed from the event stream those sinks
     /// saw.
     ///
-    /// When [`Scenario::sharded`] is enabled and the topology splits
-    /// into independent connected components, each component runs as
-    /// its own sub-world on a scoped worker thread and the streams
-    /// are merged back into the canonical order — the sinks (and
-    /// therefore the result) cannot tell the difference.
+    /// When [`Scenario::sharded`] is enabled, nothing but the metrics
+    /// reads the run, and the topology splits into independent
+    /// connected components, each component runs as its own sub-world
+    /// on a scoped worker thread and their samples are stitched back
+    /// into deployment-wide ones — the sinks (and therefore the result)
+    /// cannot tell the difference.
     ///
     /// # Panics
     ///

@@ -3,9 +3,11 @@
 //!
 //! ClusterTime traffic — lease renewals, high-water replication,
 //! client requests — is strictly intra-component, so a multi-cluster
-//! world must shard exactly like the plain time service: for any
-//! seed, the sharded run's JSONL telemetry export is byte-identical
-//! to the single-threaded run's, and every final counter matches.
+//! world must shard exactly like the plain time service: an unobserved
+//! run shards one sub-world per cluster, one with the oracle or an
+//! export runs as one world, and for any seed a run with `sharded` set
+//! matches the single-threaded run — its JSONL telemetry export byte
+//! for byte, and every final counter.
 
 use std::path::PathBuf;
 
@@ -147,4 +149,33 @@ fn unobserved_cluster_run_shards_with_the_same_drop_count() {
     assert_eq!(single.dropped_events, sharded.dropped_events);
     assert_eq!(single.net, sharded.net);
     assert_eq!(single.outcomes, sharded.outcomes);
+}
+
+/// The partitioned case on the path that shards: with no oracle and no
+/// export each cluster is a sub-world, handed the deployment's
+/// partitions unmapped.
+#[test]
+fn partitioned_unobserved_cluster_shards_like_the_combined_world() {
+    let ids = |nodes: &[usize]| nodes.iter().copied().map(NodeId::new).collect();
+    let run = |threads: usize| {
+        ClusterScenario::new()
+            .replicas(3, &ReplicaSpec::honest(1e-5, 1e-4))
+            .clusters(2)
+            .partition(Partition {
+                from: Timestamp::from_secs(5.0),
+                until: Timestamp::from_secs(10.0),
+                groups: vec![ids(&[0, 1, 2, 3]), ids(&[4, 7]), ids(&[5, 6])],
+            })
+            .oracle(false)
+            .duration(Duration::from_secs(20.0))
+            .seed(9)
+            .sharded(threads)
+            .run()
+    };
+    let single = run(0);
+    let sharded = run(2);
+    assert!(single.net.partitioned > 0, "the partition must bite");
+    assert_eq!(single.net, sharded.net);
+    assert_eq!(single.outcomes, sharded.outcomes);
+    assert_eq!(single.dropped_events, sharded.dropped_events);
 }

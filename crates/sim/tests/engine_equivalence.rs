@@ -1,12 +1,17 @@
 //! Single-threaded vs component-sharded engine equivalence.
 //!
-//! The sharded runner in [`tempo_sim::Scenario`] executes each
-//! connected component as an independent sub-world on worker threads
-//! and merges the telemetry streams back into the canonical order.
-//! These tests pin the contract that makes that safe to use anywhere:
-//! for any seed, every observable output — the JSONL telemetry export
-//! byte for byte, the sample rows, the per-server counters, the
-//! network statistics, the oracle report — is identical to the
+//! [`tempo_sim::Scenario::sharded`] never changes an output. The
+//! sample-only path is the one that shards: with no oracle and no JSONL
+//! export, each connected component runs as an independent sub-world on
+//! worker threads, their per-tick samples are stitched into
+//! deployment-wide ones, and the ring-drop count is rebuilt from the
+//! shard buses' counts of events offered. A run with an oracle or an
+//! export reads the full event stream and runs as the one combined
+//! world, `sharded` or not. These tests pin the contract that makes
+//! `sharded` safe to set anywhere: for any seed and thread count, every
+//! observable output — the JSONL telemetry export byte for byte, the
+//! sample rows, the per-server counters, the network statistics, the
+//! oracle report, the ring drops, the ξ witness — is identical to the
 //! single-threaded run.
 
 use tempo_core::{Duration, Timestamp};
@@ -108,8 +113,8 @@ fn thread_count_does_not_leak_into_results() {
 #[test]
 fn constant_delay_tie_breaks_merge_identically() {
     // A constant delay makes every component's deliveries land on the
-    // same instants, so the merge exercises the same-time ordering
-    // rule (component rank) on essentially every event.
+    // same instants, so the export's order rests on the same-time
+    // ordering rule (component rank) on essentially every event.
     let scenario = Scenario::new(Strategy::Im)
         .topology(Topology::disjoint_cliques(4, 3))
         .servers(12, &ServerSpec::honest(1e-5, 1e-4))
@@ -136,10 +141,9 @@ fn oracle_report_survives_sharding() {
 
 #[test]
 fn fast_path_without_sinks_matches_single() {
-    // With no JSONL export and no oracle, the sharded runner skips the
-    // full event merge and reconstructs the ring-drop count
-    // arithmetically — every RunResult field must still match,
-    // including dropped_events.
+    // With no JSONL export and no oracle the run shards: it keeps only
+    // the samples and reconstructs the ring-drop count arithmetically —
+    // every RunResult field must still match, including dropped_events.
     let scenario = fault_laden(3);
     let plain = scenario.clone().run();
     let sharded = scenario.sharded(4).run();

@@ -5,11 +5,13 @@
 //! ```text
 //! RUSTFLAGS="-C force-frame-pointers=yes" cargo build --release --example sim_profile
 //! taskset -c 1 target/release/examples/sim_profile 500 400 sharded > pcs.txt
+//! taskset -c 1 target/release/examples/sim_profile audit 480 > pcs.txt
 //! taskset -c 1 target/release/examples/sim_profile cluster 60 > pcs.txt
 //! ```
 //!
 //! Arguments: servers, jobs, `sharded` (two workers, as `sim_bare`) or
-//! `single`; or `cluster` and jobs, for `cluster_failover`'s deployment.
+//! `single`; `audit` and jobs, for `sim_audit`'s deployment; or
+//! `cluster` and jobs, for `cluster_failover`'s.
 //! Prints the load base, then one sample a line, innermost frame first;
 //! DESIGN.md § Observability has the rest of the recipe.
 
@@ -20,7 +22,7 @@ mod linux {
     use tempo::core::{Duration, Timestamp};
     use tempo::net::{DelayModel, Topology};
     use tempo::service::{HealthConfig, RetryPolicy, ServerFault, Strategy};
-    use tempo::sim::{ClusterScenario, ReplicaSpec, Scenario, ServerSpec};
+    use tempo::sim::{ClusterScenario, OracleConfig, ReplicaSpec, Scenario, ServerSpec};
 
     const DEPTH: usize = 8;
     const MAX_SAMPLES: usize = 1 << 16;
@@ -112,6 +114,18 @@ mod linux {
         scenario
     }
 
+    /// `sim_audit`'s deployment as the benchmark builds it: E20 at
+    /// n = 100 with the safety oracle (a bootstrap allowance of 32
+    /// rounds, which never binds) and the JSONL export, two workers.
+    fn audit(seed: u64, export: &std::path::Path) -> Scenario {
+        let mut oracle = OracleConfig::safety();
+        oracle.max_bootstrap_rounds = 32;
+        e20(100, seed)
+            .oracle(oracle)
+            .telemetry_out(export)
+            .sharded(2)
+    }
+
     /// `cluster_failover`'s deployment as the benchmark builds it: eight
     /// three-replica clusters in one unsharded world, two clients each
     /// asking every 20 ms, a durable crash storm on every cluster's
@@ -135,17 +149,23 @@ mod linux {
     }
 
     pub fn run() {
-        const USAGE: &str =
-            "usage: sim_profile <servers> <jobs> sharded|single, or sim_profile cluster <jobs>";
+        const USAGE: &str = "usage: sim_profile <servers> <jobs> sharded|single, \
+             sim_profile audit <jobs>, or sim_profile cluster <jobs>";
         let args: Vec<String> = std::env::args().skip(1).collect();
         let arg = |i: usize| args.get(i).map(String::as_str).expect(USAGE);
         let jobs: u64 = arg(1).parse().expect(USAGE);
-        // E20's size and two shard threads or none (0 runs the one-world
-        // engine); `None` for the cluster deployment.
-        let e20_shape = (arg(0) != "cluster").then(|| {
-            let n: usize = arg(0).parse().expect(USAGE);
-            (n, 2 * usize::from(arg(2) == "sharded"))
-        });
+        let export = std::env::temp_dir().join(format!("sim_profile-{}.jsonl", std::process::id()));
+        let job: Box<dyn Fn(u64)> = match arg(0) {
+            "cluster" => Box::new(|seed| assert!(failover(seed).run().issued() > 0)),
+            "audit" => Box::new(|seed| assert!(audit(seed, &export).run().net.delivered > 0)),
+            servers => {
+                // E20's size and two shard threads or none (0 runs the
+                // one-world engine).
+                let n: usize = servers.parse().expect(USAGE);
+                let threads = 2 * usize::from(arg(2) == "sharded");
+                Box::new(move |seed| assert!(e20(n, seed).sharded(threads).run().net.delivered > 0))
+            }
+        };
         let handler = on_tick as *const () as usize;
         let action = SigAction(handler, [0; 16], SA_SIGINFO_RESTART, 0);
         // Asks for 1 kHz; the kernel rounds the period up to its tick.
@@ -157,16 +177,10 @@ mod linux {
                 && setitimer(ITIMER_PROF, &tick, std::ptr::null_mut()) == 0
         };
         assert!(armed, "could not arm the profiling timer");
-        for seed in 1_000..1_000 + jobs {
-            match e20_shape {
-                Some((n, threads)) => {
-                    assert!(e20(n, seed).sharded(threads).run().net.delivered > 0)
-                }
-                None => assert!(failover(seed).run().issued() > 0),
-            }
-        }
+        (1_000..1_000 + jobs).for_each(&job);
         // SAFETY: a zero interval and value disarm the timer.
         unsafe { setitimer(ITIMER_PROF, &[0; 4], std::ptr::null_mut()) };
+        let _ = std::fs::remove_file(&export);
         let maps = std::fs::read_to_string("/proc/self/maps").expect("procfs");
         println!("base 0x{}", maps.split('-').next().expect("a mapping"));
         for sample in PCS.chunks(DEPTH).take(TAKEN.load(Relaxed)) {
