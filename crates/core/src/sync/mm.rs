@@ -85,49 +85,6 @@ pub fn mm_decide(own: &TimeEstimate, delta: DriftRate, reply: &TimedReply) -> Mm
     }
 }
 
-/// The result of processing a whole round of replies with MM.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MmRoundResult {
-    /// The final reset, if any reply was adopted (the state after the
-    /// last accepted reply).
-    pub reset: Option<Reset>,
-    /// Indices (into the reply slice) of replies that caused a reset.
-    pub adopted: Vec<usize>,
-    /// Indices of replies that were inconsistent with the then-current
-    /// local estimate.
-    pub inconsistent: Vec<usize>,
-}
-
-/// Processes an ordered round of replies the way the Theorem 2 proof
-/// walks them: each reply is evaluated against the estimate resulting
-/// from the previous accepted reply.
-///
-/// This helper assumes all replies are examined at (essentially) the same
-/// instant, so it does not model local error growth *between* arrivals —
-/// the protocol actor in `tempo-service` handles that by re-deriving
-/// `own` per arrival. It exists for tests, experiments, and batch use.
-#[must_use]
-pub fn mm_round(own: &TimeEstimate, delta: DriftRate, replies: &[TimedReply]) -> MmRoundResult {
-    let mut current = *own;
-    let mut result = MmRoundResult {
-        reset: None,
-        adopted: Vec::new(),
-        inconsistent: Vec::new(),
-    };
-    for (idx, reply) in replies.iter().enumerate() {
-        match mm_decide(&current, delta, reply) {
-            MmOutcome::Reset(reset) => {
-                current = reset.as_estimate();
-                result.reset = Some(reset);
-                result.adopted.push(idx);
-            }
-            MmOutcome::Keep => {}
-            MmOutcome::Inconsistent => result.inconsistent.push(idx),
-        }
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,55 +192,5 @@ mod tests {
         assert!(mm_decide(&own, DriftRate::ZERO, &reply).reset().is_some());
         assert!(MmOutcome::Keep.reset().is_none());
         assert!(MmOutcome::Inconsistent.reset().is_none());
-    }
-
-    #[test]
-    fn round_adopts_progressively_better_replies() {
-        let own = est(100.0, 1.0);
-        let replies = vec![
-            TimedReply::new(est(100.1, 0.5), dur(0.0)), // adopted
-            TimedReply::new(est(100.2, 0.8), dur(0.0)), // worse than 0.5 → keep
-            TimedReply::new(est(100.0, 0.2), dur(0.0)), // adopted
-        ];
-        let result = mm_round(&own, DriftRate::ZERO, &replies);
-        assert_eq!(result.adopted, vec![0, 2]);
-        assert!(result.inconsistent.is_empty());
-        let reset = result.reset.unwrap();
-        assert_eq!(reset.new_clock, ts(100.0));
-        assert_eq!(reset.new_error, dur(0.2));
-    }
-
-    #[test]
-    fn round_flags_inconsistent_replies() {
-        let own = est(100.0, 0.1);
-        let replies = vec![
-            TimedReply::new(est(105.0, 0.1), dur(0.0)), // inconsistent
-            TimedReply::new(est(100.05, 0.05), dur(0.0)), // adopted
-        ];
-        let result = mm_round(&own, DriftRate::ZERO, &replies);
-        assert_eq!(result.inconsistent, vec![0]);
-        assert_eq!(result.adopted, vec![1]);
-    }
-
-    #[test]
-    fn round_with_no_replies_keeps_clock() {
-        let own = est(1.0, 1.0);
-        let result = mm_round(&own, DriftRate::ZERO, &[]);
-        assert!(result.reset.is_none());
-        assert!(result.adopted.is_empty());
-    }
-
-    #[test]
-    fn consistency_is_judged_against_updated_estimate() {
-        // After adopting a tight reply, a previously consistent reply may
-        // become inconsistent with the tightened interval.
-        let own = est(100.0, 3.0);
-        let replies = vec![
-            TimedReply::new(est(99.0, 0.1), dur(0.0)), // adopted, tight
-            TimedReply::new(est(101.0, 0.5), dur(0.0)), // now inconsistent
-        ];
-        let result = mm_round(&own, DriftRate::ZERO, &replies);
-        assert_eq!(result.adopted, vec![0]);
-        assert_eq!(result.inconsistent, vec![1]);
     }
 }

@@ -106,12 +106,6 @@ impl HealthTracker {
         }
     }
 
-    /// The tracker's thresholds.
-    #[must_use]
-    pub fn config(&self) -> HealthConfig {
-        self.config
-    }
-
     /// The current verdict on `peer`.
     #[must_use]
     pub fn state(&self, peer: NodeId) -> PeerState {
@@ -310,7 +304,12 @@ mod tests {
     #[test]
     fn default_config_validates() {
         HealthConfig::default().validate();
-        let t = HealthTracker::new(HealthConfig::default());
-        assert_eq!(t.config().suspect_after, 2);
+        let mut t = HealthTracker::new(HealthConfig::default());
+        // The tracker runs on the default thresholds: the second missed
+        // deadline makes a peer suspect.
+        let peer = NodeId::new(1);
+        assert!(!t.record_timeout(peer));
+        assert!(t.record_timeout(peer));
+        assert_eq!(t.state(peer), PeerState::Suspect);
     }
 }

@@ -393,7 +393,8 @@ impl TimeServer {
         let now = ctx.now();
         let clock_now = self.reading(now);
         let (delta, quorum) = (self.config.drift_bound, self.config.quorum);
-        match round::bootstrap(clock_now, delta, &self.round_replies, quorum) {
+        let strategy = self.config.strategy;
+        match round::bootstrap(strategy, clock_now, delta, &self.round_replies, quorum) {
             Decision::Reset { reset, .. } => {
                 self.apply_reset(reset, ctx);
                 self.round_replies.clear();

@@ -89,13 +89,6 @@ impl RateMonitor {
         }
     }
 
-    /// Forgets everything about `peer` (e.g. after it leaves).
-    pub fn forget(&mut self, peer: NodeId) {
-        if let Some(samples) = self.samples.get_mut(peer.index()) {
-            samples.clear();
-        }
-    }
-
     /// Translates every retained own-clock reading by `delta`.
     ///
     /// Rates are measured against our own clock, so when that clock is
@@ -154,12 +147,6 @@ impl RateMonitor {
             own_bound,
             peer_bound,
         ))
-    }
-
-    /// Number of neighbours currently tracked.
-    #[must_use]
-    pub fn tracked(&self) -> usize {
-        self.samples.iter().filter(|s| !s.is_empty()).count()
     }
 }
 
@@ -280,7 +267,6 @@ mod tests {
         assert!(m.estimate(peer).is_none(), "5 s < 10 s baseline");
         m.record(peer, ts(12.0), ts(12.0));
         assert!(m.estimate(peer).is_some());
-        assert_eq!(m.tracked(), 1);
     }
 
     #[test]
@@ -338,18 +324,6 @@ mod tests {
         let bound = DriftRate::new(1e-4);
         // Uncertainty = 2·0.05/20 = 5e-3 ≫ the 1e-4 excess.
         assert_eq!(m.is_dissonant(peer, bound, bound), Some(false));
-    }
-
-    #[test]
-    fn forget_drops_history() {
-        let mut m = monitor();
-        let peer = NodeId::new(1);
-        m.record(peer, ts(0.0), ts(0.0));
-        m.record(peer, ts(20.0), ts(20.0));
-        assert!(m.estimate(peer).is_some());
-        m.forget(peer);
-        assert!(m.estimate(peer).is_none());
-        assert_eq!(m.tracked(), 0);
     }
 
     #[test]

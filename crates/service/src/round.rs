@@ -218,17 +218,28 @@ pub(crate) fn input_widths(
 }
 
 /// The §5 bootstrap read of a server restarted without stable state:
-/// with at least a quorum (and at least one) reply, an IM-2 read whose
-/// own interval is a stand-in wider than anything a peer will say — a
-/// year of claimed error — so only the peers constrain the result.
+/// with at least a quorum (and at least one) reply, a read whose own
+/// interval is a stand-in wider than anything a peer will say — a year
+/// of claimed error — so only the peers constrain the result. It closes
+/// under the fault budget the server's own rounds trust: Marzullo
+/// tolerating `max_faulty` when that is the strategy, IM-2 otherwise. A
+/// rejoining node must tolerate its `f` faulty inputs (Khanchandani and
+/// Lenzen, "Self-stabilizing Byzantine Clock Synchronization with
+/// Optimal Precision"): under IM-2 one liar empties the intersection of
+/// every round and keeps the server out of service.
 pub(crate) fn bootstrap(
+    strategy: Strategy,
     clock_now: Timestamp,
     delta: DriftRate,
     buffered: &[BufferedReply],
     quorum: usize,
 ) -> Decision {
     let wide = TimeEstimate::new(clock_now, Duration::from_secs(3.2e7));
-    close(Strategy::Im, quorum.max(1), &wide, delta, buffered)
+    let strategy = match strategy {
+        Strategy::MarzulloTolerant { .. } => strategy,
+        _ => Strategy::Im,
+    };
+    close(strategy, quorum.max(1), &wide, delta, buffered)
 }
 
 /// One remembered claim aged to `clock_now`: its time advanced by the
@@ -393,8 +404,16 @@ mod tests {
             // round just re-adopts the own interval.
             assert_ne!(close(strategy, 0, &own, delta(), &[]), Decision::Starved);
         }
-        assert_eq!(bootstrap(ts(100.0), delta(), &[], 0), Decision::Starved);
-        assert_eq!(bootstrap(ts(100.0), delta(), &one, 2), Decision::Starved);
+        for strategy in [Strategy::Im, Strategy::MarzulloTolerant { max_faulty: 1 }] {
+            assert_eq!(
+                bootstrap(strategy, ts(100.0), delta(), &[], 0),
+                Decision::Starved
+            );
+            assert_eq!(
+                bootstrap(strategy, ts(100.0), delta(), &one, 2),
+                Decision::Starved
+            );
+        }
     }
 
     #[test]
@@ -518,12 +537,39 @@ mod tests {
             buffered(1, est(500.0, 0.05), 7.0, 0.0),
             buffered(2, est(500.04, 0.05), 7.0, 0.0),
         ];
-        let (reset, _) = reset_of(bootstrap(ts(7.0), delta(), &replies, 2));
+        let (reset, _) = reset_of(bootstrap(Strategy::Im, ts(7.0), delta(), &replies, 2));
         assert!((reset.new_clock.as_secs() - 500.02).abs() < 1e-9);
         assert!((reset.new_error.as_secs() - 0.03).abs() < 1e-9);
         let split = [replies[0], buffered(2, est(600.0, 0.05), 7.0, 0.0)];
         assert_eq!(
-            bootstrap(ts(7.0), delta(), &split, 2),
+            bootstrap(Strategy::Im, ts(7.0), delta(), &split, 2),
+            Decision::Inconsistent
+        );
+    }
+
+    #[test]
+    fn bootstrap_tolerates_the_configured_liars() {
+        // Three honest neighbours around 500 and one far away: IM-2 finds
+        // no common instant, Marzullo with f = 1 outvotes the liar.
+        let replies = [
+            buffered(1, est(500.0, 0.05), 7.0, 0.0),
+            buffered(2, est(500.04, 0.05), 7.0, 0.0),
+            buffered(3, est(500.02, 0.05), 7.0, 0.0),
+            buffered(4, est(600.0, 0.05), 7.0, 0.0),
+        ];
+        assert_eq!(
+            bootstrap(Strategy::Im, ts(7.0), delta(), &replies, 3),
+            Decision::Inconsistent
+        );
+        let tolerant = Strategy::MarzulloTolerant { max_faulty: 1 };
+        let (reset, recovery) = reset_of(bootstrap(tolerant, ts(7.0), delta(), &replies, 3));
+        assert!((reset.new_clock.as_secs() - 500.02).abs() < 1e-9);
+        assert!((reset.new_error.as_secs() - 0.03).abs() < 1e-9);
+        assert!(!recovery);
+        // Any other strategy bootstraps as IM-2 does.
+        let max = Strategy::Baseline(tempo_core::sync::baseline::BaselineKind::LamportMax);
+        assert_eq!(
+            bootstrap(max, ts(7.0), delta(), &replies, 3),
             Decision::Inconsistent
         );
     }

@@ -16,8 +16,10 @@ use std::path::PathBuf;
 
 use tempo_clocks::{Fault, FaultKind};
 use tempo_core::{DriftRate, Duration, Timestamp};
+use tempo_oracle::{Oracle, OracleConfig};
 use tempo_service::{RetryPolicy, ScreeningPolicy, ServerFault, Strategy};
-use tempo_sim::{Scenario, ServerSpec};
+use tempo_sim::{Observer, Scenario, ServerSpec};
+use tempo_telemetry::json::{parse, read_event, Json};
 
 /// The three pinned seeds. Distinct scenarios per seed so the goldens
 /// cover the delivery pipeline's independent branches: plain mesh,
@@ -129,4 +131,44 @@ fn goldens_differ_across_seeds() {
     }
     assert_ne!(streams[0], streams[1]);
     assert_ne!(streams[1], streams[2]);
+}
+
+/// The goldens read back. Each replays through `read_event` into a
+/// fresh oracle — the live run's configuration and server views, and
+/// the bus's `enabled` gate — and must give exactly the report of the
+/// live run with that oracle armed: the export carries everything the
+/// oracle reads, bit for bit.
+#[test]
+fn goldens_replay_into_the_oracle() {
+    for seed in SEEDS {
+        let scenario = scenario_for(seed);
+        let config = match scenario.envelope() {
+            Some(envelope) => OracleConfig::safety().envelope(envelope),
+            None => OracleConfig::safety(),
+        };
+        let live = scenario.clone().oracle(config.clone()).run().oracle;
+        let live = live.expect("the oracle was armed");
+        let path = goldens_dir().join(format!("seed_{seed}.jsonl"));
+        let golden = std::fs::read_to_string(&path).expect("read golden");
+        let mut oracle = Oracle::new(seed, config, scenario.server_views());
+        for (lineno, line) in golden.lines().enumerate() {
+            let json = parse(line).expect("a golden line parses");
+            if let Some(Json::Str(frame)) = json.get("type") {
+                if frame == "run_start" || frame == "summary" {
+                    continue;
+                }
+            }
+            let event = read_event(&json)
+                .unwrap_or_else(|e| panic!("seed {seed} line {}: {e}", lineno + 1));
+            if oracle.enabled(event.kind()) {
+                oracle.observe(&event);
+            }
+        }
+        let replayed = oracle.finish();
+        assert!(
+            replayed.samples_checked > 0,
+            "seed {seed}: the replay checked nothing"
+        );
+        assert_eq!(replayed, live, "seed {seed}");
+    }
 }

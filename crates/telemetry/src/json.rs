@@ -1,16 +1,18 @@
 //! JSONL export: serialization of [`TelemetryEvent`]s to one-object-
-//! per-line JSON, plus a minimal parser and schema validator so CI can
-//! check an exported stream without external dependencies.
+//! per-line JSON, plus a minimal parser and the reader that turns a
+//! line back into its event, so CI can check an exported stream — and
+//! a checker can replay one — without external dependencies.
 //!
-//! The schema is stable and documented in EXPERIMENTS.md. Every line
+//! The format is stable and documented in EXPERIMENTS.md. Every line
 //! is a flat JSON object whose `"type"` field names the record; field
 //! order is fixed and numbers are written by [`crate::num`] exactly as
 //! Rust's `{}` formats them (shortest round-trip, never an exponent),
 //! so a fixed seed yields a byte-identical stream.
 //!
 //! Which records exist, under which tag, with which keys, is the event
-//! table in the crate root: [`write_event`] and the schema
-//! [`validate_line`] checks are both generated from its rows.
+//! table in the crate root: [`write_event`] and [`read_event`] are both
+//! generated from its rows, each field written and read by its [`Value`]
+//! impl. Validating a line *is* reading it back.
 
 use tempo_core::{Duration, Timestamp};
 
@@ -19,79 +21,93 @@ use crate::num::{write_f64, write_u64};
 use crate::{DropCause, HealthState, RefusalCause, RejectCause, SampleSnapshot, TelemetryEvent};
 
 // ---------------------------------------------------------------------------
-// Writing
+// Values and records
 // ---------------------------------------------------------------------------
 
 /// A value [`json_record!`](crate::json_record) can append to a line
-/// in place.
+/// in place, and [`read_event`] can read back from the parsed line.
 pub trait Value {
-    /// The JSON shape `write_json` produces: the schema type of an
-    /// event field of this Rust type.
-    const FIELD: Field;
-
     /// Appends `self` as JSON.
     fn write_json(&self, out: &mut Vec<u8>);
+
+    /// Reads back what [`Value::write_json`] wrote, or says why `json` is
+    /// not that, as a phrase to follow the field's name (`is not a number`).
+    fn read_json(json: &Json) -> Result<Self, String>
+    where
+        Self: Sized;
 }
 
-impl<T: Value + ?Sized> Value for &T {
-    const FIELD: Field = T::FIELD;
-    fn write_json(&self, out: &mut Vec<u8>) {
-        (**self).write_json(out);
+/// Any string.
+fn text(json: &Json) -> Result<&str, String> {
+    match json {
+        Json::Str(text) => Ok(text),
+        _ => Err("is not a string".into()),
     }
 }
 
-impl Value for f64 {
-    const FIELD: Field = Field::Num;
-    fn write_json(&self, out: &mut Vec<u8>) {
-        write_f64(out, *self);
-    }
+/// A string that must be one of `labels`' first elements, read as the
+/// second: how label enums and the event table's label lists read.
+pub(crate) fn one_of<T: Copy>(json: &Json, labels: &[(&str, T)]) -> Result<T, String> {
+    let text = text(json)?;
+    let found = labels.iter().find(|(label, _)| *label == text);
+    found
+        .map(|&(_, value)| value)
+        .ok_or_else(|| format!("has unknown label \"{text}\""))
 }
 
-impl Value for Timestamp {
-    const FIELD: Field = Field::Num;
-    fn write_json(&self, out: &mut Vec<u8>) {
-        write_f64(out, self.as_secs());
-    }
+/// Times and spans: seconds, as any finite number.
+macro_rules! seconds {
+    ($($ty:ty),*) => {$(
+        impl Value for $ty {
+            fn write_json(&self, out: &mut Vec<u8>) {
+                write_f64(out, self.as_secs());
+            }
+            fn read_json(json: &Json) -> Result<Self, String> {
+                match *json {
+                    Json::Num(secs) if secs.is_finite() => Ok(<$ty>::from_secs(secs)),
+                    _ => Err("is not a number".into()),
+                }
+            }
+        }
+    )*};
 }
+seconds!(Timestamp, Duration);
 
-impl Value for Duration {
-    const FIELD: Field = Field::Num;
-    fn write_json(&self, out: &mut Vec<u8>) {
-        write_f64(out, self.as_secs());
-    }
+/// Ids, rounds and counts: non-negative whole numbers.
+macro_rules! integers {
+    ($($ty:ty),*) => {$(
+        impl Value for $ty {
+            fn write_json(&self, out: &mut Vec<u8>) {
+                write_u64(out, *self as u64);
+            }
+            fn read_json(json: &Json) -> Result<Self, String> {
+                match *json {
+                    // Every whole `f64` below 2^64 converts to `u64` exactly.
+                    Json::Num(n) if n >= 0.0 && n.fract() == 0.0 && n < 2f64.powi(64) => {
+                        <$ty>::try_from(n as u64).map_err(|_| format!("is out of range: {n}"))
+                    }
+                    _ => Err("is not a non-negative integer".into()),
+                }
+            }
+        }
+    )*};
 }
-
-impl Value for u64 {
-    const FIELD: Field = Field::Int;
-    fn write_json(&self, out: &mut Vec<u8>) {
-        write_u64(out, *self);
-    }
-}
-
-impl Value for u32 {
-    const FIELD: Field = Field::Int;
-    fn write_json(&self, out: &mut Vec<u8>) {
-        write_u64(out, u64::from(*self));
-    }
-}
-
-impl Value for usize {
-    const FIELD: Field = Field::Int;
-    fn write_json(&self, out: &mut Vec<u8>) {
-        write_u64(out, *self as u64);
-    }
-}
+integers!(u64, u32, usize);
 
 impl Value for bool {
-    const FIELD: Field = Field::Bool;
     fn write_json(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(if *self { b"true" } else { b"false" });
     }
+    fn read_json(json: &Json) -> Result<Self, String> {
+        match *json {
+            Json::Bool(b) => Ok(b),
+            _ => Err("is not a boolean".into()),
+        }
+    }
 }
 
-/// A string literal, quoted and escaped.
+/// A string literal, quoted and escaped; [`text`] reads it back.
 impl Value for str {
-    const FIELD: Field = Field::Str;
     fn write_json(&self, out: &mut Vec<u8>) {
         out.push(b'"');
         let mut rest = self.as_bytes();
@@ -121,9 +137,7 @@ impl Value for str {
     }
 }
 
-/// An array, written in place.
-impl<T: Value> Value for [T] {
-    const FIELD: Field = Field::Arr(&T::FIELD);
+impl<T: Value> Value for Vec<T> {
     fn write_json(&self, out: &mut Vec<u8>) {
         out.push(b'[');
         for (i, item) in self.iter().enumerate() {
@@ -134,25 +148,19 @@ impl<T: Value> Value for [T] {
         }
         out.push(b']');
     }
-}
-
-impl<T: Value> Value for Vec<T> {
-    const FIELD: Field = <[T]>::FIELD;
-    fn write_json(&self, out: &mut Vec<u8>) {
-        self.as_slice().write_json(out);
+    fn read_json(json: &Json) -> Result<Self, String> {
+        let Json::Arr(items) = json else {
+            return Err("is not an array".into());
+        };
+        let item = |(i, item)| T::read_json(item).map_err(|e| format!("at item {i}: {e}"));
+        items.iter().enumerate().map(item).collect()
     }
 }
 
 // Inactive servers export as `null`: their free-running clocks are
-// visible in-process, but the JSONL schema only carries service
-// members.
+// visible in-process, but the JSONL format only carries service
+// members. A `null` reads back as an inactive snapshot of zeros.
 impl Value for SampleSnapshot {
-    const FIELD: Field = Field::NullOr(&[
-        ("clock", Field::Num),
-        ("error", Field::Num),
-        ("offset", Field::Num),
-        ("correct", Field::Bool),
-    ]);
     fn write_json(&self, out: &mut Vec<u8>) {
         if !self.active {
             out.extend_from_slice(b"null");
@@ -168,24 +176,45 @@ impl Value for SampleSnapshot {
         self.correct.write_json(out);
         out.push(b'}');
     }
+    fn read_json(json: &Json) -> Result<Self, String> {
+        if *json == Json::Null {
+            return Ok(SampleSnapshot {
+                clock: Timestamp::ZERO,
+                error: Duration::ZERO,
+                true_offset: Duration::ZERO,
+                correct: false,
+                active: false,
+            });
+        }
+        let mut record = Record::new(json)?;
+        let snapshot = SampleSnapshot {
+            clock: record.field("clock", Value::read_json)?,
+            error: record.field("error", Value::read_json)?,
+            true_offset: record.field("offset", Value::read_json)?,
+            correct: record.field("correct", Value::read_json)?,
+            active: true,
+        };
+        record.end().map(|()| snapshot)
+    }
 }
 
 /// Appends one record `{"type":<tag>,<key>:<value>,…}` to a
 /// `&mut Vec<u8>` (no trailing newline). Tag and keys are literals
 /// (plain ASCII, nothing to escape), so each key is one pre-quoted
 /// fragment copied into the line; values are anything implementing
-/// [`json::Value`](crate::json::Value).
+/// [`json::Value`](crate::json::Value), or a reference to one.
 #[macro_export]
 macro_rules! json_record {
     // Keys as anything `concat!` expands to a literal — the event
     // table's codec passes `stringify!`-ed field names.
     (@keys $out:expr, $tag:literal, $first:expr => $head:expr $(, $key:expr => $value:expr)*) => {{
+        use $crate::json::Value as _;
         let out: &mut ::std::vec::Vec<u8> = $out;
         out.extend_from_slice(concat!("{\"type\":\"", $tag, "\",\"", $first, "\":").as_bytes());
-        $crate::json::Value::write_json(&$head, out);
+        ($head).write_json(out);
         $(
             out.extend_from_slice(concat!(",\"", $key, "\":").as_bytes());
-            $crate::json::Value::write_json(&$value, out);
+            ($value).write_json(out);
         )*
         out.push(b'}');
     }};
@@ -204,19 +233,19 @@ macro_rules! key {
     };
 }
 
-/// A field's schema type: the labels stated in the event table, or else
-/// what its Rust type exports as.
-macro_rules! field {
+/// How a field reads back: as one of the labels stated in the event
+/// table, or else as its Rust type.
+macro_rules! read {
     ($ty:ty) => {
-        <$ty as Value>::FIELD
+        <$ty as Value>::read_json
     };
     ($ty:ty, $($label:literal),+) => {
-        Field::Label(&[$($label),+])
+        |json| one_of(json, &[$(($label, $label)),+])
     };
 }
 
 /// Turns the rows of [`events!`](crate::events) into the encoder and
-/// the schema. The encoder is straight-line code per event — one
+/// its inverse. The encoder is straight-line code per event — one
 /// `json_record!` whose key fragments are `concat!`-ed at compile time
 /// — not a loop over a field list: the audited simulator spends its
 /// export time here.
@@ -237,16 +266,15 @@ macro_rules! define_codec {
             }
         }
 
-        /// The fields of each event record.
-        fn event_schema(tag: &str) -> Option<Schema> {
-            match tag {
-                $($tag => Some(&[
-                    ("type", Field::Str),
-                    ("t", Field::Num),
-                    $((key!($field $($key)?), field!($ty $(, $label)*)),)*
-                ]),)*
-                _ => None,
-            }
+        /// The fields of the event record `tag`, read from `record`.
+        fn read_fields(tag: &str, record: &mut Record<'_>) -> Result<TelemetryEvent, String> {
+            Ok(match tag {
+                $($tag => TelemetryEvent::$variant {
+                    at: record.field("t", Value::read_json)?,
+                    $($field: record.field(key!($field $($key)?), read!($ty $(, $label)*))?,)*
+                },)*
+                _ => return Err("is not a known record type".into()),
+            })
         }
     };
 }
@@ -454,53 +482,44 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
+    /// `open close`, or `open item (, item)* close`.
+    fn sequence<T>(
+        &mut self,
+        (open, close): (u8, u8),
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.expect(open)?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
+        if self.eat(&[close]) {
+            return Ok(items);
         }
         loop {
-            items.push(self.parse_value()?);
+            items.push(item(self)?);
             self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
+            if self.eat(&[close]) {
+                return Ok(items);
+            }
+            if !self.eat(b",") {
+                return Err(self.err(&format!("expected ',' or '{}'", close as char)));
             }
         }
     }
 
+    fn parse_array(&mut self) -> Result<Json, String> {
+        self.sequence((b'[', b']'), Self::parse_value)
+            .map(Json::Arr)
+    }
+
     fn parse_object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
+        let field = |p: &mut Self| {
+            p.skip_ws();
+            let key = p.parse_string()?;
+            p.skip_ws();
+            p.expect(b':')?;
+            Ok((key, p.parse_value()?))
+        };
+        self.sequence((b'{', b'}'), field).map(Json::Obj)
     }
 }
 
@@ -521,120 +540,101 @@ pub fn parse(input: &str) -> Result<Json, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Schema validation
+// Reading back
 // ---------------------------------------------------------------------------
 
-/// The JSON shape a [`Value`] exports as, which is what the validator
-/// holds a record's field of that type to.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Field {
-    /// Any number.
-    Num,
-    /// A non-negative whole number.
-    Int,
-    /// Any string.
-    Str,
-    /// `true` or `false`.
-    Bool,
-    /// One of these strings.
-    Label(&'static [&'static str]),
-    /// An array whose items all have this shape.
-    Arr(&'static Field),
-    /// `null`, or an object with exactly these fields.
-    NullOr(&'static [(&'static str, Field)]),
-}
+/// An object read field by field: no key may appear twice, each is
+/// read at most once, and [`Record::end`] refuses any left unread —
+/// so a record that reads has exactly the keys its reader asked for.
+/// Holds each key and value in source order; a value is taken when read.
+struct Record<'a>(Vec<(&'a str, Option<&'a Json>)>);
 
-/// The fields of one record or object: key and shape, in export order.
-type Schema = &'static [(&'static str, Field)];
+/// How a field's value is read.
+type Reader<'a, T> = fn(&'a Json) -> Result<T, String>;
 
-impl Field {
-    fn check(&self, value: &Json) -> Result<(), String> {
-        match (self, value) {
-            (Field::Num, Json::Num(_))
-            | (Field::Str, Json::Str(_))
-            | (Field::Bool, Json::Bool(_))
-            | (Field::NullOr(_), Json::Null) => Ok(()),
-            (Field::Int, Json::Num(n)) if n.fract() == 0.0 && *n >= 0.0 => Ok(()),
-            (Field::Label(known), Json::Str(label)) if known.contains(&label.as_str()) => Ok(()),
-            (Field::Label(_), Json::Str(label)) => Err(format!("has unknown label \"{label}\"")),
-            (Field::Arr(item), Json::Arr(items)) => items.iter().try_for_each(|i| item.check(i)),
-            (Field::NullOr(schema), Json::Obj(fields)) => check_fields(fields, schema),
-            _ => Err(format!("is not {self:?}")),
-        }
-    }
-}
-
-/// Exact match: every field of the schema present once with the right
-/// shape, and no other field.
-fn check_fields(fields: &[(String, Json)], schema: Schema) -> Result<(), String> {
-    for (i, (key, value)) in fields.iter().enumerate() {
-        if fields[..i].iter().any(|(earlier, _)| earlier == key) {
-            return Err(format!("field \"{key}\" appears twice"));
-        }
-        let Some((_, shape)) = schema.iter().find(|(k, _)| k == key) else {
-            return Err(format!("unexpected field \"{key}\""));
+impl<'a> Record<'a> {
+    fn new(json: &'a Json) -> Result<Self, String> {
+        let Json::Obj(fields) = json else {
+            return Err("is not an object".into());
         };
-        shape
-            .check(value)
-            .map_err(|e| format!("field \"{key}\" {e}"))?;
+        let mut record = Vec::with_capacity(fields.len());
+        for (key, value) in fields {
+            if record.iter().any(|&(earlier, _)| earlier == key) {
+                return Err(format!("field \"{key}\" appears twice"));
+            }
+            record.push((key.as_str(), Some(value)));
+        }
+        Ok(Record(record))
     }
-    match schema
-        .iter()
-        .find(|(k, _)| fields.iter().all(|(f, _)| f != k))
-    {
-        Some((missing, _)) => Err(format!("missing field \"{missing}\"")),
-        None => Ok(()),
-    }
-}
 
-/// The fields of each record type. The two framing records are written
-/// by `tempo-sim`'s JSONL sink, not from an event, so they are listed
-/// here; every other tag is a row of the event table.
-fn schema_for(tag: &str) -> Option<Schema> {
-    match tag {
-        "run_start" => Some(&[
-            ("type", Field::Str),
-            ("seed", Field::Int),
-            ("servers", Field::Int),
-            ("strategy", Field::Str),
-            ("xi", Field::Num),
-            ("tau", Field::Num),
-        ]),
-        "summary" => Some(&[
-            ("type", Field::Str),
-            ("events", Field::Int),
-            ("dropped", Field::Int),
-            ("xi_witness", Field::Num),
-            ("sent", Field::Int),
-            ("delivered", Field::Int),
-            ("lost", Field::Int),
-            ("duplicated", Field::Int),
-            ("partitioned", Field::Int),
-            ("timers", Field::Int),
-        ]),
-        _ => event_schema(tag),
+    /// Reads the field `key` with `read`.
+    fn field<T>(&mut self, key: &str, read: Reader<'a, T>) -> Result<T, String> {
+        let slot = self.0.iter_mut().find(|(k, _)| *k == key);
+        let value = slot.and_then(|(_, value)| value.take());
+        let value = value.ok_or_else(|| format!("missing field \"{key}\""))?;
+        read(value).map_err(|e| format!("field \"{key}\" {e}"))
+    }
+
+    /// Ends the read: a field nobody read is unexpected.
+    fn end(self) -> Result<(), String> {
+        match self.0.iter().find(|(_, value)| value.is_some()) {
+            Some((key, _)) => Err(format!("unexpected field \"{key}\"")),
+            None => Ok(()),
+        }
     }
 }
 
-/// Checks one line and returns its record type.
-fn record_tag(line: &str) -> Result<String, String> {
-    let Json::Obj(fields) = parse(line)? else {
-        return Err("not an object".into());
-    };
-    let Some((_, Json::Str(tag))) = fields.iter().find(|(k, _)| k == "type") else {
-        return Err("missing string field \"type\"".into());
-    };
-    let schema = schema_for(tag).ok_or_else(|| format!("unknown record type \"{tag}\""))?;
-    check_fields(&fields, schema).map_err(|e| format!("record \"{tag}\": {e}"))?;
-    Ok(tag.clone())
+/// Reads one record: its `"type"`, then the rest with `read`, which
+/// is handed the tag. Errors name the record type.
+fn read_record<T>(
+    json: &Json,
+    read: impl FnOnce(&str, &mut Record<'_>) -> Result<T, String>,
+) -> Result<T, String> {
+    let mut record = Record::new(json)?;
+    let tag = record.field("type", text)?;
+    let value = read(tag, &mut record).and_then(|value| record.end().map(|()| value));
+    value.map_err(|e| format!("record \"{tag}\": {e}"))
 }
 
-/// Validates one JSONL line against the documented schema: it must
-/// parse, carry a known `"type"`, have exactly the documented fields
-/// (each once) with the documented types, and use only documented enum
-/// labels.
+/// Reads one event back from its parsed JSONL line: the inverse of
+/// [`write_event`]. A line that is no event record is refused, naming its
+/// fault: the `"type"`, a key (twice, missing, unexpected) or a value.
+pub fn read_event(json: &Json) -> Result<TelemetryEvent, String> {
+    read_record(json, read_fields)
+}
+
+/// Reads one line back and returns its record type. Besides the
+/// events there are the two framing records `tempo-sim`'s JSONL sink
+/// writes around them (`run_start` and `summary`), which come from no
+/// event and so are read here rather than from the event table.
+fn read_line(line: &str) -> Result<&'static str, String> {
+    read_record(&parse(line)?, |tag, record| match tag {
+        "run_start" => {
+            record.field("seed", u64::read_json)?;
+            record.field("servers", u64::read_json)?;
+            record.field("strategy", text)?;
+            record.field("xi", Duration::read_json)?;
+            record.field("tau", Duration::read_json)?;
+            Ok("run_start")
+        }
+        "summary" => {
+            record.field("xi_witness", Duration::read_json)?;
+            let counts = "events dropped sent delivered lost duplicated partitioned timers";
+            for count in counts.split(' ') {
+                record.field(count, u64::read_json)?;
+            }
+            Ok("summary")
+        }
+        _ => read_fields(tag, record).map(|event| event.kind().name()),
+    })
+}
+
+/// Validates one JSONL line against the documented format by reading
+/// it back: it must parse, carry a known `"type"`, have exactly that
+/// record's keys (each once) with values of their types, and use only
+/// documented labels.
 pub fn validate_line(line: &str) -> Result<(), String> {
-    record_tag(line).map(|_| ())
+    read_line(line).map(|_| ())
 }
 
 /// Validates a whole JSONL stream: every non-empty line must satisfy
@@ -644,16 +644,16 @@ pub fn validate_stream(text: &str) -> Result<usize, String> {
     let mut tags = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         if !line.trim().is_empty() {
-            tags.push(record_tag(line).map_err(|e| format!("line {}: {e}", lineno + 1))?);
+            tags.push(read_line(line).map_err(|e| format!("line {}: {e}", lineno + 1))?);
         }
     }
     if tags.is_empty() {
         return Err("empty stream".into());
     }
-    if tags.first().map(String::as_str) != Some("run_start") {
+    if tags.first() != Some(&"run_start") {
         return Err("stream must start with a run_start record".into());
     }
-    if tags.last().map(String::as_str) != Some("summary") {
+    if tags.last() != Some(&"summary") {
         return Err("stream must end with a summary record".into());
     }
     Ok(tags.len())
@@ -663,6 +663,18 @@ pub fn validate_stream(text: &str) -> Result<usize, String> {
 mod tests {
     use super::*;
     use crate::{DropCause, EventKind, HealthState, RefusalCause, RejectCause};
+
+    /// Every label the event table states after a field's type (only
+    /// `malformed`'s `cause` has a list).
+    macro_rules! stated_labels {
+        ($($(#[$doc:meta])* $variant:ident = $bit:literal, $tag:literal {
+            $(#[$at_doc:meta])* at,
+            $($(#[$field_doc:meta])* $field:ident : $ty:ty $(= $key:literal)? $(| $label:literal)*),* $(,)?
+        })*) => {
+            [$($($($label,)*)*)*]
+        };
+    }
+    const STATED_LABELS: &[&str] = &crate::events!(stated_labels);
 
     const RUN_START: &str = "{\"type\":\"run_start\",\"seed\":7,\"servers\":3,\"strategy\":\"im\",\"xi\":0.02,\"tau\":10}";
     const SUMMARY: &str = "{\"type\":\"summary\",\"events\":1,\"dropped\":0,\"xi_witness\":0.009,\"sent\":1,\"delivered\":1,\"lost\":0,\"duplicated\":0,\"partitioned\":0,\"timers\":2}";
@@ -739,7 +751,7 @@ mod tests {
             drawn: Vec::new(),
         };
         let mut events = Vec::new();
-        for cause in [DropCause::Loss, DropCause::Partition] {
+        for &(_, cause) in DropCause::LABELS {
             events.push(p.fixture(|p| TelemetryEvent::MsgDrop {
                 at: p.ts(),
                 from: p.id(),
@@ -747,7 +759,7 @@ mod tests {
                 cause,
             }));
         }
-        for cause in [RejectCause::Inconsistent, RejectCause::Starved] {
+        for &(_, cause) in RejectCause::LABELS {
             events.push(p.fixture(|p| TelemetryEvent::RoundReject {
                 at: p.ts(),
                 server: p.id(),
@@ -768,16 +780,19 @@ mod tests {
                 to,
             }));
         }
-        for cause in [
-            RefusalCause::NoLease,
-            RefusalCause::NoQuorum,
-            RefusalCause::Booting,
-            RefusalCause::Ahead,
-        ] {
+        for &(_, cause) in RefusalCause::LABELS {
             events.push(p.fixture(|p| TelemetryEvent::TsRefused {
                 at: p.ts(),
                 server: p.id(),
                 view: p.count(),
+                cause,
+            }));
+        }
+        for &cause in STATED_LABELS {
+            events.push(p.fixture(|p| TelemetryEvent::MalformedFrame {
+                at: p.ts(),
+                server: p.id(),
+                len: p.id(),
                 cause,
             }));
         }
@@ -948,12 +963,6 @@ mod tests {
                 server: p.id(),
                 elapsed: p.dur(),
             }),
-            p.fixture(|p| TelemetryEvent::MalformedFrame {
-                at: p.ts(),
-                server: p.id(),
-                len: p.id(),
-                cause: "truncated",
-            }),
             p.fixture(|p| TelemetryEvent::ViewChange {
                 at: p.ts(),
                 server: p.id(),
@@ -1024,6 +1033,8 @@ mod tests {
             numbers_of(&parsed, &mut found);
             let bits = |numbers: &[f64]| numbers.iter().map(|n| n.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&found), bits(numbers), "{text}");
+            let read = read_event(&parsed).unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(event_line(&read), text, "write → read → write");
             stream.push_str(text);
             stream.push('\n');
         }
@@ -1115,10 +1126,97 @@ mod tests {
         );
     }
 
+    /// Read back, an event equals the one written, but for an inactive
+    /// sample entry: its `null` carries no numbers, only that it is
+    /// inactive.
+    #[test]
+    fn read_event_inverts_write_event() {
+        for (event, _) in fixtures() {
+            let read = read_event(&parse(&event_line(&event)).expect("parses")).expect("reads");
+            match (&event, &read) {
+                (
+                    TelemetryEvent::Sample { servers, .. },
+                    TelemetryEvent::Sample { servers: back, .. },
+                ) => {
+                    assert_eq!(servers.len(), back.len());
+                    for (written, read) in servers.iter().zip(back) {
+                        assert_eq!(read.active, written.active);
+                        if written.active {
+                            assert_eq!(read, written);
+                        }
+                    }
+                }
+                _ => assert_eq!(read, event),
+            }
+        }
+    }
+
+    /// What the writer never writes, the reader refuses, naming the
+    /// field — nested ones included.
+    #[test]
+    fn read_event_refuses_what_write_event_cannot_write() {
+        let refusals = [
+            (
+                r#"{"type":"retry","t":1,"server":0,"peer":1,"round":2,"attempt":4294967296}"#,
+                "field \"attempt\" is out of range",
+            ),
+            (
+                r#"{"type":"timer","t":null,"node":0,"tag":1}"#,
+                "field \"t\" is not a number",
+            ),
+            (
+                r#"{"type":"restart","t":1,"server":0,"amnesia":1}"#,
+                "field \"amnesia\" is not a boolean",
+            ),
+            (
+                r#"{"type":"malformed","t":1,"server":0,"len":3,"cause":"gremlins"}"#,
+                "field \"cause\" has unknown label \"gremlins\"",
+            ),
+            (
+                r#"{"type":"adopt","t":1,"server":0,"round":1,"clock":1,"e_before":1,"e_after":1,"inputs":[0.1,"x"],"recovery":false}"#,
+                "field \"inputs\" at item 1: is not a number",
+            ),
+            (
+                r#"{"type":"sample","t":1,"servers":[true]}"#,
+                "field \"servers\" at item 0: is not an object",
+            ),
+            (
+                r#"{"type":"sample","t":1,"servers":[{"clock":1,"error":0,"offset":0,"correct":true,"x":0}]}"#,
+                "unexpected field \"x\"",
+            ),
+            (
+                r#"{"type":"sample","t":1,"servers":[{"clock":1,"clock":1}]}"#,
+                "field \"clock\" appears twice",
+            ),
+            // A framing record is no event.
+            (
+                r#"{"type":"run_start","t":1}"#,
+                "is not a known record type",
+            ),
+        ];
+        for (line, complaint) in refusals {
+            let refused = read_event(&parse(line).expect("parses")).expect_err(line);
+            assert!(refused.contains(complaint), "{line}: {refused}");
+            assert!(validate_line(line).is_err(), "{line}");
+        }
+        assert_eq!(
+            read_event(&Json::Obj(vec![
+                ("type".into(), Json::Str("leave".into())),
+                ("t".into(), Json::Num(f64::NAN)),
+                ("server".into(), Json::Num(0.0)),
+            ])),
+            Err("record \"leave\": field \"t\" is not a number".into()),
+            "a hand-built non-finite number is refused, not a panic"
+        );
+    }
+
     /// EXPERIMENTS.md § "Telemetry export" is what a third party reads
     /// the JSONL by. It writes a record as `` `tag` / `tag` — `{key, …}` ``
     /// and an enum-valued field as `` ∈ `a | b` `` after the record;
-    /// both must say what the event table says, for every tag.
+    /// both must say what the reader takes, for every tag. A line that
+    /// reads has exactly its reader's keys, so the keys come from one
+    /// written line per tag; a string field's labels are the documented
+    /// ones the reader accepts there, or none if it also takes garbage.
     #[test]
     fn experiments_md_documents_exactly_the_table() {
         let doc = include_str!("../../../EXPERIMENTS.md");
@@ -1136,9 +1234,56 @@ mod tests {
                 .map(|item| item.split(':').next().unwrap_or(item).trim())
                 .collect()
         };
-        let keys_of = |schema: Schema| -> Vec<&str> {
-            let keys = schema.iter().map(|(key, _)| *key);
-            keys.filter(|key| *key != "type").collect()
+        let mut lines: Vec<String> = fixtures().iter().map(|(e, _)| event_line(e)).collect();
+        lines.extend([RUN_START.to_string(), SUMMARY.to_string()]);
+        let fields = |line: &str| -> Vec<(String, Json)> {
+            validate_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            let Ok(Json::Obj(fields)) = parse(line) else {
+                panic!("{line} is not an object");
+            };
+            fields
+                .into_iter()
+                .filter(|(key, _)| key != "type")
+                .collect()
+        };
+        let line_of = |tag: &str| -> &str {
+            let tagged = format!("{{\"type\":\"{tag}\",");
+            let found = lines.iter().find(|line| line.starts_with(&tagged));
+            found.unwrap_or_else(|| panic!("`{tag}` is not a record"))
+        };
+        // Every label the table states, writes or the section documents,
+        // and one nobody does.
+        let mut candidates = vec!["gremlins".to_string()];
+        candidates.extend(STATED_LABELS.iter().map(|label| label.to_string()));
+        for line in &lines {
+            let Ok(Json::Obj(fields)) = parse(line) else {
+                continue;
+            };
+            candidates.extend(fields.into_iter().filter_map(|(key, value)| match value {
+                Json::Str(label) if key != "type" => Some(label),
+                _ => None,
+            }));
+        }
+        for i in (2..pieces.len()).step_by(2) {
+            if span(i).trim().ends_with('∈') {
+                candidates.extend(list(span(i + 1), '|').into_iter().map(String::from));
+            }
+        }
+        candidates.sort_unstable();
+        candidates.dedup();
+        // The labels the reader takes for `line`'s string field `key`, in
+        // order; `None` for a free string, which takes garbage too.
+        let labels_of = |line: &str, key: &str, value: &str| -> Option<Vec<&str>> {
+            let written = format!("\"{key}\":\"{value}\"");
+            let taken: Vec<&str> = candidates
+                .iter()
+                .map(String::as_str)
+                .filter(|candidate| {
+                    let probe = line.replacen(&written, &format!("\"{key}\":\"{candidate}\""), 1);
+                    validate_line(&probe).is_ok()
+                })
+                .collect();
+            (!taken.contains(&"gremlins")).then_some(taken)
         };
         let mut documented = Vec::new();
         for i in (1..pieces.len()).step_by(2) {
@@ -1147,34 +1292,44 @@ mod tests {
             };
             let keys = list(keys, ',');
             if span(i - 1).trim().ends_with("each entry is") {
-                let Field::NullOr(snapshot) = SampleSnapshot::FIELD else {
-                    panic!("a snapshot exports as null or an object");
-                };
-                assert_eq!(keys, keys_of(snapshot), "sample entry");
+                let sample = fields(line_of("sample"));
+                let entry = sample.iter().find_map(|(_, servers)| match servers {
+                    Json::Arr(entries) => entries.iter().find_map(|e| match e {
+                        Json::Obj(entry) => Some(entry.iter().map(|(k, _)| k.as_str()).collect()),
+                        _ => None,
+                    }),
+                    _ => None,
+                });
+                assert_eq!(Some(keys), entry, "sample entry");
                 documented.push("sample entry");
                 continue;
             }
             if span(i - 1).trim() != "—" {
                 continue;
             }
-            let labels = span(i + 1)
+            let mut labels = span(i + 1)
                 .trim()
                 .ends_with('∈')
                 .then(|| list(span(i + 2), '|'));
+            if let Some(labels) = labels.as_mut() {
+                labels.sort_unstable();
+            }
             // The tags sharing this field list: `a` / `b` / `c` — `{…}`.
             let mut at = i - 2;
             loop {
                 let tag = span(at);
-                let schema = schema_for(tag).unwrap_or_else(|| panic!("`{tag}` is not a record"));
-                assert_eq!(keys, keys_of(schema), "fields of `{tag}`");
+                let line = line_of(tag);
+                let fields = fields(line);
+                let record_keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+                assert_eq!(keys, record_keys, "fields of `{tag}`");
                 // Every enum-valued field of the record takes the one
                 // documented list (`health`'s `from` and `to` share it).
-                let mut enums = schema.iter().filter_map(|(_, field)| match field {
-                    Field::Label(allowed) => Some(allowed.to_vec()),
+                let mut enums = fields.iter().filter_map(|(key, value)| match value {
+                    Json::Str(value) => labels_of(line, key, value),
                     _ => None,
                 });
                 assert_eq!(enums.next(), labels, "labels of `{tag}`");
-                assert!(enums.all(|allowed| Some(allowed) == labels), "`{tag}`");
+                assert!(enums.all(|taken| Some(taken) == labels), "`{tag}`");
                 documented.push(tag);
                 if at < 2 || span(at - 1).trim() != "/" {
                     break;

@@ -68,8 +68,8 @@ use std::rc::Rc;
 use tempo_core::{Duration, TimeEstimate, Timestamp};
 
 /// Declares enums whose variants export as fixed JSONL labels: the one
-/// list gives the variants, `label()` and the labels the schema
-/// validator accepts.
+/// list gives the variants, `label()` and the labels the reader takes
+/// back.
 macro_rules! label_enums {
     ($($(#[$doc:meta])* $name:ident { $($(#[$vdoc:meta])* $variant:ident = $label:literal,)+ })+) => {$(
         $(#[$doc])*
@@ -79,6 +79,9 @@ macro_rules! label_enums {
         }
 
         impl $name {
+            /// Every variant with its JSONL label, in declaration order.
+            pub const LABELS: &[(&str, $name)] = &[$(($label, $name::$variant)),+];
+
             /// Stable JSONL tag.
             #[must_use]
             pub fn label(self) -> &'static str {
@@ -89,9 +92,11 @@ macro_rules! label_enums {
         }
 
         impl json::Value for $name {
-            const FIELD: json::Field = json::Field::Label(&[$($label),+]);
             fn write_json(&self, out: &mut Vec<u8>) {
                 json::Value::write_json(self.label(), out);
+            }
+            fn read_json(json: &json::Json) -> Result<Self, String> {
+                json::one_of(json, Self::LABELS)
             }
         }
     )+};
@@ -187,11 +192,12 @@ impl SampleSnapshot {
 ///
 /// and `events!(consumer)` hands every row to `consumer!`: `define_events!`
 /// below makes [`EventKind`] and [`TelemetryEvent`] of them, `json`'s
-/// `define_codec!` makes [`json::write_event`] and the per-tag schema.
-/// Every event has its real (simulated-world) time `at`, exported as
-/// `"t"`, so a row gives only that field's docs. A field's schema type
-/// follows from its Rust type ([`json::Value::FIELD`]); the `| "label"`
-/// list is for a string whose legal values a crate above this one owns.
+/// `define_codec!` makes [`json::write_event`] and its inverse
+/// [`json::read_event`]. Every event has its real (simulated-world)
+/// time `at`, exported as `"t"`, so a row gives only that field's docs.
+/// A field is written and read as its Rust type's [`json::Value`]; the
+/// `| "label"` list is for a string whose legal values a crate above
+/// this one owns, and is what the reader accepts for it.
 /// Discriminants are bit positions in the bus mask and never change.
 /// EXPERIMENTS.md § "Telemetry export" documents tags, keys and labels,
 /// and a test in `json` fails when it and this table disagree.

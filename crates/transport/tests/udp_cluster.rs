@@ -14,6 +14,8 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
+use tempo_core::TimeEstimate;
+use tempo_oracle::rules::consistency;
 use tempo_transport::{ClusterReading, ServerReading, UdpTimeClient};
 
 const CLUSTER: usize = 5;
@@ -146,7 +148,8 @@ fn query_at_least(client: &mut UdpTimeClient, want: usize, what: &str) -> Cluste
 }
 
 /// Pairwise consistency: every two adjusted intervals, normalised to
-/// a common local instant, must overlap. `slack` absorbs what the
+/// a common local instant, must overlap — the oracle's §5 row, with
+/// half of `slack` added to each side's error. `slack` absorbs what the
 /// readings cannot see — scheduling hiccups between the two receive
 /// instants and in-flight clock slew.
 fn assert_pairwise_consistent(readings: &[ServerReading], slack: f64, what: &str) {
@@ -155,18 +158,22 @@ fn assert_pairwise_consistent(readings: &[ServerReading], slack: f64, what: &str
         .map(|r| r.received_at)
         .max()
         .expect("nonempty readings");
+    let widened = |r: &ServerReading| {
+        let e = r.adjusted_at(reference);
+        TimeEstimate::new(
+            e.time(),
+            e.error() + tempo_core::Duration::from_secs(slack / 2.0),
+        )
+    };
     for (i, a) in readings.iter().enumerate() {
-        for b in &readings[i + 1..] {
-            let ea = a.adjusted_at(reference);
-            let eb = b.adjusted_at(reference);
-            let gap = (ea.time().as_secs() - eb.time().as_secs()).abs();
-            let budget = ea.error().as_secs() + eb.error().as_secs() + slack;
-            assert!(
-                gap <= budget,
-                "{what}: servers {} and {} inconsistent: gap {gap:.6}s > budget {budget:.6}s",
-                a.from,
-                b.from
-            );
+        for (j, b) in readings.iter().enumerate().skip(i + 1) {
+            let check = consistency((i, j), widened(a), widened(b));
+            if let Some(breach) = check.breach {
+                panic!(
+                    "{what}: servers {} and {} inconsistent: gap {:.6}s > budget {:.6}s",
+                    a.from, b.from, breach.observed, breach.bound
+                );
+            }
         }
     }
 }
