@@ -209,14 +209,17 @@ fn checksum(bytes: &[u8]) -> u16 {
 // ----- the envelope, written once for every frame -----
 
 /// Starts a frame at the end of `out`: magic, type byte, header byte 3,
-/// then `words` big-endian. [`seal`] closes it.
+/// then `words` big-endian, laid out on the stack and appended at once.
+/// [`seal`] closes it.
 fn begin(out: &mut Vec<u8>, kind: u8, byte3: u8, words: &[u64]) {
-    out.extend_from_slice(&MAGIC.to_be_bytes());
-    out.push(kind);
-    out.push(byte3);
-    for word in words {
-        out.extend_from_slice(&word.to_be_bytes());
+    // The longest frame, a lease ack, holds the longest header and words.
+    let mut frame = [0; LEASE_ACK_LEN];
+    let [m0, m1] = MAGIC.to_be_bytes();
+    frame[..4].copy_from_slice(&[m0, m1, kind, byte3]);
+    for (field, word) in frame[4..].chunks_exact_mut(8).zip(words) {
+        field.copy_from_slice(&word.to_be_bytes());
     }
+    out.extend_from_slice(&frame[..4 + 8 * words.len()]);
 }
 
 /// Closes the frame that starts at `start` with its checksum.
@@ -363,10 +366,13 @@ pub fn encode_batch_into(msgs: &[Message], out: &mut Vec<u8>) {
     assert!(msgs.len() <= MAX_BATCH, "batch count is a single byte");
     let start = out.len();
     begin(out, TYPE_BATCH, msgs.len() as u8, &[]);
+    let header = checksum(&out[start..]);
     for msg in msgs {
         encode_into(msg, out);
     }
-    seal(out, start);
+    // A sealed frame's words sum to 0xFFFF, which is zero in ones'
+    // complement, so the outer checksum is the header's alone.
+    out.extend_from_slice(&header.to_be_bytes());
 }
 
 /// Whether a received frame declares itself a batch (so the caller
@@ -389,6 +395,32 @@ pub fn is_batch_frame(bytes: &[u8]) -> bool {
 /// [`DecodeError::UnknownType`]; inner-frame defects surface as the
 /// inner [`decode`]'s error.
 pub fn decode_batch(bytes: &[u8]) -> Result<Vec<Message>, DecodeError> {
+    // Every frame is at least a request long, so this holds the count.
+    let mut msgs = Vec::with_capacity(bytes.len() / REQUEST_LEN);
+    decode_batch_into(bytes, &mut msgs)?;
+    Ok(msgs)
+}
+
+/// [`decode_batch`] as a buffer append — the serving front decodes into
+/// one request buffer per thread. On `Ok` the batch's messages follow
+/// whatever `out` held; on `Err`, [`decode_batch`]'s error, `out` is
+/// exactly as it was.
+///
+/// # Errors
+///
+/// As [`decode_batch`].
+pub fn decode_batch_into(bytes: &[u8], out: &mut Vec<Message>) -> Result<(), DecodeError> {
+    let kept = out.len();
+    let walked = walk_batch(bytes, out);
+    if walked.is_err() {
+        out.truncate(kept);
+    }
+    walked
+}
+
+/// One walk over a batch: decodes each inner frame into `out` while it
+/// finds the batch's extent, then checks the outer frame.
+fn walk_batch(bytes: &[u8], out: &mut Vec<Message>) -> Result<(), DecodeError> {
     if bytes.len() < BATCH_HEADER_LEN {
         return Err(DecodeError::Truncated { len: bytes.len() });
     }
@@ -405,30 +437,32 @@ pub fn decode_batch(bytes: &[u8]) -> Result<Vec<Message>, DecodeError> {
             len: bytes.len(),
         });
     }
-    // Walk the declared inner frames to find the batch's total extent.
     // Type bytes sit at fixed offsets, so the walk is deterministic for
-    // every prefix of a valid frame: any shortfall is a truncation.
-    let mut bounds = Vec::with_capacity(count);
+    // every prefix of a valid frame: any shortfall is a truncation. A
+    // shortfall or unknown type later in the walk, and a defect of the
+    // outer frame, outrank an inner frame's own defect, so the first of
+    // those waits in `inner` until the walk and the outer checksum pass.
+    let truncated = DecodeError::Truncated { len: bytes.len() };
+    let mut inner = Ok(());
     let mut offset = BATCH_HEADER_LEN;
     for _ in 0..count {
-        if offset + 3 > bytes.len() {
-            return Err(DecodeError::Truncated { len: bytes.len() });
-        }
-        let kind = bytes[offset + 2];
+        let &kind = bytes.get(offset + 2).ok_or(truncated)?;
         let Some((len, Family::Base)) = frame_spec(kind) else {
             return Err(DecodeError::UnknownType { found: kind });
         };
-        if offset + len > bytes.len() {
-            return Err(DecodeError::Truncated { len: bytes.len() });
+        let frame = bytes.get(offset..offset + len).ok_or(truncated)?;
+        if inner.is_ok() {
+            // The walk has read the type and measured the frame; these
+            // are the rest of `decode`'s checks, in its order.
+            inner = check_magic(frame)
+                .and_then(|()| sealed_body(frame, kind, len))
+                .and_then(|body| base_payload(kind, body))
+                .map(|msg| out.push(msg));
         }
-        bounds.push((offset, offset + len));
         offset += len;
     }
     sealed_body(bytes, TYPE_BATCH, offset + CHECKSUM_LEN)?;
-    bounds
-        .into_iter()
-        .map(|(start, end)| decode(&bytes[start..end]))
-        .collect()
+    inner
 }
 
 /// Decodes a packet.
@@ -1116,6 +1150,62 @@ mod tests {
         encode_into(&msg, &mut buf);
         assert_eq!(&buf[..2], &[0xAB, 0xCD]);
         assert_eq!(&buf[2..], &encode(&msg)[..]);
+    }
+
+    #[test]
+    fn encoders_write_the_documented_layout() {
+        // Each frame laid out by hand from the module docs, its checksum
+        // summed over every byte before it: `begin`'s one append and the
+        // batch's header-only outer checksum must write these bytes.
+        let framed = |mut bytes: Vec<u8>| {
+            let ck = checksum(&bytes);
+            bytes.extend_from_slice(&ck.to_be_bytes());
+            bytes
+        };
+        let by_hand = |kind: u8, byte3: u8, words: &[u64]| {
+            let mut bytes = vec![0x7E, 0x30, kind, byte3];
+            words
+                .iter()
+                .for_each(|w| bytes.extend_from_slice(&w.to_be_bytes()));
+            framed(bytes)
+        };
+        let msgs = mixed_batch();
+        let singles = [
+            by_hand(
+                TYPE_REPLY,
+                0,
+                &[
+                    1,
+                    (100.0f64 - 0.001).to_bits(),
+                    100f64.to_bits(),
+                    0.5f64.to_bits(),
+                ],
+            ),
+            by_hand(TYPE_REQUEST, 1, &[2]),
+            by_hand(TYPE_UNINIT, 0, &[3]),
+            by_hand(
+                TYPE_REPLY,
+                0,
+                &[4, (-5.25f64 - 0.001).to_bits(), (-5.25f64).to_bits(), 0],
+            ),
+        ];
+        for (msg, want) in msgs.iter().zip(&singles) {
+            assert_eq!(&encode(msg), want, "{msg:?}");
+        }
+        let mut batch = vec![0x7E, 0x30, TYPE_BATCH, 4];
+        singles
+            .iter()
+            .for_each(|single| batch.extend_from_slice(single));
+        assert_eq!(encode_batch(&msgs), framed(batch));
+        let redirect = ClusterFrame::TsRedirect {
+            request_id: 5,
+            view: 6,
+            primary: 7,
+        };
+        let mut want = by_hand(TYPE_TS_REDIRECT, 0, &[5, 6]);
+        want.truncate(want.len() - 2);
+        want.extend_from_slice(&7u32.to_be_bytes());
+        assert_eq!(encode_cluster(&redirect), framed(want));
     }
 
     #[test]

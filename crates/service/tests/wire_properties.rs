@@ -7,8 +7,8 @@ use tempo_check::{check, Gen};
 
 use tempo_core::{Duration, TimeEstimate, Timestamp};
 use tempo_service::wire::{
-    decode, decode_batch, decode_cluster, encode, encode_batch, encode_cluster, encode_into,
-    ClusterFrame, DecodeError,
+    decode, decode_batch, decode_batch_into, decode_cluster, encode, encode_batch, encode_cluster,
+    encode_into, ClusterFrame, DecodeError, MAX_BATCH,
 };
 use tempo_service::Message;
 use tempo_telemetry::RefusalCause;
@@ -301,6 +301,117 @@ fn batch_trailing_garbage_rejected() {
         let mut bytes = encode_batch(&msgs);
         bytes.extend_from_slice(&tail);
         assert!(decode_batch(&bytes).is_err());
+    });
+}
+
+/// The batch decoder as it was before it walked a batch once: find every
+/// inner frame's extent, check the outer frame, then decode the inner
+/// frames one at a time. It states the first-error order on its own, so
+/// the one-walk decoder is held to it rather than to itself.
+fn two_pass_reference(bytes: &[u8]) -> Result<Vec<Message>, DecodeError> {
+    let checksum = |body: &[u8]| {
+        let mut sum: u32 = body
+            .chunks(2)
+            .map(|w| u32::from(u16::from_be_bytes([w[0], *w.get(1).unwrap_or(&0)])))
+            .sum();
+        while sum > 0xFFFF {
+            sum = (sum & 0xFFFF) + (sum >> 16);
+        }
+        !(sum as u16)
+    };
+    let (len, truncated) = (bytes.len(), DecodeError::Truncated { len: bytes.len() });
+    if len < 4 {
+        return Err(truncated);
+    }
+    match (u16::from_be_bytes([bytes[0], bytes[1]]), bytes[2], bytes[3]) {
+        (0x7E30, 4, 1..) => {}
+        (0x7E30, 4, 0) => return Err(DecodeError::BadLength { kind: 4, len }),
+        (0x7E30, found, _) => return Err(DecodeError::UnknownType { found }),
+        (found, ..) => return Err(DecodeError::BadMagic { found }),
+    }
+    let mut bounds = Vec::new();
+    let mut offset = 4;
+    for _ in 0..bytes[3] {
+        // The base frame table: requests and refusals 14 bytes, replies 38.
+        let frame_len = match *bytes.get(offset + 2).ok_or(truncated)? {
+            1 | 3 => 14,
+            2 => 38,
+            found => return Err(DecodeError::UnknownType { found }),
+        };
+        if offset + frame_len > len {
+            return Err(truncated);
+        }
+        bounds.push(offset..offset + frame_len);
+        offset += frame_len;
+    }
+    if len < offset + 2 {
+        return Err(truncated);
+    }
+    if len > offset + 2 {
+        return Err(DecodeError::BadLength { kind: 4, len });
+    }
+    if checksum(&bytes[..offset]) != u16::from_be_bytes([bytes[offset], bytes[offset + 1]]) {
+        return Err(DecodeError::BadChecksum);
+    }
+    bounds
+        .into_iter()
+        .map(|frame| decode(&bytes[frame]))
+        .collect()
+}
+
+/// `decode_batch_into` behind `prefix` gives what `decode_batch` and the
+/// two-pass reference give: on `Ok`, the messages after the untouched
+/// prefix; on `Err`, the same error and the buffer exactly as it was.
+fn assert_into_agrees(bytes: &[u8], prefix: &[Message]) {
+    let want = decode_batch(bytes);
+    assert_eq!(want, two_pass_reference(bytes), "{bytes:02x?}");
+    let mut buf = prefix.to_vec();
+    let got = decode_batch_into(bytes, &mut buf);
+    assert_eq!(got, want.as_ref().map(|_| ()).map_err(|e| *e));
+    assert_eq!(&buf[..prefix.len()], prefix, "the prefix is kept");
+    match want {
+        Ok(msgs) => assert_eq!(&buf[prefix.len()..], &msgs[..]),
+        Err(_) => assert_eq!(buf.len(), prefix.len(), "an error appends nothing"),
+    }
+}
+
+/// `decode_batch_into` agrees with `decode_batch`, `Ok` and `Err` alike,
+/// at every truncation cut and every single-byte corruption of a batch,
+/// behind an empty or a non-empty buffer.
+#[test]
+fn batch_into_agrees_at_every_cut_and_corruption() {
+    check("batch_into_agrees_at_every_cut_and_corruption", 128, |g| {
+        let msgs = g.vec(1..12, arb_message);
+        let prefix = g.vec(0..4, arb_message);
+        let flip = g.int(1u8..=255);
+        let bytes = encode_batch(&msgs);
+        assert_into_agrees(&bytes, &prefix);
+        for cut in 0..bytes.len() {
+            assert_into_agrees(&bytes[..cut], &prefix);
+        }
+        for idx in 0..bytes.len() {
+            let mut corrupted = bytes.clone();
+            corrupted[idx] ^= flip;
+            assert_into_agrees(&corrupted, &prefix);
+        }
+    });
+}
+
+/// The same agreement for trailing garbage and for a full 255-frame
+/// batch, whole and with one byte corrupted.
+#[test]
+fn batch_into_agrees_on_garbage_and_a_full_batch() {
+    check("batch_into_agrees_on_garbage_and_a_full_batch", 64, |g| {
+        let prefix = g.vec(0..4, arb_message);
+        let mut bytes = encode_batch(&g.vec(1..8, arb_message));
+        bytes.extend_from_slice(&g.bytes(1..128));
+        assert_into_agrees(&bytes, &prefix);
+        assert_into_agrees(&g.bytes(0..256), &prefix);
+        let mut full = encode_batch(&g.vec(MAX_BATCH..=MAX_BATCH, arb_message));
+        assert_into_agrees(&full, &prefix);
+        let idx = g.int(0..full.len());
+        full[idx] ^= g.int(1u8..=255);
+        assert_into_agrees(&full, &prefix);
     });
 }
 

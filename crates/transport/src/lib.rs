@@ -27,8 +27,8 @@
 //!   serve socket answering time requests straight from the actor's
 //!   seqlock-published snapshot, with batched replies and an optional
 //!   admission tier. Each thread drains the socket with one
-//!   `recvmmsg` and answers with one `sendmmsg` (one datagram per call
-//!   off Linux); every datagram is still answered on its own.
+//!   `recvmmsg`, answers it from one snapshot read and sends with one
+//!   `sendmmsg` (one datagram per call off Linux).
 //! * [`UdpTimeClient`] — a blocking client that queries a cluster and
 //!   returns rtt-adjusted readings.
 //! * [`UdpClusterClient`] — a blocking ClusterTime client: the

@@ -13,16 +13,18 @@
 //! Each thread drains the socket: one `recvmmsg` waits for a datagram
 //! and takes up to 16 already queued, and one `sendmmsg` sends every
 //! reply back to the address the kernel reported for its request (one
-//! datagram per call off Linux). The drain changes only the syscalls:
-//! every datagram is admitted, decoded, answered and counted on its
-//! own, exactly as when each took a `recv_from` and a `send_to`.
+//! datagram per call off Linux). The drain shares one reading: one
+//! clock reading, and one snapshot read at its first request that
+//! needs an answer, which answers every request of the drain (rule
+//! MM-1's `⟨C, E⟩` is a pure function of the two). Every datagram is
+//! still admitted, decoded and counted on its own.
 //!
 //! Clients may send single request frames (answered with single reply
 //! frames) or batch frames of up to 255 requests (answered with one
 //! batch frame of replies — see `tempo_service::wire`'s batch layout).
 //! A datagram longer than the largest request batch is malformed.
-//! Replies are encoded into reusable per-thread buffers, so the
-//! steady-state reply path allocates nothing.
+//! Requests are decoded into, and replies encoded into, reusable
+//! per-thread buffers, so the steady-state path allocates nothing.
 //!
 //! An optional admission tier — [`tempo_service::AdmissionControl`],
 //! one token bucket per thread with a `1/N` share of the global rate —
@@ -34,8 +36,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use tempo_core::{SnapshotReader, Timestamp};
-use tempo_service::wire::{decode, decode_batch, encode_batch_into, encode_into, is_batch_frame};
+use tempo_core::{SnapshotReader, TimeEstimate, Timestamp};
+use tempo_service::wire::{
+    decode, decode_batch_into, encode_batch_into, encode_into, is_batch_frame, MAX_BATCH,
+};
 use tempo_service::{AdmissionControl, Message};
 
 use crate::mmsg::Drain;
@@ -188,11 +192,11 @@ impl ServeFront {
     }
 }
 
-/// One request answered from the snapshot: a `TimeReply` when the
-/// publisher serves, an `Uninitialized` refusal otherwise — mirroring
-/// the actor's own behaviour in those lifecycle states.
-fn respond(reader: &SnapshotReader, request_id: u64, now: Timestamp) -> Message {
-    match reader.serve(now) {
+/// One request answered from the drain's snapshot read: a `TimeReply`
+/// when the publisher serves, an `Uninitialized` refusal otherwise —
+/// mirroring the actor's own behaviour in those lifecycle states.
+fn respond(estimate: Option<TimeEstimate>, request_id: u64) -> Message {
+    match estimate {
         Some(estimate) => Message::TimeReply {
             request_id,
             // The actor replies with its reading at receipt; the
@@ -214,17 +218,21 @@ fn serve_loop(
     mut admission: Option<AdmissionControl>,
 ) {
     let mut drain = Drain::new();
-    let mut replies: Vec<Message> = Vec::with_capacity(64);
+    let mut requests: Vec<Message> = Vec::with_capacity(MAX_BATCH);
+    let mut replies: Vec<Message> = Vec::with_capacity(MAX_BATCH);
     while !stop.load(Ordering::Relaxed) {
         // A quiet socket times out after 5 ms; any receive error just
         // sends the thread back to check its stop flag.
         let Ok(datagrams) = drain.recv(socket) else {
             continue;
         };
-        // One reading for the whole drain. Every datagram in it was
-        // received before this instant, so each still gets a reading
-        // taken after it arrived, as a reading per datagram would.
+        // One reading for the whole drain, clock and snapshot. Every
+        // datagram in it was received before this instant, so each still
+        // gets a reading taken after it arrived, as a reading per
+        // datagram would. The snapshot is read at the first request that
+        // needs an answer, so a drain shed or malformed whole reads none.
         let now = Timestamp::from_secs(epoch.elapsed().as_secs_f64());
+        let mut snapshot: Option<Option<TimeEstimate>> = None;
         for (datagram, out) in datagrams {
             if let Some(a) = admission.as_mut() {
                 if !a.admit(now) {
@@ -232,63 +240,50 @@ fn serve_loop(
                     continue;
                 }
             }
-            if is_batch_frame(datagram) {
-                let Ok(msgs) = decode_batch(datagram) else {
-                    counters.malformed.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                };
-                replies.clear();
-                for msg in msgs {
-                    if let Message::TimeRequest { request_id, .. } = msg {
-                        replies.push(respond(reader, request_id, now));
-                    }
+            let batch = is_batch_frame(datagram);
+            requests.clear();
+            let decoded = if batch {
+                decode_batch_into(datagram, &mut requests)
+            } else {
+                decode(datagram).map(|msg| requests.push(msg))
+            };
+            if decoded.is_err() {
+                counters.malformed.fetch_add(1, Ordering::Relaxed);
+                continue;
+            }
+            replies.clear();
+            for msg in &requests {
+                // Replies/refusals aimed at a serve port are nonsense;
+                // drop them silently like any UDP service would.
+                if let Message::TimeRequest { request_id, .. } = *msg {
+                    let estimate = *snapshot.get_or_insert_with(|| reader.serve(now));
+                    replies.push(respond(estimate, request_id));
                 }
-                if replies.is_empty() {
-                    continue;
-                }
+            }
+            if replies.is_empty() {
+                continue;
+            }
+            // One read answers them all: every one a reply, or a refusal.
+            let answered = match snapshot {
+                Some(Some(_)) => &counters.served,
+                _ => &counters.refused,
+            };
+            answered.fetch_add(replies.len() as u64, Ordering::Relaxed);
+            if batch {
                 counters.batches.fetch_add(1, Ordering::Relaxed);
-                note_replies(counters, &replies);
                 encode_batch_into(&replies, out);
             } else {
-                match decode(datagram) {
-                    Ok(Message::TimeRequest { request_id, .. }) => {
-                        let reply = respond(reader, request_id, now);
-                        note_replies(counters, std::slice::from_ref(&reply));
-                        encode_into(&reply, out);
-                    }
-                    // Replies/refusals aimed at a serve port are nonsense;
-                    // drop silently like any UDP service would.
-                    Ok(_) => {}
-                    Err(_) => {
-                        counters.malformed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+                encode_into(&replies[0], out);
             }
         }
         drain.send(socket);
     }
 }
 
-/// Counts a reply set (each a [`respond`] result: a reply or a refusal)
-/// into the served/refused counters.
-fn note_replies(counters: &Counters, replies: &[Message]) {
-    let served = replies
-        .iter()
-        .filter(|r| matches!(r, Message::TimeReply { .. }));
-    let served = served.count();
-    for (counter, n) in [
-        (&counters.served, served),
-        (&counters.refused, replies.len() - served),
-    ] {
-        if n > 0 {
-            counter.fetch_add(n as u64, Ordering::Relaxed);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tempo_service::wire::decode_batch;
 
     use tempo_core::{ClockSnapshot, DriftRate, Duration, SnapshotCell};
 
@@ -537,6 +532,150 @@ mod tests {
     #[test]
     fn drains_keep_per_datagram_semantics_v6() {
         drains_keep_per_datagram_semantics("::1");
+    }
+
+    /// Binds a front-to-be and `n` clients without starting the front,
+    /// so that datagrams the clients send queue for its first drain.
+    fn queued(n: usize) -> (UdpSocket, std::net::SocketAddr, Vec<UdpSocket>) {
+        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let addr = socket.local_addr().unwrap();
+        let clients = (0..n)
+            .map(|_| {
+                let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+                client
+                    .set_read_timeout(Some(std::time::Duration::from_millis(200)))
+                    .unwrap();
+                client
+            })
+            .collect();
+        (socket, addr, clients)
+    }
+
+    fn batch_of(ids: std::ops::Range<u64>) -> Vec<u8> {
+        tempo_service::wire::encode_batch(&ids.map(request).collect::<Vec<_>>())
+    }
+
+    /// Three clients' batch frames and one garbage datagram, queued
+    /// before the front's thread starts: every reply carries the one
+    /// `(received_at, C, E)` that one `SnapshotReader::serve` gives at
+    /// one reading, or every request is refused; each client gets
+    /// exactly its own ids; the counters are the per-datagram sums.
+    fn a_drain_answers_from_one_read(serving: bool) {
+        let (socket, addr, clients) = queued(3);
+        for (c, client) in clients.iter().enumerate() {
+            let first = 100 * c as u64;
+            client.send_to(&batch_of(first..first + 4), addr).unwrap();
+        }
+        clients[1].send_to(&[0xFF; 20], addr).unwrap();
+        let reader = published_reader(serving);
+        let epoch = Instant::now();
+        let options = ServeOptions::default();
+        let front = ServeFront::spawn(socket, reader.clone(), epoch, &options).unwrap();
+        let mut buf = [0u8; 4096];
+        let mut readings = Vec::new();
+        for (c, client) in clients.iter().enumerate() {
+            let (len, _) = client.recv_from(&mut buf).expect("a batch reply");
+            let mut ids = Vec::new();
+            for reply in decode_batch(&buf[..len]).unwrap() {
+                match reply {
+                    Message::TimeReply {
+                        request_id,
+                        received_at,
+                        estimate,
+                    } if serving => {
+                        ids.push(request_id);
+                        readings.push((received_at, estimate));
+                    }
+                    Message::Uninitialized { request_id } if !serving => ids.push(request_id),
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+            let first = 100 * c as u64;
+            assert_eq!(ids, (first..first + 4).collect::<Vec<_>>(), "client {c}");
+            assert!(client.recv_from(&mut buf).is_err(), "one reply per batch");
+        }
+        let read_by = epoch.elapsed().as_secs_f64();
+        let stats = front.stop();
+        let (served, refused) = if serving { (12, 0) } else { (0, 12) };
+        let want = ServeStats {
+            served,
+            refused,
+            rejected: 0,
+            malformed: 1,
+            batches: 3,
+        };
+        assert_eq!(stats, want);
+        if !serving {
+            return;
+        }
+        // Every datagram of a drain shares its read; off the `recvmmsg`
+        // arm a drain is one datagram, so only a batch's replies do.
+        let one_drain = cfg!(all(
+            target_os = "linux",
+            target_env = "gnu",
+            target_pointer_width = "64"
+        ));
+        let shared = if one_drain {
+            &readings[..]
+        } else {
+            &readings[..4]
+        };
+        assert!(shared.iter().all(|r| *r == readings[0]), "{readings:?}");
+        // The published clock is `100 + real`, so `C − 100` is the real
+        // reading (exact: the two are within a factor of two).
+        let (received_at, estimate) = readings[0];
+        let real = estimate.time().as_secs() - 100.0;
+        assert!(
+            (0.0..=read_by).contains(&real),
+            "{real} s after {read_by} s"
+        );
+        assert_eq!(received_at, estimate.time());
+        assert_eq!(reader.serve(Timestamp::from_secs(real)), Some(estimate));
+    }
+
+    #[test]
+    fn a_drain_answers_every_request_from_one_read() {
+        a_drain_answers_from_one_read(true);
+    }
+
+    #[test]
+    fn a_drain_of_a_publisher_not_serving_refuses_every_request() {
+        a_drain_answers_from_one_read(false);
+    }
+
+    /// A batch whose last inner frame is corrupt, between two good ones:
+    /// the frames decoded before the defect leak into no reply.
+    #[test]
+    fn a_malformed_batch_leaks_no_request_id() {
+        let (socket, addr, clients) = queued(1);
+        let mut bad = batch_of(50..56);
+        let last = bad.len() - 3;
+        bad[last] ^= 0x5A;
+        for datagram in [batch_of(1..5), bad, batch_of(7..10)] {
+            clients[0].send_to(&datagram, addr).unwrap();
+        }
+        let options = ServeOptions::default();
+        let front =
+            ServeFront::spawn(socket, published_reader(true), Instant::now(), &options).unwrap();
+        let mut buf = [0u8; 4096];
+        for want in [1..5, 7..10] {
+            let (len, _) = clients[0].recv_from(&mut buf).expect("a batch reply");
+            let ids: Vec<u64> = decode_batch(&buf[..len])
+                .unwrap()
+                .iter()
+                .map(|reply| match *reply {
+                    Message::TimeReply { request_id, .. } => request_id,
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect();
+            assert_eq!(ids, want.collect::<Vec<_>>());
+        }
+        assert!(
+            clients[0].recv_from(&mut buf).is_err(),
+            "nothing else answered"
+        );
+        let stats = front.stop();
+        assert_eq!((stats.served, stats.batches, stats.malformed), (7, 2, 1));
     }
 
     #[test]
