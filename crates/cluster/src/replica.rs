@@ -2,7 +2,7 @@
 //! monotonic timestamps from the quorum Marzullo intersection, with a
 //! view-change protocol for failover.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use tempo_core::marzullo::intersect_tolerating;
 use tempo_core::{Duration, TimeEstimate, TimeInterval, Timestamp};
@@ -97,7 +97,9 @@ pub struct ClusterReplica {
     renew_acks: Vec<Option<(TimeEstimate, u64)>>,
     last_renew_sent: Option<Timestamp>,
     backup_acked_hw: Vec<u64>,
-    pendings: BTreeMap<u64, PendingIssue>,
+    /// Keyed by timestamp, which rises with each issue (`high_water + 1`
+    /// at least): the front is the oldest.
+    pendings: VecDeque<(u64, PendingIssue)>,
 
     // --- election (volatile) ---
     candidate_view: Option<u64>,
@@ -142,7 +144,7 @@ impl ClusterReplica {
             renew_acks: vec![None; n],
             last_renew_sent: None,
             backup_acked_hw: vec![0; n],
-            pendings: BTreeMap::new(),
+            pendings: VecDeque::new(),
             candidate_view: None,
             votes: vec![false; n],
             vote_hw_max: 0,
@@ -508,16 +510,15 @@ impl ClusterReplica {
             return;
         }
         self.persist_cluster();
-        self.pendings.insert(
-            ts,
-            PendingIssue {
-                request_id,
-                client,
-                issued_at: now,
-                lo: interval.lo(),
-                hi: interval.hi(),
-            },
-        );
+        debug_assert!(self.pendings.back().is_none_or(|&(last, _)| last < ts));
+        let pending = PendingIssue {
+            request_id,
+            client,
+            issued_at: now,
+            lo: interval.lo(),
+            hi: interval.hi(),
+        };
+        self.pendings.push_back((ts, pending));
         self.broadcast_hw(ctx);
         self.try_release(ctx);
     }
@@ -570,10 +571,7 @@ impl ClusterReplica {
     /// acked, in timestamp order (so the released stream is itself
     /// monotonic).
     fn try_release(&mut self, ctx: &mut Context<'_, ClusterFrame>) {
-        loop {
-            let Some((&ts, &pending)) = self.pendings.iter().next() else {
-                return;
-            };
+        while let Some(&(ts, pending)) = self.pendings.front() {
             let acked = self
                 .config
                 .peers()
@@ -582,7 +580,7 @@ impl ClusterReplica {
             if acked + 1 < self.config.quorum() {
                 return;
             }
-            self.pendings.remove(&ts);
+            self.pendings.pop_front();
             self.release(
                 ts,
                 pending.request_id,
@@ -673,15 +671,13 @@ impl ClusterReplica {
         }
 
         // Pending sweep: replication that cannot reach a quorum within
-        // the request timeout is refused, not left to dangle.
-        let expired: Vec<u64> = self
-            .pendings
-            .iter()
-            .filter(|(_, p)| now - p.issued_at > self.config.request_timeout)
-            .map(|(&ts, _)| ts)
-            .collect();
-        for ts in expired {
-            let pending = self.pendings.remove(&ts).expect("collected above");
+        // the request timeout is refused, not left to dangle. Issue times
+        // rise with the timestamps (`ctx.now()` never decreases), so the
+        // expired issues are a prefix, refused oldest first.
+        let timeout = self.config.request_timeout;
+        let expired = |p: &PendingIssue| now - p.issued_at > timeout;
+        while let Some(&(_, pending)) = self.pendings.front().filter(|(_, p)| expired(p)) {
+            self.pendings.pop_front();
             self.refuse(
                 pending.request_id,
                 RefusalCause::NoQuorum,
@@ -689,6 +685,7 @@ impl ClusterReplica {
                 ctx,
             );
         }
+        debug_assert!(!self.pendings.iter().any(|(_, p)| expired(p)));
         if !self.pendings.is_empty() {
             // Retransmit the latest mark; acks are cumulative.
             self.broadcast_hw(ctx);
@@ -1210,5 +1207,79 @@ mod tests {
         assert_eq!(copy.server().durable(), original.server().durable());
         assert_eq!(copy.stats(), original.stats());
         assert_eq!(copy.server().stats(), original.server().stats());
+    }
+
+    /// One primary issues while backup 2 is partitioned away and backup
+    /// 1's acks come late: pending issues release in timestamp order as
+    /// acks arrive, the ones past `request_timeout` (0.5 s) are refused
+    /// `NoQuorum` oldest first, and the later ones still release.
+    #[test]
+    fn pending_issues_release_in_order_and_time_out_oldest_first() {
+        let replicas: Vec<NodeId> = (0..3).map(NodeId::new).collect();
+        let nodes: Vec<ClusterNode> = (0..3)
+            .map(|i| skewed_replica(replicas.clone(), i, 0.0, 0.05, None).into())
+            .collect();
+        let mut world = run_world(nodes, 5.0, 19);
+        let primary = world.actors_mut()[0].as_replica_mut().unwrap();
+        assert!(primary.is_serving_primary() && primary.pendings.is_empty());
+        let client = NodeId::new(3);
+        let mut hand = Hand::new();
+        let request = |hand: &mut Hand, r: &mut ClusterReplica, at: f64, request_id| {
+            let frame = ClusterFrame::TsRequest {
+                request_id,
+                attempt: 0,
+            };
+            hand.call(r, at, |r, ctx| r.on_message(client, frame, ctx));
+            r.high_water
+        };
+        let ack = |hand: &mut Hand, r: &mut ClusterReplica, at: f64, high_water| {
+            let frame = ClusterFrame::HwAck {
+                view: r.view,
+                high_water,
+            };
+            hand.call(r, at, |r, ctx| r.on_message(NodeId::new(1), frame, ctx));
+        };
+        let t1 = request(&mut hand, primary, 5.00, 1);
+        let t2 = request(&mut hand, primary, 5.01, 2);
+        let t3 = request(&mut hand, primary, 5.02, 3);
+        assert!(t1 < t2 && t2 < t3 && primary.pendings.len() == 3);
+        ack(&mut hand, primary, 5.03, t1);
+        let t4 = request(&mut hand, primary, 5.04, 4);
+        let t5 = request(&mut hand, primary, 5.05, 5);
+        // 2 and 3 have waited 0.515 s and 0.505 s; 4 and 5 have not.
+        hand.call(primary, 5.525, |r, ctx| r.on_timer(TICK_TAG, ctx));
+        let waiting: Vec<u64> = primary.pendings.iter().map(|&(ts, _)| ts).collect();
+        assert_eq!(waiting, [t4, t5]);
+        ack(&mut hand, primary, 5.53, t5);
+        assert!(primary.pendings.is_empty());
+
+        let seen: Vec<ClusterFrame> = hand
+            .actions
+            .iter()
+            .filter_map(|action| match action {
+                tempo_net::ActorAction::Send { to, msg } if *to == client => Some(*msg),
+                _ => None,
+            })
+            .collect();
+        let view = primary.view;
+        let reply = |request_id, timestamp| ClusterFrame::TsReply {
+            request_id,
+            view,
+            timestamp,
+        };
+        let refused = |request_id| ClusterFrame::TsRefused {
+            request_id,
+            view,
+            cause: RefusalCause::NoQuorum,
+        };
+        let expected = [
+            reply(1, t1),
+            refused(2),
+            refused(3),
+            reply(4, t4),
+            reply(5, t5),
+        ];
+        assert_eq!(seen, expected);
+        assert_eq!(primary.stats().refused_no_quorum, 2);
     }
 }

@@ -13,7 +13,7 @@
 //! contributes a `+1` event at its trailing edge and a `−1` event at its
 //! leading edge; sorting the events and scanning keeps a running coverage
 //! count whose maxima delimit the best intersections. Runtime is
-//! `O(n log n)`.
+//! `O(n log n)`, and up to 32 sources allocate nothing.
 //!
 //! Two query styles are offered:
 //!
@@ -82,20 +82,39 @@ impl fmt::Display for MarzulloResult {
     }
 }
 
-/// Edge events for the sweep. At equal offsets, trailing edges sort
-/// before leading edges so that closed intervals touching at a point
-/// count as overlapping.
-fn edge_events(intervals: &[TimeInterval]) -> Vec<(Timestamp, bool)> {
-    let mut events = Vec::with_capacity(intervals.len() * 2);
-    for iv in intervals {
-        events.push((iv.lo(), true)); // trailing edge: coverage += 1
-        events.push((iv.hi(), false)); // leading edge: coverage -= 1
+/// Up to this many sources, the sweep sorts their endpoints on the stack.
+const ON_STACK: usize = 32;
+
+/// Calls `visit` on the sweep's edge events in time order: `(t, true)` at
+/// a trailing edge (coverage += 1), `(t, false)` at a leading edge
+/// (coverage −= 1). The two kinds of edge are sorted apart and merged; at
+/// equal offsets trailing edges come first, so closed intervals touching
+/// at a point count as overlapping. Every `lo ≤ hi`, so the `k`-th
+/// trailing edge never follows the `k`-th leading edge.
+fn sweep(intervals: &[TimeInterval], mut visit: impl FnMut(Timestamp, bool)) {
+    let n = intervals.len();
+    let mut stack = [Timestamp::ZERO; 2 * ON_STACK];
+    let mut heap = Vec::new();
+    let edges = if n <= ON_STACK {
+        &mut stack[..2 * n]
+    } else {
+        heap.resize(2 * n, Timestamp::ZERO);
+        &mut heap[..]
+    };
+    let (starts, ends) = edges.split_at_mut(n);
+    for ((lo, hi), iv) in starts.iter_mut().zip(ends.iter_mut()).zip(intervals) {
+        (*lo, *hi) = (iv.lo(), iv.hi());
     }
-    // `false < true`, so sort by (t, !is_start) to put starts first.
-    // Equal keys are equal events, so the unstable sort (no scratch
-    // allocation) orders them exactly as the stable one.
-    events.sort_unstable_by_key(|&(t, is_start)| (t, !is_start));
-    events
+    starts.sort_unstable();
+    ends.sort_unstable();
+    let mut next = 0;
+    for &end in &*ends {
+        while next < n && starts[next] <= end {
+            visit(starts[next], true);
+            next += 1;
+        }
+        visit(end, false);
+    }
 }
 
 /// Computes the region(s) of maximum coverage among `intervals`.
@@ -122,26 +141,24 @@ pub fn best_intersection(intervals: &[TimeInterval]) -> Option<MarzulloResult> {
     if intervals.is_empty() {
         return None;
     }
-    let events = edge_events(intervals);
-
     // Pass 1: the maximum coverage.
     let mut count = 0usize;
     let mut max_coverage = 0usize;
-    for &(_, is_start) in &events {
+    sweep(intervals, |_, is_start| {
         if is_start {
             count += 1;
             max_coverage = max_coverage.max(count);
         } else {
             count -= 1;
         }
-    }
+    });
 
     // Pass 2: extract the maximal regions. A region starts when the
     // count reaches `max_coverage` and ends at the next leading edge.
     let mut regions = Vec::new();
     let mut count = 0usize;
     let mut region_start: Option<Timestamp> = None;
-    for &(t, is_start) in &events {
+    sweep(intervals, |t, is_start| {
         if is_start {
             count += 1;
             if count == max_coverage {
@@ -159,7 +176,7 @@ pub fn best_intersection(intervals: &[TimeInterval]) -> Option<MarzulloResult> {
             }
             count -= 1;
         }
-    }
+    });
     debug_assert!(!regions.is_empty());
     Some(MarzulloResult {
         regions,
@@ -207,11 +224,10 @@ pub fn intersect_tolerating(intervals: &[TimeInterval], max_faulty: usize) -> Op
         return None;
     }
     let needed = intervals.len() - max_faulty;
-    let events = edge_events(intervals);
     let mut count = 0usize;
     let mut lo: Option<Timestamp> = None;
     let mut hi: Option<Timestamp> = None;
-    for &(t, is_start) in &events {
+    sweep(intervals, |t, is_start| {
         if is_start {
             count += 1;
             if count == needed && lo.is_none() {
@@ -225,7 +241,7 @@ pub fn intersect_tolerating(intervals: &[TimeInterval], max_faulty: usize) -> Op
             }
             count -= 1;
         }
-    }
+    });
     Some(TimeInterval::new(lo?, hi.expect("every start has an end")))
 }
 

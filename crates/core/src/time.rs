@@ -75,12 +75,14 @@ impl PartialEq for Finite {
 impl Eq for Finite {}
 
 impl PartialOrd for Finite {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Finite {
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.total_cmp(&other.0)
     }
@@ -95,9 +97,18 @@ impl std::hash::Hash for Finite {
     }
 }
 
+#[inline]
 fn expect_finite(value: f64, what: &str) -> Finite {
-    assert!(value.is_finite(), "{what} must be finite, got {value}");
+    if !value.is_finite() {
+        not_finite(value, what);
+    }
     Finite(value)
+}
+
+#[cold]
+#[inline(never)]
+fn not_finite(value: f64, what: &str) -> ! {
+    panic!("{what} must be finite, got {value}");
 }
 
 impl Timestamp {
@@ -110,6 +121,7 @@ impl Timestamp {
     ///
     /// Panics if `secs` is NaN or infinite.
     #[must_use]
+    #[inline]
     pub fn from_secs(secs: f64) -> Self {
         Timestamp(expect_finite(secs, "timestamp"))
     }
@@ -122,6 +134,7 @@ impl Timestamp {
 
     /// Returns the earlier of `self` and `other`.
     #[must_use]
+    #[inline]
     pub fn min(self, other: Self) -> Self {
         if self <= other {
             self
@@ -132,6 +145,7 @@ impl Timestamp {
 
     /// Returns the later of `self` and `other`.
     #[must_use]
+    #[inline]
     pub fn max(self, other: Self) -> Self {
         if self >= other {
             self
@@ -142,6 +156,7 @@ impl Timestamp {
 
     /// Midpoint between two timestamps, robust against overflow.
     #[must_use]
+    #[inline]
     pub fn midpoint(self, other: Self) -> Self {
         Timestamp::from_secs(self.as_secs() + (other.as_secs() - self.as_secs()) / 2.0)
     }
@@ -157,6 +172,7 @@ impl Duration {
     ///
     /// Panics if `secs` is NaN or infinite.
     #[must_use]
+    #[inline]
     pub fn from_secs(secs: f64) -> Self {
         Duration(expect_finite(secs, "duration"))
     }
@@ -167,6 +183,7 @@ impl Duration {
     ///
     /// Panics if `millis` is NaN or infinite.
     #[must_use]
+    #[inline]
     pub fn from_millis(millis: f64) -> Self {
         Duration::from_secs(millis / 1_000.0)
     }
@@ -195,12 +212,14 @@ impl Duration {
 
     /// Absolute value of the span.
     #[must_use]
+    #[inline]
     pub fn abs(self) -> Self {
         Duration::from_secs(self.as_secs().abs())
     }
 
     /// Returns the shorter of `self` and `other` (signed comparison).
     #[must_use]
+    #[inline]
     pub fn min(self, other: Self) -> Self {
         if self <= other {
             self
@@ -211,6 +230,7 @@ impl Duration {
 
     /// Returns the longer of `self` and `other` (signed comparison).
     #[must_use]
+    #[inline]
     pub fn max(self, other: Self) -> Self {
         if self >= other {
             self
@@ -227,6 +247,7 @@ impl Duration {
 
     /// Half of the span, useful when converting interval widths to radii.
     #[must_use]
+    #[inline]
     pub fn half(self) -> Self {
         Duration::from_secs(self.as_secs() / 2.0)
     }
@@ -288,6 +309,7 @@ impl DriftRate {
 impl Add<Duration> for Timestamp {
     type Output = Timestamp;
 
+    #[inline]
     fn add(self, rhs: Duration) -> Timestamp {
         Timestamp::from_secs(self.as_secs() + rhs.as_secs())
     }
@@ -302,6 +324,7 @@ impl AddAssign<Duration> for Timestamp {
 impl Sub<Duration> for Timestamp {
     type Output = Timestamp;
 
+    #[inline]
     fn sub(self, rhs: Duration) -> Timestamp {
         Timestamp::from_secs(self.as_secs() - rhs.as_secs())
     }
@@ -316,6 +339,7 @@ impl SubAssign<Duration> for Timestamp {
 impl Sub for Timestamp {
     type Output = Duration;
 
+    #[inline]
     fn sub(self, rhs: Timestamp) -> Duration {
         Duration::from_secs(self.as_secs() - rhs.as_secs())
     }
@@ -326,12 +350,14 @@ impl Sub for Timestamp {
 impl Add for Duration {
     type Output = Duration;
 
+    #[inline]
     fn add(self, rhs: Duration) -> Duration {
         Duration::from_secs(self.as_secs() + rhs.as_secs())
     }
 }
 
 impl AddAssign for Duration {
+    #[inline]
     fn add_assign(&mut self, rhs: Duration) {
         *self = *self + rhs;
     }
@@ -340,6 +366,7 @@ impl AddAssign for Duration {
 impl Sub for Duration {
     type Output = Duration;
 
+    #[inline]
     fn sub(self, rhs: Duration) -> Duration {
         Duration::from_secs(self.as_secs() - rhs.as_secs())
     }
@@ -362,6 +389,7 @@ impl Neg for Duration {
 impl Mul<f64> for Duration {
     type Output = Duration;
 
+    #[inline]
     fn mul(self, rhs: f64) -> Duration {
         Duration::from_secs(self.as_secs() * rhs)
     }
@@ -380,6 +408,7 @@ impl Mul<DriftRate> for Duration {
 
     /// Error accumulated over this span by a clock with drift bound `δ`:
     /// `s · δ` in the paper's notation.
+    #[inline]
     fn mul(self, rhs: DriftRate) -> Duration {
         Duration::from_secs(self.as_secs() * rhs.as_f64())
     }

@@ -271,3 +271,94 @@ fn degenerate_widths_match() {
     assert_eq!(sweep.best().interval, bf_region);
     assert_eq!(sweep.coverage, 5);
 }
+
+/// Every fault budget, `f = 0` through `f = n` (which tolerates every
+/// source and so answers `None`), against the brute-force hull.
+fn tolerating_matches_for_every_f(intervals: &[TimeInterval]) {
+    for max_faulty in 0..=intervals.len() {
+        // Bit patterns, so a `-0.0` edge must not come back as `+0.0`.
+        let bits = |iv: TimeInterval| (iv.lo().as_secs().to_bits(), iv.hi().as_secs().to_bits());
+        let got = intersect_tolerating(intervals, max_faulty).map(bits);
+        let want = brute_force_tolerating(intervals, max_faulty).map(bits);
+        assert_eq!(got, want, "f = {max_faulty} of {}", intervals.len());
+    }
+}
+
+/// The sweep keeps up to 32 sources' endpoints on the stack and moves
+/// to the heap past that: 33–64 sources, with shared endpoints and
+/// verbatim duplicates, exercise the heap side.
+#[test]
+fn sweep_matches_brute_force_past_the_stack_cutoff() {
+    check("sweep_matches_brute_force_past_the_stack_cutoff", 64, |g| {
+        let intervals = g.vec(33..=64, |g| {
+            let (lo, w) = (g.int(0u32..60), zero_or(g, |g| g.int(0u32..12)));
+            let lo = f64::from(lo) * 0.5;
+            let hi = lo + f64::from(w) * 0.5;
+            TimeInterval::new(Timestamp::from_secs(lo), Timestamp::from_secs(hi))
+        });
+        let sweep = best_intersection(&intervals).expect("non-empty input");
+        let (bf_cover, bf_region) = brute_force(&intervals);
+        assert_eq!(sweep.coverage, bf_cover);
+        assert_eq!(sweep.best().interval, bf_region);
+        for region in &sweep.regions {
+            assert_eq!(region.members.len(), sweep.coverage);
+        }
+        tolerating_matches_for_every_f(&intervals);
+    });
+}
+
+#[test]
+fn tolerating_matches_brute_force_for_every_f() {
+    check("tolerating_matches_brute_force_for_every_f", 256, |g| {
+        let intervals = arb_degenerate_intervals(g);
+        tolerating_matches_for_every_f(&intervals);
+    });
+}
+
+/// `Timestamp`'s order is `f64::total_cmp`, so `-0.0` sorts strictly
+/// before `+0.0`: an interval ending at `-0.0` and one starting at
+/// `+0.0` do not touch. The sweep must order the two zeros the way
+/// `TimeInterval::contains` does, on both sides of the stack cutoff.
+#[test]
+fn signed_zero_endpoints_match() {
+    const GRID: [f64; 6] = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0];
+    check("signed_zero_endpoints_match", 256, |g| {
+        let n = if g.bool() {
+            g.int(1usize..=12)
+        } else {
+            g.int(33usize..=40)
+        };
+        let intervals: Vec<TimeInterval> = (0..n)
+            .map(|_| {
+                let (a, b) = (*g.pick(&GRID), *g.pick(&GRID));
+                let (lo, hi) = if a.total_cmp(&b).is_le() {
+                    (a, b)
+                } else {
+                    (b, a)
+                };
+                TimeInterval::new(Timestamp::from_secs(lo), Timestamp::from_secs(hi))
+            })
+            .collect();
+        let sweep = best_intersection(&intervals).expect("non-empty input");
+        // `brute_force` dedups its candidates with `==`, which merges the
+        // two zeros; maximum coverage is always reached at a trailing
+        // edge, so read it at every one instead.
+        let cover = |t: Timestamp| intervals.iter().filter(|iv| iv.contains(t)).count();
+        let starts = intervals.iter().map(|iv| iv.lo());
+        let max_cover = starts.clone().map(cover).max().expect("non-empty");
+        assert_eq!(sweep.coverage, max_cover);
+        // The earliest point of maximum coverage is a trailing edge.
+        let first = starts
+            .filter(|&t| cover(t) == max_cover)
+            .min()
+            .expect("attained");
+        assert_eq!(
+            sweep.best().interval.lo().as_secs().to_bits(),
+            first.as_secs().to_bits()
+        );
+        for region in &sweep.regions {
+            assert_eq!(region.members.len(), sweep.coverage);
+        }
+        tolerating_matches_for_every_f(&intervals);
+    });
+}

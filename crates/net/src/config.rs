@@ -171,6 +171,7 @@ impl NetConfig {
         max * 2.0
     }
 
+    #[inline]
     pub(crate) fn delay_for(&self, from: NodeId, to: NodeId) -> &DelayModel {
         self.link_overrides
             .iter()
@@ -178,6 +179,7 @@ impl NetConfig {
             .map_or(&self.delay, |(_, model)| model)
     }
 
+    #[inline]
     pub(crate) fn loss_for(&self, from: NodeId, to: NodeId) -> f64 {
         self.loss_overrides
             .iter()

@@ -166,6 +166,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Schedules `value` for `time` at rank 0.
+    #[inline]
     pub fn push(&mut self, time: Timestamp, value: T) {
         self.push_ranked(time, 0, value);
     }
@@ -177,6 +178,7 @@ impl<T> EventQueue<T> {
     ///
     /// Panics, rather than misorder, if `rank` is 2²⁴ or more, or once
     /// a queue that has held a ranked entry reaches 2⁴⁰ insertions.
+    #[inline(always)]
     pub fn push_ranked(&mut self, time: Timestamp, rank: u32, value: T) {
         let seq = self.seq;
         self.seq += 1;
@@ -203,6 +205,7 @@ impl<T> EventQueue<T> {
 
     /// The time of the next entry, or `None` when empty. Takes `&mut`
     /// because finding the next entry may advance the wheel.
+    #[inline]
     pub fn peek_time(&mut self) -> Option<Timestamp> {
         if self.fill_batch() {
             self.batch.last().map(|&(t, _, _)| t)
@@ -220,11 +223,13 @@ impl<T> EventQueue<T> {
     /// [`EventQueue::pop`], but only an entry due at or before `until`
     /// — the event loop's one probe of the wheel per event, where
     /// [`EventQueue::peek_time`] followed by `pop` makes two.
+    #[inline]
     pub fn pop_due(&mut self, until: Timestamp) -> Option<(Timestamp, T)> {
         (self.peek_time()? <= until).then(|| self.take_front())
     }
 
     /// Removes the batch front, which `fill_batch` just filled.
+    #[inline]
     fn take_front(&mut self) -> (Timestamp, T) {
         let (time, _, idx) = self.batch.pop().expect("fill_batch returned true");
         let value = self.entries[idx as usize]
@@ -236,6 +241,7 @@ impl<T> EventQueue<T> {
         (time, value)
     }
 
+    #[inline]
     fn alloc(&mut self, time: Timestamp, key: u64, value: T) -> u32 {
         if self.free_head != NIL {
             let idx = self.free_head;
@@ -268,6 +274,7 @@ impl<T> EventQueue<T> {
     /// Parks `idx` in the wheel level covering its delay from the
     /// cursor. Past-due entries clamp to the cursor tick; the batch
     /// sort by true `(time, key)` keeps pops correctly ordered anyway.
+    #[inline]
     fn place(&mut self, idx: u32) {
         let tick = tick_of(self.entries[idx as usize].time).max(self.cursor);
         let delta = tick - self.cursor;
@@ -289,6 +296,7 @@ impl<T> EventQueue<T> {
 
     /// Drains level-0 slot `slot` (all of whose entries share `tick`)
     /// into the batch, sorted descending by `(time, key)`.
+    #[inline]
     fn drain_slot(&mut self, slot: usize, tick: u64) {
         debug_assert!(self.batch.is_empty());
         let mut head = std::mem::replace(&mut self.heads[0][slot], NIL);
@@ -322,6 +330,7 @@ impl<T> EventQueue<T> {
 
     /// Ensures the batch holds the next entry, advancing the wheel as
     /// needed. Returns `false` when the queue is empty.
+    #[inline]
     fn fill_batch(&mut self) -> bool {
         loop {
             if !self.batch.is_empty() {

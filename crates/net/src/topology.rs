@@ -164,6 +164,7 @@ impl Topology {
     ///
     /// Panics if `node` is out of range.
     #[must_use]
+    #[inline]
     pub fn neighbors(&self, node: NodeId) -> &[NodeId] {
         let i = node.index();
         &self.adjacency[self.offsets[i] as usize..self.offsets[i + 1] as usize]

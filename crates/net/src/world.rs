@@ -33,6 +33,12 @@ use crate::transport::{ActorAction, Transport};
 /// goldens pin exactly that.
 const COMPONENT_SEED_SALT: u64 = 0xD1B5_4A32_D192_ED03;
 
+/// The progress watchdog: a world that processes more events than this
+/// at one instant (a timer re-armed with a delay too small to advance
+/// `f64` time, say) panics instead of spinning. The largest same-instant
+/// burst in the catalogue, the tests and the benchmark is 64 events.
+const MAX_EVENTS_PER_INSTANT: u32 = 1 << 20;
+
 /// A protocol participant driven by the [`World`].
 ///
 /// Actors never see real time directly except through the
@@ -107,6 +113,7 @@ impl<'a, M> Context<'a, M> {
 
     /// Emits on the host's bus, building the event only if `kind` is
     /// wanted ([`Bus::emit_with`]: counted either way).
+    #[inline]
     pub fn emit_with(&self, kind: TelemetryKind, build: impl FnOnce() -> TelemetryEvent) {
         self.bus.emit_with(kind, build);
     }
@@ -169,6 +176,7 @@ impl<'a, M> Context<'a, M> {
     ///
     /// Panics if `to` is not a neighbour (the topology is the routing
     /// table; there is no multi-hop forwarding in this simulator).
+    #[inline]
     pub fn send(&mut self, to: NodeId, msg: M) {
         assert!(
             self.neighbors.contains(&to),
@@ -180,6 +188,7 @@ impl<'a, M> Context<'a, M> {
 
     /// Sends `msg` to every neighbour (directed broadcast, the paper's
     /// assumed collection mechanism [Boggs 82]).
+    #[inline]
     pub fn broadcast(&mut self, msg: M)
     where
         M: Clone,
@@ -197,6 +206,7 @@ impl<'a, M> Context<'a, M> {
     /// # Panics
     ///
     /// Panics if `delay` is negative.
+    #[inline]
     pub fn set_timer(&mut self, delay: Duration, tag: u64) {
         assert!(!delay.is_negative(), "timer delay must be non-negative");
         self.actions.push(ActorAction::Timer { delay, tag });
@@ -259,6 +269,8 @@ pub struct World<A: Actor> {
     /// stream is the same whether it runs combined or sharded.
     net_rngs: Vec<StdRng>,
     now: Timestamp,
+    /// Events processed at `now`: the progress watchdog's count.
+    at_now: u32,
     node_rngs: Vec<StdRng>,
     stats: NetStats,
     /// Telemetry fan-out, handed to every callback's [`Context`]; the
@@ -380,6 +392,7 @@ impl<A: Actor> World<A> {
             queue: EventQueue::new(),
             net_rngs,
             now: Timestamp::ZERO,
+            at_now: 0,
             node_rngs,
             stats: NetStats::default(),
             bus,
@@ -455,9 +468,14 @@ impl<A: Actor> World<A> {
     }
 
     /// Delivers one popped event to its actor.
+    #[inline]
     fn process(&mut self, (time, kind): (Timestamp, EventKind<A::Msg>)) {
         debug_assert!(time >= self.now, "event queue went backwards");
+        self.at_now = if time > self.now { 1 } else { self.at_now + 1 };
         self.now = time;
+        if self.at_now > MAX_EVENTS_PER_INSTANT {
+            self.stalled(&kind);
+        }
         match kind {
             EventKind::Deliver { from, to, msg } => {
                 self.stats.delivered += 1;
@@ -482,6 +500,17 @@ impl<A: Actor> World<A> {
         }
     }
 
+    /// Names the instant and the event that crossed the watchdog's bound.
+    #[cold]
+    fn stalled(&self, kind: &EventKind<A::Msg>) -> ! {
+        let (now, id) = (self.now, |node: &NodeId| self.labels[node.index()]);
+        let event = match kind {
+            EventKind::Deliver { from, to, .. } => format!("message {} -> {}", id(from), id(to)),
+            EventKind::Timer { node, tag } => format!("timer {tag:#x} of node {}", id(node)),
+        };
+        panic!("no progress: over {MAX_EVENTS_PER_INSTANT} events at {now}, the last a {event}");
+    }
+
     /// Processes the single next event, if any. Returns `false` when the
     /// queue is empty.
     pub fn step(&mut self) -> bool {
@@ -495,6 +524,7 @@ impl<A: Actor> World<A> {
     /// Runs until the event queue is exhausted or simulated time reaches
     /// `until`. Events scheduled at exactly `until` are processed; on
     /// return, `now() == until` (even if the queue drained early).
+    #[inline]
     pub fn run_until(&mut self, until: Timestamp) {
         while let Some(event) = self.queue.pop_due(until) {
             self.process(event);
@@ -529,6 +559,7 @@ impl<A: Actor> World<A> {
 
     /// Samples a delay for one copy of a message and enqueues its
     /// delivery (respecting the per-link FIFO horizon when enabled).
+    #[inline(always)]
     fn schedule_delivery(&mut self, from: NodeId, to: NodeId, msg: A::Msg) {
         let comp = self.comp_of[from.index()];
         debug_assert_eq!(
@@ -556,6 +587,7 @@ impl<A: Actor> World<A> {
 
     /// Runs one callback of `node`'s actor on a context over the
     /// recycled action buffer, then applies the actions it queued.
+    #[inline]
     fn dispatch(&mut self, node: NodeId, callback: impl FnOnce(&mut A, &mut Context<'_, A::Msg>)) {
         let mut ctx = Context {
             now: self.now,
@@ -577,6 +609,7 @@ impl<A: Actor> World<A> {
     /// action→pipeline mapping as [`Transport::apply`], kept inline so
     /// the hot loop recycles one scratch buffer instead of allocating
     /// a fresh `Vec` per callback.
+    #[inline(always)]
     fn apply_actions(&mut self, from: NodeId, actions: &mut Vec<ActorAction<A::Msg>>) {
         for action in actions.drain(..) {
             match action {
@@ -599,6 +632,7 @@ impl<A: Actor> Transport<A::Msg> for World<A> {
         self.now
     }
 
+    #[inline]
     fn send(&mut self, from: NodeId, to: NodeId, msg: A::Msg) {
         self.stats.sent += 1;
         let gf = NodeId::new(self.labels[from.index()]);
@@ -654,6 +688,7 @@ impl<A: Actor> Transport<A::Msg> for World<A> {
         self.schedule_delivery(from, to, msg);
     }
 
+    #[inline]
     fn set_timer(&mut self, node: NodeId, delay: Duration, tag: u64) {
         let rank = self.comp_of[node.index()];
         self.queue
@@ -706,6 +741,33 @@ mod tests {
 
     fn recorders(n: usize) -> Vec<Recorder> {
         (0..n).map(|_| Recorder::default()).collect()
+    }
+
+    /// Re-arms its timer with zero delay for ever: simulated time stops.
+    struct Zeno;
+
+    impl Actor for Zeno {
+        type Msg = u32;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+            ctx.set_timer(dur(0.5), 7);
+        }
+
+        fn on_message(&mut self, _: NodeId, _: u32, _: &mut Context<'_, u32>) {}
+
+        fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, u32>) {
+            ctx.set_timer(Duration::ZERO, tag);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "events at 0.500000s, the last a timer 0x7 of node 9")]
+    fn the_watchdog_names_a_timer_that_stops_time() {
+        let (topology, config) = (Topology::full_mesh(1), NetConfig::default());
+        let labels = vec![9];
+        let mut world =
+            World::new_labeled(vec![Zeno], topology, config, 1, Bus::disabled(), labels);
+        world.run_until(ts(1.0));
     }
 
     #[test]

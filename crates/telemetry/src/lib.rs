@@ -782,6 +782,7 @@ impl Bus {
 
     /// Emits an event, building it lazily: `build` only runs when some
     /// subscriber wants events of `kind`.
+    #[inline]
     pub fn emit_with(&self, kind: EventKind, build: impl FnOnce() -> TelemetryEvent) {
         let Some(shared) = &self.shared else {
             return;
@@ -802,6 +803,7 @@ impl Bus {
 
     /// Emits an already-built event. Prefer [`Bus::emit_with`] on hot
     /// paths so disabled kinds cost nothing.
+    #[inline]
     pub fn emit(&self, event: TelemetryEvent) {
         let kind = event.kind();
         self.emit_with(kind, || event);

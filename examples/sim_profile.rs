@@ -13,14 +13,16 @@
 //! `single`; `audit` and jobs, for `sim_audit`'s deployment; or
 //! `cluster` and jobs, for `cluster_failover`'s.
 //! Prints the load base, then one sample a line, innermost frame first;
-//! DESIGN.md § Observability has the rest of the recipe.
+//! on stderr, the run's CPU time per simulated event (deliveries plus
+//! timers fired), the figure an A/B of two builds compares. DESIGN.md
+//! § Observability has the rest of the recipe.
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod linux {
     use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
     use tempo::core::{Duration, Timestamp};
-    use tempo::net::{DelayModel, Topology};
+    use tempo::net::{DelayModel, NetStats, Topology};
     use tempo::service::{HealthConfig, RetryPolicy, ServerFault, Strategy};
     use tempo::sim::{ClusterScenario, OracleConfig, ReplicaSpec, Scenario, ServerSpec};
 
@@ -30,6 +32,7 @@ mod linux {
     const MAX_FRAME: usize = 1 << 16;
     const SIGPROF: i32 = 27;
     const ITIMER_PROF: i32 = 2;
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
     const SA_SIGINFO_RESTART: i32 = 4 | 0x1000_0000;
     /// Words into `ucontext_t` of the saved `rbp`, `rsp` and `rip`
     /// (`uc_mcontext.gregs` starts 40 bytes in).
@@ -47,6 +50,17 @@ mod linux {
         fn sigaction(signum: i32, act: *const SigAction, old: *mut SigAction) -> i32;
         /// `[interval.sec, interval.usec, value.sec, value.usec]`
         fn setitimer(which: i32, new: *const [i64; 4], old: *mut [i64; 4]) -> i32;
+        /// `[tv_sec, tv_nsec]`
+        fn clock_gettime(clock: i32, now: *mut [i64; 2]) -> i32;
+    }
+
+    /// The CPU time this process has used so far, in nanoseconds.
+    fn cpu_ns() -> i64 {
+        let mut now = [0; 2];
+        // SAFETY: `struct timespec` is two `i64`s on x86-64 Linux.
+        let status = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut now) };
+        assert_eq!(status, 0, "clock_gettime failed");
+        now[0] * 1_000_000_000 + now[1]
     }
 
     extern "C" fn on_tick(_signum: i32, _info: *const u8, context: *const usize) {
@@ -155,15 +169,16 @@ mod linux {
         let arg = |i: usize| args.get(i).map(String::as_str).expect(USAGE);
         let jobs: u64 = arg(1).parse().expect(USAGE);
         let export = std::env::temp_dir().join(format!("sim_profile-{}.jsonl", std::process::id()));
-        let job: Box<dyn Fn(u64)> = match arg(0) {
-            "cluster" => Box::new(|seed| assert!(failover(seed).run().issued() > 0)),
-            "audit" => Box::new(|seed| assert!(audit(seed, &export).run().net.delivered > 0)),
+        let events = |net: NetStats| (net.delivered + net.timers_fired) as u64;
+        let job: Box<dyn Fn(u64) -> u64> = match arg(0) {
+            "cluster" => Box::new(|seed| events(failover(seed).run().net)),
+            "audit" => Box::new(|seed| events(audit(seed, &export).run().net)),
             servers => {
                 // E20's size and two shard threads or none (0 runs the
                 // one-world engine).
                 let n: usize = servers.parse().expect(USAGE);
                 let threads = 2 * usize::from(arg(2) == "sharded");
-                Box::new(move |seed| assert!(e20(n, seed).sharded(threads).run().net.delivered > 0))
+                Box::new(move |seed| events(e20(n, seed).sharded(threads).run().net))
             }
         };
         let handler = on_tick as *const () as usize;
@@ -177,10 +192,15 @@ mod linux {
                 && setitimer(ITIMER_PROF, &tick, std::ptr::null_mut()) == 0
         };
         assert!(armed, "could not arm the profiling timer");
-        (1_000..1_000 + jobs).for_each(&job);
+        let cpu = cpu_ns();
+        let simulated: u64 = (1_000..1_000 + jobs).map(&job).sum();
+        let cpu = cpu_ns() - cpu;
+        assert!(simulated > 0, "the jobs simulated nothing");
         // SAFETY: a zero interval and value disarm the timer.
         unsafe { setitimer(ITIMER_PROF, &[0; 4], std::ptr::null_mut()) };
         let _ = std::fs::remove_file(&export);
+        let per_event = cpu as f64 / simulated as f64;
+        eprintln!("{simulated} simulated events, {per_event:.1} CPU ns each");
         let maps = std::fs::read_to_string("/proc/self/maps").expect("procfs");
         println!("base 0x{}", maps.split('-').next().expect("a mapping"));
         for sample in PCS.chunks(DEPTH).take(TAKEN.load(Relaxed)) {
