@@ -7,7 +7,7 @@ use std::collections::VecDeque;
 use tempo_core::marzullo::intersect_tolerating;
 use tempo_core::{Duration, TimeEstimate, TimeInterval, Timestamp};
 use tempo_net::{Actor, Context, NodeId};
-use tempo_service::{ClusterState, HealthTracker, Lifecycle, MemoryStore, Message, TimeServer};
+use tempo_service::{ClusterState, Lifecycle, MemoryStore, Message, PeerTable, TimeServer};
 use tempo_telemetry::{Bus, EventKind, RefusalCause, TelemetryEvent};
 
 use crate::config::ClusterConfig;
@@ -109,7 +109,7 @@ pub struct ClusterReplica {
     election_not_before: Timestamp,
     last_renew_seen: Timestamp,
 
-    health: HealthTracker,
+    health: PeerTable,
     seen_crashes: usize,
     seen_restarts: usize,
     stats: ClusterStats,
@@ -127,12 +127,12 @@ impl ClusterReplica {
     #[allow(clippy::boxed_local)]
     pub fn new(server: TimeServer, config: ClusterConfig, store: Box<MemoryStore>) -> Self {
         let n = config.replicas.len();
-        let health = HealthTracker::new(server.config().health);
         let mut durable = MemoryStore::new();
         if let Some(record) = store.load_cluster() {
             durable.persist_cluster(record);
         }
         ClusterReplica {
+            health: PeerTable::new(server.config()),
             server,
             config,
             durable,
@@ -151,7 +151,6 @@ impl ClusterReplica {
             election_attempts: 0,
             election_not_before: Timestamp::ZERO,
             last_renew_seen: Timestamp::ZERO,
-            health,
             seen_crashes: 0,
             seen_restarts: 0,
             stats: ClusterStats::default(),
@@ -894,7 +893,7 @@ mod tests {
     use tempo_clocks::SimClock;
     use tempo_core::DriftRate;
     use tempo_net::{DelayModel, NetConfig, Topology, World};
-    use tempo_service::{MemoryStore, ServerConfig, ServerFault, Strategy};
+    use tempo_service::{MemoryStore, PeerState, ServerConfig, ServerFault, Strategy};
 
     fn dur(s: f64) -> tempo_core::Duration {
         tempo_core::Duration::from_secs(s)
@@ -1026,6 +1025,13 @@ mod tests {
             "issued at {} after quorum loss",
             last.at
         );
+        // The renewal verdicts are the replica's own: its renewals buried
+        // both backups, while its inner server, polling them with no
+        // timeouts armed, holds them Healthy.
+        for backup in [NodeId::new(1), NodeId::new(2)] {
+            assert_eq!(primary.health.state(backup), PeerState::Dead);
+            assert_eq!(primary.server().peer_state(backup), PeerState::Healthy);
+        }
     }
 
     /// The injected skip-the-flush bug is *observable*: with a fast

@@ -29,7 +29,7 @@ use crate::time::{DriftRate, Duration, Timestamp};
 /// assert!(e.is_correct_at(Timestamp::from_secs(100.4)));
 /// assert!(!e.is_correct_at(Timestamp::from_secs(101.0)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TimeEstimate {
     time: Timestamp,
     error: Duration,

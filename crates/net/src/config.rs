@@ -1,5 +1,5 @@
-//! The network a [`World`](crate::World) simulates — delay, loss,
-//! duplication, per-link overrides and partitions — and the counters
+//! The network a [`World`](crate::World) simulates — delay, per-link
+//! delay overrides, loss, duplication and partitions — and the counters
 //! of what it did.
 
 use tempo_core::{Duration, Timestamp};
@@ -38,14 +38,14 @@ impl Partition {
     }
 }
 
-/// Network configuration: default delay, loss, per-link overrides, and
-/// partitions.
+/// Network configuration: default delay, per-link delay overrides,
+/// loss, duplication, and partitions.
 ///
-/// Link overrides, loss overrides, and partitions name nodes by their
-/// *global label* (identical to node-id space unless the world was
-/// built with [`World::new_labeled`](crate::World::new_labeled)), so
-/// one config describes the same network whether a component runs
-/// combined or sharded.
+/// Link overrides and partitions name nodes by their *global label*
+/// (identical to node-id space unless the world was built with
+/// [`World::new_labeled`](crate::World::new_labeled)), so one config
+/// describes the same network whether a component runs combined or
+/// sharded.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Default one-way delay model for every link.
@@ -54,10 +54,6 @@ pub struct NetConfig {
     pub loss: f64,
     /// Per-directed-link delay overrides `((from, to), model)`.
     pub link_overrides: Vec<((NodeId, NodeId), DelayModel)>,
-    /// Per-directed-link loss overrides `((from, to), probability)` —
-    /// these replace the global [`loss`](Self::loss) on their link,
-    /// exactly as delay overrides replace the default delay model.
-    pub loss_overrides: Vec<((NodeId, NodeId), f64)>,
     /// Probability that a delivered message is *duplicated*: a second
     /// copy is scheduled with an independently sampled delay. Datagram
     /// networks (and retransmitting transports) deliver duplicates, so
@@ -65,13 +61,6 @@ pub struct NetConfig {
     pub duplication: f64,
     /// Scheduled partitions.
     pub partitions: Vec<Partition>,
-    /// When `true`, each directed link delivers in FIFO order: a
-    /// message never overtakes an earlier message on the same link
-    /// (its delivery is pushed to just after the latest delivery
-    /// already scheduled there). Random delays alone can reorder, which
-    /// some transports (and the PUP internet's single-path routes)
-    /// rarely did.
-    pub fifo_links: bool,
 }
 
 impl NetConfig {
@@ -87,18 +76,9 @@ impl NetConfig {
             delay,
             loss: 0.0,
             link_overrides: Vec::new(),
-            loss_overrides: Vec::new(),
             duplication: 0.0,
             partitions: Vec::new(),
-            fifo_links: false,
         }
-    }
-
-    /// Enables per-link FIFO delivery ordering.
-    #[must_use]
-    pub fn fifo(mut self) -> Self {
-        self.fifo_links = true;
-        self
     }
 
     /// Sets the loss probability.
@@ -121,21 +101,6 @@ impl NetConfig {
     pub fn link_override(mut self, from: NodeId, to: NodeId, delay: DelayModel) -> Self {
         delay.validate();
         self.link_overrides.push(((from, to), delay));
-        self
-    }
-
-    /// Overrides the loss probability of one directed link.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ loss < 1`.
-    #[must_use]
-    pub fn link_loss(mut self, from: NodeId, to: NodeId, loss: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&loss),
-            "link loss probability must be in [0, 1), got {loss}"
-        );
-        self.loss_overrides.push(((from, to), loss));
         self
     }
 
@@ -177,14 +142,6 @@ impl NetConfig {
             .iter()
             .find(|((f, t), _)| *f == from && *t == to)
             .map_or(&self.delay, |(_, model)| model)
-    }
-
-    #[inline]
-    pub(crate) fn loss_for(&self, from: NodeId, to: NodeId) -> f64 {
-        self.loss_overrides
-            .iter()
-            .find(|((f, t), _)| *f == from && *t == to)
-            .map_or(self.loss, |(_, loss)| *loss)
     }
 }
 
@@ -238,12 +195,6 @@ mod tests {
     #[should_panic(expected = "duplication probability")]
     fn bad_duplication_rejected() {
         let _ = NetConfig::default().duplication(1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "link loss probability")]
-    fn bad_link_loss_rejected() {
-        let _ = NetConfig::default().link_loss(NodeId::new(0), NodeId::new(1), -0.1);
     }
 
     #[test]

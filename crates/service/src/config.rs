@@ -4,7 +4,7 @@ use tempo_core::sync::baseline::BaselineKind;
 use tempo_core::{DriftRate, Duration};
 
 use crate::fault::ServerFault;
-use crate::health::HealthConfig;
+use crate::peers::HealthConfig;
 
 /// Per-request timeout and retry behaviour, measured on the server's
 /// *own* clock (no other clock is trustworthy by assumption).
@@ -354,7 +354,7 @@ impl ServerConfig {
     ///
     /// Panics when a field is out of range (non-positive period, window
     /// not shorter than the period, negative initial error, jitter
-    /// outside `[0, 1)`).
+    /// outside `[0, 1)`, health thresholds out of order).
     pub fn validate(&self) {
         assert!(
             self.resync_period.as_secs() > 0.0,
@@ -396,6 +396,12 @@ impl ServerConfig {
                 "slew rate must be in (0, 1), got {max_rate}"
             );
         }
+        if let ScreeningPolicy::Consonance { sample_noise, .. } = self.screening {
+            assert!(
+                !sample_noise.is_negative(),
+                "sample noise must be non-negative"
+            );
+        }
         if let RetryPolicy::Backoff {
             timeout,
             multiplier,
@@ -415,8 +421,8 @@ impl ServerConfig {
                 jitter.is_finite() && (0.0..1.0).contains(&jitter),
                 "retry jitter must be in [0, 1), got {jitter}"
             );
-            self.health.validate();
         }
+        self.health.validate();
     }
 }
 
@@ -499,6 +505,17 @@ mod tests {
         ServerConfig::new(Strategy::Im, DriftRate::ZERO)
             .resync_period(Duration::from_secs(1.0))
             .collect_window(Duration::from_secs(2.0))
+            .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "sample noise must be non-negative")]
+    fn negative_sample_noise_rejected() {
+        ServerConfig::new(Strategy::Im, DriftRate::ZERO)
+            .screening(ScreeningPolicy::Consonance {
+                peer_bound: DriftRate::new(1e-4),
+                sample_noise: Duration::from_secs(-0.01),
+            })
             .validate();
     }
 

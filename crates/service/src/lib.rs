@@ -57,9 +57,9 @@
 mod client;
 mod config;
 mod fault;
-mod health;
 mod message;
 mod node;
+mod peers;
 mod rate;
 mod requests;
 mod round;
@@ -71,10 +71,10 @@ pub mod wire;
 pub use client::{ClientObservation, ClientStrategy, TimeClient};
 pub use config::{ApplyMode, RecoveryPolicy, RetryPolicy, ScreeningPolicy, ServerConfig, Strategy};
 pub use fault::{RestartSchedule, ServerFault, ServerFaultKind};
-pub use health::{HealthConfig, HealthTracker, PeerState};
 pub use message::Message;
 pub use node::ServiceNode;
-pub use rate::{AdmissionControl, RateMonitor};
+pub use peers::{HealthConfig, PeerState, PeerTable};
+pub use rate::AdmissionControl;
 pub use server::{Lifecycle, TimeServer};
 pub use stats::ServerStats;
 pub use store::{ClusterState, MemoryStore, PersistedState};

@@ -17,10 +17,9 @@ use tempo_net::Context;
 use tempo_telemetry::{EventKind as TelemetryKind, TelemetryEvent};
 
 use super::{TimeServer, TIMER_BOOT_ROUND, TIMER_CRASH, TIMER_RESTART, TIMER_RESYNC};
-use crate::config::{ApplyMode, ScreeningPolicy, ServerConfig};
-use crate::health::HealthTracker;
+use crate::config::{ApplyMode, ServerConfig};
 use crate::message::Message;
-use crate::rate::RateMonitor;
+use crate::peers::PeerTable;
 use crate::requests::Requests;
 use crate::round::{self, Decision};
 use crate::stats::ServerStats;
@@ -121,15 +120,6 @@ impl TimeServer {
         let mut durable = MemoryStore::new();
         durable.persist(persisted);
         let state = rehydrate(&persisted, start_reading, config.drift_bound);
-        let rates = match config.screening {
-            ScreeningPolicy::Off => None,
-            ScreeningPolicy::Consonance { sample_noise, .. } => Some(RateMonitor::new(
-                8,
-                // Rates become resolvable after roughly two rounds.
-                config.resync_period,
-                sample_noise,
-            )),
-        };
         let discipline = match config.apply {
             ApplyMode::Step => None,
             ApplyMode::Slew { max_rate } => Some(ClockDiscipline::new(DisciplineConfig {
@@ -138,8 +128,8 @@ impl TimeServer {
                 max_slew_rate: max_rate,
             })),
         };
-        let health = HealthTracker::new(config.health);
         let mut server = TimeServer {
+            peers: PeerTable::new(&config),
             clock,
             state,
             config,
@@ -149,8 +139,6 @@ impl TimeServer {
             stats: ServerStats::default(),
             recovering: false,
             active: false,
-            rates,
-            health,
             round_start_clock: start_reading,
             discipline,
             degraded: false,
@@ -158,7 +146,6 @@ impl TimeServer {
             epoch: 0,
             durable,
             boot_rounds: 0,
-            recent_estimates: Vec::new(),
             corrupted_at: None,
             snapshot: Published(Arc::new(SnapshotCell::new())),
         };
@@ -279,7 +266,9 @@ impl TimeServer {
         self.epoch = self.epoch.wrapping_add(1);
         self.requests.clear();
         self.round_replies.clear();
-        self.recent_estimates.clear();
+        // Verdicts and rate readings (marked on the hardware clock, which
+        // keeps running) survive; the claims go.
+        self.peers.forget_claims();
         self.recovering = false;
         self.degraded = false;
         self.stats.crashes += 1;
@@ -407,7 +396,7 @@ impl TimeServer {
 
     /// The scheduled state corruption: a transient fault overwrites the
     /// rule MM-1 state `(r_i, ε_i)`, the stable store, and the health
-    /// tables with seeded garbage. Unlike a crash the server *keeps
+    /// verdicts with seeded garbage. Unlike a crash the server *keeps
     /// serving* — its replies are garbage until the next adoption that
     /// passes the §5 screen, which is exactly the self-stabilization
     /// window the oracle bounds.
@@ -429,21 +418,21 @@ impl TimeServer {
             inherited_error: garbage.error,
             reset_at: now,
         });
-        // Scramble the health tables: recovery must claw back from a
+        // Scramble the health verdicts: recovery must claw back from a
         // poisoned view of the neighbourhood as well.
         for (&peer, &burst) in peers.iter().zip(&garbage.phantom_timeouts) {
             for _ in 0..burst {
-                let _ = self.health.record_timeout(peer);
+                let _ = self.peers.record_timeout(peer);
             }
         }
-        // The neighbour-estimate cache is part of the clobbered tables.
-        // Wiping it also closes a subtle hole in the stabilization
+        // The remembered claims are part of the clobbered state.
+        // Wiping them also closes a subtle hole in the stabilization
         // screen: cached estimates age by *own-clock* deltas, so a
         // clock jump would translate every pre-jump record along with
         // the garbage and make the corrupted state look "consistent"
         // with the neighbourhood. Only post-corruption records, taken
         // against the jumped clock, are correctly denominated.
-        self.recent_estimates.clear();
+        self.peers.forget_claims();
         // In-flight request marks are torn by the jump the same way
         // (a pre-jump `send_clock` against the jumped clock is a
         // garbage round-trip, and rule MM-2 widens by exactly that
@@ -473,10 +462,69 @@ impl TimeServer {
 mod tests {
     use super::super::testkit::{base_config, dur, server, ts};
     use super::*;
-    use crate::config::{RetryPolicy, Strategy};
+    use crate::config::{RetryPolicy, ScreeningPolicy, Strategy};
     use crate::fault::ServerFault;
-    use crate::health::{HealthConfig, PeerState};
+    use crate::peers::{HealthConfig, PeerState};
+    use tempo_core::TimeEstimate;
     use tempo_net::{DelayModel, NetConfig, NodeId, Topology, World};
+
+    /// A screening server whose table holds every part of a record for
+    /// peers 1 and 2: two missed requests each (Suspect on the default
+    /// thresholds), a claim, and a racer's rate readings.
+    fn with_full_records(config: ServerConfig) -> TimeServer {
+        let config = config.screening(ScreeningPolicy::Consonance {
+            peer_bound: DriftRate::new(1e-4),
+            sample_noise: dur(0.001),
+        });
+        let mut s = server(0.0, config, 7);
+        for peer in [NodeId::new(1), NodeId::new(2)] {
+            s.peers.record_timeout(peer);
+            s.peers.record_timeout(peer);
+            s.peers
+                .remember(peer, TimeEstimate::new(ts(1.0), dur(0.01)), ts(1.0));
+            for k in 0..4 {
+                let t = f64::from(k) * 20.0;
+                s.peers.record_reading(peer, ts(t), ts(t * 1.05));
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn a_crash_forgets_claims_but_keeps_verdicts_and_rates() {
+        let mut s = with_full_records(base_config(Strategy::Mm));
+        let mut rng = tempo_net::node_rng(7, NodeId::new(0));
+        let mut ctx = Context::external(ts(100.0), NodeId::new(0), &[], &mut rng);
+        s.crash(&mut ctx);
+        for peer in [NodeId::new(1), NodeId::new(2)] {
+            assert_eq!(s.peers.claim(peer), None);
+            assert_eq!(s.peer_state(peer), PeerState::Suspect);
+            assert_eq!(s.peers.is_dissonant(peer, DriftRate::new(1e-4)), Some(true));
+        }
+    }
+
+    #[test]
+    fn a_corruption_scrambles_verdicts_and_forgets_claims() {
+        let fault = ServerFault::corrupt_at(ts(50.0), 9);
+        let mut s = with_full_records(base_config(Strategy::Mm).fault(fault));
+        let peers = [NodeId::new(1), NodeId::new(2)];
+        let bursts = fault.garbage(2).expect("garbage").phantom_timeouts;
+        let mut rng = tempo_net::node_rng(7, NodeId::new(0));
+        let mut ctx = Context::external(ts(50.0), NodeId::new(0), &peers, &mut rng);
+        s.corrupt_state(&mut ctx);
+        let mut expected = PeerTable::new(s.config());
+        for (&peer, &burst) in peers.iter().zip(&bursts) {
+            for _ in 0..2 + burst {
+                expected.record_timeout(peer);
+            }
+            assert_eq!(s.peer_state(peer), expected.state(peer), "burst {burst}");
+            assert_eq!(s.peers.claim(peer), None);
+        }
+        assert!(
+            peers.iter().any(|&p| s.peer_state(p) == PeerState::Dead),
+            "seed 9 buries a peer: {bursts:?}"
+        );
+    }
 
     #[test]
     fn corruption_scrambles_state_and_stabilizes_via_the_screen() {

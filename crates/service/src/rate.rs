@@ -1,162 +1,14 @@
-//! Protocol-level consonance: tracking neighbour clock *rates*.
-//!
-//! §5 of the paper proposes applying the interval machinery to rates —
-//! "algorithms MM and IM can then be applied to maintain a consonant
-//! set of δ_i, just as they were previously used to maintain a
-//! consistent set of t_i" — as the way to diagnose *which* server
-//! breaks an inconsistent service. [`RateMonitor`] implements the
-//! measurement side: from the stream of `⟨C_j, E_j⟩` replies a server
-//! already receives, it estimates each neighbour's rate of separation
-//! and flags neighbours whose rate cannot be explained by the claimed
-//! drift bounds (*dissonant* neighbours).
-//!
-//! The server can then *screen* dissonant neighbours out of its
-//! synchronization rounds — which closes the §4 loophole where a peer
-//! drifting just past its claimed bound spends part of every sawtooth
-//! consistent-but-incorrect and quietly drags the intersection off
-//! true time.
+//! Request-rate admission for the serving front: [`AdmissionControl`].
 
-use tempo_core::consonance::{are_consonant, RateObservation};
-use tempo_core::{DriftRate, Duration, Timestamp};
-use tempo_net::NodeId;
-
-/// One paired reading: our clock at receipt, the neighbour's reported
-/// clock.
-#[derive(Debug, Clone, Copy)]
-struct PairedSample {
-    own: Timestamp,
-    peer: Timestamp,
-}
-
-/// Per-neighbour rate estimation from paired clock readings.
-///
-/// Samples are noisy by up to the round-trip `ξ` each, so a rate
-/// estimated over a baseline `B` carries an uncertainty of roughly
-/// `2ξ/B`; the monitor refuses to estimate until the baseline is long
-/// enough for the claimed bounds to be resolvable.
-#[derive(Debug, Clone)]
-pub struct RateMonitor {
-    window: usize,
-    min_baseline: Duration,
-    sample_noise: Duration,
-    /// Samples per neighbour, by [`NodeId::index`], grown on first record.
-    samples: Vec<Vec<PairedSample>>,
-}
-
-impl RateMonitor {
-    /// Creates a monitor.
-    ///
-    /// * `window` — paired samples kept per neighbour (oldest evicted),
-    /// * `min_baseline` — minimum own-clock span between the first and
-    ///   last retained sample before an estimate is produced,
-    /// * `sample_noise` — worst-case error of a single paired reading
-    ///   (the round-trip bound `ξ` is the honest choice).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window < 2`, or a duration is non-positive.
-    #[must_use]
-    pub fn new(window: usize, min_baseline: Duration, sample_noise: Duration) -> Self {
-        assert!(window >= 2, "rate estimation needs at least two samples");
-        assert!(
-            min_baseline.as_secs() > 0.0,
-            "minimum baseline must be positive"
-        );
-        assert!(
-            !sample_noise.is_negative(),
-            "sample noise must be non-negative"
-        );
-        RateMonitor {
-            window,
-            min_baseline,
-            sample_noise,
-            samples: Vec::new(),
-        }
-    }
-
-    /// Records a paired reading for `peer`.
-    pub fn record(&mut self, peer: NodeId, own_clock: Timestamp, peer_clock: Timestamp) {
-        if self.samples.len() <= peer.index() {
-            self.samples.resize_with(peer.index() + 1, Vec::new);
-        }
-        let entry = &mut self.samples[peer.index()];
-        entry.push(PairedSample {
-            own: own_clock,
-            peer: peer_clock,
-        });
-        if entry.len() > self.window {
-            entry.remove(0);
-        }
-    }
-
-    /// Translates every retained own-clock reading by `delta`.
-    ///
-    /// Rates are measured against our own clock, so when that clock is
-    /// *stepped* (an adoption applied in step mode) the retained
-    /// readings must move with it — otherwise the step masquerades as
-    /// an instantaneous change in every neighbour's rate, and a
-    /// consonant neighbour can be flagged dissonant (or a dissonant one
-    /// masked) for a whole window.
-    pub fn rebase(&mut self, delta: Duration) {
-        for samples in &mut self.samples {
-            for s in samples.iter_mut() {
-                s.own += delta;
-            }
-        }
-    }
-
-    /// The estimated separation rate `d/dt (C_peer − C_own)` for
-    /// `peer`, with its uncertainty, or `None` while the baseline is
-    /// too short.
-    ///
-    /// The rate is measured against our own clock, which is accurate to
-    /// within our own drift bound — that bias is folded into the
-    /// consonance test, not the estimate.
-    #[must_use]
-    pub fn estimate(&self, peer: NodeId) -> Option<RateObservation> {
-        let samples = self.samples.get(peer.index())?;
-        let (first, last) = (samples.first()?, samples.last()?);
-        let baseline = last.own - first.own;
-        if baseline < self.min_baseline {
-            return None;
-        }
-        let separation = (last.peer - first.peer) - (last.own - first.own);
-        let rate = separation.as_secs() / baseline.as_secs();
-        // Each endpoint reading is off by up to the sample noise.
-        let uncertainty = 2.0 * self.sample_noise.as_secs() / baseline.as_secs();
-        Some(RateObservation::new(rate, uncertainty))
-    }
-
-    /// Whether `peer` is *dissonant*: its estimated separation rate
-    /// exceeds what the two claimed bounds (plus measurement
-    /// uncertainty) allow. `None` while no estimate is available.
-    #[must_use]
-    pub fn is_dissonant(
-        &self,
-        peer: NodeId,
-        own_bound: DriftRate,
-        peer_bound: DriftRate,
-    ) -> Option<bool> {
-        let obs = self.estimate(peer)?;
-        // Shrink the observed magnitude by the uncertainty before the
-        // consonance test: only flag when even the most charitable
-        // reading is out of bounds.
-        let magnitude = (obs.rate.abs() - obs.uncertainty).max(0.0);
-        Some(!are_consonant(
-            magnitude.copysign(obs.rate),
-            own_bound,
-            peer_bound,
-        ))
-    }
-}
+use tempo_core::{Duration, Timestamp};
 
 /// Request-rate admission for the serving front: a token bucket.
 ///
-/// [`RateMonitor`] polices the *clock* rates of neighbours; this type
-/// polices the *request* rate of clients, the optional admission tier
-/// in front of the lock-free read path. A bucket holds at most `burst`
-/// tokens and refills at `rate` tokens per second of serving-front
-/// real time; each admitted request spends one. A sustained overload
+/// [`PeerTable`](crate::PeerTable) polices the *clock* rates of
+/// neighbours; this type polices the *request* rate of clients, the
+/// optional admission tier in front of the lock-free read path. A
+/// bucket holds at most `burst` tokens and refills at `rate` tokens per
+/// second of serving-front real time; each admitted request spends one. A sustained overload
 /// is shaved to `rate` requests/s, while bursts up to `burst` pass
 /// undelayed — and because refill accrues continuously, the tier
 /// *recovers* after a rejected burst as soon as the offered load drops
@@ -247,95 +99,6 @@ mod tests {
 
     fn ts(s: f64) -> Timestamp {
         Timestamp::from_secs(s)
-    }
-
-    fn dur(s: f64) -> Duration {
-        Duration::from_secs(s)
-    }
-
-    fn monitor() -> RateMonitor {
-        RateMonitor::new(8, dur(10.0), dur(0.01))
-    }
-
-    #[test]
-    fn no_estimate_until_baseline() {
-        let mut m = monitor();
-        let peer = NodeId::new(1);
-        assert!(m.estimate(peer).is_none());
-        m.record(peer, ts(0.0), ts(0.0));
-        m.record(peer, ts(5.0), ts(5.0));
-        assert!(m.estimate(peer).is_none(), "5 s < 10 s baseline");
-        m.record(peer, ts(12.0), ts(12.0));
-        assert!(m.estimate(peer).is_some());
-    }
-
-    #[test]
-    fn estimates_a_fast_peer() {
-        let mut m = monitor();
-        let peer = NodeId::new(2);
-        // Peer gains 1 % per own-clock second.
-        for k in 0..5 {
-            let t = f64::from(k) * 10.0;
-            m.record(peer, ts(t), ts(t * 1.01));
-        }
-        let obs = m.estimate(peer).unwrap();
-        assert!((obs.rate - 0.01).abs() < 1e-9, "rate {}", obs.rate);
-        // Uncertainty: 2·0.01 / 40 = 5e-4.
-        assert!((obs.uncertainty - 5e-4).abs() < 1e-9);
-    }
-
-    #[test]
-    fn window_evicts_oldest() {
-        let mut m = RateMonitor::new(2, dur(1.0), dur(0.0));
-        let peer = NodeId::new(0);
-        m.record(peer, ts(0.0), ts(100.0)); // will be evicted
-        m.record(peer, ts(10.0), ts(10.0));
-        m.record(peer, ts(20.0), ts(20.0));
-        let obs = m.estimate(peer).unwrap();
-        // Rate computed over the two retained samples only.
-        assert!(obs.rate.abs() < 1e-12);
-    }
-
-    #[test]
-    fn dissonance_flags_the_racer_only() {
-        let mut m = monitor();
-        let honest = NodeId::new(1);
-        let racer = NodeId::new(2);
-        for k in 0..4 {
-            let t = f64::from(k) * 20.0;
-            m.record(honest, ts(t), ts(t * (1.0 + 5e-6)));
-            m.record(racer, ts(t), ts(t * 1.05));
-        }
-        let bound = DriftRate::new(1e-4);
-        assert_eq!(m.is_dissonant(honest, bound, bound), Some(false));
-        assert_eq!(m.is_dissonant(racer, bound, bound), Some(true));
-    }
-
-    #[test]
-    fn dissonance_is_charitable_under_uncertainty() {
-        // A peer slightly past the bound, but within measurement noise:
-        // not flagged.
-        let mut m = RateMonitor::new(4, dur(10.0), dur(0.05));
-        let peer = NodeId::new(3);
-        for k in 0..3 {
-            let t = f64::from(k) * 10.0;
-            m.record(peer, ts(t), ts(t * (1.0 + 3e-4)));
-        }
-        let bound = DriftRate::new(1e-4);
-        // Uncertainty = 2·0.05/20 = 5e-3 ≫ the 1e-4 excess.
-        assert_eq!(m.is_dissonant(peer, bound, bound), Some(false));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two samples")]
-    fn tiny_window_rejected() {
-        let _ = RateMonitor::new(1, dur(1.0), dur(0.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "baseline must be positive")]
-    fn zero_baseline_rejected() {
-        let _ = RateMonitor::new(2, Duration::ZERO, dur(0.0));
     }
 
     // ----- AdmissionControl: burst-load decision patterns -----
@@ -471,19 +234,5 @@ mod tests {
     #[should_panic(expected = "burst capacity must hold at least one")]
     fn sub_one_burst_rejected() {
         let _ = AdmissionControl::new(10.0, 0.5);
-    }
-
-    #[test]
-    fn negative_rate_peer() {
-        let mut m = monitor();
-        let peer = NodeId::new(9);
-        for k in 0..3 {
-            let t = f64::from(k) * 10.0;
-            m.record(peer, ts(t), ts(t * 0.98)); // 2 % slow
-        }
-        let obs = m.estimate(peer).unwrap();
-        assert!((obs.rate + 0.02).abs() < 1e-9);
-        let bound = DriftRate::new(1e-4);
-        assert_eq!(m.is_dissonant(peer, bound, bound), Some(true));
     }
 }

@@ -17,6 +17,7 @@ use tempo_core::{marzullo, DriftRate, Duration, TimeEstimate, Timestamp};
 use tempo_net::NodeId;
 
 use crate::config::Strategy;
+use crate::peers::PeerTable;
 
 /// What a round (or, under MM, a single reply) tells the server to do.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -257,13 +258,12 @@ pub(crate) fn aged(
     )
 }
 
-/// The §5 screen: does `proposal` intersect at least half of `recent` —
-/// the freshest processed estimate per peer with the own-clock reading
-/// at receipt, indexed by [`NodeId::index`], each [`aged`] to
-/// `clock_now` — skipping `exclude` when the proposal originated there?
-/// With nothing on record there is nothing to disagree with.
+/// The §5 screen: does `proposal` intersect at least half of the claims
+/// `peers` remembers, each [`aged`] to `clock_now`, skipping `exclude`
+/// when the proposal originated there? With nothing on record there is
+/// nothing to disagree with.
 pub(crate) fn consistent_with_recent(
-    recent: &[Option<(TimeEstimate, Timestamp)>],
+    peers: &PeerTable,
     exclude: Option<NodeId>,
     proposal: &TimeEstimate,
     clock_now: Timestamp,
@@ -271,11 +271,8 @@ pub(crate) fn consistent_with_recent(
 ) -> bool {
     let mut consistent = 0usize;
     let mut total = 0usize;
-    for (peer, record) in recent.iter().enumerate() {
-        let Some(record) = *record else {
-            continue;
-        };
-        if Some(NodeId::new(peer)) == exclude {
+    for (peer, record) in peers.claims() {
+        if Some(peer) == exclude {
             continue;
         }
         total += 1;
@@ -297,11 +294,11 @@ pub(crate) fn recover(
     from: NodeId,
     clock_now: Timestamp,
     delta: DriftRate,
-    recent: &[Option<(TimeEstimate, Timestamp)>],
+    peers: &PeerTable,
 ) -> Decision {
     let new_error = reply.estimate.error() + reply.round_trip * delta.inflation();
     let proposal = TimeEstimate::new(reply.estimate.time(), new_error);
-    if !consistent_with_recent(recent, Some(from), &proposal, clock_now, delta) {
+    if !consistent_with_recent(peers, Some(from), &proposal, clock_now, delta) {
         return Decision::Inconsistent;
     }
     Decision::Reset {
@@ -316,6 +313,7 @@ pub(crate) fn recover(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ServerConfig;
 
     fn ts(s: f64) -> Timestamp {
         Timestamp::from_secs(s)
@@ -586,20 +584,28 @@ mod tests {
             recovery: true,
         };
         let rescuer = NodeId::new(3);
-        let said = |time, at| Some((est(time, 0.1), ts(at)));
-        let verdict = |recent: &[Option<(TimeEstimate, Timestamp)>]| {
-            recover(&reply, rescuer, ts(100.0), delta(), recent)
+        let said = |peer, time, at| (NodeId::new(peer), est(time, 0.1), ts(at));
+        let verdict = |recent: &[(NodeId, TimeEstimate, Timestamp)]| {
+            let mut peers = PeerTable::new(&ServerConfig::new(Strategy::Im, delta()));
+            for &(peer, claim, at) in recent {
+                peers.remember(peer, claim, at);
+            }
+            recover(&reply, rescuer, ts(100.0), delta(), &peers)
         };
         // Nothing on record — or only the rescuer's own word — and the
         // reply is taken on faith, as in §3.
         assert_eq!(verdict(&[]), adopted);
-        assert_eq!(verdict(&[None, None, None, said(0.0, 100.0)]), adopted);
+        assert_eq!(verdict(&[said(3, 0.0, 100.0)]), adopted);
         // Two neighbours on record, 10 own-seconds old: aged, they say
         // ~⟨200, 0.1⟩ and ~⟨300, 0.1⟩. Agreeing with one of two passes;
         // a third dissenter tips the screen.
-        let mut recent = vec![None, said(190.0, 90.0), said(290.0, 90.0), said(0.0, 100.0)];
+        let mut recent = vec![
+            said(1, 190.0, 90.0),
+            said(2, 290.0, 90.0),
+            said(3, 0.0, 100.0),
+        ];
         assert_eq!(verdict(&recent), adopted);
-        recent.push(said(290.0, 90.0));
+        recent.push(said(4, 290.0, 90.0));
         assert_eq!(verdict(&recent), Decision::Inconsistent);
     }
 

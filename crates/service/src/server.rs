@@ -24,10 +24,9 @@ use tempo_telemetry::{
     Bus, EventKind as TelemetryKind, RejectCause, SampleSnapshot, TelemetryEvent,
 };
 
-use crate::config::{RecoveryPolicy, RetryPolicy, ScreeningPolicy, ServerConfig, Strategy};
-use crate::health::{HealthTracker, PeerState};
+use crate::config::{RecoveryPolicy, RetryPolicy, ServerConfig, Strategy};
 use crate::message::Message;
-use crate::rate::RateMonitor;
+use crate::peers::{PeerState, PeerTable};
 use crate::requests::{patience, Claim, Pending, Requests};
 use crate::round::{self, BufferedReply, Decision};
 use crate::stats::ServerStats;
@@ -86,11 +85,10 @@ pub struct TimeServer {
     /// Whether the server currently participates in the service
     /// (between its join and leave instants).
     active: bool,
-    /// §5 rate monitor, present when screening is enabled.
-    rates: Option<RateMonitor>,
-    /// Per-peer health verdicts, fed by reply timeouts (inert under
-    /// [`RetryPolicy::Off`] — no timeouts, no signal).
-    health: HealthTracker,
+    /// Per peer: the health verdict, fed by reply timeouts (inert under
+    /// [`RetryPolicy::Off`] — no timeouts, no signal), the freshest
+    /// claim the §5 screens check against, and the §5 rate readings.
+    peers: PeerTable,
     /// Own-clock reading when the current round began (bounds retries
     /// to the collection window).
     round_start_clock: Timestamp,
@@ -111,10 +109,6 @@ pub struct TimeServer {
     durable: MemoryStore,
     /// Bootstrap rounds run since the current restart.
     boot_rounds: u32,
-    /// The freshest processed estimate per peer (with the own-clock
-    /// reading at receipt) — the §5 screen applied to recovery replies.
-    /// Indexed by [`NodeId::index`] and grown on the first record.
-    recent_estimates: Vec<Option<(TimeEstimate, Timestamp)>>,
     /// When a state corruption scrambled this server's state, until the
     /// first adoption that passes the §5 consistency screen declares it
     /// stabilized again.
@@ -206,7 +200,7 @@ impl TimeServer {
     /// [`RetryPolicy::Off`] — without timeouts there is no signal).
     #[must_use]
     pub fn peer_state(&self, peer: NodeId) -> PeerState {
-        self.health.state(peer)
+        self.peers.state(peer)
     }
 
     /// Tags a round timer with the current lifecycle epoch, so firings
@@ -252,15 +246,15 @@ impl TimeServer {
     /// Feeds `peer`'s health record a reply (`replied`) or an exhausted
     /// timeout, counting and emitting the verdict change if there is one.
     fn note_health(&mut self, peer: NodeId, replied: bool, ctx: &Context<'_, Message>) {
-        let before = self.health.state(peer);
+        let before = self.peers.state(peer);
         if replied {
-            if self.health.record_reply(peer) {
+            if self.peers.record_reply(peer) {
                 self.stats.peers_reinstated += 1;
             }
-        } else if self.health.record_timeout(peer) {
+        } else if self.peers.record_timeout(peer) {
             self.stats.peers_suspected += 1;
         }
-        let after = self.health.state(peer);
+        let after = self.peers.state(peer);
         if before != after {
             ctx.emit_with(TelemetryKind::HealthChanged, || {
                 TelemetryEvent::HealthChanged {
@@ -297,13 +291,8 @@ impl TimeServer {
             b.send_clock += delta;
             b.recv_clock += delta;
         }
-        for (_, seen_clock) in self.recent_estimates.iter_mut().flatten() {
-            *seen_clock += delta;
-        }
+        self.peers.rebase(delta);
         self.round_start_clock += delta;
-        if let Some(rates) = &mut self.rates {
-            rates.rebase(delta);
-        }
     }
 
     /// Applies an accepted reset: sets the hardware clock, reads it back
@@ -369,9 +358,8 @@ impl TimeServer {
         if let Some(since) = self.corrupted_at {
             let (reading, delta) = (self.state.last_reset(), self.config.drift_bound);
             let adopted = self.state.estimate_at(reading);
-            let recent = &self.recent_estimates;
-            if recent.iter().any(Option::is_some)
-                && round::consistent_with_recent(recent, None, &adopted, reading, delta)
+            if self.peers.claims().next().is_some()
+                && round::consistent_with_recent(&self.peers, None, &adopted, reading, delta)
             {
                 let elapsed = (now - since).max(Duration::ZERO);
                 self.corrupted_at = None;
@@ -401,7 +389,7 @@ impl TimeServer {
             .neighbors()
             .iter()
             .copied()
-            .filter(|&peer| !self.config.retry.is_enabled() || self.health.should_poll(peer, round))
+            .filter(|&peer| !self.config.retry.is_enabled() || self.peers.should_poll(peer, round))
             .collect();
         ctx.emit_with(TelemetryKind::RoundBegin, || TelemetryEvent::RoundBegin {
             at: now,
@@ -559,26 +547,23 @@ impl TimeServer {
         let reply = TimedReply::new(estimate, rtt.max(Duration::ZERO));
         let delta = self.config.drift_bound;
 
-        // §5 screening: track the neighbour's rate and drop replies from
-        // dissonant neighbours before they can influence any strategy.
-        if let (Some(rates), ScreeningPolicy::Consonance { peer_bound, .. }) =
-            (&mut self.rates, self.config.screening)
-        {
-            rates.record(from, clock_now, estimate.time());
-            if rates.is_dissonant(from, delta, peer_bound) == Some(true) {
-                self.stats.screened += 1;
-                if pending.recovery {
-                    // A dissonant third server is no rescuer; allow a
-                    // future recovery attempt instead.
-                    self.recovering = false;
-                }
-                return;
+        // §5 screening, when configured: track the neighbour's rate and
+        // drop replies from dissonant neighbours before they can
+        // influence any strategy.
+        self.peers.record_reading(from, clock_now, estimate.time());
+        if self.peers.is_dissonant(from, delta) == Some(true) {
+            self.stats.screened += 1;
+            if pending.recovery {
+                // A dissonant third server is no rescuer; allow a future
+                // recovery attempt instead.
+                self.recovering = false;
             }
+            return;
         }
 
         if pending.recovery {
             self.recovering = false;
-            match round::recover(&reply, from, clock_now, delta, &self.recent_estimates) {
+            match round::recover(&reply, from, clock_now, delta, &self.peers) {
                 Decision::Reset { reset, recovery } => {
                     let own = self.state.estimate_at(clock_now);
                     self.emit_adopt(ctx, pending.round, &own, &reset, recovery, Vec::new);
@@ -595,10 +580,7 @@ impl TimeServer {
         // Remember what this neighbour claimed (and when, on our
         // clock): these records are the §5 screen a later recovery
         // reply must pass.
-        if self.recent_estimates.len() <= from.index() {
-            self.recent_estimates.resize(from.index() + 1, None);
-        }
-        self.recent_estimates[from.index()] = Some((estimate, clock_now));
+        self.peers.remember(from, estimate, clock_now);
 
         if self.config.strategy != Strategy::Mm {
             self.round_replies.push(BufferedReply {
@@ -648,7 +630,7 @@ impl TimeServer {
             ctx.neighbors()
                 .iter()
                 .copied()
-                .filter(|&n| Some(n) != inconsistent_with && self.health.state(n) == state)
+                .filter(|&n| Some(n) != inconsistent_with && self.peers.state(n) == state)
                 .collect()
         };
         let mut pool = of_state(PeerState::Healthy);
@@ -806,7 +788,7 @@ impl Actor for TimeServer {
                     None => self.current_estimate(now),
                     Some(fault) => {
                         let requester = ctx.label_of(from);
-                        let remembered = self.recent_estimates.get(from.index()).copied().flatten();
+                        let remembered = self.peers.claim(from);
                         let delta = self.config.drift_bound;
                         let honest = || self.current_estimate(now);
                         match fault.answer(now, honest, requester, remembered, delta, ctx.rng()) {
@@ -905,7 +887,10 @@ pub(crate) mod testkit {
     /// ≈ 0 for an honest claim under zero drift and millisecond delays —
     /// and the claimed error.
     pub(crate) fn recorded_offset(server: &TimeServer, of: usize) -> (Duration, Duration) {
-        let (estimate, seen_clock) = server.recent_estimates[of].expect("a record of the peer");
+        let (estimate, seen_clock) = server
+            .peers
+            .claim(NodeId::new(of))
+            .expect("a record of the peer");
         (estimate.time() - seen_clock, estimate.error())
     }
 }
@@ -914,6 +899,7 @@ pub(crate) mod testkit {
 mod tests {
     use super::testkit::{base_config, dur, server, ts};
     use super::*;
+    use crate::config::ScreeningPolicy;
     use tempo_clocks::DriftModel;
     use tempo_core::DriftRate;
     use tempo_net::{DelayModel, NetConfig, Topology, World};
@@ -951,8 +937,13 @@ mod tests {
     fn apply_reset_rebases_every_landmark() {
         // The shell's half of `clock_step_rebases_inflight_marks`
         // (`requests.rs`): a step applied through `apply_reset` reaches
-        // the in-flight table and the cached neighbour claims alike.
-        let mut s = server(0.0, base_config(Strategy::Mm), 9);
+        // the in-flight table, the remembered claims and, under §5
+        // screening, the rate readings alike.
+        let config = base_config(Strategy::Mm).screening(ScreeningPolicy::Consonance {
+            peer_bound: DriftRate::new(1e-4),
+            sample_noise: dur(0.001),
+        });
+        let mut s = server(0.0, config, 9);
         let t0 = ts(100.0);
         let send_clock = s.reading(t0);
         let id = s.requests.open(Pending {
@@ -963,11 +954,11 @@ mod tests {
             attempt: 0,
             deadline_clock: Some(send_clock + dur(1.0)),
         });
-        s.recent_estimates = vec![
-            None,
-            None,
-            Some((TimeEstimate::new(send_clock, dur(0.01)), send_clock)),
-        ];
+        let peer = NodeId::new(2);
+        s.peers
+            .remember(peer, TimeEstimate::new(send_clock, dur(0.01)), send_clock);
+        s.peers
+            .record_reading(peer, send_clock - dur(20.0), send_clock - dur(20.0));
         // 9 ms into the flight an adoption steps the clock back 50 ms.
         let t1 = ts(100.009);
         let target = s.reading(t1) - dur(0.050);
@@ -992,10 +983,20 @@ mod tests {
             ((deadline - send_clock).as_secs() - (1.0 - 0.050)).abs() < 1e-9,
             "deadline moves with the step"
         );
-        let (_, seen) = s.recent_estimates[2].expect("record survives");
+        let (_, seen) = s.peers.claim(peer).expect("record survives");
         assert!(
             ((s.reading(t1) - seen).as_secs() - 0.009).abs() < 1e-9,
             "cached-claim age must survive the step"
+        );
+        // The peer's clock did not step: it now reads 50 ms ahead of
+        // ours, which is no rate at all once the old reading moved too
+        // (unmoved, it would be 2.5e-3 over the 20 s baseline).
+        let now = s.reading(t1);
+        s.peers.record_reading(peer, now, now + dur(0.050));
+        assert_eq!(
+            s.peers.is_dissonant(peer, DriftRate::new(1e-4)),
+            Some(false),
+            "rate readings must move with the step"
         );
     }
 
@@ -1358,7 +1359,7 @@ mod tests {
                             multiplier: 2.0,
                             jitter: 0.0,
                         })
-                        .health(crate::health::HealthConfig {
+                        .health(crate::peers::HealthConfig {
                             suspect_after: 2,
                             dead_after: 6,
                             probe_every: 3,
@@ -1499,7 +1500,7 @@ mod tests {
                     multiplier: 2.0,
                     jitter: 0.0,
                 })
-                .health(crate::health::HealthConfig {
+                .health(crate::peers::HealthConfig {
                     suspect_after: 2,
                     dead_after: 4,
                     probe_every: 8,

@@ -125,15 +125,8 @@ pub struct ClusterScenario {
     clients: usize,
     clusters: usize,
     max_faulty: usize,
-    lease_duration: Duration,
-    renew_period: Duration,
-    election_timeout: Duration,
-    request_timeout: Duration,
-    tick: Duration,
-    rtt_slack: Duration,
     client_period: Duration,
     resync_period: Duration,
-    collect_window: Duration,
     delay: DelayModel,
     loss: f64,
     partitions: Vec<Partition>,
@@ -164,15 +157,8 @@ impl ClusterScenario {
             clients: 1,
             clusters: 1,
             max_faulty: 0,
-            lease_duration: Duration::from_secs(0.4),
-            renew_period: Duration::from_secs(0.1),
-            election_timeout: Duration::from_secs(0.3),
-            request_timeout: Duration::from_secs(0.5),
-            tick: Duration::from_secs(0.05),
-            rtt_slack: Duration::from_millis(20.0),
             client_period: Duration::from_millis(50.0),
             resync_period: Duration::from_secs(5.0),
-            collect_window: Duration::from_secs(0.5),
             delay: DelayModel::Constant(Duration::from_millis(5.0)),
             loss: 0.0,
             partitions: Vec::new(),
@@ -220,34 +206,6 @@ impl ClusterScenario {
     #[must_use]
     pub fn max_faulty(mut self, f: usize) -> Self {
         self.max_faulty = f;
-        self
-    }
-
-    /// Lease validity after a successful renewal quorum.
-    #[must_use]
-    pub fn lease_duration(mut self, d: Duration) -> Self {
-        self.lease_duration = d;
-        self
-    }
-
-    /// Cadence of the primary's renewal heartbeat.
-    #[must_use]
-    pub fn renew_period(mut self, d: Duration) -> Self {
-        self.renew_period = d;
-        self
-    }
-
-    /// Primary silence before a backup starts an election.
-    #[must_use]
-    pub fn election_timeout(mut self, d: Duration) -> Self {
-        self.election_timeout = d;
-        self
-    }
-
-    /// How long a pending issue may wait for its replication quorum.
-    #[must_use]
-    pub fn request_timeout(mut self, d: Duration) -> Self {
-        self.request_timeout = d;
         self
     }
 
@@ -397,6 +355,15 @@ impl Deployment for ClusterScenario {
     /// per_cluster()`; its replica set is addressed by the ids the
     /// hosting world gives it.
     fn build_node(&self, i: usize, members: &[NodeId]) -> ClusterNode {
+        // Every deployment's timings, in seconds (the repo benchmark's
+        // `perf/src/seams.rs` restates them).
+        const LEASE_DURATION: f64 = 0.4;
+        const RENEW_PERIOD: f64 = 0.1;
+        const ELECTION_TIMEOUT: f64 = 0.3;
+        const REQUEST_TIMEOUT: f64 = 0.5;
+        const TICK: f64 = 0.05;
+        const RTT_SLACK: f64 = 0.02;
+        const COLLECT_WINDOW: f64 = 0.5;
         let r = self.replicas.len();
         let per = self.per_cluster();
         let (g, k) = (i / per, i % per);
@@ -408,7 +375,7 @@ impl Deployment for ClusterScenario {
             return AuditClient::new(
                 AuditClientConfig::new(replica_ids)
                     .period(self.client_period)
-                    .request_timeout(self.request_timeout),
+                    .request_timeout(Duration::from_secs(REQUEST_TIMEOUT)),
             )
             .into();
         }
@@ -421,7 +388,7 @@ impl Deployment for ClusterScenario {
         let mut server_config =
             ServerConfig::new(self.strategy(), DriftRate::new(spec.claimed_bound))
                 .resync_period(self.resync_period)
-                .collect_window(self.collect_window)
+                .collect_window(Duration::from_secs(COLLECT_WINDOW))
                 .initial_error(spec.initial_error)
                 .jitter(0.0);
         if let Some(fault) = spec.server_fault {
@@ -430,12 +397,12 @@ impl Deployment for ClusterScenario {
         let server = TimeServer::new(clock, server_config);
         let mut cluster_config = ClusterConfig::new(replica_ids, k)
             .max_faulty(self.max_faulty)
-            .lease_duration(self.lease_duration)
-            .renew_period(self.renew_period)
-            .election_timeout(self.election_timeout)
-            .request_timeout(self.request_timeout)
-            .tick(self.tick)
-            .rtt_slack(self.rtt_slack)
+            .lease_duration(Duration::from_secs(LEASE_DURATION))
+            .renew_period(Duration::from_secs(RENEW_PERIOD))
+            .election_timeout(Duration::from_secs(ELECTION_TIMEOUT))
+            .request_timeout(Duration::from_secs(REQUEST_TIMEOUT))
+            .tick(Duration::from_secs(TICK))
+            .rtt_slack(Duration::from_secs(RTT_SLACK))
             .amnesia(spec.amnesia);
         if let Some(fault) = spec.cluster_fault {
             cluster_config = cluster_config.fault(fault);
