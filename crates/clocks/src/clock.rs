@@ -58,12 +58,6 @@ impl SimClock {
         self.effective_drift(self.last_real)
     }
 
-    /// The configured drift model.
-    #[must_use]
-    pub fn drift_model(&self) -> &DriftModel {
-        &self.drift
-    }
-
     /// The real time of the most recent advance.
     #[must_use]
     pub fn last_real(&self) -> Timestamp {
@@ -522,11 +516,11 @@ mod tests {
     }
 
     #[test]
-    fn drift_model_accessor() {
+    fn builder_sets_the_drift_model() {
         let c = SimClock::builder()
             .drift(DriftModel::Constant(5e-6))
             .build();
-        assert_eq!(c.drift_model(), &DriftModel::Constant(5e-6));
+        assert_eq!(c.drift, DriftModel::Constant(5e-6));
         assert_eq!(c.last_real(), Timestamp::ZERO);
     }
 

@@ -41,13 +41,11 @@
 #![warn(missing_debug_implementations)]
 
 mod clock;
-mod discipline;
 mod drift;
 mod fault;
 mod monotonic;
 
 pub use clock::{SimClock, SimClockBuilder};
-pub use discipline::{Adjustment, ClockDiscipline, DisciplineConfig};
 pub use drift::DriftModel;
 pub use fault::{Fault, FaultKind};
 pub use monotonic::MonotonicClock;

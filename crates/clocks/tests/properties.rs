@@ -1,12 +1,9 @@
 //! Property tests for the clock substrate: every drift model honours
-//! its envelope, the monotonic adapter never goes backward, and the
-//! discipline stays monotone while draining corrections.
+//! its envelope, and the monotonic adapter never goes backward.
 
 use tempo_check::{check, Gen};
 
-use tempo_clocks::{
-    Adjustment, ClockDiscipline, DisciplineConfig, DriftModel, MonotonicClock, SimClock,
-};
+use tempo_clocks::{DriftModel, MonotonicClock, SimClock};
 use tempo_core::{Duration, Timestamp};
 
 fn drift_model(g: &mut Gen) -> DriftModel {
@@ -110,37 +107,6 @@ fn monotonic_adapter_is_monotone() {
             assert!(m >= last, "monotonic clock regressed: {m} < {last}");
             last = m;
         }
-    });
-}
-
-/// The discipline's reading is monotone under sub-threshold
-/// corrections, and pending corrections drain to zero given time.
-#[test]
-fn discipline_monotone_and_drains() {
-    check("discipline_monotone_and_drains", 256, |g| {
-        let rate = g.f64(1e-4..0.5);
-        let corrections = g.vec(1..20, |g| g.f64(-0.05..0.05));
-        let mut d = ClockDiscipline::new(DisciplineConfig {
-            step_threshold: Duration::from_secs(10.0), // never step
-            max_slew_rate: rate,
-        });
-        let mut t = 0.0;
-        let mut last = d.read(Timestamp::ZERO).as_secs();
-        for c in corrections {
-            t += 1.0;
-            match d.correct(Timestamp::from_secs(t), Duration::from_secs(c)) {
-                Adjustment::Slewing { .. } => {}
-                Adjustment::Stepped { .. } => panic!("threshold too low"),
-            }
-            let r = d.read(Timestamp::from_secs(t)).as_secs();
-            assert!(r >= last - 1e-12, "discipline regressed");
-            last = r;
-        }
-        // Let the slew drain fully: pending ≤ 20·0.05 = 1 s, at `rate`
-        // per second.
-        t += 1.0 / rate + 100.0;
-        let _ = d.read(Timestamp::from_secs(t));
-        assert!(d.pending().abs() < Duration::from_secs(1e-9));
     });
 }
 

@@ -899,14 +899,9 @@ mod tests {
         tempo_core::Duration::from_secs(s)
     }
 
-    /// Cluster timings fast enough for short test runs.
+    /// The simulator's cluster timings: the defaults with a 0.05 s tick.
     fn fast(config: ClusterConfig) -> ClusterConfig {
-        config
-            .lease_duration(dur(0.4))
-            .renew_period(dur(0.1))
-            .election_timeout(dur(0.3))
-            .request_timeout(dur(0.5))
-            .tick(dur(0.05))
+        config.tick(dur(0.05))
     }
 
     /// A replica whose inner clock starts `offset` seconds off true

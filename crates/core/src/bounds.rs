@@ -14,18 +14,6 @@
 
 use crate::time::{DriftRate, Duration};
 
-/// Rule MM-1: the error of `⟨C, E⟩` after the clock has advanced by
-/// `elapsed` since the last reset left it at `epsilon`:
-/// `E(t) = ε + (C(t) − r)·δ`.
-#[must_use]
-pub fn mm1_error_after(
-    epsilon: Duration,
-    elapsed_on_clock: Duration,
-    delta: DriftRate,
-) -> Duration {
-    epsilon + elapsed_on_clock * delta
-}
-
 /// Rule MM-2's adjusted error for a reply: `E_j + (1+δ_i)·ξ^i_j`.
 ///
 /// This is both the adoption predicate's left-hand side (adopt iff it is
@@ -106,16 +94,6 @@ mod tests {
 
     fn dur(s: f64) -> Duration {
         Duration::from_secs(s)
-    }
-
-    #[test]
-    fn mm1_growth_is_linear_in_elapsed_clock_time() {
-        let e = mm1_error_after(dur(0.5), dur(100.0), DriftRate::new(1e-3));
-        assert!((e.as_secs() - 0.6).abs() < 1e-12);
-        assert_eq!(
-            mm1_error_after(dur(0.5), Duration::ZERO, DriftRate::new(1e-3)),
-            dur(0.5)
-        );
     }
 
     #[test]

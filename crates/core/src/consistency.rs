@@ -83,16 +83,6 @@ impl ConsistencyGraph {
         self.adjacency[i * self.n + j]
     }
 
-    /// `true` when every pair of servers is consistent.
-    ///
-    /// Note this is *weaker* than the service being consistent (all
-    /// intervals sharing one common point) — see
-    /// [`TimeEstimate::is_consistent_with`] not being transitive.
-    #[must_use]
-    pub fn all_pairs_consistent(&self) -> bool {
-        (0..self.n).all(|i| (0..self.n).all(|j| self.consistent(i, j)))
-    }
-
     /// Connected components of the graph, each sorted ascending; the
     /// components themselves are ordered by their smallest member.
     #[must_use]
@@ -237,7 +227,6 @@ mod tests {
         assert!(g.consistent(1, 0));
         assert!(!g.consistent(0, 2));
         assert!(g.consistent(2, 2));
-        assert!(!g.all_pairs_consistent());
     }
 
     #[test]
@@ -245,7 +234,6 @@ mod tests {
         let g = ConsistencyGraph::new(&[]);
         assert!(g.is_empty());
         assert!(g.components().is_empty());
-        assert!(g.all_pairs_consistent());
     }
 
     #[test]
@@ -274,7 +262,8 @@ mod tests {
         let estimates = [est(0.0, 1.0), est(1.8, 1.0), est(3.6, 1.0)];
         let g = ConsistencyGraph::new(&estimates);
         assert_eq!(g.components(), vec![vec![0, 1, 2]]);
-        assert!(!g.all_pairs_consistent());
+        assert!(g.consistent(0, 1) && g.consistent(1, 2));
+        assert!(!g.consistent(0, 2));
     }
 
     #[test]

@@ -179,17 +179,6 @@ impl TimeInterval {
         }
     }
 
-    /// Grows the interval by `amount` on each side (`amount` may be
-    /// negative to shrink, as long as the result stays non-empty).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shrinking would make `lo > hi`.
-    #[must_use]
-    pub fn expand(&self, amount: Duration) -> TimeInterval {
-        TimeInterval::new(self.lo - amount, self.hi + amount)
-    }
-
     /// Grows only the leading edge, the way rule IM-2 widens a reply by
     /// the round-trip allowance `(1 + δ_i)·ξ` (only the *future* side of
     /// the claim decays while a reply is in flight).
@@ -339,18 +328,10 @@ mod tests {
     }
 
     #[test]
-    fn shift_and_expand() {
+    fn shift_moves_both_edges() {
         let a = iv(1.0, 2.0);
         assert_eq!(a.shift(Duration::from_secs(3.0)), iv(4.0, 5.0));
         assert_eq!(a.shift(Duration::from_secs(-1.0)), iv(0.0, 1.0));
-        assert_eq!(a.expand(Duration::from_secs(0.5)), iv(0.5, 2.5));
-        assert_eq!(a.expand(Duration::from_secs(-0.5)), iv(1.5, 1.5));
-    }
-
-    #[test]
-    #[should_panic]
-    fn over_shrinking_panics() {
-        let _ = iv(1.0, 2.0).expand(Duration::from_secs(-1.0));
     }
 
     #[test]

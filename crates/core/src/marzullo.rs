@@ -62,13 +62,6 @@ impl MarzulloResult {
     pub fn best(&self) -> &CoverageRegion {
         &self.regions[0]
     }
-
-    /// `true` if the maximum coverage is achieved by more than one
-    /// disjoint region (an ambiguous, partitioned service).
-    #[must_use]
-    pub fn is_ambiguous(&self) -> bool {
-        self.regions.len() > 1
-    }
 }
 
 impl fmt::Display for MarzulloResult {
@@ -285,7 +278,7 @@ mod tests {
         assert_eq!(result.coverage, 1);
         assert_eq!(result.best().interval, iv(1.0, 2.0));
         assert_eq!(result.best().members, vec![0]);
-        assert!(!result.is_ambiguous());
+        assert_eq!(result.regions.len(), 1);
     }
 
     #[test]
@@ -334,7 +327,6 @@ mod tests {
         let sources = [iv(0.0, 2.0), iv(1.0, 3.0), iv(10.0, 12.0), iv(11.0, 13.0)];
         let result = best_intersection(&sources).unwrap();
         assert_eq!(result.coverage, 2);
-        assert!(result.is_ambiguous());
         assert_eq!(result.regions.len(), 2);
         assert_eq!(result.regions[0].interval, iv(1.0, 2.0));
         assert_eq!(result.regions[0].members, vec![0, 1]);

@@ -72,13 +72,6 @@ impl FourTimestamps {
     pub fn processing(&self) -> Duration {
         self.t3 - self.t2
     }
-
-    /// The worst-case error of [`FourTimestamps::offset`] from path
-    /// asymmetry: half the path delay.
-    #[must_use]
-    pub fn offset_uncertainty(&self) -> Duration {
-        self.delay().half().abs()
-    }
 }
 
 impl fmt::Display for FourTimestamps {
@@ -129,7 +122,7 @@ mod tests {
         );
         let bias = (four.offset().as_secs() - true_offset).abs();
         assert!((bias - 0.010).abs() < 1e-12);
-        assert!(bias <= four.offset_uncertainty().as_secs() + 1e-12);
+        assert!(bias <= four.delay().as_secs() / 2.0 + 1e-12);
     }
 
     #[test]

@@ -172,10 +172,12 @@ mod tests {
 
     #[test]
     fn self_reply_always_satisfies_predicate() {
-        // The Theorem 2 proof's device: a self-reply has ξ = 0 and
-        // E_j = E_i, so it satisfies MM-2 without changing anything.
+        // The Theorem 2 proof's device: a self-reply (the server
+        // answering its own request) has ξ = 0 and E_j = E_i, so it
+        // satisfies MM-2 without changing anything.
         let own = est(42.0, 0.7);
-        let outcome = mm_decide(&own, DriftRate::new(0.1), &TimedReply::self_reply(own));
+        let self_reply = TimedReply::new(own, Duration::ZERO);
+        let outcome = mm_decide(&own, DriftRate::new(0.1), &self_reply);
         match outcome {
             MmOutcome::Reset(r) => {
                 assert_eq!(r.new_clock, own.time());

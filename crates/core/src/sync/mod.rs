@@ -56,18 +56,6 @@ impl TimedReply {
             round_trip,
         }
     }
-
-    /// A self-reply: the server answering its own request with zero
-    /// delay. The Theorem 2 proof assumes every round contains one; it
-    /// guarantees MM always has at least one acceptable reply and IM's
-    /// intersection always includes the server's own interval.
-    #[must_use]
-    pub fn self_reply(own: TimeEstimate) -> Self {
-        TimedReply {
-            estimate: own,
-            round_trip: Duration::ZERO,
-        }
-    }
 }
 
 impl fmt::Display for TimedReply {
@@ -122,14 +110,6 @@ mod tests {
     }
 
     #[test]
-    fn self_reply_has_zero_rtt() {
-        let e = TimeEstimate::new(Timestamp::from_secs(1.0), Duration::from_secs(0.1));
-        let r = TimedReply::self_reply(e);
-        assert_eq!(r.round_trip, Duration::ZERO);
-        assert_eq!(r.estimate, e);
-    }
-
-    #[test]
     fn reset_as_estimate() {
         let reset = Reset {
             new_clock: Timestamp::from_secs(5.0),
@@ -143,7 +123,9 @@ mod tests {
     #[test]
     fn display_impls() {
         let e = TimeEstimate::new(Timestamp::from_secs(1.0), Duration::from_secs(0.1));
-        assert!(TimedReply::self_reply(e).to_string().contains("rtt"));
+        assert!(TimedReply::new(e, Duration::ZERO)
+            .to_string()
+            .contains("rtt"));
         let reset = Reset {
             new_clock: Timestamp::from_secs(5.0),
             new_error: Duration::ZERO,

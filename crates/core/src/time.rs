@@ -204,12 +204,6 @@ impl Duration {
         self.0 .0
     }
 
-    /// Returns the span in milliseconds.
-    #[must_use]
-    pub fn as_millis(self) -> f64 {
-        self.as_secs() * 1_000.0
-    }
-
     /// Absolute value of the span.
     #[must_use]
     #[inline]
@@ -520,7 +514,6 @@ mod tests {
     fn duration_constructors_agree() {
         assert_eq!(Duration::from_millis(1500.0), Duration::from_secs(1.5));
         assert_eq!(Duration::from_micros(250.0), Duration::from_secs(0.00025));
-        assert_eq!(Duration::from_secs(0.25).as_millis(), 250.0);
     }
 
     #[test]

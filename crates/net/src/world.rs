@@ -458,12 +458,6 @@ impl<A: Actor> World<A> {
         self.labels[node.index()]
     }
 
-    /// `true` when no events remain.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     /// Delivers one popped event to its actor.
     #[inline]
     fn process(&mut self, (time, kind): (Timestamp, EventKind<A::Msg>)) {
@@ -921,7 +915,7 @@ mod tests {
         );
         world.run_until(ts(1.0));
         assert_eq!(world.stats().timers_fired, 3);
-        assert!(world.is_idle());
+        assert!(world.queue.is_empty());
     }
 
     #[test]
@@ -932,7 +926,7 @@ mod tests {
             NetConfig::default(),
             1,
         );
-        assert!(world.is_idle());
+        assert!(world.queue.is_empty());
         world.run_until(ts(5.0));
         assert_eq!(world.now(), ts(5.0));
     }

@@ -612,7 +612,6 @@ impl Observer for Oracle {
             EventKind::Sample
                 | EventKind::RoundAdopt
                 | EventKind::ClockStep
-                | EventKind::ClockSlew
                 | EventKind::ServerCrashed
                 | EventKind::ServerRestarted
                 | EventKind::StateRehydrated
@@ -654,23 +653,13 @@ impl Observer for Oracle {
             }
             // An applied reset: under the §4 fault budget, the interval a
             // correct server *adopts* must contain real time. Its centre
-            // is the post-step served reading; under slew the served
-            // reading does not move at the reset instant — `from` is the
-            // new `r_i`, and `error` already covers the queued correction.
-            // Recovery adoptions (flagged by the preceding round record)
-            // are taken on faith and exempt, as are down, corrupted, and
-            // untrusted servers.
+            // is the post-step served reading. Recovery adoptions
+            // (flagged by the preceding round record) are taken on faith
+            // and exempt, as are down, corrupted, and untrusted servers.
             TelemetryEvent::ClockStep {
                 at,
                 server,
                 to: center,
-                error,
-                ..
-            }
-            | TelemetryEvent::ClockSlew {
-                at,
-                server,
-                from: center,
                 error,
                 ..
             } => {
@@ -1500,13 +1489,12 @@ mod tests {
     }
 
     #[test]
-    fn a_bus_delivers_the_ten_checked_kinds_and_builds_no_other() {
+    fn a_bus_delivers_the_nine_checked_kinds_and_builds_no_other() {
         use EventKind::*;
         let checked = [
             Sample,
             RoundAdopt,
             ClockStep,
-            ClockSlew,
             ServerCrashed,
             ServerRestarted,
             StateRehydrated,
@@ -1538,25 +1526,15 @@ mod tests {
             (sample(10.0, &[state(10.0, 0.01)]), (1, 0, 0, 0)),
             (adopt(0, 0.01, 0.005, &[], false), (1, 1, 0, 0)),
             (step(0, 30.0, 30.001, 0.005), (1, 1, 0, 1)),
-            (
-                TelemetryEvent::ClockSlew {
-                    at: ts(31.0),
-                    server: 0,
-                    from: ts(31.001),
-                    to: ts(31.0),
-                    error: dur(0.005),
-                },
-                (1, 1, 0, 2),
-            ),
-            (corrupt(0, 40.0), (1, 1, 1, 2)),
-            (stabilized(0, 45.0, 5.0), (1, 1, 2, 2)),
-            (crash(0), (1, 1, 3, 2)),
-            (restart(0), (1, 1, 4, 2)),
+            (corrupt(0, 40.0), (1, 1, 1, 1)),
+            (stabilized(0, 45.0, 5.0), (1, 1, 2, 1)),
+            (crash(0), (1, 1, 3, 1)),
+            (restart(0), (1, 1, 4, 1)),
             (
                 rehydrate(0, 200.0, (200.002, 0.011), (100.002, 0.001)),
-                (1, 1, 5, 2),
+                (1, 1, 5, 1),
             ),
-            (bootstrap(0, 0), (1, 1, 6, 2)),
+            (bootstrap(0, 0), (1, 1, 6, 1)),
         ];
         for (event, counts) in events {
             let kind = event.kind();

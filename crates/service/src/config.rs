@@ -51,22 +51,16 @@ impl RetryPolicy {
     }
 }
 
-/// How a server realises an accepted reset on its hardware clock.
+/// How a server realises an accepted reset on its hardware clock: it
+/// sets the clock outright (the paper's rules MM-2/IM-2: clocks "may be
+/// freely set backward as well as forward"). A client that needs
+/// monotonic time derives it with `tempo_clocks::MonotonicClock`.
+/// Kept, with [`ServerConfig::apply`], because the repo benchmark still
+/// passes one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ApplyMode {
-    /// Set the clock outright (the paper's rules MM-2/IM-2: clocks "may
-    /// be freely set backward as well as forward").
+    /// Set the clock outright.
     Step,
-    /// Slew: apply the correction gradually by biasing the rate, so the
-    /// server's *served* clock is locally monotonic (the §1.1 derived
-    /// monotonic clock, provided by the server instead of each client).
-    /// The outstanding correction is added to the reported error, so
-    /// correctness is preserved while the slew drains.
-    Slew {
-        /// Maximum slew rate in seconds of correction per second of
-        /// clock time (e.g. `5e-4` = 500 ppm).
-        max_rate: f64,
-    },
 }
 
 /// Protocol-level consonance screening (§5): estimate each neighbour's
@@ -203,8 +197,6 @@ pub struct ServerConfig {
     pub jitter: f64,
     /// §5 rate screening of neighbours.
     pub screening: ScreeningPolicy,
-    /// How resets are realised on the hardware clock.
-    pub apply: ApplyMode,
     /// How long after the world starts this server joins the service
     /// (§1.1: the set of servers "is not stable"). Before joining it
     /// neither answers requests nor polls.
@@ -247,7 +239,6 @@ impl ServerConfig {
             recovery: RecoveryPolicy::Ignore,
             jitter: 0.1,
             screening: ScreeningPolicy::Off,
-            apply: ApplyMode::Step,
             join_after: Duration::ZERO,
             leave_after: None,
             retry: RetryPolicy::Off,
@@ -299,10 +290,11 @@ impl ServerConfig {
         self
     }
 
-    /// Chooses how resets are applied (step or slew).
+    /// Does nothing: every server steps its clock (see [`ApplyMode`]).
+    /// Kept because the repo benchmark still calls it.
     #[must_use]
-    pub fn apply(mut self, apply: ApplyMode) -> Self {
-        self.apply = apply;
+    pub fn apply(self, apply: ApplyMode) -> Self {
+        let _ = apply;
         self
     }
 
@@ -388,12 +380,6 @@ impl ServerConfig {
                 leave > self.join_after,
                 "a server must join ({}) before it leaves ({leave})",
                 self.join_after
-            );
-        }
-        if let ApplyMode::Slew { max_rate } = self.apply {
-            assert!(
-                max_rate.is_finite() && max_rate > 0.0 && max_rate < 1.0,
-                "slew rate must be in (0, 1), got {max_rate}"
             );
         }
         if let ScreeningPolicy::Consonance { sample_noise, .. } = self.screening {

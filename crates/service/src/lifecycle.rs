@@ -10,14 +10,13 @@ use std::sync::Arc;
 
 use rand::Rng;
 
-use tempo_clocks::{ClockDiscipline, DisciplineConfig, SimClock};
-use tempo_core::{ClockSnapshot, DriftRate, ErrorState, SnapshotCell, SnapshotReader};
-use tempo_core::{Duration, Timestamp};
+use tempo_clocks::SimClock;
+use tempo_core::{ClockSnapshot, DriftRate, ErrorState, SnapshotCell, SnapshotReader, Timestamp};
 use tempo_net::Context;
 use tempo_telemetry::{EventKind as TelemetryKind, TelemetryEvent};
 
 use super::{TimeServer, TIMER_BOOT_ROUND, TIMER_CRASH, TIMER_RESTART, TIMER_RESYNC};
-use crate::config::{ApplyMode, ServerConfig};
+use crate::config::ServerConfig;
 use crate::message::Message;
 use crate::peers::PeerTable;
 use crate::requests::Requests;
@@ -120,14 +119,6 @@ impl TimeServer {
         let mut durable = MemoryStore::new();
         durable.persist(persisted);
         let state = rehydrate(&persisted, start_reading, config.drift_bound);
-        let discipline = match config.apply {
-            ApplyMode::Step => None,
-            ApplyMode::Slew { max_rate } => Some(ClockDiscipline::new(DisciplineConfig {
-                // Never step: all corrections slew.
-                step_threshold: Duration::from_secs(f64::MAX / 4.0),
-                max_slew_rate: max_rate,
-            })),
-        };
         let mut server = TimeServer {
             peers: PeerTable::new(&config),
             clock,
@@ -140,7 +131,6 @@ impl TimeServer {
             recovering: false,
             active: false,
             round_start_clock: start_reading,
-            discipline,
             degraded: false,
             lifecycle: Lifecycle::Active,
             epoch: 0,

@@ -26,15 +26,6 @@ pub enum ServiceNode {
 }
 
 impl ServiceNode {
-    /// The server inside, if this node is one.
-    #[must_use]
-    pub fn as_server(&self) -> Option<&TimeServer> {
-        match self {
-            ServiceNode::Server(s) => Some(s),
-            ServiceNode::Client(_) => None,
-        }
-    }
-
     /// Mutable access to the server inside, if this node is one.
     pub fn as_server_mut(&mut self) -> Option<&mut TimeServer> {
         match self {
@@ -116,12 +107,12 @@ mod tests {
 
     #[test]
     fn accessors_discriminate() {
-        let node: ServiceNode = make_server(0).into();
-        assert!(node.as_server().is_some());
+        let mut node: ServiceNode = make_server(0).into();
+        assert!(node.as_server_mut().is_some());
         assert!(node.as_client().is_none());
-        let node: ServiceNode =
+        let mut node: ServiceNode =
             TimeClient::new(ClientStrategy::FirstReply, dur(5.0), dur(1.0)).into();
-        assert!(node.as_server().is_none());
+        assert!(node.as_server_mut().is_none());
         assert!(node.as_client().is_some());
     }
 

@@ -16,7 +16,7 @@
 
 use rand::Rng;
 
-use tempo_clocks::{ClockDiscipline, SimClock};
+use tempo_clocks::SimClock;
 use tempo_core::sync::{Reset, TimedReply};
 use tempo_core::{Duration, ErrorState, TimeEstimate, Timestamp};
 use tempo_net::{Actor, Context, NodeId};
@@ -92,9 +92,6 @@ pub struct TimeServer {
     /// Own-clock reading when the current round began (bounds retries
     /// to the collection window).
     round_start_clock: Timestamp,
-    /// Slewing discipline, present in [`ApplyMode::Slew`](crate::ApplyMode::Slew). The protocol
-    /// then runs entirely on the *disciplined* (monotonic) clock.
-    discipline: Option<ClockDiscipline>,
     /// Whether the previous windowed round was quorum-starved, for
     /// degraded-mode enter/exit transition events.
     degraded: bool,
@@ -130,15 +127,9 @@ impl TimeServer {
         let _ = bus;
     }
 
-    /// The clock reading the server *serves*: the raw hardware reading
-    /// in `ApplyMode::Step`, the disciplined (monotonic) reading in
-    /// `ApplyMode::Slew`.
+    /// The clock reading the server *serves*: its hardware clock's.
     fn reading(&mut self, now: Timestamp) -> Timestamp {
-        let raw = self.clock.read(now);
-        match &mut self.discipline {
-            Some(d) => d.read(raw),
-            None => raw,
-        }
+        self.clock.read(now)
     }
 
     /// The server's configuration.
@@ -301,41 +292,18 @@ impl TimeServer {
     /// `(r_i, ε_i)`.
     fn apply_reset(&mut self, reset: Reset, ctx: &Context<'_, Message>) {
         let now = ctx.now();
-        match &mut self.discipline {
-            None => {
-                let before = self.clock.read(now);
-                let _ = self.clock.set(now, reset.new_clock);
-                let actual = self.clock.read(now);
-                self.state.reset(actual, reset.new_error);
-                self.rebase_clock_marks(actual - before);
-                ctx.emit_with(TelemetryKind::ClockStep, || TelemetryEvent::ClockStep {
-                    at: now,
-                    server: ctx.label(),
-                    from: before,
-                    to: actual,
-                    error: reset.new_error,
-                });
-            }
-            Some(_) => {
-                // Slew mode: queue the correction on the discipline and
-                // cover the not-yet-applied part with extra error. The
-                // served reading is unchanged at this instant, so it is
-                // the new `r_i`.
-                let raw = self.clock.read(now);
-                let d = self.discipline.as_mut().expect("slew mode");
-                let current = d.read(raw);
-                let _ = d.correct(raw, reset.new_clock - current);
-                let pending = d.pending().abs();
-                self.state.reset(current, reset.new_error + pending);
-                ctx.emit_with(TelemetryKind::ClockSlew, || TelemetryEvent::ClockSlew {
-                    at: now,
-                    server: ctx.label(),
-                    from: current,
-                    to: reset.new_clock,
-                    error: reset.new_error + pending,
-                });
-            }
-        }
+        let before = self.clock.read(now);
+        let _ = self.clock.set(now, reset.new_clock);
+        let actual = self.clock.read(now);
+        self.state.reset(actual, reset.new_error);
+        self.rebase_clock_marks(actual - before);
+        ctx.emit_with(TelemetryKind::ClockStep, || TelemetryEvent::ClockStep {
+            at: now,
+            server: ctx.label(),
+            from: before,
+            to: actual,
+            error: reset.new_error,
+        });
         // The serving front sees the adoption as soon as the sync core
         // does: republish before anything else can observe the state.
         self.publish_snapshot(now);
@@ -1740,153 +1708,5 @@ mod clone_tests {
             copy.snapshot_reader().read(),
             original.snapshot_reader().read()
         );
-    }
-}
-
-#[cfg(test)]
-mod slew_tests {
-    use super::*;
-    use crate::config::ApplyMode;
-    use tempo_clocks::DriftModel;
-    use tempo_core::DriftRate;
-    use tempo_net::{DelayModel, NetConfig, Topology, World};
-
-    fn ts(s: f64) -> Timestamp {
-        Timestamp::from_secs(s)
-    }
-
-    fn dur(s: f64) -> Duration {
-        Duration::from_secs(s)
-    }
-
-    fn slew_config() -> ServerConfig {
-        ServerConfig::new(Strategy::Im, DriftRate::new(1e-4))
-            .resync_period(dur(10.0))
-            .collect_window(dur(0.5))
-            .initial_error(dur(0.05))
-            .apply(ApplyMode::Slew { max_rate: 5e-3 })
-            .jitter(0.0)
-    }
-
-    #[test]
-    fn slewing_servers_serve_monotonic_time_and_stay_correct() {
-        let drifts = [8e-5, -8e-5, 4e-5, -4e-5];
-        let servers: Vec<TimeServer> = drifts
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| {
-                let clock = SimClock::builder()
-                    .drift(DriftModel::Constant(d))
-                    .seed(i as u64)
-                    .build();
-                TimeServer::new(clock, slew_config())
-            })
-            .collect();
-        let mut world = World::new(
-            servers,
-            Topology::full_mesh(4),
-            NetConfig::with_delay(DelayModel::Constant(dur(0.005))),
-            21,
-        );
-        let mut last_readings = [f64::MIN; 4];
-        for step in 1..=150 {
-            let now = ts(f64::from(step) * 2.0);
-            world.run_until(now);
-            for (i, s) in world.actors_mut().iter_mut().enumerate() {
-                let sample = s.sample(now);
-                let reading = sample.clock.as_secs();
-                assert!(
-                    reading >= last_readings[i],
-                    "S{i}'s served clock went backwards: {reading} < {}",
-                    last_readings[i]
-                );
-                last_readings[i] = reading;
-                assert!(
-                    sample.correct,
-                    "S{i} incorrect at {now}: offset {} error {}",
-                    sample.true_offset, sample.error
-                );
-            }
-        }
-        // Slewing did happen (clocks with ±80 ppm drift must correct).
-        let resets: usize = world.actors().iter().map(|s| s.stats().resets).sum();
-        assert!(resets > 10);
-    }
-
-    #[test]
-    fn step_mode_can_go_backwards_slew_mode_cannot() {
-        // One fast server synchronising against three accurate ones:
-        // in step mode its clock is stepped back; in slew mode it never
-        // regresses.
-        // Corrections must exceed the sampling stride to be visible:
-        // 0.9 % drift over a 10 s period is a ~90 ms step-back, sampled
-        // every 40 ms.
-        let run = |apply: ApplyMode| -> bool {
-            let mut servers: Vec<TimeServer> = Vec::new();
-            for i in 0..4 {
-                let drift = if i == 0 { 9e-3 } else { 0.0 };
-                let clock = SimClock::builder()
-                    .drift(DriftModel::Constant(drift))
-                    .seed(i)
-                    .build();
-                let config = ServerConfig::new(Strategy::Im, DriftRate::new(1e-2))
-                    .resync_period(dur(10.0))
-                    .collect_window(dur(0.5))
-                    .initial_error(dur(0.05))
-                    .jitter(0.0)
-                    .apply(apply);
-                servers.push(TimeServer::new(clock, config));
-            }
-            let mut world = World::new(
-                servers,
-                Topology::full_mesh(4),
-                NetConfig::with_delay(DelayModel::Constant(dur(0.001))),
-                22,
-            );
-            let mut last = f64::MIN;
-            let mut regressed = false;
-            for step in 1..=2500 {
-                let now = ts(f64::from(step) * 0.04);
-                world.run_until(now);
-                let reading = world.actors_mut()[0].sample(now).clock.as_secs();
-                if reading < last {
-                    regressed = true;
-                }
-                last = reading;
-            }
-            regressed
-        };
-        assert!(
-            run(ApplyMode::Step),
-            "a fast stepping clock must occasionally be set backwards"
-        );
-        assert!(
-            !run(ApplyMode::Slew { max_rate: 2e-2 }),
-            "a slewing clock must never go backwards"
-        );
-    }
-
-    #[test]
-    fn slew_reset_covers_pending_correction() {
-        let clock = SimClock::builder()
-            .initial_value(ts(5.0)) // 5 s fast
-            .build();
-        let mut server = TimeServer::new(clock, slew_config().initial_error(dur(6.0)));
-        // Force a reset to true time through the public path: feed the
-        // server a reply directly via apply_reset (white-box).
-        let mut rng = tempo_net::node_rng(0, NodeId::new(0));
-        server.apply_reset(
-            Reset {
-                new_clock: ts(0.0),
-                new_error: dur(0.01),
-            },
-            &Context::external(ts(0.0), NodeId::new(0), &[], &mut rng),
-        );
-        // The served clock is still ~5 s fast, but the claimed error
-        // covers the full pending correction.
-        let est = server.current_estimate(ts(0.0));
-        assert!((est.time().as_secs() - 5.0).abs() < 1e-9);
-        assert!(est.error().as_secs() >= 5.0);
-        assert!(est.is_correct_at(ts(0.0)));
     }
 }

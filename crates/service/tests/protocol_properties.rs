@@ -6,11 +6,10 @@ use tempo_check::check;
 use tempo_clocks::{DriftModel, SimClock};
 use tempo_core::{DriftRate, Duration, Timestamp};
 use tempo_net::{DelayModel, NetConfig, Topology, World};
-use tempo_service::{ApplyMode, ServerConfig, Strategy, TimeServer};
+use tempo_service::{ServerConfig, Strategy, TimeServer};
 
 fn build_world(
     strategy: Strategy,
-    apply: ApplyMode,
     drifts: &[f64],
     bound: f64,
     tau: f64,
@@ -30,8 +29,7 @@ fn build_world(
                 ServerConfig::new(strategy, DriftRate::new(bound))
                     .resync_period(Duration::from_secs(tau))
                     .collect_window(Duration::from_secs((4.0 * max_delay).min(tau / 3.0)))
-                    .initial_error(Duration::from_millis(20.0))
-                    .apply(apply),
+                    .initial_error(Duration::from_millis(20.0)),
             )
         })
         .collect();
@@ -47,8 +45,7 @@ fn build_world(
 }
 
 /// Theorem 1/5 at the actor level: honest services stay correct for
-/// arbitrary drifts within bound, strategies, apply modes, and
-/// network speeds.
+/// arbitrary drifts within bound, strategies, and network speeds.
 #[test]
 fn protocol_preserves_correctness() {
     check("protocol_preserves_correctness", 16, |g| {
@@ -58,7 +55,6 @@ fn protocol_preserves_correctness() {
         let tau = g.f64(5.0..20.0);
         let max_delay = g.f64(0.001..0.02);
         let strategy_pick = g.int(0u8..3);
-        let slew = g.bool();
         let seed = g.int(0u64..500);
         let bound = 10f64.powf(-bound_exp);
         let strategy = match strategy_pick {
@@ -66,16 +62,8 @@ fn protocol_preserves_correctness() {
             1 => Strategy::Im,
             _ => Strategy::MarzulloTolerant { max_faulty: 1 },
         };
-        let apply = if slew {
-            // Slew rate must dominate the worst drift to drain.
-            ApplyMode::Slew {
-                max_rate: (bound * 20.0).min(0.5),
-            }
-        } else {
-            ApplyMode::Step
-        };
         let drifts: Vec<f64> = drift_fracs[..n].iter().map(|f| f * bound).collect();
-        let mut world = build_world(strategy, apply, &drifts, bound, tau, max_delay, seed);
+        let mut world = build_world(strategy, &drifts, bound, tau, max_delay, seed);
         let horizon = tau * 12.0;
         let mut t = 0.0;
         while t < horizon {
@@ -86,8 +74,7 @@ fn protocol_preserves_correctness() {
                 let sample = s.sample(now);
                 assert!(
                     sample.correct,
-                    "S{i} incorrect at {now} (strategy {strategy}, slew {slew}): \
-                     offset {} error {}",
+                    "S{i} incorrect at {now} (strategy {strategy}): offset {} error {}",
                     sample.true_offset, sample.error
                 );
             }
@@ -109,15 +96,7 @@ fn reply_accounting_balances() {
         let drifts: Vec<f64> = (0..n)
             .map(|i| if i % 2 == 0 { 3e-5 } else { -3e-5 })
             .collect();
-        let mut world = build_world(
-            Strategy::Im,
-            ApplyMode::Step,
-            &drifts,
-            1e-4,
-            10.0,
-            0.005,
-            seed,
-        );
+        let mut world = build_world(Strategy::Im, &drifts, 1e-4, 10.0, 0.005, seed);
         world.run_until(Timestamp::from_secs(120.0));
         for s in world.actors() {
             let st = s.stats();

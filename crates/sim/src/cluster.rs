@@ -355,14 +355,12 @@ impl Deployment for ClusterScenario {
     /// per_cluster()`; its replica set is addressed by the ids the
     /// hosting world gives it.
     fn build_node(&self, i: usize, members: &[NodeId]) -> ClusterNode {
-        // Every deployment's timings, in seconds (the repo benchmark's
-        // `perf/src/seams.rs` restates them).
-        const LEASE_DURATION: f64 = 0.4;
-        const RENEW_PERIOD: f64 = 0.1;
-        const ELECTION_TIMEOUT: f64 = 0.3;
+        // Every deployment's timings, in seconds, where they differ from
+        // `ClusterConfig::new`'s (the repo benchmark's
+        // `perf/src/seams.rs` restates them). The audit client waits as
+        // long as a replica does.
         const REQUEST_TIMEOUT: f64 = 0.5;
         const TICK: f64 = 0.05;
-        const RTT_SLACK: f64 = 0.02;
         const COLLECT_WINDOW: f64 = 0.5;
         let r = self.replicas.len();
         let per = self.per_cluster();
@@ -397,12 +395,7 @@ impl Deployment for ClusterScenario {
         let server = TimeServer::new(clock, server_config);
         let mut cluster_config = ClusterConfig::new(replica_ids, k)
             .max_faulty(self.max_faulty)
-            .lease_duration(Duration::from_secs(LEASE_DURATION))
-            .renew_period(Duration::from_secs(RENEW_PERIOD))
-            .election_timeout(Duration::from_secs(ELECTION_TIMEOUT))
-            .request_timeout(Duration::from_secs(REQUEST_TIMEOUT))
             .tick(Duration::from_secs(TICK))
-            .rtt_slack(Duration::from_secs(RTT_SLACK))
             .amnesia(spec.amnesia);
         if let Some(fault) = spec.cluster_fault {
             cluster_config = cluster_config.fault(fault);

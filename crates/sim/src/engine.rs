@@ -218,8 +218,8 @@ fn run_world<D: Deployment>(
     let end = Timestamp::ZERO + plan.duration;
     match deployment.sampler() {
         // Sampling is the measurement schedule, not observation: it
-        // must happen (clock reads advance slews) whether or not
-        // anything listens, so the snapshots are built eagerly.
+        // must happen (clock reads advance the drift processes) whether
+        // or not anything listens, so the snapshots are built eagerly.
         Some((interval, sample)) => world.run_sampled(end, interval, |t, actors| {
             bus.emit(TelemetryEvent::Sample {
                 at: t,

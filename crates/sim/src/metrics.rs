@@ -264,23 +264,6 @@ impl RunResult {
         self.samples.last().expect("run recorded no samples")
     }
 
-    /// Percentile summary of the asynchronism across samples taken at or
-    /// after `from`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no samples fall in the window.
-    #[must_use]
-    pub fn asynchronism_summary(&self, from: Timestamp) -> Summary {
-        let values: Vec<f64> = self
-            .samples
-            .iter()
-            .filter(|r| r.t >= from)
-            .map(|r| r.asynchronism().as_secs())
-            .collect();
-        summarize(&values)
-    }
-
     /// The first sample index at which `S_M` (the most precise server)
     /// settles on `server` and never changes again — Theorem 4's `t_x`.
     /// Returns `None` if it never settles there.
@@ -412,23 +395,6 @@ mod tests {
     #[should_panic(expected = "empty series")]
     fn summarize_rejects_empty() {
         let _ = summarize(&[]);
-    }
-
-    #[test]
-    fn run_summaries() {
-        let result = RunResult {
-            samples: vec![
-                row(1.0, vec![sample(1.0, 0.1, 0.0), sample(1.2, 0.3, 0.2)]),
-                row(2.0, vec![sample(2.0, 0.2, 0.0), sample(2.5, 0.4, 0.5)]),
-            ],
-            final_stats: vec![],
-            net: NetStats::default(),
-            oracle: None,
-            dropped_events: 0,
-            xi_witness: Duration::ZERO,
-        };
-        let a = result.asynchronism_summary(Timestamp::ZERO);
-        assert!((a.max - 0.5).abs() < 1e-12);
     }
 
     #[test]

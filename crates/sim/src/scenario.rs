@@ -147,7 +147,9 @@ pub struct Scenario {
     pub recovery: RecoveryPolicy,
     /// §5 rate screening (applied to every server).
     pub screening: ScreeningPolicy,
-    /// How resets are realised (step or slew; applied to every server).
+    /// How resets are realised: always [`ApplyMode::Step`]. Kept
+    /// because the repo benchmark still passes it to
+    /// [`ServerConfig::apply`].
     pub apply: ApplyMode,
     /// Resync-period jitter fraction.
     pub jitter: f64,
@@ -297,13 +299,6 @@ impl Scenario {
     #[must_use]
     pub fn screening(mut self, screening: ScreeningPolicy) -> Self {
         self.screening = screening;
-        self
-    }
-
-    /// Chooses how every server applies resets (step or slew).
-    #[must_use]
-    pub fn apply(mut self, apply: ApplyMode) -> Self {
-        self.apply = apply;
         self
     }
 
@@ -520,7 +515,6 @@ impl Deployment for Scenario {
             .initial_error(spec.initial_error)
             .recovery(self.recovery)
             .screening(self.screening)
-            .apply(self.apply)
             .jitter(self.jitter)
             .retry(self.retry)
             .health(self.health)

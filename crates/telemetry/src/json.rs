@@ -871,13 +871,6 @@ mod tests {
                 to: p.ts(),
                 error: p.dur(),
             }),
-            p.fixture(|p| TelemetryEvent::ClockSlew {
-                at: p.ts(),
-                server: p.id(),
-                from: p.ts(),
-                to: p.ts(),
-                error: p.dur(),
-            }),
             p.fixture(|p| TelemetryEvent::Timeout {
                 at: p.ts(),
                 server: p.id(),

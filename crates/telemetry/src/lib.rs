@@ -8,11 +8,11 @@
 //! stopped answering. This crate gives every layer a single way to
 //! report such facts:
 //!
-//! * [`TelemetryEvent`] — a typed enum covering clock resets
-//!   (step/slew), message send/recv/drop/duplicate, round
-//!   begin/adopt/reject (with the MM-2/IM-2 inputs), timeout/retry,
-//!   peer-health transitions, degraded-mode enter/exit, recovery,
-//!   join/leave, and periodic sample snapshots,
+//! * [`TelemetryEvent`] — a typed enum covering clock steps, message
+//!   send/recv/drop/duplicate, round begin/adopt/reject (with the
+//!   MM-2/IM-2 inputs), timeout/retry, peer-health transitions,
+//!   degraded-mode enter/exit, recovery, join/leave, and periodic
+//!   sample snapshots,
 //! * [`Observer`] — a sink with a cheap [`Observer::enabled`] gate so
 //!   producers can skip building events nobody wants,
 //! * [`Bus`] — a fan-out dispatcher with a lazy
@@ -198,7 +198,8 @@ impl SampleSnapshot {
 /// A field is written and read as its Rust type's [`json::Value`]; the
 /// `| "label"` list is for a string whose legal values a crate above
 /// this one owns, and is what the reader accepts for it.
-/// Discriminants are bit positions in the bus mask and never change.
+/// Discriminants are bit positions in the bus mask and never change;
+/// a deleted row leaves its bit unused (11 was the slewed reset).
 /// EXPERIMENTS.md § "Telemetry export" documents tags, keys and labels,
 /// and a test in `json` fails when it and this table disagree.
 macro_rules! events {
@@ -325,19 +326,6 @@ macro_rules! events {
                 /// Clock reading after the step.
                 to: Timestamp,
                 /// Error bound after the step.
-                error: Duration,
-            }
-            /// The clock was slewed (amortized) toward a new value.
-            ClockSlew = 11, "slew" {
-                /// Real time the slew started.
-                at,
-                /// Slewing server index.
-                server: usize,
-                /// Clock reading when the slew started.
-                from: Timestamp,
-                /// The target the slew converges to.
-                to: Timestamp,
-                /// Error bound covering the pending correction.
                 error: Duration,
             }
             /// A pending request exceeded its deadline.

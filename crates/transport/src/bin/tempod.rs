@@ -78,10 +78,8 @@ CLUSTER MODE (lease-gated monotonic cluster timestamps):
                         cluster record (view, high-water) — the durable
                         promise behind strict monotonicity — while the
                         embedded server rebuilds its estimate from peers.
-    --lease SECS        lease duration                        [0.4]
-    --renew SECS        primary renewal period                [0.1]
-    --election SECS     election timeout on renewal silence   [0.3]
-    --request-timeout S per-issue replication timeout         [0.5]
+                        Timings: 0.4 s lease renewed every 0.1 s, 0.3 s
+                        election timeout, 0.5 s per-issue timeout.
     --max-faulty F      fault budget f (sizes the quorum)     [0]
 
 SERVING FRONT (the lock-free read path):
@@ -117,10 +115,6 @@ struct Options {
     serve_threads: usize,
     serve_admit: Option<(f64, f64)>,
     cluster: bool,
-    lease: f64,
-    renew: f64,
-    election: f64,
-    request_timeout: f64,
     max_faulty: usize,
 }
 
@@ -152,10 +146,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         serve_threads: 1,
         serve_admit: None,
         cluster: false,
-        lease: 0.4,
-        renew: 0.1,
-        election: 0.3,
-        request_timeout: 0.5,
         max_faulty: 0,
     };
     let mut it = args.iter();
@@ -192,12 +182,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--fault-seed" => opts.fault_seed = parse(&value()?, "--fault-seed")?,
             "--telemetry-out" => opts.telemetry_out = Some(value()?),
             "--duration" => opts.duration = Some(parse(&value()?, "--duration")?),
-            "--lease" => opts.lease = parse(&value()?, "--lease")?,
-            "--renew" => opts.renew = parse(&value()?, "--renew")?,
-            "--election" => opts.election = parse(&value()?, "--election")?,
-            "--request-timeout" => {
-                opts.request_timeout = parse(&value()?, "--request-timeout")?;
-            }
             "--max-faulty" => opts.max_faulty = parse(&value()?, "--max-faulty")?,
             "--serve" => opts.serve = Some(parse_addr(&value()?)?),
             "--serve-threads" => opts.serve_threads = parse(&value()?, "--serve-threads")?,
@@ -236,16 +220,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 "--max-faulty {}: quorum {quorum} unreachable with {n} replicas",
                 opts.max_faulty
             ));
-        }
-        for (flag, value) in [
-            ("--lease", opts.lease),
-            ("--renew", opts.renew),
-            ("--election", opts.election),
-            ("--request-timeout", opts.request_timeout),
-        ] {
-            if !value.is_finite() || value <= 0.0 {
-                return Err(format!("{flag} must be positive, got {value}"));
-            }
         }
     }
     Ok(opts)
@@ -386,12 +360,7 @@ fn run_cluster(opts: &Options, file: Option<FileStore>) -> Result<(), String> {
         .as_ref()
         .map_or_else(MemoryStore::new, FileStore::record);
     let replicas: Vec<NodeId> = (0..opts.peers.len()).map(NodeId::new).collect();
-    let config = ClusterConfig::new(replicas, opts.id)
-        .max_faulty(opts.max_faulty)
-        .lease_duration(Duration::from_secs(opts.lease))
-        .renew_period(Duration::from_secs(opts.renew))
-        .election_timeout(Duration::from_secs(opts.election))
-        .request_timeout(Duration::from_secs(opts.request_timeout));
+    let config = ClusterConfig::new(replicas, opts.id).max_faulty(opts.max_faulty);
     let replica = ClusterReplica::new(server, config, Box::new(record));
     let banner = format!(
         "cluster replica {} on {} ({} peers, f={}{})",

@@ -23,8 +23,7 @@ use tempo_service::{ClusterState, MemoryStore, PersistedState};
 /// first three are IEEE-754 bit patterns (seconds) round-tripping the
 /// `f64`-backed [`Timestamp`]/[`Duration`] exactly; `view` and
 /// `high_water` are the cluster record's integers; `flags` bit 0 says
-/// the base triple is present, bit 1 the cluster pair. Legacy
-/// three-field files (pre-cluster) parse as a base-only record.
+/// the base triple is present, bit 1 the cluster pair.
 #[derive(Debug)]
 pub struct FileStore {
     path: PathBuf,
@@ -153,8 +152,8 @@ fn encode_record(record: &MemoryStore) -> String {
 
 fn parse_record(text: &str) -> Result<MemoryStore, String> {
     let words: Vec<&str> = text.split_whitespace().collect();
-    if words.len() != 3 && words.len() != 6 {
-        return Err(format!("expected 3 or 6 fields, found {}", words.len()));
+    if words.len() != 6 {
+        return Err(format!("expected 6 fields, found {}", words.len()));
     }
     let raw = |idx: usize, name: &str| {
         u64::from_str_radix(words[idx], 16).map_err(|_| format!("bad hex field `{name}`"))
@@ -169,11 +168,7 @@ fn parse_record(text: &str) -> Result<MemoryStore, String> {
             }
         })
     };
-    let flags = if words.len() == 3 {
-        FLAG_BASE
-    } else {
-        raw(5, "flags")?
-    };
+    let flags = raw(5, "flags")?;
     let mut record = MemoryStore::new();
     if flags & FLAG_BASE != 0 {
         record.persist(PersistedState {
@@ -182,7 +177,7 @@ fn parse_record(text: &str) -> Result<MemoryStore, String> {
             reset_at: Timestamp::from_secs(secs(2, "reset_at")?),
         });
     }
-    if words.len() == 6 && flags & FLAG_CLUSTER != 0 {
+    if flags & FLAG_CLUSTER != 0 {
         record.persist_cluster(ClusterState {
             view: raw(3, "view")?,
             high_water: raw(4, "high_water")?,
@@ -327,8 +322,10 @@ mod tests {
     }
 
     #[test]
-    fn legacy_three_field_file_parses_as_base_only() {
-        let path = temp_path("legacy");
+    fn three_field_file_is_refused_naming_the_path() {
+        // The pre-cluster format: a base triple without the cluster
+        // pair and flags.
+        let path = temp_path("threefield");
         let written = state(123.456789, 0.001234, 123.5);
         fs::write(
             &path,
@@ -340,7 +337,12 @@ mod tests {
             ),
         )
         .unwrap();
-        assert_eq!(reopened(&path), base(written));
+        let err = FileStore::open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains(&path.display().to_string()),
+            "{err}"
+        );
         let _ = fs::remove_file(&path);
     }
 

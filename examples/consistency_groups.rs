@@ -3,11 +3,20 @@
 //! while the cells drift apart, and the service decomposes into the
 //! paper's three consistency groups.
 //!
-//! The punchline is the §5 observation: when the *network* heals, the
-//! *service* does not — the cells' intervals no longer overlap, every
-//! cross-cell reply is rejected as inconsistent, and the groups persist
-//! indefinitely. Only the §3 recovery rule ("reset to the value of any
-//! third server") re-merges them.
+//! When the *network* heals, the *service* does not (§5): the cells'
+//! intervals no longer overlap, and every cross-cell reply is rejected
+//! as inconsistent. The §3 recovery rule ("reset to the value of any
+//! third server") takes that value on faith; this service screens it
+//! as §5 advises, adopting a third server's reply only if it intersects
+//! at least half of what the other neighbours said recently. Across
+//! three disjoint cells of two, a reply meets at most one of the four
+//! other claims, so every recovery is started and refused, and the
+//! cells stay cut off from each other. Split the same service into a
+//! majority and a minority instead, and the minority's recoveries pass
+//! the screen: no server is cut off any more. (The clocks still violate
+//! their claimed bounds, so the service is a chain of overlapping
+//! groups rather than one — the §3 caveat about several incorrect
+//! servers.)
 //!
 //! ```text
 //! cargo run --example consistency_groups
@@ -17,13 +26,41 @@ use tempo::clocks::{DriftModel, SimClock};
 use tempo::core::DriftRate;
 use tempo::core::{Duration, Timestamp};
 use tempo::net::{DelayModel, NetConfig, Partition, Topology, World};
-use tempo::service::{RecoveryPolicy, ServerConfig, Strategy, TimeServer};
-use tempo_core::consistency::consistency_groups;
+use tempo::service::{RecoveryPolicy, ServerConfig, ServerStats, Strategy, TimeServer};
+use tempo_core::consistency::{consistency_groups, ConsistencyGraph};
 
-fn run(recovery: RecoveryPolicy) -> Vec<(f64, usize)> {
-    // Three cells of two servers; each cell has a distinct drift
-    // direction so the cells separate while partitioned. Claimed bounds
-    // are deliberately *understated* (1/4 of actual) so the intervals
+/// At each checkpoint, the consistency groups and the connected
+/// components of the pairwise-consistency graph (servers no chain of
+/// overlapping intervals links); every server's counters at the end.
+struct Run {
+    checkpoints: Vec<(f64, usize, usize)>,
+    stats: Vec<ServerStats>,
+}
+
+impl Run {
+    fn at(&self, t: f64) -> (usize, usize) {
+        self.checkpoints
+            .iter()
+            .find(|&&(ct, ..)| ct == t)
+            .map(|&(_, groups, components)| (groups, components))
+            .expect("a checkpoint")
+    }
+
+    fn recoveries(&self) -> (usize, usize, usize) {
+        self.stats.iter().fold((0, 0, 0), |(s, a, r), st| {
+            (
+                s + st.recoveries_started,
+                a + st.recoveries_applied,
+                r + st.recoveries_rejected,
+            )
+        })
+    }
+}
+
+fn run(recovery: RecoveryPolicy, cells: &[&[usize]]) -> Run {
+    // Three pairs of servers, each pair with a distinct drift direction
+    // so the cells separate while partitioned. Claimed bounds are
+    // deliberately *understated* (1/4 of actual) so the intervals
     // cannot absorb the separation — the §5 precondition for
     // inconsistency.
     let drifts = [3e-4, 3.2e-4, -2.8e-4, -3e-4, 1e-5, -1e-5];
@@ -47,11 +84,13 @@ fn run(recovery: RecoveryPolicy) -> Vec<(f64, usize)> {
         })
         .collect();
 
-    let cell = |nodes: [usize; 2]| nodes.map(Into::into).to_vec();
     let partition = Partition {
         from: Timestamp::from_secs(50.0),
         until: Timestamp::from_secs(350.0),
-        groups: vec![cell([0, 1]), cell([2, 3]), cell([4, 5])],
+        groups: cells
+            .iter()
+            .map(|c| c.iter().map(|&i| i.into()).collect())
+            .collect(),
     };
     let mut world = World::new(
         servers,
@@ -61,16 +100,18 @@ fn run(recovery: RecoveryPolicy) -> Vec<(f64, usize)> {
         11,
     );
 
-    let mut history = Vec::new();
+    let mut checkpoints = Vec::new();
     for checkpoint in [40.0, 150.0, 349.0, 420.0, 600.0, 900.0] {
         world.run_until(Timestamp::from_secs(checkpoint));
         let now = world.now();
-        let intervals: Vec<_> = world
+        let estimates: Vec<_> = world
             .actors_mut()
             .iter_mut()
-            .map(|s| s.current_estimate(now).interval())
+            .map(|s| s.current_estimate(now))
             .collect();
+        let intervals: Vec<_> = estimates.iter().map(|e| e.interval()).collect();
         let groups = consistency_groups(&intervals);
+        let components = ConsistencyGraph::new(&estimates).components().len();
         let rendered: Vec<String> = groups
             .iter()
             .map(|g| {
@@ -80,44 +121,62 @@ fn run(recovery: RecoveryPolicy) -> Vec<(f64, usize)> {
             })
             .collect();
         println!(
-            "{checkpoint:>5.0}s  {} group(s): {}",
+            "{checkpoint:>5.0}s  {components} component(s), {} group(s): {}",
             groups.len(),
             rendered.join("  ")
         );
-        history.push((checkpoint, groups.len()));
+        checkpoints.push((checkpoint, groups.len(), components));
     }
-    history
+    let stats: Vec<ServerStats> = world.actors().iter().map(TimeServer::stats).collect();
+    let result = Run { checkpoints, stats };
+    let (started, applied, rejected) = result.recoveries();
+    println!("       recoveries: {started} started, {applied} applied, {rejected} refused");
+    result
 }
 
 fn main() {
-    println!("partition t=50..350s; network heals afterwards");
+    let three_cells: &[&[usize]] = &[&[0, 1], &[2, 3], &[4, 5]];
+    println!("partition into three cells t=50..350s; network heals afterwards");
     println!();
     println!("— without recovery (bare IM) —");
-    let bare = run(RecoveryPolicy::Ignore);
+    let bare = run(RecoveryPolicy::Ignore, three_cells);
     println!();
-    println!("— with the §3 third-server recovery —");
-    let recovered = run(RecoveryPolicy::ThirdServer);
+    println!("— with screened third-server recovery —");
+    let screened = run(RecoveryPolicy::ThirdServer, three_cells);
 
-    // While partitioned, both decompose into Figure 4-style groups.
-    let groups_at =
-        |h: &[(f64, usize)], t: f64| h.iter().find(|&&(ht, _)| ht == t).map(|&(_, g)| g).unwrap();
-    assert!(
-        groups_at(&bare, 349.0) >= 3,
+    // While partitioned, both decompose into Figure 4-style groups,
+    // one cut-off part per cell.
+    assert_eq!(bare.at(349.0), (3, 3), "partition must split the service");
+    assert_eq!(
+        screened.at(349.0),
+        (3, 3),
         "partition must split the service"
     );
-    // Without recovery the split outlives the partition (§5's point):
-    assert!(
-        groups_at(&bare, 900.0) >= 3,
-        "bare IM must stay partitioned into consistency groups"
-    );
-    // With §3 recovery the cells re-knit (the clocks still violate
-    // their claimed bounds, so perfect service-wide consistency is out
-    // of reach — the §3 caveat about several incorrect servers — but
-    // the disjoint cells are gone).
-    assert!(
-        groups_at(&recovered, 900.0) < groups_at(&bare, 900.0),
-        "recovery must reduce the fragmentation"
-    );
+    // Without recovery the split outlives the partition (§5's point).
+    assert_eq!(bare.at(900.0), (3, 3), "bare IM must stay split");
+    assert_eq!(bare.recoveries(), (0, 0, 0), "recovery is off");
+    // With recovery every server asks a third server, and the screen
+    // refuses every answer: no cell holds half of the other claims, so
+    // the cells stay apart.
+    let (started, applied, rejected) = screened.recoveries();
+    for (i, st) in screened.stats.iter().enumerate() {
+        assert!(st.recoveries_started > 0, "S{} never recovered", i + 1);
+    }
+    assert_eq!(applied, 0, "a minority's value passed the screen");
+    assert_eq!(rejected, started, "every recovery is refused");
+    assert_eq!(screened.at(900.0), (3, 3), "the three cells must persist");
+
     println!();
-    println!("the network healed at t=350s; only §3 recovery re-knit the *service* ✓");
+    println!("partition into a majority {{S3..S6}} and a minority {{S1,S2}}");
+    println!();
+    println!("— with screened third-server recovery —");
+    let majority = run(RecoveryPolicy::ThirdServer, &[&[0, 1], &[2, 3, 4, 5]]);
+    let (_, applied, _) = majority.recoveries();
+    assert_eq!(majority.at(349.0).1, 2, "partition must split the service");
+    assert!(applied > 0, "the minority must adopt the majority's time");
+    for t in [420.0, 600.0, 900.0] {
+        assert_eq!(majority.at(t).1, 1, "a server is still cut off at {t}s");
+    }
+    println!();
+    println!("the screen refuses a minority's time and admits the majority's ✓");
 }

@@ -350,35 +350,3 @@ fn im_beats_free_running_error_growth() {
         "synchronized error {worst} should be well below free-running {free_running}"
     );
 }
-
-/// ApplyMode::Slew end-to-end: every server's *served* clock is
-/// monotone across the whole run while correctness still holds — the
-/// §1.1 monotonic clock provided by the service itself.
-#[test]
-fn slewing_service_is_monotonic_and_correct() {
-    use tempo::service::ApplyMode;
-
-    let mut scenario = Scenario::new(Strategy::Im)
-        .apply(ApplyMode::Slew { max_rate: 5e-3 })
-        .duration(dur(300.0))
-        .sample_interval(dur(0.5))
-        .seed(29);
-    for frac in [0.8f64, -0.8, 0.4, -0.4, 0.1] {
-        scenario = scenario.server(ServerSpec::honest(frac * 1e-4, 1e-4));
-    }
-    let result = scenario.run();
-    assert_eq!(result.correctness_violations(), 0);
-    let n = result.samples[0].per_server.len();
-    for i in 0..n {
-        let mut last = f64::MIN;
-        for row in &result.samples {
-            let reading = row.per_server[i].clock.as_secs();
-            assert!(
-                reading >= last,
-                "S{i}'s served clock regressed at {}",
-                row.t
-            );
-            last = reading;
-        }
-    }
-}
