@@ -36,7 +36,8 @@ pub struct AuditClientConfig {
 
 impl AuditClientConfig {
     /// A configuration with simulator-scale defaults: 50 ms between
-    /// requests, 1 s timeout, 100 ms refusal backoff.
+    /// requests, a 0.5 s timeout (as long as a replica waits, see
+    /// `ClusterConfig::new`), 100 ms refusal backoff.
     ///
     /// # Panics
     ///
@@ -47,7 +48,7 @@ impl AuditClientConfig {
         AuditClientConfig {
             replicas,
             period: Duration::from_millis(50.0),
-            request_timeout: Duration::from_secs(1.0),
+            request_timeout: Duration::from_secs(0.5),
             retry_delay: Duration::from_millis(100.0),
         }
     }
@@ -333,9 +334,11 @@ mod tests {
     }
 
     impl Harness {
-        /// A client of replicas 0–2, itself node 3.
+        /// A client of replicas 0–2, itself node 3, that times out
+        /// after a whole second.
         fn new() -> Self {
-            Harness::with(AuditClientConfig::new(ids(3)))
+            let config = AuditClientConfig::new(ids(3)).request_timeout(Duration::from_secs(1.0));
+            Harness::with(config)
         }
 
         fn with(config: AuditClientConfig) -> Self {

@@ -111,7 +111,7 @@ impl Observer for ClusterOracle {
 /// The structured outcome of a ClusterTime-checked run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterReport {
-    /// The first [`MAX_STORED_VIOLATIONS`](crate::MAX_STORED_VIOLATIONS)
+    /// The first [`MAX_STORED_VIOLATIONS`](crate::findings::MAX_STORED_VIOLATIONS)
     /// violations, in release order.
     pub violations: Vec<Violation>,
     /// The total number of violations (may exceed `violations.len()`).
@@ -157,7 +157,7 @@ mod tests {
     use std::rc::Rc;
 
     use super::*;
-    use crate::MAX_STORED_VIOLATIONS;
+    use crate::findings::MAX_STORED_VIOLATIONS;
     use tempo_core::Timestamp;
     use tempo_telemetry::Bus;
 

@@ -32,6 +32,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cluster;
+mod findings;
 pub mod rules;
 
 use std::fmt;
@@ -39,7 +40,8 @@ use std::fmt;
 use tempo_core::{DriftRate, Duration, TimeEstimate, Timestamp};
 use tempo_telemetry::{EventKind, Observer, SampleSnapshot, TelemetryEvent};
 
-use rules::{Breach, Check, Margin};
+use findings::{write_violations, Findings};
+use rules::{Check, Margin};
 
 /// Which proved statement a check (and hence a violation) refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,9 +81,10 @@ pub enum TheoremId {
     /// reset of a trusted, up, uncorrupted server.
     FTolerant,
     /// Self-stabilization: a server whose state was transiently
-    /// overwritten with garbage must pass the §5 consistency screen
-    /// again — and thereby rejoin the consistency group — within the
-    /// configured bound (a small multiple of the resync period).
+    /// overwritten with garbage must reach a legitimate state — one
+    /// that passes every per-sample row an uncorrupted server must pass
+    /// — within the configured bound (a small multiple of the resync
+    /// period). From then on those rows hold it like any other server.
     Stabilization,
     /// ClusterTime invariant M: released cluster timestamps strictly
     /// increase — across primaries, view changes, crashes, and amnesia
@@ -146,12 +149,12 @@ pub struct Violation {
     /// The scenario's master seed (reproduces the run).
     pub seed: u64,
     /// When it happened, counted by the check that found it:
-    /// * sample checks carry the sample index;
+    /// * sample checks carry the sample index (a stabilization, the
+    ///   sample that first found the server legitimate);
     /// * round checks carry that server's own round count (its rounds
     ///   before this one);
-    /// * reset, rehydration, bootstrap and stabilization checks
-    ///   (including those at [`Oracle::finish`]) carry the number of
-    ///   samples checked so far;
+    /// * reset, rehydration and bootstrap checks, and those at
+    ///   [`Oracle::finish`], carry the number of samples checked so far;
     /// * cluster checks carry the issue index.
     pub event: usize,
     /// The server the predicate is *about* (for pairwise predicates, the
@@ -234,9 +237,9 @@ pub struct OracleConfig {
     /// most `f` of each server's inputs are faulty — the scenario layer
     /// arms it, exactly like the trust checks.
     pub check_f_tolerant: bool,
-    /// Self-stabilization bound: a state-corrupted server must emit
-    /// `Stabilized` within this much real time of its corruption (and
-    /// before the run ends). `None` disables the family.
+    /// Self-stabilization bound: a state-corrupted server's first
+    /// legitimate sample must come within this much real time of its
+    /// corruption (and before the run ends). `None` disables the family.
     pub stabilization_bound: Option<Duration>,
 }
 
@@ -349,81 +352,6 @@ impl fmt::Display for Tightness {
     }
 }
 
-/// Keep at most this many violations verbatim; the total is still counted.
-const MAX_STORED_VIOLATIONS: usize = 64;
-
-/// What one run has found: the first [`MAX_STORED_VIOLATIONS`]
-/// violations verbatim, how many there were, and each predicate's
-/// tightest margin. Both oracles keep one, and [`Findings::flag`] is the
-/// only code that builds a [`Violation`].
-#[derive(Debug)]
-struct Findings {
-    seed: u64,
-    stored: Vec<Violation>,
-    total: usize,
-    tightness: Tightness,
-}
-
-impl Findings {
-    fn new(seed: u64) -> Self {
-        Findings {
-            seed,
-            stored: Vec::new(),
-            total: 0,
-            tightness: Tightness::default(),
-        }
-    }
-
-    /// Records a numeric row's margin, then its breach, if any.
-    #[inline]
-    fn measure(
-        &mut self,
-        event: usize,
-        server: usize,
-        theorem: TheoremId,
-        check: impl Into<Option<Check>>,
-    ) {
-        let Some(check) = check.into() else {
-            return;
-        };
-        self.tightness.record(theorem, check.margin);
-        self.flag(event, server, theorem, check.breach);
-    }
-
-    /// Records a row's breach, if it found one, as `server` violating
-    /// `theorem` at `event`.
-    #[inline]
-    fn flag(&mut self, event: usize, server: usize, theorem: TheoremId, breach: Option<Breach>) {
-        let Some(breach) = breach else {
-            return;
-        };
-        self.total += 1;
-        if self.stored.len() < MAX_STORED_VIOLATIONS {
-            self.stored.push(Violation {
-                seed: self.seed,
-                event,
-                server,
-                theorem,
-                observed: breach.observed,
-                bound: breach.bound,
-                detail: breach.detail,
-            });
-        }
-    }
-}
-
-/// Writes a report's stored violations, one per line, then how many
-/// more its `total` counted.
-fn write_violations(f: &mut fmt::Formatter<'_>, stored: &[Violation], total: usize) -> fmt::Result {
-    for v in stored {
-        writeln!(f, "  {v}")?;
-    }
-    if total > stored.len() {
-        writeln!(f, "  … and {} more", total - stored.len())?;
-    }
-    Ok(())
-}
-
 /// The checker: subscribe it to a bus, then [`finish`] it.
 ///
 /// [`finish`]: Oracle::finish
@@ -437,9 +365,10 @@ pub struct Oracle {
     /// server must present no samples.
     down: Vec<bool>,
     /// `Some(corruption instant)` from a `StateCorrupted` event until the
-    /// matching `Stabilized`; a corrupted server is exempt from the
-    /// per-sample families (its state is arbitrary by construction) but
-    /// on the clock for the stabilization bound.
+    /// server's first legitimate sample ([`Oracle::legitimate`]); a
+    /// corrupted server is exempt from the per-server checks (its state
+    /// is arbitrary by construction) but on the clock for the
+    /// stabilization bound.
     corrupted: Vec<Option<Timestamp>>,
     /// Set by a recovery `RoundAdopt`, consumed by the immediately
     /// following reset event: recovery adoptions are taken on faith and
@@ -490,6 +419,9 @@ impl Oracle {
         let event = self.samples_checked;
         self.samples_checked += 1;
         self.last_real = self.last_real.max(real);
+        if self.corrupted.iter().any(Option::is_some) {
+            self.judge_corrupted(real, snapshots, event);
+        }
         let trust = self.config.trust_checks;
 
         // The servers the theorems speak for at this instant: present,
@@ -504,9 +436,9 @@ impl Oracle {
                 continue;
             }
             if self.corrupted[i].is_some() {
-                // An arbitrary state proves nothing about correctness,
-                // growth, or consistency; the stabilization clock is
-                // what this server is being held to.
+                // Not yet legitimate: an arbitrary state proves nothing
+                // about correctness, growth, or consistency, and the
+                // stabilization clock is what this server is held to.
                 self.prev[i] = None;
                 continue;
             }
@@ -542,6 +474,64 @@ impl Oracle {
         }
     }
 
+    /// Ends the exemption of each corrupted server whose sample is
+    /// [legitimate](Oracle::legitimate) against the uncorrupted live
+    /// servers, and measures how long that took. The main loop then
+    /// checks this sample like any other, and so every later one: what
+    /// converged must stay legitimate (closure).
+    fn judge_corrupted(&mut self, real: Timestamp, snapshots: &[SampleSnapshot], event: usize) {
+        let checked = |i: usize| snapshots[i].active && self.servers[i].trusted;
+        let live: Vec<_> = (0..snapshots.len())
+            .filter(|&i| checked(i) && self.corrupted[i].is_none())
+            .map(|i| (i, snapshots[i].estimate()))
+            .collect();
+        for (i, snapshot) in snapshots.iter().enumerate() {
+            let Some(since) = self.corrupted[i] else {
+                continue;
+            };
+            if !checked(i) || !self.legitimate(real, (i, snapshot.estimate()), &live) {
+                continue;
+            }
+            self.corrupted[i] = None;
+            if let Some(bound) = self.config.stabilization_bound {
+                let late = rules::stabilization_late(real - since, bound);
+                self.findings
+                    .measure(event, i, TheoremId::Stabilization, late);
+            }
+        }
+    }
+
+    /// Whether server `i`, sampled at `s`, is in a legitimate state: it
+    /// passes its own rows of this sample against the `live` servers —
+    /// correct (which the oracle can always judge), consistent with each
+    /// when the trust checks are armed, and inside the envelope once one
+    /// is armed and warm.
+    fn legitimate(
+        &self,
+        real: Timestamp,
+        (i, s): (usize, TimeEstimate),
+        live: &[(usize, TimeEstimate)],
+    ) -> bool {
+        let pass = |check: Check| check.breach.is_none();
+        let consistent = || {
+            live.iter()
+                .all(|&(j, b)| pass(rules::consistency((i, j), s, b)))
+        };
+        let enveloped = || match self.config.envelope.filter(|e| real >= e.warmup) {
+            None => true,
+            Some(env) => {
+                let e_min = live
+                    .iter()
+                    .map(|(_, b)| b.error())
+                    .fold(s.error(), Duration::min);
+                envelope_rows(&env, &self.servers, e_min, (i, s), live).all(|(_, c)| pass(c))
+            }
+        };
+        pass(rules::correctness(real, s))
+            && (!self.config.trust_checks || consistent())
+            && enveloped()
+    }
+
     /// The steady-state rows over the live servers: each server's E-gap
     /// (under MM), then its pairs' skews.
     fn check_envelope(
@@ -555,25 +545,9 @@ impl Oracle {
             return;
         };
         for (k, &(i, a)) in live.iter().enumerate() {
-            let delta_i = self.servers[i].drift_bound;
-            if env.kind == EnvelopeKind::Mm {
-                let gap = rules::error_envelope(a.error(), e_min, delta_i, env);
-                self.findings
-                    .measure(event, i, TheoremId::ErrorEnvelope, gap);
-            }
-            for &(j, b) in &live[k + 1..] {
-                let deltas = (delta_i, self.servers[j].drift_bound);
-                let (theorem, skew) = match env.kind {
-                    EnvelopeKind::Mm => (
-                        TheoremId::MmAsynchronism,
-                        rules::mm_asynchronism((i, j), a, b, e_min, deltas, env),
-                    ),
-                    EnvelopeKind::Im => (
-                        TheoremId::ImAsynchronism,
-                        rules::im_asynchronism((i, j), a, b, deltas, env),
-                    ),
-                };
-                self.findings.measure(event, i, theorem, skew);
+            for (theorem, check) in envelope_rows(env, &self.servers, e_min, (i, a), &live[k + 1..])
+            {
+                self.findings.measure(event, i, theorem, check);
             }
         }
     }
@@ -617,7 +591,6 @@ impl Observer for Oracle {
                 | EventKind::StateRehydrated
                 | EventKind::BootstrapCompleted
                 | EventKind::StateCorrupted
-                | EventKind::Stabilized
         )
     }
 
@@ -735,7 +708,7 @@ impl Observer for Oracle {
                 }
             }
             // The state was transiently overwritten with garbage: until
-            // the matching `Stabilized` the per-sample families are
+            // its first legitimate sample the per-server checks are
             // suspended for this server and the stabilization clock runs.
             TelemetryEvent::StateCorrupted { at, server, .. } => {
                 self.lifecycle_checked += 1;
@@ -744,41 +717,46 @@ impl Observer for Oracle {
                 // The growth baseline is garbage now too.
                 self.prev[server] = None;
             }
-            // The server stabilized `elapsed` after its corruption: the
-            // window must respect the configured bound.
-            TelemetryEvent::Stabilized {
-                at,
-                server,
-                elapsed,
-            } => {
-                self.lifecycle_checked += 1;
-                self.last_real = self.last_real.max(at);
-                self.corrupted[server] = None;
-                // Fresh start for the growth check: the pre-corruption
-                // baseline is ancient history.
-                self.prev[server] = None;
-                let Some(bound) = self.config.stabilization_bound else {
-                    return;
-                };
-                if self.servers[server].trusted {
-                    let late = rules::stabilization_late(elapsed, bound);
-                    self.findings.measure(
-                        self.samples_checked,
-                        server,
-                        TheoremId::Stabilization,
-                        late,
-                    );
-                }
-            }
             _ => {}
         }
     }
 }
 
+/// Server `i`'s steady-state rows against `others`: its E-gap (under
+/// MM), then its skew with each of them, in order.
+fn envelope_rows<'a>(
+    env: &'a EnvelopeParams,
+    servers: &'a [ServerView],
+    e_min: Duration,
+    (i, a): (usize, TimeEstimate),
+    others: &'a [(usize, TimeEstimate)],
+) -> impl Iterator<Item = (TheoremId, Check)> + 'a {
+    let delta_i = servers[i].drift_bound;
+    let gap = (env.kind == EnvelopeKind::Mm).then(|| {
+        let gap = rules::error_envelope(a.error(), e_min, delta_i, env);
+        (TheoremId::ErrorEnvelope, gap)
+    });
+    let skews = others.iter().map(move |&(j, b)| {
+        let deltas = (delta_i, servers[j].drift_bound);
+        match env.kind {
+            EnvelopeKind::Mm => (
+                TheoremId::MmAsynchronism,
+                rules::mm_asynchronism((i, j), a, b, e_min, deltas, env),
+            ),
+            EnvelopeKind::Im => (
+                TheoremId::ImAsynchronism,
+                rules::im_asynchronism((i, j), a, b, deltas, env),
+            ),
+        }
+    });
+    gap.into_iter().chain(skews)
+}
+
 /// The structured outcome of an oracle-gated run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OracleReport {
-    /// The first [`MAX_STORED_VIOLATIONS`] violations, in event order.
+    /// The first [`MAX_STORED_VIOLATIONS`](findings::MAX_STORED_VIOLATIONS)
+    /// violations, in event order.
     pub violations: Vec<Violation>,
     /// The total number of violations (may exceed `violations.len()`).
     pub total_violations: usize,
@@ -829,6 +807,7 @@ mod tests {
     use std::rc::Rc;
 
     use super::*;
+    use crate::findings::MAX_STORED_VIOLATIONS;
     use tempo_telemetry::Bus;
 
     fn ts(s: f64) -> Timestamp {
@@ -953,14 +932,6 @@ mod tests {
             server,
             clock: ts(at),
             error: Duration::ZERO,
-        }
-    }
-
-    fn stabilized(server: usize, at: f64, elapsed: f64) -> TelemetryEvent {
-        TelemetryEvent::Stabilized {
-            at: ts(at),
-            server,
-            elapsed: dur(elapsed),
         }
     }
 
@@ -1418,23 +1389,30 @@ mod tests {
         // Server 1 is 40 s off with a tiny claim — correctness, growth,
         // and consistency would all fire, but the window exempts it.
         o.observe(&sample(20.0, &[state(20.0, 0.011), state(60.0, 0.001)]));
-        o.observe(&stabilized(1, 25.0, 10.0));
-        o.observe(&sample(30.0, &[state(30.0, 0.012), state(30.0, 0.02)]));
+        // Its first legitimate sample ends the window, and is checked.
+        o.observe(&sample(30.0, &[state(30.0, 0.012), state(30.01, 0.02)]));
+        assert_eq!(o.corrupted[1], None);
         let report = o.finish();
         assert!(report.is_clean(), "{report}");
+        let worst = report.tightness.worst(TheoremId::Correctness);
+        let worst = worst.expect("server 1's row ran on its first legitimate sample");
+        assert_eq!(worst.bound, 0.02);
     }
 
     #[test]
     fn slow_stabilization_is_flagged() {
         let cfg = OracleConfig::safety().stabilization(dur(30.0));
-        let mut o = Oracle::new(17, cfg, views(1));
+        let mut o = Oracle::new(17, cfg, views(2));
         o.observe(&corrupt(0, 100.0));
-        o.observe(&stabilized(0, 145.0, 45.0));
+        o.observe(&sample(120.0, &[state(121.0, 0.01), state(120.0, 0.01)]));
+        o.observe(&sample(145.0, &[state(145.001, 0.01), state(145.0, 0.01)]));
         let report = o.finish();
         let v = report.first().expect("violation");
         assert_eq!(v.theorem, TheoremId::Stabilization);
-        assert_eq!(v.seed, 17);
-        assert!(v.observed > v.bound);
+        assert_eq!((v.seed, v.event, v.server), (17, 1, 0));
+        assert_eq!((v.observed, v.bound), (45.0, 30.0));
+        assert!(v.detail.contains("stabilized only"), "{}", v.detail);
+        assert_eq!(report.total_violations, 1, "{report}");
     }
 
     #[test]
@@ -1442,8 +1420,12 @@ mod tests {
         let cfg = OracleConfig::safety().stabilization(dur(30.0));
         let mut o = Oracle::new(0, cfg, views(1));
         o.observe(&corrupt(0, 100.0));
-        o.observe(&stabilized(0, 112.0, 12.0));
-        assert!(o.finish().is_clean());
+        o.observe(&sample(104.0, &[state(107.0, 0.01)]));
+        o.observe(&sample(112.0, &[state(112.001, 0.01)]));
+        let report = o.finish();
+        assert!(report.is_clean(), "{report}");
+        let margin = report.tightness.worst(TheoremId::Stabilization);
+        assert_eq!(margin.map(|m| (m.observed, m.bound)), Some((12.0, 30.0)));
     }
 
     #[test]
@@ -1459,6 +1441,150 @@ mod tests {
         assert!(v.detail.contains("never stabilized"), "{}", v.detail);
         // ~100 s outstanding against a 30 s bound.
         assert!(v.observed > v.bound);
+    }
+
+    #[test]
+    fn legitimate_only_after_the_bound_is_flagged_with_its_margin() {
+        let cfg = OracleConfig::safety().stabilization(dur(30.0));
+        let mut o = Oracle::new(3, cfg, views(2));
+        o.observe(&corrupt(1, 50.0));
+        for t in [60.0, 70.0, 80.0] {
+            o.observe(&sample(t, &[state(t, 0.01), state(t + 5.0, 0.01)]));
+        }
+        o.observe(&sample(90.0, &[state(90.0, 0.01), state(90.002, 0.01)]));
+        o.observe(&sample(
+            100.0,
+            &[state(100.0, 0.011), state(100.002, 0.011)],
+        ));
+        let report = o.finish();
+        assert_eq!(report.total_violations, 1, "{report}");
+        let v = report.first().expect("violation");
+        assert_eq!(v.theorem, TheoremId::Stabilization);
+        assert_eq!((v.event, v.server), (3, 1));
+        assert_eq!((v.observed, v.bound), (40.0, 30.0));
+        let margin = report.tightness.worst(TheoremId::Stabilization);
+        assert_eq!(margin.map(|m| m.tightness()), Some(40.0 / 30.0));
+    }
+
+    #[test]
+    fn adopting_rounds_while_incorrect_is_no_stabilization() {
+        let cfg = OracleConfig::safety().stabilization(dur(30.0)).f_tolerant();
+        let mut o = Oracle::new(5, cfg, views(2));
+        o.observe(&corrupt(1, 10.0));
+        for t in [20.0, 30.0, 40.0, 50.0] {
+            // Each round raises E and steps off real time: the adoption
+            // guard, Theorem 6 and f-tolerance would all fire, but a
+            // server not yet legitimate is exempt from them.
+            o.observe(&adopt(1, 0.01, 0.02, &[0.01], false));
+            o.observe(&step(1, t, t + 3.0, 0.02));
+            o.observe(&sample(t, &[state(t, 0.01), state(t + 3.0, 0.02)]));
+        }
+        assert!(o.corrupted[1].is_some(), "still exempt");
+        let report = o.finish();
+        assert_eq!(report.total_violations, 1, "{report}");
+        let v = report.first().expect("violation");
+        assert_eq!(v.theorem, TheoremId::Stabilization);
+        assert!(v.detail.contains("never stabilized"), "{}", v.detail);
+        assert_eq!((v.event, v.observed, v.bound), (4, 40.0, 30.0));
+    }
+
+    #[test]
+    fn a_relapse_after_stabilizing_is_a_correctness_breach() {
+        let cfg = OracleConfig::safety().stabilization(dur(30.0));
+        let mut o = Oracle::new(9, cfg, views(2));
+        o.observe(&corrupt(1, 10.0));
+        o.observe(&sample(12.0, &[state(12.0, 0.01), state(12.001, 0.01)]));
+        o.observe(&sample(14.0, &[state(14.0, 0.01), state(14.0, 0.01)]));
+        o.observe(&sample(16.0, &[state(16.0, 0.01), state(16.5, 0.0101)]));
+        let report = o.finish();
+        let margin = report.tightness.worst(TheoremId::Stabilization);
+        assert_eq!(margin.map(|m| m.observed), Some(2.0));
+        let v = report.first().expect("violation");
+        assert_eq!(v.theorem, TheoremId::Correctness);
+        assert_eq!((v.event, v.server), (2, 1));
+    }
+
+    #[test]
+    fn legitimacy_includes_the_envelope_once_warm() {
+        let params = EnvelopeParams {
+            kind: EnvelopeKind::Mm,
+            xi: dur(0.01),
+            tau: dur(10.0),
+            warmup: ts(0.0),
+        };
+        let cfg = OracleConfig::safety().envelope(params);
+        let mut o = Oracle::new(0, cfg, views(2));
+        o.observe(&corrupt(1, 5.0));
+        // Correct and consistent, but 0.49 s above the best E against a
+        // Theorem 2 gap of ≈ 11 ms: not yet legitimate.
+        o.observe(&sample(8.0, &[state(8.0, 0.01), state(8.0, 0.5)]));
+        assert!(o.corrupted[1].is_some());
+        o.observe(&sample(10.0, &[state(10.0, 0.01), state(10.0, 0.015)]));
+        assert_eq!(o.corrupted[1], None);
+        let report = o.finish();
+        assert!(report.is_clean(), "{report}");
+    }
+
+    /// Judged stabilization against a brute-force reference: random
+    /// streams of samples after one `StateCorrupted`. The exemption ends
+    /// exactly at the first sample where the corrupted server is correct
+    /// (and consistent with every other server, when the trust checks
+    /// are armed), never earlier; with the trust checks armed every
+    /// later incorrect sample is a `Correctness` breach of that server.
+    #[test]
+    fn the_exemption_ends_at_the_first_legitimate_sample() {
+        tempo_check::check("judged stabilization", 512, |g| {
+            let n = g.int(2..=3usize);
+            let victim = g.int(0..n);
+            let trust = g.bool();
+            let mut cfg = OracleConfig::safety().stabilization(dur(1e6));
+            if !trust {
+                cfg = cfg.without_trust_checks();
+            }
+            let mut o = Oracle::new(0, cfg, views(n));
+            o.observe(&corrupt(victim, 15.0));
+            let (mut end, mut relapses) = (None, Vec::new());
+            for k in 0..g.int(1..=8usize) {
+                let real = 20.0 + 2.0 * k as f64;
+                let states: Vec<(f64, f64)> = (0..n)
+                    .map(|i| {
+                        let error = if i == victim {
+                            g.f64(0.001..0.03)
+                        } else {
+                            0.01
+                        };
+                        // Honest clocks stray past their error 1 time in 8.
+                        let stray = i != victim && g.int(0..8) == 0;
+                        let reach = if i == victim || stray { 0.05 } else { 0.009 };
+                        (real + g.f64(-reach..reach), error)
+                    })
+                    .collect();
+                let correct = |(c, e): (f64, f64)| (c - real).abs() <= e;
+                let (cv, ev) = states[victim];
+                let consistent = states.iter().all(|&(c, e)| (c - cv).abs() <= e + ev);
+                let legitimate = correct(states[victim]) && (!trust || consistent);
+                if end.is_none() && legitimate {
+                    end = Some(k);
+                } else if end.is_some() && !correct(states[victim]) {
+                    relapses.push(k);
+                }
+                let states: Vec<_> = states.iter().map(|&(c, e)| state(c, e)).collect();
+                o.observe(&sample(real, &states));
+                assert_eq!(o.corrupted[victim].is_none(), end.is_some(), "sample {k}");
+            }
+            let report = o.finish();
+            assert!(report.total_violations <= MAX_STORED_VIOLATIONS);
+            let flagged: Vec<usize> = report
+                .violations
+                .iter()
+                .filter(|v| v.server == victim && v.theorem == TheoremId::Correctness)
+                .map(|v| v.event)
+                .collect();
+            assert_eq!(flagged, if trust { relapses } else { Vec::new() });
+            let stabilized = report.tightness.worst(TheoremId::Stabilization);
+            let expected = end.map(|k| 5.0 + 2.0 * k as f64);
+            assert_eq!(stabilized.map(|m| m.observed), expected);
+        });
     }
 
     #[test]
@@ -1489,7 +1615,7 @@ mod tests {
     }
 
     #[test]
-    fn a_bus_delivers_the_nine_checked_kinds_and_builds_no_other() {
+    fn a_bus_delivers_the_eight_checked_kinds_and_builds_no_other() {
         use EventKind::*;
         let checked = [
             Sample,
@@ -1500,7 +1626,6 @@ mod tests {
             StateRehydrated,
             BootstrapCompleted,
             StateCorrupted,
-            Stabilized,
         ];
         let (bus, oracle) = armed(Oracle::new(
             0,
@@ -1527,14 +1652,14 @@ mod tests {
             (adopt(0, 0.01, 0.005, &[], false), (1, 1, 0, 0)),
             (step(0, 30.0, 30.001, 0.005), (1, 1, 0, 1)),
             (corrupt(0, 40.0), (1, 1, 1, 1)),
-            (stabilized(0, 45.0, 5.0), (1, 1, 2, 1)),
-            (crash(0), (1, 1, 3, 1)),
-            (restart(0), (1, 1, 4, 1)),
+            (sample(45.0, &[state(45.0, 0.01)]), (2, 1, 1, 1)),
+            (crash(0), (2, 1, 2, 1)),
+            (restart(0), (2, 1, 3, 1)),
             (
                 rehydrate(0, 200.0, (200.002, 0.011), (100.002, 0.001)),
-                (1, 1, 5, 1),
+                (2, 1, 4, 1),
             ),
-            (bootstrap(0, 0), (1, 1, 6, 1)),
+            (bootstrap(0, 0), (2, 1, 5, 1)),
         ];
         for (event, counts) in events {
             let kind = event.kind();

@@ -4,7 +4,7 @@
 //! (`tempo_clocks::Fault`); a [`ServerFault`] makes the *server process*
 //! itself misbehave, orthogonally to its clock: it may crash (terminally
 //! or with a scheduled restart — possibly a repeating restart storm),
-//! omit replies probabilistically, or lie in its answers — the
+//! lie in its answers, or have its state scrambled — the
 //! Byzantine-adjacent behaviours the paper's §5 screening and the
 //! Marzullo-tolerant intersection are meant to survive. The fault arms
 //! at a chosen real time; the server behaves perfectly before it.
@@ -57,12 +57,6 @@ pub enum ServerFaultKind {
     Crash {
         /// Optional restart schedule; `None` means the crash is final.
         restart: Option<RestartSchedule>,
-    },
-    /// The server omits replies: each incoming time request is dropped
-    /// with probability `prob` (it still synchronises its own clock).
-    Omit {
-        /// Per-request drop probability in `[0, 1]`.
-        prob: f64,
     },
     /// The server lies: replies report a clock skewed by `clock_skew`
     /// while the claimed error is multiplied by `error_shrink`, so the
@@ -162,7 +156,6 @@ impl fmt::Display for ServerFaultKind {
                     None => write!(f, "crash (restart after {}, {store})", schedule.after),
                 }
             }
-            ServerFaultKind::Omit { prob } => write!(f, "omit (p={prob})"),
             ServerFaultKind::Lie {
                 clock_skew,
                 error_shrink,
@@ -295,23 +288,6 @@ impl ServerFault {
                     amnesia,
                 }),
             },
-        }
-    }
-
-    /// The server drops each request with probability `prob` from `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `prob` is in `[0, 1]`.
-    #[must_use]
-    pub fn omit_from(at: Timestamp, prob: f64) -> Self {
-        assert!(
-            prob.is_finite() && (0.0..=1.0).contains(&prob),
-            "omission probability must be in [0, 1], got {prob}"
-        );
-        ServerFault {
-            at,
-            kind: ServerFaultKind::Omit { prob },
         }
     }
 
@@ -461,32 +437,25 @@ impl ServerFault {
     }
 
     /// What goes out in answer to a time request at real time `now`:
-    /// the `honest` estimate (only evaluated when a reply goes out), a
-    /// forgery built from it, or nothing. `requester` is the asking
-    /// node's deployment-wide label and `remembered` what this server
-    /// last recorded of it (the claim, and the own clock at receipt).
+    /// the `honest` estimate or a forgery built from it. `requester` is
+    /// the asking node's deployment-wide label and `remembered` what
+    /// this server last recorded of it (the claim, and the own clock at
+    /// receipt).
     pub(crate) fn answer(
         &self,
         now: Timestamp,
-        honest: impl FnOnce() -> TimeEstimate,
+        honest: TimeEstimate,
         requester: usize,
         remembered: Option<(TimeEstimate, Timestamp)>,
         delta: DriftRate,
-        rng: &mut impl Rng,
-    ) -> Option<TimeEstimate> {
+    ) -> TimeEstimate {
         if !self.active_at(now) {
-            return Some(honest());
+            return honest;
         }
-        if let ServerFaultKind::Omit { prob } = self.kind {
-            if rng.random::<f64>() < prob {
-                return None;
-            }
-        }
-        let honest = honest();
         let lie = |skew: Duration, shrink: f64| {
             TimeEstimate::new(honest.time() + skew, honest.error() * shrink)
         };
-        Some(match self.kind {
+        match self.kind {
             ServerFaultKind::Lie {
                 clock_skew,
                 error_shrink,
@@ -518,7 +487,7 @@ impl ServerFault {
                 None => honest,
             },
             _ => honest,
-        })
+        }
     }
 
     /// The planted bug, once rule MM-2 has said `Keep` (`reply` is
@@ -564,7 +533,7 @@ impl ServerFault {
     }
 
     /// Whether this fault breaks the theorems' *assumptions* (terminal
-    /// crash, omission, lying in any tier — simple, two-faced,
+    /// crash, lying in any tier — simple, two-faced,
     /// colluding, or adaptive). Three kinds do not:
     /// [`ServerFaultKind::WeakenAdoption`] is a bug in the
     /// synchronisation logic of an otherwise honest server, exactly
@@ -604,10 +573,6 @@ mod tests {
             ServerFaultKind::Crash { restart: None }
         );
         assert_eq!(
-            ServerFault::omit_from(ts(5.0), 0.3).kind,
-            ServerFaultKind::Omit { prob: 0.3 }
-        );
-        assert_eq!(
             ServerFault::lie_from(ts(5.0), Duration::from_secs(2.0), 0.1).kind,
             ServerFaultKind::Lie {
                 clock_skew: Duration::from_secs(2.0),
@@ -642,16 +607,11 @@ mod tests {
             })
         );
         assert_eq!(ServerFault::crash_at(ts(1.0)).restart_schedule(), None);
-        assert_eq!(
-            ServerFault::omit_from(ts(1.0), 0.5).restart_schedule(),
-            None
-        );
     }
 
     #[test]
     fn terminal_crash_is_byzantine_but_restarting_crash_is_not() {
         assert!(ServerFault::crash_at(ts(1.0)).is_byzantine());
-        assert!(ServerFault::omit_from(ts(1.0), 0.5).is_byzantine());
         assert!(
             !ServerFault::crash_restart(ts(1.0), Duration::from_secs(10.0), false).is_byzantine()
         );
@@ -690,12 +650,6 @@ mod tests {
         assert!(!f.active_at(ts(9.999)));
         assert!(f.active_at(ts(10.0)));
         assert!(f.active_at(ts(11.0)));
-    }
-
-    #[test]
-    #[should_panic(expected = "must be in [0, 1]")]
-    fn bad_omit_probability_rejected() {
-        let _ = ServerFault::omit_from(ts(0.0), 1.5);
     }
 
     #[test]
@@ -781,10 +735,9 @@ mod tests {
 
     /// What `fault` sends `requester` at t = 10 s, the honest estimate
     /// being `⟨100, 0.5⟩`.
-    fn answer_to(fault: ServerFault, requester: usize) -> Option<TimeEstimate> {
-        let honest = || TimeEstimate::new(ts(100.0), dur(0.5));
-        let mut rng = StdRng::seed_from_u64(7);
-        fault.answer(ts(10.0), honest, requester, None, delta(), &mut rng)
+    fn answer_to(fault: ServerFault, requester: usize) -> TimeEstimate {
+        let honest = TimeEstimate::new(ts(100.0), dur(0.5));
+        fault.answer(ts(10.0), honest, requester, None, delta())
     }
 
     #[test]
@@ -796,68 +749,38 @@ mod tests {
         let fault = ServerFault::collude_from(ts(0.0), 1 | 1 << 63 | 1 << 6, dur(5.0), 0.1);
         let honest = TimeEstimate::new(ts(100.0), dur(0.5));
         let lie = TimeEstimate::new(ts(105.0), dur(0.5) * 0.1);
-        assert_eq!(answer_to(fault, 0), Some(honest));
-        assert_eq!(answer_to(fault, 63), Some(honest));
-        assert_eq!(answer_to(fault, 1), Some(lie));
-        assert_eq!(answer_to(fault, 64), Some(lie));
-        assert_eq!(answer_to(fault, 70), Some(lie));
-        assert_eq!(answer_to(fault, usize::MAX), Some(lie));
+        assert_eq!(answer_to(fault, 0), honest);
+        assert_eq!(answer_to(fault, 63), honest);
+        assert_eq!(answer_to(fault, 1), lie);
+        assert_eq!(answer_to(fault, 64), lie);
+        assert_eq!(answer_to(fault, 70), lie);
+        assert_eq!(answer_to(fault, usize::MAX), lie);
     }
 
     #[test]
     fn answers_are_honest_until_the_fault_arms() {
         let fault = ServerFault::lie_from(ts(10.5), dur(5.0), 0.1);
-        assert_eq!(
-            answer_to(fault, 1),
-            Some(TimeEstimate::new(ts(100.0), dur(0.5)))
-        );
+        assert_eq!(answer_to(fault, 1), TimeEstimate::new(ts(100.0), dur(0.5)));
         // Schedule-driven and bug-injection kinds never touch a reply.
         for fault in [
             ServerFault::crash_at(ts(0.0)),
             ServerFault::corrupt_at(ts(0.0), 1),
             ServerFault::weaken_adoption_from(ts(0.0), dur(1.0)),
         ] {
-            assert_eq!(
-                answer_to(fault, 1),
-                Some(TimeEstimate::new(ts(100.0), dur(0.5)))
-            );
+            assert_eq!(answer_to(fault, 1), TimeEstimate::new(ts(100.0), dur(0.5)));
         }
-    }
-
-    #[test]
-    fn omission_draws_before_the_clock_is_read() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut read = 0;
-        let mut sent = 0;
-        let fault = ServerFault::omit_from(ts(0.0), 0.5);
-        for _ in 0..200 {
-            let honest = || {
-                read += 1;
-                TimeEstimate::new(ts(100.0), dur(0.5))
-            };
-            sent += usize::from(
-                fault
-                    .answer(ts(1.0), honest, 0, None, delta(), &mut rng)
-                    .is_some(),
-            );
-        }
-        assert_eq!(read, sent, "an omitted request must not read the clock");
-        assert!((60..140).contains(&sent), "p = 0.5 sent {sent} of 200");
     }
 
     #[test]
     fn adversary_answers_honestly_until_it_remembers_the_victim() {
         let fault = ServerFault::adversarial_from(ts(0.0), 0.1);
         let honest = TimeEstimate::new(ts(100.0), dur(0.5));
-        assert_eq!(answer_to(fault, 1), Some(honest));
+        assert_eq!(answer_to(fault, 1), honest);
         // The victim said ⟨99, 0.2⟩ when our clock read 98: aged to 100
         // that is ⟨101, 0.2 + 2·2δ⟩, and the lie sits 90 % of the way
         // from its centre to where a 0.05-wide claim would poke out.
         let remembered = Some((TimeEstimate::new(ts(99.0), dur(0.2)), ts(98.0)));
-        let mut rng = StdRng::seed_from_u64(7);
-        let lie = fault
-            .answer(ts(10.0), || honest, 1, remembered, delta(), &mut rng)
-            .expect("a liar always answers");
+        let lie = fault.answer(ts(10.0), honest, 1, remembered, delta());
         let victim_error = dur(0.2) + dur(2.0) * (2.0 * 1e-4);
         assert_eq!(lie.error(), dur(0.5) * 0.1);
         assert_eq!(lie.time(), ts(101.0) + (victim_error - lie.error()) * 0.9);
@@ -905,7 +828,7 @@ mod tests {
             "a past instant fires at once"
         );
         assert_eq!(
-            ServerFault::omit_from(ts(1.0), 0.5).first_timer(ts(0.0)),
+            ServerFault::lie_from(ts(1.0), dur(5.0), 0.1).first_timer(ts(0.0)),
             None
         );
     }

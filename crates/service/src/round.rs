@@ -258,13 +258,13 @@ pub(crate) fn aged(
     )
 }
 
-/// The §5 screen: does `proposal` intersect at least half of the claims
-/// `peers` remembers, each [`aged`] to `clock_now`, skipping `exclude`
-/// when the proposal originated there? With nothing on record there is
-/// nothing to disagree with.
+/// The §5 screen: does `proposal`, which came from `from`, intersect at
+/// least half of the claims `peers` remembers of the *other* servers,
+/// each [`aged`] to `clock_now`? With nothing on record there is nothing
+/// to disagree with.
 pub(crate) fn consistent_with_recent(
     peers: &PeerTable,
-    exclude: Option<NodeId>,
+    from: NodeId,
     proposal: &TimeEstimate,
     clock_now: Timestamp,
     delta: DriftRate,
@@ -272,7 +272,7 @@ pub(crate) fn consistent_with_recent(
     let mut consistent = 0usize;
     let mut total = 0usize;
     for (peer, record) in peers.claims() {
-        if Some(peer) == exclude {
+        if peer == from {
             continue;
         }
         total += 1;
@@ -298,7 +298,7 @@ pub(crate) fn recover(
 ) -> Decision {
     let new_error = reply.estimate.error() + reply.round_trip * delta.inflation();
     let proposal = TimeEstimate::new(reply.estimate.time(), new_error);
-    if !consistent_with_recent(peers, Some(from), &proposal, clock_now, delta) {
+    if !consistent_with_recent(peers, from, &proposal, clock_now, delta) {
         return Decision::Inconsistent;
     }
     Decision::Reset {

@@ -106,10 +106,6 @@ pub struct TimeServer {
     durable: MemoryStore,
     /// Bootstrap rounds run since the current restart.
     boot_rounds: u32,
-    /// When a state corruption scrambled this server's state, until the
-    /// first adoption that passes the §5 consistency screen declares it
-    /// stabilized again.
-    corrupted_at: Option<Timestamp>,
     /// The seqlock-published serving snapshot: every reset/adoption and
     /// every lifecycle transition republishes `(r_i, ε_i, δ_i)` plus an
     /// affine `(base clock, base real)` pair here, so
@@ -315,29 +311,6 @@ impl TimeServer {
             reset_at: now,
         });
         self.stats.resets += 1;
-        // Self-stabilization exit: a corrupted server counts as
-        // recovered once an adopted `(r_i, ε_i)` again agrees with the
-        // majority of what the neighbourhood said recently — the same
-        // §5 screen that vets recovery replies, aimed at ourselves.
-        // Unlike the recovery screen, the exit is *not* vacuously
-        // satisfied by an empty record set: with nothing fresh on
-        // record there is no evidence the garbage is gone, so the
-        // server stays flagged until the neighbourhood has spoken.
-        if let Some(since) = self.corrupted_at {
-            let (reading, delta) = (self.state.last_reset(), self.config.drift_bound);
-            let adopted = self.state.estimate_at(reading);
-            if self.peers.claims().next().is_some()
-                && round::consistent_with_recent(&self.peers, None, &adopted, reading, delta)
-            {
-                let elapsed = (now - since).max(Duration::ZERO);
-                self.corrupted_at = None;
-                ctx.emit_with(TelemetryKind::Stabilized, || TelemetryEvent::Stabilized {
-                    at: now,
-                    server: ctx.label(),
-                    elapsed,
-                });
-            }
-        }
     }
 
     fn begin_round(&mut self, ctx: &mut Context<'_, Message>) {
@@ -752,19 +725,12 @@ impl Actor for TimeServer {
                 // Rule MM-1: reply with ⟨C_i(t), E_i(t)⟩. Handling is
                 // instantaneous here, so T2 = T3 = the same reading.
                 let now = ctx.now();
-                let estimate = match self.config.fault {
-                    None => self.current_estimate(now),
-                    Some(fault) => {
-                        let requester = ctx.label_of(from);
-                        let remembered = self.peers.claim(from);
-                        let delta = self.config.drift_bound;
-                        let honest = || self.current_estimate(now);
-                        match fault.answer(now, honest, requester, remembered, delta, ctx.rng()) {
-                            Some(estimate) => estimate,
-                            None => return,
-                        }
-                    }
-                };
+                let mut estimate = self.current_estimate(now);
+                if let Some(fault) = self.config.fault {
+                    let (requester, remembered) = (ctx.label_of(from), self.peers.claim(from));
+                    let delta = self.config.drift_bound;
+                    estimate = fault.answer(now, estimate, requester, remembered, delta);
+                }
                 ctx.send(
                     from,
                     Message::TimeReply {

@@ -357,9 +357,7 @@ impl Deployment for ClusterScenario {
     fn build_node(&self, i: usize, members: &[NodeId]) -> ClusterNode {
         // Every deployment's timings, in seconds, where they differ from
         // `ClusterConfig::new`'s (the repo benchmark's
-        // `perf/src/seams.rs` restates them). The audit client waits as
-        // long as a replica does.
-        const REQUEST_TIMEOUT: f64 = 0.5;
+        // `perf/src/seams.rs` restates them).
         const TICK: f64 = 0.05;
         const COLLECT_WINDOW: f64 = 0.5;
         let r = self.replicas.len();
@@ -371,9 +369,7 @@ impl Deployment for ClusterScenario {
         let replica_ids: Vec<NodeId> = (base..base + r).map(NodeId::new).collect();
         if k >= r {
             return AuditClient::new(
-                AuditClientConfig::new(replica_ids)
-                    .period(self.client_period)
-                    .request_timeout(Duration::from_secs(REQUEST_TIMEOUT)),
+                AuditClientConfig::new(replica_ids).period(self.client_period),
             )
             .into();
         }

@@ -14,8 +14,9 @@
 //! `f` faulty inputs, every adoption's interval still contains real
 //! time (zero `FTolerant` violations) and honest samples stay correct,
 //! *whatever* the liars coordinate; a server whose state is
-//! overwritten with garbage self-stabilizes — re-converges through its
-//! own screens — within a bounded number of rounds; and when a
+//! overwritten with garbage self-stabilizes — the oracle, judging from
+//! real time, finds it legitimate again within a bounded time and
+//! holds it there; and when a
 //! colluding clique outnumbers the budget the oracle provably catches
 //! the capture, flagging the honest adoptions the clique drags off
 //! true time.
@@ -65,8 +66,9 @@ pub struct ByzantineRow {
     /// Total theorem-oracle violations (all predicates).
     pub oracle_violations: usize,
     /// The oracle's tightest margins across the sweep; its
-    /// `Stabilization` entry is the slowest re-convergence against the
-    /// bound, when the regime arms one.
+    /// `Stabilization` entry is the slowest re-convergence (corruption
+    /// to first legitimate sample) against the bound, when the regime
+    /// arms one.
     pub tightness: Tightness,
     /// Samples at which a corrupted server was observed visibly off
     /// true time (proof the corruption actually fired).
@@ -382,7 +384,7 @@ mod tests {
         assert!(row.disruptions > 0, "the corruptions visibly fired");
         assert_eq!(
             row.oracle_violations, 0,
-            "both victims stabilized within the bound, honestly screened"
+            "both victims stabilized within the bound and stayed legitimate"
         );
         assert_eq!(row.honest_violations, 0, "bystanders never notice");
     }

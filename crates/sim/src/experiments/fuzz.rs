@@ -270,12 +270,12 @@ impl FuzzCase {
     /// * the Theorem 6 intersection check applies wherever IM rounds are
     ///   traced;
     /// * for Marzullo cases the §4 f-tolerance predicate is armed:
-    ///   every adoption by an honest, stabilized server must still
-    ///   contain real time, since at most `f` of its round inputs are
-    ///   arbitrary by construction;
+    ///   every adoption by an honest server (a corrupted one once it is
+    ///   legitimate again) must still contain real time, since at most
+    ///   `f` of its round inputs are arbitrary by construction;
     /// * when a state corruption is drawn, the self-stabilization bound
-    ///   is armed at `8τ` — a handful of rounds is ample for the §5
-    ///   screen to re-converge even through loss or a partition;
+    ///   is armed at `8τ` — a handful of rounds is ample for the victim
+    ///   to reach a legitimate state even through loss or a partition;
     /// * the steady-state envelope theorems (2/3 for MM, 7 for IM) apply
     ///   only to clean deployments — no loss, duplication, partitions,
     ///   or liars — with the `scenario`'s own

@@ -37,7 +37,7 @@ pub struct ServerSpec {
     pub initial_offset: Duration,
     /// Optional armed clock fault.
     pub fault: Option<Fault>,
-    /// Optional armed server-process fault (crash / omit / lie).
+    /// Optional armed server-process fault (crash / lie / corruption).
     pub server_fault: Option<ServerFault>,
     /// Delay before this server joins the service (§1.1 churn).
     pub join_after: Duration,
@@ -99,7 +99,7 @@ impl ServerSpec {
         self
     }
 
-    /// Arms a fault on the server *process* (crash / omit / lie).
+    /// Arms a fault on the server *process* (crash / lie / corruption).
     #[must_use]
     pub fn server_fault(mut self, fault: ServerFault) -> Self {
         self.server_fault = Some(fault);

@@ -951,11 +951,6 @@ mod tests {
                 clock: p.ts(),
                 error: p.dur(),
             }),
-            p.fixture(|p| TelemetryEvent::Stabilized {
-                at: p.ts(),
-                server: p.id(),
-                elapsed: p.dur(),
-            }),
             p.fixture(|p| TelemetryEvent::ViewChange {
                 at: p.ts(),
                 server: p.id(),

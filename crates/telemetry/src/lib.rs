@@ -199,7 +199,8 @@ impl SampleSnapshot {
 /// `| "label"` list is for a string whose legal values a crate above
 /// this one owns, and is what the reader accepts for it.
 /// Discriminants are bit positions in the bus mask and never change;
-/// a deleted row leaves its bit unused (11 was the slewed reset).
+/// a deleted row leaves its bit unused (11 was the slewed reset, 24
+/// the server's own stabilization claim).
 /// EXPERIMENTS.md § "Telemetry export" documents tags, keys and labels,
 /// and a test in `json` fails when it and this table disagree.
 macro_rules! events {
@@ -461,7 +462,8 @@ macro_rules! events {
             /// A transient `CorruptState` fault overwrote a server's
             /// `(r, ε, reset-t)` and health tables with garbage. The server
             /// does not crash: it keeps serving and synchronising from the
-            /// corrupted state until the protocol pulls it back.
+            /// corrupted state until the protocol pulls it back, which only
+            /// a checker that knows real time can judge.
             StateCorrupted = 23, "corrupt" {
                 /// Real time of the corruption.
                 at,
@@ -471,17 +473,6 @@ macro_rules! events {
                 clock: Timestamp,
                 /// Its (garbage) error bound just after the overwrite.
                 error: Duration,
-            }
-            /// A previously corrupted server adopted an estimate that passes
-            /// the §5 consistency screen again: it has converged back to a
-            /// legitimate state (self-stabilization in Herman's sense).
-            Stabilized = 24, "stabilized" {
-                /// Real time of the stabilizing adoption.
-                at,
-                /// The stabilized server.
-                server: usize,
-                /// Real-time distance from the corruption to this adoption.
-                elapsed: Duration,
             }
             /// A datagram failed wire-codec decoding and was dropped at the
             /// transport boundary — truncated in flight, bit-flipped past the
