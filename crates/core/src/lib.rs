@@ -20,10 +20,8 @@
 //! * [`TimeInterval`] — closed-interval algebra (intersection, width, …),
 //! * [`TimeEstimate`] and [`ErrorState`] — the ⟨C, E⟩ pairs and the MM-1
 //!   error-growth rule,
-//! * [`sync::mm`] — algorithm **MM** (*minimization of maximum error*),
-//! * [`sync::im`] — algorithm **IM** (*intersection*),
-//! * [`sync::baseline`] — the Lamport max / median / mean comparators,
-//! * [`bounds`] — the theorems' bound formulas as named functions,
+//! * [`bounds`] — the rules' and theorems' bound formulas as named
+//!   functions,
 //! * [`marzullo`] — the fault-tolerant generalisation of IM from
 //!   [Marzullo 83] (the ancestor of NTP's clock-select),
 //! * [`ntp`] — an RFC-5905-style selection built on the same sweep,
@@ -32,38 +30,31 @@
 //! * [`snapshot`] — the seqlock-published `(r, ε, δ)` serving snapshot
 //!   behind the lock-free read path.
 //!
-//! All functions here are pure: they map an observed set of replies to a
-//! decision. Driving them over a simulated network is the job of the
+//! Everything here is pure. The synchronization rules themselves — MM-2,
+//! IM-2, Marzullo(f) and the max / median / mean baselines — are written
+//! once, in `tempo-service`'s round engine, on top of these types and
+//! bounds; driving them over a simulated network is the job of the
 //! `tempo-service` and `tempo-sim` crates.
 //!
 //! ## Quick example
 //!
-//! Intersecting three server replies with algorithm IM:
+//! Three servers' intervals, one of them a liar: no instant lies in all
+//! three, but Marzullo's sweep tolerating one faulty source recovers the
+//! region the two honest servers agree on:
 //!
 //! ```
-//! use tempo_core::{Duration, Timestamp, TimeEstimate, DriftRate};
-//! use tempo_core::sync::TimedReply;
-//! use tempo_core::sync::im::{im_round, ImOutcome};
+//! use tempo_core::marzullo::intersect_tolerating;
+//! use tempo_core::{Duration, TimeEstimate, TimeInterval, Timestamp};
 //!
-//! let own = TimeEstimate::new(Timestamp::from_secs(100.0), Duration::from_secs(0.5));
-//! let delta = DriftRate::new(1e-5);
-//! let replies = vec![
-//!     TimedReply::new(
-//!         TimeEstimate::new(Timestamp::from_secs(100.2), Duration::from_secs(0.3)),
-//!         Duration::from_secs(0.01),
-//!     ),
-//!     TimedReply::new(
-//!         TimeEstimate::new(Timestamp::from_secs(99.9), Duration::from_secs(0.4)),
-//!         Duration::from_secs(0.02),
-//!     ),
-//! ];
-//! match im_round(&own, delta, &replies) {
-//!     ImOutcome::Reset(reset) => {
-//!         // The derived interval is never wider than the narrowest input
-//!         assert!(reset.new_error <= Duration::from_secs(0.3 + 0.02 * (1.0 + 1e-5) / 2.0 + 1e-9));
-//!     }
-//!     ImOutcome::Inconsistent => unreachable!("these intervals intersect"),
-//! }
+//! let claim = |c, e| TimeEstimate::new(Timestamp::from_secs(c), Duration::from_secs(e));
+//! let intervals: Vec<TimeInterval> = [claim(100.25, 0.25), claim(99.75, 0.5), claim(250.0, 0.125)]
+//!     .iter()
+//!     .map(TimeEstimate::interval)
+//!     .collect();
+//! assert!(TimeInterval::intersect_all(&intervals).is_none());
+//! let agreed = intersect_tolerating(&intervals, 1).expect("two of three agree");
+//! let honest = TimeInterval::new(Timestamp::from_secs(100.0), Timestamp::from_secs(100.25));
+//! assert_eq!(agreed, honest);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -80,7 +71,6 @@ pub mod marzullo;
 pub mod ntp;
 pub mod offset;
 pub mod snapshot;
-pub mod sync;
 pub mod time;
 
 pub use estimate::{ErrorState, TimeEstimate};

@@ -22,9 +22,7 @@
 //! * [`intersect_tolerating`] — the hull of all points covered by at
 //!   least `n − f` sources, for a caller-chosen fault budget `f` (the
 //!   NTP selection rule, which keeps real time inside the answer
-//!   whenever at most `f` sources lie), together with
-//!   [`smallest_tolerance`] which searches for the minimal `f` that
-//!   yields a non-empty answer (the NTP selection loop's shape).
+//!   whenever at most `f` sources lie).
 
 use std::fmt;
 
@@ -238,21 +236,6 @@ pub fn intersect_tolerating(intervals: &[TimeInterval], max_faulty: usize) -> Op
     Some(TimeInterval::new(lo?, hi.expect("every start has an end")))
 }
 
-/// Finds the smallest fault budget `f` for which a coverage of `n − f`
-/// is achievable, returning `(f, best regions)`.
-///
-/// This mirrors the search NTP's selection algorithm performs (RFC 5905
-/// §11.2.1 steps the assumed number of falsetickers upward until a
-/// majority intersection appears).
-///
-/// Returns `None` when `intervals` is empty.
-#[must_use]
-pub fn smallest_tolerance(intervals: &[TimeInterval]) -> Option<(usize, MarzulloResult)> {
-    let result = best_intersection(intervals)?;
-    let f = intervals.len() - result.coverage;
-    Some((f, result))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,7 +252,6 @@ mod tests {
     #[test]
     fn empty_input_returns_none() {
         assert!(best_intersection(&[]).is_none());
-        assert!(smallest_tolerance(&[]).is_none());
     }
 
     #[test]
@@ -399,18 +381,6 @@ mod tests {
         let hull = intersect_tolerating(&sources, 1).unwrap();
         assert!(hull.contains(ts(0.0)), "hull {hull:?} must keep real time");
         assert_eq!(hull, iv(0.0, 10.0));
-    }
-
-    #[test]
-    fn smallest_tolerance_counts_outliers() {
-        let sources = [iv(8.0, 12.0), iv(11.0, 13.0), iv(14.0, 15.0)];
-        let (f, result) = smallest_tolerance(&sources).unwrap();
-        assert_eq!(f, 1);
-        assert_eq!(result.coverage, 2);
-
-        let healthy = [iv(0.0, 4.0), iv(1.0, 5.0), iv(2.0, 6.0)];
-        let (f, _) = smallest_tolerance(&healthy).unwrap();
-        assert_eq!(f, 0);
     }
 
     #[test]

@@ -10,9 +10,6 @@ use tempo_check::{check, Gen};
 use tempo_core::consistency::{consistency_groups, ConsistencyGraph};
 use tempo_core::marzullo::{best_intersection, intersect_tolerating};
 use tempo_core::ntp::select;
-use tempo_core::sync::im::{im_round, ImOutcome};
-use tempo_core::sync::mm::{mm_decide, MmOutcome};
-use tempo_core::sync::TimedReply;
 use tempo_core::{DriftRate, Duration, ErrorState, TimeEstimate, TimeInterval, Timestamp};
 
 /// A correct estimate at real time `t`: the claimed interval contains `t`.
@@ -30,132 +27,6 @@ fn drift_rate(g: &mut Gen) -> DriftRate {
 fn arb_interval(g: &mut Gen) -> TimeInterval {
     let (lo, w) = (g.f64(0.0..100.0), g.f64(0.0..30.0));
     TimeInterval::new(Timestamp::from_secs(lo), Timestamp::from_secs(lo + w))
-}
-
-/// Theorem 1 shape: if the requester's estimate is correct at the
-/// reception instant and the replier's estimate was correct at the
-/// moment it answered, then an MM reset yields an estimate that is
-/// correct at the reception instant.
-#[test]
-fn mm_reset_preserves_correctness() {
-    check("mm_reset_preserves_correctness", 256, |g| {
-        let t0 = g.f64(0.0..1e6);
-        let sigma_frac = g.f64(0.0..1.0);
-        let xi = g.f64(0.0..2.0);
-        let delta = drift_rate(g);
-        // Local-clock measurement distortion within [1-δ, 1+δ].
-        let meas_frac = g.f64(-1.0..1.0);
-        let own_seed = g.f64(0.0..1.0);
-        let own_err = g.f64(0.0..10.0);
-        let reply_seed = g.f64(-1.0..1.0);
-        let reply_err = g.f64(0.0..10.0);
-        let sigma = sigma_frac * xi; // request delay σ ≤ ξ
-        let reply_time = t0 + sigma; // replier answers at t0+σ
-        let recv_time = t0 + xi; // requester receives at t0+ξ
-
-        // Correct reply at its send instant.
-        let reply_est = TimeEstimate::new(
-            Timestamp::from_secs(reply_time + reply_seed * reply_err),
-            Duration::from_secs(reply_err),
-        );
-        // Correct own estimate at the reception instant.
-        let own = TimeEstimate::new(
-            Timestamp::from_secs(recv_time + (own_seed * 2.0 - 1.0) * own_err),
-            Duration::from_secs(own_err),
-        );
-        // Round-trip measured on the local clock: within (1±δ)·ξ.
-        let measured = xi * (1.0 + meas_frac * delta.as_f64());
-        let reply = TimedReply::new(reply_est, Duration::from_secs(measured));
-
-        if let MmOutcome::Reset(reset) = mm_decide(&own, delta, &reply) {
-            // The adopted clock is C_j from time t0+σ; by reception the
-            // true time advanced by ρ = ξ − σ, so the adopted interval
-            // must contain recv_time:
-            // C_j ± (E_j + (1+δ)ξ^i) must cover t0+ξ given C_j ± E_j
-            // covered t0+σ and ξ^i ≥ (1−δ)ξ ≥ ξ − σ... (Theorem 1).
-            let adopted = reset.as_estimate();
-            assert!(
-                adopted.is_correct_at(Timestamp::from_secs(recv_time)),
-                "adopted {adopted} not correct at {recv_time}"
-            );
-        }
-    });
-}
-
-/// Theorem 5 shape: the same setup under IM keeps correctness.
-#[test]
-fn im_reset_preserves_correctness() {
-    check("im_reset_preserves_correctness", 256, |g| {
-        let t0 = g.f64(0.0..1e6);
-        let sigma_fracs = g.vec(1..6, |g| g.f64(0.0..1.0));
-        let xi = g.f64(0.0001..2.0);
-        let delta = drift_rate(g);
-        let own_seed = g.f64(0.0..1.0);
-        let own_err = g.f64(0.0..10.0);
-        let reply_seeds = g.vec(1..6, |g| (g.f64(-1.0..1.0), g.f64(0.0..10.0)));
-        let recv_time = t0 + xi;
-        let own = TimeEstimate::new(
-            Timestamp::from_secs(recv_time + (own_seed * 2.0 - 1.0) * own_err),
-            Duration::from_secs(own_err),
-        );
-        let n = sigma_fracs.len().min(reply_seeds.len());
-        let mut replies = Vec::new();
-        for k in 0..n {
-            let sigma = sigma_fracs[k] * xi;
-            let (seed, err) = reply_seeds[k];
-            let reply_est = TimeEstimate::new(
-                Timestamp::from_secs(t0 + sigma + seed * err),
-                Duration::from_secs(err),
-            );
-            // Conservative local measurement: exactly (1+δ)-safe ξ.
-            replies.push(TimedReply::new(reply_est, Duration::from_secs(xi)));
-        }
-        if let ImOutcome::Reset(reset) = im_round(&own, delta, &replies) {
-            let adopted = reset.as_estimate();
-            assert!(
-                adopted.is_correct_at(Timestamp::from_secs(recv_time)),
-                "IM adopted {adopted} not correct at {recv_time}"
-            );
-        }
-    });
-}
-
-/// Theorem 6: the IM intersection is never wider than the narrowest
-/// participating interval.
-#[test]
-fn im_never_wider_than_narrowest() {
-    check("im_never_wider_than_narrowest", 256, |g| {
-        let own_c = g.f64(0.0..100.0);
-        let own_e = g.f64(0.0..10.0);
-        let reply_data = g.vec(0..8, |g| {
-            (g.f64(0.0..100.0), g.f64(0.0..10.0), g.f64(0.0..0.5))
-        });
-        let delta = drift_rate(g);
-        let own = TimeEstimate::new(Timestamp::from_secs(own_c), Duration::from_secs(own_e));
-        let replies: Vec<TimedReply> = reply_data
-            .iter()
-            .map(|&(c, e, rtt)| {
-                TimedReply::new(
-                    TimeEstimate::new(Timestamp::from_secs(c), Duration::from_secs(e)),
-                    Duration::from_secs(rtt),
-                )
-            })
-            .collect();
-        if let ImOutcome::Reset(reset) = im_round(&own, delta, &replies) {
-            // Narrowest input radius, replies widened by rtt allowance.
-            let mut narrowest = own.error();
-            for r in &replies {
-                let widened = r.estimate.error() + (r.round_trip * delta.inflation()).half();
-                narrowest = narrowest.min(widened);
-            }
-            assert!(
-                reset.new_error.as_secs() <= narrowest.as_secs() + 1e-9,
-                "IM produced {} wider than narrowest {}",
-                reset.new_error,
-                narrowest
-            );
-        }
-    });
 }
 
 /// Two correct servers are always consistent (§2.3): inconsistency

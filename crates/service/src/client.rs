@@ -11,12 +11,11 @@ use std::collections::HashMap;
 
 use tempo_core::filter::{cluster, combine, ClockFilter, FilterSample, PeerEstimate};
 use tempo_core::offset::FourTimestamps;
-use tempo_core::sync::im::{im_round, ImOutcome};
-use tempo_core::sync::TimedReply;
 use tempo_core::{DriftRate, Duration, TimeEstimate, Timestamp};
 use tempo_net::{Actor, Context, NodeId};
 
 use crate::message::Message;
+use crate::round::{im2, Decision, TimedReply};
 
 /// How the client combines server replies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -229,56 +228,44 @@ impl TimeClient {
                 return;
             }
             ClientStrategy::SmallestError => {
-                let best = aged
-                    .iter()
-                    .min_by_key(|r| r.estimate.error() + r.round_trip)
-                    .copied()
-                    .expect("non-empty");
-                let obtained = TimeEstimate::new(
-                    best.estimate.time(),
-                    best.estimate.error() + best.round_trip,
-                );
-                self.record(now, obtained, aged.len());
+                self.record(now, smallest_error(&aged), aged.len());
             }
             ClientStrategy::Intersection => {
                 // The client has no own interval, so seed the
                 // intersection with the (aged) widest reply.
-                let seed = aged
+                let own = aged
                     .iter()
-                    .max_by_key(|r| r.estimate.error() + r.round_trip)
-                    .copied()
+                    .map(absorbed)
+                    .max_by_key(TimeEstimate::error)
                     .expect("non-empty");
-                let own = TimeEstimate::new(
-                    seed.estimate.time(),
-                    seed.estimate.error() + seed.round_trip,
-                );
-                let used = aged.len();
-                match im_round(&own, DriftRate::ZERO, &aged) {
-                    ImOutcome::Reset(reset) => {
-                        self.record(now, reset.as_estimate(), used);
-                    }
-                    ImOutcome::Inconsistent => {
-                        // Fall back to smallest error on inconsistency.
-                        let best = aged
-                            .iter()
-                            .min_by_key(|r| r.estimate.error() + r.round_trip)
-                            .copied()
-                            .expect("non-empty");
-                        self.record(
-                            now,
-                            TimeEstimate::new(
-                                best.estimate.time(),
-                                best.estimate.error() + best.round_trip,
-                            ),
-                            used,
-                        );
-                    }
-                }
+                let obtained = match im2(&own, DriftRate::ZERO, &aged) {
+                    Decision::Reset { reset, .. } => reset.as_estimate(),
+                    // Fall back to smallest error on inconsistency.
+                    _ => smallest_error(&aged),
+                };
+                self.record(now, obtained, aged.len());
             }
         }
         self.round_replies.clear();
         self.round_open = false;
     }
+}
+
+/// `⟨C_j, E_j + ξ⟩`: a reply with its age absorbed into its error.
+fn absorbed(reply: &TimedReply) -> TimeEstimate {
+    TimeEstimate::new(
+        reply.estimate.time(),
+        reply.estimate.error() + reply.round_trip,
+    )
+}
+
+/// The reply with the smallest adjusted error `E_j + ξ` (the §3
+/// refinement), its age absorbed.
+fn smallest_error(aged: &[TimedReply]) -> TimeEstimate {
+    aged.iter()
+        .map(absorbed)
+        .min_by_key(TimeEstimate::error)
+        .expect("non-empty")
 }
 
 impl Actor for TimeClient {
@@ -409,6 +396,56 @@ mod tests {
         assert_eq!(ClientStrategy::SmallestError.to_string(), "smallest-error");
         assert_eq!(ClientStrategy::Intersection.to_string(), "intersection");
         assert_eq!(ClientStrategy::Filtered.to_string(), "filtered");
+    }
+
+    #[test]
+    fn disjoint_replies_fall_back_to_the_smallest_error() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let ts = Timestamp::from_secs;
+        let mut client = TimeClient::new(
+            ClientStrategy::Intersection,
+            Duration::from_secs(5.0),
+            Duration::from_secs(1.0),
+        );
+        let peers = [NodeId::new(1), NodeId::new(2)];
+        let mut rng = StdRng::seed_from_u64(0);
+        // Both requests go out at 0 and carry the ids 1_000_000 and
+        // 1_000_001; the window closes at 1, so each reply has aged 1 s.
+        client.on_timer(
+            TIMER_QUERY,
+            &mut Context::external(ts(0.0), NodeId::new(0), &peers, &mut rng),
+        );
+        let answers = [(1_000_000, ts(10.0), 0.10), (1_000_001, ts(20.0), 0.05)];
+        for (peer, (request_id, time, error)) in peers.into_iter().zip(answers) {
+            client.on_message(
+                peer,
+                Message::TimeReply {
+                    request_id,
+                    received_at: time,
+                    estimate: TimeEstimate::new(time, Duration::from_secs(error)),
+                },
+                &mut Context::external(ts(0.2), NodeId::new(0), &peers, &mut rng),
+            );
+        }
+        client.on_timer(
+            TIMER_WINDOW,
+            &mut Context::external(ts(1.0), NodeId::new(0), &peers, &mut rng),
+        );
+        // [8.9, 11.1] and [18.95, 21.05] share no point: IM-2 fails and
+        // the client records ⟨20, 0.05 + 1⟩, with both replies used.
+        let obtained = TimeEstimate::new(
+            ts(20.0),
+            Duration::from_secs(0.05) + Duration::from_secs(1.0),
+        );
+        assert_eq!(
+            client.observations(),
+            [ClientObservation {
+                at: ts(1.0),
+                obtained,
+                replies_used: 2,
+            }]
+        );
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Server configuration: synchronization strategy, drift claim, timing.
 
-use tempo_core::sync::baseline::BaselineKind;
 use tempo_core::{DriftRate, Duration};
 
 use crate::fault::ServerFault;
 use crate::peers::HealthConfig;
+use crate::round::BaselineKind;
 
 /// Per-request timeout and retry behaviour, measured on the server's
 /// *own* clock (no other clock is trustworthy by assumption).

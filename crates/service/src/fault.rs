@@ -21,10 +21,9 @@ use std::fmt;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tempo_core::bounds::mm2_adjusted_error;
-use tempo_core::sync::{Reset, TimedReply};
 use tempo_core::{DriftRate, Duration, TimeEstimate, Timestamp};
 
-use crate::round::aged;
+use crate::round::{aged, Reset, TimedReply};
 use crate::server::{TIMER_CORRUPT, TIMER_CRASH};
 
 /// A crash's restart schedule: how long the server stays down, whether

@@ -1,9 +1,11 @@
 //! # tempo-service
 //!
 //! The distributed time-service protocol of Marzullo & Owicki (1983),
-//! built from the pure synchronization functions of [`tempo_core`] and
-//! run over the [`tempo_net`] discrete-event simulator with
-//! [`tempo_clocks`] hardware.
+//! built on the types and bounds of [`tempo_core`] and run over the
+//! [`tempo_net`] discrete-event simulator with [`tempo_clocks`]
+//! hardware. Its round engine writes each synchronization rule once —
+//! MM-2, IM-2, Marzullo(f) and the [`BaselineKind`] baselines — as a pure
+//! function from a server's estimate and replies to its decision.
 //!
 //! * [`TimeServer`] — the protocol actor: answers requests per rule
 //!   MM-1, polls neighbours every `τ`, synchronises with algorithm
@@ -75,6 +77,7 @@ pub use message::Message;
 pub use node::ServiceNode;
 pub use peers::{HealthConfig, PeerState, PeerTable};
 pub use rate::AdmissionControl;
+pub use round::BaselineKind;
 pub use server::{Lifecycle, TimeServer};
 pub use stats::ServerStats;
 pub use store::{ClusterState, MemoryStore, PersistedState};

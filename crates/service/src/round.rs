@@ -1,5 +1,13 @@
 //! The round engine: the paper's synchronization rules as pure
-//! functions from what a server knows to what it should do.
+//! functions from what a server knows to what it should do, each rule
+//! written once.
+//!
+//! The paper characterises synchronization as each server `i`
+//! independently computing `C_i(t) ← F(C_{i1}(t), …, C_{ik}(t))` over a
+//! distributed set of data (§1.2); the synchronization function `F` is
+//! what tells the algorithms apart: [`mm2`] (§3), [`im2`] (§4),
+//! [`marzullo_f`] (the fault-tolerant generalisation of IM) and
+//! [`baseline`] (the max / median / mean of the prior work).
 //!
 //! Inputs are the server's own estimate `⟨C_i, E_i⟩` at a reading of
 //! its clock (rule MM-1 has already grown `E_i` to that reading), the
@@ -7,17 +15,65 @@
 //! [`Strategy`]; the output is a [`Decision`]. Nothing here sends,
 //! persists, publishes or reads a clock, so every function can be
 //! checked against PAPER.md on fixed values — and explored
-//! exhaustively.
+//! exhaustively. Every `(1+δ_i)ξ` allowance is computed by
+//! `tempo_core::bounds`.
 
-use tempo_core::sync::baseline::{baseline_round, BaselineKind};
-use tempo_core::sync::im::{im_round, ImOutcome};
-use tempo_core::sync::mm::{mm_decide, MmOutcome};
-use tempo_core::sync::{Reset, TimedReply};
+use tempo_core::bounds::{im2_leading_allowance, mm2_adjusted_error};
 use tempo_core::{marzullo, DriftRate, Duration, TimeEstimate, Timestamp};
 use tempo_net::NodeId;
 
 use crate::config::Strategy;
 use crate::peers::PeerTable;
+
+/// A remote reply `⟨C_j, E_j⟩` paired with the round-trip `ξ^i_j`
+/// measured on the requesting server's own clock `C_i`.
+///
+/// Measuring `ξ` locally (rather than in real time) is what introduces
+/// the `(1 + δ_i)` inflation factors in rules MM-2 and IM-2.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct TimedReply {
+    /// The remote server's reported estimate.
+    pub estimate: TimeEstimate,
+    /// The round-trip `ξ^i_j` as measured by the local clock.
+    pub round_trip: Duration,
+}
+
+impl TimedReply {
+    /// Pairs a reply with its locally measured round-trip.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `round_trip` is negative (clock readings between resets
+    /// are monotonic, so a locally measured round-trip cannot be
+    /// negative).
+    pub(crate) fn new(estimate: TimeEstimate, round_trip: Duration) -> Self {
+        assert!(
+            !round_trip.is_negative(),
+            "round-trip must be non-negative, got {round_trip}"
+        );
+        TimedReply {
+            estimate,
+            round_trip,
+        }
+    }
+}
+
+/// The decision to reset the local clock: `C_i ← new_clock`,
+/// `ε_i ← new_error`, `r_i ← new_clock` (rules MM-2 / IM-2).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Reset {
+    /// The value the clock is set to.
+    pub new_clock: Timestamp,
+    /// The inherited error after the reset.
+    pub new_error: Duration,
+}
+
+impl Reset {
+    /// The estimate a server holds immediately after applying this reset.
+    pub(crate) fn as_estimate(&self) -> TimeEstimate {
+        TimeEstimate::new(self.new_clock, self.new_error)
+    }
+}
 
 /// What a round (or, under MM, a single reply) tells the server to do.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,6 +89,34 @@ pub(crate) enum Decision {
     Inconsistent,
     /// Fewer replies than the quorum; rule MM-1 keeps growing `E_i`.
     Starved,
+}
+
+impl Decision {
+    /// An ordinary adoption (MM-2, IM-2, a baseline): never a recovery.
+    fn adopt(new_clock: Timestamp, new_error: Duration) -> Self {
+        Decision::Reset {
+            reset: Reset {
+                new_clock,
+                new_error,
+            },
+            recovery: false,
+        }
+    }
+}
+
+/// Which baseline synchronization function [`Strategy::Baseline`]
+/// applies (ablation A2): the functions of the prior work the paper
+/// positions MM and IM against (§1.2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum BaselineKind {
+    /// Adopt the maximum clock value among self and all replies
+    /// (Lamport's monotonicity-preserving rule, [Lamport 78]).
+    LamportMax,
+    /// Adopt the median clock value (lower median for even counts), as
+    /// in fault-tolerant synchronization ([Lamport 82]).
+    Median,
+    /// Adopt the mean clock value.
+    Mean,
 }
 
 /// A reply buffered during a collection window.
@@ -76,30 +160,69 @@ fn age_buffered(
         .collect()
 }
 
-/// Rule MM-2, on one reply as it arrives: adopt `⟨C_j, E_j + (1+δ_i)ξ⟩`
-/// iff the reply is consistent with `own` and that adjusted error does
-/// not exceed `E_i`.
+/// Rule MM-2 (§3), on one reply as it arrives: evaluate
+///
+/// ```text
+/// E_j + (1 + δ_i) · ξ^i_j  ≤  E_i
+/// ```
+///
+/// and, if the predicate holds, reset: `ε_i ← E_j + (1+δ_i)ξ^i_j`,
+/// `C_i ← C_j`, `r_i ← C_j`. `own` is `⟨C_i, E_i⟩` at the reply's
+/// reception (per rule MM-1 the error grew while the request was in
+/// flight). An inconsistent reply is ignored by the rule and surfaced
+/// as [`Decision::Inconsistent`], since §3's recovery keys off it.
+///
+/// MM is a *selection* function: the clock value always comes from a
+/// single server, so the service is never more accurate than its most
+/// accurate clock — and, because different servers may select
+/// different sources, its synchronization is limited by consistency
+/// (Theorem 3) rather than by the round-trip bound.
 pub(crate) fn mm2(own: &TimeEstimate, delta: DriftRate, reply: &TimedReply) -> Decision {
-    match mm_decide(own, delta, reply) {
-        MmOutcome::Reset(reset) => Decision::Reset {
-            reset,
-            recovery: false,
-        },
-        MmOutcome::Keep => Decision::Keep,
-        MmOutcome::Inconsistent => Decision::Inconsistent,
+    if !own.is_consistent_with(&reply.estimate) {
+        return Decision::Inconsistent;
+    }
+    let adjusted = mm2_adjusted_error(reply.estimate.error(), reply.round_trip, delta);
+    if adjusted <= own.error() {
+        Decision::adopt(reply.estimate.time(), adjusted)
+    } else {
+        Decision::Keep
     }
 }
 
-/// Rule IM-2, on a closed round: intersect `own` with every reply
-/// widened on its leading edge by `(1+δ_i)ξ`, and adopt the
-/// intersection's midpoint and radius.
-fn im2(own: &TimeEstimate, delta: DriftRate, replies: &[TimedReply]) -> Decision {
-    match im_round(own, delta, replies) {
-        ImOutcome::Reset(reset) => Decision::Reset {
-            reset,
-            recovery: false,
-        },
-        ImOutcome::Inconsistent => Decision::Inconsistent,
+/// Rule IM-2 (§4), on a closed round: transform each reply into an
+/// interval relative to the local reading `C_i`,
+///
+/// ```text
+/// T_j ← C_j − E_j − C_i
+/// L_j ← C_j + E_j + (1 + δ_i)·ξ^i_j − C_i
+/// ```
+///
+/// (only the leading edge is widened: while the reply was in flight
+/// real time can only have advanced). With `a = max T_j` and
+/// `b = min L_j`, a non-empty `[a .. b]` resets the clock to its
+/// midpoint: `ε_i ← (b−a)/2`, `C_i ← C_i + (a+b)/2`, `r_i ← C_i`.
+///
+/// The local interval `[−E_i .. +E_i]` is always part of the
+/// intersection, as in the Theorem 5 proof (a server only moves its
+/// clock *within* its own interval), so callers add no self-reply.
+/// Because the adopted interval is *derived* rather than selected,
+/// Theorem 6 keeps it no wider than the narrowest input, and Theorem 8
+/// shows its expected width need not grow with the number of servers.
+pub(crate) fn im2(own: &TimeEstimate, delta: DriftRate, replies: &[TimedReply]) -> Decision {
+    let mut a = -own.error();
+    let mut b = own.error();
+    for reply in replies {
+        let offset = reply.estimate.time() - own.time();
+        a = a.max(offset - reply.estimate.error());
+        b = b.min(offset + reply.estimate.error() + im2_leading_allowance(reply.round_trip, delta));
+    }
+    // The paper states the condition as b > a; with closed intervals a
+    // single shared point (b == a) is still a consistent — if degenerate —
+    // intersection, matching the ≤ in the §2.3 consistency predicate.
+    if b >= a {
+        Decision::adopt(own.time() + (a + b).half(), (b - a).half())
+    } else {
+        Decision::Inconsistent
     }
 }
 
@@ -116,7 +239,7 @@ fn marzullo_f(
         intervals.push(
             r.estimate
                 .interval()
-                .extend_leading(r.round_trip * delta.inflation()),
+                .extend_leading(im2_leading_allowance(r.round_trip, delta)),
         );
     }
     let f = max_faulty.min(intervals.len() - 1);
@@ -140,35 +263,59 @@ fn marzullo_f(
     }
 }
 
-/// The cited max/median/mean algorithms compare clock *values*, so
-/// stale replies must first be extrapolated to "now": a reply generated
-/// roughly half a round-trip after the request has aged by
+/// The cited max / median / mean functions (§1.2), over `own` and the
+/// buffered replies. They compare clock *values*, so stale replies must
+/// first be extrapolated to "now": a reply generated roughly half a
+/// round-trip after the request has aged by
 /// (clock_now − recv) + (recv − send)/2 local seconds. (MM and IM need
 /// no such step — their rules absorb the delay into the error instead.)
-/// After extrapolation the residual delay uncertainty is only the
-/// asymmetric half of the arrival round-trip, which is what inflates
-/// the inherited error.
+/// Unlike MM, the baselines never reject an inconsistent reply: the
+/// cited algorithms have no notion of consistency.
+///
+/// They assume *accurate* clocks and carry no error accounting, so they
+/// can silently go incorrect under drift — the comparison ablation A2
+/// runs. The inherited error is our addition, so a baseline can live in
+/// an MM-1-reporting server. After extrapolation the residual delay
+/// uncertainty is only the asymmetric half of the arrival round-trip,
+/// which inflates each reply's error per MM-2; max and median then
+/// inherit the adopted source's error, mean the mean of all errors (a
+/// mean of intervals is centred on the mean of centres with the mean
+/// radius only if radii align, so it can under-cover — the known
+/// weakness being measured).
 fn baseline(
     own: &TimeEstimate,
     delta: DriftRate,
     buffered: &[BufferedReply],
     kind: BaselineKind,
 ) -> Decision {
-    let extrapolated: Vec<TimedReply> = buffered
-        .iter()
-        .map(|b| {
-            let rtt_arrival = (b.recv_clock - b.send_clock).max(Duration::ZERO);
-            let age = (own.time() - b.recv_clock).max(Duration::ZERO) + rtt_arrival.half();
-            TimedReply::new(
-                TimeEstimate::new(b.estimate.time() + age, b.estimate.error()),
-                rtt_arrival,
-            )
-        })
-        .collect();
-    Decision::Reset {
-        reset: baseline_round(own, delta, &extrapolated, kind),
-        recovery: false,
+    // Participants: (clock value, adjusted error), own first.
+    let mut participants: Vec<(Timestamp, Duration)> = Vec::with_capacity(buffered.len() + 1);
+    participants.push((own.time(), own.error()));
+    for b in buffered {
+        let rtt_arrival = (b.recv_clock - b.send_clock).max(Duration::ZERO);
+        let age = (own.time() - b.recv_clock).max(Duration::ZERO) + rtt_arrival.half();
+        participants.push((
+            b.estimate.time() + age,
+            mm2_adjusted_error(b.estimate.error(), rtt_arrival, delta),
+        ));
     }
+    let (new_clock, new_error) = match kind {
+        BaselineKind::LamportMax => *participants
+            .iter()
+            .max_by_key(|(c, _)| *c)
+            .expect("participants is non-empty"),
+        BaselineKind::Median => {
+            participants.sort_by_key(|(c, _)| *c);
+            participants[(participants.len() - 1) / 2]
+        }
+        BaselineKind::Mean => {
+            let n = participants.len() as f64;
+            let mean_secs = participants.iter().map(|(c, _)| c.as_secs()).sum::<f64>() / n;
+            let mean_error = participants.iter().map(|(_, e)| *e).sum::<Duration>() / n;
+            (Timestamp::from_secs(mean_secs), mean_error)
+        }
+    };
+    Decision::adopt(new_clock, new_error)
 }
 
 /// Closes a collection window: `own` is the server's estimate at its
@@ -213,7 +360,9 @@ pub(crate) fn input_widths(
     }
     let mut widths = vec![own.error() + own.error()];
     for r in age_buffered(buffered, own.time(), delta.inflation()) {
-        widths.push(r.estimate.error() + r.estimate.error() + r.round_trip * delta.inflation());
+        widths.push(
+            r.estimate.error() + r.estimate.error() + im2_leading_allowance(r.round_trip, delta),
+        );
     }
     widths
 }
@@ -296,7 +445,7 @@ pub(crate) fn recover(
     delta: DriftRate,
     peers: &PeerTable,
 ) -> Decision {
-    let new_error = reply.estimate.error() + reply.round_trip * delta.inflation();
+    let new_error = mm2_adjusted_error(reply.estimate.error(), reply.round_trip, delta);
     let proposal = TimeEstimate::new(reply.estimate.time(), new_error);
     if !consistent_with_recent(peers, from, &proposal, clock_now, delta) {
         return Decision::Inconsistent;
@@ -314,6 +463,7 @@ pub(crate) fn recover(
 mod tests {
     use super::*;
     use crate::config::ServerConfig;
+    use tempo_check::{check, Gen};
 
     fn ts(s: f64) -> Timestamp {
         Timestamp::from_secs(s)
@@ -387,7 +537,6 @@ mod tests {
 
     #[test]
     fn every_window_strategy_starves_below_the_quorum() {
-        use tempo_core::sync::baseline::BaselineKind;
         let own = est(100.0, 0.10);
         let one = [buffered(1, est(100.0, 0.05), 99.9, 0.01)];
         for strategy in [
@@ -517,7 +666,6 @@ mod tests {
 
     #[test]
     fn baselines_extrapolate_by_age_plus_half_the_round_trip() {
-        use tempo_core::sync::baseline::BaselineKind;
         // One reply, received 1 s before the close after a 0.2 s round
         // trip, claiming 105: by now that clock reads ~106.1, ahead of
         // ours, so Lamport's max adopts it.
@@ -565,7 +713,7 @@ mod tests {
         assert!((reset.new_error.as_secs() - 0.03).abs() < 1e-9);
         assert!(!recovery);
         // Any other strategy bootstraps as IM-2 does.
-        let max = Strategy::Baseline(tempo_core::sync::baseline::BaselineKind::LamportMax);
+        let max = Strategy::Baseline(BaselineKind::LamportMax);
         assert_eq!(
             bootstrap(max, ts(7.0), delta(), &replies, 3),
             Decision::Inconsistent
@@ -619,5 +767,426 @@ mod tests {
         // A receipt mark ahead of the reading (a torn step) clamps.
         let torn = aged((est(100.0, 0.01), ts(101.0)), ts(100.0), delta());
         assert_eq!(torn, est(100.0, 0.01));
+    }
+
+    fn reply(c: f64, e: f64, rtt: f64) -> TimedReply {
+        TimedReply::new(est(c, e), dur(rtt))
+    }
+
+    #[test]
+    fn timed_reply_construction() {
+        let e = est(1.0, 0.1);
+        let r = TimedReply::new(e, dur(0.05));
+        assert_eq!(r.estimate, e);
+        assert_eq!(r.round_trip, dur(0.05));
+    }
+
+    #[test]
+    #[should_panic(expected = "round-trip must be non-negative")]
+    fn timed_reply_rejects_negative_rtt() {
+        let _ = TimedReply::new(est(1.0, 0.0), dur(-0.01));
+    }
+
+    #[test]
+    fn reset_as_estimate() {
+        let reset = Reset {
+            new_clock: ts(5.0),
+            new_error: dur(0.2),
+        };
+        assert_eq!(reset.as_estimate(), est(5.0, 0.2));
+    }
+
+    #[test]
+    fn boundary_equal_adjusted_error_is_adopted() {
+        // The predicate is ≤, so an exactly-equal adjusted error resets.
+        let own = est(100.0, 0.5);
+        assert!(matches!(
+            mm2(&own, DriftRate::ZERO, &reply(100.0, 0.5, 0.0)),
+            Decision::Reset { .. }
+        ));
+    }
+
+    #[test]
+    fn self_reply_always_satisfies_predicate() {
+        // The Theorem 2 proof's device: a self-reply (the server
+        // answering its own request) has ξ = 0 and E_j = E_i, so it
+        // satisfies MM-2 without changing anything.
+        let own = est(42.0, 0.7);
+        let self_reply = TimedReply::new(own, Duration::ZERO);
+        let (reset, recovery) = reset_of(mm2(&own, DriftRate::new(0.1), &self_reply));
+        assert_eq!(reset.as_estimate(), own);
+        assert!(!recovery);
+    }
+
+    #[test]
+    fn transform_matches_rule_im2() {
+        // T = 100.3 − 0.2 − 100.0 = 0.1 and L = 100.3 + 0.2 + 1.01·0.1 −
+        // 100.0 = 0.601; own [−5, 5] contains both, so IM-2 adopts
+        // [T .. L] itself.
+        let (reset, recovery) = reset_of(im2(
+            &est(100.0, 5.0),
+            DriftRate::new(0.01),
+            &[reply(100.3, 0.2, 0.1)],
+        ));
+        assert!((reset.new_clock.as_secs() - 100.3505).abs() < 1e-12);
+        assert!((reset.new_error.as_secs() - 0.2505).abs() < 1e-12);
+        assert!(!recovery);
+        // Only the leading edge widens: T = −1, L = 1.0 + 1.5·2.0 = 4.0.
+        let (reset, _) = reset_of(im2(
+            &est(0.0, 10.0),
+            DriftRate::new(0.5),
+            &[reply(0.0, 1.0, 2.0)],
+        ));
+        assert_eq!(reset.as_estimate(), est(1.5, 2.5));
+    }
+
+    #[test]
+    fn round_with_no_replies_recentres_on_own_interval() {
+        let (reset, _) = reset_of(im2(&est(10.0, 0.5), DriftRate::ZERO, &[]));
+        assert_eq!(reset.as_estimate(), est(10.0, 0.5));
+    }
+
+    #[test]
+    fn intersection_shrinks_error_below_narrowest_input() {
+        // Right side of Figure 2: offset intervals whose intersection is
+        // narrower than either input.
+        let own = est(100.0, 1.0); // [99, 101]
+        let r = reply(101.5, 1.0, 0.0); // [100.5, 102.5]
+        let (reset, _) = reset_of(im2(&own, DriftRate::ZERO, &[r]));
+        // intersection [100.5, 101.0] → C = 100.75, E = 0.25
+        assert_eq!(reset.as_estimate(), est(100.75, 0.25));
+        assert!(reset.new_error < own.error());
+        assert!(reset.new_error < r.estimate.error());
+    }
+
+    #[test]
+    fn subset_case_yields_inner_interval() {
+        // Left side of Figure 2: the narrow interval lies inside the wide
+        // one; the intersection is the narrow interval itself.
+        let own = est(100.0, 2.0); // [98, 102]
+        let r = reply(100.5, 0.3, 0.0); // [100.2, 100.8]
+        let (reset, _) = reset_of(im2(&own, DriftRate::ZERO, &[r]));
+        assert!((reset.new_clock.as_secs() - 100.5).abs() < 1e-12);
+        assert!((reset.new_error.as_secs() - 0.3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn pairwise_consistent_but_jointly_empty_is_inconsistent() {
+        // Three intervals, each pair intersects, but no common point —
+        // consistency is not transitive, and IM detects the emptiness.
+        let own = est(0.0, 1.0); // [-1, 1]
+        let r1 = reply(1.8, 1.0, 0.0); // [0.8, 2.8]
+        let r2 = reply(-1.8, 1.0, 0.0); // [-2.8, -0.8]
+        assert!(own.is_consistent_with(&r1.estimate));
+        assert!(own.is_consistent_with(&r2.estimate));
+        assert_eq!(
+            im2(&own, DriftRate::ZERO, &[r1, r2]),
+            Decision::Inconsistent
+        );
+    }
+
+    #[test]
+    fn touching_intervals_intersect_in_a_point() {
+        let own = est(0.0, 1.0); // [-1, 1]
+        let r = reply(2.0, 1.0, 0.0); // [1, 3]
+        let (reset, _) = reset_of(im2(&own, DriftRate::ZERO, &[r]));
+        assert_eq!(reset.as_estimate(), est(1.0, 0.0));
+    }
+
+    #[test]
+    fn result_is_exact_interval_intersection() {
+        // Cross-check im2 against TimeInterval::intersect_all on the
+        // same (already-widened) intervals.
+        use tempo_core::TimeInterval;
+        let own = est(100.0, 1.3);
+        let delta = DriftRate::new(0.001);
+        let replies = [
+            reply(100.4, 0.9, 0.03),
+            reply(99.8, 1.1, 0.01),
+            reply(100.1, 0.6, 0.05),
+        ];
+        let (reset, _) = reset_of(im2(&own, delta, &replies));
+        let mut intervals = vec![own.interval()];
+        for r in &replies {
+            intervals.push(
+                r.estimate
+                    .interval()
+                    .extend_leading(r.round_trip * delta.inflation()),
+            );
+        }
+        let expected = TimeInterval::intersect_all(&intervals).unwrap();
+        assert!((reset.new_clock.as_secs() - expected.midpoint().as_secs()).abs() < 1e-12);
+        assert!((reset.new_error.as_secs() - expected.radius().as_secs()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn theorem6_never_wider_than_narrowest() {
+        let own = est(100.0, 2.0);
+        let replies = [reply(100.2, 1.5, 0.0), reply(99.9, 0.7, 0.0)];
+        let (reset, _) = reset_of(im2(&own, DriftRate::ZERO, &replies));
+        let narrowest = replies
+            .iter()
+            .map(|r| r.estimate.error())
+            .fold(own.error(), Duration::min);
+        assert!(reset.new_error <= narrowest);
+    }
+
+    /// A baseline round over `(C_j, E_j, ξ)` replies that arrived at the
+    /// closing reading, so only half of `ξ` extrapolates them.
+    fn baseline_of(
+        kind: BaselineKind,
+        own: TimeEstimate,
+        delta: DriftRate,
+        replies: &[(f64, f64, f64)],
+    ) -> Reset {
+        let at = own.time().as_secs();
+        let buffered: Vec<BufferedReply> = replies
+            .iter()
+            .enumerate()
+            .map(|(i, &(c, e, rtt))| buffered(i + 1, est(c, e), at, rtt))
+            .collect();
+        let (reset, recovery) = reset_of(baseline(&own, delta, &buffered, kind));
+        assert!(!recovery);
+        reset
+    }
+
+    #[test]
+    fn max_adopts_fastest_clock() {
+        let replies = [(9.0, 0.2, 0.0), (12.0, 0.3, 0.0)];
+        let reset = baseline_of(
+            BaselineKind::LamportMax,
+            est(10.0, 0.1),
+            DriftRate::ZERO,
+            &replies,
+        );
+        assert_eq!(reset.as_estimate(), est(12.0, 0.3));
+    }
+
+    #[test]
+    fn max_includes_own_clock() {
+        let replies = [(9.0, 0.2, 0.0)];
+        let reset = baseline_of(
+            BaselineKind::LamportMax,
+            est(20.0, 0.1),
+            DriftRate::ZERO,
+            &replies,
+        );
+        assert_eq!(reset.as_estimate(), est(20.0, 0.1));
+    }
+
+    #[test]
+    fn max_never_moves_clock_backwards() {
+        // Monotonicity: the max over a set including own clock is ≥ own.
+        let own = est(100.0, 0.5);
+        let replies = [(95.0, 0.1, 0.0), (98.0, 0.1, 0.0)];
+        let reset = baseline_of(BaselineKind::LamportMax, own, DriftRate::ZERO, &replies);
+        assert!(reset.new_clock >= own.time());
+    }
+
+    #[test]
+    fn median_odd_count() {
+        let replies = [(30.0, 0.2, 0.0), (20.0, 0.3, 0.0)];
+        let reset = baseline_of(
+            BaselineKind::Median,
+            est(10.0, 0.1),
+            DriftRate::ZERO,
+            &replies,
+        );
+        assert_eq!(reset.as_estimate(), est(20.0, 0.3));
+    }
+
+    #[test]
+    fn median_even_count_takes_lower_median() {
+        let replies = [(20.0, 0.2, 0.0), (30.0, 0.3, 0.0), (40.0, 0.4, 0.0)];
+        let reset = baseline_of(
+            BaselineKind::Median,
+            est(10.0, 0.1),
+            DriftRate::ZERO,
+            &replies,
+        );
+        assert_eq!(reset.new_clock, ts(20.0));
+    }
+
+    #[test]
+    fn median_tolerates_one_wild_clock() {
+        let replies = [(100.2, 0.1, 0.0), (9999.0, 0.1, 0.0)];
+        let own = est(100.0, 0.1);
+        let reset = baseline_of(BaselineKind::Median, own, DriftRate::ZERO, &replies);
+        assert_eq!(reset.new_clock, ts(100.2));
+    }
+
+    #[test]
+    fn mean_averages_clocks_and_errors() {
+        let replies = [(20.0, 0.6, 0.0)];
+        let reset = baseline_of(
+            BaselineKind::Mean,
+            est(10.0, 0.3),
+            DriftRate::ZERO,
+            &replies,
+        );
+        assert_eq!(reset.new_clock, ts(15.0));
+        assert!((reset.new_error.as_secs() - 0.45).abs() < 1e-12);
+    }
+
+    #[test]
+    fn mean_is_pulled_by_outliers() {
+        // The known weakness: one wild clock drags the mean.
+        let replies = [(100.0, 0.1, 0.0), (400.0, 0.1, 0.0)];
+        let reset = baseline_of(
+            BaselineKind::Mean,
+            est(100.0, 0.1),
+            DriftRate::ZERO,
+            &replies,
+        );
+        assert_eq!(reset.new_clock, ts(200.0));
+    }
+
+    #[test]
+    fn round_trip_inflates_reply_errors() {
+        // ξ = 2 moves the reply's clock on by ξ/2 and inflates its
+        // error per MM-2: 1.0 + 1.5·2.0 = 4.0.
+        let replies = [(5.0, 1.0, 2.0)];
+        let own = est(0.0, 10.0);
+        let reset = baseline_of(BaselineKind::LamportMax, own, DriftRate::new(0.5), &replies);
+        assert_eq!(reset.as_estimate(), est(6.0, 4.0));
+    }
+
+    #[test]
+    fn no_replies_keeps_own_values() {
+        use BaselineKind::{LamportMax, Mean, Median};
+        for kind in [LamportMax, Median, Mean] {
+            let reset = baseline_of(kind, est(7.0, 0.7), DriftRate::ZERO, &[]);
+            assert_eq!(reset.as_estimate(), est(7.0, 0.7), "{kind:?}");
+        }
+    }
+
+    fn drift_rate(g: &mut Gen) -> DriftRate {
+        DriftRate::new(g.f64(0.0..0.1))
+    }
+
+    /// Theorem 1 shape: if the requester's estimate is correct at the
+    /// reception instant and the replier's estimate was correct at the
+    /// moment it answered, then an MM reset yields an estimate that is
+    /// correct at the reception instant.
+    #[test]
+    fn mm_reset_preserves_correctness() {
+        check("mm_reset_preserves_correctness", 256, |g| {
+            let t0 = g.f64(0.0..1e6);
+            let sigma_frac = g.f64(0.0..1.0);
+            let xi = g.f64(0.0..2.0);
+            let delta = drift_rate(g);
+            // Local-clock measurement distortion within [1-δ, 1+δ].
+            let meas_frac = g.f64(-1.0..1.0);
+            let own_seed = g.f64(0.0..1.0);
+            let own_err = g.f64(0.0..10.0);
+            let reply_seed = g.f64(-1.0..1.0);
+            let reply_err = g.f64(0.0..10.0);
+            let sigma = sigma_frac * xi; // request delay σ ≤ ξ
+            let reply_time = t0 + sigma; // replier answers at t0+σ
+            let recv_time = t0 + xi; // requester receives at t0+ξ
+
+            // Correct reply at its send instant.
+            let reply_est = TimeEstimate::new(
+                Timestamp::from_secs(reply_time + reply_seed * reply_err),
+                Duration::from_secs(reply_err),
+            );
+            // Correct own estimate at the reception instant.
+            let own = TimeEstimate::new(
+                Timestamp::from_secs(recv_time + (own_seed * 2.0 - 1.0) * own_err),
+                Duration::from_secs(own_err),
+            );
+            // Round-trip measured on the local clock: within (1±δ)·ξ.
+            let measured = xi * (1.0 + meas_frac * delta.as_f64());
+            let reply = TimedReply::new(reply_est, Duration::from_secs(measured));
+
+            if let Decision::Reset { reset, .. } = mm2(&own, delta, &reply) {
+                // The adopted clock is C_j from time t0+σ; by reception the
+                // true time advanced by ρ = ξ − σ, so the adopted interval
+                // must contain recv_time:
+                // C_j ± (E_j + (1+δ)ξ^i) must cover t0+ξ given C_j ± E_j
+                // covered t0+σ and ξ^i ≥ (1−δ)ξ ≥ ξ − σ... (Theorem 1).
+                let adopted = reset.as_estimate();
+                assert!(
+                    adopted.is_correct_at(Timestamp::from_secs(recv_time)),
+                    "adopted {adopted} not correct at {recv_time}"
+                );
+            }
+        });
+    }
+
+    /// Theorem 5 shape: the same setup under IM keeps correctness.
+    #[test]
+    fn im_reset_preserves_correctness() {
+        check("im_reset_preserves_correctness", 256, |g| {
+            let t0 = g.f64(0.0..1e6);
+            let sigma_fracs = g.vec(1..6, |g| g.f64(0.0..1.0));
+            let xi = g.f64(0.0001..2.0);
+            let delta = drift_rate(g);
+            let own_seed = g.f64(0.0..1.0);
+            let own_err = g.f64(0.0..10.0);
+            let reply_seeds = g.vec(1..6, |g| (g.f64(-1.0..1.0), g.f64(0.0..10.0)));
+            let recv_time = t0 + xi;
+            let own = TimeEstimate::new(
+                Timestamp::from_secs(recv_time + (own_seed * 2.0 - 1.0) * own_err),
+                Duration::from_secs(own_err),
+            );
+            let n = sigma_fracs.len().min(reply_seeds.len());
+            let mut replies = Vec::new();
+            for k in 0..n {
+                let sigma = sigma_fracs[k] * xi;
+                let (seed, err) = reply_seeds[k];
+                let reply_est = TimeEstimate::new(
+                    Timestamp::from_secs(t0 + sigma + seed * err),
+                    Duration::from_secs(err),
+                );
+                // Conservative local measurement: exactly (1+δ)-safe ξ.
+                replies.push(TimedReply::new(reply_est, Duration::from_secs(xi)));
+            }
+            if let Decision::Reset { reset, .. } = im2(&own, delta, &replies) {
+                let adopted = reset.as_estimate();
+                assert!(
+                    adopted.is_correct_at(Timestamp::from_secs(recv_time)),
+                    "IM adopted {adopted} not correct at {recv_time}"
+                );
+            }
+        });
+    }
+
+    /// Theorem 6: the IM intersection is never wider than the narrowest
+    /// participating interval.
+    #[test]
+    fn im_never_wider_than_narrowest() {
+        check("im_never_wider_than_narrowest", 256, |g| {
+            let own_c = g.f64(0.0..100.0);
+            let own_e = g.f64(0.0..10.0);
+            let reply_data = g.vec(0..8, |g| {
+                (g.f64(0.0..100.0), g.f64(0.0..10.0), g.f64(0.0..0.5))
+            });
+            let delta = drift_rate(g);
+            let own = TimeEstimate::new(Timestamp::from_secs(own_c), Duration::from_secs(own_e));
+            let replies: Vec<TimedReply> = reply_data
+                .iter()
+                .map(|&(c, e, rtt)| {
+                    TimedReply::new(
+                        TimeEstimate::new(Timestamp::from_secs(c), Duration::from_secs(e)),
+                        Duration::from_secs(rtt),
+                    )
+                })
+                .collect();
+            if let Decision::Reset { reset, .. } = im2(&own, delta, &replies) {
+                // Narrowest input radius, replies widened by rtt allowance.
+                let mut narrowest = own.error();
+                for r in &replies {
+                    let widened = r.estimate.error() + (r.round_trip * delta.inflation()).half();
+                    narrowest = narrowest.min(widened);
+                }
+                assert!(
+                    reset.new_error.as_secs() <= narrowest.as_secs() + 1e-9,
+                    "IM produced {} wider than narrowest {}",
+                    reset.new_error,
+                    narrowest
+                );
+            }
+        });
     }
 }

@@ -17,7 +17,6 @@
 use rand::Rng;
 
 use tempo_clocks::SimClock;
-use tempo_core::sync::{Reset, TimedReply};
 use tempo_core::{Duration, ErrorState, TimeEstimate, Timestamp};
 use tempo_net::{Actor, Context, NodeId};
 use tempo_telemetry::{
@@ -28,7 +27,7 @@ use crate::config::{RecoveryPolicy, RetryPolicy, ServerConfig, Strategy};
 use crate::message::Message;
 use crate::peers::{PeerState, PeerTable};
 use crate::requests::{patience, Claim, Pending, Requests};
-use crate::round::{self, BufferedReply, Decision};
+use crate::round::{self, BufferedReply, Decision, Reset, TimedReply};
 use crate::stats::ServerStats;
 use crate::store::{MemoryStore, PersistedState};
 
@@ -1022,7 +1021,7 @@ mod tests {
 
     #[test]
     fn baseline_max_adopts_fastest_clock() {
-        use tempo_core::sync::baseline::BaselineKind;
+        use crate::round::BaselineKind;
         let drifts = [1e-3, 0.0, 0.0];
         let mut world = run_service(
             Strategy::Baseline(BaselineKind::LamportMax),

@@ -14,10 +14,9 @@ use rand::{Rng, SeedableRng};
 use tempo_clocks::Fault;
 use tempo_core::marzullo::intersect_tolerating;
 use tempo_core::ntp::select;
-use tempo_core::sync::baseline::BaselineKind;
 use tempo_core::{DriftRate, Duration, TimeInterval, Timestamp};
 use tempo_net::DelayModel;
-use tempo_service::{ScreeningPolicy, Strategy};
+use tempo_service::{BaselineKind, ScreeningPolicy, Strategy};
 
 use super::Verdict;
 use crate::report::{secs, Table};

@@ -5,9 +5,8 @@
 use tempo::clocks::Fault;
 use tempo::core::{Duration, Timestamp};
 use tempo::net::{DelayModel, Topology};
-use tempo::service::Strategy;
+use tempo::service::{BaselineKind, Strategy};
 use tempo::sim::{Scenario, ServerSpec};
-use tempo_core::sync::baseline::BaselineKind;
 
 fn dur(s: f64) -> Duration {
     Duration::from_secs(s)
