@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use tempo_core::{Duration, Timestamp};
+use tempo_core::Timestamp;
 
 use crate::drift::DriftModel;
 use crate::fault::{Fault, FaultKind};
@@ -40,7 +40,6 @@ pub struct SimClock {
     next_quantum: Option<Timestamp>,
     fault: Option<Fault>,
     step_applied: bool,
-    granularity: Option<Duration>,
     rng: StdRng,
 }
 
@@ -51,13 +50,6 @@ impl SimClock {
         SimClockBuilder::new()
     }
 
-    /// The drift the clock is exhibiting right now (after fault
-    /// substitution), in seconds per second.
-    #[must_use]
-    pub fn current_drift(&self) -> f64 {
-        self.effective_drift(self.last_real)
-    }
-
     /// The real time of the most recent advance.
     #[must_use]
     pub fn last_real(&self) -> Timestamp {
@@ -66,21 +58,12 @@ impl SimClock {
 
     /// Reads the clock at real time `now`.
     ///
-    /// If a reading granularity was configured the value is truncated to
-    /// it (ticks), as on real hardware.
-    ///
     /// # Panics
     ///
     /// Panics if `now` precedes a previously presented real time.
     pub fn read(&mut self, now: Timestamp) -> Timestamp {
         self.advance(now);
-        match self.granularity {
-            Some(g) => {
-                let ticks = (self.clock.as_secs() / g.as_secs()).floor();
-                Timestamp::from_secs(ticks * g.as_secs())
-            }
-            None => self.clock,
-        }
+        self.clock
     }
 
     /// Sets the clock value at real time `now`, returning `true` if the
@@ -100,16 +83,6 @@ impl SimClock {
         }
         self.clock = value;
         true
-    }
-
-    /// The clock's true offset from real time, `C(t) − t`, *without*
-    /// granularity truncation. Simulation-only observability: a real
-    /// server could never compute this (there is no perfect clock in the
-    /// system), which is why correctness is checkable here and not in
-    /// the paper's live experiments.
-    pub fn true_offset(&mut self, now: Timestamp) -> Duration {
-        self.advance(now);
-        self.clock - now
     }
 
     /// The drift in force over a segment starting at `at`.
@@ -156,9 +129,7 @@ impl SimClock {
             self.maybe_apply_step();
             // Resample the drift at a quantum boundary.
             if self.next_quantum == Some(seg_end) {
-                self.current_drift =
-                    self.drift
-                        .sample(seg_end.as_secs(), self.current_drift, &mut self.rng);
+                self.current_drift = self.drift.sample(self.current_drift, &mut self.rng);
                 let q = self
                     .drift
                     .quantum()
@@ -188,38 +159,27 @@ impl SimClock {
 /// Builder for [`SimClock`] ([C-BUILDER]).
 #[derive(Debug, Clone)]
 pub struct SimClockBuilder {
-    start_real: Timestamp,
-    initial_value: Option<Timestamp>,
+    initial_value: Timestamp,
     drift: DriftModel,
     fault: Option<Fault>,
-    granularity: Option<Duration>,
     seed: u64,
 }
 
 impl SimClockBuilder {
     fn new() -> Self {
         SimClockBuilder {
-            start_real: Timestamp::ZERO,
-            initial_value: None,
+            initial_value: Timestamp::ZERO,
             drift: DriftModel::perfect(),
             fault: None,
-            granularity: None,
             seed: 0,
         }
     }
 
-    /// Real time at which the clock comes into existence (default: 0).
-    #[must_use]
-    pub fn start_real(mut self, at: Timestamp) -> Self {
-        self.start_real = at;
-        self
-    }
-
-    /// Initial clock value (default: equal to the starting real time,
-    /// i.e. an initially correct clock).
+    /// Initial clock value at real time 0, when every clock comes into
+    /// existence (default: 0, an initially correct clock).
     #[must_use]
     pub fn initial_value(mut self, value: Timestamp) -> Self {
-        self.initial_value = Some(value);
+        self.initial_value = value;
         self
     }
 
@@ -237,19 +197,6 @@ impl SimClockBuilder {
         self
     }
 
-    /// Reading granularity (tick size). Readings are truncated to a
-    /// multiple of this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the granularity is not positive.
-    #[must_use]
-    pub fn granularity(mut self, g: Duration) -> Self {
-        assert!(g.as_secs() > 0.0, "granularity must be positive, got {g}");
-        self.granularity = Some(g);
-        self
-    }
-
     /// RNG seed for stochastic drift models (default: 0). Two clocks
     /// built with the same configuration and seed behave identically.
     #[must_use]
@@ -263,16 +210,15 @@ impl SimClockBuilder {
     pub fn build(self) -> SimClock {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let current_drift = self.drift.initial(&mut rng);
-        let next_quantum = self.drift.quantum().map(|q| self.start_real + q);
+        let next_quantum = self.drift.quantum().map(|q| Timestamp::ZERO + q);
         SimClock {
-            last_real: self.start_real,
-            clock: self.initial_value.unwrap_or(self.start_real),
+            last_real: Timestamp::ZERO,
+            clock: self.initial_value,
             drift: self.drift,
             current_drift,
             next_quantum,
             fault: self.fault,
             step_applied: false,
-            granularity: self.granularity,
             rng,
         }
     }
@@ -287,6 +233,7 @@ impl Default for SimClockBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tempo_core::Duration;
 
     fn ts(s: f64) -> Timestamp {
         Timestamp::from_secs(s)
@@ -297,7 +244,7 @@ mod tests {
         let mut c = SimClock::builder().build();
         assert_eq!(c.read(ts(0.0)), ts(0.0));
         assert_eq!(c.read(ts(100.0)), ts(100.0));
-        assert_eq!(c.true_offset(ts(100.0)), Duration::ZERO);
+        assert_eq!(c.read(ts(100.0)) - ts(100.0), Duration::ZERO);
     }
 
     #[test]
@@ -306,8 +253,9 @@ mod tests {
             .drift(DriftModel::Constant(0.01))
             .build();
         assert_eq!(c.read(ts(100.0)), ts(101.0));
-        assert_eq!(c.true_offset(ts(100.0)), Duration::from_secs(1.0));
-        assert_eq!(c.current_drift(), 0.01);
+        assert_eq!(c.read(ts(100.0)) - ts(100.0), Duration::from_secs(1.0));
+        // The offset grows 0.01 s per real second: the drift is 0.01.
+        assert_eq!(c.read(ts(200.0)) - ts(200.0), Duration::from_secs(2.0));
     }
 
     #[test]
@@ -322,16 +270,6 @@ mod tests {
     fn initial_value_offsets_clock() {
         let mut c = SimClock::builder().initial_value(ts(50.0)).build();
         assert_eq!(c.read(ts(10.0)), ts(60.0));
-    }
-
-    #[test]
-    fn start_real_defines_birth() {
-        let mut c = SimClock::builder()
-            .start_real(ts(1000.0))
-            .drift(DriftModel::Constant(0.1))
-            .build();
-        // 10 real seconds after birth, 1 extra second of drift.
-        assert_eq!(c.read(ts(1010.0)), ts(1011.0));
     }
 
     #[test]
@@ -382,7 +320,8 @@ mod tests {
         let mut c = SimClock::builder().fault(Fault::stuck_at(ts(50.0))).build();
         assert_eq!(c.read(ts(50.0)), ts(50.0));
         assert_eq!(c.read(ts(100.0)), ts(50.0));
-        assert_eq!(c.current_drift(), -1.0);
+        // Rate 0: the offset falls by one second per real second.
+        assert_eq!(c.read(ts(101.0)) - ts(101.0), Duration::from_secs(-51.0));
     }
 
     #[test]
@@ -433,24 +372,6 @@ mod tests {
         assert_eq!(c.read(ts(10.0)), ts(0.0));
         assert!(!c.set(ts(60.0), ts(1000.0))); // after trigger: refused
         assert_eq!(c.read(ts(60.0)), ts(50.0));
-    }
-
-    #[test]
-    fn granularity_truncates_readings() {
-        let mut c = SimClock::builder()
-            .granularity(Duration::from_secs(1.0 / 60.0)) // Alto-style tick
-            .build();
-        let r = c.read(ts(0.1));
-        assert!(r <= ts(0.1));
-        assert!((ts(0.1) - r) < Duration::from_secs(1.0 / 60.0));
-        // But true_offset is exact.
-        assert_eq!(c.true_offset(ts(0.1)), Duration::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "granularity must be positive")]
-    fn zero_granularity_rejected() {
-        let _ = SimClock::builder().granularity(Duration::ZERO);
     }
 
     #[test]

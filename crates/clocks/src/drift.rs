@@ -33,17 +33,6 @@ pub enum DriftModel {
         /// Real-time interval between steps.
         quantum: Duration,
     },
-    /// Diurnal-style variation: `drift(t) = amplitude · sin(2πt/period +
-    /// phase)`, evaluated at the start of each quantum (one-tenth of the
-    /// period).
-    Sinusoidal {
-        /// Peak drift magnitude.
-        amplitude: f64,
-        /// Oscillation period in real time.
-        period: Duration,
-        /// Phase offset in radians.
-        phase: f64,
-    },
     /// Independent uniform drift per quantum: each quantum the drift is
     /// drawn afresh from `[-bound, bound]` — the i.i.d. model of
     /// Theorem 8.
@@ -51,17 +40,6 @@ pub enum DriftModel {
         /// Half-width of the uniform distribution.
         bound: f64,
         /// Real-time interval between redraws.
-        quantum: Duration,
-    },
-    /// A fully scripted drift: `(start_second, drift)` segments sorted
-    /// by start time; the drift before the first segment is the first
-    /// segment's value. Deterministic — made for writing precise test
-    /// scenarios ("runs 100 ppm fast for an hour, then 50 ppm slow").
-    Scripted {
-        /// `(elapsed_seconds, drift)` breakpoints, ascending.
-        segments: Vec<(f64, f64)>,
-        /// Evaluation granularity (the clock re-reads the script this
-        /// often; choose it at or below the shortest segment).
         quantum: Duration,
     },
 }
@@ -80,9 +58,7 @@ impl DriftModel {
         match self {
             DriftModel::Constant(_) => None,
             DriftModel::RandomWalk { quantum, .. }
-            | DriftModel::UniformResample { quantum, .. }
-            | DriftModel::Scripted { quantum, .. } => Some(*quantum),
-            DriftModel::Sinusoidal { period, .. } => Some(*period / 10.0),
+            | DriftModel::UniformResample { quantum, .. } => Some(*quantum),
         }
     }
 
@@ -95,31 +71,18 @@ impl DriftModel {
             DriftModel::RandomWalk { bound, .. } | DriftModel::UniformResample { bound, .. } => {
                 *bound
             }
-            DriftModel::Sinusoidal { amplitude, .. } => amplitude.abs(),
-            DriftModel::Scripted { segments, .. } => {
-                segments.iter().map(|(_, d)| d.abs()).fold(0.0, f64::max)
-            }
         }
     }
 
-    /// Evaluates the drift for the quantum beginning at real time
-    /// `elapsed` (seconds since the clock started), given the previous
+    /// Evaluates the drift for the next quantum, given the previous
     /// drift value.
-    pub(crate) fn sample<R: Rng>(&self, elapsed_secs: f64, previous: f64, rng: &mut R) -> f64 {
+    pub(crate) fn sample<R: Rng>(&self, previous: f64, rng: &mut R) -> f64 {
         match self {
             DriftModel::Constant(d) => *d,
             DriftModel::RandomWalk { sigma, bound, .. } => {
                 let step = normal_sample(rng) * sigma;
                 (previous + step).clamp(-bound, *bound)
             }
-            DriftModel::Sinusoidal {
-                amplitude,
-                period,
-                phase,
-            } => {
-                let omega = std::f64::consts::TAU / period.as_secs();
-                amplitude * (omega * elapsed_secs + phase).sin()
-            }
             DriftModel::UniformResample { bound, .. } => {
                 if *bound == 0.0 {
                     0.0
@@ -127,40 +90,16 @@ impl DriftModel {
                     rng.random_range(-bound..=*bound)
                 }
             }
-            DriftModel::Scripted { segments, .. } => Self::scripted_at(segments, elapsed_secs),
         }
-    }
-
-    /// The scripted drift in force at `elapsed` seconds.
-    fn scripted_at(segments: &[(f64, f64)], elapsed: f64) -> f64 {
-        let mut drift = segments.first().map_or(0.0, |&(_, d)| d);
-        for &(start, d) in segments {
-            if elapsed >= start {
-                drift = d;
-            } else {
-                break;
-            }
-        }
-        drift
     }
 
     /// The drift value a fresh clock starts with (before the first
-    /// quantum boundary).
+    /// quantum boundary): a random walk starts from zero, the other
+    /// models from their first sample.
     pub(crate) fn initial<R: Rng>(&self, rng: &mut R) -> f64 {
         match self {
-            DriftModel::Constant(d) => *d,
             DriftModel::RandomWalk { .. } => 0.0,
-            DriftModel::Sinusoidal {
-                amplitude, phase, ..
-            } => amplitude * phase.sin(),
-            DriftModel::UniformResample { bound, .. } => {
-                if *bound == 0.0 {
-                    0.0
-                } else {
-                    rng.random_range(-bound..=*bound)
-                }
-            }
-            DriftModel::Scripted { segments, .. } => Self::scripted_at(segments, 0.0),
+            _ => self.sample(0.0, rng),
         }
     }
 }
@@ -191,7 +130,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let m = DriftModel::Constant(-3e-4);
         assert_eq!(m.initial(&mut rng), -3e-4);
-        assert_eq!(m.sample(123.0, 0.0, &mut rng), -3e-4);
+        assert_eq!(m.sample(0.0, &mut rng), -3e-4);
         assert_eq!(m.max_drift(), 3e-4);
     }
 
@@ -204,8 +143,8 @@ mod tests {
             quantum: Duration::from_secs(1.0),
         };
         let mut drift = m.initial(&mut rng);
-        for i in 0..10_000 {
-            drift = m.sample(f64::from(i), drift, &mut rng);
+        for _ in 0..10_000 {
+            drift = m.sample(drift, &mut rng);
             assert!(drift.abs() <= 5e-5, "drift {drift} escaped the clamp");
         }
         assert_eq!(m.max_drift(), 5e-5);
@@ -220,28 +159,8 @@ mod tests {
             quantum: Duration::from_secs(1.0),
         };
         let d0 = m.initial(&mut rng);
-        let d1 = m.sample(0.0, d0, &mut rng);
+        let d1 = m.sample(d0, &mut rng);
         assert_ne!(d0, d1);
-    }
-
-    #[test]
-    fn sinusoidal_is_bounded_and_periodic() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let m = DriftModel::Sinusoidal {
-            amplitude: 2e-5,
-            period: Duration::from_secs(86_400.0),
-            phase: 0.0,
-        };
-        for i in 0..100 {
-            let d = m.sample(f64::from(i) * 1000.0, 0.0, &mut rng);
-            assert!(d.abs() <= 2e-5);
-        }
-        // Periodicity: same point one period later.
-        let a = m.sample(1234.0, 0.0, &mut rng);
-        let b = m.sample(1234.0 + 86_400.0, 0.0, &mut rng);
-        assert!((a - b).abs() < 1e-12);
-        // Quantum is a tenth of the period.
-        assert_eq!(m.quantum(), Some(Duration::from_secs(8640.0)));
     }
 
     #[test]
@@ -252,8 +171,8 @@ mod tests {
             quantum: Duration::from_secs(10.0),
         };
         let mut values = Vec::new();
-        for i in 0..100 {
-            let d = m.sample(f64::from(i) * 10.0, 0.0, &mut rng);
+        for _ in 0..100 {
+            let d = m.sample(0.0, &mut rng);
             assert!(d.abs() <= 1e-4);
             values.push(d);
         }
@@ -269,7 +188,7 @@ mod tests {
             quantum: Duration::from_secs(1.0),
         };
         assert_eq!(m.initial(&mut rng), 0.0);
-        assert_eq!(m.sample(5.0, 0.0, &mut rng), 0.0);
+        assert_eq!(m.sample(0.0, &mut rng), 0.0);
     }
 
     #[test]
@@ -284,37 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn scripted_follows_the_script() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let m = DriftModel::Scripted {
-            segments: vec![(0.0, 1e-4), (100.0, -2e-4), (200.0, 0.0)],
-            quantum: Duration::from_secs(10.0),
-        };
-        assert_eq!(m.initial(&mut rng), 1e-4);
-        assert_eq!(m.sample(50.0, 0.0, &mut rng), 1e-4);
-        assert_eq!(m.sample(100.0, 0.0, &mut rng), -2e-4);
-        assert_eq!(m.sample(150.0, 0.0, &mut rng), -2e-4);
-        assert_eq!(m.sample(500.0, 0.0, &mut rng), 0.0);
-        assert_eq!(m.max_drift(), 2e-4);
-        assert_eq!(m.quantum(), Some(Duration::from_secs(10.0)));
-    }
-
-    #[test]
-    fn scripted_clock_integrates_segments() {
-        use crate::SimClock;
-        use tempo_core::Timestamp;
-        let mut c = SimClock::builder()
-            .drift(DriftModel::Scripted {
-                segments: vec![(0.0, 0.01), (100.0, -0.01)],
-                quantum: Duration::from_secs(1.0),
-            })
-            .build();
-        // 100 s at +1 %, then 100 s at −1 % → back to zero offset.
-        let r = c.read(Timestamp::from_secs(200.0));
-        assert!((r.as_secs() - 200.0).abs() < 1e-9, "reading {r}");
-    }
-
-    #[test]
     fn deterministic_under_fixed_seed() {
         let m = DriftModel::UniformResample {
             bound: 1e-4,
@@ -322,11 +210,8 @@ mod tests {
         };
         let mut a = StdRng::seed_from_u64(5);
         let mut b = StdRng::seed_from_u64(5);
-        for i in 0..50 {
-            assert_eq!(
-                m.sample(f64::from(i), 0.0, &mut a),
-                m.sample(f64::from(i), 0.0, &mut b)
-            );
+        for _ in 0..50 {
+            assert_eq!(m.sample(0.0, &mut a), m.sample(0.0, &mut b));
         }
     }
 }

@@ -4,14 +4,15 @@
 //! standing in for the physical quartz clocks of the Xerox Research
 //! Internet machines the paper experimented on.
 //!
-//! A [`SimClock`] is a piecewise-linear map from *real* (simulated) time
-//! to *clock* time. Its instantaneous rate is `1 + drift(t)` where the
-//! drift process is chosen from [`DriftModel`]:
+//! A [`SimClock`] is a continuous piecewise-linear map from *real*
+//! (simulated) time to *clock* time, born at real time 0 — the paper's
+//! clock, whose only assumption is `|1 − dC/dt| ≤ δ`. Its instantaneous
+//! rate is `1 + drift(t)` where the drift process is chosen from
+//! [`DriftModel`]:
 //!
 //! * [`DriftModel::Constant`] — a fixed bias (a clock that is steadily
 //!   fast or slow),
 //! * [`DriftModel::RandomWalk`] — a bounded random walk (ageing quartz),
-//! * [`DriftModel::Sinusoidal`] — diurnal temperature-style variation,
 //! * [`DriftModel::UniformResample`] — independently resampled drift per
 //!   quantum, the i.i.d. model under which Theorem 8 of the paper is
 //!   stated.

@@ -7,30 +7,17 @@ use tempo_clocks::{DriftModel, MonotonicClock, SimClock};
 use tempo_core::{Duration, Timestamp};
 
 fn drift_model(g: &mut Gen) -> DriftModel {
-    match g.int(0..5u8) {
+    match g.int(0..3u8) {
         0 => DriftModel::Constant(g.f64(-1e-3..1e-3)),
         1 => DriftModel::RandomWalk {
             sigma: g.f64(1e-6..1e-4),
             bound: g.f64(1e-5..1e-3),
             quantum: Duration::from_secs(g.f64(1.0..50.0)),
         },
-        2 => DriftModel::Sinusoidal {
-            amplitude: g.f64(1e-6..1e-3),
-            period: Duration::from_secs(g.f64(10.0..1000.0)),
-            phase: g.f64(0.0..std::f64::consts::TAU),
-        },
-        3 => DriftModel::UniformResample {
+        _ => DriftModel::UniformResample {
             bound: g.f64(1e-6..1e-3),
             quantum: Duration::from_secs(g.f64(1.0..50.0)),
         },
-        _ => {
-            let mut segments = g.vec(1..5, |g| (g.f64(0.0..1000.0), g.f64(-1e-3..1e-3)));
-            segments.sort_by(|a, b| a.0.total_cmp(&b.0));
-            DriftModel::Scripted {
-                segments,
-                quantum: Duration::from_secs(g.f64(1.0..20.0)),
-            }
-        }
     }
 }
 

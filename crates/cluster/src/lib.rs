@@ -37,9 +37,9 @@
 //! The crate is sans-io in the same style as
 //! [`tempo_service::TimeServer`]: [`ClusterReplica`] embeds an
 //! unmodified `TimeServer` (driving it through
-//! [`tempo_net::Context::map_msg`]) and both run under any
-//! [`tempo_net::Transport`] — the simulator's `World`, or the real
-//! UDP runtime via the `TYPE_TS_*` wire frames in
+//! [`tempo_net::Context::map_msg`]) and both run under either host of
+//! their [`tempo_net::ActorAction`]s — the simulator's `World`, or the
+//! real UDP runtime via the `TYPE_TS_*` wire frames in
 //! [`tempo_service::wire`].
 
 #![forbid(unsafe_code)]

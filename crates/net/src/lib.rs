@@ -18,9 +18,10 @@
 //!   [`Partition`]s,
 //! * [`World`] — the event loop driving a set of [`Actor`]s, with
 //!   stable, reproducible event ordering for any fixed seed,
-//! * [`Transport`] — the delivery-backend seam: the [`World`] is one
-//!   implementation; the `tempo-transport` crate provides a real UDP
-//!   one driving the *same* actors over actual sockets.
+//! * [`Context`] and [`ActorAction`] — the host contract: an actor's
+//!   callbacks queue sends and timers, and a host executes them. The
+//!   [`World`] is one host; the `tempo-transport` crate's UDP runtime
+//!   drives the *same* actors over actual sockets.
 //!
 //! A world built with [`World::new_with_bus`] emits every send, delivery, drop,
 //! duplication, and timer firing as a typed
@@ -77,7 +78,6 @@ mod delay;
 mod node;
 mod queue;
 mod topology;
-mod transport;
 mod world;
 
 pub use config::{NetConfig, NetStats, Partition};
@@ -85,5 +85,4 @@ pub use delay::DelayModel;
 pub use node::NodeId;
 pub use queue::EventQueue;
 pub use topology::Topology;
-pub use transport::{node_rng, ActorAction, Transport};
-pub use world::{Actor, Context, World};
+pub use world::{node_rng, Actor, ActorAction, Context, World};

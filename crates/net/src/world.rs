@@ -1,5 +1,13 @@
 //! The discrete-event world: actors, context, and the event loop.
 //!
+//! An [`Actor`] is sans-io: its callbacks only queue [`ActorAction`]s
+//! into a [`Context`], and its host executes them. The [`World`] is one
+//! host; `UdpRuntime` in `tempo-transport` is the other, running the
+//! same `TimeServer`, `ClusterReplica` and `AuditClient` over real
+//! sockets and wall-clock timers (`TimeClient` runs only here). The
+//! paper's robustness claims are only meaningful if the protocol code
+//! cannot tell which host it is running on.
+//!
 //! The engine is built for scale: every event lives in one
 //! hierarchical timing wheel ([`EventQueue`]) ordered by `(time,
 //! component rank, insertion)`, dispatch recycles a single action
@@ -23,7 +31,6 @@ use crate::config::{NetConfig, NetStats};
 use crate::node::NodeId;
 use crate::queue::EventQueue;
 use crate::topology::Topology;
-use crate::transport::{ActorAction, Transport};
 
 /// Mixes a component's smallest *global label* into the world seed so
 /// every connected component draws delays/loss/duplication from its own
@@ -61,6 +68,52 @@ pub trait Actor {
     fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, Self::Msg>);
 }
 
+/// What an actor asked its host to do during one callback.
+///
+/// Produced by [`Context::send`] / [`Context::set_timer`] and drained
+/// via [`Context::take_actions`]. A host executes them in queue order:
+/// reordering would change which RNG draw backs which message in the
+/// simulator. The contract mirrors what UDP gives for free:
+///
+/// - a send is asynchronous and unreliable: the message may arrive
+///   after an arbitrary delay, more than once, out of order with other
+///   messages, or never. Actors must already tolerate all of that (the
+///   paper's network model, §1);
+/// - a timer fires [`Actor::on_timer`] with its `tag` once, no earlier
+///   than `delay` after the callback's [`Context::now`]. Timers are
+///   never lost and never fire early relative to the host's own clock;
+///   there is no cancellation — actors disarm stale timers with
+///   epoch-tagged `tag`s instead.
+#[derive(Debug, PartialEq)]
+pub enum ActorAction<M> {
+    /// Deliver `msg` to node `to` (asynchronously; the host may delay,
+    /// reorder, duplicate, or lose it).
+    Send {
+        /// Destination node.
+        to: NodeId,
+        /// The message.
+        msg: M,
+    },
+    /// Arm a timer that fires `delay` after *now* with `tag`.
+    Timer {
+        /// How far in the future the timer fires.
+        delay: Duration,
+        /// Actor-chosen discriminator, handed back to
+        /// [`Actor::on_timer`].
+        tag: u64,
+    },
+}
+
+/// The deterministic RNG of node `node` under world seed `seed`: the
+/// [`World`] seeds each node's RNG with it from the node's global label,
+/// and an external host from its node id, so a protocol decision that
+/// draws randomness (jitter, probe choice) is reproducible given
+/// `(seed, node)` on any host.
+#[must_use]
+pub fn node_rng(seed: u64, node: NodeId) -> StdRng {
+    StdRng::seed_from_u64(seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(node.index() as u64 + 1)))
+}
+
 /// The execution context handed to actor callbacks.
 #[derive(Debug)]
 pub struct Context<'a, M> {
@@ -76,12 +129,11 @@ pub struct Context<'a, M> {
 }
 
 impl<'a, M> Context<'a, M> {
-    /// Builds a context for an *external* driver — a
-    /// [`Transport`](crate::Transport) backend other than the
-    /// [`World`], such as a real-socket runtime. The driver invokes
-    /// the actor's callbacks with this context, then drains the
-    /// queued actions with [`Context::take_actions`] and executes
-    /// them via [`Transport::apply`](crate::Transport::apply).
+    /// Builds a context for an *external* driver — a host other than
+    /// the [`World`], such as a real-socket runtime. The driver invokes
+    /// the actor's callbacks with this context, then drains the queued
+    /// actions with [`Context::take_actions`] and executes them in
+    /// order.
     ///
     /// The [`label`](Context::label) defaults to `me.index()`, and
     /// nothing is emitted unless [`Context::emitting`] supplies a bus.
@@ -361,9 +413,7 @@ impl<A: Actor> World<A> {
         );
         let node_rngs = labels
             .iter()
-            .map(|&l| {
-                StdRng::seed_from_u64(seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(l as u64 + 1)))
-            })
+            .map(|&l| node_rng(seed, NodeId::new(l)))
             .collect();
         let comps = topology.components();
         let mut comp_of = vec![0u32; actors.len()];
@@ -590,33 +640,23 @@ impl<A: Actor> World<A> {
         self.scratch = actions;
     }
 
-    /// Executes the actor's queued actions in order — the same
-    /// action→pipeline mapping as [`Transport::apply`], kept inline so
-    /// the hot loop recycles one scratch buffer instead of allocating
-    /// a fresh `Vec` per callback.
+    /// Executes the actor's queued actions in order, draining the
+    /// recycled scratch buffer so the hot loop never allocates a fresh
+    /// `Vec` per callback. Action order maps one-to-one onto RNG draw
+    /// order (pinned by the `transport_equivalence` goldens in
+    /// `tempo-sim`).
     #[inline(always)]
     fn apply_actions(&mut self, from: NodeId, actions: &mut Vec<ActorAction<A::Msg>>) {
         for action in actions.drain(..) {
             match action {
-                ActorAction::Send { to, msg } => Transport::send(self, from, to, msg),
-                ActorAction::Timer { delay, tag } => Transport::set_timer(self, from, delay, tag),
+                ActorAction::Send { to, msg } => self.send(from, to, msg),
+                ActorAction::Timer { delay, tag } => self.set_timer(from, delay, tag),
             }
         }
     }
-}
 
-/// The simulator *is* a [`Transport`]: sends run the delay / loss /
-/// duplication / partition pipeline against the owning component's
-/// deterministic RNG, timers go into the event queue at the component's
-/// rank.
-/// Action order maps one-to-one onto RNG draw order, so routing through
-/// this trait is byte-identical to the pre-trait pipeline (pinned by
-/// the `transport_equivalence` goldens in `tempo-sim`).
-impl<A: Actor> Transport<A::Msg> for World<A> {
-    fn now(&self) -> Timestamp {
-        self.now
-    }
-
+    /// Runs one send through the partition / loss / duplication / delay
+    /// pipeline against the owning component's deterministic RNG.
     #[inline]
     fn send(&mut self, from: NodeId, to: NodeId, msg: A::Msg) {
         self.stats.sent += 1;
@@ -673,6 +713,7 @@ impl<A: Actor> Transport<A::Msg> for World<A> {
         self.schedule_delivery(from, to, msg);
     }
 
+    /// Queues a timer at its component's rank.
     #[inline]
     fn set_timer(&mut self, node: NodeId, delay: Duration, tag: u64) {
         let rank = self.comp_of[node.index()];
@@ -1720,5 +1761,103 @@ mod reorder_tests {
             order.windows(2).any(|w| w[0] > w[1]),
             "a 0..100 ms uniform delay must reorder a same-instant burst"
         );
+    }
+}
+
+#[cfg(test)]
+mod external_tests {
+    use super::*;
+
+    /// A toy actor: greets every neighbour on start, echoes increments
+    /// back, arms a timer per message received.
+    struct Echo {
+        got: Vec<u32>,
+        timers: Vec<u64>,
+    }
+
+    impl Actor for Echo {
+        type Msg = u32;
+        fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+            ctx.broadcast(1);
+        }
+        fn on_message(&mut self, from: NodeId, msg: u32, ctx: &mut Context<'_, u32>) {
+            self.got.push(msg);
+            if msg < 3 {
+                ctx.send(from, msg + 1);
+            }
+            ctx.set_timer(Duration::from_secs(1.0), u64::from(msg));
+        }
+        fn on_timer(&mut self, tag: u64, _: &mut Context<'_, u32>) {
+            self.timers.push(tag);
+        }
+    }
+
+    fn send(to: usize, msg: u32) -> ActorAction<u32> {
+        ActorAction::Send {
+            to: NodeId::new(to),
+            msg,
+        }
+    }
+
+    #[test]
+    fn external_context_drives_an_actor_through_a_custom_transport() {
+        let me = NodeId::new(0);
+        let peers = [NodeId::new(1), NodeId::new(2)];
+        let mut rng = node_rng(7, me);
+        let mut actor = Echo {
+            got: Vec::new(),
+            timers: Vec::new(),
+        };
+
+        // Start: the broadcast must surface as two sends.
+        let mut ctx = Context::external(Timestamp::ZERO, me, &peers, &mut rng);
+        actor.on_start(&mut ctx);
+        let actions = ctx.take_actions();
+        assert_eq!(actions.len(), 2);
+        assert_eq!(actions, vec![send(1, 1), send(2, 1)]);
+
+        // Deliver a message "from the network": echo + timer.
+        let mut ctx = Context::external(Timestamp::from_secs(0.5), me, &peers, &mut rng);
+        actor.on_message(NodeId::new(1), 2, &mut ctx);
+        assert_eq!(actor.got, vec![2]);
+        assert_eq!(
+            ctx.take_actions(),
+            vec![
+                send(1, 3),
+                ActorAction::Timer {
+                    delay: Duration::from_secs(1.0),
+                    tag: 2
+                }
+            ]
+        );
+
+        // Fire the timer back into the actor.
+        let mut ctx = Context::external(Timestamp::from_secs(1.5), me, &peers, &mut rng);
+        actor.on_timer(2, &mut ctx);
+        assert!(ctx.take_actions().is_empty());
+        assert_eq!(actor.timers, vec![2]);
+    }
+
+    #[test]
+    fn take_actions_leaves_the_context_reusable() {
+        let me = NodeId::new(0);
+        let peers = [NodeId::new(1)];
+        let mut rng = node_rng(1, me);
+        let mut ctx: Context<'_, u32> = Context::external(Timestamp::ZERO, me, &peers, &mut rng);
+        ctx.send(NodeId::new(1), 9);
+        assert_eq!(ctx.take_actions(), vec![send(1, 9)]);
+        assert!(ctx.take_actions().is_empty());
+    }
+
+    #[test]
+    fn node_rng_matches_world_derivation() {
+        // Two independent derivations for the same (seed, node) agree;
+        // different nodes diverge.
+        let mut a = node_rng(42, NodeId::new(3));
+        let mut b = node_rng(42, NodeId::new(3));
+        let mut c = node_rng(42, NodeId::new(4));
+        let (x, y, z): (u64, u64, u64) = (a.random(), b.random(), c.random());
+        assert_eq!(x, y);
+        assert_ne!(x, z);
     }
 }

@@ -111,8 +111,7 @@ impl Observer for ClusterOracle {
 /// The structured outcome of a ClusterTime-checked run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterReport {
-    /// The first [`MAX_STORED_VIOLATIONS`](crate::findings::MAX_STORED_VIOLATIONS)
-    /// violations, in release order.
+    /// The first `MAX_STORED_VIOLATIONS` violations, in release order.
     pub violations: Vec<Violation>,
     /// The total number of violations (may exceed `violations.len()`).
     pub total_violations: usize,

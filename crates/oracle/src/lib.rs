@@ -755,8 +755,7 @@ fn envelope_rows<'a>(
 /// The structured outcome of an oracle-gated run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OracleReport {
-    /// The first [`MAX_STORED_VIOLATIONS`](findings::MAX_STORED_VIOLATIONS)
-    /// violations, in event order.
+    /// The first `MAX_STORED_VIOLATIONS` violations, in event order.
     pub violations: Vec<Violation>,
     /// The total number of violations (may exceed `violations.len()`).
     pub total_violations: usize,

@@ -280,7 +280,7 @@ fn run_regime(regime: &Regime, base_seed: u64) -> ByzantineRow {
     row
 }
 
-/// Runs E19: five Byzantine regimes, each swept over [`SEEDS`] seeds
+/// Runs E19: five Byzantine regimes, each swept over `SEEDS` seeds
 /// with the oracle's f-tolerance (and, for the corruption storm, the
 /// stabilization) predicates armed.
 #[must_use]

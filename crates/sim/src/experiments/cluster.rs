@@ -174,7 +174,7 @@ fn sweep(
 /// Runs E21: six regimes — steady state, durable and amnesiac primary
 /// crash storms, a partition severing the primary, a Byzantine replica
 /// lying in its acks, and outright quorum loss — each swept over
-/// [`SEEDS`] seeds with the ClusterTime oracle armed.
+/// `SEEDS` seeds with the ClusterTime oracle armed.
 #[must_use]
 pub fn cluster() -> Cluster {
     let rows = vec![

@@ -1,6 +1,6 @@
 //! E17's cluster arm — fuzzing ClusterTime failover schedules.
 //!
-//! The plain fuzzer ([`super::fuzz`]) searches deployments of the time
+//! The plain fuzzer ([`super::fuzz()`]) searches deployments of the time
 //! *service*; this arm searches deployments of the *cluster* layer on
 //! top of it, where the dangerous degrees of freedom are temporal:
 //! when the primary crashes relative to its lease, whether the heir

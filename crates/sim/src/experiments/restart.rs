@@ -208,7 +208,7 @@ fn run_regime(regime: &Regime, base_seed: u64) -> RestartRow {
     row
 }
 
-/// Runs E18: four crash–restart regimes, each swept over [`SEEDS`]
+/// Runs E18: four crash–restart regimes, each swept over `SEEDS`
 /// seeds with the theorem oracle armed.
 #[must_use]
 pub fn restart() -> Restart {

@@ -42,7 +42,7 @@ const DURATION: f64 = 60.0;
 pub struct Scale10kRow {
     /// Total servers.
     pub n: usize,
-    /// Connected components (cliques of [`CLIQUE`]).
+    /// Connected components (cliques of `CLIQUE` servers).
     pub components: usize,
     /// Wall-clock seconds for the sharded run.
     pub sharded_secs: f64,

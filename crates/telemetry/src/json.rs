@@ -106,7 +106,7 @@ impl Value for bool {
     }
 }
 
-/// A string literal, quoted and escaped; [`text`] reads it back.
+/// A string literal, quoted and escaped; `text` reads it back.
 impl Value for str {
     fn write_json(&self, out: &mut Vec<u8>) {
         out.push(b'"');

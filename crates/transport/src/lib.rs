@@ -8,10 +8,10 @@
 //! The paper's protocol is transport-agnostic by construction — rule
 //! MM-1 only needs "ask a peer, time the round trip on your own clock"
 //! — and the codebase mirrors that: the server is a sans-io actor whose
-//! outputs are [`tempo_net::ActorAction`]s, and anything implementing
-//! [`tempo_net::Transport`] may execute them. `tempo-net`'s `World` is
-//! one such executor (simulated time, seeded delays); this crate's
-//! [`UdpRuntime`] is the other (wall-clock time, real packet loss).
+//! outputs are [`tempo_net::ActorAction`]s, and its host executes them.
+//! `tempo-net`'s `World` is one such host (simulated time, seeded
+//! delays); this crate's [`UdpRuntime`] is the other (wall-clock time,
+//! real packet loss).
 //!
 //! * [`DatagramSocket`] — the thin socket seam: `std::net::UdpSocket`
 //!   in production, a recording mock in tests.

@@ -2,8 +2,9 @@
 //! [`ClusterReplica`] or an [`AuditClient`] — one socket, wall-clock
 //! timers: the real-network twin of `tempo_net::World`.
 //!
-//! The state machine is untouched: the runtime merely plays the
-//! [`Transport`] role that the simulator plays in tests. Simulated
+//! The state machine is untouched: the runtime merely hosts it the way
+//! the simulator does in tests, executing the [`ActorAction`]s each
+//! callback queues in order. Simulated
 //! time becomes "seconds since process start" (a monotonic
 //! [`Instant`] base), `Context::set_timer` becomes a wall-clock
 //! [`EventQueue`] — the same timing wheel the simulator schedules
@@ -27,7 +28,7 @@ use rand::rngs::StdRng;
 
 use tempo_cluster::{AuditClient, ClusterReplica};
 use tempo_core::{Duration, Timestamp};
-use tempo_net::{node_rng, Actor, Context, EventQueue, NodeId, Transport};
+use tempo_net::{node_rng, Actor, ActorAction, Context, EventQueue, NodeId};
 use tempo_service::wire::{
     decode, decode_cluster, encode, encode_cluster, ClusterFrame, DecodeError,
 };
@@ -319,7 +320,31 @@ impl<S: DatagramSocket, A: WireActor> UdpRuntime<S, A> {
         callback(&mut self.server, &mut ctx);
         let actions = ctx.take_actions();
         self.mirror();
-        self.apply(self.me, actions);
+        for action in actions {
+            match action {
+                ActorAction::Send { to, msg } => self.send(to, msg),
+                ActorAction::Timer { delay, tag } => self.set_timer(delay, tag),
+            }
+        }
+    }
+
+    /// Encodes `msg` and sends it to `to`'s address; an unknown node or
+    /// a failed send is a lost message.
+    fn send(&mut self, to: NodeId, msg: A::Msg) {
+        let Some(addr) = self.addr_of(to) else {
+            return;
+        };
+        let frame = A::encode_msg(&msg);
+        if let Err(e) = self.socket.send_to(&frame, addr) {
+            // Unreliable delivery is part of the model; a failed send
+            // is a lost message, not a crash.
+            eprintln!("tempod: send to {addr} failed (dropped): {e}");
+        }
+    }
+
+    fn set_timer(&mut self, delay: Duration, tag: u64) {
+        let due = self.elapsed() + delay.max(Duration::ZERO);
+        self.timers.push(due, tag);
     }
 
     /// Writes the actor's durable record through to the state file if
@@ -422,31 +447,6 @@ impl<S: DatagramSocket, A: WireActor> UdpRuntime<S, A> {
     }
 }
 
-impl<S: DatagramSocket, A: WireActor> Transport<A::Msg> for UdpRuntime<S, A> {
-    fn now(&self) -> Timestamp {
-        self.elapsed()
-    }
-
-    fn send(&mut self, from: NodeId, to: NodeId, msg: A::Msg) {
-        debug_assert_eq!(from, self.me, "UdpRuntime hosts exactly one actor");
-        let Some(addr) = self.addr_of(to) else {
-            return;
-        };
-        let frame = A::encode_msg(&msg);
-        if let Err(e) = self.socket.send_to(&frame, addr) {
-            // Unreliable delivery is part of the model; a failed send
-            // is a lost message, not a crash.
-            eprintln!("tempod: send to {addr} failed (dropped): {e}");
-        }
-    }
-
-    fn set_timer(&mut self, node: NodeId, delay: Duration, tag: u64) {
-        debug_assert_eq!(node, self.me, "UdpRuntime hosts exactly one actor");
-        let due = self.elapsed() + delay.max(Duration::ZERO);
-        self.timers.push(due, tag);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,9 +536,9 @@ mod tests {
         path
     }
 
-    /// What a [`FileWitness`] saw: each datagram sent, beside the
-    /// record the state file held at that instant.
-    type Witnessed = Arc<Mutex<Vec<(Vec<u8>, MemoryStore)>>>;
+    /// What a [`FileWitness`] saw: each datagram sent and where to,
+    /// beside the record the state file held at that instant.
+    type Witnessed = Arc<Mutex<Vec<(SocketAddr, Vec<u8>, MemoryStore)>>>;
 
     /// A loopback socket that reads the state file at every send.
     #[derive(Debug)]
@@ -566,7 +566,7 @@ mod tests {
             self.seen
                 .lock()
                 .unwrap()
-                .push((buf.to_vec(), on_disk.record()));
+                .push((addr, buf.to_vec(), on_disk.record()));
             self.socket.send_to(buf, addr)
         }
 
@@ -599,7 +599,7 @@ mod tests {
         b.start();
         let deadline = Instant::now() + std::time::Duration::from_secs(10);
         let answered_after_reset = || {
-            seen.lock().unwrap().iter().any(|(frame, on_disk)| {
+            seen.lock().unwrap().iter().any(|(_, frame, on_disk)| {
                 *on_disk != launched && matches!(decode(frame), Ok(Message::TimeReply { .. }))
             })
         };
@@ -608,7 +608,7 @@ mod tests {
             b.poll(std::time::Duration::from_millis(2));
             assert!(Instant::now() < deadline, "b never answered after a reset");
         }
-        for (frame, on_disk) in seen.lock().unwrap().iter() {
+        for (_, frame, on_disk) in seen.lock().unwrap().iter() {
             let Ok(Message::TimeReply { estimate, .. }) = decode(frame) else {
                 continue;
             };
@@ -654,7 +654,7 @@ mod tests {
             assert!(Instant::now() < deadline, "the replica never issued");
         }
         let mut replies = 0;
-        for (frame, on_disk) in seen.lock().unwrap().iter() {
+        for (_, frame, on_disk) in seen.lock().unwrap().iter() {
             let Ok(ClusterFrame::TsReply { timestamp, .. }) = decode_cluster(frame) else {
                 continue;
             };
@@ -666,6 +666,51 @@ mod tests {
             );
         }
         assert!(replies >= 5, "only {replies} timestamps sent");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_round_leaves_after_the_mirror_in_queue_order() {
+        // A server with three peers runs its first round: one request
+        // per peer, queued in neighbour order with ascending ids, must
+        // leave in that order, each after the callback's record is on
+        // disk.
+        let path = state_path("order");
+        let sockets: Vec<UdpSocket> = (0..4)
+            .map(|_| UdpSocket::bind("127.0.0.1:0").unwrap())
+            .collect();
+        let addrs: Vec<SocketAddr> = sockets.iter().map(|s| s.local_addr().unwrap()).collect();
+        let mut sockets = sockets.into_iter();
+        let (witness, seen) = FileWitness::new(sockets.next().unwrap(), &path);
+        let mut rt = UdpRuntime::new(server(0.0, 0.01), witness, 0, addrs.clone(), 1)
+            .persisting(Some(FileStore::open(&path).unwrap()));
+        rt.start();
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while seen.lock().unwrap().len() < 3 {
+            rt.poll(std::time::Duration::from_millis(5));
+            assert!(Instant::now() < deadline, "the first round never left");
+        }
+        let seen = seen.lock().unwrap();
+        let ids: Vec<u64> = seen[..3]
+            .iter()
+            .zip(&addrs[1..])
+            .map(|((to, frame, on_disk), peer)| {
+                assert_eq!(to, peer, "requests left out of neighbour order");
+                assert_eq!(
+                    *on_disk,
+                    rt.server().durable(),
+                    "a request left before the mirror"
+                );
+                match decode(frame) {
+                    Ok(Message::TimeRequest { request_id, .. }) => request_id,
+                    other => panic!("the round sent {other:?}"),
+                }
+            })
+            .collect();
+        assert!(
+            ids.is_sorted_by(|a, b| a < b),
+            "request ids {ids:?} out of order"
+        );
         let _ = std::fs::remove_file(&path);
     }
 

@@ -8,12 +8,14 @@
 //!
 //! This facade crate re-exports the workspace:
 //!
-//! * [`core`] ([`tempo_core`]) — intervals, estimates, and the pure
-//!   synchronization functions (algorithms MM and IM, the fault-tolerant
+//! * [`core`] ([`tempo_core`]) — intervals, estimates, the rules' and
+//!   theorems' bounds, and the pure building blocks (the fault-tolerant
 //!   Marzullo sweep, NTP-style selection, consistency, consonance),
 //! * [`clocks`] ([`tempo_clocks`]) — simulated drifting/faulty clocks,
 //! * [`net`] ([`tempo_net`]) — the deterministic discrete-event network,
 //! * [`service`] ([`tempo_service`]) — the time-server/client protocol,
+//!   whose round engine holds the synchronization rules (MM-2, IM-2,
+//!   Marzullo(f) and the max / median / mean baselines),
 //! * [`sim`] ([`tempo_sim`]) — scenarios, metrics, and the experiment
 //!   library regenerating every figure of the paper,
 //! * [`telemetry`] ([`tempo_telemetry`]) — the typed event bus every
